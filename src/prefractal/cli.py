@@ -21,15 +21,13 @@ from fractions import Fraction
 from . import __version__
 from .gasket import build_gasket, complex_to_dict
 from .harmonic import build_harmonic_gasket, derive_subdivision_rule
-from .metric import (FiniteMetricSpace, certify_vertex_agreement,
-                     gasket_metric_graph, gh_upper_bound)
+from .metric import certify_vertex_agreement, gasket_metric_graph, gh_upper_bound
 from .modes import covariant_reach_witness
 from .spectrum import SpectrumSpec, dimension_fit, enumerate_eigenvalues
 from .svg import gasket_svg, line_plot, plane_coords
 from .transport import DiscreteMeasure, certify_extent, kantorovich
 
 SCHEMA_VERSION = 1
-CACHE_ENV = "PREFRACTAL_CACHE"
 
 
 def _emit(text: str, out: str | None):
@@ -81,25 +79,6 @@ def _parse_measure(text: str) -> DiscreteMeasure:
 
 def _config_echo(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
-
-
-def _cached_metric_space(level: int) -> FiniteMetricSpace:
-    """Vertex metric space of (V_level, d_level), cached under $PREFRACTAL_CACHE."""
-    cache_dir = os.environ.get(CACHE_ENV)
-    path = None
-    if cache_dir:
-        path = os.path.join(cache_dir, "sg-metric-level%d.json" % level)
-        if os.path.exists(path):
-            with open(path) as fh:
-                return FiniteMetricSpace.from_dict(json.load(fh))
-    cx = build_gasket(level)
-    space = FiniteMetricSpace.from_graph(gasket_metric_graph(cx, level),
-                                         validate=False)
-    if path is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(space.to_dict(), fh, sort_keys=True)
-    return space
 
 
 # -- commands --------------------------------------------------------------
@@ -201,10 +180,10 @@ def cmd_dimension(args) -> str:
 
 
 def cmd_kantorovich(args) -> str:
-    space = _cached_metric_space(args.level)
+    graph = gasket_metric_graph(build_gasket(args.level), args.level)
     mu = _parse_measure(args.mu)
     nu = _parse_measure(args.nu)
-    res = kantorovich(space, mu, nu)
+    res = kantorovich(graph, mu, nu)
     config = _config_echo(args, ("level", "mu", "nu"))
     return _json_text("kantorovich", config, {"transport": res.to_dict()})
 
@@ -241,9 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, fmt=("json",)):
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="worker processes for parallel stages")
-        p.add_argument("--seed", type=int, default=0)
         if fmt:
             p.add_argument("--format", choices=fmt, default=fmt[0])
 
@@ -261,6 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-level", type=int, default=6)
     p.add_argument("--m", type=int, default=9, help="fine comparison level")
     p.add_argument("--samples", type=int, default=3, help="on-edge samples per curve")
+    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                   help="worker processes for parallel stages")
     common(p, fmt=("csv", "json", "svg"))
     p.set_defaults(func=cmd_gh_table)
 
@@ -297,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-edge weight; 'auto' picks epsilon/4")
     p.add_argument("--samples", type=int, default=3)
     p.add_argument("--trials", type=int, default=5, help="mixture spot-checks")
+    p.add_argument("--seed", type=int, default=0)
     common(p, fmt=("csv", "json"))
     p.set_defaults(func=cmd_extent)
 
@@ -304,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
     common(p, fmt=None)
     p.set_defaults(func=cmd_covariant)
     return parser

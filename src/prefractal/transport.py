@@ -1,11 +1,12 @@
 """Optimal transport on finite metric spaces and coupled two-scale graphs.
 
-Kantorovich distances are solved by successive shortest paths on the
-complete transshipment digraph over the support union. With rational
-inputs on at most 64 support points everything runs in Fractions and the
-strong-duality gap is checked to be exactly zero; larger or float inputs
-fall back to floats with a 1e-9 gap tolerance. The returned potentials
-are 1-Lipschitz on the support and certify the optimum.
+Kantorovich distances are solved as uncapacitated min-cost flow by
+successive shortest paths: on a metric graph's own edges, or on the
+complete graph of the support union of a finite metric space. Rational
+inputs run in integers at any support size (masses scaled by the lcm of
+their denominators) and the strong-duality gap must be exactly zero;
+float inputs get a 1e-9 gap tolerance. The returned potentials are
+1-Lipschitz on every edge of the solved graph and certify the optimum.
 
 The coupled-graph half glues a fine prefractal level onto a coarse one
 with cross edges of weight alpha and certifies how far any Dirac state
@@ -15,10 +16,11 @@ measured Hausdorff quantities; premises are checked, not assumed.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite
+from math import isfinite, lcm
 
 from .gasket import PrefractalComplex, build_gasket
 from .metric import (EdgePoint, FiniteMetricSpace, MetricGraph, _is_exact_weight,
@@ -27,7 +29,6 @@ from .metric import (EdgePoint, FiniteMetricSpace, MetricGraph, _is_exact_weight
 
 _FLOAT_MASS_TOL = 1e-12
 _FLOAT_GAP_TOL = 1e-9
-RATIONAL_SUPPORT_CAP = 64
 
 
 def _as_float(value):
@@ -108,7 +109,7 @@ class DiscreteMeasure:
 class TransportResult:
     value: object
     plan: list            # (source index, target index, mass), marginal-exact
-    potentials: dict      # index -> dual value, 1-Lipschitz on the support
+    potentials: dict      # support index -> dual value, 1-Lipschitz
     gap: object           # primal cost minus dual value
     exact: bool
 
@@ -122,204 +123,233 @@ class TransportResult:
         }
 
 
-def _ssp_transshipment(cost, b, exact):
-    """Min-cost flow for node imbalances b on a complete metric digraph.
+def _internal_weights(graph: MetricGraph) -> list:
+    """Edge weights in the graph's internal units (ints when exact)."""
+    return graph._int_weights if graph.exact else [w for _, _, w in graph.edges]
 
-    Returns (flow dict (i,j)->mass, potentials list). Potentials satisfy
-    |pi_i - pi_j| <= cost[i][j] everywhere and complementary slackness,
-    so sum(b*pi) equals the flow cost.
+
+def _min_cost_flow(graph: MetricGraph, b, floor):
+    """Uncapacitated min-cost flow on the graph's edges for imbalances b.
+
+    Successive shortest paths: each round runs heap Dijkstra under reduced
+    costs from every vertex whose excess is above `floor`, stops at the
+    first vertex with a deficit, and augments along that path. Edge e is
+    arc 2e from its first to its second endpoint and arc 2e+1 back; an arc
+    whose reverse carries flow cancels it at the negated cost. Returns
+    (arc flows, potentials phi) with w + phi[u] - phi[v] >= 0 on every
+    residual arc and equality on arcs that carry flow.
     """
-    n = len(b)
-    zero = Fraction(0) if exact else 0.0
-    excess_floor = zero if exact else _FLOAT_MASS_TOL
-    pi = [zero] * n
-    flow = {}
-    guard = 10 * n * n + 16
-
+    weights = _internal_weights(graph)
+    n = graph.vertex_count
+    arcs = [[] for _ in range(n)]
+    for e, ((u, v, _), w) in enumerate(zip(graph.edges, weights)):
+        arcs[u].append((v, w, 2 * e))
+        arcs[v].append((u, w, 2 * e + 1))
+    active = [v for v, x in enumerate(b) if x]
+    excess = list(b)
+    flow = [0] * (2 * len(weights))
+    phi = [0] * n
+    pop, push = heapq.heappop, heapq.heappush
+    guard = 4 * (len(active) + len(weights)) + 16
     for _ in range(guard):
-        src = next((i for i in range(n) if b[i] > excess_floor), None)
-        if src is None:
-            break
-        # Dijkstra under reduced costs; back arcs (cancelling existing
-        # flow) are cheaper than forward ones, so they take precedence
-        dist = [None] * n
-        parent = [-1] * n
-        back = [False] * n
-        done = [False] * n
-        dist[src] = zero
-        while True:
-            u = min((i for i in range(n) if not done[i] and dist[i] is not None),
-                    key=lambda i: dist[i], default=None)
-            if u is None:
+        sources = [v for v in active if excess[v] > floor]
+        if not sources or not any(excess[v] < -floor for v in active):
+            return flow, phi
+        dist = dict.fromkeys(sources, 0)
+        heap = [(0, s) for s in sources]
+        parent = {}
+        done = {}
+        t = None
+        while heap:
+            d, u = pop(heap)
+            if u in done:
+                continue
+            done[u] = d
+            if excess[u] < -floor:
+                t = u
                 break
-            done[u] = True
-            for v in range(n):
-                if v == u or done[v]:
+            base = d + phi[u]
+            for v, w, a in arcs[u]:
+                if v in done:
                     continue
-                if flow.get((v, u), zero) > zero:
-                    arc_cost, via_back = -cost[v][u], True
-                else:
-                    arc_cost, via_back = cost[u][v], False
-                cand = dist[u] + arc_cost - pi[u] + pi[v]
-                if dist[v] is None or cand < dist[v]:
-                    dist[v] = cand
-                    parent[v] = u
-                    back[v] = via_back
-        sinks = [j for j in range(n) if b[j] < -excess_floor]
-        if not sinks:
-            break
-        t = min(sinks, key=lambda j: (dist[j], j))
-        for v in range(n):
-            if dist[v] is not None:
-                pi[v] -= dist[v]
-        # augment along the parent path
+                nd = base + (-w if flow[a ^ 1] > 0 else w) - phi[v]
+                if v not in dist or nd < dist[v]:
+                    dist[v] = nd
+                    parent[v] = (u, a)
+                    push(heap, (nd, v))
+        if t is None:
+            raise RuntimeError("no vertex with a deficit is reachable")
+        # shifting phi by min(d, d_t) - d_t keeps reduced costs nonnegative
+        # and touches only the settled vertices
+        d_t = done[t]
+        for v, d in done.items():
+            phi[v] += d - d_t
         path = []
-        v = t
-        while v != src:
-            path.append((parent[v], v, back[v]))
-            v = parent[v]
-        path.reverse()
-        m = min(b[src], -b[t])
-        for u, v, via_back in path:
-            if via_back:
-                m = min(m, flow[(v, u)])
-        for u, v, via_back in path:
-            if via_back:
-                left = flow[(v, u)] - m
-                if left > zero:
-                    flow[(v, u)] = left
-                else:
-                    del flow[(v, u)]
+        s = t
+        while s in parent:
+            s, a = parent[s]
+            path.append(a)
+        amount = min([excess[s], -excess[t]]
+                     + [flow[a ^ 1] for a in path if flow[a ^ 1] > 0])
+        for a in path:
+            if flow[a ^ 1] > 0:
+                flow[a ^ 1] -= amount
             else:
-                flow[(u, v)] = flow.get((u, v), zero) + m
-        b[src] -= m
-        b[t] += m
-    else:
-        raise RuntimeError("transshipment failed to settle within %d augmentations" % guard)
-    return flow, pi
+                flow[a] += amount
+        excess[s] -= amount
+        excess[t] += amount
+    raise RuntimeError("min-cost flow failed to settle within %d augmentations" % guard)
 
 
-def _decompose_flow(flow, supply, demand, zero):
-    """Split an acyclic flow into source-to-sink path masses."""
-    adj = {}
-    for (u, v), m in flow.items():
-        adj.setdefault(u, {})[v] = m
-    supply = dict(supply)
-    demand = dict(demand)
+def _decompose_flow(edges, flow, floor):
+    """Split an acyclic arc flow into (source, sink) -> mass.
+
+    Flows, supplies and demands at or below `floor` count as zero, the
+    same floor the solver stops at.
+    """
+    out = {}
+    net = {}
+    for a, f in enumerate(flow):
+        if f > floor:
+            u, v, _ = edges[a >> 1]
+            if a & 1:
+                u, v = v, u
+            nbrs = out.setdefault(u, {})
+            nbrs[v] = nbrs.get(v, 0) + f
+            net[u] = net.get(u, 0) + f
+            net[v] = net.get(v, 0) - f
+    supply = {v: m for v, m in net.items() if m > floor}
+    demand = {v: -m for v, m in net.items() if -m > floor}
     plan = {}
-    guard = 4 * (len(flow) + len(supply) + len(demand)) + 16
+    guard = sum(map(len, out.values())) + len(supply) + len(demand) + 1
     for _ in range(guard):
-        s = next((i for i, m in sorted(supply.items()) if m > zero), None)
+        s = next((v for v, m in sorted(supply.items()) if m > floor), None)
         if s is None:
-            break
+            return plan
         node = s
         path = []
-        while node in adj and adj[node]:
-            nxt = min(adj[node])
+        while demand.get(node, 0) <= floor:
+            if not out.get(node) or len(path) > len(out):
+                raise RuntimeError("flow conservation violated at vertex %d" % node)
+            nxt = min(out[node])
             path.append((node, nxt))
             node = nxt
-        if not path:
-            raise RuntimeError("flow conservation violated at node %d" % s)
-        t = node
-        m = min(supply[s], demand[t], min(adj[u][v] for u, v in path))
+        m = min(supply[s], demand[node], min(out[u][v] for u, v in path))
         for u, v in path:
-            left = adj[u][v] - m
-            if left > zero:
-                adj[u][v] = left
+            left = out[u][v] - m
+            if left > floor:
+                out[u][v] = left
             else:
-                del adj[u][v]
+                del out[u][v]
         supply[s] -= m
-        demand[t] -= m
-        plan[(s, t)] = plan.get((s, t), m * 0) + m
-    else:
-        raise RuntimeError("flow decomposition did not terminate")
-    return plan
+        demand[node] -= m
+        plan[(s, node)] = plan.get((s, node), 0) + m
+    raise RuntimeError("flow decomposition did not terminate")
 
 
-def kantorovich(space: FiniteMetricSpace, mu: DiscreteMeasure,
+def kantorovich(space: MetricGraph | FiniteMetricSpace, mu: DiscreteMeasure,
                 nu: DiscreteMeasure) -> TransportResult:
-    """Optimal transport cost between mu and nu on a finite metric space.
+    """Optimal transport cost between mu and nu, with a checked certificate.
 
-    Exact (Fraction) when the space and both measures are rational and
-    the support union has at most RATIONAL_SUPPORT_CAP points; float with
-    a checked duality gap <= 1e-9 otherwise.
+    On a MetricGraph the transport runs as min-cost flow on the graph's
+    own edges; on a FiniteMetricSpace it runs on the complete graph of the
+    support union, weighted by the space's distances. Exact at any support
+    size when the weights and both measures are rational: masses are
+    scaled to integers by the lcm of their denominators and the duality
+    gap must be exactly zero. Float inputs give float results with a gap
+    of at most 1e-9. The potentials are 1-Lipschitz on every edge of the
+    solved graph and are reported on the support union.
     """
-    n_pts = len(space)
+    on_graph = isinstance(space, MetricGraph)
+    n_pts = space.vertex_count if on_graph else len(space)
     for meas, name in ((mu, "mu"), (nu, "nu")):
         top = max(meas.support)
         if top >= n_pts:
             raise ValueError("%s has support index %d but the space has %d points"
                              % (name, top, n_pts))
     nodes = sorted(set(mu.support) | set(nu.support))
-    exact = (space.exact and mu.exact and nu.exact
-             and len(nodes) <= RATIONAL_SUPPORT_CAP)
-    pos = {p: k for k, p in enumerate(nodes)}
-
-    def lift(w):
-        return Fraction(w) if exact else _as_float(w)
-
-    cost = [[lift(space.matrix[p][q]) for q in nodes] for p in nodes]
-    mu_w = [lift(mu.weight(p)) for p in nodes]
-    nu_w = [lift(nu.weight(p)) for p in nodes]
-    b = [mw - nw for mw, nw in zip(mu_w, nu_w)]
-    zero = Fraction(0) if exact else 0.0
-
-    flow, pi = _ssp_transshipment(cost, list(b), exact)
-    value = sum((m * cost[u][v] for (u, v), m in flow.items()), zero)
-    dual = sum((bi * p for bi, p in zip(b, pi)), zero)
-    gap = value - dual
-    if exact:
-        if gap != 0:
-            raise RuntimeError("exact duality gap is nonzero: %s" % gap)
-    elif abs(gap) > _FLOAT_GAP_TOL:
-        raise RuntimeError("duality gap %.3g exceeds %g" % (gap, _FLOAT_GAP_TOL))
-
-    supply = {i: bi for i, bi in enumerate(b) if bi > zero}
-    demand = {i: -bi for i, bi in enumerate(b) if bi < zero}
-    moved = _decompose_flow(flow, supply, demand, zero)
-    plan = []
-    for k, p in enumerate(nodes):
-        stay = min(mu_w[k], nu_w[k])
-        if stay > zero:
-            plan.append((p, p, stay))
-    for (u, v), m in sorted(moved.items()):
-        plan.append((nodes[u], nodes[v], m))
-
-    # the decomposed plan can only be cheaper than the flow (triangle
-    # inequality), and no plan beats the optimum, so costs must agree
-    plan_cost = sum((m * lift(space.matrix[i][j]) for i, j, m in plan), zero)
-    if exact:
-        if plan_cost != value:
-            raise RuntimeError("plan cost %s disagrees with flow cost %s"
-                               % (plan_cost, value))
-    elif abs(plan_cost - value) > _FLOAT_GAP_TOL:
-        raise RuntimeError("plan cost drifted from flow cost by %.3g"
-                           % abs(plan_cost - value))
-    _check_marginals(plan, mu_w, nu_w, nodes, exact)
-
-    if exact:
-        value = _tighten(value)
-        plan = [(i, j, _tighten(m)) for i, j, m in plan]
-        pots = {p: _tighten(pi[k]) for p, k in pos.items()}
+    if on_graph:
+        graph, label = space, range(n_pts)
     else:
-        pots = {p: pi[k] for p, k in pos.items()}
-    return TransportResult(value=value, plan=plan, potentials=pots,
-                           gap=gap, exact=exact)
+        graph = MetricGraph(len(nodes), [(a, c, space.matrix[nodes[a]][nodes[c]])
+                                         for a in range(len(nodes)) for c in range(a)],
+                            provenance="support union")
+        label = nodes
+    where = {p: p if on_graph else k for k, p in enumerate(nodes)}
+    unit = graph.value_scale() or 1
+    exact = graph.exact and mu.exact and nu.exact
+    if exact:
+        scale = lcm(*(w.denominator for m in (mu, nu) for w in m.weights.values()))
+
+        def lift(w):
+            return w.numerator * (scale // w.denominator)
+
+        def out(x, den):
+            return _tighten(Fraction(x, den))
+    else:
+        scale, lift = 1, _as_float
+
+        def out(x, den):
+            return x / den
+    den = scale * unit
+    tol = 0 if exact else _FLOAT_GAP_TOL * den
+    floor = 0 if exact else _FLOAT_MASS_TOL
+    mu_w = {where[p]: lift(w) for p, w in mu.weights.items()}
+    nu_w = {where[p]: lift(w) for p, w in nu.weights.items()}
+    b = [0] * graph.vertex_count
+    for v, w in mu_w.items():
+        b[v] += w
+    for v, w in nu_w.items():
+        b[v] -= w
+
+    flow, phi = _min_cost_flow(graph, b, floor)
+    weights = _internal_weights(graph)
+    value = sum(f * weights[a >> 1] for a, f in enumerate(flow) if f)
+    gap = value + sum(b[v] * phi[v] for v in where.values())
+    if abs(gap) > tol:
+        raise RuntimeError("duality gap %s exceeds %g" % (out(gap, den), tol / den))
+    slack = 0 if graph.exact else _FLOAT_GAP_TOL
+    for (u, v, _), w in zip(graph.edges, weights):
+        if abs(phi[u] - phi[v]) > w + slack:
+            raise RuntimeError("potentials are not 1-Lipschitz on edge (%d, %d)"
+                               % (label[u], label[v]))
+
+    plan = [(v, v, min(w, nu_w[v])) for v, w in mu_w.items() if v in nu_w]
+    plan += [(u, v, m) for (u, v), m in
+             sorted(_decompose_flow(graph.edges, flow, floor).items())]
+    _check_marginals(plan, mu_w, nu_w, 2 * floor, label)
+
+    # plan costs from true distances: a decomposed path can only be longer
+    # than the geodesic, and no plan beats the optimum
+    movers = sorted({u for u, v, _ in plan if u != v})
+    if on_graph:
+        rows = {u: graph._sssp([u]) for u in movers}
+    else:
+        scaled = (lambda d: int(Fraction(d) * unit)) if graph.exact else float
+        rows = {u: [scaled(space.matrix[nodes[u]][q]) for q in nodes] for u in movers}
+    plan_cost = sum(m * rows[u][v] for u, v, m in plan if u != v)
+    if abs(plan_cost - value) > tol:
+        raise RuntimeError("plan cost %s disagrees with flow cost %s"
+                           % (out(plan_cost, den), out(value, den)))
+
+    return TransportResult(
+        value=out(value, den),
+        plan=[(label[u], label[v], out(m, scale)) for u, v, m in plan],
+        potentials={p: out(-phi[v], unit) for p, v in where.items()},
+        gap=out(gap, den), exact=exact)
 
 
-def _check_marginals(plan, mu_w, nu_w, nodes, exact):
-    pos = {p: k for k, p in enumerate(nodes)}
-    zero = Fraction(0) if exact else 0.0
-    row = [zero] * len(nodes)
-    col = [zero] * len(nodes)
-    for i, j, m in plan:
-        row[pos[i]] += m
-        col[pos[j]] += m
-    tol = 0 if exact else 2 * _FLOAT_MASS_TOL
-    for k in range(len(nodes)):
-        if abs(row[k] - mu_w[k]) > tol or abs(col[k] - nu_w[k]) > tol:
+def _check_marginals(plan, mu_w, nu_w, tol, label):
+    row = {}
+    col = {}
+    for u, v, m in plan:
+        row[u] = row.get(u, 0) + m
+        col[v] = col.get(v, 0) + m
+    for v in sorted(set(mu_w) | set(nu_w) | set(row) | set(col)):
+        if (abs(row.get(v, 0) - mu_w.get(v, 0)) > tol
+                or abs(col.get(v, 0) - nu_w.get(v, 0)) > tol):
             raise RuntimeError("plan marginals disagree with the measures at "
-                               "point %d" % nodes[k])
+                               "point %d" % label[v])
 
 
 # -- Lipschitz calculus ---------------------------------------------------
@@ -563,28 +593,15 @@ def certify_extent(n: int, m: int, alpha=None, samples_per_curve: int = 3,
     rng = random.Random(seed)
     mixture_max = Fraction(0)
     for _ in range(mixture_trials):
+        # copy A keeps its vertex indices, so mu lives on cg.graph as drawn;
+        # each atom moves to its nearest copy-B vertex
         mu = DiscreteMeasure.random_mixture(rng, range(cg.n_a), min(4, cg.n_a))
-        support = [cg.a_node(i) for i in mu.support]
-        rows = {}
-        transfer = {}
-        for a_idx in mu.support:
-            row = cg.graph.single_source(cg.a_node(a_idx))
-            rows[cg.a_node(a_idx)] = row
+        targets = []
+        for a_idx, w in mu.weights.items():
+            row = cg.graph.internal_rows([cg.a_node(a_idx)])[0]
             b_best = min(range(cg.n_b), key=lambda j: (row[cg.b_node(j)], j))
-            transfer[a_idx] = b_best
-        targets = sorted(set(cg.b_node(transfer[i]) for i in mu.support))
-        for t in targets:
-            if t not in rows:
-                rows[t] = cg.graph.single_source(t)
-        local = sorted(set(support) | set(targets))
-        matrix = [[rows[p][q] if p in rows else rows[q][p] for q in local]
-                  for p in local]
-        space = FiniteMetricSpace(local, matrix, validate=False)
-        pos = {p: k for k, p in enumerate(local)}
-        mu_l = DiscreteMeasure([(pos[cg.a_node(i)], w) for i, w in mu.weights.items()])
-        nu_l = DiscreteMeasure([(pos[cg.b_node(transfer[i])], w)
-                                for i, w in mu.weights.items()])
-        val = Fraction(kantorovich(space, mu_l, nu_l).value)
+            targets.append((cg.b_node(b_best), w))
+        val = Fraction(kantorovich(cg.graph, mu, DiscreteMeasure(targets)).value)
         if val > mixture_max:
             mixture_max = val
     if mixture_max > per_dirac:

@@ -1,11 +1,12 @@
 import json
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from prefractal.cli import _parse_fraction, _parse_measure, main
-from prefractal.gasket import complex_from_dict, curve_count
+from prefractal.gasket import complex_from_dict, curve_count, vertex_count
 from prefractal.spectrum import SpectrumSpec, enumerate_eigenvalues
 
 
@@ -129,6 +130,21 @@ class TestTables:
         assert tr["value"] == 1.0 and tr["exact"] and tr["gap"] == 0.0
         assert sorted(tuple(row) for row in tr["plan"]) == [(0, 2, 0.5), (1, 2, 0.5)]
 
+    def test_kantorovich_exact_past_sixty_four_points(self, capsys):
+        rng = random.Random(4040)
+        picks = rng.sample(range(vertex_count(5)), 80)
+
+        def measure(points):
+            raw = [rng.randint(1, 9) for _ in points]
+            return ",".join("%d:%d/%d" % (p, r, sum(raw)) for p, r in zip(points, raw))
+
+        code, out, _ = _run(capsys, "kantorovich", "--level", "5",
+                            "--mu", measure(picks[:40]), "--nu", measure(picks[40:]))
+        assert code == 0
+        tr = json.loads(out)["transport"]
+        assert tr["exact"] is True and tr["gap"] == 0.0
+        assert sorted(i for i, _ in tr["dual"]) == sorted(picks)
+
     def test_extent_table_row(self, capsys):
         code, out, _ = _run(capsys, "extent", "--n", "2", "--m", "5")
         assert code == 0
@@ -158,25 +174,23 @@ class TestTables:
 
 class TestPlumbing:
     def test_outputs_are_byte_identical(self, tmp_path, capsys):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        for path in (a, b):
-            code = main(["extent", "--n", "2", "--m", "4", "--format", "json",
-                         "--out", str(path)])
-            capsys.readouterr()
-            assert code == 0
-        assert a.read_bytes() == b.read_bytes()
+        for k, argv in enumerate((["extent", "--n", "2", "--m", "4", "--format", "json"],
+                                  ["kantorovich", "--level", "2", "--mu", "0:1",
+                                   "--nu", "5:1"])):
+            a = tmp_path / ("a%d.json" % k)
+            b = tmp_path / ("b%d.json" % k)
+            for path in (a, b):
+                code = main(argv + ["--out", str(path)])
+                capsys.readouterr()
+                assert code == 0
+            assert a.read_bytes() == b.read_bytes()
 
-    def test_cache_env_round_trip(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("PREFRACTAL_CACHE", str(tmp_path))
-        code, first, _ = _run(capsys, "kantorovich", "--level", "2",
-                              "--mu", "0:1", "--nu", "5:1")
-        assert code == 0
-        cached = list(tmp_path.glob("sg-metric-*.json"))
-        assert len(cached) == 1
-        code, second, _ = _run(capsys, "kantorovich", "--level", "2",
-                               "--mu", "0:1", "--nu", "5:1")
-        assert code == 0 and second == first
+    def test_flags_are_registered_only_where_read(self):
+        for argv in (["gen", "--level", "1", "--seed", "1"],
+                     ["extent", "--n", "1", "--m", "2", "--workers", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_config_echo_embeds_parameters(self, capsys):
         _, out, _ = _run(capsys, "covariant", "--n", "3", "--epsilon", "0.1",

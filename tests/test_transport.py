@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from prefractal import transport
 from prefractal.exactlp import (Infeasible, Unbounded, max_difference_objective,
                                 maximize)
 from prefractal.gasket import build_gasket
@@ -230,12 +231,57 @@ class TestKantorovich:
         assert not res.exact
         assert abs(res.gap) <= 1e-9
 
-    def test_support_cap_switches_to_float(self):
+    def test_large_rational_support_stays_exact(self):
         g = gasket_metric_graph(CX, 4)
         space = FiniteMetricSpace.from_graph(g)
         mu = DiscreteMeasure({i: F(1, 70) for i in range(70)})
         res = kantorovich(space, mu, DiscreteMeasure.dirac(0))
+        assert res.exact and res.gap == 0
+
+    def test_float_masses_on_level_five(self):
+        # float masses leave residues below the 1e-12 floor; the flow
+        # decomposition must ignore them exactly as the solver does
+        rng = random.Random(801)
+        space = FiniteMetricSpace.from_graph(gasket_metric_graph(CX, 5), validate=False)
+
+        def float_mixture():
+            drawn = DiscreteMeasure.random_mixture(rng, range(len(space)), 4)
+            return DiscreteMeasure({i: float(w) for i, w in drawn.weights.items()})
+
+        mu, nu = float_mixture(), float_mixture()
+        res = kantorovich(space, mu, nu)
         assert not res.exact and abs(res.gap) <= 1e-9
+        for side, meas in ((0, mu), (1, nu)):
+            for p in set(mu.support) | set(nu.support):
+                moved = sum(m for *ends, m in res.plan if ends[side] == p)
+                assert abs(moved - meas.weight(p)) <= 2e-12
+
+    def test_graph_edges_match_support_union(self):
+        # the complete graph of the support union is the oracle for the
+        # solve on the level graph's own edges
+        g = gasket_metric_graph(CX, 3)
+        space = FiniteMetricSpace.from_graph(g)
+        rng = random.Random(2718)
+        for _ in range(12):
+            mu = DiscreteMeasure.random_mixture(rng, range(len(space)), rng.randint(1, 8))
+            nu = DiscreteMeasure.random_mixture(rng, range(len(space)), rng.randint(1, 8))
+            res = kantorovich(g, mu, nu)
+            assert res.exact and res.gap == 0
+            assert set(res.potentials) == set(mu.support) | set(nu.support)
+            assert F(res.value) == F(kantorovich(space, mu, nu).value)
+
+    def test_edge_certificate_names_the_edge(self, monkeypatch):
+        solve = transport._min_cost_flow
+
+        def skewed(graph, b, floor):
+            flow, phi = solve(graph, b, floor)
+            phi[5] += 1000     # vertex 5 is off the support, so the gap holds
+            return flow, phi
+
+        monkeypatch.setattr(transport, "_min_cost_flow", skewed)
+        g = gasket_metric_graph(CX, 2)
+        with pytest.raises(RuntimeError, match=r"1-Lipschitz on edge \((5, \d+|\d+, 5)\)"):
+            kantorovich(g, DiscreteMeasure.dirac(0), DiscreteMeasure.dirac(1))
 
     def test_json_round_shape(self):
         space = FiniteMetricSpace("abc", [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
