@@ -14,14 +14,18 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .gasket import build_gasket, complex_to_dict
+from .gasket import build_gasket, complex_to_dict, vertex_count
 from .harmonic import build_harmonic_gasket, derive_subdivision_rule
-from .metric import certify_vertex_agreement, gasket_metric_graph, gh_upper_bound
+from .metric import (
+    certify_vertex_agreement,
+    check_agreement_size,
+    gasket_metric_graph,
+    gh_upper_bound,
+)
 from .modes import covariant_reach_witness
 from .spectrum import SpectrumSpec, dimension_fit, enumerate_eigenvalues
 from .svg import gasket_svg, line_plot, plane_coords
@@ -114,14 +118,15 @@ def cmd_gen(args) -> str:
 def cmd_gh_table(args) -> str:
     if args.m < args.max_level:
         raise ValueError("--m must be at least --max-level")
+    check_agreement_size(vertex_count(args.max_level), vertex_count(args.m))
     config = _config_echo(args, ("max_level", "m", "samples", "format"))
     cx = build_gasket(args.m)
     g_m = gasket_metric_graph(cx, args.m)
     rows = []
     for n in range(args.max_level + 1):
-        rep = gh_upper_bound(n, args.m, samples_per_curve=args.samples, cx=cx)
-        agree = certify_vertex_agreement(n, args.m, gasket_metric_graph(cx, n),
-                                         g_m, workers=args.workers)
+        rep = gh_upper_bound(n, args.m, samples_per_curve=args.samples, cx=cx,
+                             g_m=g_m)
+        agree = certify_vertex_agreement(n, args.m, gasket_metric_graph(cx, n), g_m)
         rows.append((n, args.m, float(rep.bound), float(rep.bound_with_slack),
                      float(rep.paper_bound) + float(rep.tail),
                      float(agree.max_discrepancy)))
@@ -237,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-level", type=int, default=6)
     p.add_argument("--m", type=int, default=9, help="fine comparison level")
     p.add_argument("--samples", type=int, default=3, help="on-edge samples per curve")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="worker processes for parallel stages")
     common(p, fmt=("csv", "json", "svg"))
     p.set_defaults(func=cmd_gh_table)
 

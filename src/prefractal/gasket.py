@@ -146,7 +146,7 @@ class PrefractalComplex:
     Vertices are deduplicated and enumerated level by level, so the first
     vertex_count(m) entries are exactly V_m for every m <= max_level, with
     indices stable across different max_level builds. Immutable after
-    construction; safe to share between workers.
+    construction.
     """
 
     def __init__(self, max_level, triangles, curves, vertices, level_vertex_counts):

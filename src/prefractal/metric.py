@@ -17,12 +17,13 @@ Core claims exercised by the test suite:
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isfinite
+from math import gcd, isfinite, lcm
+
+import numpy as np
 
 from .dyadic import DyadicRational
 from .gasket import PrefractalComplex, build_gasket, vertex_count
@@ -55,7 +56,7 @@ class MetricGraph:
     Weights must either all be rational (int, DyadicRational, Fraction),
     giving exact integer shortest paths over a common denominator, or
     floats. Construction verifies positivity and connectivity; instances
-    are immutable by convention and safe to share across workers.
+    are immutable by convention.
     """
 
     def __init__(self, n_vertices, edges, provenance="generic",
@@ -192,27 +193,115 @@ class MetricGraph:
             raise ValueError("need at least one source vertex")
         return [self._value(d) for d in self._sssp(sources)]
 
-    def internal_rows(self, sources, workers: int = 1):
-        """Internal-unit distance rows per source (ints if exact)."""
+    def nearest_sources(self, sources) -> list[int]:
+        """Position in `sources` of each vertex's nearest source.
+
+        One Dijkstra run whose labels are (distance, source position) in
+        lexicographic order, so ties go to the earliest source.
+        """
         sources = list(sources)
-        if workers > 1 and len(sources) > 1:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(workers, _pool_init, (self,)) as pool:
-                chunk = max(1, len(sources) // (4 * workers))
-                return pool.map(_pool_sssp, sources, chunksize=chunk)
+        if not sources:
+            raise ValueError("need at least one source vertex")
+        adj = self._adj
+        label = [None] * self.vertex_count
+        heap = []
+        for pos, s in enumerate(sources):
+            if label[s] is None:
+                label[s] = (0, pos)
+                heap.append((0, pos, s))
+        heapq.heapify(heap)
+        while heap:
+            d, pos, u = heapq.heappop(heap)
+            if (d, pos) != label[u]:
+                continue
+            for v, w in adj[u]:
+                cand = (d + w, pos)
+                if label[v] is None or cand < label[v]:
+                    label[v] = cand
+                    heapq.heappush(heap, (d + w, pos, v))
+        return [pos for _, pos in label]
+
+    def internal_rows(self, sources):
+        """Internal-unit distance rows per source (ints if exact)."""
         return [self._sssp([s]) for s in sources]
 
+    def _neighbour_table(self) -> np.ndarray:
+        """Neighbour indices as a (max degree, V+1) array.
 
-_POOL_GRAPH = None
+        Column v lists v's neighbours, padded with V, an extra vertex whose
+        bitset stays empty; row c holds the c-th neighbour of every vertex.
+        """
+        n = self.vertex_count
+        ends = np.array([(u, v) for u, v, _ in self.edges], dtype=np.intp)
+        ends = ends.reshape(-1, 2)
+        src = np.concatenate([ends[:, 0], ends[:, 1]])
+        dst = np.concatenate([ends[:, 1], ends[:, 0]])
+        order = np.argsort(src, kind="stable")
+        src, dst = src[order], dst[order]
+        deg = np.bincount(src, minlength=n)
+        slot = np.arange(len(src)) - (np.cumsum(deg) - deg)[src]
+        table = np.full((max(1, int(deg.max(initial=0))), n + 1), n, dtype=np.intp)
+        table[slot, src] = dst
+        return table
 
+    def hop_block(self, sources, targets) -> np.ndarray:
+        """Hop counts as an int64 (targets x sources) matrix, by MS-BFS.
 
-def _pool_init(graph):
-    global _POOL_GRAPH
-    _POOL_GRAPH = graph
-
-
-def _pool_sssp(source):
-    return _POOL_GRAPH._sssp([source])
+        Bit-parallel multi-source BFS (Then et al., "The More the Merrier",
+        VLDB 2014): source k owns bit k % 64 of word k // 64 in every
+        vertex's bitset, and each step ORs the frontier bitsets of all
+        neighbours through the padded neighbour table, so 64 sources share
+        one uint64 operation. A bit that first appears at step d is written
+        into the bit planes of d, and the planes are unpacked at the end.
+        Hops times the uniform weight are the exact internal distances, so
+        only exact graphs with one edge weight qualify.
+        """
+        if not self._uniform:
+            raise ValueError("hop counts need an exact graph with uniform weights")
+        sources = np.asarray(sources, dtype=np.intp)
+        targets = np.asarray(targets, dtype=np.intp)
+        if not len(sources):
+            raise ValueError("need at least one source vertex")
+        n = self.vertex_count
+        for ids in (sources, targets):
+            if len(ids) and not (0 <= ids.min() and ids.max() < n):
+                raise ValueError("vertex index out of range 0..%d" % (n - 1))
+        table = self._neighbour_table()
+        words = -(-len(sources) // 64)
+        bitset = np.dtype((np.void, 8 * words))
+        k = np.arange(len(sources))
+        frontier = np.zeros((n + 1, words), dtype=np.uint64)
+        np.bitwise_or.at(frontier, (sources, k // 64),
+                         np.left_shift(np.uint64(1), (k % 64).astype(np.uint64)))
+        valid = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
+        if len(sources) % 64:
+            valid[-1] = (1 << len(sources) % 64) - 1
+        unseen = valid & ~frontier
+        unseen[n] = 0  # the padding row never joins a frontier
+        planes = []
+        depth = 0
+        # stop once every target has been reached from every source
+        while unseen[targets].any():
+            depth += 1
+            rows = frontier.view(bitset).reshape(n + 1)
+            nxt = rows[table[0]].view(np.uint64).reshape(n + 1, words)
+            for col in table[1:]:
+                nxt |= rows[col].view(np.uint64).reshape(n + 1, words)
+            nxt &= unseen
+            unseen ^= nxt
+            frontier = nxt
+            while 1 << len(planes) <= depth:
+                planes.append(np.zeros((len(targets), words), dtype=np.uint64))
+            reached = frontier[targets]
+            for b, plane in enumerate(planes):
+                if depth >> b & 1:
+                    plane |= reached
+        hops = np.zeros((len(targets), len(sources)), dtype=np.int64)
+        for b, plane in enumerate(planes):
+            bits = np.unpackbits(plane.astype("<u8").view(np.uint8), axis=1,
+                                 bitorder="little")[:, :len(sources)]
+            np.bitwise_or(hops, 1 << b, out=hops, where=bits.view(bool))
+        return hops
 
 
 def gasket_metric_graph(cx: PrefractalComplex, level: int | None = None,
@@ -239,11 +328,11 @@ def gasket_metric_graph(cx: PrefractalComplex, level: int | None = None,
                        edge_ids=[c.id for c in curves], vertex_keys=keys)
 
 
-def geodesic_vertex_distances(g: MetricGraph, sources=None, workers: int = 1):
+def geodesic_vertex_distances(g: MetricGraph, sources=None):
     """Shortest-path distance rows from each source vertex (exact or float)."""
     if sources is None:
         sources = range(g.vertex_count)
-    rows = g.internal_rows(sources, workers=workers)
+    rows = g.internal_rows(sources)
     return [[g._value(d) for d in row] for row in rows]
 
 
@@ -309,14 +398,18 @@ def geodesic_point_distance(g: MetricGraph, x, y):
 # -- finite metric spaces ----------------------------------------------
 
 
+_TRIANGLE_FAILURE = "triangle inequality fails: d(%d,%d) > d(%d,%d)+d(%d,%d)"
+
+
 class FiniteMetricSpace:
     """Labelled symmetric distance matrix with validated metric axioms.
 
-    Triangle inequality is checked exhaustively up to 64 points and on a
-    seeded sample of triples above that; float matrices get a 1e-9
-    additive slack, exact ones none.
+    Triangle inequality is checked on every triple up to 1,100 points
+    (level-6 gasket sizes) and on a seeded sample of triples above that;
+    float matrices get a 1e-9 additive slack, exact ones none.
     """
 
+    _TRIANGLE_EXHAUSTIVE = 1_100
     _TRIANGLE_SAMPLES = 200_000
 
     def __init__(self, labels, matrix, validate=True):
@@ -350,32 +443,42 @@ class FiniteMetricSpace:
                         "distinct points %d,%d at nonpositive distance %s"
                         % (i, j, m[i][j])
                     )
-        if n <= 64:
-            triples = (
-                (i, j, k)
-                for i in range(n)
-                for j in range(n)
-                for k in range(n)
-            )
-        else:
-            rng = random.Random(20260815)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(self._TRIANGLE_SAMPLES)
-            )
-        for i, j, k in triples:
+        if n <= self._TRIANGLE_EXHAUSTIVE:
+            self._check_every_triangle(slack)
+            return
+        rng = random.Random(20260815)
+        for _ in range(self._TRIANGLE_SAMPLES):
+            i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
             if m[i][j] > m[i][k] + m[k][j] + slack:
-                raise ValueError(
-                    "triangle inequality fails: d(%d,%d) > d(%d,%d)+d(%d,%d)"
-                    % (i, j, i, k, k, j)
-                )
+                raise ValueError(_TRIANGLE_FAILURE % (i, j, i, k, k, j))
+
+    def _check_every_triangle(self, slack):
+        """Min-plus sweep over every triple, one intermediate point k at a time.
+
+        Exact entries are scaled to integers over their common denominator
+        and compared in int64 (Python ints if the scaled entries could
+        overflow), so the check stays exact.
+        """
+        m = self.matrix
+        if self.exact:
+            den = lcm(*{e.denominator for row in m for e in row})
+            ints = [[e.numerator * (den // e.denominator) for e in row] for row in m]
+            wide = max(map(max, ints), default=0) >= 2**62
+            d = np.array(ints, dtype=object if wide else np.int64)
+        else:
+            d = np.array(m, dtype=np.float64)
+        for k in range(len(d)):
+            bad = d > d[:, k, None] + d[None, k, :] + slack
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise ValueError(_TRIANGLE_FAILURE % (i, j, i, k, k, j))
 
     @classmethod
-    def from_graph(cls, g: MetricGraph, vertex_ids=None, workers: int = 1,
+    def from_graph(cls, g: MetricGraph, vertex_ids=None,
                    validate=True) -> "FiniteMetricSpace":
         """Distance matrix of a vertex subset (default: all vertices)."""
         ids = list(range(g.vertex_count)) if vertex_ids is None else list(vertex_ids)
-        rows = g.internal_rows(ids, workers=workers)
+        rows = g.internal_rows(ids)
         matrix = [[g._value(rows[i][ids[j]]) for j in range(len(ids))]
                   for i in range(len(ids))]
         return cls(ids, matrix, validate=validate)
@@ -437,6 +540,10 @@ def hausdorff_vertex_sets(g: MetricGraph, a_indices, b_indices):
 
 # -- agreement certification and the two-sided bound chain ---------------
 
+# cap on the estimated bytes of one hop-block agreement check; defaults
+# (V_6 inside the level-9 gasket) need about 30 MiB
+AGREEMENT_BYTES_GUARD = 2**30
+
 
 @dataclass
 class AgreementReport:
@@ -448,13 +555,32 @@ class AgreementReport:
     exact: bool
 
 
+def check_agreement_size(coarse_vertices: int, fine_vertices: int) -> None:
+    """Raise ValueError when the hop-block agreement check of V_n inside V_m
+    would exceed AGREEMENT_BYTES_GUARD.
+
+    The estimate is two int64 hop blocks over V_n x V_n (one per graph)
+    plus the three live bitsets of the level-m traversal (frontier, unseen,
+    next step), each |V_m| + 1 rows of one uint64 word per 64 sources.
+    """
+    words = -(-coarse_vertices // 64)
+    need = 8 * (2 * coarse_vertices**2 + 3 * (fine_vertices + 1) * words)
+    if need > AGREEMENT_BYTES_GUARD:
+        raise ValueError(
+            "vertex agreement of %d coarse vertices inside %d fine ones needs "
+            "about %d MiB, above the guard of %d MiB"
+            % (coarse_vertices, fine_vertices, need >> 20, AGREEMENT_BYTES_GUARD >> 20))
+
+
 def certify_vertex_agreement(n: int, m: int, g_n: MetricGraph,
-                             g_m: MetricGraph, workers: int = 1) -> AgreementReport:
+                             g_m: MetricGraph) -> AgreementReport:
     """Max over V_n pairs of |d_n(v,w) - d_m(v,w)|, exact when both graphs are.
 
     Requires the two graphs to enumerate V_n identically (vertex keys are
     compared when available); for the Euclidean gasket the result must be
-    exactly zero.
+    exactly zero. Exact graphs with uniform weights are compared through
+    their hop blocks (MetricGraph.hop_block) in int64; other graphs row by
+    row. worst_pair is the first maximal pair i < j in row-major order.
     """
     if m < n:
         raise ValueError("need m >= n, got n=%d m=%d" % (n, m))
@@ -472,11 +598,33 @@ def certify_vertex_agreement(n: int, m: int, g_n: MetricGraph,
     elif g_n.vertex_keys is not None or g_m.vertex_keys is not None:
         raise ValueError("vertex-indexing mismatch: keys available on one graph only")
 
-    sources = range(nv)
-    rows_n = g_n.internal_rows(sources, workers=workers)
-    rows_m = g_m.internal_rows(sources, workers=workers)
-
     both_exact = g_n.exact and g_m.exact
+    if nv < 2:
+        return AgreementReport(n, m, nv, 0 if both_exact else 0.0, None, both_exact)
+    if g_n._uniform and g_m._uniform:
+        # d = hops * weight; times `scale`, the lcm of the two weights'
+        # denominators, the discrepancy |hops_n * a - hops_m * b| is an integer
+        w_n, w_m = g_n.edges[0][2], g_m.edges[0][2]
+        scale = lcm(w_n.denominator, w_m.denominator)
+        a, b = int(w_n * scale), int(w_m * scale)
+        if max(a, b) * g_m.vertex_count < 2**63:
+            check_agreement_size(nv, g_m.vertex_count)
+            ids = np.arange(nv)
+            diff = g_n.hop_block(ids, ids)
+            diff *= a
+            hops_m = g_m.hop_block(ids, ids)
+            hops_m *= b
+            diff -= hops_m
+            np.abs(diff, out=diff)
+            diff[ids[:, None] >= ids] = -1
+            i, j = divmod(int(np.argmax(diff)), nv)
+            value = _tighten(Fraction(int(diff[i, j]), scale))
+            return AgreementReport(n, m, nv, value, (i, j), True)
+
+    sources = range(nv)
+    rows_n = g_n.internal_rows(sources)
+    rows_m = g_m.internal_rows(sources)
+
     worst = None
     worst_pair = None
     if both_exact:
@@ -488,7 +636,7 @@ def certify_vertex_agreement(n: int, m: int, g_n: MetricGraph,
                 diff = abs(rn[j] * dm_den - rm[j] * dn_den)
                 if worst is None or diff > worst:
                     worst, worst_pair = diff, (i, j)
-        value = _tighten(Fraction(worst, dn_den * dm_den)) if worst is not None else 0
+        value = _tighten(Fraction(worst, dn_den * dm_den))
     else:
         for i in range(nv):
             rn, rm = rows_n[i], rows_m[i]
@@ -496,7 +644,7 @@ def certify_vertex_agreement(n: int, m: int, g_n: MetricGraph,
                 diff = abs(float(rn[j]) / _den_or_one(g_n) - float(rm[j]) / _den_or_one(g_m))
                 if worst is None or diff > worst:
                     worst, worst_pair = diff, (i, j)
-        value = worst if worst is not None else 0.0
+        value = worst
     return AgreementReport(n, m, nv, value, worst_pair, both_exact)
 
 
@@ -530,13 +678,15 @@ class GHBoundReport:
 
 
 def gh_upper_bound(n: int, m: int, samples_per_curve: int = 3,
-                   cx: PrefractalComplex | None = None) -> GHBoundReport:
+                   cx: PrefractalComplex | None = None,
+                   g_m: MetricGraph | None = None) -> GHBoundReport:
     """Certified upper bound for the coarse-vs-limit comparison at level n.
 
     Chain: (level-n set vs V_n under d_n) + (exact vertex agreement, zero)
     + (V_n vs V_m under d_m, plus the 2^-m density of V_m in the limit).
     The first term is computed on the on-edge sample S_n; its cover-radius
-    slack is reported separately, never folded in silently.
+    slack is reported separately, never folded in silently. A caller that
+    already holds gasket_metric_graph(cx, m) passes it as g_m.
     """
     if m < n:
         raise ValueError("need m >= n, got n=%d m=%d" % (n, m))
@@ -546,7 +696,11 @@ def gh_upper_bound(n: int, m: int, samples_per_curve: int = 3,
         raise ValueError("complex built to level %d, need %d" % (cx.max_level, m))
 
     g_n = gasket_metric_graph(cx, n)
-    g_m = gasket_metric_graph(cx, m)
+    if g_m is None:
+        g_m = gasket_metric_graph(cx, m)
+    elif g_m.vertex_count != cx.level_vertex_counts[m]:
+        raise ValueError("g_m has %d vertices, V_%d has %d"
+                         % (g_m.vertex_count, m, cx.level_vertex_counts[m]))
     params = sample_parameters(samples_per_curve)
 
     # directed distance from each on-edge sample to the nearest vertex of

@@ -590,17 +590,14 @@ def certify_extent(n: int, m: int, alpha=None, samples_per_curve: int = 3,
         raise RuntimeError("a Dirac state sits %s from the opposite copy, above "
                            "alpha + epsilon = %s" % (empirical, per_dirac))
 
+    # copy A keeps its vertex indices, so mu lives on cg.graph as drawn;
+    # each atom moves to its nearest copy-B vertex, ties to the lowest index
+    nearest_b = cg.graph.nearest_sources(range(cg.n_a, cg.n_a + cg.n_b))
     rng = random.Random(seed)
     mixture_max = Fraction(0)
     for _ in range(mixture_trials):
-        # copy A keeps its vertex indices, so mu lives on cg.graph as drawn;
-        # each atom moves to its nearest copy-B vertex
         mu = DiscreteMeasure.random_mixture(rng, range(cg.n_a), min(4, cg.n_a))
-        targets = []
-        for a_idx, w in mu.weights.items():
-            row = cg.graph.internal_rows([cg.a_node(a_idx)])[0]
-            b_best = min(range(cg.n_b), key=lambda j: (row[cg.b_node(j)], j))
-            targets.append((cg.b_node(b_best), w))
+        targets = [(cg.b_node(nearest_b[a_idx]), w) for a_idx, w in mu.weights.items()]
         val = Fraction(kantorovich(cg.graph, mu, DiscreteMeasure(targets)).value)
         if val > mixture_max:
             mixture_max = val

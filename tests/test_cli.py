@@ -69,8 +69,7 @@ class TestGen:
 
 class TestTables:
     def test_gh_table_rows(self, capsys):
-        code, out, _ = _run(capsys, "gh-table", "--max-level", "2", "--m", "4",
-                            "--workers", "1")
+        code, out, _ = _run(capsys, "gh-table", "--max-level", "2", "--m", "4")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "n,m,bound,boundWithSlack,referenceBound,agreementDiscrepancy"
@@ -83,18 +82,26 @@ class TestTables:
 
     def test_gh_table_json_and_svg(self, capsys):
         code, out, _ = _run(capsys, "gh-table", "--max-level", "1", "--m", "3",
-                            "--workers", "1", "--format", "json")
+                            "--format", "json")
         assert code == 0
         doc = json.loads(out)
         assert doc["header"][0] == "n" and len(doc["rows"]) == 2
         code, out, _ = _run(capsys, "gh-table", "--max-level", "1", "--m", "3",
-                            "--workers", "1", "--format", "svg")
+                            "--format", "svg")
         assert code == 0 and out.startswith("<svg")
 
     def test_gh_table_rejects_inverted_levels(self, capsys):
         code, _, err = _run(capsys, "gh-table", "--max-level", "5", "--m", "3")
         assert code == 2
         assert json.loads(err)["error"] == "validation"
+
+    def test_gh_table_refuses_oversized_agreement(self, capsys):
+        # 29,526 coarse vertices: two int64 hop blocks of about 6.5 GiB each
+        code, _, err = _run(capsys, "gh-table", "--max-level", "9", "--m", "10")
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "validation"
+        assert "needs about 14239 MiB, above the guard of 1024 MiB" in payload["message"]
 
     def test_spectrum_matches_library(self, capsys):
         code, out, _ = _run(capsys, "spectrum", "--level", "1",
@@ -187,7 +194,8 @@ class TestPlumbing:
 
     def test_flags_are_registered_only_where_read(self):
         for argv in (["gen", "--level", "1", "--seed", "1"],
-                     ["extent", "--n", "1", "--m", "2", "--workers", "1"]):
+                     ["extent", "--n", "1", "--m", "2", "--workers", "1"],
+                     ["gh-table", "--workers", "1"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2

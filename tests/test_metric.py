@@ -9,6 +9,7 @@ Core claims:
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -100,11 +101,40 @@ class TestMetricGraph:
         for v in range(g.vertex_count):
             assert multi[v] == min(row[v] for row in singles)
 
-    def test_workers_match_serial(self):
-        g = gasket_metric_graph(CX, 3)
-        serial = g.internal_rows(range(10), workers=1)
-        parallel = g.internal_rows(range(10), workers=2)
-        assert serial == parallel
+    def test_hop_block_matches_bfs_on_gasket_levels(self):
+        cx9 = build_gasket(9)
+        for level in range(10):
+            g = gasket_metric_graph(cx9, level)
+            sources = list(range(vertex_count(min(level, 2))))
+            hops = g.hop_block(sources, range(g.vertex_count))
+            w0 = g._int_weights[0]
+            for k, s in enumerate(sources):
+                assert (hops[:, k] * w0).tolist() == g._sssp([s])
+
+    def test_hop_block_matches_bfs_across_word_padding(self):
+        # random trees (many degree-1 vertices) plus chords: irregular degrees
+        rng = random.Random(9130)
+        for count in (1, 63, 64, 65, 130):
+            n = 160
+            edges = [(i, rng.randrange(i), Fraction(3, 8)) for i in range(1, n)]
+            edges += [(rng.randrange(n), rng.randrange(n), Fraction(3, 8))
+                      for _ in range(12)]
+            g = MetricGraph(n, [e for e in edges if e[0] != e[1]])
+            sources = rng.sample(range(n), count)
+            targets = rng.sample(range(n), 50)
+            hops = g.hop_block(sources, targets)
+            assert hops.shape == (len(targets), count)
+            w0 = g._int_weights[0]
+            for k, s in enumerate(sources):
+                row = g._sssp([s])
+                assert (hops[:, k] * w0).tolist() == [row[t] for t in targets]
+
+    def test_hop_block_needs_uniform_exact_weights(self):
+        g = MetricGraph(3, [(0, 1, Fraction(1, 2)), (1, 2, Fraction(1, 4))])
+        with pytest.raises(ValueError, match="uniform"):
+            g.hop_block([0], [2])
+        with pytest.raises(ValueError, match="uniform"):
+            MetricGraph(2, [(0, 1, 0.5)]).hop_block([0], [1])
 
     def test_float_weights_supported(self):
         g = MetricGraph(3, [(0, 1, 0.5), (1, 2, 0.25)])
@@ -193,6 +223,18 @@ class TestFiniteMetricSpace:
         with pytest.raises(ValueError, match="triangle"):
             FiniteMetricSpace([0, 1, 2], m)
 
+    def test_every_triangle_checked_up_to_level_six_sizes(self):
+        # one violated pair of ordered triples among 8M, which the seeded
+        # 200k-triple sample misses
+        n = 200
+        m = [[Fraction(2, 3) if i != j else 0 for j in range(n)] for i in range(n)]
+        m[0][1] = m[1][0] = Fraction(1)
+        m[0][2] = m[2][0] = m[1][2] = m[2][1] = Fraction(1, 3)
+        with pytest.raises(ValueError, match=re.escape("d(0,1) > d(0,2)+d(2,1)")):
+            FiniteMetricSpace(range(n), m)
+        m[0][1] = m[1][0] = Fraction(2, 3)
+        assert FiniteMetricSpace(range(n), m).exact
+
     def test_roundtrip_exact_entries(self):
         g = gasket_metric_graph(CX, 2)
         fm = FiniteMetricSpace.from_graph(g, vertex_ids=range(6))
@@ -225,6 +267,27 @@ class TestHausdorffAndBounds:
                 assert isinstance(rep, AgreementReport)
                 assert rep.exact
                 assert rep.max_discrepancy == 0
+
+    def test_agreement_hop_blocks_match_row_oracle(self):
+        # uniform shortcuts between V_2 vertices make d_3 differ from d_2;
+        # the hop-block path must report the row path's value and first pair
+        g2 = gasket_metric_graph(CX, 2)
+        g3 = gasket_metric_graph(CX, 3)
+        w = Fraction(1, 8)
+        for chords in ([(0, 1)], [(0, 1), (2, 14)], [(3, 9), (9, 12), (5, 7)]):
+            g_m = MetricGraph(g3.vertex_count, g3.edges + [(u, v, w) for u, v in chords],
+                              vertex_keys=g3.vertex_keys)
+            rep = certify_vertex_agreement(2, 3, g2, g_m)
+            rows_n = g2.internal_rows(range(15))
+            rows_m = g_m.internal_rows(range(15))
+            worst, pair = None, None
+            for i in range(15):
+                for j in range(i + 1, 15):
+                    diff = abs(rows_n[i][j] * g_m._den - rows_m[i][j] * g2._den)
+                    if worst is None or diff > worst:
+                        worst, pair = diff, (i, j)
+            assert rep.worst_pair == pair
+            assert rep.max_discrepancy == Fraction(worst, g2._den * g_m._den) > 0
 
     def test_agreement_detects_mismatched_indexing(self):
         g1 = gasket_metric_graph(CX, 1)

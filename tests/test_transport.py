@@ -407,6 +407,19 @@ class TestExtentCertificate:
         assert F(rep.epsilon) == max(F(rep.epsilon_sample), F(rep.epsilon_vertex))
         assert F(rep.mixture_max) <= F(rep.per_dirac_bound)
 
+    def test_mixture_targets_match_per_atom_rule(self):
+        # per-atom rule: argmin over copy-B indices j of (d(a, b_j), j); the
+        # rows come from one run per B vertex, equal to A's rows by symmetry
+        for n, m, cx, expected in ((2, 6, CX, F(317, 1920)),
+                                   (4, 8, build_gasket(8), F(761, 19200))):
+            rep = certify_extent(n, m, cx=cx, mixture_trials=20, seed=3)
+            assert F(rep.mixture_max) == expected
+            cg = CoupledGraph.from_gasket(cx, n, m, F(rep.alpha))
+            rows = cg.graph.internal_rows(cg.b_node(j) for j in range(cg.n_b))
+            nearest = cg.graph.nearest_sources(range(cg.n_a, cg.n_a + cg.n_b))
+            for a in range(cg.n_a):
+                assert nearest[a] == min(range(cg.n_b), key=lambda j: (rows[j][a], j))
+
     def test_premise_failures_name_the_term(self):
         with pytest.raises(ValueError, match="sample-covering premise"):
             _require_premises(2, 6, F(1, 2), F(1, 64))
