@@ -1,6 +1,6 @@
 """Build a gasket complex two ways and render both as SVG.
 
-The Euclidean picture uses the dyadic corner coordinates; the harmonic
+The Euclidean picture uses the integer lattice coordinates; the harmonic
 picture re-embeds every vertex through the exact corner-indicator
 triples, which flattens the gasket into the familiar rounded shape.
 """

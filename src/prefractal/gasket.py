@@ -3,8 +3,10 @@
 The level-n prefractal is the union of all boundaries of the 3**n images of
 the unit equilateral triangle under words of length n in the three halving
 similitudes T_r(x) = (x + v_r)/2. Points live in the oblique lattice basis
-{v1, v2} with dyadic rational coordinates, so vertex identity, edge lengths
-and midpoint relations are exact.
+{v1, v2}, and every vertex through level L has coordinates (a, b) that are
+integers over 2**L. A complex stores them as int64 arrays scaled by
+2**max_level, so vertex identity, edge lengths and midpoint relations are
+exact integer facts.
 
 Curves (triangle edges) are indexed for all levels m <= n by the standard
 parametrization: the bottom, right and left edges of the r-th level-m
@@ -16,77 +18,72 @@ Coarse edges overlap finer ones by design; nothing is deduplicated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from fractions import Fraction
+from typing import NamedTuple
 
-from .dyadic import LEVEL_CAP, DyadicRational
+import numpy as np
 
 CURVE_KINDS = ("bottom", "right", "left")
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 
-
-class LatticePoint:
-    """Point a*v1 + b*v2 with exact dyadic coefficients.
-
-    v1 = (1,0) and v2 = (1/2, sqrt(3)/2), so the Euclidean image is
-    (a + b/2, b*sqrt(3)/2); it is computed only on demand and never used
-    for identity or incidence decisions.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: DyadicRational, b: DyadicRational):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LatticePoint is immutable")
-
-    def __reduce__(self):
-        return (LatticePoint, (self.a, self.b))
-
-    def key(self) -> tuple[int, int, int, int]:
-        return (self.a.num, self.a.exp, self.b.num, self.b.exp)
-
-    def euclidean(self) -> tuple[float, float]:
-        bf = float(self.b)
-        return (float(self.a) + 0.5 * bf, _SQRT3_2 * bf)
-
-    def squared_distance(self, other: "LatticePoint") -> DyadicRational:
-        # |da*v1 + db*v2|^2 = da^2 + da*db + db^2 since v1.v2 = 1/2
-        da = self.a - other.a
-        db = self.b - other.b
-        return da * da + da * db + db * db
-
-    def midpoint(self, other: "LatticePoint", cap: int = LEVEL_CAP) -> "LatticePoint":
-        return LatticePoint((self.a + other.a).halve(cap), (self.b + other.b).halve(cap))
-
-    def __eq__(self, other):
-        if not isinstance(other, LatticePoint):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return "LatticePoint(%r, %r)" % (self.a, self.b)
-
-
 # Corner points v0, v1, v2 of the level-0 triangle in lattice coordinates.
-CORNERS = (
-    LatticePoint(DyadicRational(0), DyadicRational(0)),
-    LatticePoint(DyadicRational(1), DyadicRational(0)),
-    LatticePoint(DyadicRational(0), DyadicRational(1)),
-)
+CORNERS = np.array([[0, 0], [1, 0], [0, 1]], dtype=np.int64)
+CORNERS.flags.writeable = False
+
+# cap on the estimated bytes of one allocation-heavy step: building a
+# complex, or one hop-block vertex-agreement check. It also keeps the int64
+# lattice coordinates (at most 2**max_level) far from overflow.
+MEMORY_GUARD_BYTES = 2**30
+
+# estimated bytes of a built complex per curve (the Curve, its endpoint
+# tuple and list slot, its share of the build's point arrays) and per
+# vertex row; peak RSS grew by 331-340 bytes per curve at levels 9-11
+_BYTES_PER_CURVE = 340
+_BYTES_PER_VERTEX = 16
 
 
-def similitude_apply(r: int, p: LatticePoint, cap: int = LEVEL_CAP) -> LatticePoint:
-    """Exact image of p under T_r(x) = (x + v_r)/2."""
+def check_memory(need: int, what: str) -> None:
+    """Raise ValueError when `need` bytes exceed MEMORY_GUARD_BYTES."""
+    if need > MEMORY_GUARD_BYTES:
+        raise ValueError("%s needs about %d MiB, above the guard of %d MiB"
+                         % (what, need >> 20, MEMORY_GUARD_BYTES >> 20))
+
+
+def dyadic_to_pair(value: int | Fraction) -> list[int] | None:
+    """Normalized [num, exp] with value == num / 2**exp, or None if the
+    denominator is not a power of two.
+
+    num is odd unless exp is 0, so zero is [0, 0].
+    """
+    den = value.denominator
+    if den & (den - 1):
+        return None
+    return [value.numerator, den.bit_length() - 1]
+
+
+def dyadic_from_pair(pair) -> Fraction:
+    """The exact value num / 2**exp of a [num, exp] pair."""
+    num, exp = (int(x) for x in pair)
+    if exp < 0:
+        raise ValueError("exponent must be nonnegative, got %d" % exp)
+    return Fraction(num, 1 << exp)
+
+
+def similitude_apply(r: int, points, scale: int) -> np.ndarray:
+    """Exact image under T_r(x) = (x + v_r)/2 of integer lattice points.
+
+    `points` is an int array (..., 2) of coordinates (a, b) scaled by
+    `scale`, and so is the result. Raises ValueError if an image falls
+    between lattice points, that is, if some a + scale*v_r is odd.
+    """
     if r not in (0, 1, 2):
         raise ValueError("similitude index must be 0, 1 or 2, got %r" % (r,))
-    shift = CORNERS[r]
-    return LatticePoint((p.a + shift.a).halve(cap), (p.b + shift.b).halve(cap))
+    shifted = np.asarray(points, dtype=np.int64) + scale * CORNERS[r]
+    if (shifted & 1).any():
+        raise ValueError("image leaves the lattice of scale %d; build at a finer scale"
+                         % scale)
+    return shifted >> 1
 
 
 def kappa(n: int, r: int) -> int:
@@ -124,44 +121,39 @@ def vertex_count(n: int) -> int:
     return (3 ** (n + 1) + 3) // 2
 
 
-@dataclass(frozen=True)
-class Triangle:
-    level: int
-    index: int  # 1-based within its level, child rule: index j + r*3^n under T_r
-    vertex_ids: tuple[int, int, int]  # (bottom-left, bottom-right, top)
-
-
-@dataclass(frozen=True)
-class Curve:
+class Curve(NamedTuple):
     id: int
     level: int
     kind: str  # bottom | right | left
     endpoints: tuple[int, int]
-    length: object  # DyadicRational here, float for harmonic variants
+    length: Fraction  # 2^-level
 
 
 class PrefractalComplex:
     """All triangles, curves and vertices of the gasket through max_level.
 
-    Vertices are deduplicated and enumerated level by level, so the first
-    vertex_count(m) entries are exactly V_m for every m <= max_level, with
-    indices stable across different max_level builds. Immutable after
+    vertices is an int64 (|V|, 2) array of lattice coordinates (a, b)
+    scaled by 2**max_level. Vertices are deduplicated and enumerated level
+    by level, so the first vertex_count(m) rows are exactly V_m for every
+    m <= max_level, with indices stable across different max_level builds.
+    triangles[m] is an int64 (3**m, 3) array of vertex ids (bottom-left,
+    bottom-right, top); row j holds the triangle with 1-based index j + 1,
+    and T_r maps it to row j + r*3**m of level m + 1. Immutable after
     construction.
     """
 
     def __init__(self, max_level, triangles, curves, vertices, level_vertex_counts):
         self.max_level = max_level
-        self.triangles = triangles  # list per level
+        self.triangles = triangles  # one id array per level
         self.curves = curves  # ordered by id
-        self.vertices = vertices  # list of LatticePoint
+        self.vertices = vertices
         self.level_vertex_counts = level_vertex_counts  # |V_m| for m <= max_level
+        for arr in (vertices, *triangles):
+            arr.flags.writeable = False
 
     @property
     def b_n(self) -> int:
         return len(self.curves)
-
-    def triangle_points(self, tri: Triangle) -> tuple[LatticePoint, ...]:
-        return tuple(self.vertices[i] for i in tri.vertex_ids)
 
     def curves_at_level(self, m: int) -> list[Curve]:
         if not 0 <= m <= self.max_level:
@@ -173,55 +165,66 @@ class PrefractalComplex:
             raise ValueError("level %d outside built range 0..%d" % (m, self.max_level))
         return range(self.level_vertex_counts[m])
 
+    def vertex_pairs(self, count: int | None = None) -> list[list[int]]:
+        """[a_num, a_exp, b_num, b_exp] per vertex: both coordinates as
+        normalized [num, exp] pairs, independent of max_level."""
+        scale = 1 << self.max_level
+        pair = [dyadic_to_pair(Fraction(k, scale)) for k in range(scale + 1)]
+        return [pair[a] + pair[b] for a, b in self.vertices[:count].tolist()]
 
-def build_gasket(max_level: int, cap: int = LEVEL_CAP) -> PrefractalComplex:
-    """Construct the exact prefractal complex through max_level."""
+    def euclidean(self) -> np.ndarray:
+        """Float (|V|, 2) array of the vertices' plane images (a + b/2, b*sqrt(3)/2)."""
+        ab = self.vertices / float(1 << self.max_level)
+        return np.stack([ab[:, 0] + 0.5 * ab[:, 1], _SQRT3_2 * ab[:, 1]], axis=1)
+
+
+def build_gasket(max_level: int) -> PrefractalComplex:
+    """Construct the exact prefractal complex through max_level.
+
+    Raises ValueError, before allocating anything, when the estimated size
+    exceeds MEMORY_GUARD_BYTES.
+    """
     if max_level < 0:
         raise ValueError("max_level must be nonnegative, got %d" % max_level)
-    if max_level > cap:
-        raise ValueError(
-            "max_level %d exceeds the level cap %d; deeper complexes are not representable"
-            % (max_level, cap)
-        )
+    check_memory(_BYTES_PER_CURVE * curve_count(max_level)
+                 + _BYTES_PER_VERTEX * vertex_count(max_level),
+                 "max_level %d is past the size cap: the complex" % max_level)
 
-    vertices: list[LatticePoint] = []
-    index_of: dict[tuple, int] = {}
+    # corner points of every triangle, level by level; the children of
+    # level m are T_0, T_1, T_2 of all its triangles, in that order, so
+    # the child of row j under T_r is row j + r*3^m
+    scale = 1 << max_level
+    points = [scale * CORNERS[None]]
+    for _ in range(max_level):
+        points.append(np.concatenate([similitude_apply(r, points[-1], scale)
+                                      for r in range(3)]))
 
-    def intern(p: LatticePoint) -> int:
-        k = p.key()
-        i = index_of.get(k)
-        if i is None:
-            i = len(vertices)
-            index_of[k] = i
-            vertices.append(p)
-        return i
+    # intern by first occurrence in the order levels, triangles, corners
+    flat = np.concatenate([p.reshape(-1, 2) for p in points])
+    keys = flat[:, 0] * (scale + 1) + flat[:, 1]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ids = rank[inverse.reshape(-1)]
+    vertices = flat[first[order]]
 
-    base_ids = tuple(intern(p) for p in CORNERS)
-    triangles = [[Triangle(0, 1, base_ids)]]
-    level_vertex_counts = [len(vertices)]
-
-    for m in range(max_level):
-        children = []
-        # child index j + r*3^m means: loop r outside, parent index inside
-        for r in range(3):
-            for tri in triangles[m]:
-                pts = tuple(
-                    similitude_apply(r, vertices[i], cap) for i in tri.vertex_ids
-                )
-                ids = tuple(intern(p) for p in pts)
-                children.append(Triangle(m + 1, tri.index + r * 3**m, ids))
-        triangles.append(children)
-        level_vertex_counts.append(len(vertices))
+    triangles, level_vertex_counts, start = [], [], 0
+    for m in range(max_level + 1):
+        stop = start + 3 ** (m + 1)
+        triangles.append(ids[start:stop].reshape(-1, 3))
+        level_vertex_counts.append(int(ids[:stop].max()) + 1)
+        start = stop
 
     curves = []
-    for n in range(max_level + 1):
-        for r, tri in enumerate(triangles[n]):
-            i0, i1, i2 = tri.vertex_ids
-            base = kappa(n, r)
-            lam = DyadicRational(1, n)
-            curves.append(Curve(base, n, "bottom", (i0, i1), lam))
-            curves.append(Curve(base + 1, n, "right", (i1, i2), lam))
-            curves.append(Curve(base + 2, n, "left", (i2, i0), lam))
+    for n, tris in enumerate(triangles):
+        lam = Fraction(1, 1 << n)
+        base = kappa(n, 0)
+        for r, (i0, i1, i2) in enumerate(tris.tolist()):
+            cid = base + 3 * r
+            curves.append(Curve(cid, n, "bottom", (i0, i1), lam))
+            curves.append(Curve(cid + 1, n, "right", (i1, i2), lam))
+            curves.append(Curve(cid + 2, n, "left", (i2, i0), lam))
 
     return PrefractalComplex(max_level, triangles, curves, vertices, level_vertex_counts)
 
@@ -230,55 +233,47 @@ def build_gasket(max_level: int, cap: int = LEVEL_CAP) -> PrefractalComplex:
 
 
 def complex_to_dict(cx: PrefractalComplex) -> dict:
-    def length_field(lam):
-        if isinstance(lam, DyadicRational):
-            return list(lam.to_pair())
-        return float(lam)
-
     return {
         "maxLevel": cx.max_level,
-        "vertices": [
-            [p.a.num, p.a.exp, p.b.num, p.b.exp] for p in cx.vertices
-        ],
+        "vertices": cx.vertex_pairs(),
         "curves": [
             {
                 "id": c.id,
                 "level": c.level,
                 "kind": c.kind,
                 "endpoints": list(c.endpoints),
-                "length": length_field(c.length),
+                "length": dyadic_to_pair(c.length),
             }
             for c in cx.curves
         ],
         "triangles": [
-            {"level": t.level, "index": t.index, "vertices": list(t.vertex_ids)}
-            for level in cx.triangles
-            for t in level
+            {"level": m, "index": j + 1, "vertices": ids}
+            for m, tris in enumerate(cx.triangles)
+            for j, ids in enumerate(tris.tolist())
         ],
     }
 
 
 def complex_from_dict(data: dict) -> PrefractalComplex:
     max_level = data["maxLevel"]
-    vertices = [
-        LatticePoint(DyadicRational(a, ae), DyadicRational(b, be))
-        for a, ae, b, be in data["vertices"]
-    ]
-    triangles = [[] for _ in range(max_level + 1)]
+    scale = 1 << max_level
+    coords = []
+    for v, (a, ae, b, be) in enumerate(data["vertices"]):
+        if not (0 <= ae <= max_level and 0 <= be <= max_level):
+            raise ValueError("vertex %d has exponents (%d, %d) outside 0..maxLevel=%d"
+                             % (v, ae, be, max_level))
+        coords.append([int(dyadic_from_pair((a, ae)) * scale),
+                       int(dyadic_from_pair((b, be)) * scale)])
+    vertices = np.array(coords, dtype=np.int64).reshape(-1, 2)
+    rows = [[] for _ in range(max_level + 1)]
     for t in data["triangles"]:
-        triangles[t["level"]].append(
-            Triangle(t["level"], t["index"], tuple(t["vertices"]))
-        )
-    curves = []
-    for c in data["curves"]:
-        raw = c["length"]
-        lam = DyadicRational.from_pair(raw) if isinstance(raw, list) else float(raw)
-        curves.append(Curve(c["id"], c["level"], c["kind"], tuple(c["endpoints"]), lam))
+        rows[t["level"]].append((t["index"], t["vertices"]))
+    triangles = [np.array([ids for _, ids in sorted(r)], dtype=np.int64).reshape(-1, 3)
+                 for r in rows]
+    curves = [Curve(c["id"], c["level"], c["kind"], tuple(c["endpoints"]),
+                    dyadic_from_pair(c["length"]))
+              for c in data["curves"]]
     curves.sort(key=lambda c: c.id)
-    seen = set()
-    counts = []
-    for m in range(max_level + 1):
-        for t in triangles[m]:
-            seen.update(t.vertex_ids)
-        counts.append(len(seen))
+    counts = [len(np.unique(np.concatenate(triangles[: m + 1])))
+              for m in range(max_level + 1)]
     return PrefractalComplex(max_level, triangles, curves, vertices, counts)

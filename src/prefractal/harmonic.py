@@ -138,14 +138,12 @@ class HarmonicTable:
         adj, opp, den = rule.adjacent, rule.opposite, rule.den
         pairs = ((0, 1), (1, 2), (2, 0))
         for m in range(cx.max_level):
-            tris = cx.triangles[m]
-            child_tris = cx.triangles[m + 1]
-            for k, tri in enumerate(tris):
-                ids = tri.vertex_ids
+            child_tris = cx.triangles[m + 1].tolist()
+            for k, ids in enumerate(cx.triangles[m].tolist()):
                 corn = [self._at_level(ids[i], m, den) for i in range(3)]
                 for s, t in pairs:
                     u = 3 - s - t
-                    vid = child_tris[3 * k + s].vertex_ids[t]
+                    vid = child_tris[3 * k + s][t]
                     if self.levels[vid] >= 0:
                         raise RuntimeError("vertex %d assigned twice" % vid)
                     trip = tuple(
@@ -292,8 +290,8 @@ def harmonic_curve_length(cx: PrefractalComplex, curve_id: int,
     rule = table.rule
     kind = ("bottom", "right", "left")[kind_off]
     s, t = _KIND_SLOTS[kind]
-    tri = cx.triangles[level][tri_pos]
-    cells = [tuple(table.triples_at_common_level(tri.vertex_ids, level))]
+    tri = cx.triangles[level][tri_pos].tolist()
+    cells = [tuple(table.triples_at_common_level(tri, level))]
 
     length = _polyline_length(cells, s, t, float(rule.den**level))
     increments = []

@@ -25,21 +25,12 @@ from math import gcd, isfinite, lcm
 
 import numpy as np
 
-from .dyadic import DyadicRational
-from .gasket import PrefractalComplex, build_gasket, vertex_count
-
-
-def _tighten(value: Fraction):
-    """Return a DyadicRational when the denominator is a power of two."""
-    den = value.denominator
-    exp = den.bit_length() - 1
-    if den == 1 << exp:
-        return DyadicRational(value.numerator, exp)
-    return value
+from .gasket import (PrefractalComplex, build_gasket, check_memory,
+                     dyadic_from_pair, dyadic_to_pair, vertex_count)
 
 
 def _is_exact_weight(w) -> bool:
-    return isinstance(w, (int, DyadicRational, Fraction))
+    return isinstance(w, (int, Fraction))
 
 
 @dataclass(frozen=True)
@@ -53,7 +44,7 @@ class EdgePoint:
 class MetricGraph:
     """Undirected weighted graph with exact-or-float geodesic machinery.
 
-    Weights must either all be rational (int, DyadicRational, Fraction),
+    Weights must either all be rational (int or Fraction),
     giving exact integer shortest paths over a common denominator, or
     floats. Construction verifies positivity and connectivity; instances
     are immutable by convention.
@@ -175,7 +166,7 @@ class MetricGraph:
 
     def _value(self, internal):
         if self.exact:
-            return _tighten(Fraction(internal, self._den))
+            return Fraction(internal, self._den)
         return internal
 
     def value_scale(self) -> int | None:
@@ -323,7 +314,7 @@ def gasket_metric_graph(cx: PrefractalComplex, level: int | None = None,
     else:
         edges = [(c.endpoints[0], c.endpoints[1], harmonic_lengths[c.id]) for c in curves]
         tag = "harmonic-gasket level %d" % level
-    keys = [cx.vertices[i].key() for i in range(nv)]
+    keys = [tuple(p) for p in cx.vertex_pairs(nv)]
     return MetricGraph(nv, edges, provenance=tag,
                        edge_ids=[c.id for c in curves], vertex_keys=keys)
 
@@ -390,8 +381,6 @@ def geodesic_point_distance(g: MetricGraph, x, y):
         direct = abs(rx[5] - ry[5]) * rx[4]
         if direct < best:
             best = direct
-    if isinstance(best, Fraction):
-        return _tighten(best)
     return best
 
 
@@ -485,16 +474,10 @@ class FiniteMetricSpace:
 
     def to_dict(self) -> dict:
         def encode(e):
-            if isinstance(e, DyadicRational):
-                return list(e.to_pair())
-            if isinstance(e, int):
-                return [e, 0]
-            if isinstance(e, Fraction):
-                t = _tighten(e)
-                if isinstance(t, DyadicRational):
-                    return list(t.to_pair())
-                return "%d/%d" % (e.numerator, e.denominator)
-            return float(e)
+            if not _is_exact_weight(e):
+                return float(e)
+            pair = dyadic_to_pair(e)
+            return pair if pair is not None else "%d/%d" % (e.numerator, e.denominator)
 
         return {
             "labels": self.labels,
@@ -505,7 +488,7 @@ class FiniteMetricSpace:
     def from_dict(cls, data: dict) -> "FiniteMetricSpace":
         def decode(e):
             if isinstance(e, list):
-                return DyadicRational.from_pair(e)
+                return dyadic_from_pair(e)
             if isinstance(e, str):
                 num, den = e.split("/")
                 return Fraction(int(num), int(den))
@@ -540,11 +523,6 @@ def hausdorff_vertex_sets(g: MetricGraph, a_indices, b_indices):
 
 # -- agreement certification and the two-sided bound chain ---------------
 
-# cap on the estimated bytes of one hop-block agreement check; defaults
-# (V_6 inside the level-9 gasket) need about 30 MiB
-AGREEMENT_BYTES_GUARD = 2**30
-
-
 @dataclass
 class AgreementReport:
     n: int
@@ -557,7 +535,8 @@ class AgreementReport:
 
 def check_agreement_size(coarse_vertices: int, fine_vertices: int) -> None:
     """Raise ValueError when the hop-block agreement check of V_n inside V_m
-    would exceed AGREEMENT_BYTES_GUARD.
+    would exceed MEMORY_GUARD_BYTES; defaults (V_6 inside the level-9
+    gasket) need about 30 MiB.
 
     The estimate is two int64 hop blocks over V_n x V_n (one per graph)
     plus the three live bitsets of the level-m traversal (frontier, unseen,
@@ -565,11 +544,8 @@ def check_agreement_size(coarse_vertices: int, fine_vertices: int) -> None:
     """
     words = -(-coarse_vertices // 64)
     need = 8 * (2 * coarse_vertices**2 + 3 * (fine_vertices + 1) * words)
-    if need > AGREEMENT_BYTES_GUARD:
-        raise ValueError(
-            "vertex agreement of %d coarse vertices inside %d fine ones needs "
-            "about %d MiB, above the guard of %d MiB"
-            % (coarse_vertices, fine_vertices, need >> 20, AGREEMENT_BYTES_GUARD >> 20))
+    check_memory(need, "vertex agreement of %d coarse vertices inside %d fine ones"
+                 % (coarse_vertices, fine_vertices))
 
 
 def certify_vertex_agreement(n: int, m: int, g_n: MetricGraph,
@@ -618,7 +594,7 @@ def certify_vertex_agreement(n: int, m: int, g_n: MetricGraph,
             np.abs(diff, out=diff)
             diff[ids[:, None] >= ids] = -1
             i, j = divmod(int(np.argmax(diff)), nv)
-            value = _tighten(Fraction(int(diff[i, j]), scale))
+            value = Fraction(int(diff[i, j]), scale)
             return AgreementReport(n, m, nv, value, (i, j), True)
 
     sources = range(nv)
@@ -636,7 +612,7 @@ def certify_vertex_agreement(n: int, m: int, g_n: MetricGraph,
                 diff = abs(rn[j] * dm_den - rm[j] * dn_den)
                 if worst is None or diff > worst:
                     worst, worst_pair = diff, (i, j)
-        value = _tighten(Fraction(worst, dn_den * dm_den))
+        value = Fraction(worst, dn_den * dm_den)
     else:
         for i in range(nv):
             rn, rm = rows_n[i], rows_m[i]
@@ -709,7 +685,7 @@ def gh_upper_bound(n: int, m: int, samples_per_curve: int = 3,
     term1 = Fraction(0)
     for c in cx.curves_at_level(n):
         u, v = c.endpoints
-        lam = Fraction(c.length)
+        lam = c.length
         du = Fraction(nearest_vertex[u], g_n._den)
         dv = Fraction(nearest_vertex[v], g_n._den)
         for t in params:
@@ -727,11 +703,11 @@ def gh_upper_bound(n: int, m: int, samples_per_curve: int = 3,
         n=n,
         m=m,
         samples_per_curve=samples_per_curve,
-        haus_vertices_to_sample=_tighten(term1),
-        sampling_slack=_tighten(slack),
-        haus_vn_in_vm=_tighten(term3),
-        tail=_tighten(tail),
-        bound=_tighten(bound),
-        bound_with_slack=_tighten(bound + slack),
-        paper_bound=_tighten(Fraction(2, 2**n)),
+        haus_vertices_to_sample=term1,
+        sampling_slack=slack,
+        haus_vn_in_vm=term3,
+        tail=tail,
+        bound=bound,
+        bound_with_slack=bound + slack,
+        paper_bound=Fraction(2, 2**n),
     )

@@ -27,10 +27,10 @@ def gasket_svg(cx: PrefractalComplex, level: int | None = None, coords=None,
     """
     if level is None:
         level = cx.max_level
-    tris = cx.triangles[level]
+    tris = cx.triangles[level].tolist()
     if coords is None:
-        coords = [v.euclidean() for v in cx.vertices]
-    used = sorted({i for t in tris for i in t.vertex_ids})
+        coords = cx.euclidean().tolist()
+    used = sorted({i for t in tris for i in t})
     xs = [coords[i][0] for i in used]
     ys = [coords[i][1] for i in used]
     span = max(max(xs) - min(xs), max(ys) - min(ys)) or 1.0
@@ -48,7 +48,7 @@ def gasket_svg(cx: PrefractalComplex, level: int | None = None, coords=None,
     ]
     for t in tris:
         pts = " ".join("%s,%s" % (_f(px), _f(py))
-                       for px, py in (place(i) for i in t.vertex_ids))
+                       for px, py in (place(i) for i in t))
         lines.append('<polygon points="%s" fill="none" stroke="%s" '
                      'stroke-width="0.8"/>' % (pts, stroke))
     lines.append("</svg>")

@@ -24,7 +24,7 @@ from math import isfinite, lcm
 
 from .gasket import PrefractalComplex, build_gasket
 from .metric import (EdgePoint, FiniteMetricSpace, MetricGraph, _is_exact_weight,
-                     _resolve_point, _tighten, gasket_metric_graph,
+                     _resolve_point, gasket_metric_graph,
                      gh_upper_bound, sample_parameters)
 
 _FLOAT_MASS_TOL = 1e-12
@@ -284,8 +284,7 @@ def kantorovich(space: MetricGraph | FiniteMetricSpace, mu: DiscreteMeasure,
         def lift(w):
             return w.numerator * (scale // w.denominator)
 
-        def out(x, den):
-            return _tighten(Fraction(x, den))
+        out = Fraction
     else:
         scale, lift = 1, _as_float
 
@@ -385,8 +384,7 @@ def lipschitz_seminorm(space: FiniteMetricSpace, values, indices=None):
     if len(values) != len(indices):
         raise ValueError("need one value per point, got %d values for %d points"
                          % (len(values), len(indices)))
-    semi, _, exact = _seminorm_with_witness(space, values, indices)
-    return _tighten(semi) if exact and isinstance(semi, Fraction) else semi
+    return _seminorm_with_witness(space, values, indices)[0]
 
 
 def mcshane_extend(space: FiniteMetricSpace, indices, values, bound):
@@ -416,7 +414,7 @@ def mcshane_extend(space: FiniteMetricSpace, indices, values, bound):
             cand = lift(fs) + bound_l * lift(space.matrix[s][x])
             if best is None or cand < best:
                 best = cand
-        out.append(_tighten(best) if isinstance(best, Fraction) else best)
+        out.append(best)
     return out
 
 
@@ -568,8 +566,8 @@ def certify_extent(n: int, m: int, alpha=None, samples_per_curve: int = 3,
     if cx is None:
         cx = build_gasket(m)
     rep = gh_upper_bound(n, m, samples_per_curve=samples_per_curve, cx=cx)
-    eps_sample = Fraction(rep.haus_vertices_to_sample) + Fraction(rep.sampling_slack)
-    eps_vertex = Fraction(rep.haus_vn_in_vm) + Fraction(rep.tail)
+    eps_sample = rep.haus_vertices_to_sample + rep.sampling_slack
+    eps_vertex = rep.haus_vn_in_vm + rep.tail
     _require_premises(n, m, eps_sample, eps_vertex)
     epsilon = max(eps_sample, eps_vertex)
     eps_apriori = Fraction(1, 2**n) + Fraction(1, 2**m)
@@ -607,20 +605,20 @@ def certify_extent(n: int, m: int, alpha=None, samples_per_curve: int = 3,
 
     return ExtentReport(
         n=n, m=m,
-        alpha=_tighten(alpha),
-        epsilon=_tighten(epsilon),
-        epsilon_sample=_tighten(eps_sample),
-        epsilon_vertex=_tighten(eps_vertex),
-        epsilon_apriori=_tighten(eps_apriori),
+        alpha=alpha,
+        epsilon=epsilon,
+        epsilon_sample=eps_sample,
+        epsilon_vertex=eps_vertex,
+        epsilon_apriori=eps_apriori,
         samples_per_curve=samples_per_curve,
-        worst_a_to_b=_tighten(worst_a),
-        worst_b_to_a=_tighten(worst_b),
-        empirical_max=_tighten(empirical),
-        per_dirac_bound=_tighten(per_dirac),
-        bound=_tighten(2 * alpha + epsilon),
-        bound_apriori=_tighten(2 * alpha + eps_apriori),
+        worst_a_to_b=worst_a,
+        worst_b_to_a=worst_b,
+        empirical_max=empirical,
+        per_dirac_bound=per_dirac,
+        bound=2 * alpha + epsilon,
+        bound_apriori=2 * alpha + eps_apriori,
         mixture_trials=mixture_trials,
-        mixture_max=_tighten(mixture_max),
+        mixture_max=mixture_max,
         exact=True,
     )
 
@@ -717,7 +715,7 @@ def verify_lipschitz_dirac_identity(n: int, pairs, cx: PrefractalComplex | None 
         semi = lipschitz_seminorm(space, f)
         d = space.matrix[ix][iy]
         attained = Fraction(semi) <= 1 and f[iy] - f[ix] == d
-        rows.append(IdentityRow(x=x, y=y, distance=_tighten(Fraction(d)),
+        rows.append(IdentityRow(x=x, y=y, distance=Fraction(d),
                                 witness_seminorm=semi, attained=attained,
                                 exact=True))
     return rows

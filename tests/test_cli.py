@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -40,6 +42,14 @@ class TestGen:
         assert payload["error"] == "validation"
         assert payload["exitCode"] == 2
         assert "cap" in payload["message"]
+
+    def test_oversized_level_names_the_estimate(self, capsys):
+        code, out, err = _run(capsys, "gen", "--level", "14")
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "validation"
+        assert re.search(r"needs about \d+ MiB, above the guard of 1024 MiB",
+                         payload["message"])
 
     def test_harmonic_carries_quadrature_metadata(self, capsys):
         code, out, _ = _run(capsys, "gen", "--geometry", "harmonic",
@@ -191,6 +201,30 @@ class TestPlumbing:
                 capsys.readouterr()
                 assert code == 0
             assert a.read_bytes() == b.read_bytes()
+
+    # sha256 of outputs recorded before the gasket moved from exact scalar
+    # objects to integer lattice arrays; any change to these bytes is a
+    # format change and needs a schemaVersion bump
+    GOLDEN = (
+        (["gen", "--level", "5"],
+         "4b444359b99ebac3b41811f86095bc7b08b9dfd34a1e70713ed32e3c8b66c2a1"),
+        (["gen", "--level", "5", "--format", "svg"],
+         "90d8229836c41bc8f2e60195220bdd109fb7b937d3fbca3d48225fa47cb906ab"),
+        (["gen", "--geometry", "harmonic", "--level", "3"],
+         "912b8b4973dec56c747929bdd5963b3e2481fc2f15f3af4ae0365b11c864e95a"),
+        (["gh-table", "--max-level", "3", "--m", "5"],
+         "bf28c8b4f72e08a751ee1b6cb6bbe306a4e26e8d219323a20ca663cb6d967661"),
+        (["extent", "--n", "2", "--m", "4", "--format", "json"],
+         "3741f49a6658b71cfc590a83df8a180d2301e10c72a15f9c74f15b7e28f6780a"),
+    )
+
+    @pytest.mark.parametrize("argv,digest", GOLDEN, ids=lambda v: " ".join(v)
+                             if isinstance(v, list) else "")
+    def test_outputs_match_golden_bytes(self, argv, digest, tmp_path, capsys):
+        path = tmp_path / "out"
+        assert main(argv + ["--out", str(path)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_flags_are_registered_only_where_read(self):
         for argv in (["gen", "--level", "1", "--seed", "1"],

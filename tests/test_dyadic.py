@@ -1,116 +1,75 @@
-"""Exact dyadic arithmetic: normalization, ordering, Fraction interop."""
+"""Exact dyadic values: the [num, exp] codec and halving on the lattice.
 
-import pickle
+Complex and metric-space JSON store power-of-two rationals as normalized
+[num, exp] pairs; gasket coordinates are integers over 2^L, halved by the
+similitudes.
+"""
+
 import random
 from fractions import Fraction
 
 import pytest
 
-from prefractal.dyadic import LEVEL_CAP, DyadicRational
-
-
-def _rand_dyadic(rng, max_exp=16, max_num=10**6):
-    return DyadicRational(rng.randint(-max_num, max_num), rng.randint(0, max_exp))
+from prefractal.gasket import CORNERS, dyadic_from_pair, dyadic_to_pair, similitude_apply
 
 
 class TestNormalization:
     def test_strips_common_twos(self):
-        d = DyadicRational(4, 3)
-        assert (d.num, d.exp) == (1, 1)
+        assert dyadic_to_pair(Fraction(4, 2**3)) == [1, 1]
+        assert dyadic_to_pair(dyadic_from_pair([4, 3])) == [1, 1]
 
     def test_zero_normalizes_to_exp_zero(self):
-        d = DyadicRational(0, 9)
-        assert (d.num, d.exp) == (0, 0)
+        assert dyadic_to_pair(Fraction(0, 2**9)) == [0, 0]
+        assert dyadic_to_pair(dyadic_from_pair([0, 9])) == [0, 0]
 
     def test_odd_numerator_untouched(self):
-        d = DyadicRational(5, 4)
-        assert (d.num, d.exp) == (5, 4)
+        assert dyadic_to_pair(Fraction(5, 2**4)) == [5, 4]
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
-            DyadicRational(1, -1)
-
-    def test_immutable(self):
-        d = DyadicRational(1, 1)
-        with pytest.raises(AttributeError):
-            d.num = 3
-
-    def test_repr_roundtrip(self):
-        d = DyadicRational(7, 5)
-        assert eval(repr(d)) == d
+            dyadic_from_pair([1, -1])
 
 
 class TestArithmetic:
-    def test_add_aligns_exponents(self):
-        assert DyadicRational(1, 1) + DyadicRational(1, 2) == DyadicRational(3, 2)
-
-    def test_sub(self):
-        assert DyadicRational(1, 0) - DyadicRational(1, 2) == DyadicRational(3, 2)
-
-    def test_mul(self):
-        assert DyadicRational(3, 1) * DyadicRational(5, 2) == DyadicRational(15, 3)
-
     def test_int_coercion(self):
-        d = DyadicRational(1, 1)
-        assert d + 1 == DyadicRational(3, 1)
-        assert 2 * d == 1
-        assert 1 - d == d
+        assert dyadic_to_pair(3) == [3, 0]
+        assert dyadic_to_pair(2 * dyadic_from_pair([1, 1])) == [1, 0]
 
     def test_halve(self):
-        assert DyadicRational(3, 1).halve() == DyadicRational(3, 2)
+        # T_0 halves: 3/4 on the lattice of scale 8 becomes 3/8
+        assert similitude_apply(0, [6, 0], 8).tolist() == [3, 0]
 
     def test_halve_respects_cap(self):
-        d = DyadicRational(1, LEVEL_CAP)
-        with pytest.raises(ValueError, match="cap"):
-            d.halve()
-        assert d.halve(cap=LEVEL_CAP + 1) == DyadicRational(1, LEVEL_CAP + 1)
+        # 3/8 has no half on the lattice of scale 8
+        with pytest.raises(ValueError, match="leaves the lattice"):
+            similitude_apply(0, [3, 0], 8)
+        assert similitude_apply(0, [6, 0], 16).tolist() == [3, 0]
+        with pytest.raises(ValueError, match="leaves the lattice"):
+            similitude_apply(1, CORNERS[0], 1)
 
     def test_matches_fraction_semantics(self):
         rng = random.Random(1009)
         for _ in range(500):
-            a = _rand_dyadic(rng)
-            b = _rand_dyadic(rng)
-            fa, fb = a.as_fraction(), b.as_fraction()
-            assert (a + b).as_fraction() == fa + fb
-            assert (a - b).as_fraction() == fa - fb
-            assert (a * b).as_fraction() == fa * fb
-            assert abs(a).as_fraction() == abs(fa)
-            assert (-a).as_fraction() == -fa
+            num, exp = rng.randint(-10**6, 10**6), rng.randint(0, 16)
+            value = dyadic_from_pair([num, exp])
+            assert value == Fraction(num, 2**exp)
+            n, e = dyadic_to_pair(value)
+            assert Fraction(n, 2**e) == value
+            assert n % 2 == 1 or e == 0
+        assert dyadic_to_pair(Fraction(1, 3)) is None
 
 
 class TestOrderingAndInterop:
     def test_comparisons_exact(self):
-        # 2^-30 apart, far below float resolution at this magnitude
-        a = DyadicRational(2**30 + 1, 30)
-        b = DyadicRational(1, 0)
+        # 2^-60 apart, below float resolution at this magnitude
+        a = dyadic_from_pair([2**60 + 1, 60])
+        b = dyadic_from_pair([1, 0])
+        assert float(a) == float(b)
         assert b < a
-        assert a > b
         assert a != b
 
-    def test_sorting_mixed_with_fractions(self):
-        vals = [Fraction(1, 3), DyadicRational(1, 2), Fraction(1, 6),
-                DyadicRational(1, 1), 0]
-        assert sorted(vals) == [0, Fraction(1, 6), DyadicRational(1, 2),
-                                Fraction(1, 3), DyadicRational(1, 1)]
-
-    def test_fraction_arithmetic_both_directions(self):
-        d = DyadicRational(3, 2)
-        assert Fraction(1, 3) + d == Fraction(13, 12)
-        assert d + Fraction(1, 3) == Fraction(13, 12)
-        assert Fraction(1, 2) * d == Fraction(3, 8)
-
-    def test_hash_consistent_with_fraction(self):
-        d = DyadicRational(3, 2)
-        assert hash(d) == hash(Fraction(3, 4))
-        assert len({d, Fraction(3, 4)}) == 1
-
     def test_float_conversion(self):
-        assert float(DyadicRational(3, 2)) == 0.75
+        assert float(dyadic_from_pair([3, 2])) == 0.75
 
     def test_pair_roundtrip(self):
-        d = DyadicRational(-11, 7)
-        assert DyadicRational.from_pair(d.to_pair()) == d
-
-    def test_pickle_roundtrip(self):
-        d = DyadicRational(9, 6)
-        assert pickle.loads(pickle.dumps(d)) == d
+        assert dyadic_to_pair(dyadic_from_pair([-11, 7])) == [-11, 7]

@@ -1,22 +1,24 @@
 """Prefractal construction: contractions, curve indexing, vertex enumeration.
 
 Core claims:
-    - the three contractions halve toward the corners, exactly;
+    - the three contractions halve toward the corners, exactly, on the
+      integer lattice of a given scale;
     - curve ids follow the level/position layout with 3 edges per triangle;
     - counts: 3^(n+1) triangles' edges at level n, (3^(n+1)+3)/2 vertices;
     - vertex enumeration is a stable prefix: V_n sits at the front of any
-      deeper build, and equals the brute-force iterated-map vertex set.
+      deeper build, and equals the brute-force iterated-map vertex set;
+    - oversized builds are refused before anything is allocated.
 """
 
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from prefractal.dyadic import DyadicRational
 from prefractal.gasket import (
     CORNERS,
-    LatticePoint,
     build_gasket,
     complex_from_dict,
     complex_to_dict,
@@ -40,35 +42,71 @@ def _brute_force_vertices(n):
     return pts
 
 
+def _reference_build(max_level):
+    """Vertex list and triangle tables from the per-point interning loop
+    that the array build replaced, on exact Fraction coordinates."""
+    corners = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
+               (Fraction(0), Fraction(1))]
+    vertices, index_of = [], {}
+
+    def intern(p):
+        if p not in index_of:
+            index_of[p] = len(vertices)
+            vertices.append(p)
+        return index_of[p]
+
+    triangles = [[tuple(intern(p) for p in corners)]]
+    for m in range(max_level):
+        children = []
+        for sa, sb in corners:  # T_r outside, parent triangles inside
+            for tri in triangles[m]:
+                children.append(tuple(
+                    intern(((vertices[i][0] + sa) / 2, (vertices[i][1] + sb) / 2))
+                    for i in tri))
+        triangles.append(children)
+    return vertices, triangles
+
+
+def _squared_distance(p, q):
+    # |da*v1 + db*v2|^2 = da^2 + da*db + db^2 since v1.v2 = 1/2
+    da, db = (int(x) for x in np.subtract(p, q))
+    return da * da + da * db + db * db
+
+
 class TestSimilitudes:
     def test_fixed_points_are_corners(self):
-        for r in range(3):
-            assert similitude_apply(r, CORNERS[r]) == CORNERS[r]
+        for scale in (1, 8):
+            for r in range(3):
+                corner = scale * CORNERS[r]
+                assert similitude_apply(r, corner, scale).tolist() == corner.tolist()
 
     def test_halves_toward_corner(self):
-        p = similitude_apply(0, CORNERS[1])
-        assert p == LatticePoint(DyadicRational(1, 1), DyadicRational(0, 0))
+        # T_0(v1) = v1/2, which is (1, 0) on the lattice of scale 2
+        assert similitude_apply(0, 2 * CORNERS[1], 2).tolist() == [1, 0]
 
     def test_top_corner_image_of_right(self):
-        p = similitude_apply(2, CORNERS[1])
-        assert (p.a.as_fraction(), p.b.as_fraction()) == (0.5, 0.5)
-        x, y = p.euclidean()
+        p = similitude_apply(2, 2 * CORNERS[1], 2)
+        assert p.tolist() == [1, 1]  # (1/2, 1/2) in the basis {v1, v2}
+        cx = build_gasket(1)
+        (row,) = np.flatnonzero((cx.vertices == p).all(axis=1))
+        x, y = cx.euclidean()[row]
         assert abs(x - 0.75) < 1e-12 and abs(y - math.sqrt(3) / 4) < 1e-12
 
     def test_invalid_index(self):
         with pytest.raises(ValueError):
-            similitude_apply(3, CORNERS[0])
+            similitude_apply(3, CORNERS[0], 1)
 
     def test_contraction_ratio_exact(self):
         rng = random.Random(404)
         for _ in range(50):
-            p = LatticePoint(DyadicRational(rng.randint(-8, 8), 3),
-                             DyadicRational(rng.randint(-8, 8), 3))
-            q = LatticePoint(DyadicRational(rng.randint(-8, 8), 3),
-                             DyadicRational(rng.randint(-8, 8), 3))
+            # points on the lattice of scale 8, written at scale 16 so that
+            # every image is a lattice point too
+            p = [2 * rng.randint(-8, 8), 2 * rng.randint(-8, 8)]
+            q = [2 * rng.randint(-8, 8), 2 * rng.randint(-8, 8)]
             r = rng.randrange(3)
-            d2 = similitude_apply(r, p).squared_distance(similitude_apply(r, q))
-            assert d2 * 4 == p.squared_distance(q)
+            pq = similitude_apply(r, np.array([p, q]), 16)
+            d2 = _squared_distance(pq[0], pq[1])
+            assert d2 * 4 == _squared_distance(p, q)
 
 
 class TestCurveIndexing:
@@ -101,22 +139,34 @@ class TestBuildGasket:
     def test_triangle_and_curve_tallies(self):
         cx = build_gasket(3)
         for m in range(4):
-            assert len(cx.triangles[m]) == 3**m
+            assert cx.triangles[m].shape == (3**m, 3)
             assert len(cx.curves_at_level(m)) == 3 ** (m + 1)
         assert cx.b_n == curve_count(3)
+        assert cx.vertices.shape == (vertex_count(3), 2)
 
     def test_vertex_counts_per_level(self):
         cx = build_gasket(4)
         assert cx.level_vertex_counts == [vertex_count(n) for n in range(5)]
 
     def test_vertex_prefix_is_stable(self):
-        keys5 = [v.key() for v in build_gasket(5).vertices]
-        keys3 = [v.key() for v in build_gasket(3).vertices]
-        assert keys5[: len(keys3)] == keys3
+        cx5, cx3 = build_gasket(5), build_gasket(3)
+        nv = len(cx3.vertices)
+        # the same points, with coordinates scaled by 2^5 and 2^3
+        assert (cx5.vertices[:nv] == 4 * cx3.vertices).all()
+        assert cx5.vertex_pairs(nv) == cx3.vertex_pairs()
+
+    def test_matches_interning_loop_reference(self):
+        for level in range(7):
+            cx = build_gasket(level)
+            vertices, triangles = _reference_build(level)
+            scale = 1 << level
+            assert [(Fraction(a, scale), Fraction(b, scale))
+                    for a, b in cx.vertices.tolist()] == vertices
+            assert [list(map(tuple, t.tolist())) for t in cx.triangles] == triangles
 
     def test_vertices_match_brute_force(self):
         cx = build_gasket(4)
-        mine = sorted(v.euclidean() for v in cx.vertices)
+        mine = sorted(map(tuple, cx.euclidean().tolist()))
         ref = sorted(_brute_force_vertices(4))
         assert len(mine) == len(ref)
         for (x, y), (rx, ry) in zip(mine, ref):
@@ -124,33 +174,51 @@ class TestBuildGasket:
 
     def test_curve_endpoints_are_triangle_sides(self):
         cx = build_gasket(3)
-        side2 = DyadicRational(1, 6)  # (2^-3)^2
+        # side 2^-3 is one lattice step at scale 2^3
         for c in cx.curves_at_level(3):
             p = cx.vertices[c.endpoints[0]]
             q = cx.vertices[c.endpoints[1]]
-            assert p.squared_distance(q) == side2
-            assert c.length == DyadicRational(1, 3)
+            assert _squared_distance(p, q) == 1
+            assert c.length == Fraction(1, 8)
 
     def test_child_triangles_partition_ids(self):
         cx = build_gasket(2)
-        # triangle j at level m spawns children j + r*3^m at level m+1
+        scale = 1 << cx.max_level
+        # triangle j at level m spawns children j + r*3^m at level m+1,
+        # whose corners are the images of its corners under T_r
         for m in range(2):
-            for tri in cx.triangles[m]:
-                j = tri.index - 1
+            for j, ids in enumerate(cx.triangles[m]):
                 for r in range(3):
                     child = cx.triangles[m + 1][j + r * 3**m]
-                    assert child.index - 1 == j + r * 3**m
+                    image = similitude_apply(r, cx.vertices[ids], scale)
+                    assert (cx.vertices[child] == image).all()
 
     def test_orientation_cycles(self):
         cx = build_gasket(2)
         for m in range(3):
-            for tri in cx.triangles[m]:
-                base = kappa(m, tri.index - 1)
+            for j in range(3**m):
+                base = kappa(m, j)
                 bottom, right, left = (cx.curves[base + k] for k in range(3))
                 # bottom ends where right starts, right ends where left starts
                 assert bottom.endpoints[1] == right.endpoints[0]
                 assert right.endpoints[1] == left.endpoints[0]
                 assert left.endpoints[1] == bottom.endpoints[0]
+
+    def test_arrays_are_read_only(self):
+        cx = build_gasket(1)
+        for arr in (cx.vertices, cx.triangles[1]):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 7
+
+    def test_size_guard_names_the_estimate(self):
+        with pytest.raises(ValueError, match=r"max_level 14 .* needs about \d+ MiB, "
+                                             r"above the guard of 1024 MiB"):
+            build_gasket(14)
+
+    def test_level_eleven_still_builds(self):
+        cx = build_gasket(11)
+        assert cx.level_vertex_counts[-1] == vertex_count(11) == len(cx.vertices)
+        assert cx.b_n == curve_count(11)
 
 
 class TestSerialization:
@@ -159,7 +227,9 @@ class TestSerialization:
         data = complex_to_dict(cx)
         back = complex_from_dict(data)
         assert back.max_level == 3
-        assert [v.key() for v in back.vertices] == [v.key() for v in cx.vertices]
+        assert (back.vertices == cx.vertices).all()
+        assert all((b == t).all() for b, t in zip(back.triangles, cx.triangles))
+        assert back.level_vertex_counts == cx.level_vertex_counts
         assert len(back.curves) == len(cx.curves)
         for c in cx.curves:
             b = back.curves[c.id]
@@ -172,3 +242,12 @@ class TestSerialization:
         assert len(data["vertices"]) == 6
         assert all(len(v) == 4 for v in data["vertices"])
         assert {c["kind"] for c in data["curves"]} == {"bottom", "right", "left"}
+        assert data["vertices"][3] == [1, 1, 0, 0]  # (1/2, 0)
+        assert data["curves"][3]["length"] == [1, 1]
+
+    @pytest.mark.parametrize("pair", [[1, -1], [1, 3]])
+    def test_rejects_exponent_outside_level_range(self, pair):
+        data = complex_to_dict(build_gasket(2))
+        data["vertices"][4] = pair + [0, 0]
+        with pytest.raises(ValueError, match="vertex 4 "):
+            complex_from_dict(data)

@@ -268,6 +268,15 @@ class TestHausdorffAndBounds:
                 assert rep.exact
                 assert rep.max_discrepancy == 0
 
+    def test_agreement_across_separate_builds(self):
+        # vertex keys do not depend on the level a complex was built to
+        g_n = gasket_metric_graph(build_gasket(2), 2)
+        g_m = gasket_metric_graph(build_gasket(5), 5)
+        assert g_n.vertex_keys == g_m.vertex_keys[: g_n.vertex_count]
+        rep = certify_vertex_agreement(2, 5, g_n, g_m)
+        assert rep.exact and rep.max_discrepancy == 0
+        assert rep.vertices_compared == vertex_count(2)
+
     def test_agreement_hop_blocks_match_row_oracle(self):
         # uniform shortcuts between V_2 vertices make d_3 differ from d_2;
         # the hop-block path must report the row path's value and first pair
