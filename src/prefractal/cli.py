@@ -18,7 +18,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .gasket import build_gasket, complex_to_dict, vertex_count
+from .gasket import (build_gasket, check_memory, complex_to_dict, curve_count,
+                     vertex_count)
 from .harmonic import build_harmonic_gasket, derive_subdivision_rule
 from .metric import (
     certify_vertex_agreement,
@@ -32,6 +33,10 @@ from .svg import gasket_svg, line_plot, plane_coords
 from .transport import DiscreteMeasure, certify_extent, kantorovich
 
 SCHEMA_VERSION = 1
+
+# peak RSS of `gen --format json` per curve of the complex: the dict per
+# curve and the whole text in memory (112/276/769 MiB at levels 8/9/10)
+_JSON_BYTES_PER_CURVE = 3000
 
 
 def _emit(text: str, out: str | None):
@@ -90,6 +95,10 @@ def _config_echo(args, keys) -> dict:
 
 def cmd_gen(args) -> str:
     config = _config_echo(args, ("geometry", "level", "tol", "format"))
+    if args.format == "json":
+        check_memory(_JSON_BYTES_PER_CURVE * curve_count(args.level),
+                     "level %d is past the size cap for JSON output: the "
+                     "complex as JSON text" % args.level)
     if args.geometry == "sg":
         cx = build_gasket(args.level)
         if args.format == "svg":
@@ -122,11 +131,16 @@ def cmd_gh_table(args) -> str:
     config = _config_echo(args, ("max_level", "m", "samples", "format"))
     cx = build_gasket(args.m)
     g_m = gasket_metric_graph(cx, args.m)
+    # one level-m traversal over V_max_level; every V_n is a prefix of it,
+    # so each agreement check reads its block from the top-left corner
+    top = range(cx.level_vertex_counts[args.max_level])
+    fine_hops = g_m.hop_block(top, top)
     rows = []
     for n in range(args.max_level + 1):
+        g_n = gasket_metric_graph(cx, n)
         rep = gh_upper_bound(n, args.m, samples_per_curve=args.samples, cx=cx,
-                             g_m=g_m)
-        agree = certify_vertex_agreement(n, args.m, gasket_metric_graph(cx, n), g_m)
+                             g_n=g_n, g_m=g_m)
+        agree = certify_vertex_agreement(n, args.m, g_n, g_m, fine_hops=fine_hops)
         rows.append((n, args.m, float(rep.bound), float(rep.bound_with_slack),
                      float(rep.paper_bound) + float(rep.tail),
                      float(agree.max_discrepancy)))

@@ -21,7 +21,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isfinite, lcm
+from math import isfinite, lcm
 
 import numpy as np
 
@@ -61,13 +61,19 @@ class MetricGraph:
         self.vertex_count = n_vertices
         self.provenance = provenance
         self.vertex_keys = list(vertex_keys) if vertex_keys is not None else None
-        self.edges = []
-        exact = all(_is_exact_weight(w) for _, _, w in edges)
-        self.exact = exact
-
-        for u, v, w in edges:
+        for u, v, _ in edges:
             if not (0 <= u < n_vertices and 0 <= v < n_vertices):
                 raise ValueError("edge (%r,%r) references a vertex out of range" % (u, v))
+        weights = [w for _, _, w in edges]
+        exact = all(issubclass(t, (int, Fraction)) for t in set(map(type, weights)))
+        self.exact = exact
+
+        # convert and validate each distinct weight once, in first-edge order;
+        # keyed by identity: gasket graphs share one weight object, and a
+        # Fraction's hash is recomputed on every lookup
+        keys = list(map(id, weights))
+        value = dict(zip(keys, weights))
+        for key, w in value.items():
             if exact:
                 wf = Fraction(w)
                 if wf <= 0:
@@ -76,21 +82,19 @@ class MetricGraph:
                 wf = float(w)
                 if not (isfinite(wf) and wf > 0):
                     raise ValueError("edge weights must be positive finite, got %r" % w)
-            self.edges.append((u, v, wf))
+            value[key] = wf
+        self.edges = [(u, v, value[k]) for (u, v, _), k in zip(edges, keys)]
 
         if exact:
-            den = 1
-            for _, _, w in self.edges:
-                den = den * w.denominator // gcd(den, w.denominator)
-            self._den = den
-            self._int_weights = [int(w * den) for _, _, w in self.edges]
-            weights = self._int_weights
+            den = lcm(*(wf.denominator for wf in value.values()))
+            scaled = {k: wf.numerator * (den // wf.denominator) for k, wf in value.items()}
         else:
-            self._den = None
-            self._int_weights = None
-            weights = [w for _, _, w in self.edges]
-
-        self._uniform = exact and len(set(weights)) <= 1
+            den = None
+            scaled = value
+        self._den = den
+        weights = [scaled[k] for k in keys]
+        self._int_weights = weights if exact else None
+        self._uniform = exact and len(set(scaled.values())) <= 1
         adj = [[] for _ in range(n_vertices)]
         for (u, v, _), w in zip(self.edges, weights):
             adj[u].append((v, w))
@@ -184,8 +188,9 @@ class MetricGraph:
             raise ValueError("need at least one source vertex")
         return [self._value(d) for d in self._sssp(sources)]
 
-    def nearest_sources(self, sources) -> list[int]:
-        """Position in `sources` of each vertex's nearest source.
+    def nearest_sources(self, sources) -> tuple[list[int], list]:
+        """Position in `sources` of each vertex's nearest source, and the
+        distance to it.
 
         One Dijkstra run whose labels are (distance, source position) in
         lexicographic order, so ties go to the earliest source.
@@ -210,7 +215,7 @@ class MetricGraph:
                 if label[v] is None or cand < label[v]:
                     label[v] = cand
                     heapq.heappush(heap, (d + w, pos, v))
-        return [pos for _, pos in label]
+        return [pos for _, pos in label], [self._value(d) for d, _ in label]
 
     def internal_rows(self, sources):
         """Internal-unit distance rows per source (ints if exact)."""
@@ -511,14 +516,21 @@ def hausdorff(space: FiniteMetricSpace, a_indices, b_indices):
 
 
 def hausdorff_vertex_sets(g: MetricGraph, a_indices, b_indices):
-    """Hausdorff distance between vertex subsets via two multi-source runs."""
+    """Hausdorff distance between vertex subsets via two multi-source runs,
+    or one when a set contains the other (its directed term is zero)."""
     a = list(a_indices)
     b = list(b_indices)
     if not a or not b:
         raise ValueError("hausdorff requires nonempty subsets")
-    from_b = g._sssp(b)
-    from_a = g._sssp(a)
-    return g._value(max(max(from_b[i] for i in a), max(from_a[j] for j in b)))
+
+    def reach(src, dst):
+        """Max over dst of the distance to the nearest vertex of src."""
+        if set(dst) <= set(src):
+            return 0
+        dist = g._sssp(src)
+        return max(dist[i] for i in dst)
+
+    return g._value(max(reach(b, a), reach(a, b)))
 
 
 # -- agreement certification and the two-sided bound chain ---------------
@@ -538,9 +550,11 @@ def check_agreement_size(coarse_vertices: int, fine_vertices: int) -> None:
     would exceed MEMORY_GUARD_BYTES; defaults (V_6 inside the level-9
     gasket) need about 30 MiB.
 
-    The estimate is two int64 hop blocks over V_n x V_n (one per graph)
-    plus the three live bitsets of the level-m traversal (frontier, unseen,
-    next step), each |V_m| + 1 rows of one uint64 word per 64 sources.
+    The estimate is two int64 hop blocks over V_n x V_n (the level-m block,
+    which a caller may share across every coarser level, and the level-n
+    block the difference is taken in) plus the three live bitsets of the
+    level-m traversal (frontier, unseen, next step), each |V_m| + 1 rows of
+    one uint64 word per 64 sources.
     """
     words = -(-coarse_vertices // 64)
     need = 8 * (2 * coarse_vertices**2 + 3 * (fine_vertices + 1) * words)
@@ -549,7 +563,7 @@ def check_agreement_size(coarse_vertices: int, fine_vertices: int) -> None:
 
 
 def certify_vertex_agreement(n: int, m: int, g_n: MetricGraph,
-                             g_m: MetricGraph) -> AgreementReport:
+                             g_m: MetricGraph, fine_hops=None) -> AgreementReport:
     """Max over V_n pairs of |d_n(v,w) - d_m(v,w)|, exact when both graphs are.
 
     Requires the two graphs to enumerate V_n identically (vertex keys are
@@ -557,6 +571,11 @@ def certify_vertex_agreement(n: int, m: int, g_n: MetricGraph,
     exactly zero. Exact graphs with uniform weights are compared through
     their hop blocks (MetricGraph.hop_block) in int64; other graphs row by
     row. worst_pair is the first maximal pair i < j in row-major order.
+
+    fine_hops, if given, is g_m.hop_block(ids, ids) over a vertex prefix
+    ids = range(k) with k >= |V_n|. Its top-left |V_n| x |V_n| corner is
+    the level-m block, so one traversal serves every coarser level; the
+    block is only read.
     """
     if m < n:
         raise ValueError("need m >= n, got n=%d m=%d" % (n, m))
@@ -573,6 +592,13 @@ def certify_vertex_agreement(n: int, m: int, g_n: MetricGraph,
             )
     elif g_n.vertex_keys is not None or g_m.vertex_keys is not None:
         raise ValueError("vertex-indexing mismatch: keys available on one graph only")
+    if fine_hops is not None:
+        if fine_hops.ndim != 2 or fine_hops.shape[0] != fine_hops.shape[1]:
+            raise ValueError("fine_hops must be a square hop block, got shape %s"
+                             % (fine_hops.shape,))
+        if len(fine_hops) < nv:
+            raise ValueError("fine_hops covers %d vertices, V_%d has %d"
+                             % (len(fine_hops), n, nv))
 
     both_exact = g_n.exact and g_m.exact
     if nv < 2:
@@ -586,16 +612,22 @@ def certify_vertex_agreement(n: int, m: int, g_n: MetricGraph,
         if max(a, b) * g_m.vertex_count < 2**63:
             check_agreement_size(nv, g_m.vertex_count)
             ids = np.arange(nv)
+            if fine_hops is None:
+                fine_hops = g_m.hop_block(ids, ids)
+            hops_m = fine_hops[:nv, :nv]  # a view: the block is only read
             diff = g_n.hop_block(ids, ids)
             diff *= a
-            hops_m = g_m.hop_block(ids, ids)
-            hops_m *= b
-            diff -= hops_m
+            # b * hops_m in bands of rows, never as a scaled copy of the block
+            for r in range(0, nv, 64):
+                diff[r:r + 64] -= b * hops_m[r:r + 64]
             np.abs(diff, out=diff)
             diff[ids[:, None] >= ids] = -1
             i, j = divmod(int(np.argmax(diff)), nv)
             value = Fraction(int(diff[i, j]), scale)
             return AgreementReport(n, m, nv, value, (i, j), True)
+    if fine_hops is not None:
+        raise ValueError("fine_hops needs two uniform exact graphs whose scaled "
+                         "distances fit int64")
 
     sources = range(nv)
     rows_n = g_n.internal_rows(sources)
@@ -653,8 +685,21 @@ class GHBoundReport:
                 for f, v in self.__dict__.items()}
 
 
+def _level_graph(cx: PrefractalComplex, level: int, g: MetricGraph | None = None,
+                 harmonic_lengths=None) -> MetricGraph:
+    """gasket_metric_graph(cx, level), or a caller's graph `g` of that level
+    after checking its vertex count against V_level."""
+    if g is None:
+        return gasket_metric_graph(cx, level, harmonic_lengths=harmonic_lengths)
+    if g.vertex_count != cx.level_vertex_counts[level]:
+        raise ValueError("graph has %d vertices, V_%d has %d"
+                         % (g.vertex_count, level, cx.level_vertex_counts[level]))
+    return g
+
+
 def gh_upper_bound(n: int, m: int, samples_per_curve: int = 3,
                    cx: PrefractalComplex | None = None,
+                   g_n: MetricGraph | None = None,
                    g_m: MetricGraph | None = None) -> GHBoundReport:
     """Certified upper bound for the coarse-vs-limit comparison at level n.
 
@@ -662,7 +707,8 @@ def gh_upper_bound(n: int, m: int, samples_per_curve: int = 3,
     + (V_n vs V_m under d_m, plus the 2^-m density of V_m in the limit).
     The first term is computed on the on-edge sample S_n; its cover-radius
     slack is reported separately, never folded in silently. A caller that
-    already holds gasket_metric_graph(cx, m) passes it as g_m.
+    already holds gasket_metric_graph(cx, n) or (cx, m) passes it as g_n
+    or g_m.
     """
     if m < n:
         raise ValueError("need m >= n, got n=%d m=%d" % (n, m))
@@ -671,12 +717,8 @@ def gh_upper_bound(n: int, m: int, samples_per_curve: int = 3,
     if cx.max_level < m:
         raise ValueError("complex built to level %d, need %d" % (cx.max_level, m))
 
-    g_n = gasket_metric_graph(cx, n)
-    if g_m is None:
-        g_m = gasket_metric_graph(cx, m)
-    elif g_m.vertex_count != cx.level_vertex_counts[m]:
-        raise ValueError("g_m has %d vertices, V_%d has %d"
-                         % (g_m.vertex_count, m, cx.level_vertex_counts[m]))
+    g_n = _level_graph(cx, n, g_n)
+    g_m = _level_graph(cx, m, g_m)
     params = sample_parameters(samples_per_curve)
 
     # directed distance from each on-edge sample to the nearest vertex of

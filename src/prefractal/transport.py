@@ -24,7 +24,7 @@ from math import isfinite, lcm
 
 from .gasket import PrefractalComplex, build_gasket
 from .metric import (EdgePoint, FiniteMetricSpace, MetricGraph, _is_exact_weight,
-                     _resolve_point, gasket_metric_graph,
+                     _level_graph, _resolve_point, gasket_metric_graph,
                      gh_upper_bound, sample_parameters)
 
 _FLOAT_MASS_TOL = 1e-12
@@ -451,12 +451,17 @@ class CoupledGraph:
 
     @classmethod
     def from_gasket(cls, cx: PrefractalComplex, n: int, m: int, alpha,
-                    harmonic_lengths=None) -> "CoupledGraph":
-        """Couple the fine level-m graph (copy A) to the coarse level-n one."""
+                    harmonic_lengths=None, g_n: MetricGraph | None = None,
+                    g_m: MetricGraph | None = None) -> "CoupledGraph":
+        """Couple the fine level-m graph (copy A) to the coarse level-n one.
+
+        A caller that already holds either level's graph of cx passes it
+        as g_n or g_m.
+        """
         if m < n:
             raise ValueError("fine level m=%d must be at least coarse level n=%d" % (m, n))
-        g_m = gasket_metric_graph(cx, m, harmonic_lengths=harmonic_lengths)
-        g_n = gasket_metric_graph(cx, n, harmonic_lengths=harmonic_lengths)
+        g_m = _level_graph(cx, m, g_m, harmonic_lengths=harmonic_lengths)
+        g_n = _level_graph(cx, n, g_n, harmonic_lengths=harmonic_lengths)
         shared = [(v, v) for v in range(g_n.vertex_count)]
         cg = cls(g_m, g_n, shared, alpha,
                  provenance="coupled levels %d/%d alpha=%s" % (n, m, alpha))
@@ -484,12 +489,6 @@ class CoupledGraph:
     def distance(self, x, y):
         """Distance between (side, index) pairs in the coupled graph."""
         return self.graph.single_source(self.node(*x))[self.node(*y)]
-
-    def nearest_opposite(self):
-        """(per-A distance to copy B, per-B distance to copy A), two runs."""
-        to_b = self.graph.multi_source(range(self.n_a, self.n_a + self.n_b))
-        to_a = self.graph.multi_source(range(self.n_a))
-        return to_b[:self.n_a], to_a[self.n_a:]
 
 
 def tunnel_dirac_distance(cg: CoupledGraph, a_index: int, b_index: int):
@@ -565,7 +564,9 @@ def certify_extent(n: int, m: int, alpha=None, samples_per_curve: int = 3,
         raise ValueError("need m >= n, got n=%d m=%d" % (n, m))
     if cx is None:
         cx = build_gasket(m)
-    rep = gh_upper_bound(n, m, samples_per_curve=samples_per_curve, cx=cx)
+    g_n, g_m = gasket_metric_graph(cx, n), gasket_metric_graph(cx, m)
+    rep = gh_upper_bound(n, m, samples_per_curve=samples_per_curve, cx=cx,
+                         g_n=g_n, g_m=g_m)
     eps_sample = rep.haus_vertices_to_sample + rep.sampling_slack
     eps_vertex = rep.haus_vn_in_vm + rep.tail
     _require_premises(n, m, eps_sample, eps_vertex)
@@ -577,10 +578,14 @@ def certify_extent(n: int, m: int, alpha=None, samples_per_curve: int = 3,
     if alpha <= 0:
         raise ValueError("alpha must be positive, got %s" % alpha)
 
-    cg = CoupledGraph.from_gasket(cx, n, m, alpha)
-    to_b, to_a = cg.nearest_opposite()
-    worst_a = max(Fraction(d) for d in to_b)
-    worst_b = max(Fraction(d) for d in to_a)
+    cg = CoupledGraph.from_gasket(cx, n, m, alpha, g_n=g_n, g_m=g_m)
+    del g_n, g_m  # the coupled graph holds copies of their edges; free these
+    # one run from copy B gives each copy-A vertex its distance to B and its
+    # nearest B vertex (ties to the lowest index), where mixture atoms move
+    nearest_b, to_b = cg.graph.nearest_sources(range(cg.n_a, cg.n_a + cg.n_b))
+    to_a = cg.graph.multi_source(range(cg.n_a))
+    worst_a = max(Fraction(d) for d in to_b[:cg.n_a])
+    worst_b = max(Fraction(d) for d in to_a[cg.n_a:])
     empirical = max(worst_a, worst_b)
     per_dirac = alpha + epsilon
     bound = 2 * alpha + epsilon
@@ -588,9 +593,7 @@ def certify_extent(n: int, m: int, alpha=None, samples_per_curve: int = 3,
         raise RuntimeError("a Dirac state sits %s from the opposite copy, above "
                            "alpha + epsilon = %s" % (empirical, per_dirac))
 
-    # copy A keeps its vertex indices, so mu lives on cg.graph as drawn;
-    # each atom moves to its nearest copy-B vertex, ties to the lowest index
-    nearest_b = cg.graph.nearest_sources(range(cg.n_a, cg.n_a + cg.n_b))
+    # copy A keeps its vertex indices, so mu lives on cg.graph as drawn
     rng = random.Random(seed)
     mixture_max = Fraction(0)
     for _ in range(mixture_trials):

@@ -51,6 +51,19 @@ class TestGen:
         assert re.search(r"needs about \d+ MiB, above the guard of 1024 MiB",
                          payload["message"])
 
+    def test_json_guard_refuses_before_building(self, capsys, monkeypatch):
+        # level 12 passes the build guard, but its JSON text would not fit
+        def no_build(level):
+            raise AssertionError("built the level-%d complex" % level)
+
+        monkeypatch.setattr("prefractal.cli.build_gasket", no_build)
+        code, out, err = _run(capsys, "gen", "--level", "12", "--format", "json")
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "validation"
+        assert re.search(r"JSON text needs about \d+ MiB, above the guard of 1024 MiB",
+                         payload["message"])
+
     def test_harmonic_carries_quadrature_metadata(self, capsys):
         code, out, _ = _run(capsys, "gen", "--geometry", "harmonic",
                             "--level", "1", "--tol", "1e-6")

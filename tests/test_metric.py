@@ -12,8 +12,10 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from prefractal.cli import main
 from prefractal.gasket import build_gasket, vertex_count
 from prefractal.metric import (
     AgreementReport,
@@ -72,6 +74,32 @@ class TestMetricGraph:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError, match="positive"):
             MetricGraph(2, [(0, 1, 0)])
+
+    @pytest.mark.parametrize("bad, message", [
+        (0, "must be positive, got 0"),
+        (Fraction(-1, 4), "must be positive, got -1/4"),
+        (float("inf"), "positive finite, got inf"),
+        (float("nan"), "positive finite, got nan"),
+        (-0.5, "positive finite, got -0.5"),
+    ])
+    def test_one_bad_weight_among_many_raises(self, bad, message):
+        good = 0.25 if isinstance(bad, float) else Fraction(1, 4)
+        edges = [(i, i + 1, good) for i in range(60)]
+        edges[37] = (37, 38, bad)
+        with pytest.raises(ValueError, match=message):
+            MetricGraph(61, edges)
+
+    def test_equal_weights_from_distinct_objects_are_uniform(self):
+        # weights are converted once per object; equal values still make
+        # one uniform weight, and mixed int/Fraction share one denominator
+        g = MetricGraph(4, [(0, 1, Fraction(1, 4)), (1, 2, Fraction(2, 8)),
+                            (2, 3, Fraction(1, 4))])
+        assert g._uniform and g._int_weights == [1, 1, 1]
+        assert g.hop_block([0], [3]).tolist() == [[3]]
+        g = MetricGraph(3, [(0, 1, 1), (1, 2, Fraction(1, 3))])
+        assert not g._uniform and g.value_scale() == 3
+        assert g._int_weights == [3, 1]
+        assert g.edges == [(0, 1, Fraction(1)), (1, 2, Fraction(1, 3))]
 
     def test_dijkstra_matches_floyd_warshall(self):
         rng = random.Random(7321)
@@ -298,6 +326,69 @@ class TestHausdorffAndBounds:
             assert rep.worst_pair == pair
             assert rep.max_discrepancy == Fraction(worst, g2._den * g_m._den) > 0
 
+    @pytest.mark.parametrize("max_level, m", [(3, 5), (4, 7)])
+    def test_shared_fine_block_matches_standalone(self, max_level, m):
+        # every V_n block is the top-left corner of the V_max_level block;
+        # uniform chords on V_1 make d_m differ from d_n, so a misread
+        # corner would change the value or the first worst pair
+        cx = build_gasket(m)
+        g_gasket = gasket_metric_graph(cx, m)
+        w = g_gasket.edges[0][2]
+        g_chords = MetricGraph(g_gasket.vertex_count,
+                               g_gasket.edges + [(0, 4, w), (1, 5, w), (3, 2, w)],
+                               vertex_keys=g_gasket.vertex_keys)
+        top = range(vertex_count(max_level))
+        for g_m in (g_gasket, g_chords):
+            fine_hops = g_m.hop_block(top, top)
+            for n in range(max_level + 1):
+                g_n = gasket_metric_graph(cx, n)
+                shared = certify_vertex_agreement(n, m, g_n, g_m, fine_hops=fine_hops)
+                alone = certify_vertex_agreement(n, m, g_n, g_m)
+                assert shared == alone
+                if g_m is g_gasket:
+                    assert alone.max_discrepancy == 0
+                elif n >= 1:
+                    assert alone.max_discrepancy > 0
+
+    def test_fine_block_must_be_square_and_cover_v_n(self):
+        g2 = gasket_metric_graph(CX, 2)
+        g4 = gasket_metric_graph(CX, 4)
+        with pytest.raises(ValueError, match="square"):
+            certify_vertex_agreement(2, 4, g2, g4,
+                                     fine_hops=g4.hop_block(range(15), range(20)))
+        with pytest.raises(ValueError, match="square"):
+            certify_vertex_agreement(2, 4, g2, g4, fine_hops=np.zeros(15, np.int64))
+        with pytest.raises(ValueError, match="covers 6 vertices, V_2 has 15"):
+            certify_vertex_agreement(2, 4, g2, g4,
+                                     fine_hops=g4.hop_block(range(6), range(6)))
+        # also for V_n with fewer than two vertices, where nothing is compared
+        g_one = MetricGraph(1, [], vertex_keys=g2.vertex_keys[:1])
+        with pytest.raises(ValueError, match="covers 0 vertices"):
+            certify_vertex_agreement(0, 4, g_one, g4,
+                                     fine_hops=np.zeros((0, 0), np.int64))
+
+    def test_fine_block_needs_the_hop_path(self):
+        g1 = gasket_metric_graph(CX, 1)
+        lengths = {c.id: 0.5 for c in CX.curves_at_level(1)}
+        g_float = gasket_metric_graph(CX, 1, harmonic_lengths=lengths)
+        with pytest.raises(ValueError, match="uniform exact"):
+            certify_vertex_agreement(1, 1, g1, g_float,
+                                     fine_hops=np.zeros((6, 6), np.int64))
+
+    def test_gh_table_runs_one_fine_traversal(self, monkeypatch, capsys):
+        fine_calls = []
+        hop_block = MetricGraph.hop_block
+
+        def spy(self, sources, targets):
+            if self.vertex_count == vertex_count(5):
+                fine_calls.append((len(sources), len(targets)))
+            return hop_block(self, sources, targets)
+
+        monkeypatch.setattr(MetricGraph, "hop_block", spy)
+        assert main(["gh-table", "--max-level", "3", "--m", "5"]) == 0
+        capsys.readouterr()
+        assert fine_calls == [(vertex_count(3), vertex_count(3))]
+
     def test_agreement_detects_mismatched_indexing(self):
         g1 = gasket_metric_graph(CX, 1)
         shuffled = MetricGraph(
@@ -320,6 +411,14 @@ class TestHausdorffAndBounds:
         assert Fraction(rep.haus_vn_in_vm) == Fraction(1, 8)
         assert Fraction(rep.tail) == Fraction(1, 64)
         assert Fraction(rep.bound) == Fraction(17, 64)
+
+    def test_bound_checks_passed_level_graphs(self):
+        g3 = gasket_metric_graph(CX, 3)
+        with pytest.raises(ValueError, match="42 vertices, V_2 has 15"):
+            gh_upper_bound(2, 4, cx=CX, g_n=g3)
+        with pytest.raises(ValueError, match="42 vertices, V_4 has 123"):
+            gh_upper_bound(2, 4, cx=CX, g_m=g3)
+        assert gh_upper_bound(2, 3, cx=CX, g_m=g3) == gh_upper_bound(2, 3, cx=CX)
 
     def test_bound_below_coarse_budget(self):
         for n in range(4):

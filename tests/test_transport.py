@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from prefractal import transport
+from prefractal import metric, transport
 from prefractal.exactlp import (Infeasible, Unbounded, max_difference_objective,
                                 maximize)
 from prefractal.gasket import build_gasket
@@ -416,9 +416,24 @@ class TestExtentCertificate:
             assert F(rep.mixture_max) == expected
             cg = CoupledGraph.from_gasket(cx, n, m, F(rep.alpha))
             rows = cg.graph.internal_rows(cg.b_node(j) for j in range(cg.n_b))
-            nearest = cg.graph.nearest_sources(range(cg.n_a, cg.n_a + cg.n_b))
+            nearest, dist = cg.graph.nearest_sources(range(cg.n_a, cg.n_a + cg.n_b))
             for a in range(cg.n_a):
                 assert nearest[a] == min(range(cg.n_b), key=lambda j: (rows[j][a], j))
+                assert dist[a] == cg.graph._value(rows[nearest[a]][a])
+
+    def test_builds_each_level_graph_once(self, monkeypatch):
+        # the bound chain and the coupled graph share the two level graphs
+        levels = []
+
+        def spy(cx, level=None, harmonic_lengths=None):
+            levels.append(level)
+            return gasket_metric_graph(cx, level, harmonic_lengths=harmonic_lengths)
+
+        monkeypatch.setattr(metric, "gasket_metric_graph", spy)
+        monkeypatch.setattr(transport, "gasket_metric_graph", spy)
+        rep = certify_extent(4, 8, cx=build_gasket(8))
+        assert sorted(levels) == [4, 8]
+        assert F(rep.mixture_max) == F(21, 640)
 
     def test_premise_failures_name_the_term(self):
         with pytest.raises(ValueError, match="sample-covering premise"):
