@@ -18,12 +18,12 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .gasket import (build_gasket, check_memory, complex_to_dict, curve_count,
-                     vertex_count)
+from .gasket import build_gasket, check_memory, complex_to_dict, curve_count
 from .harmonic import build_harmonic_gasket, derive_subdivision_rule
 from .metric import (
-    certify_vertex_agreement,
+    certify_trace_agreement,
     check_agreement_size,
+    gasket_cell_trace,
     gasket_metric_graph,
     gh_upper_bound,
 )
@@ -127,20 +127,16 @@ def cmd_gen(args) -> str:
 def cmd_gh_table(args) -> str:
     if args.m < args.max_level:
         raise ValueError("--m must be at least --max-level")
-    check_agreement_size(vertex_count(args.max_level), vertex_count(args.m))
+    check_agreement_size(args.m)
     config = _config_echo(args, ("max_level", "m", "samples", "format"))
     cx = build_gasket(args.m)
-    g_m = gasket_metric_graph(cx, args.m)
-    # one level-m traversal over V_max_level; every V_n is a prefix of it,
-    # so each agreement check reads its block from the top-left corner
-    top = range(cx.level_vertex_counts[args.max_level])
-    fine_hops = g_m.hop_block(top, top)
     rows = []
     for n in range(args.max_level + 1):
-        g_n = gasket_metric_graph(cx, n)
+        # one cell trace gives both the bound's third term and the agreement
+        trace = gasket_cell_trace(cx, n, args.m)
         rep = gh_upper_bound(n, args.m, samples_per_curve=args.samples, cx=cx,
-                             g_n=g_n, g_m=g_m)
-        agree = certify_vertex_agreement(n, args.m, g_n, g_m, fine_hops=fine_hops)
+                             trace=trace)
+        agree = certify_trace_agreement(trace)
         rows.append((n, args.m, float(rep.bound), float(rep.bound_with_slack),
                      float(rep.paper_bound) + float(rep.tail),
                      float(agree.max_discrepancy)))

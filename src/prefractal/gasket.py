@@ -32,8 +32,8 @@ CORNERS = np.array([[0, 0], [1, 0], [0, 1]], dtype=np.int64)
 CORNERS.flags.writeable = False
 
 # cap on the estimated bytes of one allocation-heavy step: building a
-# complex, or one hop-block vertex-agreement check. It also keeps the int64
-# lattice coordinates (at most 2**max_level) far from overflow.
+# complex, a gh-table run, or a row-by-row vertex-agreement check. It also
+# keeps the int64 lattice coordinates (at most 2**max_level) far from overflow.
 MEMORY_GUARD_BYTES = 2**30
 
 # estimated bytes of a built complex per curve (the Curve, its endpoint
@@ -160,11 +160,6 @@ class PrefractalComplex:
             raise ValueError("level %d outside built range 0..%d" % (m, self.max_level))
         return self.curves[kappa(m, 0) : kappa(m, 0) + 3 ** (m + 1)]
 
-    def vertex_ids_at_level(self, m: int) -> range:
-        if not 0 <= m <= self.max_level:
-            raise ValueError("level %d outside built range 0..%d" % (m, self.max_level))
-        return range(self.level_vertex_counts[m])
-
     def vertex_pairs(self, count: int | None = None) -> list[list[int]]:
         """[a_num, a_exp, b_num, b_exp] per vertex: both coordinates as
         normalized [num, exp] pairs, independent of max_level."""
@@ -178,6 +173,12 @@ class PrefractalComplex:
         return np.stack([ab[:, 0] + 0.5 * ab[:, 1], _SQRT3_2 * ab[:, 1]], axis=1)
 
 
+def complex_bytes(max_level: int) -> int:
+    """Estimated bytes of build_gasket(max_level)."""
+    return (_BYTES_PER_CURVE * curve_count(max_level)
+            + _BYTES_PER_VERTEX * vertex_count(max_level))
+
+
 def build_gasket(max_level: int) -> PrefractalComplex:
     """Construct the exact prefractal complex through max_level.
 
@@ -186,8 +187,7 @@ def build_gasket(max_level: int) -> PrefractalComplex:
     """
     if max_level < 0:
         raise ValueError("max_level must be nonnegative, got %d" % max_level)
-    check_memory(_BYTES_PER_CURVE * curve_count(max_level)
-                 + _BYTES_PER_VERTEX * vertex_count(max_level),
+    check_memory(complex_bytes(max_level),
                  "max_level %d is past the size cap: the complex" % max_level)
 
     # corner points of every triangle, level by level; the children of

@@ -327,9 +327,6 @@ class HarmonicGasket:
     def max_level(self) -> int:
         return self.cx.max_level
 
-    def curve_length(self, curve_id: int) -> float:
-        return self.lengths[curve_id].value
-
     def metric_graph(self, level: int | None = None) -> MetricGraph:
         if level is None:
             level = self.cx.max_level

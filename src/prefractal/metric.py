@@ -8,7 +8,8 @@ paths, Hausdorff distances and agreement certificates are computed in
 exact integer arithmetic; harmonic graphs carry float weights.
 
 Core claims exercised by the test suite:
-  * d_n and d_m agree exactly on V_n for m >= n (Euclidean gasket);
+  * d_n and d_m agree exactly on V_n for m >= n (Euclidean gasket), which
+    the gasket certifies from the corner distances of its level-n cells;
   * every point of the level-n prefractal is within 2^-(n+1) of a vertex;
   * the certified two-sided bound for the coarse-to-limit comparison is
     (vertex density at level n) + 0 + (vertex density of V_n in V_m) + 2^-m.
@@ -25,8 +26,8 @@ from math import isfinite, lcm
 
 import numpy as np
 
-from .gasket import (PrefractalComplex, build_gasket, check_memory,
-                     dyadic_from_pair, dyadic_to_pair, vertex_count)
+from .gasket import (PrefractalComplex, build_gasket, check_memory, complex_bytes,
+                     dyadic_from_pair, dyadic_to_pair)
 
 
 def _is_exact_weight(w) -> bool:
@@ -220,84 +221,6 @@ class MetricGraph:
     def internal_rows(self, sources):
         """Internal-unit distance rows per source (ints if exact)."""
         return [self._sssp([s]) for s in sources]
-
-    def _neighbour_table(self) -> np.ndarray:
-        """Neighbour indices as a (max degree, V+1) array.
-
-        Column v lists v's neighbours, padded with V, an extra vertex whose
-        bitset stays empty; row c holds the c-th neighbour of every vertex.
-        """
-        n = self.vertex_count
-        ends = np.array([(u, v) for u, v, _ in self.edges], dtype=np.intp)
-        ends = ends.reshape(-1, 2)
-        src = np.concatenate([ends[:, 0], ends[:, 1]])
-        dst = np.concatenate([ends[:, 1], ends[:, 0]])
-        order = np.argsort(src, kind="stable")
-        src, dst = src[order], dst[order]
-        deg = np.bincount(src, minlength=n)
-        slot = np.arange(len(src)) - (np.cumsum(deg) - deg)[src]
-        table = np.full((max(1, int(deg.max(initial=0))), n + 1), n, dtype=np.intp)
-        table[slot, src] = dst
-        return table
-
-    def hop_block(self, sources, targets) -> np.ndarray:
-        """Hop counts as an int64 (targets x sources) matrix, by MS-BFS.
-
-        Bit-parallel multi-source BFS (Then et al., "The More the Merrier",
-        VLDB 2014): source k owns bit k % 64 of word k // 64 in every
-        vertex's bitset, and each step ORs the frontier bitsets of all
-        neighbours through the padded neighbour table, so 64 sources share
-        one uint64 operation. A bit that first appears at step d is written
-        into the bit planes of d, and the planes are unpacked at the end.
-        Hops times the uniform weight are the exact internal distances, so
-        only exact graphs with one edge weight qualify.
-        """
-        if not self._uniform:
-            raise ValueError("hop counts need an exact graph with uniform weights")
-        sources = np.asarray(sources, dtype=np.intp)
-        targets = np.asarray(targets, dtype=np.intp)
-        if not len(sources):
-            raise ValueError("need at least one source vertex")
-        n = self.vertex_count
-        for ids in (sources, targets):
-            if len(ids) and not (0 <= ids.min() and ids.max() < n):
-                raise ValueError("vertex index out of range 0..%d" % (n - 1))
-        table = self._neighbour_table()
-        words = -(-len(sources) // 64)
-        bitset = np.dtype((np.void, 8 * words))
-        k = np.arange(len(sources))
-        frontier = np.zeros((n + 1, words), dtype=np.uint64)
-        np.bitwise_or.at(frontier, (sources, k // 64),
-                         np.left_shift(np.uint64(1), (k % 64).astype(np.uint64)))
-        valid = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
-        if len(sources) % 64:
-            valid[-1] = (1 << len(sources) % 64) - 1
-        unseen = valid & ~frontier
-        unseen[n] = 0  # the padding row never joins a frontier
-        planes = []
-        depth = 0
-        # stop once every target has been reached from every source
-        while unseen[targets].any():
-            depth += 1
-            rows = frontier.view(bitset).reshape(n + 1)
-            nxt = rows[table[0]].view(np.uint64).reshape(n + 1, words)
-            for col in table[1:]:
-                nxt |= rows[col].view(np.uint64).reshape(n + 1, words)
-            nxt &= unseen
-            unseen ^= nxt
-            frontier = nxt
-            while 1 << len(planes) <= depth:
-                planes.append(np.zeros((len(targets), words), dtype=np.uint64))
-            reached = frontier[targets]
-            for b, plane in enumerate(planes):
-                if depth >> b & 1:
-                    plane |= reached
-        hops = np.zeros((len(targets), len(sources)), dtype=np.int64)
-        for b, plane in enumerate(planes):
-            bits = np.unpackbits(plane.astype("<u8").view(np.uint8), axis=1,
-                                 bitorder="little")[:, :len(sources)]
-            np.bitwise_or(hops, 1 << b, out=hops, where=bits.view(bool))
-        return hops
 
 
 def gasket_metric_graph(cx: PrefractalComplex, level: int | None = None,
@@ -545,37 +468,34 @@ class AgreementReport:
     exact: bool
 
 
-def check_agreement_size(coarse_vertices: int, fine_vertices: int) -> None:
-    """Raise ValueError when the hop-block agreement check of V_n inside V_m
-    would exceed MEMORY_GUARD_BYTES; defaults (V_6 inside the level-9
-    gasket) need about 30 MiB.
+# bytes of one entry of a distance row: a list slot and an int object
+_ROW_ENTRY_BYTES = 36
 
-    The estimate is two int64 hop blocks over V_n x V_n (the level-m block,
-    which a caller may share across every coarser level, and the level-n
-    block the difference is taken in) plus the three live bitsets of the
-    level-m traversal (frontier, unseen, next step), each |V_m| + 1 rows of
-    one uint64 word per 64 sources.
+# peak bytes of gasket_cell_trace per level-m triangle: the (cell, vertex)
+# keys and their sort, the CSR arrays of the cells' edges, three distance
+# rows over the cells' vertices (tracemalloc peak 240-428 bytes for
+# m = 9, 10 and 11, highest at n = m)
+_TRACE_BYTES_PER_TRIANGLE = 450
+
+
+def check_agreement_size(m: int) -> None:
+    """Raise ValueError when gh-table at fine level m would exceed
+    MEMORY_GUARD_BYTES: the level-m complex plus the cell trace of
+    gasket_cell_trace, which is linear in the 3^m level-m triangles.
     """
-    words = -(-coarse_vertices // 64)
-    need = 8 * (2 * coarse_vertices**2 + 3 * (fine_vertices + 1) * words)
-    check_memory(need, "vertex agreement of %d coarse vertices inside %d fine ones"
-                 % (coarse_vertices, fine_vertices))
+    check_memory(complex_bytes(m) + _TRACE_BYTES_PER_TRIANGLE * 3**m,
+                 "the level-%d complex and its cell trace" % m)
 
 
 def certify_vertex_agreement(n: int, m: int, g_n: MetricGraph,
-                             g_m: MetricGraph, fine_hops=None) -> AgreementReport:
+                             g_m: MetricGraph) -> AgreementReport:
     """Max over V_n pairs of |d_n(v,w) - d_m(v,w)|, exact when both graphs are.
 
     Requires the two graphs to enumerate V_n identically (vertex keys are
     compared when available); for the Euclidean gasket the result must be
-    exactly zero. Exact graphs with uniform weights are compared through
-    their hop blocks (MetricGraph.hop_block) in int64; other graphs row by
-    row. worst_pair is the first maximal pair i < j in row-major order.
-
-    fine_hops, if given, is g_m.hop_block(ids, ids) over a vertex prefix
-    ids = range(k) with k >= |V_n|. Its top-left |V_n| x |V_n| corner is
-    the level-m block, so one traversal serves every coarser level; the
-    block is only read.
+    exactly zero. The graphs are compared row by row, one traversal per
+    vertex of V_n; worst_pair is the first maximal pair i < j in row-major
+    order. Gasket callers use certify_trace_agreement instead.
     """
     if m < n:
         raise ValueError("need m >= n, got n=%d m=%d" % (n, m))
@@ -592,43 +512,13 @@ def certify_vertex_agreement(n: int, m: int, g_n: MetricGraph,
             )
     elif g_n.vertex_keys is not None or g_m.vertex_keys is not None:
         raise ValueError("vertex-indexing mismatch: keys available on one graph only")
-    if fine_hops is not None:
-        if fine_hops.ndim != 2 or fine_hops.shape[0] != fine_hops.shape[1]:
-            raise ValueError("fine_hops must be a square hop block, got shape %s"
-                             % (fine_hops.shape,))
-        if len(fine_hops) < nv:
-            raise ValueError("fine_hops covers %d vertices, V_%d has %d"
-                             % (len(fine_hops), n, nv))
 
     both_exact = g_n.exact and g_m.exact
     if nv < 2:
         return AgreementReport(n, m, nv, 0 if both_exact else 0.0, None, both_exact)
-    if g_n._uniform and g_m._uniform:
-        # d = hops * weight; times `scale`, the lcm of the two weights'
-        # denominators, the discrepancy |hops_n * a - hops_m * b| is an integer
-        w_n, w_m = g_n.edges[0][2], g_m.edges[0][2]
-        scale = lcm(w_n.denominator, w_m.denominator)
-        a, b = int(w_n * scale), int(w_m * scale)
-        if max(a, b) * g_m.vertex_count < 2**63:
-            check_agreement_size(nv, g_m.vertex_count)
-            ids = np.arange(nv)
-            if fine_hops is None:
-                fine_hops = g_m.hop_block(ids, ids)
-            hops_m = fine_hops[:nv, :nv]  # a view: the block is only read
-            diff = g_n.hop_block(ids, ids)
-            diff *= a
-            # b * hops_m in bands of rows, never as a scaled copy of the block
-            for r in range(0, nv, 64):
-                diff[r:r + 64] -= b * hops_m[r:r + 64]
-            np.abs(diff, out=diff)
-            diff[ids[:, None] >= ids] = -1
-            i, j = divmod(int(np.argmax(diff)), nv)
-            value = Fraction(int(diff[i, j]), scale)
-            return AgreementReport(n, m, nv, value, (i, j), True)
-    if fine_hops is not None:
-        raise ValueError("fine_hops needs two uniform exact graphs whose scaled "
-                         "distances fit int64")
-
+    check_memory(_ROW_ENTRY_BYTES * nv * (nv + g_m.vertex_count),
+                 "row-by-row agreement of %d coarse vertices inside %d fine ones"
+                 % (nv, g_m.vertex_count))
     sources = range(nv)
     rows_n = g_n.internal_rows(sources)
     rows_m = g_m.internal_rows(sources)
@@ -660,6 +550,155 @@ def _den_or_one(g: MetricGraph) -> float:
     return float(g._den) if g.exact else 1.0
 
 
+@dataclass(frozen=True)
+class CellTrace:
+    """The level-m gasket graph traced onto V_n through its level-n cells."""
+
+    n: int
+    m: int
+    coarse_vertices: int  # |V_n|
+    corners: np.ndarray  # (3^n, 3) vertex ids of each cell's corners
+    hops: np.ndarray  # (3^n, 3, 3) hops between corners a and b inside cell c
+    haus_hops: int  # max over V_m of the hops to the nearest vertex of V_n
+
+    @property
+    def hausdorff(self) -> Fraction:
+        """Haus_{d_m}(V_n, V_m)."""
+        return Fraction(self.haus_hops, 2**self.m)
+
+
+def _bfs_hops(indptr, nbr, sources) -> np.ndarray:
+    """Hops from the nearest of `sources` over CSR adjacency; -1 if unreached."""
+    dist = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    slot_of = np.empty(len(dist), dtype=np.int64)
+    frontier = np.unique(sources)
+    dist[frontier] = 0
+    depth = 0
+    while len(frontier):
+        depth += 1
+        start = indptr[frontier]
+        count = indptr[frontier + 1] - start
+        # the CSR slots of every frontier vertex's neighbours, in one gather
+        slots = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+        reached = nbr[slots]
+        reached = reached[dist[reached] < 0]
+        # keep each new vertex once: the last write of its position wins
+        pos = np.arange(len(reached))
+        slot_of[reached] = pos
+        frontier = reached[slot_of[reached] == pos]
+        dist[frontier] = depth
+    return dist
+
+
+def _cell_union(corners, tri, n: int, m: int, nv_n: int, nv_m: int):
+    """Number the distinct (cell, vertex) pairs, in that order, as the
+    vertices of the disjoint union of the cells, and check both premises.
+
+    Returns the union id of every level-m triangle corner (as tri), the
+    cell and vertex of every union vertex, and the union id of every cell
+    corner (as corners).
+    """
+    cells = len(corners)
+    keys = np.repeat(np.arange(cells, dtype=np.int64) * nv_m, tri.size // cells) + tri.ravel()
+    union, local = np.unique(keys, return_inverse=True)
+    cell_of, vertex_of = np.divmod(union, nv_m)
+
+    shared = np.bincount(vertex_of, minlength=nv_m) > 1
+    shared[:nv_n] = False
+    if shared.any():
+        v = int(np.argmax(shared))
+        a, b = cell_of[vertex_of == v][:2].tolist()
+        raise ValueError("vertex %d is shared by level-%d cells %d and %d but is "
+                         "not in V_%d" % (v, n, a, b, n))
+    corner_keys = np.arange(cells, dtype=np.int64)[:, None] * nv_m + corners
+    sources = np.minimum(np.searchsorted(union, corner_keys), len(union) - 1)
+    missing = (union[sources] != corner_keys) | (corners >= nv_n)
+    if missing.any():
+        c, k = np.argwhere(missing)[0].tolist()
+        raise ValueError("corner %d of level-%d cell %d is not a V_%d vertex of "
+                         "its level-%d triangles" % (corners[c, k], n, c, n, m))
+    extra = vertex_of < nv_n
+    extra[sources] = False
+    if extra.any():
+        u = int(np.argmax(extra))
+        raise ValueError("vertex %d of V_%d lies in level-%d cell %d but is not "
+                         "one of its corners %s" % (vertex_of[u], n, n, cell_of[u],
+                                                    corners[cell_of[u]].tolist()))
+    return local.reshape(tri.shape), cell_of, vertex_of, sources
+
+
+def gasket_cell_trace(cx: PrefractalComplex, n: int, m: int) -> CellTrace:
+    """Corner-to-corner hops of the level-m graph inside each level-n cell.
+
+    A cell is the set of level-m triangles inside one level-n triangle;
+    the children of row j are rows 3j + r, so level-m row t lies in cell
+    t // 3^(m-n). Suppose a vertex shared by two cells is in V_n, and the
+    V_n vertices of each cell are exactly its three corners. A path
+    between V_n vertices then splits at its V_n visits into corner-to-corner
+    paths inside single cells, so d_m restricted to V_n is the metric of
+    the graph H on V_n whose edges are the cells' corner distances. A
+    vertex reaches V_n only through a corner of its cell, so the max over
+    vertices of the min over its cell's corners is Haus_{d_m}(V_n, V_m).
+
+    Reads only cx.triangles and cx.level_vertex_counts and checks both
+    premises on every entry, raising ValueError that names the vertex and
+    the cells. Three vectorised BFS passes over the disjoint union of the
+    cells, each from corner k of every cell at once, give the hops.
+    """
+    if not 0 <= n <= m < len(cx.triangles):
+        raise ValueError("need 0 <= n <= m <= %d, got n=%d m=%d"
+                         % (len(cx.triangles) - 1, n, m))
+    corners = np.asarray(cx.triangles[n], dtype=np.int64)
+    tri = np.asarray(cx.triangles[m], dtype=np.int64)
+    if len(tri) != len(corners) * 3 ** (m - n):
+        raise ValueError("%d level-%d triangles do not fill %d cells of %d"
+                         % (len(tri), m, len(corners), 3 ** (m - n)))
+    nv_n, nv_m = cx.level_vertex_counts[n], cx.level_vertex_counts[m]
+    ends, cell_of, vertex_of, sources = _cell_union(corners, tri, n, m, nv_n, nv_m)
+
+    # CSR adjacency of the three edges of every level-m triangle
+    src = np.concatenate([ends.ravel(), ends[:, [1, 2, 0]].ravel()])
+    dst = np.concatenate([ends[:, [1, 2, 0]].ravel(), ends.ravel()])
+    nbr = dst[np.argsort(src, kind="stable")]
+    indptr = np.zeros(len(cell_of) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=len(cell_of)), out=indptr[1:])
+    del ends, src, dst
+
+    dist = np.empty((3, len(cell_of)), dtype=np.int64)
+    for k in range(3):
+        dist[k] = _bfs_hops(indptr, nbr, sources[:, k])
+    if (dist < 0).any():
+        k, u = np.argwhere(dist < 0)[0].tolist()
+        raise ValueError("vertex %d of level-%d cell %d is unreachable from its "
+                         "corner %d" % (vertex_of[u], n, cell_of[u], corners[cell_of[u], k]))
+    hops = dist[:, sources].transpose(1, 0, 2)
+    haus_hops = int(dist.min(axis=0).max())
+    return CellTrace(n, m, nv_n, corners, hops, haus_hops)
+
+
+def certify_trace_agreement(trace: CellTrace) -> AgreementReport:
+    """certify_vertex_agreement for the gasket, from its cell trace.
+
+    When every corner distance is 2^(m-n) hops, the level-n edge weight
+    2^-n, the trace graph H is G_n edge for edge, so d_m = d_n on V_n and
+    the discrepancy is exactly 0, reported with worst pair (0, 1). Otherwise
+    H is built on V_n and compared with G_n row by row, which names the
+    worst pair.
+    """
+    n, m, nv = trace.n, trace.m, trace.coarse_vertices
+    off_diagonal = ~np.eye(3, dtype=bool)
+    if (trace.hops[:, off_diagonal] == 2 ** (m - n)).all():
+        return AgreementReport(n, m, nv, Fraction(0), (0, 1), True)
+    sides = ((0, 1), (1, 2), (2, 0))  # bottom, right and left edges
+    w_n = Fraction(1, 2**n)
+    g_n = MetricGraph(nv, [(ids[a], ids[b], w_n) for ids in trace.corners.tolist()
+                           for a, b in sides])
+    h = MetricGraph(nv, [(ids[a], ids[b], Fraction(int(hops[a, b]), 2**m))
+                         for ids, hops in zip(trace.corners.tolist(), trace.hops)
+                         for a, b in sides])
+    return certify_vertex_agreement(n, m, g_n, h)
+
+
 def sample_parameters(k: int) -> list[Fraction]:
     """k equispaced interior parameters (2i+1)/(2k); cover radius 1/(2k)."""
     if k < 1:
@@ -685,30 +724,17 @@ class GHBoundReport:
                 for f, v in self.__dict__.items()}
 
 
-def _level_graph(cx: PrefractalComplex, level: int, g: MetricGraph | None = None,
-                 harmonic_lengths=None) -> MetricGraph:
-    """gasket_metric_graph(cx, level), or a caller's graph `g` of that level
-    after checking its vertex count against V_level."""
-    if g is None:
-        return gasket_metric_graph(cx, level, harmonic_lengths=harmonic_lengths)
-    if g.vertex_count != cx.level_vertex_counts[level]:
-        raise ValueError("graph has %d vertices, V_%d has %d"
-                         % (g.vertex_count, level, cx.level_vertex_counts[level]))
-    return g
-
-
 def gh_upper_bound(n: int, m: int, samples_per_curve: int = 3,
                    cx: PrefractalComplex | None = None,
-                   g_n: MetricGraph | None = None,
-                   g_m: MetricGraph | None = None) -> GHBoundReport:
+                   trace: CellTrace | None = None) -> GHBoundReport:
     """Certified upper bound for the coarse-vs-limit comparison at level n.
 
     Chain: (level-n set vs V_n under d_n) + (exact vertex agreement, zero)
     + (V_n vs V_m under d_m, plus the 2^-m density of V_m in the limit).
     The first term is computed on the on-edge sample S_n; its cover-radius
-    slack is reported separately, never folded in silently. A caller that
-    already holds gasket_metric_graph(cx, n) or (cx, m) passes it as g_n
-    or g_m.
+    slack is reported separately, never folded in silently. The third term
+    comes from gasket_cell_trace(cx, n, m); a caller that already holds
+    that trace passes it.
     """
     if m < n:
         raise ValueError("need m >= n, got n=%d m=%d" % (n, m))
@@ -716,29 +742,19 @@ def gh_upper_bound(n: int, m: int, samples_per_curve: int = 3,
         cx = build_gasket(m)
     if cx.max_level < m:
         raise ValueError("complex built to level %d, need %d" % (cx.max_level, m))
+    if trace is None:
+        trace = gasket_cell_trace(cx, n, m)
+    elif (trace.n, trace.m) != (n, m):
+        raise ValueError("trace is of levels (%d, %d), need (%d, %d)"
+                         % (trace.n, trace.m, n, m))
 
-    g_n = _level_graph(cx, n, g_n)
-    g_m = _level_graph(cx, m, g_m)
-    params = sample_parameters(samples_per_curve)
-
-    # directed distance from each on-edge sample to the nearest vertex of
-    # V_n; the V_n -> S_n direction is zero since vertices are in the sample
-    nearest_vertex = g_n._sssp(range(g_n.vertex_count))
-    term1 = Fraction(0)
-    for c in cx.curves_at_level(n):
-        u, v = c.endpoints
-        lam = c.length
-        du = Fraction(nearest_vertex[u], g_n._den)
-        dv = Fraction(nearest_vertex[v], g_n._den)
-        for t in params:
-            reach = min(t * lam + du, (1 - t) * lam + dv)
-            if reach > term1:
-                term1 = reach
-    lam_max = Fraction(1, 2**n)
-    slack = lam_max / (2 * samples_per_curve)
-
-    term3 = Fraction(hausdorff_vertex_sets(g_m, range(g_n.vertex_count),
-                                           range(g_m.vertex_count)))
+    # every level-n curve has length 2^-n and both endpoints in V_n, so a
+    # sample at parameter t is min(t, 1 - t) of a curve from V_n; the
+    # V_n -> S_n direction is zero since vertices are in the sample
+    lam = Fraction(1, 2**n)
+    term1 = lam * max(min(t, 1 - t) for t in sample_parameters(samples_per_curve))
+    slack = lam / (2 * samples_per_curve)
+    term3 = trace.hausdorff
     tail = Fraction(1, 2**m)
     bound = term1 + term3 + tail
     return GHBoundReport(

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gasket import curve_count, kappa, kappa_inverse
+from .spectrum import PI_LOWER
 
 INFINITE = None  # level argument meaning "no truncation"
 
@@ -68,12 +69,6 @@ class ModeVector:
         return ModeVector({key: t * scalar for key, t in self.entries.items()})
 
     __rmul__ = __mul__
-
-    def support_levels(self) -> set[int]:
-        return {kappa_inverse(j)[0] for j, _ in self.entries}
-
-    def max_curve_id(self) -> int:
-        return max((j for j, _ in self.entries), default=-1)
 
     def norm(self) -> float:
         return math.sqrt(math.fsum(abs(t) ** 2 for t in self.entries.values()))
@@ -137,11 +132,12 @@ def evolve(xi: ModeVector, t: float) -> ModeVector:
 
 
 def tail_level_for(epsilon: float) -> int:
-    """Smallest n with every level > n curve length below pi*epsilon/2."""
+    """Smallest n with every level > n curve length below pi*epsilon/2,
+    decided with the rational lower bound PI_LOWER on pi."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     n = 0
-    while not Fraction(1, 2 ** (n + 1)) < Fraction(math.pi) * Fraction(epsilon) / 2:
+    while not Fraction(1, 2 ** (n + 1)) < PI_LOWER * Fraction(epsilon) / 2:
         n += 1
     return n
 
@@ -202,7 +198,7 @@ def covariant_reach_witness(n: int, epsilon: float, trials: int,
               for i in range(t_grid_size)]
     max_reach = 0.0
     max_gap = 0.0
-    tail_ok = Fraction(1, 2 ** (n + 1)) < Fraction(math.pi) * Fraction(epsilon) / 2
+    tail_ok = Fraction(1, 2 ** (n + 1)) < PI_LOWER * Fraction(epsilon) / 2
     for _ in range(trials):
         xi = random_mode_vector(rng, max_level=max_level)
         eta = project(xi, n)

@@ -190,9 +190,6 @@ class EigenvalueEnumeration:
         pos = np.repeat(self.values, reps)
         return np.concatenate([-pos[::-1], pos])
 
-    def count_leq(self, cutoff: float) -> int:
-        return int(self.multiplicities[self.values <= cutoff].sum())
-
 
 def enumerate_eigenvalues(spec: SpectrumSpec, cutoff,
                           guard: int = ENUMERATION_GUARD) -> EigenvalueEnumeration:

@@ -24,8 +24,8 @@ from math import isfinite, lcm
 
 from .gasket import PrefractalComplex, build_gasket
 from .metric import (EdgePoint, FiniteMetricSpace, MetricGraph, _is_exact_weight,
-                     _level_graph, _resolve_point, gasket_metric_graph,
-                     gh_upper_bound, sample_parameters)
+                     _resolve_point, gasket_metric_graph, gh_upper_bound,
+                     sample_parameters)
 
 _FLOAT_MASS_TOL = 1e-12
 _FLOAT_GAP_TOL = 1e-9
@@ -451,17 +451,12 @@ class CoupledGraph:
 
     @classmethod
     def from_gasket(cls, cx: PrefractalComplex, n: int, m: int, alpha,
-                    harmonic_lengths=None, g_n: MetricGraph | None = None,
-                    g_m: MetricGraph | None = None) -> "CoupledGraph":
-        """Couple the fine level-m graph (copy A) to the coarse level-n one.
-
-        A caller that already holds either level's graph of cx passes it
-        as g_n or g_m.
-        """
+                    harmonic_lengths=None) -> "CoupledGraph":
+        """Couple the fine level-m graph (copy A) to the coarse level-n one."""
         if m < n:
             raise ValueError("fine level m=%d must be at least coarse level n=%d" % (m, n))
-        g_m = _level_graph(cx, m, g_m, harmonic_lengths=harmonic_lengths)
-        g_n = _level_graph(cx, n, g_n, harmonic_lengths=harmonic_lengths)
+        g_m = gasket_metric_graph(cx, m, harmonic_lengths=harmonic_lengths)
+        g_n = gasket_metric_graph(cx, n, harmonic_lengths=harmonic_lengths)
         shared = [(v, v) for v in range(g_n.vertex_count)]
         cg = cls(g_m, g_n, shared, alpha,
                  provenance="coupled levels %d/%d alpha=%s" % (n, m, alpha))
@@ -564,9 +559,7 @@ def certify_extent(n: int, m: int, alpha=None, samples_per_curve: int = 3,
         raise ValueError("need m >= n, got n=%d m=%d" % (n, m))
     if cx is None:
         cx = build_gasket(m)
-    g_n, g_m = gasket_metric_graph(cx, n), gasket_metric_graph(cx, m)
-    rep = gh_upper_bound(n, m, samples_per_curve=samples_per_curve, cx=cx,
-                         g_n=g_n, g_m=g_m)
+    rep = gh_upper_bound(n, m, samples_per_curve=samples_per_curve, cx=cx)
     eps_sample = rep.haus_vertices_to_sample + rep.sampling_slack
     eps_vertex = rep.haus_vn_in_vm + rep.tail
     _require_premises(n, m, eps_sample, eps_vertex)
@@ -578,8 +571,7 @@ def certify_extent(n: int, m: int, alpha=None, samples_per_curve: int = 3,
     if alpha <= 0:
         raise ValueError("alpha must be positive, got %s" % alpha)
 
-    cg = CoupledGraph.from_gasket(cx, n, m, alpha, g_n=g_n, g_m=g_m)
-    del g_n, g_m  # the coupled graph holds copies of their edges; free these
+    cg = CoupledGraph.from_gasket(cx, n, m, alpha)
     # one run from copy B gives each copy-A vertex its distance to B and its
     # nearest B vertex (ties to the lowest index), where mixture atoms move
     nearest_b, to_b = cg.graph.nearest_sources(range(cg.n_a, cg.n_a + cg.n_b))

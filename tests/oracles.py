@@ -1,0 +1,290 @@
+"""Independent implementations that the tests check prefractal against.
+
+None of this is on a production path, and none of it is fast:
+
+  * hop_block / hop_block_agreement: the bit-parallel multi-source BFS
+    that certified vertex agreement before the cell trace
+    (metric.gasket_cell_trace) replaced it; the cell certificate must
+    match it exactly.
+  * maximize / max_difference_objective: a dense exact simplex over
+    Fractions with Bland's anti-cycling rule, for shortest-path duality
+    checks. It shares no code with the graph machinery; sizes stay in the
+    dozens of rows, where exactness matters more than speed.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+
+import numpy as np
+
+from prefractal.metric import AgreementReport, MetricGraph
+
+
+# -- hop blocks by bit-parallel multi-source BFS -------------------------
+
+
+def neighbour_table(g: MetricGraph) -> np.ndarray:
+    """Neighbour indices as a (max degree, V+1) array.
+
+    Column v lists v's neighbours, padded with V, an extra vertex whose
+    bitset stays empty; row c holds the c-th neighbour of every vertex.
+    """
+    n = g.vertex_count
+    ends = np.array([(u, v) for u, v, _ in g.edges], dtype=np.intp)
+    ends = ends.reshape(-1, 2)
+    src = np.concatenate([ends[:, 0], ends[:, 1]])
+    dst = np.concatenate([ends[:, 1], ends[:, 0]])
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], dst[order]
+    deg = np.bincount(src, minlength=n)
+    slot = np.arange(len(src)) - (np.cumsum(deg) - deg)[src]
+    table = np.full((max(1, int(deg.max(initial=0))), n + 1), n, dtype=np.intp)
+    table[slot, src] = dst
+    return table
+
+
+def hop_block(g: MetricGraph, sources, targets) -> np.ndarray:
+    """Hop counts as an int64 (targets x sources) matrix, by MS-BFS.
+
+    Bit-parallel multi-source BFS (Then et al., "The More the Merrier",
+    VLDB 2014): source k owns bit k % 64 of word k // 64 in every
+    vertex's bitset, and each step ORs the frontier bitsets of all
+    neighbours through the padded neighbour table, so 64 sources share
+    one uint64 operation. A bit that first appears at step d is written
+    into the bit planes of d, and the planes are unpacked at the end.
+    Hops times the uniform weight are the exact internal distances, so
+    only exact graphs with one edge weight qualify.
+    """
+    if not g._uniform:
+        raise ValueError("hop counts need an exact graph with uniform weights")
+    sources = np.asarray(sources, dtype=np.intp)
+    targets = np.asarray(targets, dtype=np.intp)
+    if not len(sources):
+        raise ValueError("need at least one source vertex")
+    n = g.vertex_count
+    for ids in (sources, targets):
+        if len(ids) and not (0 <= ids.min() and ids.max() < n):
+            raise ValueError("vertex index out of range 0..%d" % (n - 1))
+    table = neighbour_table(g)
+    words = -(-len(sources) // 64)
+    bitset = np.dtype((np.void, 8 * words))
+    k = np.arange(len(sources))
+    frontier = np.zeros((n + 1, words), dtype=np.uint64)
+    np.bitwise_or.at(frontier, (sources, k // 64),
+                     np.left_shift(np.uint64(1), (k % 64).astype(np.uint64)))
+    valid = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
+    if len(sources) % 64:
+        valid[-1] = (1 << len(sources) % 64) - 1
+    unseen = valid & ~frontier
+    unseen[n] = 0  # the padding row never joins a frontier
+    planes = []
+    depth = 0
+    # stop once every target has been reached from every source
+    while unseen[targets].any():
+        depth += 1
+        rows = frontier.view(bitset).reshape(n + 1)
+        nxt = rows[table[0]].view(np.uint64).reshape(n + 1, words)
+        for col in table[1:]:
+            nxt |= rows[col].view(np.uint64).reshape(n + 1, words)
+        nxt &= unseen
+        unseen ^= nxt
+        frontier = nxt
+        while 1 << len(planes) <= depth:
+            planes.append(np.zeros((len(targets), words), dtype=np.uint64))
+        reached = frontier[targets]
+        for b, plane in enumerate(planes):
+            if depth >> b & 1:
+                plane |= reached
+    hops = np.zeros((len(targets), len(sources)), dtype=np.int64)
+    for b, plane in enumerate(planes):
+        bits = np.unpackbits(plane.astype("<u8").view(np.uint8), axis=1,
+                             bitorder="little")[:, :len(sources)]
+        np.bitwise_or(hops, 1 << b, out=hops, where=bits.view(bool))
+    return hops
+
+
+def hop_block_agreement(n: int, m: int, g_n: MetricGraph, g_m: MetricGraph,
+                        fine_hops=None) -> AgreementReport:
+    """Max over V_n pairs of |d_n(v,w) - d_m(v,w)| from two hop blocks.
+
+    Both graphs must be exact with uniform weights, V_n a vertex prefix
+    of g_m, and the scaled distances must fit int64. worst_pair is the
+    first maximal pair i < j in row-major order. fine_hops, if given, is
+    hop_block(g_m, ids, ids) over a vertex prefix ids = range(k) with
+    k >= |V_n|; its top-left |V_n| x |V_n| corner is the level-m block,
+    so one traversal serves every coarser level.
+    """
+    nv = g_n.vertex_count
+    if fine_hops is not None:
+        if fine_hops.ndim != 2 or fine_hops.shape[0] != fine_hops.shape[1]:
+            raise ValueError("fine_hops must be a square hop block, got shape %s"
+                             % (fine_hops.shape,))
+        if len(fine_hops) < nv:
+            raise ValueError("fine_hops covers %d vertices, V_%d has %d"
+                             % (len(fine_hops), n, nv))
+    if not (g_n._uniform and g_m._uniform):
+        raise ValueError("hop blocks need two uniform exact graphs")
+    # d = hops * weight; times `scale`, the lcm of the two weights'
+    # denominators, the discrepancy |hops_n * a - hops_m * b| is an integer
+    w_n, w_m = g_n.edges[0][2], g_m.edges[0][2]
+    scale = lcm(w_n.denominator, w_m.denominator)
+    a, b = int(w_n * scale), int(w_m * scale)
+    if max(a, b) * g_m.vertex_count >= 2**63:
+        raise ValueError("scaled distances do not fit int64")
+    ids = np.arange(nv)
+    if fine_hops is None:
+        fine_hops = hop_block(g_m, ids, ids)
+    diff = hop_block(g_n, ids, ids) * a - b * fine_hops[:nv, :nv]
+    np.abs(diff, out=diff)
+    diff[ids[:, None] >= ids] = -1
+    i, j = divmod(int(np.argmax(diff)), nv)
+    return AgreementReport(n, m, nv, Fraction(int(diff[i, j]), scale), (i, j), True)
+
+
+# -- exact dense simplex -------------------------------------------------
+
+
+class Unbounded(Exception):
+    pass
+
+
+class Infeasible(Exception):
+    pass
+
+
+def _pivot(tableau, basis, row, col):
+    piv = tableau[row][col]
+    tableau[row] = [e / piv for e in tableau[row]]
+    for r in range(len(tableau)):
+        if r != row and tableau[r][col] != 0:
+            f = tableau[r][col]
+            tableau[r] = [e - f * p for e, p in zip(tableau[r], tableau[row])]
+    basis[row] = col
+
+
+def _bland_solve(tableau, basis, n_cols):
+    """Run simplex to optimality on a feasible tableau (last row = -z)."""
+    while True:
+        obj = tableau[-1]
+        col = next((j for j in range(n_cols) if obj[j] < 0), None)
+        if col is None:
+            return
+        best = None
+        for r in range(len(tableau) - 1):
+            a = tableau[r][col]
+            if a > 0:
+                ratio = tableau[r][-1] / a
+                key = (ratio, basis[r])
+                if best is None or key < best[0]:
+                    best = (key, r)
+        if best is None:
+            raise Unbounded("column %d has no blocking row" % col)
+        _pivot(tableau, basis, best[1], col)
+
+
+def maximize(c, a_ub, b_ub):
+    """max c.x subject to a_ub.x <= b_ub, x >= 0, exactly.
+
+    Returns (optimal value, solution list). Negative right-hand sides are
+    handled by a phase-1 with artificial variables; raises Infeasible or
+    Unbounded accordingly.
+    """
+    m = len(a_ub)
+    n = len(c)
+    c = [Fraction(v) for v in c]
+    rows = [[Fraction(v) for v in row] for row in a_ub]
+    b = [Fraction(v) for v in b_ub]
+    if any(len(r) != n for r in rows):
+        raise ValueError("constraint width does not match objective length")
+
+    need_phase1 = any(v < 0 for v in b)
+    n_art = sum(1 for v in b if v < 0) if need_phase1 else 0
+    width = n + m + n_art + 1
+    tableau = []
+    basis = []
+    art_cols = []
+    next_art = n + m
+    for i in range(m):
+        row = [Fraction(0)] * width
+        sign = -1 if b[i] < 0 else 1
+        for j in range(n):
+            row[j] = sign * rows[i][j]
+        row[n + i] = Fraction(sign)
+        row[-1] = sign * b[i]
+        if sign < 0:
+            row[next_art] = Fraction(1)
+            art_cols.append(next_art)
+            basis.append(next_art)
+            next_art += 1
+        else:
+            basis.append(n + i)
+        tableau.append(row)
+
+    if need_phase1:
+        obj = [Fraction(0)] * width
+        for col in art_cols:
+            obj[col] = Fraction(1)
+        tableau.append(obj)
+        # price out the artificial basis
+        for r, col in enumerate(basis):
+            if col in art_cols:
+                tableau[-1] = [e - t for e, t in zip(tableau[-1], tableau[r])]
+        _bland_solve(tableau, basis, n + m + n_art)
+        if tableau[-1][-1] != 0:
+            raise Infeasible("phase-1 optimum is nonzero")
+        tableau.pop()
+        # drive any artificial variable out of the basis where possible;
+        # a stuck one sits at value zero and never re-enters (the entering
+        # scan below stops at column n + m)
+        for r, col in enumerate(basis):
+            if col in art_cols:
+                piv_col = next((j for j in range(n + m)
+                                if tableau[r][j] != 0), None)
+                if piv_col is not None:
+                    _pivot(tableau, basis, r, piv_col)
+
+    obj = [Fraction(0)] * width
+    for j in range(n):
+        obj[j] = -c[j]
+    tableau.append(obj)
+    for r, col in enumerate(basis):
+        if col < n and tableau[-1][col] != 0:
+            f = tableau[-1][col]
+            tableau[-1] = [e - f * t for e, t in zip(tableau[-1], tableau[r])]
+    _bland_solve(tableau, basis, n + m)
+
+    x = [Fraction(0)] * n
+    for r, col in enumerate(basis):
+        if col < n:
+            x[col] = tableau[r][-1]
+    return tableau[-1][-1], x
+
+
+def max_difference_objective(n_vars, constraints, plus: int, minus: int):
+    """max h[plus] - h[minus] over free h with h[a] - h[b] <= w constraints.
+
+    Every free variable is split h = p - q with p,q >= 0, which keeps all
+    right-hand sides nonnegative (weights are) and phase 1 unnecessary.
+    Returns the exact optimum.
+    """
+    c = [Fraction(0)] * (2 * n_vars)
+    c[2 * plus] = Fraction(1)
+    c[2 * plus + 1] = Fraction(-1)
+    c[2 * minus] = Fraction(-1)
+    c[2 * minus + 1] = Fraction(1)
+    a = []
+    b = []
+    for u, v, w in constraints:
+        if Fraction(w) < 0:
+            raise ValueError("difference bound must be nonnegative")
+        row = [Fraction(0)] * (2 * n_vars)
+        row[2 * u] += 1
+        row[2 * u + 1] -= 1
+        row[2 * v] -= 1
+        row[2 * v + 1] += 1
+        a.append(row)
+        b.append(Fraction(w))
+    value, _ = maximize(c, a, b)
+    return value

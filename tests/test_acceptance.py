@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from prefractal.exactlp import max_difference_objective
+from oracles import max_difference_objective
 from prefractal.gasket import build_gasket, curve_count
 from prefractal.harmonic import HarmonicTable, build_harmonic_gasket
 from prefractal.metric import (FiniteMetricSpace, MetricGraph,

@@ -118,13 +118,26 @@ class TestTables:
         assert code == 2
         assert json.loads(err)["error"] == "validation"
 
-    def test_gh_table_refuses_oversized_agreement(self, capsys):
-        # 29,526 coarse vertices: two int64 hop blocks of about 6.5 GiB each
-        code, _, err = _run(capsys, "gh-table", "--max-level", "9", "--m", "10")
+    def test_gh_table_refuses_oversized_agreement(self, capsys, monkeypatch):
+        # the level-13 complex (2,362 MiB) and its cell trace (684 MiB)
+        def no_build(level):
+            raise AssertionError("built the level-%d complex" % level)
+
+        monkeypatch.setattr("prefractal.cli.build_gasket", no_build)
+        code, _, err = _run(capsys, "gh-table", "--max-level", "3", "--m", "13")
         assert code == 2
         payload = json.loads(err)
         assert payload["error"] == "validation"
-        assert "needs about 14239 MiB, above the guard of 1024 MiB" in payload["message"]
+        assert payload["message"] == ("the level-13 complex and its cell trace needs "
+                                      "about 3047 MiB, above the guard of 1024 MiB")
+
+    def test_gh_table_certifies_every_level_up_to_nine(self, capsys):
+        # V_9 inside the level-10 graph; the hop-block check refused this
+        code, out, _ = _run(capsys, "gh-table", "--max-level", "9", "--m", "10")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(10))
+        assert all(float(r[-1]) == 0.0 for r in rows)
 
     def test_spectrum_matches_library(self, capsys):
         code, out, _ = _run(capsys, "spectrum", "--level", "1",

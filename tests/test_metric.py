@@ -11,10 +11,12 @@ Core claims:
 import random
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from oracles import hop_block, hop_block_agreement
 from prefractal.cli import main
 from prefractal.gasket import build_gasket, vertex_count
 from prefractal.metric import (
@@ -22,7 +24,9 @@ from prefractal.metric import (
     EdgePoint,
     FiniteMetricSpace,
     MetricGraph,
+    certify_trace_agreement,
     certify_vertex_agreement,
+    gasket_cell_trace,
     gasket_metric_graph,
     geodesic_point_distance,
     geodesic_vertex_distances,
@@ -95,7 +99,7 @@ class TestMetricGraph:
         g = MetricGraph(4, [(0, 1, Fraction(1, 4)), (1, 2, Fraction(2, 8)),
                             (2, 3, Fraction(1, 4))])
         assert g._uniform and g._int_weights == [1, 1, 1]
-        assert g.hop_block([0], [3]).tolist() == [[3]]
+        assert hop_block(g, [0], [3]).tolist() == [[3]]
         g = MetricGraph(3, [(0, 1, 1), (1, 2, Fraction(1, 3))])
         assert not g._uniform and g.value_scale() == 3
         assert g._int_weights == [3, 1]
@@ -134,7 +138,7 @@ class TestMetricGraph:
         for level in range(10):
             g = gasket_metric_graph(cx9, level)
             sources = list(range(vertex_count(min(level, 2))))
-            hops = g.hop_block(sources, range(g.vertex_count))
+            hops = hop_block(g, sources, range(g.vertex_count))
             w0 = g._int_weights[0]
             for k, s in enumerate(sources):
                 assert (hops[:, k] * w0).tolist() == g._sssp([s])
@@ -150,7 +154,7 @@ class TestMetricGraph:
             g = MetricGraph(n, [e for e in edges if e[0] != e[1]])
             sources = rng.sample(range(n), count)
             targets = rng.sample(range(n), 50)
-            hops = g.hop_block(sources, targets)
+            hops = hop_block(g, sources, targets)
             assert hops.shape == (len(targets), count)
             w0 = g._int_weights[0]
             for k, s in enumerate(sources):
@@ -160,9 +164,9 @@ class TestMetricGraph:
     def test_hop_block_needs_uniform_exact_weights(self):
         g = MetricGraph(3, [(0, 1, Fraction(1, 2)), (1, 2, Fraction(1, 4))])
         with pytest.raises(ValueError, match="uniform"):
-            g.hop_block([0], [2])
+            hop_block(g, [0], [2])
         with pytest.raises(ValueError, match="uniform"):
-            MetricGraph(2, [(0, 1, 0.5)]).hop_block([0], [1])
+            hop_block(MetricGraph(2, [(0, 1, 0.5)]), [0], [1])
 
     def test_float_weights_supported(self):
         g = MetricGraph(3, [(0, 1, 0.5), (1, 2, 0.25)])
@@ -307,7 +311,8 @@ class TestHausdorffAndBounds:
 
     def test_agreement_hop_blocks_match_row_oracle(self):
         # uniform shortcuts between V_2 vertices make d_3 differ from d_2;
-        # the hop-block path must report the row path's value and first pair
+        # the row path and the hop-block oracle must report the value and
+        # first pair of the brute-force comparison below
         g2 = gasket_metric_graph(CX, 2)
         g3 = gasket_metric_graph(CX, 3)
         w = Fraction(1, 8)
@@ -315,6 +320,7 @@ class TestHausdorffAndBounds:
             g_m = MetricGraph(g3.vertex_count, g3.edges + [(u, v, w) for u, v in chords],
                               vertex_keys=g3.vertex_keys)
             rep = certify_vertex_agreement(2, 3, g2, g_m)
+            assert hop_block_agreement(2, 3, g2, g_m) == rep
             rows_n = g2.internal_rows(range(15))
             rows_m = g_m.internal_rows(range(15))
             worst, pair = None, None
@@ -328,9 +334,10 @@ class TestHausdorffAndBounds:
 
     @pytest.mark.parametrize("max_level, m", [(3, 5), (4, 7)])
     def test_shared_fine_block_matches_standalone(self, max_level, m):
-        # every V_n block is the top-left corner of the V_max_level block;
-        # uniform chords on V_1 make d_m differ from d_n, so a misread
-        # corner would change the value or the first worst pair
+        # the oracle reads every V_n block from the top-left corner of the
+        # V_max_level block; uniform chords on V_1 make d_m differ from d_n,
+        # so a misread corner would change the value or the first worst
+        # pair. On the gasket the cell certificate gives the same report.
         cx = build_gasket(m)
         g_gasket = gasket_metric_graph(cx, m)
         w = g_gasket.edges[0][2]
@@ -339,14 +346,15 @@ class TestHausdorffAndBounds:
                                vertex_keys=g_gasket.vertex_keys)
         top = range(vertex_count(max_level))
         for g_m in (g_gasket, g_chords):
-            fine_hops = g_m.hop_block(top, top)
+            fine_hops = hop_block(g_m, top, top)
             for n in range(max_level + 1):
                 g_n = gasket_metric_graph(cx, n)
-                shared = certify_vertex_agreement(n, m, g_n, g_m, fine_hops=fine_hops)
-                alone = certify_vertex_agreement(n, m, g_n, g_m)
+                shared = hop_block_agreement(n, m, g_n, g_m, fine_hops=fine_hops)
+                alone = hop_block_agreement(n, m, g_n, g_m)
                 assert shared == alone
                 if g_m is g_gasket:
                     assert alone.max_discrepancy == 0
+                    assert certify_trace_agreement(gasket_cell_trace(cx, n, m)) == alone
                 elif n >= 1:
                     assert alone.max_discrepancy > 0
 
@@ -354,40 +362,48 @@ class TestHausdorffAndBounds:
         g2 = gasket_metric_graph(CX, 2)
         g4 = gasket_metric_graph(CX, 4)
         with pytest.raises(ValueError, match="square"):
-            certify_vertex_agreement(2, 4, g2, g4,
-                                     fine_hops=g4.hop_block(range(15), range(20)))
+            hop_block_agreement(2, 4, g2, g4,
+                                fine_hops=hop_block(g4, range(15), range(20)))
         with pytest.raises(ValueError, match="square"):
-            certify_vertex_agreement(2, 4, g2, g4, fine_hops=np.zeros(15, np.int64))
+            hop_block_agreement(2, 4, g2, g4, fine_hops=np.zeros(15, np.int64))
         with pytest.raises(ValueError, match="covers 6 vertices, V_2 has 15"):
-            certify_vertex_agreement(2, 4, g2, g4,
-                                     fine_hops=g4.hop_block(range(6), range(6)))
-        # also for V_n with fewer than two vertices, where nothing is compared
+            hop_block_agreement(2, 4, g2, g4,
+                                fine_hops=hop_block(g4, range(6), range(6)))
+        # also for V_n with fewer than two vertices
         g_one = MetricGraph(1, [], vertex_keys=g2.vertex_keys[:1])
         with pytest.raises(ValueError, match="covers 0 vertices"):
-            certify_vertex_agreement(0, 4, g_one, g4,
-                                     fine_hops=np.zeros((0, 0), np.int64))
+            hop_block_agreement(0, 4, g_one, g4, fine_hops=np.zeros((0, 0), np.int64))
 
     def test_fine_block_needs_the_hop_path(self):
         g1 = gasket_metric_graph(CX, 1)
         lengths = {c.id: 0.5 for c in CX.curves_at_level(1)}
         g_float = gasket_metric_graph(CX, 1, harmonic_lengths=lengths)
         with pytest.raises(ValueError, match="uniform exact"):
-            certify_vertex_agreement(1, 1, g1, g_float,
-                                     fine_hops=np.zeros((6, 6), np.int64))
+            hop_block_agreement(1, 1, g1, g_float, fine_hops=np.zeros((6, 6), np.int64))
 
-    def test_gh_table_runs_one_fine_traversal(self, monkeypatch, capsys):
-        fine_calls = []
-        hop_block = MetricGraph.hop_block
+    def test_gh_table_builds_no_metric_graph(self, monkeypatch, capsys):
+        # the cell trace certifies every row; no graph of any level is built
+        # and no shortest-path run starts
+        def refuse(*args, **kwargs):
+            raise AssertionError("gh-table built a graph or ran a traversal")
 
-        def spy(self, sources, targets):
-            if self.vertex_count == vertex_count(5):
-                fine_calls.append((len(sources), len(targets)))
-            return hop_block(self, sources, targets)
-
-        monkeypatch.setattr(MetricGraph, "hop_block", spy)
+        monkeypatch.setattr(MetricGraph, "__init__", refuse)
+        monkeypatch.setattr(MetricGraph, "_sssp", refuse)
         assert main(["gh-table", "--max-level", "3", "--m", "5"]) == 0
-        capsys.readouterr()
-        assert fine_calls == [(vertex_count(3), vertex_count(3))]
+        assert capsys.readouterr().out.count(",0.0\n") == 4
+
+    def test_cell_trace_matches_hop_block_oracle(self):
+        cx9 = build_gasket(9)
+        graphs = {level: gasket_metric_graph(cx9, level) for level in (*range(8), 9)}
+        pairs = [(n, m) for m in range(8) for n in range(m + 1)] + [(6, 9)]
+        for n, m in pairs:
+            trace = gasket_cell_trace(cx9, n, m)
+            rep = certify_trace_agreement(trace)
+            assert rep == hop_block_agreement(n, m, graphs[n], graphs[m])
+            assert rep.max_discrepancy == 0 and rep.worst_pair == (0, 1)
+            assert trace.hausdorff == hausdorff_vertex_sets(
+                graphs[m], range(vertex_count(n)), range(vertex_count(m)))
+            assert trace.hausdorff == (Fraction(1, 2 ** (n + 1)) if n < m else 0)
 
     def test_agreement_detects_mismatched_indexing(self):
         g1 = gasket_metric_graph(CX, 1)
@@ -412,13 +428,21 @@ class TestHausdorffAndBounds:
         assert Fraction(rep.tail) == Fraction(1, 64)
         assert Fraction(rep.bound) == Fraction(17, 64)
 
-    def test_bound_checks_passed_level_graphs(self):
-        g3 = gasket_metric_graph(CX, 3)
-        with pytest.raises(ValueError, match="42 vertices, V_2 has 15"):
-            gh_upper_bound(2, 4, cx=CX, g_n=g3)
-        with pytest.raises(ValueError, match="42 vertices, V_4 has 123"):
-            gh_upper_bound(2, 4, cx=CX, g_m=g3)
-        assert gh_upper_bound(2, 3, cx=CX, g_m=g3) == gh_upper_bound(2, 3, cx=CX)
+    def test_bound_checks_passed_trace(self):
+        with pytest.raises(ValueError, match=re.escape("levels (3, 4), need (2, 4)")):
+            gh_upper_bound(2, 4, cx=CX, trace=gasket_cell_trace(CX, 3, 4))
+        trace = gasket_cell_trace(CX, 2, 4)
+        assert gh_upper_bound(2, 4, cx=CX, trace=trace) == gh_upper_bound(2, 4, cx=CX)
+
+    def test_bound_chain_reads_no_graph(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bound chain built a graph")
+
+        monkeypatch.setattr(MetricGraph, "__init__", refuse)
+        for n in range(4):
+            rep = gh_upper_bound(n, 6, samples_per_curve=4, cx=CX)
+            # the worst sample sits at t = 3/8 or 5/8 of a 2^-n curve
+            assert rep.haus_vertices_to_sample == Fraction(3, 8 * 2**n)
 
     def test_bound_below_coarse_budget(self):
         for n in range(4):
@@ -426,3 +450,58 @@ class TestHausdorffAndBounds:
             assert Fraction(rep.bound) <= Fraction(2, 2**n) + Fraction(1, 2**6)
             assert Fraction(rep.bound_with_slack) == (
                 Fraction(rep.bound) + Fraction(rep.sampling_slack))
+
+
+def _cells(level_two_rows, vertices=15):
+    """A complex through level 2 with the gasket's level-0 and level-1
+    triangles and the given level-2 table; enough for gasket_cell_trace."""
+    return SimpleNamespace(
+        triangles=[CX.triangles[0], CX.triangles[1],
+                   np.array(level_two_rows, dtype=np.int64)],
+        level_vertex_counts=[3, 6, vertices])
+
+
+# level-2 rows of the gasket: cells (0, 3, 4), (3, 1, 5) and (4, 5, 2) of
+# three rows each
+LEVEL_TWO = [[0, 6, 7], [6, 3, 8], [7, 8, 4], [3, 9, 10], [9, 1, 11],
+             [10, 11, 5], [4, 12, 13], [12, 5, 14], [13, 14, 2]]
+
+
+class TestCellTrace:
+    def test_gasket_table_gives_uniform_corner_hops(self):
+        trace = gasket_cell_trace(_cells(LEVEL_TWO), 1, 2)
+        assert trace.corners.tolist() == [[0, 3, 4], [3, 1, 5], [4, 5, 2]]
+        assert (trace.hops == 2 * (1 - np.eye(3, dtype=np.int64))).all()
+        assert trace.hausdorff == Fraction(1, 4)
+
+    def test_long_corner_path_falls_back_to_the_row_path(self):
+        # cell (4, 5, 2) rebuilt as a path 4/5 - 12 - 14 - 2: corners 5 and
+        # 2, and 4 and 2, are 3 hops apart instead of 2; 4 and 5 are 1 hop
+        rows = LEVEL_TWO[:6] + [[4, 5, 12], [12, 13, 14], [14, 15, 2]]
+        trace = gasket_cell_trace(_cells(rows, vertices=16), 1, 2)
+        assert trace.hops[2].tolist() == [[0, 1, 3], [1, 0, 3], [3, 3, 0]]
+        assert trace.haus_hops == 2  # vertex 13, two hops from 4, 5 or 2
+        rep = certify_trace_agreement(trace)
+        g_1 = MetricGraph(6, gasket_metric_graph(CX, 1).edges)
+        quarter = Fraction(1, 4)
+        h = MetricGraph(6, [(0, 3, 2 * quarter), (3, 4, 2 * quarter), (4, 0, 2 * quarter),
+                            (3, 1, 2 * quarter), (1, 5, 2 * quarter), (5, 3, 2 * quarter),
+                            (4, 5, quarter), (5, 2, 3 * quarter), (2, 4, 3 * quarter)])
+        assert rep == certify_vertex_agreement(1, 2, g_1, h)
+        assert rep.max_discrepancy == quarter and rep.worst_pair == (0, 2)
+
+    def test_shared_vertex_outside_v_n_is_named(self):
+        # row (3, 9, 10) of cell 1 takes vertex 8 from cell 0
+        rows = [list(r) for r in LEVEL_TWO]
+        rows[3] = [3, 8, 10]
+        with pytest.raises(ValueError, match="vertex 8 is shared by level-1 cells "
+                                             "0 and 1 but is not in V_1"):
+            gasket_cell_trace(_cells(rows), 1, 2)
+
+    def test_v_n_vertex_off_the_corners_is_named(self):
+        rows = [list(r) for r in LEVEL_TWO]
+        rows[2] = [7, 5, 4]
+        with pytest.raises(ValueError, match=re.escape(
+                "vertex 5 of V_1 lies in level-1 cell 0 but is not one of its "
+                "corners [0, 3, 4]")):
+            gasket_cell_trace(_cells(rows), 1, 2)

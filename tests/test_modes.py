@@ -14,6 +14,7 @@ Core claims:
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +32,7 @@ from prefractal.modes import (
     random_mode_vector,
     tail_level_for,
 )
+from prefractal.spectrum import PI_LOWER
 
 
 def _make_rng():
@@ -127,6 +129,15 @@ class TestProject:
     def test_tail_levels(self):
         assert tail_level_for(0.1) == 2
         assert tail_level_for(0.01) == 5
+
+    def test_tail_level_is_minimal_for_pi_lower(self):
+        # the smallest n with 2^-(n+1) < PI_LOWER * eps / 2, decided exactly
+        rng = random.Random(4417)
+        for eps in [10 ** rng.uniform(-6, 1) for _ in range(300)] + [0.1, 0.01]:
+            n = tail_level_for(eps)
+            budget = PI_LOWER * Fraction(eps) / 2
+            assert Fraction(1, 2 ** (n + 1)) < budget
+            assert n == 0 or Fraction(1, 2**n) >= budget
 
     def test_single_mode_tail(self):
         j = kappa(10, 0)

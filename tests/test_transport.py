@@ -3,9 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import Infeasible, Unbounded, max_difference_objective, maximize
 from prefractal import metric, transport
-from prefractal.exactlp import (Infeasible, Unbounded, max_difference_objective,
-                                maximize)
 from prefractal.gasket import build_gasket
 from prefractal.metric import (EdgePoint, FiniteMetricSpace, MetricGraph,
                                gasket_metric_graph)
@@ -422,7 +421,8 @@ class TestExtentCertificate:
                 assert dist[a] == cg.graph._value(rows[nearest[a]][a])
 
     def test_builds_each_level_graph_once(self, monkeypatch):
-        # the bound chain and the coupled graph share the two level graphs
+        # the bound chain reads the cell trace; the coupled graph builds
+        # each level's graph once
         levels = []
 
         def spy(cx, level=None, harmonic_lengths=None):
