@@ -12,9 +12,10 @@ print("replacement weights: adjacent %d, opposite %d, over %d"
       % (rule.adjacent, rule.opposite, rule.den))
 
 hg = build_harmonic_gasket(6, tol=1e-6)
-print("quadrature tol %g, parameter depth cap %d; %d deep curves stop at "
-      "the cap with increments below the precision shown"
-      % (hg.tol, hg.cap, len(hg.unconverged())))
+deepest = max(e.depth - e.level for e in hg.lengths.values())
+print("quadrature tol %g, at most %d refinements below each curve's level; "
+      "%d curves unconverged, the deepest needed %d"
+      % (hg.tol, hg.cap, len(hg.unconverged()), deepest))
 print()
 print("level  curves  max length  total length  ratio to previous max")
 prev = None

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import __version__
 from .gasket import build_gasket, check_memory, complex_to_dict, curve_count
-from .harmonic import build_harmonic_gasket, derive_subdivision_rule
+from .harmonic import HarmonicTable, build_harmonic_gasket, derive_subdivision_rule
 from .metric import (
     certify_trace_agreement,
     check_agreement_size,
@@ -32,7 +32,7 @@ from .spectrum import SpectrumSpec, dimension_fit, enumerate_eigenvalues
 from .svg import gasket_svg, line_plot, plane_coords
 from .transport import DiscreteMeasure, certify_extent, kantorovich
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # peak RSS of `gen --format json` per curve of the complex: the dict per
 # curve and the whole text in memory (112/276/769 MiB at levels 8/9/10)
@@ -104,22 +104,23 @@ def cmd_gen(args) -> str:
         if args.format == "svg":
             return gasket_svg(cx, args.level)
         return _json_text("gen", config, {"complex": complex_to_dict(cx)})
-    hg = build_harmonic_gasket(args.level, tol=args.tol)
     if args.format == "svg":
-        coords = plane_coords(hg.table.embedding_array())
-        return gasket_svg(hg.cx, args.level, coords=coords)
+        table = HarmonicTable(build_gasket(args.level))
+        coords = plane_coords(table.embedding_array())
+        return gasket_svg(table.cx, args.level, coords=coords)
+    hg = build_harmonic_gasket(args.level, tol=args.tol)
     rule = derive_subdivision_rule()
     body = {
         "complex": complex_to_dict(hg.cx),
         "subdivision": {"adjacent": rule.adjacent, "opposite": rule.opposite,
                         "denominator": rule.den},
         "lengths": hg.length_table(),
-        "quadrature": {"tol": hg.tol, "depthCap": hg.cap,
+        "quadrature": {"tol": hg.tol, "refinementCap": hg.cap,
                        "unconverged": hg.unconverged()},
     }
     if args.strict and hg.unconverged():
         raise RuntimeError(
-            "harmonic quadrature hit the depth cap on %d curves before "
+            "harmonic quadrature hit the refinement cap on %d curves before "
             "reaching tol=%g" % (len(hg.unconverged()), args.tol))
     return _json_text("gen", config, body)
 
@@ -244,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6,
                    help="harmonic length quadrature tolerance")
     p.add_argument("--strict", action="store_true",
-                   help="fail (exit 3) if any harmonic length hit the depth cap")
+                   help="fail (exit 3) if any harmonic length hit the refinement cap")
     common(p, fmt=("json", "svg"))
     p.set_defaults(func=cmd_gen)
 

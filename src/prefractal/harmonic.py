@@ -22,21 +22,33 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gasket import PrefractalComplex, build_gasket, kappa, kappa_inverse
+from .gasket import PrefractalComplex, build_gasket, check_memory, curve_count, kappa
 from .metric import MetricGraph, gasket_metric_graph
 
 RATIONAL_DEPTH_CAP = 12  # numerators grow as den^depth; ints stay cheap here
 
+REFINEMENT_CAP = 12  # length quadrature: halvings below each curve's level
+
+# (cells x polyline points) per batched product: a few MiB of work arrays
+_BLOCK_ENTRIES = 1 << 16
+
+# peak bytes per base-polyline point: the int64 cell stack that builds it
+# (192 B under tracemalloc at caps 16-20) outweighs the polyline, its
+# steps and one single-cell block at full depth
+_BYTES_PER_POINT = 200
+
 EMBED_SCALE = math.sqrt(2) / 2
 
-# curve kind -> (start slot, end slot) of the owning cell, oriented
-_KIND_SLOTS = {"bottom": (0, 1), "right": (1, 2), "left": (2, 0)}
+# curve kind (bottom, right, left) -> slots (s, t, u) of the owning cell:
+# the curve runs from corner s to corner t, and u is the opposite corner
+_KIND_SLOTS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 
 
 def _solve_exact(a, b):
-    """Gaussian elimination over Fractions; a is modified in place."""
+    """Gauss-Jordan elimination over Fractions: the solutions x of a x = b,
+    one row of x per unknown and one column per column of b."""
     n = len(a)
-    rows = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(a, b)]
+    rows = [list(map(Fraction, row + rhs)) for row, rhs in zip(a, b)]
     for col in range(n):
         piv = next(r for r in range(col, n) if rows[r][col] != 0)
         rows[col], rows[piv] = rows[piv], rows[col]
@@ -46,7 +58,7 @@ def _solve_exact(a, b):
             if r != col and rows[r][col] != 0:
                 f = rows[r][col]
                 rows[r] = [e - f * p for e, p in zip(rows[r], rows[col])]
-    return [rows[r][n] for r in range(n)]
+    return [row[n:] for row in rows]
 
 
 @dataclass(frozen=True)
@@ -64,7 +76,7 @@ def derive_subdivision_rule() -> SubdivisionRule:
 
     Assembles stationarity equations for the three interior vertices of
     the level-1 graph (degree * value = sum of neighbor values) and
-    solves them exactly for each unit corner datum. The solution must
+    solves them exactly for all three unit corner data. The solution must
     come out symmetric: one weight for the two adjacent corners, one for
     the opposite corner.
     """
@@ -72,28 +84,14 @@ def derive_subdivision_rule() -> SubdivisionRule:
     interior = [v for v in range(cx.level_vertex_counts[1]) if v > 2]
     neighbors = {v: [] for v in interior}
     for c in cx.curves_at_level(1):
-        u, w = c.endpoints
-        if u in neighbors:
-            neighbors[u].append(w)
-        if w in neighbors:
-            neighbors[w].append(u)
+        for v, w in (c.endpoints, c.endpoints[::-1]):
+            if v in neighbors:
+                neighbors[v].append(w)
 
-    pos = {v: i for i, v in enumerate(interior)}
-    solution = {}
-    for corner in range(3):
-        a = [[Fraction(0)] * len(interior) for _ in interior]
-        b = [Fraction(0)] * len(interior)
-        for v in interior:
-            i = pos[v]
-            a[i][i] = Fraction(len(neighbors[v]))
-            for w in neighbors[v]:
-                if w in pos:
-                    a[i][pos[w]] -= 1
-                elif w == corner:
-                    b[i] += 1
-        x = _solve_exact(a, b)
-        for v in interior:
-            solution.setdefault(v, [None] * 3)[corner] = x[pos[v]]
+    a = [[len(neighbors[v]) if w == v else -neighbors[v].count(w)
+          for w in interior] for v in interior]
+    b = [[neighbors[v].count(corner) for corner in range(3)] for v in interior]
+    solution = dict(zip(interior, _solve_exact(a, b)))
 
     weights = set()
     for v in interior:
@@ -101,11 +99,10 @@ def derive_subdivision_rule() -> SubdivisionRule:
         if len(corners_of_v) != 2:
             raise RuntimeError("interior vertex %d not between two corners" % v)
         s, t = corners_of_v
-        u = 3 - s - t
         coeffs = solution[v]
         if coeffs[s] != coeffs[t]:
             raise RuntimeError("midpoint rule is not symmetric at vertex %d" % v)
-        weights.add((coeffs[s], coeffs[u]))
+        weights.add((coeffs[s], coeffs[3 - s - t]))
     if len(weights) != 1:
         raise RuntimeError("midpoint rule differs between interior vertices")
     adj, opp = weights.pop()
@@ -118,7 +115,7 @@ def derive_subdivision_rule() -> SubdivisionRule:
 class HarmonicTable:
     """Exact corner-indicator triples for every vertex of a complex.
 
-    numerators[v] is an integer 3-tuple over den^levels[v]; the sums are
+    numerators[v] is an int64 triple over den^levels[v]; the sums are
     exactly den^levels[v] (partition of unity) and every entry is
     nonnegative (maximum principle), both enforced during construction.
     """
@@ -128,59 +125,41 @@ class HarmonicTable:
             rule = derive_subdivision_rule()
         self.cx = cx
         self.rule = rule
-        n = len(cx.vertices)
-        self.levels = [-1] * n
-        self.numerators = [None] * n
-        for r in range(3):
-            self.levels[r] = 0
-            self.numerators[r] = tuple(1 if i == r else 0 for i in range(3))
+        self.levels = np.full(len(cx.vertices), -1)
+        self.numerators = np.zeros((len(cx.vertices), 3), dtype=np.int64)
+        self.levels[:3] = 0
+        self.numerators[:3] = np.eye(3, dtype=np.int64)
 
         adj, opp, den = rule.adjacent, rule.opposite, rule.den
-        pairs = ((0, 1), (1, 2), (2, 0))
+        s, t, u = _KIND_SLOTS.T  # the midpoint of corners s and t faces u
         for m in range(cx.max_level):
-            child_tris = cx.triangles[m + 1].tolist()
-            for k, ids in enumerate(cx.triangles[m].tolist()):
-                corn = [self._at_level(ids[i], m, den) for i in range(3)]
-                for s, t in pairs:
-                    u = 3 - s - t
-                    vid = child_tris[3 * k + s][t]
-                    if self.levels[vid] >= 0:
-                        raise RuntimeError("vertex %d assigned twice" % vid)
-                    trip = tuple(
-                        adj * (corn[s][i] + corn[t][i]) + opp * corn[u][i]
-                        for i in range(3)
-                    )
-                    if sum(trip) != den ** (m + 1) or min(trip) < 0:
-                        raise RuntimeError(
-                            "harmonic invariants broken at vertex %d" % vid)
-                    self.levels[vid] = m + 1
-                    self.numerators[vid] = trip
+            corn = self.at_level(cx.triangles[m], m)  # (triangle, slot, coordinate)
+            # child 3k + s of triangle k is its subcell at corner s, and
+            # its corner t is the midpoint of k's corners s and t
+            vid = cx.triangles[m + 1].reshape(-1, 3, 3)[:, s, t]
+            trip = adj * (corn[:, s] + corn[:, t]) + opp * corn[:, u]
+            bad = (self.levels[vid] >= 0) | (trip < 0).any(axis=2)
+            bad |= trip.sum(axis=2) != den ** (m + 1)
+            bad |= np.bincount(vid.ravel(), minlength=len(self.levels))[vid] > 1
+            if bad.any():
+                raise RuntimeError("harmonic invariants broken at vertex %d"
+                                   % vid.ravel()[bad.argmax()])
+            self.levels[vid] = m + 1
+            self.numerators[vid] = trip
 
-    def _at_level(self, vid: int, level: int, den: int):
-        f = den ** (level - self.levels[vid])
-        return tuple(n * f for n in self.numerators[vid])
+    def at_level(self, vids, level: int) -> np.ndarray:
+        """Triples of the given vertex ids as integers over den^level."""
+        scale = np.int64(self.rule.den) ** (level - self.levels[vids])
+        return self.numerators[vids] * scale[..., None]
 
     def triple(self, vid: int) -> tuple[Fraction, Fraction, Fraction]:
-        d = self.rule.den ** self.levels[vid]
-        return tuple(Fraction(n, d) for n in self.numerators[vid])
-
-    def triples_at_common_level(self, vids, level: int):
-        """Integer triples over den^level for each vertex id."""
-        for vid in vids:
-            if self.levels[vid] > level:
-                raise ValueError("vertex %d first appears below level %d"
-                                 % (vid, level))
-        return [self._at_level(vid, level, self.rule.den) for vid in vids]
+        d = self.rule.den ** int(self.levels[vid])
+        return tuple(Fraction(int(n), d) for n in self.numerators[vid])
 
     def embedding_array(self, n_vertices: int | None = None) -> np.ndarray:
         """Float images of the first n vertices in the embedding plane."""
-        n = len(self.cx.vertices) if n_vertices is None else n_vertices
-        out = np.empty((n, 3))
-        den = self.rule.den
-        for v in range(n):
-            d = den ** self.levels[v]
-            out[v] = [num / d for num in self.numerators[v]]
-        return EMBED_SCALE * (out - 1.0)
+        den = float(self.rule.den) ** self.levels[:n_vertices]
+        return EMBED_SCALE * (self.numerators[:n_vertices] / den[:, None] - 1.0)
 
 
 def harmonic_extend(corner_data, depth: int, cx: PrefractalComplex | None = None,
@@ -201,12 +180,8 @@ def harmonic_extend(corner_data, depth: int, cx: PrefractalComplex | None = None
     if cx is None or cx.max_level < depth:
         cx = build_gasket(depth)
     table = HarmonicTable(cx)
-    nv = cx.level_vertex_counts[depth]
-    out = []
-    for v in range(nv):
-        trip = table.triple(v)
-        out.append(sum(d * t for d, t in zip(data, trip)))
-    return out
+    return [sum(d * t for d, t in zip(data, table.triple(v)))
+            for v in range(cx.level_vertex_counts[depth])]
 
 
 def embedding_point(triple) -> np.ndarray:
@@ -236,79 +211,114 @@ class LengthEstimate:
         return self.increments[-1] / self.value
 
 
-def _polyline_length(cells, s, t, den_pow: float) -> float:
-    pts = [cells[0][s]] + [cell[t] for cell in cells]
-    arr = np.asarray(pts, dtype=float) / den_pow
-    seg = np.diff(arr, axis=0)
-    norms = np.sqrt((seg * seg).sum(axis=1))
-    return EMBED_SCALE * math.fsum(norms.tolist())
+def check_refinement_cap(cap: int, den: int) -> None:
+    """Raise ValueError when the base polyline of `cap` refinements could
+    overflow int64 or its block of 2^cap + 1 points would pass the
+    memory guard."""
+    if cap < 0:
+        raise ValueError("refinement cap must be nonnegative, got %d" % cap)
+    if den**cap >= 2**63:
+        raise ValueError("refinement cap %d overflows int64: base polyline "
+                         "numerators reach %d^%d, about 2^%d"
+                         % (cap, den, cap, (den**cap).bit_length() - 1))
+    check_memory(_BYTES_PER_POINT * (2**cap + 1),
+                 "refinement cap %d: the base polyline of 2^%d + 1 points"
+                 % (cap, cap))
 
 
-def _subdivide_along(cells, s, t, adj, opp, den):
-    u = 3 - s - t
-    out = []
-    for cell in cells:
-        mids = {}
-        for (a, b) in ((0, 1), (1, 2), (2, 0)):
-            c = 3 - a - b
-            mids[frozenset((a, b))] = tuple(
-                adj * (cell[a][i] + cell[b][i]) + opp * cell[c][i]
-                for i in range(3)
-            )
+def base_polyline(cap: int, rule: SubdivisionRule) -> np.ndarray:
+    """Exact triples of the 2^cap + 1 dyadic points on the unit cell's
+    bottom edge, from corner 0 to corner 1: int64 (2^cap + 1, 3) over den^cap.
 
-        def child(r):
-            return tuple(
-                tuple(den * x for x in cell[r]) if slot == r
-                else mids[frozenset((slot, r))]
-                for slot in range(3)
-            )
+    Halves the cells along the edge cap times; every entry stays at most
+    den^cap, so nothing overflows once check_refinement_cap passes.
+    """
+    adj, opp, den = rule.adjacent, rule.opposite, rule.den
+    cells = np.eye(3, dtype=np.int64)[None]  # (cell, slot, coordinate)
+    for _ in range(cap):
+        c0, c1, c2 = cells[:, 0], cells[:, 1], cells[:, 2]
+        mid = adj * (c0 + c1) + opp * c2
+        left = (den * c0, mid, adj * (c2 + c0) + opp * c1)
+        right = (mid, den * c1, adj * (c1 + c2) + opp * c0)
+        cells = np.stack(left + right, axis=1).reshape(-1, 3, 3)
+    return np.concatenate([cells[:, 0], cells[-1:, 1]])
 
-        out.append(child(s))
-        out.append(child(t))
-    return out
+
+def _curve_edges(cx: PrefractalComplex, table: HarmonicTable,
+                 ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each curve's level, and a float (curves, 3, 2) array of its cell's
+    corner triples t - s and u - s for the curve from corner s to corner
+    t, taken exactly over den^level, then divided by it."""
+    starts = np.array([kappa(m, 0) for m in range(cx.max_level + 2)])
+    levels = np.searchsorted(starts, ids, side="right") - 1
+    if len(ids) and (ids.min() < 0 or levels.max() > cx.max_level):
+        raise ValueError("curve ids must lie in 0..%d for a level-%d complex"
+                         % (starts[-1] - 1, cx.max_level))
+    edges = np.empty((len(ids), 3, 2))
+    for m in np.unique(levels).tolist():
+        sel = levels == m
+        tri, kind = np.divmod(ids[sel] - starts[m], 3)
+        exact = table.at_level(np.take_along_axis(
+            cx.triangles[m][tri], _KIND_SLOTS[kind], axis=1), m)
+        edges[sel] = (exact[:, 1:] - exact[:, :1]).transpose(0, 2, 1) / table.rule.den**m
+    return levels, edges
+
+
+def harmonic_lengths(cx: PrefractalComplex, table: HarmonicTable, curve_ids,
+                     tol: float = 1e-6,
+                     cap: int = REFINEMENT_CAP) -> list[LengthEstimate]:
+    """Inscribed-polyline lengths of many embedded curves at once.
+
+    The triple at F_w(x) is the corner-triple matrix of cell w applied to
+    the triple at x, so the depth-d polyline of every curve is its cell's
+    matrix times the base polyline at stride 2^(cap - d); the base steps
+    sum to zero, so the corner differences t - s and u - s suffice. Depth
+    d runs from 0 (the chord) up to cap refinements below each curve's
+    own level, in blocks of cells, over the curves still refining; a
+    curve stops at the first depth whose increment is at most tol times
+    its length.
+    """
+    check_refinement_cap(cap, table.rule.den)
+    ids = np.asarray(curve_ids, dtype=np.int64).reshape(-1)
+    levels, edges = _curve_edges(cx, table, ids)
+    base = base_polyline(cap, table.rule)
+    lengths = np.zeros((len(ids), cap + 1))
+    chords = edges[:, :, 0]
+    lengths[:, 0] = EMBED_SCALE * np.sqrt(np.einsum("ci,ci->c", chords, chords))
+    stop = np.full(len(ids), cap)
+    active = np.arange(len(ids))
+    for d in range(1, cap + 1):
+        steps = np.diff(base[:: 1 << (cap - d), 1:], axis=0).T / float(
+            table.rule.den**cap)
+        per = max(1, _BLOCK_ENTRIES // steps.shape[1])
+        for blk in np.split(active, range(per, len(active), per)):
+            seg = np.matmul(edges[blk], steps)
+            lengths[blk, d] = EMBED_SCALE * np.sqrt(
+                np.einsum("cip,cip->cp", seg, seg)).sum(axis=1)
+        now = lengths[active, d]
+        done = now - lengths[active, d - 1] <= tol * now
+        stop[active[done]] = d
+        active = active[~done]
+        if not len(active):
+            break
+    converged = np.ones(len(ids), dtype=bool)
+    converged[active] = False
+    incs = np.diff(lengths, axis=1).tolist()
+    return [LengthEstimate(cid, m, lengths[i, r].item(), m + r, 2**r, incs[i][:r],
+                           ok, tol)
+            for i, (cid, m, r, ok) in enumerate(zip(
+                ids.tolist(), levels.tolist(), stop.tolist(), converged.tolist()))]
 
 
 def harmonic_curve_length(cx: PrefractalComplex, curve_id: int,
-                          tol: float = 1e-6, cap: int = RATIONAL_DEPTH_CAP,
+                          tol: float = 1e-6, cap: int = REFINEMENT_CAP,
                           table: HarmonicTable | None = None) -> LengthEstimate:
-    """Inscribed-polyline length of one embedded curve.
-
-    Starting from the chord, halve the dyadic mesh until the relative
-    length increment drops below tol or the exact-arithmetic depth cap is
-    reached; the estimate is monotone nondecreasing in depth and the
-    report says which stop fired.
-    """
-    level, tri_pos, kind_off = kappa_inverse(curve_id)
-    if level > cap:
-        raise ValueError("curve level %d exceeds rational depth cap %d"
-                         % (level, cap))
-    if cx.max_level < level:
-        raise ValueError("complex built to level %d, curve needs %d"
-                         % (cx.max_level, level))
+    """Inscribed-polyline length of one embedded curve: harmonic_lengths
+    for a single id. The estimate is monotone nondecreasing in depth and
+    the report says whether tol or the cap stopped it."""
     if table is None:
         table = HarmonicTable(cx)
-    rule = table.rule
-    kind = ("bottom", "right", "left")[kind_off]
-    s, t = _KIND_SLOTS[kind]
-    tri = cx.triangles[level][tri_pos].tolist()
-    cells = [tuple(table.triples_at_common_level(tri, level))]
-
-    length = _polyline_length(cells, s, t, float(rule.den**level))
-    increments = []
-    depth = level
-    converged = False
-    while depth < cap:
-        cells = _subdivide_along(cells, s, t, rule.adjacent, rule.opposite,
-                                 rule.den)
-        depth += 1
-        new_length = _polyline_length(cells, s, t, float(rule.den**depth))
-        increments.append(new_length - length)
-        length = new_length
-        if increments[-1] <= tol * length:
-            converged = True
-            break
-    return LengthEstimate(curve_id, level, length, depth, len(cells),
-                          increments, converged, tol)
+    return harmonic_lengths(cx, table, [curve_id], tol=tol, cap=cap)[0]
 
 
 class HarmonicGasket:
@@ -322,10 +332,6 @@ class HarmonicGasket:
         self.lengths = lengths
         self.tol = tol
         self.cap = cap
-
-    @property
-    def max_level(self) -> int:
-        return self.cx.max_level
 
     def metric_graph(self, level: int | None = None) -> MetricGraph:
         if level is None:
@@ -352,35 +358,20 @@ class HarmonicGasket:
         return [[str(f) for f in self.table.triple(v)] for v in range(n)]
 
     def length_table(self) -> list[dict]:
-        rows = []
-        for cid in sorted(self.lengths):
-            e = self.lengths[cid]
-            c = self.cx.curves[cid]
-            rows.append({
-                "id": cid,
-                "level": e.level,
-                "kind": c.kind,
-                "length": e.value,
-                "depth": e.depth,
-                "lastIncrement": e.last_increment,
-                "converged": e.converged,
-            })
-        return rows
+        return [{"id": cid, "level": e.level, "kind": self.cx.curves[cid].kind,
+                 "length": e.value, "depth": e.depth,
+                 "lastIncrement": e.last_increment, "converged": e.converged}
+                for cid, e in sorted(self.lengths.items())]
 
 
 def build_harmonic_gasket(max_level: int, tol: float = 1e-6,
-                          cap: int = RATIONAL_DEPTH_CAP,
+                          cap: int = REFINEMENT_CAP,
                           cx: PrefractalComplex | None = None) -> HarmonicGasket:
     """Harmonic prefractal with per-curve length estimates for all levels."""
-    if max_level > cap:
-        raise ValueError("max level %d exceeds rational depth cap %d"
-                         % (max_level, cap))
+    check_refinement_cap(cap, derive_subdivision_rule().den)
     if cx is None or cx.max_level < max_level:
         cx = build_gasket(max_level)
     table = HarmonicTable(cx)
-    lengths = {}
-    for m in range(max_level + 1):
-        for c in cx.curves_at_level(m):
-            lengths[c.id] = harmonic_curve_length(cx, c.id, tol=tol, cap=cap,
-                                                  table=table)
-    return HarmonicGasket(cx, table, lengths, tol, cap)
+    estimates = harmonic_lengths(cx, table, range(curve_count(max_level)),
+                                 tol=tol, cap=cap)
+    return HarmonicGasket(cx, table, {e.curve_id: e for e in estimates}, tol, cap)

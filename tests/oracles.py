@@ -10,15 +10,27 @@ None of this is on a production path, and none of it is fast:
     Fractions with Bland's anti-cycling rule, for shortest-path duality
     checks. It shares no code with the graph machinery; sizes stay in the
     dozens of rows, where exactness matters more than speed.
+  * harmonic_curve_length / edge_polyline: the per-curve quadrature that
+    harmonic_lengths replaced. It halves one curve's cells in Python
+    integers, whose numerators grow as 5^depth, and measures the
+    inscribed polyline up to an absolute depth cap.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
 
+from prefractal.gasket import PrefractalComplex, kappa_inverse
+from prefractal.harmonic import (
+    EMBED_SCALE,
+    HarmonicTable,
+    LengthEstimate,
+    SubdivisionRule,
+)
 from prefractal.metric import AgreementReport, MetricGraph
 
 
@@ -288,3 +300,79 @@ def max_difference_objective(n_vars, constraints, plus: int, minus: int):
         b.append(Fraction(w))
     value, _ = maximize(c, a, b)
     return value
+
+
+# -- harmonic curve lengths by exact per-curve subdivision ----------------
+
+# curve kind offset (bottom, right, left) -> (start slot, end slot)
+_KIND_SLOTS = ((0, 1), (1, 2), (2, 0))
+
+
+def _polyline_length(cells, s, t, den_pow: float) -> float:
+    pts = [cells[0][s]] + [cell[t] for cell in cells]
+    arr = np.asarray(pts, dtype=float) / den_pow
+    seg = np.diff(arr, axis=0)
+    norms = np.sqrt((seg * seg).sum(axis=1))
+    return EMBED_SCALE * math.fsum(norms.tolist())
+
+
+def _subdivide_along(cells, s, t, adj, opp, den):
+    u = 3 - s - t
+    out = []
+    for cell in cells:
+        mids = {}
+        for (a, b) in ((0, 1), (1, 2), (2, 0)):
+            c = 3 - a - b
+            mids[frozenset((a, b))] = tuple(
+                adj * (cell[a][i] + cell[b][i]) + opp * cell[c][i]
+                for i in range(3)
+            )
+
+        def child(r):
+            return tuple(
+                tuple(den * x for x in cell[r]) if slot == r
+                else mids[frozenset((slot, r))]
+                for slot in range(3)
+            )
+
+        out.append(child(s))
+        out.append(child(t))
+    return out
+
+
+def edge_polyline(depth: int, rule: SubdivisionRule) -> list[tuple[int, ...]]:
+    """Integer triples over den^depth of the 2^depth + 1 dyadic points on
+    the unit cell's bottom edge, from corner 0 to corner 1."""
+    cells = [((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    for _ in range(depth):
+        cells = _subdivide_along(cells, 0, 1, rule.adjacent, rule.opposite,
+                                 rule.den)
+    return [cells[0][0]] + [cell[1] for cell in cells]
+
+
+def harmonic_curve_length(cx: PrefractalComplex, curve_id: int, tol: float,
+                          cap: int, table: HarmonicTable) -> LengthEstimate:
+    """Halve the curve's cells from the chord on until the increment is at
+    most tol times the length or the absolute depth reaches cap."""
+    level, tri_pos, kind_off = kappa_inverse(curve_id)
+    rule = table.rule
+    s, t = _KIND_SLOTS[kind_off]
+    tri = cx.triangles[level][tri_pos].tolist()
+    cells = [tuple(map(tuple, table.at_level(tri, level).tolist()))]
+
+    length = _polyline_length(cells, s, t, float(rule.den**level))
+    increments = []
+    depth = level
+    converged = False
+    while depth < cap:
+        cells = _subdivide_along(cells, s, t, rule.adjacent, rule.opposite,
+                                 rule.den)
+        depth += 1
+        new_length = _polyline_length(cells, s, t, float(rule.den**depth))
+        increments.append(new_length - length)
+        length = new_length
+        if increments[-1] <= tol * length:
+            converged = True
+            break
+    return LengthEstimate(curve_id, level, length, depth, len(cells),
+                          increments, converged, tol)

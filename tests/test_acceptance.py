@@ -178,7 +178,7 @@ def test_criterion_10_harmonic_invariants():
     for level in range(9):
         scale = den ** level
         for vid in range(table.cx.level_vertex_counts[level]):
-            trip = table._at_level(vid, level, den)
+            trip = table.at_level(vid, level)
             assert sum(trip) == scale
             assert all(0 <= c <= scale for c in trip)
 

@@ -23,7 +23,7 @@ class TestGen:
         code, out, err = _run(capsys, "gen", "--geometry", "sg", "--level", "2")
         assert code == 0 and err == ""
         doc = json.loads(out)
-        assert doc["schemaVersion"] == 1
+        assert doc["schemaVersion"] == 2
         assert doc["command"] == "gen"
         tris = [t for t in doc["complex"]["triangles"] if t["level"] == 2]
         assert len(tris) == 9
@@ -74,7 +74,8 @@ class TestGen:
         rows = doc["lengths"]
         assert len(rows) == curve_count(1)
         assert all({"depth", "converged", "length"} <= set(r) for r in rows)
-        assert doc["quadrature"]["tol"] == 1e-6
+        assert doc["quadrature"] == {"tol": 1e-6, "refinementCap": 12,
+                                     "unconverged": []}
 
     def test_strict_harmonic_flags_cap_hits(self, capsys):
         code, out, err = _run(capsys, "gen", "--geometry", "harmonic",
@@ -83,6 +84,27 @@ class TestGen:
         payload = json.loads(err)
         assert payload["error"] == "non-convergence"
         assert "cap" in payload["message"]
+
+    def test_strict_harmonic_level7_converges(self, capsys, tmp_path):
+        path = tmp_path / "h7.json"
+        code, _, err = _run(capsys, "gen", "--geometry", "harmonic", "--level", "7",
+                            "--strict", "--out", str(path))
+        assert code == 0 and err == ""
+        doc = json.loads(path.read_text())
+        assert doc["quadrature"]["unconverged"] == []
+        assert len(doc["lengths"]) == curve_count(7)
+        # depth stays absolute: the curve's level plus its refinements
+        assert all(r["level"] < r["depth"] <= r["level"] + 12 for r in doc["lengths"])
+
+    def test_harmonic_svg_computes_no_lengths(self, capsys, monkeypatch):
+        def no_lengths(*args, **kwargs):
+            raise AssertionError("computed harmonic curve lengths")
+
+        monkeypatch.setattr("prefractal.harmonic.harmonic_lengths", no_lengths)
+        code, out, err = _run(capsys, "gen", "--geometry", "harmonic",
+                              "--level", "3", "--format", "svg")
+        assert code == 0 and err == ""
+        assert out.startswith("<svg") and out.count("<polygon") == 27
 
     def test_svg_output(self, capsys):
         code, out, _ = _run(capsys, "gen", "--level", "2", "--format", "svg")
@@ -228,20 +250,22 @@ class TestPlumbing:
                 assert code == 0
             assert a.read_bytes() == b.read_bytes()
 
-    # sha256 of outputs recorded before the gasket moved from exact scalar
-    # objects to integer lattice arrays; any change to these bytes is a
-    # format change and needs a schemaVersion bump
+    # sha256 of outputs; any change to these bytes is a format change and
+    # needs a schemaVersion bump. Schema 2 (refinementCap) changed the sg
+    # and extent JSON only in that line; the SVG and CSV digests predate it.
     GOLDEN = (
         (["gen", "--level", "5"],
-         "4b444359b99ebac3b41811f86095bc7b08b9dfd34a1e70713ed32e3c8b66c2a1"),
+         "b5c85e2cf099f47a46bdd467df04f3f6fef2cfd7ee61326cd0165309a6ac7005"),
         (["gen", "--level", "5", "--format", "svg"],
          "90d8229836c41bc8f2e60195220bdd109fb7b937d3fbca3d48225fa47cb906ab"),
         (["gen", "--geometry", "harmonic", "--level", "3"],
-         "912b8b4973dec56c747929bdd5963b3e2481fc2f15f3af4ae0365b11c864e95a"),
+         "d250a1707d563dc2904ed33909f8d93401d903452f6c2276f5eaca9578614b63"),
+        (["gen", "--geometry", "harmonic", "--level", "5", "--format", "svg"],
+         "a65ea984fbc58ebc0663c20ddc0fcef3de14c0249174eca8f93cce44095b0c47"),
         (["gh-table", "--max-level", "3", "--m", "5"],
          "bf28c8b4f72e08a751ee1b6cb6bbe306a4e26e8d219323a20ca663cb6d967661"),
         (["extent", "--n", "2", "--m", "4", "--format", "json"],
-         "3741f49a6658b71cfc590a83df8a180d2301e10c72a15f9c74f15b7e28f6780a"),
+         "ee7dc93ce5bf383955d92de289b054a86b3856dd6ba611a7277b22447c7a6ce1"),
     )
 
     @pytest.mark.parametrize("argv,digest", GOLDEN, ids=lambda v: " ".join(v)

@@ -7,25 +7,33 @@ Core claims:
       the level-2 graph, for each corner datum;
     - partition of unity and the maximum principle hold exactly;
     - polyline lengths are monotone in depth, quarter-rate convergent,
-      and exactly additive across a subdivision at equal absolute depth.
+      and exactly additive across a subdivision at equal absolute depth;
+    - the batched length kernel agrees with the per-curve big-integer
+      oracle in tests/oracles.py, polyline and lengths alike;
+    - refinement caps that would overflow int64 or pass the memory guard
+      are refused before any work.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from prefractal.gasket import build_gasket, kappa, vertex_count
+import oracles
+from prefractal.gasket import build_gasket, curve_count, kappa, vertex_count
 from prefractal.harmonic import (
     EMBED_SCALE,
     HarmonicTable,
     LengthEstimate,
+    base_polyline,
     build_harmonic_gasket,
     derive_subdivision_rule,
     embedding_point,
     harmonic_curve_length,
     harmonic_extend,
+    harmonic_lengths,
 )
 from prefractal.metric import certify_vertex_agreement
 
@@ -197,8 +205,11 @@ class TestCurveLength:
     def test_additive_at_equal_absolute_depth(self):
         # halves of the bottom edge live in child cells 0 and 1
         parent = harmonic_curve_length(CX, 0, tol=0.0, cap=10)
-        left = harmonic_curve_length(CX, kappa(1, 0) + 0, tol=0.0, cap=10)
-        right = harmonic_curve_length(CX, kappa(1, 1) + 0, tol=0.0, cap=10)
+        # the cap counts refinements below each curve's level: all three
+        # polylines end at absolute depth 10
+        left = harmonic_curve_length(CX, kappa(1, 0) + 0, tol=0.0, cap=9)
+        right = harmonic_curve_length(CX, kappa(1, 1) + 0, tol=0.0, cap=9)
+        assert parent.depth == left.depth == right.depth == 10
         assert parent.value == pytest.approx(left.value + right.value, abs=1e-12)
 
     def test_cap_below_tolerance_flags_unconverged(self):
@@ -206,6 +217,81 @@ class TestCurveLength:
         assert not est.converged
         assert est.depth == 6
         assert est.value > 1.0
+
+    def test_cap_counts_refinements_below_the_curve_level(self):
+        cid = kappa(5, 17) + 2
+        est = harmonic_curve_length(CX, cid, tol=0.0, cap=4, table=TABLE)
+        assert (est.level, est.depth, est.segments) == (5, 9, 16)
+        assert len(est.increments) == 4 and not est.converged
+
+    def test_rejects_curves_beyond_the_complex(self):
+        with pytest.raises(ValueError, match="curve ids"):
+            harmonic_curve_length(CX, curve_count(5), table=TABLE)
+
+
+class TestLengthOracle:
+    RULE = derive_subdivision_rule()
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 7, 10])
+    def test_base_polyline_equals_oracle_integers(self, cap):
+        got = base_polyline(cap, self.RULE)
+        assert got.dtype == np.int64 and got.shape == (2**cap + 1, 3)
+        assert got.tolist() == [list(p) for p in oracles.edge_polyline(cap, self.RULE)]
+
+    @staticmethod
+    def _agree(est, ref):
+        assert (est.depth, est.segments, est.converged) == (
+            ref.depth, ref.segments, ref.converged)
+        assert est.value == pytest.approx(ref.value, rel=1e-12, abs=0)
+        assert len(est.increments) == len(ref.increments)
+        for a, b in zip(est.increments, ref.increments):
+            assert abs(a - b) <= 1e-12 * ref.value
+
+    def test_every_curve_through_level4_at_equal_depth(self):
+        cx = build_gasket(4)
+        table = HarmonicTable(cx)
+        ests = harmonic_lengths(cx, table, range(curve_count(4)), tol=0.0, cap=6)
+        for est in ests:
+            ref = oracles.harmonic_curve_length(cx, est.curve_id, 0.0,
+                                                est.level + 6, table)
+            self._agree(est, ref)
+
+    def test_sampled_level6_curves_stop_where_the_oracle_stops(self):
+        cx = build_gasket(6)
+        table = HarmonicTable(cx)
+        ids = random.Random(606).sample(range(kappa(6, 0), curve_count(6)), 24)
+        for est in harmonic_lengths(cx, table, ids):
+            assert est.converged
+            ref = oracles.harmonic_curve_length(cx, est.curve_id, 1e-6,
+                                                est.level + 12, table)
+            self._agree(est, ref)
+
+    def test_one_curve_call_matches_the_batch(self):
+        ids = [0, 4, kappa(3, 20) + 1, kappa(5, 200)]
+        batch = harmonic_lengths(CX, TABLE, ids)
+        for cid, est in zip(ids, batch):
+            assert harmonic_curve_length(CX, cid, table=TABLE) == est
+
+
+class TestRefinementCap:
+    def test_overflowing_cap_refused(self):
+        with pytest.raises(ValueError, match=r"refinement cap 28 overflows int64.*2\^65"):
+            build_harmonic_gasket(1, cap=28)
+
+    def test_cap_past_the_memory_guard_refused(self, monkeypatch):
+        def no_build(level):
+            raise AssertionError("built the level-%d complex" % level)
+
+        monkeypatch.setattr("prefractal.harmonic.build_gasket", no_build)
+        with pytest.raises(ValueError, match=r"refinement cap 23: .* needs about "
+                                             r"\d+ MiB, above the guard of 1024 MiB"):
+            build_harmonic_gasket(1, cap=23)
+        with pytest.raises(ValueError, match="refinement cap 27: .* above the guard"):
+            harmonic_curve_length(CX, 0, cap=27, table=TABLE)
+
+    def test_negative_cap_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            harmonic_lengths(CX, TABLE, [0], cap=-1)
 
 
 class TestHarmonicGasket:
@@ -235,11 +321,19 @@ class TestHarmonicGasket:
         assert all(b / a < 1.5 for a, b in zip(totals, totals[1:]))
 
     def test_unconverged_estimates_reported_honestly(self):
-        hg = build_harmonic_gasket(3, tol=1e-6)
+        # at the default tol every curve converges; 1e-9 leaves some short
+        hg = build_harmonic_gasket(3, tol=1e-9)
+        assert 0 < len(hg.unconverged()) < len(hg.lengths)
         for cid in hg.unconverged():
             e = hg.lengths[cid]
-            assert e.depth == hg.cap
+            assert e.depth == e.level + hg.cap
             assert e.relative_increment > hg.tol
+
+    def test_level7_converges_at_the_defaults(self):
+        hg = build_harmonic_gasket(7)
+        assert len(hg.lengths) == curve_count(7)
+        assert hg.unconverged() == []
+        assert all(e.relative_increment <= 1e-6 for e in hg.lengths.values())
 
     def test_length_table_shape(self):
         hg = build_harmonic_gasket(1)
