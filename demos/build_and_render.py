@@ -36,10 +36,7 @@ print("wrote gasket_harmonic.svg")
 
 # the two embeddings agree on the three corners up to rotation/scale,
 # so compare their edge statistics instead of raw positions
-edge_len = []
-for c in cx.curves_at_level(LEVEL):
-    p, q = coords[c.endpoints[0]], coords[c.endpoints[1]]
-    edge_len.append(np.hypot(*(p - q)))
-edge_len = np.array(edge_len)
+ends = cx.curve_ends(LEVEL)
+edge_len = np.hypot(*(coords[ends[:, 0]] - coords[ends[:, 1]]).T)
 print("harmonic chord lengths at level %d: min %.5f, mean %.5f, max %.5f"
       % (LEVEL, edge_len.min(), edge_len.mean(), edge_len.max()))

@@ -18,9 +18,10 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .gasket import build_gasket, check_memory, complex_to_dict, curve_count
+from .gasket import build_gasket, check_memory, complex_to_dict, curve_count, vertex_count
 from .harmonic import HarmonicTable, build_harmonic_gasket, derive_subdivision_rule
 from .metric import (
+    _ROW_ENTRY_BYTES,
     certify_trace_agreement,
     check_agreement_size,
     gasket_cell_trace,
@@ -37,6 +38,23 @@ SCHEMA_VERSION = 2
 # peak RSS of `gen --format json` per curve of the complex: the dict per
 # curve and the whole text in memory (112/276/769 MiB at levels 8/9/10)
 _JSON_BYTES_PER_CURVE = 3000
+
+# peak RSS of `gen --format svg` per drawn triangle, either geometry: the
+# complex, the triangle and coordinate lists, one line per polygon and the
+# joined text (RSS grew by 1,040-1,060 bytes per triangle at levels 10-11)
+_SVG_BYTES_PER_TRIANGLE = 1100
+
+# peak RSS of `kantorovich` per edge of the level's metric graph: the
+# complex, the graph and the solver's arcs (RSS grew by 940-1,020 bytes
+# per edge at levels 9-11 on a one-point query); the plan-cost check adds
+# one distance row per point of mu
+_KANTOROVICH_BYTES_PER_EDGE = 1050
+
+# peak RSS of `extent` per edge of its coupled graph (the level-m and
+# level-n edges): the complex, its cell trace, both level graphs and the
+# coupled graph's copy of their edges (RSS grew by 940-1,410 bytes per
+# edge at (n, m) = (2, 9), (2, 11), (9, 10) and (10, 10), highest at n = m)
+_EXTENT_BYTES_PER_EDGE = 1450
 
 
 def _emit(text: str, out: str | None):
@@ -99,6 +117,10 @@ def cmd_gen(args) -> str:
         check_memory(_JSON_BYTES_PER_CURVE * curve_count(args.level),
                      "level %d is past the size cap for JSON output: the "
                      "complex as JSON text" % args.level)
+    else:
+        check_memory(_SVG_BYTES_PER_TRIANGLE * 3**args.level,
+                     "level %d is past the size cap for SVG output: the "
+                     "drawing of its triangles" % args.level)
     if args.geometry == "sg":
         cx = build_gasket(args.level)
         if args.format == "svg":
@@ -196,9 +218,13 @@ def cmd_dimension(args) -> str:
 
 
 def cmd_kantorovich(args) -> str:
-    graph = gasket_metric_graph(build_gasket(args.level), args.level)
     mu = _parse_measure(args.mu)
     nu = _parse_measure(args.nu)
+    check_memory(_KANTOROVICH_BYTES_PER_EDGE * 3 ** (args.level + 1)
+                 + _ROW_ENTRY_BYTES * len(mu) * vertex_count(args.level),
+                 "kantorovich at level %d: the metric graph and a distance "
+                 "row per point of mu" % args.level)
+    graph = gasket_metric_graph(build_gasket(args.level), args.level)
     res = kantorovich(graph, mu, nu)
     config = _config_echo(args, ("level", "mu", "nu"))
     return _json_text("kantorovich", config, {"transport": res.to_dict()})
@@ -206,6 +232,9 @@ def cmd_kantorovich(args) -> str:
 
 def cmd_extent(args) -> str:
     alpha = None if args.alpha == "auto" else _parse_fraction(args.alpha)
+    check_memory(_EXTENT_BYTES_PER_EDGE * (3 ** (args.m + 1) + 3 ** (args.n + 1)),
+                 "extent at levels (%d, %d): the level graphs, the coupled graph "
+                 "and the cell trace" % (args.n, args.m))
     rep = certify_extent(args.n, args.m, alpha=alpha,
                          samples_per_curve=args.samples,
                          mixture_trials=args.trials, seed=args.seed)

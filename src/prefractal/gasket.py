@@ -12,18 +12,25 @@ Curves (triangle edges) are indexed for all levels m <= n by the standard
 parametrization: the bottom, right and left edges of the r-th level-m
 triangle get ids kappa(m,r), kappa(m,r)+1, kappa(m,r)+2, and the total
 number of curves through level n is curve_count(n) = (3/2)(3**(n+1) - 1).
-Coarse edges overlap finer ones by design; nothing is deduplicated.
+Coarse edges overlap finer ones by design; nothing is deduplicated. The
+triangle table is the only store of curves: curve kappa(m, 0) + i has kind
+CURVE_KINDS[i % 3], length 2**-m, and runs between the CURVE_SLOTS[i % 3]
+corners of level-m triangle row i // 3 (PrefractalComplex.curve_ends).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
 CURVE_KINDS = ("bottom", "right", "left")
+
+# curve kind (bottom, right, left) -> corner slots (s, t, u) of its
+# triangle: the curve runs from corner s to corner t, u is the opposite one
+CURVE_SLOTS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+CURVE_SLOTS.flags.writeable = False
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -32,15 +39,15 @@ CORNERS = np.array([[0, 0], [1, 0], [0, 1]], dtype=np.int64)
 CORNERS.flags.writeable = False
 
 # cap on the estimated bytes of one allocation-heavy step: building a
-# complex, a gh-table run, or a row-by-row vertex-agreement check. It also
+# complex, a row-by-row vertex-agreement check, or a CLI command that
+# builds a complex (each command estimates its own peak). It also
 # keeps the int64 lattice coordinates (at most 2**max_level) far from overflow.
 MEMORY_GUARD_BYTES = 2**30
 
-# estimated bytes of a built complex per curve (the Curve, its endpoint
-# tuple and list slot, its share of the build's point arrays) and per
-# vertex row; peak RSS grew by 331-340 bytes per curve at levels 9-11
-_BYTES_PER_CURVE = 340
-_BYTES_PER_VERTEX = 16
+# peak bytes of build_gasket per curve: the corner point arrays, the
+# interning sort and the id tables, vertex rows included (tracemalloc peak
+# 86.4 bytes per curve at levels 9-11, of which 13.4 stay held)
+_BYTES_PER_CURVE = 90
 
 
 def check_memory(need: int, what: str) -> None:
@@ -121,16 +128,8 @@ def vertex_count(n: int) -> int:
     return (3 ** (n + 1) + 3) // 2
 
 
-class Curve(NamedTuple):
-    id: int
-    level: int
-    kind: str  # bottom | right | left
-    endpoints: tuple[int, int]
-    length: Fraction  # 2^-level
-
-
 class PrefractalComplex:
-    """All triangles, curves and vertices of the gasket through max_level.
+    """All triangles and vertices of the gasket through max_level.
 
     vertices is an int64 (|V|, 2) array of lattice coordinates (a, b)
     scaled by 2**max_level. Vertices are deduplicated and enumerated level
@@ -142,10 +141,9 @@ class PrefractalComplex:
     construction.
     """
 
-    def __init__(self, max_level, triangles, curves, vertices, level_vertex_counts):
+    def __init__(self, max_level, triangles, vertices, level_vertex_counts):
         self.max_level = max_level
         self.triangles = triangles  # one id array per level
-        self.curves = curves  # ordered by id
         self.vertices = vertices
         self.level_vertex_counts = level_vertex_counts  # |V_m| for m <= max_level
         for arr in (vertices, *triangles):
@@ -153,12 +151,16 @@ class PrefractalComplex:
 
     @property
     def b_n(self) -> int:
-        return len(self.curves)
+        return curve_count(self.max_level)
 
-    def curves_at_level(self, m: int) -> list[Curve]:
+    def curve_ends(self, m: int) -> np.ndarray:
+        """Read-only int64 (3**(m+1), 2) array: row i holds the endpoint
+        vertex ids of curve kappa(m, 0) + i, from its start to its end."""
         if not 0 <= m <= self.max_level:
             raise ValueError("level %d outside built range 0..%d" % (m, self.max_level))
-        return self.curves[kappa(m, 0) : kappa(m, 0) + 3 ** (m + 1)]
+        ends = self.triangles[m][:, CURVE_SLOTS[:, :2]].reshape(-1, 2)
+        ends.flags.writeable = False
+        return ends
 
     def vertex_pairs(self, count: int | None = None) -> list[list[int]]:
         """[a_num, a_exp, b_num, b_exp] per vertex: both coordinates as
@@ -174,9 +176,8 @@ class PrefractalComplex:
 
 
 def complex_bytes(max_level: int) -> int:
-    """Estimated bytes of build_gasket(max_level)."""
-    return (_BYTES_PER_CURVE * curve_count(max_level)
-            + _BYTES_PER_VERTEX * vertex_count(max_level))
+    """Estimated peak bytes of build_gasket(max_level)."""
+    return _BYTES_PER_CURVE * curve_count(max_level)
 
 
 def build_gasket(max_level: int) -> PrefractalComplex:
@@ -216,36 +217,26 @@ def build_gasket(max_level: int) -> PrefractalComplex:
         level_vertex_counts.append(int(ids[:stop].max()) + 1)
         start = stop
 
-    curves = []
-    for n, tris in enumerate(triangles):
-        lam = Fraction(1, 1 << n)
-        base = kappa(n, 0)
-        for r, (i0, i1, i2) in enumerate(tris.tolist()):
-            cid = base + 3 * r
-            curves.append(Curve(cid, n, "bottom", (i0, i1), lam))
-            curves.append(Curve(cid + 1, n, "right", (i1, i2), lam))
-            curves.append(Curve(cid + 2, n, "left", (i2, i0), lam))
-
-    return PrefractalComplex(max_level, triangles, curves, vertices, level_vertex_counts)
+    return PrefractalComplex(max_level, triangles, vertices, level_vertex_counts)
 
 
 # -- JSON round-trip ----------------------------------------------------
+
+
+def _curve_dicts(cx: PrefractalComplex) -> list[dict]:
+    """One JSON object per curve, ordered by id; the length 2**-m is the
+    [num, exp] pair [1, m]."""
+    return [{"id": kappa(m, 0) + i, "level": m, "kind": CURVE_KINDS[i % 3],
+             "endpoints": ends, "length": [1, m]}
+            for m in range(cx.max_level + 1)
+            for i, ends in enumerate(cx.curve_ends(m).tolist())]
 
 
 def complex_to_dict(cx: PrefractalComplex) -> dict:
     return {
         "maxLevel": cx.max_level,
         "vertices": cx.vertex_pairs(),
-        "curves": [
-            {
-                "id": c.id,
-                "level": c.level,
-                "kind": c.kind,
-                "endpoints": list(c.endpoints),
-                "length": dyadic_to_pair(c.length),
-            }
-            for c in cx.curves
-        ],
+        "curves": _curve_dicts(cx),
         "triangles": [
             {"level": m, "index": j + 1, "vertices": ids}
             for m, tris in enumerate(cx.triangles)
@@ -255,6 +246,13 @@ def complex_to_dict(cx: PrefractalComplex) -> dict:
 
 
 def complex_from_dict(data: dict) -> PrefractalComplex:
+    """Inverse of complex_to_dict.
+
+    Raises ValueError when the file is not a complex: a coordinate
+    exponent outside 0..maxLevel, level-m triangle indices other than
+    1..3**m, a vertex id outside the vertex list, a V_m that is not an id
+    prefix, or a curve that disagrees with the triangle table.
+    """
     max_level = data["maxLevel"]
     scale = 1 << max_level
     coords = []
@@ -265,15 +263,40 @@ def complex_from_dict(data: dict) -> PrefractalComplex:
         coords.append([int(dyadic_from_pair((a, ae)) * scale),
                        int(dyadic_from_pair((b, be)) * scale)])
     vertices = np.array(coords, dtype=np.int64).reshape(-1, 2)
-    rows = [[] for _ in range(max_level + 1)]
+    rows = {m: [] for m in range(max_level + 1)}
     for t in data["triangles"]:
+        if t["level"] not in rows:
+            raise ValueError("triangle level %r outside 0..maxLevel=%d"
+                             % (t["level"], max_level))
         rows[t["level"]].append((t["index"], t["vertices"]))
-    triangles = [np.array([ids for _, ids in sorted(r)], dtype=np.int64).reshape(-1, 3)
-                 for r in rows]
-    curves = [Curve(c["id"], c["level"], c["kind"], tuple(c["endpoints"]),
-                    dyadic_from_pair(c["length"]))
-              for c in data["curves"]]
-    curves.sort(key=lambda c: c.id)
-    counts = [len(np.unique(np.concatenate(triangles[: m + 1])))
-              for m in range(max_level + 1)]
-    return PrefractalComplex(max_level, triangles, curves, vertices, counts)
+    triangles, counts, seen = [], [], np.zeros(len(vertices) + 1, dtype=bool)
+    for m, r in rows.items():
+        r.sort(key=lambda entry: entry[0])
+        if [j for j, _ in r] != list(range(1, 3**m + 1)):
+            raise ValueError("level-%d triangle indices are not exactly 1..%d"
+                             % (m, 3**m))
+        tris = np.array([ids for _, ids in r], dtype=np.int64).reshape(-1, 3)
+        bad = (tris < 0) | (tris >= len(vertices))
+        if bad.any():
+            j, k = np.argwhere(bad)[0]
+            raise ValueError("level-%d triangle %d has vertex id %d outside 0..%d"
+                             % (m, j + 1, tris[j, k], len(vertices) - 1))
+        seen[tris.ravel()] = True
+        counts.append(int(np.argmin(seen)))
+        if seen[counts[-1]:].any():
+            raise ValueError("V_%d is not an id prefix: vertex %d is missing below "
+                             "vertex %d" % (m, counts[-1], np.flatnonzero(seen)[-1]))
+        triangles.append(tris)
+    cx = PrefractalComplex(max_level, triangles, vertices, counts)
+    if counts[-1] != len(vertices):
+        raise ValueError("vertex %d lies on no triangle" % counts[-1])
+    expected = _curve_dicts(cx)
+    curves = sorted(data["curves"], key=lambda c: c["id"])
+    for got, want in zip(curves, expected):
+        if got != want:
+            raise ValueError("curve %s disagrees with the triangle table: the file "
+                             "has %s, the triangles give %s" % (got["id"], got, want))
+    if len(curves) != len(expected):
+        raise ValueError("the file has %d curves, its triangles give %d"
+                         % (len(curves), len(expected)))
+    return cx

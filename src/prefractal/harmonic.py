@@ -22,7 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gasket import PrefractalComplex, build_gasket, check_memory, curve_count, kappa
+from .gasket import (CURVE_KINDS, CURVE_SLOTS, PrefractalComplex, build_gasket,
+                     check_memory, curve_count, kappa)
 from .metric import MetricGraph, gasket_metric_graph
 
 RATIONAL_DEPTH_CAP = 12  # numerators grow as den^depth; ints stay cheap here
@@ -38,10 +39,6 @@ _BLOCK_ENTRIES = 1 << 16
 _BYTES_PER_POINT = 200
 
 EMBED_SCALE = math.sqrt(2) / 2
-
-# curve kind (bottom, right, left) -> slots (s, t, u) of the owning cell:
-# the curve runs from corner s to corner t, and u is the opposite corner
-_KIND_SLOTS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 
 
 def _solve_exact(a, b):
@@ -83,8 +80,8 @@ def derive_subdivision_rule() -> SubdivisionRule:
     cx = build_gasket(1)
     interior = [v for v in range(cx.level_vertex_counts[1]) if v > 2]
     neighbors = {v: [] for v in interior}
-    for c in cx.curves_at_level(1):
-        for v, w in (c.endpoints, c.endpoints[::-1]):
+    for ends in cx.curve_ends(1).tolist():
+        for v, w in (ends, ends[::-1]):
             if v in neighbors:
                 neighbors[v].append(w)
 
@@ -131,7 +128,7 @@ class HarmonicTable:
         self.numerators[:3] = np.eye(3, dtype=np.int64)
 
         adj, opp, den = rule.adjacent, rule.opposite, rule.den
-        s, t, u = _KIND_SLOTS.T  # the midpoint of corners s and t faces u
+        s, t, u = CURVE_SLOTS.T  # the midpoint of corners s and t faces u
         for m in range(cx.max_level):
             corn = self.at_level(cx.triangles[m], m)  # (triangle, slot, coordinate)
             # child 3k + s of triangle k is its subcell at corner s, and
@@ -259,7 +256,7 @@ def _curve_edges(cx: PrefractalComplex, table: HarmonicTable,
         sel = levels == m
         tri, kind = np.divmod(ids[sel] - starts[m], 3)
         exact = table.at_level(np.take_along_axis(
-            cx.triangles[m][tri], _KIND_SLOTS[kind], axis=1), m)
+            cx.triangles[m][tri], CURVE_SLOTS[kind], axis=1), m)
         edges[sel] = (exact[:, 1:] - exact[:, :1]).transpose(0, 2, 1) / table.rule.den**m
     return levels, edges
 
@@ -336,12 +333,11 @@ class HarmonicGasket:
     def metric_graph(self, level: int | None = None) -> MetricGraph:
         if level is None:
             level = self.cx.max_level
-        weights = {c.id: self.lengths[c.id].value
-                   for c in self.cx.curves_at_level(level)}
+        weights = {e.curve_id: e.value for e in self.lengths_at_level(level)}
         return gasket_metric_graph(self.cx, level, harmonic_lengths=weights)
 
     def lengths_at_level(self, level: int) -> list[LengthEstimate]:
-        return [self.lengths[c.id] for c in self.cx.curves_at_level(level)]
+        return [self.lengths[cid] for cid in range(kappa(level, 0), kappa(level + 1, 0))]
 
     def max_length_at_level(self, level: int) -> float:
         return max(e.value for e in self.lengths_at_level(level))
@@ -358,7 +354,7 @@ class HarmonicGasket:
         return [[str(f) for f in self.table.triple(v)] for v in range(n)]
 
     def length_table(self) -> list[dict]:
-        return [{"id": cid, "level": e.level, "kind": self.cx.curves[cid].kind,
+        return [{"id": cid, "level": e.level, "kind": CURVE_KINDS[cid % 3],
                  "length": e.value, "depth": e.depth,
                  "lastIncrement": e.last_increment, "converged": e.converged}
                 for cid, e in sorted(self.lengths.items())]

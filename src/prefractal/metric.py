@@ -26,8 +26,8 @@ from math import isfinite, lcm
 
 import numpy as np
 
-from .gasket import (PrefractalComplex, build_gasket, check_memory, complex_bytes,
-                     dyadic_from_pair, dyadic_to_pair)
+from .gasket import (CURVE_SLOTS, PrefractalComplex, build_gasket, check_memory,
+                     complex_bytes, dyadic_from_pair, dyadic_to_pair, kappa)
 
 
 def _is_exact_weight(w) -> bool:
@@ -234,17 +234,18 @@ def gasket_metric_graph(cx: PrefractalComplex, level: int | None = None,
     """
     if level is None:
         level = cx.max_level
-    curves = cx.curves_at_level(level)
+    ends = cx.curve_ends(level).tolist()
+    ids = range(kappa(level, 0), kappa(level + 1, 0))
     nv = cx.level_vertex_counts[level]
     if harmonic_lengths is None:
-        edges = [(c.endpoints[0], c.endpoints[1], c.length) for c in curves]
+        lam = Fraction(1, 1 << level)  # one shared weight object: see MetricGraph
+        edges = [(u, v, lam) for u, v in ends]
         tag = "euclidean-gasket level %d" % level
     else:
-        edges = [(c.endpoints[0], c.endpoints[1], harmonic_lengths[c.id]) for c in curves]
+        edges = [(u, v, harmonic_lengths[cid]) for (u, v), cid in zip(ends, ids)]
         tag = "harmonic-gasket level %d" % level
     keys = [tuple(p) for p in cx.vertex_pairs(nv)]
-    return MetricGraph(nv, edges, provenance=tag,
-                       edge_ids=[c.id for c in curves], vertex_keys=keys)
+    return MetricGraph(nv, edges, provenance=tag, edge_ids=ids, vertex_keys=keys)
 
 
 def geodesic_vertex_distances(g: MetricGraph, sources=None):
@@ -656,13 +657,14 @@ def gasket_cell_trace(cx: PrefractalComplex, n: int, m: int) -> CellTrace:
     nv_n, nv_m = cx.level_vertex_counts[n], cx.level_vertex_counts[m]
     ends, cell_of, vertex_of, sources = _cell_union(corners, tri, n, m, nv_n, nv_m)
 
-    # CSR adjacency of the three edges of every level-m triangle
-    src = np.concatenate([ends.ravel(), ends[:, [1, 2, 0]].ravel()])
-    dst = np.concatenate([ends[:, [1, 2, 0]].ravel(), ends.ravel()])
+    # CSR adjacency of the three curves of every level-m triangle
+    head, tail = (ends[:, CURVE_SLOTS[:, k]].ravel() for k in (0, 1))
+    src = np.concatenate([head, tail])
+    dst = np.concatenate([tail, head])
     nbr = dst[np.argsort(src, kind="stable")]
     indptr = np.zeros(len(cell_of) + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=len(cell_of)), out=indptr[1:])
-    del ends, src, dst
+    del ends, head, tail, src, dst
 
     dist = np.empty((3, len(cell_of)), dtype=np.int64)
     for k in range(3):
@@ -689,7 +691,7 @@ def certify_trace_agreement(trace: CellTrace) -> AgreementReport:
     off_diagonal = ~np.eye(3, dtype=bool)
     if (trace.hops[:, off_diagonal] == 2 ** (m - n)).all():
         return AgreementReport(n, m, nv, Fraction(0), (0, 1), True)
-    sides = ((0, 1), (1, 2), (2, 0))  # bottom, right and left edges
+    sides = CURVE_SLOTS[:, :2].tolist()
     w_n = Fraction(1, 2**n)
     g_n = MetricGraph(nv, [(ids[a], ids[b], w_n) for ids in trace.corners.tolist()
                            for a, b in sides])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, lcm
 
-from .gasket import PrefractalComplex, build_gasket
+from .gasket import PrefractalComplex, build_gasket, kappa
 from .metric import (EdgePoint, FiniteMetricSpace, MetricGraph, _is_exact_weight,
                      _resolve_point, gasket_metric_graph, gh_upper_bound,
                      sample_parameters)
@@ -631,9 +631,9 @@ def sampled_metric_space(cx: PrefractalComplex, level: int,
     g = gasket_metric_graph(cx, level)
     nv = g.vertex_count
     points = list(range(nv))
-    for c in cx.curves_at_level(level):
+    for cid in range(kappa(level, 0), kappa(level + 1, 0)):
         for t in sample_parameters(samples_per_curve):
-            points.append(EdgePoint(c.id, t))
+            points.append(EdgePoint(cid, t))
     for p in extra_points:
         if p not in points:
             points.append(p)

@@ -12,6 +12,10 @@ from prefractal.gasket import complex_from_dict, curve_count, vertex_count
 from prefractal.spectrum import SpectrumSpec, enumerate_eigenvalues
 
 
+def _no_build(level):
+    raise AssertionError("built the level-%d complex" % level)
+
+
 def _run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
@@ -33,7 +37,8 @@ class TestGen:
         code, out, _ = _run(capsys, "gen", "--level", "2")
         cx = complex_from_dict(json.loads(out)["complex"])
         assert cx.max_level == 2
-        assert len(cx.curves) == curve_count(2)
+        assert cx.b_n == curve_count(2)
+        assert sum(len(cx.curve_ends(m)) for m in range(3)) == curve_count(2)
 
     def test_cap_violation_names_the_cap(self, capsys):
         code, out, err = _run(capsys, "gen", "--level", "30")
@@ -53,16 +58,25 @@ class TestGen:
 
     def test_json_guard_refuses_before_building(self, capsys, monkeypatch):
         # level 12 passes the build guard, but its JSON text would not fit
-        def no_build(level):
-            raise AssertionError("built the level-%d complex" % level)
-
-        monkeypatch.setattr("prefractal.cli.build_gasket", no_build)
+        monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
         code, out, err = _run(capsys, "gen", "--level", "12", "--format", "json")
         assert code == 2 and out == ""
         payload = json.loads(err)
         assert payload["error"] == "validation"
         assert re.search(r"JSON text needs about \d+ MiB, above the guard of 1024 MiB",
                          payload["message"])
+
+    @pytest.mark.parametrize("geometry", ["sg", "harmonic"])
+    def test_svg_guard_refuses_before_building(self, geometry, capsys, monkeypatch):
+        # level 12 draws (about 560 MiB); level 13 is the first refused
+        monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
+        code, out, err = _run(capsys, "gen", "--geometry", geometry,
+                              "--level", "13", "--format", "svg")
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["message"] == (
+            "level 13 is past the size cap for SVG output: the drawing of its "
+            "triangles needs about 1672 MiB, above the guard of 1024 MiB")
 
     def test_harmonic_carries_quadrature_metadata(self, capsys):
         code, out, _ = _run(capsys, "gen", "--geometry", "harmonic",
@@ -141,17 +155,38 @@ class TestTables:
         assert json.loads(err)["error"] == "validation"
 
     def test_gh_table_refuses_oversized_agreement(self, capsys, monkeypatch):
-        # the level-13 complex (2,362 MiB) and its cell trace (684 MiB)
-        def no_build(level):
-            raise AssertionError("built the level-%d complex" % level)
-
-        monkeypatch.setattr("prefractal.cli.build_gasket", no_build)
+        # the level-13 complex (615 MiB) and its cell trace (684 MiB)
+        monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
         code, _, err = _run(capsys, "gh-table", "--max-level", "3", "--m", "13")
         assert code == 2
         payload = json.loads(err)
         assert payload["error"] == "validation"
         assert payload["message"] == ("the level-13 complex and its cell trace needs "
-                                      "about 3047 MiB, above the guard of 1024 MiB")
+                                      "about 1299 MiB, above the guard of 1024 MiB")
+
+    def test_kantorovich_guard_refuses_before_building(self, capsys, monkeypatch):
+        # level 11 runs (about 510 MiB on a one-point query); level 12 is refused
+        monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
+        code, out, err = _run(capsys, "kantorovich", "--level", "12",
+                              "--mu", "0:1", "--nu", "1:1")
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["message"] == (
+            "kantorovich at level 12: the metric graph and a distance row per "
+            "point of mu needs about 1623 MiB, above the guard of 1024 MiB")
+
+    @pytest.mark.parametrize("n,m,mib", [(11, 11, 1469), (2, 12, 2204)])
+    def test_extent_guard_refuses_before_building(self, n, m, mib, capsys,
+                                                  monkeypatch):
+        # the smallest refused m: 11 with n = 11, 12 for every smaller n
+        monkeypatch.setattr("prefractal.transport.build_gasket", _no_build)
+        code, out, err = _run(capsys, "extent", "--n", str(n), "--m", str(m))
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["message"] == (
+            "extent at levels (%d, %d): the level graphs, the coupled graph and "
+            "the cell trace needs about %d MiB, above the guard of 1024 MiB"
+            % (n, m, mib))
 
     def test_gh_table_certifies_every_level_up_to_nine(self, capsys):
         # V_9 inside the level-10 graph; the hop-block check refused this

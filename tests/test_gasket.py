@@ -7,11 +7,14 @@ Core claims:
     - counts: 3^(n+1) triangles' edges at level n, (3^(n+1)+3)/2 vertices;
     - vertex enumeration is a stable prefix: V_n sits at the front of any
       deeper build, and equals the brute-force iterated-map vertex set;
-    - oversized builds are refused before anything is allocated.
+    - oversized builds are refused before anything is allocated, and the
+      build's memory stays within its estimate;
+    - a serialized complex is validated against its own triangle table.
 """
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +22,9 @@ import pytest
 
 from prefractal.gasket import (
     CORNERS,
+    CURVE_KINDS,
     build_gasket,
+    complex_bytes,
     complex_from_dict,
     complex_to_dict,
     curve_count,
@@ -140,7 +145,7 @@ class TestBuildGasket:
         cx = build_gasket(3)
         for m in range(4):
             assert cx.triangles[m].shape == (3**m, 3)
-            assert len(cx.curves_at_level(m)) == 3 ** (m + 1)
+            assert cx.curve_ends(m).shape == (3 ** (m + 1), 2)
         assert cx.b_n == curve_count(3)
         assert cx.vertices.shape == (vertex_count(3), 2)
 
@@ -175,11 +180,16 @@ class TestBuildGasket:
     def test_curve_endpoints_are_triangle_sides(self):
         cx = build_gasket(3)
         # side 2^-3 is one lattice step at scale 2^3
-        for c in cx.curves_at_level(3):
-            p = cx.vertices[c.endpoints[0]]
-            q = cx.vertices[c.endpoints[1]]
-            assert _squared_distance(p, q) == 1
-            assert c.length == Fraction(1, 8)
+        ends = cx.curve_ends(3)
+        for i, (u, v) in enumerate(ends.tolist()):
+            assert _squared_distance(cx.vertices[u], cx.vertices[v]) == 1
+            # bottom, right and left sides of triangle row i // 3
+            i0, i1, i2 = cx.triangles[3][i // 3].tolist()
+            assert (u, v) == ((i0, i1), (i1, i2), (i2, i0))[i % 3]
+        with pytest.raises(ValueError, match="level 4 outside built range"):
+            cx.curve_ends(4)
+        with pytest.raises(ValueError):
+            ends[0, 0] = 7
 
     def test_child_triangles_partition_ids(self):
         cx = build_gasket(2)
@@ -197,12 +207,11 @@ class TestBuildGasket:
         cx = build_gasket(2)
         for m in range(3):
             for j in range(3**m):
-                base = kappa(m, j)
-                bottom, right, left = (cx.curves[base + k] for k in range(3))
+                bottom, right, left = cx.curve_ends(m)[3 * j : 3 * j + 3].tolist()
                 # bottom ends where right starts, right ends where left starts
-                assert bottom.endpoints[1] == right.endpoints[0]
-                assert right.endpoints[1] == left.endpoints[0]
-                assert left.endpoints[1] == bottom.endpoints[0]
+                assert bottom[1] == right[0]
+                assert right[1] == left[0]
+                assert left[1] == bottom[0]
 
     def test_arrays_are_read_only(self):
         cx = build_gasket(1)
@@ -214,6 +223,19 @@ class TestBuildGasket:
         with pytest.raises(ValueError, match=r"max_level 14 .* needs about \d+ MiB, "
                                              r"above the guard of 1024 MiB"):
             build_gasket(14)
+
+    def test_memory_stays_within_the_estimate(self):
+        # the triangle table is the only per-curve store: peak within the
+        # guard's estimate, and a few int64 entries held per curve
+        build_gasket(9)  # warm imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            cx = build_gasket(9)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= complex_bytes(9)
+        assert held < 32 * cx.b_n
 
     def test_level_eleven_still_builds(self):
         cx = build_gasket(11)
@@ -230,11 +252,7 @@ class TestSerialization:
         assert (back.vertices == cx.vertices).all()
         assert all((b == t).all() for b, t in zip(back.triangles, cx.triangles))
         assert back.level_vertex_counts == cx.level_vertex_counts
-        assert len(back.curves) == len(cx.curves)
-        for c in cx.curves:
-            b = back.curves[c.id]
-            assert (b.level, b.kind, b.endpoints, b.length) == (
-                c.level, c.kind, c.endpoints, c.length)
+        assert complex_to_dict(back) == data
 
     def test_dict_shape(self):
         data = complex_to_dict(build_gasket(1))
@@ -244,10 +262,69 @@ class TestSerialization:
         assert {c["kind"] for c in data["curves"]} == {"bottom", "right", "left"}
         assert data["vertices"][3] == [1, 1, 0, 0]  # (1/2, 0)
         assert data["curves"][3]["length"] == [1, 1]
+        # curve kappa(m, 0) + i: kind i % 3, the sides of triangle row i // 3
+        tris = [t["vertices"] for t in data["triangles"]]
+        for c in data["curves"]:
+            level, row, kind = kappa_inverse(c["id"])
+            i0, i1, i2 = tris[(3**level - 1) // 2 + row]
+            assert c["kind"] == CURVE_KINDS[kind] and c["level"] == level
+            assert c["endpoints"] == [[i0, i1], [i1, i2], [i2, i0]][kind]
 
     @pytest.mark.parametrize("pair", [[1, -1], [1, 3]])
     def test_rejects_exponent_outside_level_range(self, pair):
         data = complex_to_dict(build_gasket(2))
         data["vertices"][4] = pair + [0, 0]
         with pytest.raises(ValueError, match="vertex 4 "):
+            complex_from_dict(data)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda tris: tris.pop(5),              # level-2 index 2 missing
+        lambda tris: tris[5].update(index=3),  # level-2 index 3 twice
+        lambda tris: tris[5].update(level=3),  # past maxLevel
+    ], ids=["missing", "duplicate", "level"])
+    def test_rejects_triangle_indices_other_than_one_to_three_to_the_m(self, corrupt):
+        data = complex_to_dict(build_gasket(2))
+        corrupt(data["triangles"])
+        with pytest.raises(ValueError, match="triangle (indices|level)"):
+            complex_from_dict(data)
+
+    def test_rejects_vertex_ids_outside_the_vertex_list(self):
+        # 15 vertices; the id 99 used to load and fail later in the cell trace
+        data = complex_to_dict(build_gasket(2))
+        data["triangles"][-1]["vertices"] = [0, 1, 99]
+        with pytest.raises(ValueError, match="level-2 triangle 9 has vertex id 99 "
+                                             "outside 0..14"):
+            complex_from_dict(data)
+        data["triangles"][-1]["vertices"] = [0, 1, -1]
+        with pytest.raises(ValueError, match="vertex id -1"):
+            complex_from_dict(data)
+
+    def test_rejects_v_m_that_is_not_an_id_prefix(self):
+        data = complex_to_dict(build_gasket(2))
+        tri = data["triangles"][1]  # level 1, index 1: [0, 3, 4]
+        assert tri["level"] == 1 and tri["vertices"] == [0, 3, 4]
+        tri["vertices"] = [0, 14, 4]
+        with pytest.raises(ValueError, match="V_1 is not an id prefix: vertex 6 "
+                                             "is missing below vertex 14"):
+            complex_from_dict(data)
+
+    def test_rejects_vertices_on_no_triangle(self):
+        data = complex_to_dict(build_gasket(2))
+        data["vertices"].append([1, 2, 1, 2])
+        with pytest.raises(ValueError, match="vertex 15 lies on no triangle"):
+            complex_from_dict(data)
+
+    def test_rejects_curve_that_disagrees_with_its_triangle(self):
+        # curve 38 is the left side [2, 13] of level-2 triangle 9, [13, 14, 2]
+        data = complex_to_dict(build_gasket(2))
+        assert data["triangles"][-1]["vertices"] == [13, 14, 2]
+        assert data["curves"][38]["endpoints"] == [2, 13]
+        data["curves"][38]["endpoints"] = [0, 14]
+        with pytest.raises(ValueError, match="curve 38 disagrees with the triangle "
+                                             "table"):
+            complex_from_dict(data)
+        data = complex_to_dict(build_gasket(2))
+        data["curves"].pop()
+        with pytest.raises(ValueError, match="the file has 38 curves, its "
+                                             "triangles give 39"):
             complex_from_dict(data)

@@ -44,8 +44,7 @@ TABLE = HarmonicTable(CX)
 def _level1_energy(values):
     cx = build_gasket(1)
     e = Fraction(0)
-    for c in cx.curves_at_level(1):
-        u, v = c.endpoints
+    for u, v in cx.curve_ends(1).tolist():
         e += (values[u] - values[v]) ** 2
     return e
 
@@ -57,8 +56,7 @@ def _exact_dirichlet_level2(corner):
     interior = list(range(3, nv))
     pos = {v: i for i, v in enumerate(interior)}
     neighbors = {v: [] for v in range(nv)}
-    for c in cx.curves_at_level(2):
-        u, w = c.endpoints
+    for u, w in cx.curve_ends(2).tolist():
         neighbors[u].append(w)
         neighbors[w].append(u)
     n = len(interior)

@@ -18,7 +18,7 @@ import pytest
 
 from oracles import hop_block, hop_block_agreement
 from prefractal.cli import main
-from prefractal.gasket import build_gasket, vertex_count
+from prefractal.gasket import build_gasket, kappa, vertex_count
 from prefractal.metric import (
     AgreementReport,
     EdgePoint,
@@ -208,7 +208,7 @@ class TestPointDistances:
         # brute force: min over four endpoint routes plus same-curve arc
         g = gasket_metric_graph(CX, 2)
         rng = random.Random(515)
-        curves = [c.id for c in CX.curves_at_level(2)]
+        curves = range(kappa(2, 0), kappa(3, 0))
         lam = Fraction(1, 4)
         for _ in range(60):
             ca, cb = rng.choice(curves), rng.choice(curves)
@@ -376,7 +376,7 @@ class TestHausdorffAndBounds:
 
     def test_fine_block_needs_the_hop_path(self):
         g1 = gasket_metric_graph(CX, 1)
-        lengths = {c.id: 0.5 for c in CX.curves_at_level(1)}
+        lengths = dict.fromkeys(range(kappa(1, 0), kappa(2, 0)), 0.5)
         g_float = gasket_metric_graph(CX, 1, harmonic_lengths=lengths)
         with pytest.raises(ValueError, match="uniform exact"):
             hop_block_agreement(1, 1, g1, g_float, fine_hops=np.zeros((6, 6), np.int64))
