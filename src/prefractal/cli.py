@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .gasket import build_gasket, check_memory, complex_to_dict, curve_count, vertex_count
+from .gasket import build_gasket, check_memory, complex_json_text, curve_count, vertex_count
 from .harmonic import HarmonicTable, build_harmonic_gasket, derive_subdivision_rule
 from .metric import (
     _ROW_ENTRY_BYTES,
@@ -35,9 +35,12 @@ from .transport import DiscreteMeasure, certify_extent, kantorovich
 
 SCHEMA_VERSION = 2
 
-# peak RSS of `gen --format json` per curve of the complex: the dict per
-# curve and the whole text in memory (112/276/769 MiB at levels 8/9/10)
-_JSON_BYTES_PER_CURVE = 3000
+# peak RSS of `gen --format json` per curve of the complex, by geometry:
+# the complex, its JSON text written row by row from the triangle table
+# and the joined document (58/110/265 MiB at sg levels 8/9/10, at most
+# 2,053 B per curve); harmonic adds a dict per curve for its length table
+# (117/285 MiB at levels 8/9, at most 4,138 B per curve)
+_JSON_BYTES_PER_CURVE = {"sg": 2100, "harmonic": 4200}
 
 # peak RSS of `gen --format svg` per drawn triangle, either geometry: the
 # complex, the triangle and coordinate lists, one line per polygon and the
@@ -47,7 +50,7 @@ _SVG_BYTES_PER_TRIANGLE = 1100
 # peak RSS of `kantorovich` per edge of the level's metric graph: the
 # complex, the graph and the solver's arcs (RSS grew by 940-1,020 bytes
 # per edge at levels 9-11 on a one-point query); the plan-cost check adds
-# one distance row per point of mu
+# one distance row at a time
 _KANTOROVICH_BYTES_PER_EDGE = 1050
 
 # peak RSS of `extent` per edge of its coupled graph (the level-m and
@@ -65,7 +68,15 @@ def _emit(text: str, out: str | None):
             fh.write(text)
 
 
-def _json_text(command: str, config: dict, body: dict) -> str:
+def _json_text(command: str, config: dict, body: dict,
+               texts: dict[str, str] | None = None) -> str:
+    """The document json.dumps(payload, sort_keys=True, indent=2) gives.
+
+    `texts` maps top-level keys to values that arrive as finished JSON
+    text one level deep; they go in verbatim. Every other value is dumped
+    on its own and re-indented, which is safe because json.dumps escapes
+    the newlines inside strings.
+    """
     payload = {
         "schemaVersion": SCHEMA_VERSION,
         "version": __version__,
@@ -73,7 +84,14 @@ def _json_text(command: str, config: dict, body: dict) -> str:
         "config": config,
     }
     payload.update(body)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    texts = texts or {}
+    parts = []
+    for key in sorted([*payload, *texts]):
+        value = texts[key] if key in texts else json.dumps(
+            payload[key], sort_keys=True, indent=2).replace("\n", "\n  ")
+        parts += [",\n  " if parts else "{\n  ", json.dumps(key), ": ", value]
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def _csv_text(header, rows) -> str:
@@ -114,7 +132,7 @@ def _config_echo(args, keys) -> dict:
 def cmd_gen(args) -> str:
     config = _config_echo(args, ("geometry", "level", "tol", "format"))
     if args.format == "json":
-        check_memory(_JSON_BYTES_PER_CURVE * curve_count(args.level),
+        check_memory(_JSON_BYTES_PER_CURVE[args.geometry] * curve_count(args.level),
                      "level %d is past the size cap for JSON output: the "
                      "complex as JSON text" % args.level)
     else:
@@ -125,7 +143,7 @@ def cmd_gen(args) -> str:
         cx = build_gasket(args.level)
         if args.format == "svg":
             return gasket_svg(cx, args.level)
-        return _json_text("gen", config, {"complex": complex_to_dict(cx)})
+        return _json_text("gen", config, {}, {"complex": complex_json_text(cx, 1)})
     if args.format == "svg":
         table = HarmonicTable(build_gasket(args.level))
         coords = plane_coords(table.embedding_array())
@@ -133,7 +151,6 @@ def cmd_gen(args) -> str:
     hg = build_harmonic_gasket(args.level, tol=args.tol)
     rule = derive_subdivision_rule()
     body = {
-        "complex": complex_to_dict(hg.cx),
         "subdivision": {"adjacent": rule.adjacent, "opposite": rule.opposite,
                         "denominator": rule.den},
         "lengths": hg.length_table(),
@@ -144,7 +161,7 @@ def cmd_gen(args) -> str:
         raise RuntimeError(
             "harmonic quadrature hit the refinement cap on %d curves before "
             "reaching tol=%g" % (len(hg.unconverged()), args.tol))
-    return _json_text("gen", config, body)
+    return _json_text("gen", config, body, {"complex": complex_json_text(hg.cx, 1)})
 
 
 def cmd_gh_table(args) -> str:
@@ -221,9 +238,9 @@ def cmd_kantorovich(args) -> str:
     mu = _parse_measure(args.mu)
     nu = _parse_measure(args.nu)
     check_memory(_KANTOROVICH_BYTES_PER_EDGE * 3 ** (args.level + 1)
-                 + _ROW_ENTRY_BYTES * len(mu) * vertex_count(args.level),
+                 + _ROW_ENTRY_BYTES * vertex_count(args.level),
                  "kantorovich at level %d: the metric graph and a distance "
-                 "row per point of mu" % args.level)
+                 "row" % args.level)
     graph = gasket_metric_graph(build_gasket(args.level), args.level)
     res = kantorovich(graph, mu, nu)
     config = _config_echo(args, ("level", "mu", "nu"))

@@ -21,6 +21,7 @@ corners of level-m triangle row i // 3 (PrefractalComplex.curve_ends).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -103,14 +104,18 @@ def kappa(n: int, r: int) -> int:
     return 3 * ((3**n - 1) // 2 + r)
 
 
+# kappa(n, 0) for n = 0, 1, ...; kappa_inverse extends it past the largest id seen
+_LEVEL_STARTS = [kappa(n, 0) for n in range(32)]
+
+
 def kappa_inverse(curve_id: int) -> tuple[int, int, int]:
     """Inverse lookup: curve id -> (level n, triangle index r, edge offset)."""
     if curve_id < 0:
         raise ValueError("curve id must be nonnegative, got %d" % curve_id)
-    n = 0
-    while kappa(n + 1, 0) <= curve_id:
-        n += 1
-    within = curve_id - kappa(n, 0)
+    while _LEVEL_STARTS[-1] <= curve_id:
+        _LEVEL_STARTS.append(kappa(len(_LEVEL_STARTS), 0))
+    n = bisect_right(_LEVEL_STARTS, curve_id) - 1
+    within = curve_id - _LEVEL_STARTS[n]
     return (n, within // 3, within % 3)
 
 
@@ -165,9 +170,13 @@ class PrefractalComplex:
     def vertex_pairs(self, count: int | None = None) -> list[list[int]]:
         """[a_num, a_exp, b_num, b_exp] per vertex: both coordinates as
         normalized [num, exp] pairs, independent of max_level."""
+        return self._pair_array(count).tolist()
+
+    def _pair_array(self, count: int | None = None) -> np.ndarray:
+        """int64 (count, 4) array of the rows of vertex_pairs."""
         scale = 1 << self.max_level
-        pair = [dyadic_to_pair(Fraction(k, scale)) for k in range(scale + 1)]
-        return [pair[a] + pair[b] for a, b in self.vertices[:count].tolist()]
+        pair = np.array([dyadic_to_pair(Fraction(k, scale)) for k in range(scale + 1)])
+        return pair[self.vertices[:count]].reshape(-1, 4)
 
     def euclidean(self) -> np.ndarray:
         """Float (|V|, 2) array of the vertices' plane images (a + b/2, b*sqrt(3)/2)."""
@@ -243,6 +252,49 @@ def complex_to_dict(cx: PrefractalComplex) -> dict:
             for j, ids in enumerate(tris.tolist())
         ],
     }
+
+
+def _fill(row: str, table: np.ndarray) -> str:
+    """`row` once per row of the int array `table`, comma-separated, with
+    that row's entries in its %d slots."""
+    return ",".join([row] * len(table)) % tuple(table.ravel().tolist())
+
+
+def complex_json_text(cx: PrefractalComplex, depth: int = 0) -> str:
+    """The text of json.dumps(complex_to_dict(cx), sort_keys=True, indent=2),
+    indented as a value nested `depth` levels deep.
+
+    Rendered straight from the vertex and triangle arrays with one
+    %-template per row, so no dict per curve or triangle is ever built.
+    """
+    p0, p1, p2, p3, p4 = ("\n" + "  " * (depth + k) for k in range(5))
+
+    def curve(m, kind):
+        return (p2 + "{" + p3 + '"endpoints": [' + p4 + "%d," + p4 + "%d" + p3 + "],"
+                + p3 + '"id": %d,' + p3 + '"kind": "' + kind + '",'
+                + p3 + '"length": [' + p4 + "1," + p4 + str(m) + p3 + "],"
+                + p3 + '"level": ' + str(m) + p2 + "}")
+
+    curves = []
+    for m in range(cx.max_level + 1):
+        # one table row per triangle: (start, end, id) of its three curves
+        ends = cx.curve_ends(m).reshape(-1, 3, 2)
+        ids = kappa(m, 0) + np.arange(3 ** (m + 1)).reshape(-1, 3, 1)
+        curves.append(_fill(",".join(curve(m, kind) for kind in CURVE_KINDS),
+                            np.concatenate([ends, ids], axis=2)))
+    triangles = [
+        _fill(p2 + "{" + p3 + '"index": %d,' + p3 + '"level": ' + str(m) + ","
+              + p3 + '"vertices": [' + p4 + "%d," + p4 + "%d," + p4 + "%d" + p3 + "]"
+              + p2 + "}",
+              np.column_stack([np.arange(1, len(tris) + 1), tris]))
+        for m, tris in enumerate(cx.triangles)]
+    vertices = _fill(p2 + "[" + p3 + "%d," + p3 + "%d," + p3 + "%d," + p3 + "%d" + p2 + "]",
+                     cx._pair_array())
+    return "".join([
+        "{", p1, '"curves": [', ",".join(curves), p1, "],",
+        p1, '"maxLevel": %d,' % cx.max_level,
+        p1, '"triangles": [', ",".join(triangles), p1, "],",
+        p1, '"vertices": [', vertices, p1, "]", p0, "}"])
 
 
 def complex_from_dict(data: dict) -> PrefractalComplex:

@@ -28,8 +28,12 @@ def gasket_curve_length(curve_id: int) -> Fraction:
 
 
 def mode_frequency(curve_id: int, mode: int) -> float:
-    """Diagonal eigenvalue pi*(mode+1/2)/length of the (curve, mode) basis vector."""
-    return math.pi * (mode + 0.5) / float(gasket_curve_length(curve_id))
+    """Diagonal eigenvalue pi*(mode+1/2)/length of the (curve, mode) basis vector.
+
+    The length is 2**-level, so the division is an exact scaling by 2**level.
+    """
+    level, _, _ = kappa_inverse(curve_id)
+    return math.pi * (mode + 0.5) * (1 << level)
 
 
 class ModeVector:

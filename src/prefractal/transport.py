@@ -319,14 +319,21 @@ def kantorovich(space: MetricGraph | FiniteMetricSpace, mu: DiscreteMeasure,
     _check_marginals(plan, mu_w, nu_w, 2 * floor, label)
 
     # plan costs from true distances: a decomposed path can only be longer
-    # than the geodesic, and no plan beats the optimum
-    movers = sorted({u for u, v, _ in plan if u != v})
-    if on_graph:
-        rows = {u: graph._sssp([u]) for u in movers}
-    else:
-        scaled = (lambda d: int(Fraction(d) * unit)) if graph.exact else float
-        rows = {u: [scaled(space.matrix[nodes[u]][q]) for q in nodes] for u in movers}
-    plan_cost = sum(m * rows[u][v] for u, v, m in plan if u != v)
+    # than the geodesic, and no plan beats the optimum. The moved entries
+    # are sorted by source, so one distance row is held at a time.
+    scaled = (lambda d: int(Fraction(d) * unit)) if graph.exact else float
+
+    def distance_row(u):
+        if on_graph:
+            return graph._sssp([u])
+        return [scaled(space.matrix[nodes[u]][q]) for q in nodes]
+
+    plan_cost, row_source, row = 0, None, None
+    for u, v, m in plan:
+        if u != v:
+            if u != row_source:
+                row_source, row = u, distance_row(u)
+            plan_cost += m * row[v]
     if abs(plan_cost - value) > tol:
         raise RuntimeError("plan cost %s disagrees with flow cost %s"
                            % (out(plan_cost, den), out(value, den)))

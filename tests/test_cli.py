@@ -7,8 +7,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from prefractal.cli import _parse_fraction, _parse_measure, main
-from prefractal.gasket import complex_from_dict, curve_count, vertex_count
+from prefractal import __version__
+from prefractal.cli import _json_text, _parse_fraction, _parse_measure, main
+from prefractal.gasket import (
+    build_gasket,
+    complex_from_dict,
+    complex_to_dict,
+    curve_count,
+    vertex_count,
+)
 from prefractal.spectrum import SpectrumSpec, enumerate_eigenvalues
 
 
@@ -65,6 +72,31 @@ class TestGen:
         assert payload["error"] == "validation"
         assert re.search(r"JSON text needs about \d+ MiB, above the guard of 1024 MiB",
                          payload["message"])
+
+    def test_harmonic_json_guard_refuses_before_building(self, capsys, monkeypatch):
+        # the harmonic length table costs more per curve than the sg text:
+        # level 10 passes the sg JSON guard but not the harmonic one
+        monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
+        monkeypatch.setattr("prefractal.cli.build_harmonic_gasket", _no_build)
+        code, out, err = _run(capsys, "gen", "--geometry", "harmonic",
+                              "--level", "10", "--format", "json")
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"] == (
+            "level 10 is past the size cap for JSON output: the complex as JSON "
+            "text needs about 1064 MiB, above the guard of 1024 MiB")
+        with pytest.raises(AssertionError, match="built the level-10 complex"):
+            main(["gen", "--level", "10", "--format", "json"])
+
+    @pytest.mark.parametrize("level", range(6))
+    def test_harmonic_json_is_the_dumps_text(self, level, capsys):
+        # the complex is written row by row and the document key by key;
+        # the text is still json.dumps's, with the complex of the sg build
+        code, out, _ = _run(capsys, "gen", "--geometry", "harmonic",
+                            "--level", str(level))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["complex"] == complex_to_dict(build_gasket(level))
+        assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     @pytest.mark.parametrize("geometry", ["sg", "harmonic"])
     def test_svg_guard_refuses_before_building(self, geometry, capsys, monkeypatch):
@@ -172,8 +204,16 @@ class TestTables:
         assert code == 2 and out == ""
         payload = json.loads(err)
         assert payload["message"] == (
-            "kantorovich at level 12: the metric graph and a distance row per "
-            "point of mu needs about 1623 MiB, above the guard of 1024 MiB")
+            "kantorovich at level 12: the metric graph and a distance row "
+            "needs about 1623 MiB, above the guard of 1024 MiB")
+
+    def test_kantorovich_guard_budgets_one_row(self, monkeypatch):
+        # the plan cost holds one distance row at a time, so the size of mu
+        # does not count: 300 points at level 11 pass the guard
+        monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
+        mu = ",".join("%d:1/300" % p for p in range(300))
+        with pytest.raises(AssertionError, match="built the level-11 complex"):
+            main(["kantorovich", "--level", "11", "--mu", mu, "--nu", "1000:1"])
 
     @pytest.mark.parametrize("n,m,mib", [(11, 11, 1469), (2, 12, 2204)])
     def test_extent_guard_refuses_before_building(self, n, m, mib, capsys,
@@ -291,6 +331,8 @@ class TestPlumbing:
     GOLDEN = (
         (["gen", "--level", "5"],
          "b5c85e2cf099f47a46bdd467df04f3f6fef2cfd7ee61326cd0165309a6ac7005"),
+        (["gen", "--level", "7"],
+         "e729b1d12125b4ca7740d555a15139db8bad51ad0f6b66c3684faf4e9227fc86"),
         (["gen", "--level", "5", "--format", "svg"],
          "90d8229836c41bc8f2e60195220bdd109fb7b937d3fbca3d48225fa47cb906ab"),
         (["gen", "--geometry", "harmonic", "--level", "3"],
@@ -310,6 +352,18 @@ class TestPlumbing:
         assert main(argv + ["--out", str(path)]) == 0
         capsys.readouterr()
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_json_text_matches_dumps_of_the_payload(self):
+        # verbatim texts sit beside dumped values of every kind, strings
+        # with newlines and empty containers included
+        body = {"empty": [], "none": {}, "nested": {"b": [1.5, None], "a": "x\ny"},
+                "text": "line\nbreak", "flag": True}
+        texts = {"complex": json.dumps({"z": [1, [2]], "a": {}}, sort_keys=True,
+                                       indent=2).replace("\n", "\n  ")}
+        payload = {"schemaVersion": 2, "version": __version__, "command": "cmd",
+                   "config": {"k": 1}, "complex": {"z": [1, [2]], "a": {}}, **body}
+        assert (_json_text("cmd", {"k": 1}, body, texts)
+                == json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
     def test_flags_are_registered_only_where_read(self):
         for argv in (["gen", "--level", "1", "--seed", "1"],

@@ -9,9 +9,11 @@ Core claims:
       deeper build, and equals the brute-force iterated-map vertex set;
     - oversized builds are refused before anything is allocated, and the
       build's memory stays within its estimate;
-    - a serialized complex is validated against its own triangle table.
+    - a serialized complex is validated against its own triangle table,
+      and its JSON text is json.dumps's text of complex_to_dict.
 """
 
+import json
 import math
 import random
 import tracemalloc
@@ -26,6 +28,7 @@ from prefractal.gasket import (
     build_gasket,
     complex_bytes,
     complex_from_dict,
+    complex_json_text,
     complex_to_dict,
     curve_count,
     kappa,
@@ -126,6 +129,23 @@ class TestCurveIndexing:
                 cid = kappa(n, r)
                 for off in range(3):
                     assert kappa_inverse(cid + off) == (n, r, off)
+
+    def test_kappa_inverse_matches_level_loop_at_boundaries(self):
+        # the level search that the bisect over level starts replaced,
+        # past the precomputed table so that it has to grow
+        def loop_level(cid):
+            n = 0
+            while kappa(n + 1, 0) <= cid:
+                n += 1
+            return n
+
+        for n in range(45):
+            start = kappa(n, 0)
+            for cid in (start - 1, start, start + 1):
+                if cid >= 0:
+                    level = loop_level(cid)
+                    within = cid - kappa(level, 0)
+                    assert kappa_inverse(cid) == (level, within // 3, within % 3)
 
     def test_counts(self):
         assert curve_count(1) == 12
@@ -253,6 +273,13 @@ class TestSerialization:
         assert all((b == t).all() for b, t in zip(back.triangles, cx.triangles))
         assert back.level_vertex_counts == cx.level_vertex_counts
         assert complex_to_dict(back) == data
+
+    @pytest.mark.parametrize("level", range(9))
+    def test_json_text_is_the_dumps_text(self, level):
+        cx = build_gasket(level)
+        want = json.dumps(complex_to_dict(cx), sort_keys=True, indent=2)
+        assert complex_json_text(cx, 0) == want
+        assert complex_json_text(cx, 1) == want.replace("\n", "\n  ")
 
     def test_dict_shape(self):
         data = complex_to_dict(build_gasket(1))

@@ -103,6 +103,14 @@ class TestDnNorm:
     def test_frequency_sign_carries_mode_sign(self):
         assert mode_frequency(0, -1) == -mode_frequency(0, 0)
 
+    def test_frequency_equals_division_by_fraction_length(self):
+        # dividing by the float of 2**-level is an exact scaling by 2**level
+        for level in range(31):
+            for j in (kappa(level, 0), kappa(level + 1, 0) - 1):
+                length = float(Fraction(1, 2**level))
+                for k in range(-64, 65):
+                    assert mode_frequency(j, k) == math.pi * (k + 0.5) / length
+
 
 class TestProject:
     def test_identity_on_members(self):

@@ -1,8 +1,10 @@
-"""The benchmark's tracer still finds every function it wraps.
+"""The benchmark still runs against the package.
 
 perfbench/spans.py wraps prefractal's public functions by name, so
-deleting or renaming one of them breaks every traced benchmark run. This
-installs the tracer in a fresh interpreter, without running a workload.
+deleting or renaming one of them breaks every traced benchmark run. One
+test installs the tracer in a fresh interpreter, without running a
+workload; the other runs the benchmark's self-test, whose checks parse
+every artifact of the workloads at tiny sizes.
 """
 
 import os
@@ -21,3 +23,9 @@ def test_perfbench_tracer_installs(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_perfbench_selftest_passes():
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
