@@ -35,29 +35,36 @@ from .transport import DiscreteMeasure, certify_extent, kantorovich
 
 SCHEMA_VERSION = 2
 
-# peak RSS of `gen --format json` per curve of the complex, by geometry:
-# the complex, its JSON text written row by row from the triangle table
-# and the joined document (58/110/265 MiB at sg levels 8/9/10, at most
-# 2,053 B per curve); harmonic adds a dict per curve for its length table
-# (117/285 MiB at levels 8/9, at most 4,138 B per curve)
-_JSON_BYTES_PER_CURVE = {"sg": 2100, "harmonic": 4200}
+# peak RSS of the interpreter with prefractal and numpy imported (`gen
+# --level 0` peaks at 31.3 MiB); the JSON, kantorovich and extent guards
+# add a measured slope per curve or per edge on top of it
+_BASE_BYTES = 32 << 20
+
+# peak RSS of `gen --format json` per curve of the complex above the base,
+# by geometry: the complex, its JSON text written row by row from the
+# triangle table and the joined document (57/109/264/695 MiB at sg levels
+# 8-11, 874-925 B per curve); harmonic adds a dict per curve for its
+# length table (116/285/782 MiB at levels 8-10, 2,964-3,001 B per curve)
+_JSON_BYTES_PER_CURVE = {"sg": 950, "harmonic": 3050}
 
 # peak RSS of `gen --format svg` per drawn triangle, either geometry: the
 # complex, the triangle and coordinate lists, one line per polygon and the
 # joined text (RSS grew by 1,040-1,060 bytes per triangle at levels 10-11)
 _SVG_BYTES_PER_TRIANGLE = 1100
 
-# peak RSS of `kantorovich` per edge of the level's metric graph: the
-# complex, the graph and the solver's arcs (RSS grew by 940-1,020 bytes
-# per edge at levels 9-11 on a one-point query); the plan-cost check adds
-# one distance row at a time
-_KANTOROVICH_BYTES_PER_EDGE = 1050
+# peak RSS of `kantorovich` per edge of the level's metric graph above the
+# base: the complex, the graph's arrays and the solver's per-slot lists
+# (58/115/258/753 MiB at levels 9-12 on a one-point query from corner 0
+# to corner 1, 428-477 B per edge beside the row); the plan-cost check
+# adds one distance row at a time
+_KANTOROVICH_BYTES_PER_EDGE = 500
 
 # peak RSS of `extent` per edge of its coupled graph (the level-m and
-# level-n edges): the complex, its cell trace, both level graphs and the
-# coupled graph's copy of their edges (RSS grew by 940-1,410 bytes per
-# edge at (n, m) = (2, 9), (2, 11), (9, 10) and (10, 10), highest at n = m)
-_EXTENT_BYTES_PER_EDGE = 1450
+# level-n edges) above the base: the complex, its cell trace, both level
+# graphs and the coupled graph (435-516 B per edge at (n, m) = (2, 9),
+# (2, 10), (9, 10), (10, 10), (2, 11), (11, 11), (2, 12) and (10, 12),
+# highest at n = m; 766 MiB at (10, 12))
+_EXTENT_BYTES_PER_EDGE = 520
 
 
 def _emit(text: str, out: str | None):
@@ -132,7 +139,8 @@ def _config_echo(args, keys) -> dict:
 def cmd_gen(args) -> str:
     config = _config_echo(args, ("geometry", "level", "tol", "format"))
     if args.format == "json":
-        check_memory(_JSON_BYTES_PER_CURVE[args.geometry] * curve_count(args.level),
+        check_memory(_BASE_BYTES + _JSON_BYTES_PER_CURVE[args.geometry]
+                     * curve_count(args.level),
                      "level %d is past the size cap for JSON output: the "
                      "complex as JSON text" % args.level)
     else:
@@ -237,7 +245,7 @@ def cmd_dimension(args) -> str:
 def cmd_kantorovich(args) -> str:
     mu = _parse_measure(args.mu)
     nu = _parse_measure(args.nu)
-    check_memory(_KANTOROVICH_BYTES_PER_EDGE * 3 ** (args.level + 1)
+    check_memory(_BASE_BYTES + _KANTOROVICH_BYTES_PER_EDGE * 3 ** (args.level + 1)
                  + _ROW_ENTRY_BYTES * vertex_count(args.level),
                  "kantorovich at level %d: the metric graph and a distance "
                  "row" % args.level)
@@ -249,7 +257,8 @@ def cmd_kantorovich(args) -> str:
 
 def cmd_extent(args) -> str:
     alpha = None if args.alpha == "auto" else _parse_fraction(args.alpha)
-    check_memory(_EXTENT_BYTES_PER_EDGE * (3 ** (args.m + 1) + 3 ** (args.n + 1)),
+    edges = 3 ** (args.m + 1) + 3 ** (args.n + 1)
+    check_memory(_BASE_BYTES + _EXTENT_BYTES_PER_EDGE * edges,
                  "extent at levels (%d, %d): the level graphs, the coupled graph "
                  "and the cell trace" % (args.n, args.m))
     rep = certify_extent(args.n, args.m, alpha=alpha,

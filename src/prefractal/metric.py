@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, lcm
@@ -42,30 +41,79 @@ class EdgePoint:
     t: object  # Fraction (exact) or float
 
 
+def _bfs_hops(indptr, nbr, sources) -> np.ndarray:
+    """Hops from the nearest of `sources` over CSR adjacency; -1 if unreached."""
+    dist = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    slot_of = np.empty(len(dist), dtype=np.int64)
+    frontier = np.unique(sources)
+    dist[frontier] = 0
+    depth = 0
+    while len(frontier):
+        depth += 1
+        start = indptr[frontier]
+        count = indptr[frontier + 1] - start
+        # the CSR slots of every frontier vertex's neighbours, in one gather
+        slots = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+        reached = nbr[slots]
+        reached = reached[dist[reached] < 0]
+        # keep each new vertex once: the last write of its position wins
+        pos = np.arange(len(reached))
+        slot_of[reached] = pos
+        frontier = reached[slot_of[reached] == pos]
+        dist[frontier] = depth
+    return dist
+
+
+def _csr(ends: np.ndarray, n_vertices: int):
+    """CSR adjacency of the undirected edges in an int64 (E, 2) array.
+
+    Edge e is arc 2e from ends[e, 0] to ends[e, 1] and arc 2e + 1 back.
+    Returns indptr and, per slot, the arc id and its head: the arcs out of
+    v fill slots indptr[v]:indptr[v + 1] in edge order (a stable sort by
+    tail), so traversals meet neighbours in the order the edges were given.
+    """
+    tails = ends.ravel()
+    arc = np.argsort(tails, kind="stable")
+    indptr = np.zeros(n_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n_vertices), out=indptr[1:])
+    return indptr, arc, tails[arc ^ 1]
+
+
 class MetricGraph:
     """Undirected weighted graph with exact-or-float geodesic machinery.
 
-    Weights must either all be rational (int or Fraction),
-    giving exact integer shortest paths over a common denominator, or
-    floats. Construction verifies positivity and connectivity; instances
+    Edge e joins ends[e, 0] and ends[e, 1], rows of an int64 (E, 2) array,
+    and has weight weights[e]. Weights must either all be rational (int or
+    Fraction), kept as Python ints over the common denominator
+    value_scale() so shortest paths are exact integers at any size, or
+    all floats. indptr, arc and nbr are the CSR adjacency from _csr.
+    Construction verifies ranges, positivity and connectivity; instances
     are immutable by convention.
     """
 
-    def __init__(self, n_vertices, edges, provenance="generic",
+    def __init__(self, n_vertices, ends, weights, provenance="generic",
                  edge_ids=None, vertex_keys=None):
         if n_vertices <= 0:
             raise ValueError("graph needs at least one vertex")
-        if vertex_keys is not None and len(vertex_keys) != n_vertices:
-            raise ValueError("vertex_keys length does not match vertex count")
-        if edge_ids is not None and len(edge_ids) != len(edges):
+        ends = np.asarray(ends, dtype=np.int64).reshape(-1, 2)
+        weights = list(weights)
+        if vertex_keys is not None:
+            vertex_keys = np.asarray(vertex_keys, dtype=np.int64)
+            if len(vertex_keys) != n_vertices:
+                raise ValueError("vertex_keys length does not match vertex count")
+        if len(weights) != len(ends):
+            raise ValueError("weights length does not match edge count")
+        if edge_ids is not None and len(edge_ids) != len(ends):
             raise ValueError("edge_ids length does not match edge count")
+        outside = ((ends < 0) | (ends >= n_vertices)).any(axis=1)
+        if outside.any():
+            raise ValueError("edge (%r,%r) references a vertex out of range"
+                             % tuple(ends[outside.argmax()].tolist()))
         self.vertex_count = n_vertices
         self.provenance = provenance
-        self.vertex_keys = list(vertex_keys) if vertex_keys is not None else None
-        for u, v, _ in edges:
-            if not (0 <= u < n_vertices and 0 <= v < n_vertices):
-                raise ValueError("edge (%r,%r) references a vertex out of range" % (u, v))
-        weights = [w for _, _, w in edges]
+        self.edge_ids = edge_ids  # curve ids of the edges, a range, for EdgePoints
+        self.vertex_keys = vertex_keys
+        self.ends = ends
         exact = all(issubclass(t, (int, Fraction)) for t in set(map(type, weights)))
         self.exact = exact
 
@@ -84,73 +132,50 @@ class MetricGraph:
                 if not (isfinite(wf) and wf > 0):
                     raise ValueError("edge weights must be positive finite, got %r" % w)
             value[key] = wf
-        self.edges = [(u, v, value[k]) for (u, v, _), k in zip(edges, keys)]
-
         if exact:
             den = lcm(*(wf.denominator for wf in value.values()))
-            scaled = {k: wf.numerator * (den // wf.denominator) for k, wf in value.items()}
+            value = {k: wf.numerator * (den // wf.denominator) for k, wf in value.items()}
         else:
             den = None
-            scaled = value
         self._den = den
-        weights = [scaled[k] for k in keys]
-        self._int_weights = weights if exact else None
-        self._uniform = exact and len(set(scaled.values())) <= 1
-        adj = [[] for _ in range(n_vertices)]
-        for (u, v, _), w in zip(self.edges, weights):
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        self._adj = adj
+        self.weights = list(map(value.__getitem__, keys))  # internal units
+        # one exact weight: distances are hop counts times it
+        self._uniform = exact and len(set(value.values())) == 1
 
-        # curve registry for EdgePoint lookups
-        self._curves = {}
-        if edge_ids is not None:
-            for cid, (u, v, w) in zip(edge_ids, self.edges):
-                self._curves[cid] = (u, v, w)
+        self.indptr, self.arc, self.nbr = _csr(ends, n_vertices)
+        unreached = _bfs_hops(self.indptr, self.nbr, [0]) < 0
+        if unreached.any():
+            raise ValueError("graph is disconnected: vertex %d is unreachable "
+                             "from vertex 0" % unreached.argmax())
 
-        self._check_connected()
+    @property
+    def edges(self) -> list:
+        """(u, v, weight) per edge, in edge order, weights as values."""
+        return list(zip(*self.ends.T.tolist(), self.weight_values()))
 
-    def _check_connected(self):
-        seen = bytearray(self.vertex_count)
-        seen[0] = 1
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v, _ in self._adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    stack.append(v)
-        for v in range(self.vertex_count):
-            if not seen[v]:
-                raise ValueError(
-                    "graph is disconnected: vertex %d is unreachable from vertex 0" % v
-                )
+    def weight_values(self) -> list:
+        """Edge weights as values in edge order, Fractions when exact and
+        floats otherwise; equal weights share one object."""
+        value = {w: self._value(w) for w in set(self.weights)}
+        return list(map(value.__getitem__, self.weights))
 
     # -- internal single/multi source runs -----------------------------
 
+    def _slot_lists(self):
+        """indptr, and the head and internal weight of every CSR slot, as
+        Python lists for the heap loops."""
+        wt = np.array(self.weights, dtype=object)[self.arc >> 1]
+        return self.indptr.tolist(), self.nbr.tolist(), wt.tolist()
+
     def _sssp(self, sources):
         """Internal distances from the nearest of `sources` to every vertex."""
-        n = self.vertex_count
-        adj = self._adj
-        if self._uniform and self._int_weights:
-            w0 = self._int_weights[0]
-            dist = [-1] * n
-            dq = deque()
-            for s in sorted(sources):
-                if dist[s] != 0:
-                    dist[s] = 0
-                    dq.append(s)
-            while dq:
-                u = dq.popleft()
-                du = dist[u]
-                for v, _ in adj[u]:
-                    if dist[v] < 0:
-                        dist[v] = du + 1
-                        dq.append(v)
-            return [d * w0 for d in dist]
+        if self._uniform:
+            w0 = self.weights[0]
+            return [h * w0 for h in _bfs_hops(self.indptr, self.nbr, list(sources)).tolist()]
 
+        indptr, nbr, wt = self._slot_lists()
         inf = float("inf")
-        dist = [inf] * n
+        dist = [inf] * self.vertex_count
         heap = []
         for s in sorted(sources):
             dist[s] = 0
@@ -162,8 +187,9 @@ class MetricGraph:
             d, u = pop(heap)
             if d > dist[u]:
                 continue
-            for v, w in adj[u]:
-                nd = d + w
+            for k in range(indptr[u], indptr[u + 1]):
+                v = nbr[k]
+                nd = d + wt[k]
                 if nd < dist[v]:
                     dist[v] = nd
                     push(heap, (nd, v))
@@ -199,7 +225,7 @@ class MetricGraph:
         sources = list(sources)
         if not sources:
             raise ValueError("need at least one source vertex")
-        adj = self._adj
+        indptr, nbr, wt = self._slot_lists()
         label = [None] * self.vertex_count
         heap = []
         for pos, s in enumerate(sources):
@@ -211,11 +237,12 @@ class MetricGraph:
             d, pos, u = heapq.heappop(heap)
             if (d, pos) != label[u]:
                 continue
-            for v, w in adj[u]:
-                cand = (d + w, pos)
+            for k in range(indptr[u], indptr[u + 1]):
+                v = nbr[k]
+                cand = (d + wt[k], pos)
                 if label[v] is None or cand < label[v]:
                     label[v] = cand
-                    heapq.heappush(heap, (d + w, pos, v))
+                    heapq.heappush(heap, (d + wt[k], pos, v))
         return [pos for _, pos in label], [self._value(d) for d, _ in label]
 
     def internal_rows(self, sources):
@@ -234,26 +261,18 @@ def gasket_metric_graph(cx: PrefractalComplex, level: int | None = None,
     """
     if level is None:
         level = cx.max_level
-    ends = cx.curve_ends(level).tolist()
+    ends = cx.curve_ends(level)
     ids = range(kappa(level, 0), kappa(level + 1, 0))
     nv = cx.level_vertex_counts[level]
     if harmonic_lengths is None:
-        lam = Fraction(1, 1 << level)  # one shared weight object: see MetricGraph
-        edges = [(u, v, lam) for u, v in ends]
+        # one shared weight object: see MetricGraph
+        weights = [Fraction(1, 1 << level)] * len(ends)
         tag = "euclidean-gasket level %d" % level
     else:
-        edges = [(u, v, harmonic_lengths[cid]) for (u, v), cid in zip(ends, ids)]
+        weights = [harmonic_lengths[cid] for cid in ids]
         tag = "harmonic-gasket level %d" % level
-    keys = [tuple(p) for p in cx.vertex_pairs(nv)]
-    return MetricGraph(nv, edges, provenance=tag, edge_ids=ids, vertex_keys=keys)
-
-
-def geodesic_vertex_distances(g: MetricGraph, sources=None):
-    """Shortest-path distance rows from each source vertex (exact or float)."""
-    if sources is None:
-        sources = range(g.vertex_count)
-    rows = g.internal_rows(sources)
-    return [[g._value(d) for d in row] for row in rows]
+    return MetricGraph(nv, ends, weights, provenance=tag, edge_ids=ids,
+                       vertex_keys=cx._pair_array(nv))
 
 
 def _resolve_point(g: MetricGraph, p):
@@ -263,8 +282,7 @@ def _resolve_point(g: MetricGraph, p):
         return ("vertex", p)
     if not isinstance(p, EdgePoint):
         raise TypeError("expected vertex index or EdgePoint, got %r" % (p,))
-    entry = g._curves.get(p.curve_id)
-    if entry is None:
+    if g.edge_ids is None or p.curve_id not in g.edge_ids:
         raise ValueError(
             "curve id %d is not an edge of this graph (%s); points on coarser "
             "curves must be re-expressed at the graph's own level"
@@ -273,7 +291,9 @@ def _resolve_point(g: MetricGraph, p):
     t = Fraction(p.t) if g.exact and not isinstance(p.t, float) else float(p.t)
     if not 0 <= t <= 1:
         raise ValueError("edge parameter t=%s outside [0,1]" % p.t)
-    u, v, lam = entry
+    e = g.edge_ids.index(p.curve_id)
+    u, v = g.ends[e].tolist()
+    lam = g._value(g.weights[e])
     if t == 0:
         return ("vertex", u)
     if t == 1:
@@ -507,7 +527,7 @@ def certify_vertex_agreement(n: int, m: int, g_n: MetricGraph,
             % (g_m.vertex_count, nv)
         )
     if g_n.vertex_keys is not None and g_m.vertex_keys is not None:
-        if g_n.vertex_keys != g_m.vertex_keys[:nv]:
+        if not np.array_equal(g_n.vertex_keys, g_m.vertex_keys[:nv]):
             raise ValueError(
                 "vertex-indexing mismatch: shared-prefix vertex keys differ"
             )
@@ -566,29 +586,6 @@ class CellTrace:
     def hausdorff(self) -> Fraction:
         """Haus_{d_m}(V_n, V_m)."""
         return Fraction(self.haus_hops, 2**self.m)
-
-
-def _bfs_hops(indptr, nbr, sources) -> np.ndarray:
-    """Hops from the nearest of `sources` over CSR adjacency; -1 if unreached."""
-    dist = np.full(len(indptr) - 1, -1, dtype=np.int64)
-    slot_of = np.empty(len(dist), dtype=np.int64)
-    frontier = np.unique(sources)
-    dist[frontier] = 0
-    depth = 0
-    while len(frontier):
-        depth += 1
-        start = indptr[frontier]
-        count = indptr[frontier + 1] - start
-        # the CSR slots of every frontier vertex's neighbours, in one gather
-        slots = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
-        reached = nbr[slots]
-        reached = reached[dist[reached] < 0]
-        # keep each new vertex once: the last write of its position wins
-        pos = np.arange(len(reached))
-        slot_of[reached] = pos
-        frontier = reached[slot_of[reached] == pos]
-        dist[frontier] = depth
-    return dist
 
 
 def _cell_union(corners, tri, n: int, m: int, nv_n: int, nv_m: int):
@@ -655,16 +652,10 @@ def gasket_cell_trace(cx: PrefractalComplex, n: int, m: int) -> CellTrace:
         raise ValueError("%d level-%d triangles do not fill %d cells of %d"
                          % (len(tri), m, len(corners), 3 ** (m - n)))
     nv_n, nv_m = cx.level_vertex_counts[n], cx.level_vertex_counts[m]
-    ends, cell_of, vertex_of, sources = _cell_union(corners, tri, n, m, nv_n, nv_m)
-
-    # CSR adjacency of the three curves of every level-m triangle
-    head, tail = (ends[:, CURVE_SLOTS[:, k]].ravel() for k in (0, 1))
-    src = np.concatenate([head, tail])
-    dst = np.concatenate([tail, head])
-    nbr = dst[np.argsort(src, kind="stable")]
-    indptr = np.zeros(len(cell_of) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=len(cell_of)), out=indptr[1:])
-    del ends, head, tail, src, dst
+    tri_ids, cell_of, vertex_of, sources = _cell_union(corners, tri, n, m, nv_n, nv_m)
+    # the three curves of every level-m triangle, in the union's numbering
+    indptr, arc, nbr = _csr(tri_ids[:, CURVE_SLOTS[:, :2]].reshape(-1, 2), len(cell_of))
+    del tri_ids, arc
 
     dist = np.empty((3, len(cell_of)), dtype=np.int64)
     for k in range(3):
@@ -691,13 +682,11 @@ def certify_trace_agreement(trace: CellTrace) -> AgreementReport:
     off_diagonal = ~np.eye(3, dtype=bool)
     if (trace.hops[:, off_diagonal] == 2 ** (m - n)).all():
         return AgreementReport(n, m, nv, Fraction(0), (0, 1), True)
-    sides = CURVE_SLOTS[:, :2].tolist()
-    w_n = Fraction(1, 2**n)
-    g_n = MetricGraph(nv, [(ids[a], ids[b], w_n) for ids in trace.corners.tolist()
-                           for a, b in sides])
-    h = MetricGraph(nv, [(ids[a], ids[b], Fraction(int(hops[a, b]), 2**m))
-                         for ids, hops in zip(trace.corners.tolist(), trace.hops)
-                         for a, b in sides])
+    sides = CURVE_SLOTS[:, :2]
+    ends = trace.corners[:, sides].reshape(-1, 2)
+    g_n = MetricGraph(nv, ends, [Fraction(1, 2**n)] * len(ends))
+    hops = trace.hops[:, sides[:, 0], sides[:, 1]].ravel().tolist()
+    h = MetricGraph(nv, ends, [Fraction(k, 2**m) for k in hops])
     return certify_vertex_agreement(n, m, g_n, h)
 
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, lcm
 
+import numpy as np
+
 from .gasket import PrefractalComplex, build_gasket, kappa
 from .metric import (EdgePoint, FiniteMetricSpace, MetricGraph, _is_exact_weight,
                      _resolve_point, gasket_metric_graph, gh_upper_bound,
@@ -123,11 +125,6 @@ class TransportResult:
         }
 
 
-def _internal_weights(graph: MetricGraph) -> list:
-    """Edge weights in the graph's internal units (ints when exact)."""
-    return graph._int_weights if graph.exact else [w for _, _, w in graph.edges]
-
-
 def _min_cost_flow(graph: MetricGraph, b, floor):
     """Uncapacitated min-cost flow on the graph's edges for imbalances b.
 
@@ -139,18 +136,15 @@ def _min_cost_flow(graph: MetricGraph, b, floor):
     (arc flows, potentials phi) with w + phi[u] - phi[v] >= 0 on every
     residual arc and equality on arcs that carry flow.
     """
-    weights = _internal_weights(graph)
     n = graph.vertex_count
-    arcs = [[] for _ in range(n)]
-    for e, ((u, v, _), w) in enumerate(zip(graph.edges, weights)):
-        arcs[u].append((v, w, 2 * e))
-        arcs[v].append((u, w, 2 * e + 1))
+    indptr, nbr, wt = graph._slot_lists()
+    arc = graph.arc.tolist()
     active = [v for v, x in enumerate(b) if x]
     excess = list(b)
-    flow = [0] * (2 * len(weights))
+    flow = [0] * len(arc)
     phi = [0] * n
     pop, push = heapq.heappop, heapq.heappush
-    guard = 4 * (len(active) + len(weights)) + 16
+    guard = 4 * (len(active) + len(graph.weights)) + 16
     for _ in range(guard):
         sources = [v for v in active if excess[v] > floor]
         if not sources or not any(excess[v] < -floor for v in active):
@@ -169,10 +163,12 @@ def _min_cost_flow(graph: MetricGraph, b, floor):
                 t = u
                 break
             base = d + phi[u]
-            for v, w, a in arcs[u]:
+            for k in range(indptr[u], indptr[u + 1]):
+                v = nbr[k]
                 if v in done:
                     continue
-                nd = base + (-w if flow[a ^ 1] > 0 else w) - phi[v]
+                a = arc[k]
+                nd = base + (-wt[k] if flow[a ^ 1] > 0 else wt[k]) - phi[v]
                 if v not in dist or nd < dist[v]:
                     dist[v] = nd
                     parent[v] = (u, a)
@@ -201,7 +197,7 @@ def _min_cost_flow(graph: MetricGraph, b, floor):
     raise RuntimeError("min-cost flow failed to settle within %d augmentations" % guard)
 
 
-def _decompose_flow(edges, flow, floor):
+def _decompose_flow(ends, flow, floor):
     """Split an acyclic arc flow into (source, sink) -> mass.
 
     Flows, supplies and demands at or below `floor` count as zero, the
@@ -211,7 +207,7 @@ def _decompose_flow(edges, flow, floor):
     net = {}
     for a, f in enumerate(flow):
         if f > floor:
-            u, v, _ = edges[a >> 1]
+            u, v = ends[a >> 1].tolist()
             if a & 1:
                 u, v = v, u
             nbrs = out.setdefault(u, {})
@@ -271,8 +267,11 @@ def kantorovich(space: MetricGraph | FiniteMetricSpace, mu: DiscreteMeasure,
     if on_graph:
         graph, label = space, range(n_pts)
     else:
-        graph = MetricGraph(len(nodes), [(a, c, space.matrix[nodes[a]][nodes[c]])
-                                         for a in range(len(nodes)) for c in range(a)],
+        # the complete graph: edge (a, c) for every c < a, row by row
+        k = len(nodes)
+        graph = MetricGraph(k, np.stack(np.tril_indices(k, -1), axis=1),
+                            [space.matrix[nodes[a]][nodes[c]]
+                             for a in range(k) for c in range(a)],
                             provenance="support union")
         label = nodes
     where = {p: p if on_graph else k for k, p in enumerate(nodes)}
@@ -302,20 +301,20 @@ def kantorovich(space: MetricGraph | FiniteMetricSpace, mu: DiscreteMeasure,
         b[v] -= w
 
     flow, phi = _min_cost_flow(graph, b, floor)
-    weights = _internal_weights(graph)
+    weights = graph.weights
     value = sum(f * weights[a >> 1] for a, f in enumerate(flow) if f)
     gap = value + sum(b[v] * phi[v] for v in where.values())
     if abs(gap) > tol:
         raise RuntimeError("duality gap %s exceeds %g" % (out(gap, den), tol / den))
     slack = 0 if graph.exact else _FLOAT_GAP_TOL
-    for (u, v, _), w in zip(graph.edges, weights):
+    for u, v, w in zip(*graph.ends.T.tolist(), weights):
         if abs(phi[u] - phi[v]) > w + slack:
             raise RuntimeError("potentials are not 1-Lipschitz on edge (%d, %d)"
                                % (label[u], label[v]))
 
     plan = [(v, v, min(w, nu_w[v])) for v, w in mu_w.items() if v in nu_w]
     plan += [(u, v, m) for (u, v), m in
-             sorted(_decompose_flow(graph.edges, flow, floor).items())]
+             sorted(_decompose_flow(graph.ends, flow, floor).items())]
     _check_marginals(plan, mu_w, nu_w, 2 * floor, label)
 
     # plan costs from true distances: a decomposed path can only be longer
@@ -448,13 +447,14 @@ class CoupledGraph:
         self.n_a = graph_a.vertex_count
         self.n_b = graph_b.vertex_count
         self.shared = shared
-        edges = [(u, v, w) for u, v, w in graph_a.edges]
-        edges += [(self.n_a + u, self.n_a + v, w) for u, v, w in graph_b.edges]
         for a_idx, b_idx in shared:
             if not (0 <= a_idx < self.n_a and 0 <= b_idx < self.n_b):
                 raise ValueError("shared pair (%d, %d) out of range" % (a_idx, b_idx))
-            edges.append((a_idx, self.n_a + b_idx, alpha_f))
-        self.graph = MetricGraph(self.n_a + self.n_b, edges, provenance=provenance)
+        ends = np.concatenate([graph_a.ends, graph_b.ends + self.n_a,
+                               np.array(shared, dtype=np.int64) + [0, self.n_a]])
+        weights = (graph_a.weight_values() + graph_b.weight_values()
+                   + [alpha_f] * len(shared))
+        self.graph = MetricGraph(self.n_a + self.n_b, ends, weights, provenance=provenance)
 
     @classmethod
     def from_gasket(cls, cx: PrefractalComplex, n: int, m: int, alpha,

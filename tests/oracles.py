@@ -14,11 +14,17 @@ None of this is on a production path, and none of it is fast:
     harmonic_lengths replaced. It halves one curve's cells in Python
     integers, whose numerators grow as 5^depth, and measures the
     inscribed polyline up to an absolute depth cap.
+  * sssp / nearest_sources / min_cost_flow: the shortest-path and
+    transport kernels over per-vertex lists of (neighbour, weight) tuples
+    that MetricGraph ran before its CSR arrays. They read only g.edges
+    and g.value_scale(), so they share no adjacency code with the graph.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import deque
 from fractions import Fraction
 from math import lcm
 
@@ -153,6 +159,156 @@ def hop_block_agreement(n: int, m: int, g_n: MetricGraph, g_m: MetricGraph,
     diff[ids[:, None] >= ids] = -1
     i, j = divmod(int(np.argmax(diff)), nv)
     return AgreementReport(n, m, nv, Fraction(int(diff[i, j]), scale), (i, j), True)
+
+
+# -- shortest paths and min-cost flow over tuple adjacency -----------------
+
+
+def internal_edges(g: MetricGraph) -> list:
+    """(u, v, weight) per edge in the graph's internal units: ints over
+    g.value_scale() when exact, floats otherwise."""
+    den = g.value_scale()
+    if den is None:
+        return g.edges
+    return [(u, v, int(w * den)) for u, v, w in g.edges]
+
+
+def tuple_adjacency(g: MetricGraph) -> list:
+    """Per-vertex lists of (neighbour, internal weight), in edge order."""
+    adj = [[] for _ in range(g.vertex_count)]
+    for u, v, w in internal_edges(g):
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    return adj
+
+
+def sssp(g: MetricGraph, sources) -> list:
+    """Internal distances from the nearest of `sources`: deque BFS times
+    the weight when every weight is one exact value, heap Dijkstra
+    otherwise."""
+    n = g.vertex_count
+    adj = tuple_adjacency(g)
+    weights = {w for _, _, w in internal_edges(g)}
+    if g.exact and len(weights) == 1:
+        w0 = weights.pop()
+        dist = [-1] * n
+        dq = deque()
+        for s in sorted(sources):
+            if dist[s] != 0:
+                dist[s] = 0
+                dq.append(s)
+        while dq:
+            u = dq.popleft()
+            du = dist[u]
+            for v, _ in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = du + 1
+                    dq.append(v)
+        return [d * w0 for d in dist]
+
+    dist = [float("inf")] * n
+    heap = []
+    for s in sorted(sources):
+        dist[s] = 0
+        heap.append((0, s))
+    heapq.heapify(heap)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, w in adj[u]:
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
+def nearest_sources(g: MetricGraph, sources) -> tuple[list[int], list]:
+    """Position in `sources` of each vertex's nearest source (ties to the
+    earliest) and the internal distance to it."""
+    adj = tuple_adjacency(g)
+    label = [None] * g.vertex_count
+    heap = []
+    for pos, s in enumerate(sources):
+        if label[s] is None:
+            label[s] = (0, pos)
+            heap.append((0, pos, s))
+    heapq.heapify(heap)
+    while heap:
+        d, pos, u = heapq.heappop(heap)
+        if (d, pos) != label[u]:
+            continue
+        for v, w in adj[u]:
+            cand = (d + w, pos)
+            if label[v] is None or cand < label[v]:
+                label[v] = cand
+                heapq.heappush(heap, (d + w, pos, v))
+    return [pos for _, pos in label], [d for d, _ in label]
+
+
+def min_cost_flow(graph: MetricGraph, b, floor):
+    """transport._min_cost_flow over per-vertex (head, weight, arc) lists:
+    successive shortest paths under reduced costs, edge e as arcs 2e and
+    2e+1. Returns (arc flows, potentials)."""
+    edges = internal_edges(graph)
+    n = graph.vertex_count
+    arcs = [[] for _ in range(n)]
+    for e, (u, v, w) in enumerate(edges):
+        arcs[u].append((v, w, 2 * e))
+        arcs[v].append((u, w, 2 * e + 1))
+    active = [v for v, x in enumerate(b) if x]
+    excess = list(b)
+    flow = [0] * (2 * len(edges))
+    phi = [0] * n
+    pop, push = heapq.heappop, heapq.heappush
+    guard = 4 * (len(active) + len(edges)) + 16
+    for _ in range(guard):
+        sources = [v for v in active if excess[v] > floor]
+        if not sources or not any(excess[v] < -floor for v in active):
+            return flow, phi
+        dist = dict.fromkeys(sources, 0)
+        heap = [(0, s) for s in sources]
+        parent = {}
+        done = {}
+        t = None
+        while heap:
+            d, u = pop(heap)
+            if u in done:
+                continue
+            done[u] = d
+            if excess[u] < -floor:
+                t = u
+                break
+            base = d + phi[u]
+            for v, w, a in arcs[u]:
+                if v in done:
+                    continue
+                nd = base + (-w if flow[a ^ 1] > 0 else w) - phi[v]
+                if v not in dist or nd < dist[v]:
+                    dist[v] = nd
+                    parent[v] = (u, a)
+                    push(heap, (nd, v))
+        if t is None:
+            raise RuntimeError("no vertex with a deficit is reachable")
+        d_t = done[t]
+        for v, d in done.items():
+            phi[v] += d - d_t
+        path = []
+        s = t
+        while s in parent:
+            s, a = parent[s]
+            path.append(a)
+        amount = min([excess[s], -excess[t]]
+                     + [flow[a ^ 1] for a in path if flow[a ^ 1] > 0])
+        for a in path:
+            if flow[a ^ 1] > 0:
+                flow[a ^ 1] -= amount
+            else:
+                flow[a] += amount
+        excess[s] -= amount
+        excess[t] += amount
+    raise RuntimeError("min-cost flow failed to settle within %d augmentations" % guard)
 
 
 # -- exact dense simplex -------------------------------------------------
@@ -376,3 +532,9 @@ def harmonic_curve_length(cx: PrefractalComplex, curve_id: int, tol: float,
             break
     return LengthEstimate(curve_id, level, length, depth, len(cells),
                           increments, converged, tol)
+
+
+def from_triples(n_vertices: int, edges, **kwargs) -> MetricGraph:
+    """MetricGraph from a list of (u, v, weight) triples."""
+    return MetricGraph(n_vertices, [(u, v) for u, v, _ in edges],
+                       [w for _, _, w in edges], **kwargs)

@@ -13,12 +13,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from oracles import max_difference_objective
+from oracles import from_triples, max_difference_objective
 from prefractal.gasket import build_gasket, curve_count
 from prefractal.harmonic import HarmonicTable, build_harmonic_gasket
-from prefractal.metric import (FiniteMetricSpace, MetricGraph,
-                               certify_vertex_agreement, gasket_metric_graph,
-                               geodesic_vertex_distances, gh_upper_bound)
+from prefractal.metric import (FiniteMetricSpace, certify_vertex_agreement,
+                               gasket_metric_graph, gh_upper_bound)
 from prefractal.modes import (covariant_reach_witness, project,
                               random_mode_vector, tail_level_for)
 from prefractal.spectrum import (SpectrumSpec, dimension_fit,
@@ -186,8 +185,8 @@ def test_criterion_10_harmonic_invariants():
     for n in range(4):
         g_n = hg.metric_graph(n)
         g_m = hg.metric_graph(n + 2)
-        rows_n = geodesic_vertex_distances(g_n)
-        rows_m = geodesic_vertex_distances(g_m, sources=range(g_n.vertex_count))
+        rows_n = [g_n.single_source(s) for s in range(g_n.vertex_count)]
+        rows_m = [g_m.single_source(s) for s in range(g_n.vertex_count)]
         gap = max(abs(rows_n[i][j] - rows_m[i][j])
                   for i in range(g_n.vertex_count)
                   for j in range(g_n.vertex_count))
@@ -207,7 +206,7 @@ def _random_coupled(rng):
         for _ in range(rng.randint(0, k)):
             u, v = rng.sample(range(k), 2)
             edges.append((u, v, F(rng.randint(1, 9))))
-        return MetricGraph(k, edges)
+        return from_triples(k, edges)
 
     ga, gb = graph(), graph()
     ns = rng.randint(1, min(ga.vertex_count, gb.vertex_count))

@@ -19,7 +19,7 @@ from prefractal.gasket import (
 from prefractal.spectrum import SpectrumSpec, enumerate_eigenvalues
 
 
-def _no_build(level):
+def _no_build(level, **kwargs):
     raise AssertionError("built the level-%d complex" % level)
 
 
@@ -64,28 +64,33 @@ class TestGen:
                          payload["message"])
 
     def test_json_guard_refuses_before_building(self, capsys, monkeypatch):
-        # level 12 passes the build guard, but its JSON text would not fit
+        # level 12 passes the build guard, but its JSON text would not fit;
+        # level 11 (695 MiB measured) gets past the guard
         monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
         code, out, err = _run(capsys, "gen", "--level", "12", "--format", "json")
         assert code == 2 and out == ""
         payload = json.loads(err)
         assert payload["error"] == "validation"
-        assert re.search(r"JSON text needs about \d+ MiB, above the guard of 1024 MiB",
-                         payload["message"])
+        assert payload["message"] == (
+            "level 12 is past the size cap for JSON output: the complex as JSON "
+            "text needs about 2198 MiB, above the guard of 1024 MiB")
+        with pytest.raises(AssertionError, match="built the level-11 complex"):
+            main(["gen", "--level", "11", "--format", "json"])
 
     def test_harmonic_json_guard_refuses_before_building(self, capsys, monkeypatch):
         # the harmonic length table costs more per curve than the sg text:
-        # level 10 passes the sg JSON guard but not the harmonic one
+        # level 11 passes the sg JSON guard but not the harmonic one, and
+        # harmonic level 10 (782 MiB measured) gets past it
         monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
         monkeypatch.setattr("prefractal.cli.build_harmonic_gasket", _no_build)
         code, out, err = _run(capsys, "gen", "--geometry", "harmonic",
-                              "--level", "10", "--format", "json")
+                              "--level", "11", "--format", "json")
         assert code == 2 and out == ""
         assert json.loads(err)["message"] == (
-            "level 10 is past the size cap for JSON output: the complex as JSON "
-            "text needs about 1064 MiB, above the guard of 1024 MiB")
+            "level 11 is past the size cap for JSON output: the complex as JSON "
+            "text needs about 2350 MiB, above the guard of 1024 MiB")
         with pytest.raises(AssertionError, match="built the level-10 complex"):
-            main(["gen", "--level", "10", "--format", "json"])
+            main(["gen", "--geometry", "harmonic", "--level", "10", "--format", "json"])
 
     @pytest.mark.parametrize("level", range(6))
     def test_harmonic_json_is_the_dumps_text(self, level, capsys):
@@ -197,15 +202,17 @@ class TestTables:
                                       "about 1299 MiB, above the guard of 1024 MiB")
 
     def test_kantorovich_guard_refuses_before_building(self, capsys, monkeypatch):
-        # level 11 runs (about 510 MiB on a one-point query); level 12 is refused
+        # level 12 runs (753 MiB on a one-point query); level 13 is refused
         monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
-        code, out, err = _run(capsys, "kantorovich", "--level", "12",
+        code, out, err = _run(capsys, "kantorovich", "--level", "13",
                               "--mu", "0:1", "--nu", "1:1")
         assert code == 2 and out == ""
         payload = json.loads(err)
         assert payload["message"] == (
-            "kantorovich at level 12: the metric graph and a distance row "
-            "needs about 1623 MiB, above the guard of 1024 MiB")
+            "kantorovich at level 13: the metric graph and a distance row "
+            "needs about 2394 MiB, above the guard of 1024 MiB")
+        with pytest.raises(AssertionError, match="built the level-12 complex"):
+            main(["kantorovich", "--level", "12", "--mu", "0:1", "--nu", "1:1"])
 
     def test_kantorovich_guard_budgets_one_row(self, monkeypatch):
         # the plan cost holds one distance row at a time, so the size of mu
@@ -215,10 +222,17 @@ class TestTables:
         with pytest.raises(AssertionError, match="built the level-11 complex"):
             main(["kantorovich", "--level", "11", "--mu", mu, "--nu", "1000:1"])
 
-    @pytest.mark.parametrize("n,m,mib", [(11, 11, 1469), (2, 12, 2204)])
+    @pytest.mark.parametrize("n,m", [(11, 11), (10, 12)])
+    def test_extent_guard_admits_measured_levels(self, n, m, monkeypatch):
+        # peaks of 537 and 766 MiB were measured at these levels
+        monkeypatch.setattr("prefractal.transport.build_gasket", _no_build)
+        with pytest.raises(AssertionError, match="built the level-%d complex" % m):
+            main(["extent", "--n", str(n), "--m", str(m)])
+
+    @pytest.mark.parametrize("n,m,mib", [(11, 12, 1086), (10, 13, 2491)])
     def test_extent_guard_refuses_before_building(self, n, m, mib, capsys,
                                                   monkeypatch):
-        # the smallest refused m: 11 with n = 11, 12 for every smaller n
+        # the smallest refused m: 12 with n = 11 or 12, 13 for every smaller n
         monkeypatch.setattr("prefractal.transport.build_gasket", _no_build)
         code, out, err = _run(capsys, "extent", "--n", str(n), "--m", str(m))
         assert code == 2 and out == ""
@@ -343,6 +357,13 @@ class TestPlumbing:
          "bf28c8b4f72e08a751ee1b6cb6bbe306a4e26e8d219323a20ca663cb6d967661"),
         (["extent", "--n", "2", "--m", "4", "--format", "json"],
          "ee7dc93ce5bf383955d92de289b054a86b3856dd6ba611a7277b22447c7a6ce1"),
+        (["extent", "--n", "4", "--m", "8", "--trials", "5", "--seed", "1",
+          "--format", "json"],
+         "7ffa76f42eb2ee7d2ae1ecad3d24bef5b94dfae0efc5d7a51759ac45156da5af"),
+        (["kantorovich", "--level", "5",
+          "--mu", ",".join("%d:1/16" % (22 * i) for i in range(16)),
+          "--nu", ",".join("%d:%d/136" % (22 * i + 11, i + 1) for i in range(16))],
+         "507eecec95c51a13f5b895bc5fcd8eb4eac0289b55cf97f65b1cd4958b40d092"),
     )
 
     @pytest.mark.parametrize("argv,digest", GOLDEN, ids=lambda v: " ".join(v)

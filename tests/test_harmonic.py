@@ -298,7 +298,7 @@ class TestHarmonicGasket:
         from prefractal.metric import gasket_metric_graph
         g_h = hg.metric_graph(2)
         g_e = gasket_metric_graph(hg.cx, 2)
-        assert g_h.vertex_keys == g_e.vertex_keys
+        assert np.array_equal(g_h.vertex_keys, g_e.vertex_keys)
         assert [(u, v) for u, v, _ in g_h.edges] == [(u, v) for u, v, _ in g_e.edges]
 
     def test_cross_level_distance_agreement(self):

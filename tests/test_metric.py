@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import hop_block, hop_block_agreement
+from oracles import from_triples, hop_block, hop_block_agreement, sssp
 from prefractal.cli import main
 from prefractal.gasket import build_gasket, kappa, vertex_count
 from prefractal.metric import (
@@ -29,7 +29,6 @@ from prefractal.metric import (
     gasket_cell_trace,
     gasket_metric_graph,
     geodesic_point_distance,
-    geodesic_vertex_distances,
     gh_upper_bound,
     hausdorff,
     hausdorff_vertex_sets,
@@ -47,7 +46,7 @@ def _make_random_graph(rng, n=9):
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
             edges.append((u, v, Fraction(rng.randint(1, 8), rng.choice([1, 3]))))
-    return MetricGraph(n, edges)
+    return from_triples(n, edges)
 
 
 def _floyd_warshall(n, edges):
@@ -73,11 +72,11 @@ def _floyd_warshall(n, edges):
 class TestMetricGraph:
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError, match="unreachable"):
-            MetricGraph(4, [(0, 1, 1), (2, 3, 1)])
+            from_triples(4, [(0, 1, 1), (2, 3, 1)])
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError, match="positive"):
-            MetricGraph(2, [(0, 1, 0)])
+            from_triples(2, [(0, 1, 0)])
 
     @pytest.mark.parametrize("bad, message", [
         (0, "must be positive, got 0"),
@@ -91,18 +90,44 @@ class TestMetricGraph:
         edges = [(i, i + 1, good) for i in range(60)]
         edges[37] = (37, 38, bad)
         with pytest.raises(ValueError, match=message):
-            MetricGraph(61, edges)
+            from_triples(61, edges)
+
+    @pytest.mark.parametrize("n, edges, message", [
+        (3, [(0, 1, 1), (1, 3, 1)], "edge (1,3) references a vertex out of range"),
+        (3, [(0, 1, 1), (-1, 2, 1)], "edge (-1,2) references a vertex out of range"),
+        (2, [(0, 1, 0)], "edge weights must be positive, got 0"),
+        (2, [(0, 1, -0.5)], "edge weights must be positive finite, got -0.5"),
+        (4, [(0, 1, 1), (2, 3, 1)],
+         "graph is disconnected: vertex 2 is unreachable from vertex 0"),
+    ])
+    def test_rejection_messages(self, n, edges, message):
+        with pytest.raises(ValueError) as exc:
+            from_triples(n, edges)
+        assert str(exc.value) == message
+
+    def test_uniform_weight_past_int64_stays_exact(self):
+        # the scaled weight 10**30 passes 2**63; the BFS path multiplies hop
+        # counts by it in Python ints and must equal the heap path
+        w = Fraction(10**30, 3)
+        g = from_triples(12, [(i, i + 1, w) for i in range(11)] + [(0, 6, w), (3, 11, w)])
+        assert g._uniform and g.value_scale() == 3 and g.weights[0] == 10**30
+        for s in range(12):
+            row = g.single_source(s)
+            assert row == g.nearest_sources([s])[1]
+            assert g._sssp([s]) == sssp(g, [s])
+        assert g.single_source(0)[11] == 4 * w
+        assert max(g._sssp([0])) == 5 * 10**30 > 2**63
 
     def test_equal_weights_from_distinct_objects_are_uniform(self):
         # weights are converted once per object; equal values still make
         # one uniform weight, and mixed int/Fraction share one denominator
-        g = MetricGraph(4, [(0, 1, Fraction(1, 4)), (1, 2, Fraction(2, 8)),
-                            (2, 3, Fraction(1, 4))])
-        assert g._uniform and g._int_weights == [1, 1, 1]
+        g = from_triples(4, [(0, 1, Fraction(1, 4)), (1, 2, Fraction(2, 8)),
+                             (2, 3, Fraction(1, 4))])
+        assert g._uniform and g.weights == [1, 1, 1]
         assert hop_block(g, [0], [3]).tolist() == [[3]]
-        g = MetricGraph(3, [(0, 1, 1), (1, 2, Fraction(1, 3))])
+        g = from_triples(3, [(0, 1, 1), (1, 2, Fraction(1, 3))])
         assert not g._uniform and g.value_scale() == 3
-        assert g._int_weights == [3, 1]
+        assert g.weights == [3, 1]
         assert g.edges == [(0, 1, Fraction(1)), (1, 2, Fraction(1, 3))]
 
     def test_dijkstra_matches_floyd_warshall(self):
@@ -110,19 +135,19 @@ class TestMetricGraph:
         for _ in range(25):
             g = _make_random_graph(rng)
             oracle = _floyd_warshall(g.vertex_count, g.edges)
-            rows = geodesic_vertex_distances(g)
+            rows = [g.single_source(s) for s in range(g.vertex_count)]
             for i in range(g.vertex_count):
                 for j in range(g.vertex_count):
                     assert rows[i][j] == oracle[i][j]
 
     def test_uniform_weights_use_same_values(self):
         # BFS fast path must give the same answers as the generic heap
-        g_bfs = MetricGraph(5, [(0, 1, Fraction(1, 2)), (1, 2, Fraction(1, 2)),
-                                (2, 3, Fraction(1, 2)), (3, 4, Fraction(1, 2)),
-                                (0, 4, Fraction(1, 2))])
-        g_heap = MetricGraph(5, [(0, 1, Fraction(1, 2)), (1, 2, Fraction(1, 2)),
+        g_bfs = from_triples(5, [(0, 1, Fraction(1, 2)), (1, 2, Fraction(1, 2)),
                                  (2, 3, Fraction(1, 2)), (3, 4, Fraction(1, 2)),
-                                 (0, 4, Fraction(1, 4))])
+                                 (0, 4, Fraction(1, 2))])
+        g_heap = from_triples(5, [(0, 1, Fraction(1, 2)), (1, 2, Fraction(1, 2)),
+                                  (2, 3, Fraction(1, 2)), (3, 4, Fraction(1, 2)),
+                                  (0, 4, Fraction(1, 4))])
         assert g_bfs.single_source(0)[3] == 1
         assert g_heap.single_source(0)[3] == Fraction(3, 4)
 
@@ -139,7 +164,7 @@ class TestMetricGraph:
             g = gasket_metric_graph(cx9, level)
             sources = list(range(vertex_count(min(level, 2))))
             hops = hop_block(g, sources, range(g.vertex_count))
-            w0 = g._int_weights[0]
+            w0 = g.weights[0]
             for k, s in enumerate(sources):
                 assert (hops[:, k] * w0).tolist() == g._sssp([s])
 
@@ -151,25 +176,25 @@ class TestMetricGraph:
             edges = [(i, rng.randrange(i), Fraction(3, 8)) for i in range(1, n)]
             edges += [(rng.randrange(n), rng.randrange(n), Fraction(3, 8))
                       for _ in range(12)]
-            g = MetricGraph(n, [e for e in edges if e[0] != e[1]])
+            g = from_triples(n, [e for e in edges if e[0] != e[1]])
             sources = rng.sample(range(n), count)
             targets = rng.sample(range(n), 50)
             hops = hop_block(g, sources, targets)
             assert hops.shape == (len(targets), count)
-            w0 = g._int_weights[0]
+            w0 = g.weights[0]
             for k, s in enumerate(sources):
                 row = g._sssp([s])
                 assert (hops[:, k] * w0).tolist() == [row[t] for t in targets]
 
     def test_hop_block_needs_uniform_exact_weights(self):
-        g = MetricGraph(3, [(0, 1, Fraction(1, 2)), (1, 2, Fraction(1, 4))])
+        g = from_triples(3, [(0, 1, Fraction(1, 2)), (1, 2, Fraction(1, 4))])
         with pytest.raises(ValueError, match="uniform"):
             hop_block(g, [0], [2])
         with pytest.raises(ValueError, match="uniform"):
-            hop_block(MetricGraph(2, [(0, 1, 0.5)]), [0], [1])
+            hop_block(from_triples(2, [(0, 1, 0.5)]), [0], [1])
 
     def test_float_weights_supported(self):
-        g = MetricGraph(3, [(0, 1, 0.5), (1, 2, 0.25)])
+        g = from_triples(3, [(0, 1, 0.5), (1, 2, 0.25)])
         assert not g.exact
         assert g.single_source(0)[2] == 0.75
 
@@ -210,12 +235,13 @@ class TestPointDistances:
         rng = random.Random(515)
         curves = range(kappa(2, 0), kappa(3, 0))
         lam = Fraction(1, 4)
+        ends = CX.curve_ends(2)
         for _ in range(60):
             ca, cb = rng.choice(curves), rng.choice(curves)
             ta = Fraction(rng.randint(1, 15), 16)
             tb = Fraction(rng.randint(1, 15), 16)
-            ua, va, _ = g._curves[ca]
-            ub, vb, _ = g._curves[cb]
+            ua, va = ends[ca - kappa(2, 0)].tolist()
+            ub, vb = ends[cb - kappa(2, 0)].tolist()
             cands = []
             for ea, wa in ((ua, ta * lam), (va, (1 - ta) * lam)):
                 row = g.single_source(ea)
@@ -241,7 +267,7 @@ class TestFiniteMetricSpace:
     def test_from_graph_matches_rows(self):
         g = gasket_metric_graph(CX, 1)
         fm = FiniteMetricSpace.from_graph(g)
-        rows = geodesic_vertex_distances(g)
+        rows = [g.single_source(s) for s in range(g.vertex_count)]
         for i in range(len(fm)):
             for j in range(len(fm)):
                 assert fm.distance(i, j) == rows[i][j]
@@ -304,7 +330,7 @@ class TestHausdorffAndBounds:
         # vertex keys do not depend on the level a complex was built to
         g_n = gasket_metric_graph(build_gasket(2), 2)
         g_m = gasket_metric_graph(build_gasket(5), 5)
-        assert g_n.vertex_keys == g_m.vertex_keys[: g_n.vertex_count]
+        assert np.array_equal(g_n.vertex_keys, g_m.vertex_keys[: g_n.vertex_count])
         rep = certify_vertex_agreement(2, 5, g_n, g_m)
         assert rep.exact and rep.max_discrepancy == 0
         assert rep.vertices_compared == vertex_count(2)
@@ -317,8 +343,8 @@ class TestHausdorffAndBounds:
         g3 = gasket_metric_graph(CX, 3)
         w = Fraction(1, 8)
         for chords in ([(0, 1)], [(0, 1), (2, 14)], [(3, 9), (9, 12), (5, 7)]):
-            g_m = MetricGraph(g3.vertex_count, g3.edges + [(u, v, w) for u, v in chords],
-                              vertex_keys=g3.vertex_keys)
+            g_m = from_triples(g3.vertex_count, g3.edges + [(u, v, w) for u, v in chords],
+                               vertex_keys=g3.vertex_keys)
             rep = certify_vertex_agreement(2, 3, g2, g_m)
             assert hop_block_agreement(2, 3, g2, g_m) == rep
             rows_n = g2.internal_rows(range(15))
@@ -341,9 +367,9 @@ class TestHausdorffAndBounds:
         cx = build_gasket(m)
         g_gasket = gasket_metric_graph(cx, m)
         w = g_gasket.edges[0][2]
-        g_chords = MetricGraph(g_gasket.vertex_count,
-                               g_gasket.edges + [(0, 4, w), (1, 5, w), (3, 2, w)],
-                               vertex_keys=g_gasket.vertex_keys)
+        g_chords = from_triples(g_gasket.vertex_count,
+                                g_gasket.edges + [(0, 4, w), (1, 5, w), (3, 2, w)],
+                                vertex_keys=g_gasket.vertex_keys)
         top = range(vertex_count(max_level))
         for g_m in (g_gasket, g_chords):
             fine_hops = hop_block(g_m, top, top)
@@ -370,7 +396,7 @@ class TestHausdorffAndBounds:
             hop_block_agreement(2, 4, g2, g4,
                                 fine_hops=hop_block(g4, range(6), range(6)))
         # also for V_n with fewer than two vertices
-        g_one = MetricGraph(1, [], vertex_keys=g2.vertex_keys[:1])
+        g_one = from_triples(1, [], vertex_keys=g2.vertex_keys[:1])
         with pytest.raises(ValueError, match="covers 0 vertices"):
             hop_block_agreement(0, 4, g_one, g4, fine_hops=np.zeros((0, 0), np.int64))
 
@@ -407,7 +433,7 @@ class TestHausdorffAndBounds:
 
     def test_agreement_detects_mismatched_indexing(self):
         g1 = gasket_metric_graph(CX, 1)
-        shuffled = MetricGraph(
+        shuffled = from_triples(
             g1.vertex_count,
             [(v, u, w) for u, v, w in g1.edges],
             vertex_keys=list(reversed(g1.vertex_keys)),
@@ -482,11 +508,11 @@ class TestCellTrace:
         assert trace.hops[2].tolist() == [[0, 1, 3], [1, 0, 3], [3, 3, 0]]
         assert trace.haus_hops == 2  # vertex 13, two hops from 4, 5 or 2
         rep = certify_trace_agreement(trace)
-        g_1 = MetricGraph(6, gasket_metric_graph(CX, 1).edges)
+        g_1 = from_triples(6, gasket_metric_graph(CX, 1).edges)
         quarter = Fraction(1, 4)
-        h = MetricGraph(6, [(0, 3, 2 * quarter), (3, 4, 2 * quarter), (4, 0, 2 * quarter),
-                            (3, 1, 2 * quarter), (1, 5, 2 * quarter), (5, 3, 2 * quarter),
-                            (4, 5, quarter), (5, 2, 3 * quarter), (2, 4, 3 * quarter)])
+        h = from_triples(6, [(0, 3, 2 * quarter), (3, 4, 2 * quarter), (4, 0, 2 * quarter),
+                             (3, 1, 2 * quarter), (1, 5, 2 * quarter), (5, 3, 2 * quarter),
+                             (4, 5, quarter), (5, 2, 3 * quarter), (2, 4, 3 * quarter)])
         assert rep == certify_vertex_agreement(1, 2, g_1, h)
         assert rep.max_discrepancy == quarter and rep.worst_pair == (0, 2)
 

@@ -2,9 +2,10 @@
 
 perfbench/spans.py wraps prefractal's public functions by name, so
 deleting or renaming one of them breaks every traced benchmark run. One
-test installs the tracer in a fresh interpreter, without running a
-workload; the other runs the benchmark's self-test, whose checks parse
-every artifact of the workloads at tiny sizes.
+test installs the tracer in a fresh interpreter and reads the edge count
+of one traced graph build, without running a workload; the other runs the
+benchmark's self-test, whose checks parse every artifact of the workloads
+at tiny sizes.
 """
 
 import os
@@ -16,13 +17,20 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_perfbench_tracer_installs(tmp_path):
+    # the tracer counts metric.edges as len(graph.edges) of every graph
+    # gasket_metric_graph returns: 3^4 curves at level 3
     code = ("import sys; sys.path.insert(0, %r)\n"
             "from spans import Tracer\n"
-            "Tracer().install()\n" % str(ROOT / "perfbench"))
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "from prefractal import gasket, metric\n"
+            "metric.gasket_metric_graph(gasket.build_gasket(3), 3)\n"
+            "print(tracer.counts['metric.edges'])\n" % str(ROOT / "perfbench"))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["81"]
 
 
 def test_perfbench_selftest_passes():

@@ -3,11 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import Infeasible, Unbounded, max_difference_objective, maximize
+import oracles
+from oracles import (Infeasible, Unbounded, from_triples, max_difference_objective,
+                     maximize)
 from prefractal import metric, transport
 from prefractal.gasket import build_gasket
-from prefractal.metric import (EdgePoint, FiniteMetricSpace, MetricGraph,
-                               gasket_metric_graph)
+from prefractal.harmonic import build_harmonic_gasket
+from prefractal.metric import EdgePoint, FiniteMetricSpace, gasket_metric_graph
 from prefractal.transport import (CoupledGraph, DiscreteMeasure, _require_premises,
                                   certify_extent, kantorovich, lipschitz_seminorm,
                                   mcshane_extend, sampled_metric_space,
@@ -38,7 +40,7 @@ def _random_graph(rng, n_max):
     for _ in range(rng.randint(0, k)):
         u, v = rng.sample(range(k), 2)
         edges.append((u, v, F(rng.randint(1, 9))))
-    return MetricGraph(k, edges)
+    return from_triples(k, edges)
 
 
 def _lp_transport(space, mu, nu):
@@ -470,3 +472,69 @@ class TestDiracIdentity:
         assert len(points) == 6 + 9 * 2
         # rebuild with validation on: triangle inequality holds exactly
         FiniteMetricSpace(space.labels, space.matrix)
+
+
+def _kernel_graph(name):
+    """The graphs the CSR kernels are checked on, by name."""
+    kind, *args = name.split("-")
+    args = [int(a) for a in args]
+    if kind == "gasket":
+        return gasket_metric_graph(CX, args[0])
+    if kind == "harmonic":
+        return build_harmonic_gasket(args[0]).metric_graph(args[0])
+    if kind == "coupled":
+        n, m = args
+        cx = CX if m <= CX.max_level else build_gasket(m)
+        return CoupledGraph.from_gasket(cx, n, m, F(1, 2 ** (m - 1))).graph
+    # a seeded tree plus random chords, self-loops and parallel edges;
+    # exact weights for even seeds, floats for odd ones
+    rng = random.Random(args[0])
+    k = rng.randint(2, 30)
+
+    def weight():
+        w = F(rng.randint(1, 9), rng.choice([1, 2, 3]))
+        return w if args[0] % 2 == 0 else float(w)
+
+    edges = [(i, rng.randrange(i), weight()) for i in range(1, k)]
+    edges += [(rng.randrange(k), rng.randrange(k), weight()) for _ in range(k)]
+    edges += [(v, u, w) for u, v, w in rng.sample(edges, 4)]
+    edges += [(u, v, weight()) for u, v, _ in rng.sample(edges, 4)]
+    return from_triples(k, edges)
+
+
+KERNEL_GRAPHS = (["gasket-%d" % level for level in range(8)]
+                 + ["harmonic-4", "coupled-2-5", "coupled-4-8"]
+                 + ["random-%d" % seed for seed in range(6)])
+
+
+class TestKernelsMatchTupleOracle:
+    """The CSR kernels against the tuple-adjacency kernels they replaced."""
+
+    @pytest.mark.parametrize("name", KERNEL_GRAPHS)
+    def test_rows_nearest_sources_and_plans(self, name, monkeypatch):
+        g = _kernel_graph(name)
+        n = g.vertex_count
+        rng = random.Random(name)
+        for s in range(n) if n <= 40 else rng.sample(range(n), 12):
+            assert g._sssp([s]) == oracles.sssp(g, [s])
+        group = rng.sample(range(n), min(n, 5))
+        assert g._sssp(group) == oracles.sssp(g, group)
+        nearest, dist = g.nearest_sources(group)
+        oracle_nearest, oracle_dist = oracles.nearest_sources(g, group)
+        assert nearest == oracle_nearest
+        assert dist == [g._value(d) for d in oracle_dist]
+
+        # arc flows too: on parallel edges of equal weight only the
+        # neighbour order decides which arc carries the flow
+        b = [0] * n
+        for v in rng.sample(range(n), min(n, 6)):
+            b[v] += rng.randint(1, 9)
+        b[group[0]] -= sum(b)
+        assert transport._min_cost_flow(g, b, 0) == oracles.min_cost_flow(g, b, 0)
+
+        pairs = [(DiscreteMeasure.random_mixture(rng, range(n), min(n, k)),
+                  DiscreteMeasure.random_mixture(rng, range(n), min(n, k)))
+                 for k in (1, 4, 8)]
+        results = [kantorovich(g, mu, nu) for mu, nu in pairs]
+        monkeypatch.setattr(transport, "_min_cost_flow", oracles.min_cost_flow)
+        assert [kantorovich(g, mu, nu) for mu, nu in pairs] == results
