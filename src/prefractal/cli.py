@@ -18,10 +18,12 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .gasket import build_gasket, check_memory, complex_json_text, curve_count, vertex_count
+from .gasket import (build_gasket, check_memory, complex_bytes, complex_json_text,
+                     curve_count, vertex_count)
 from .harmonic import HarmonicTable, build_harmonic_gasket, derive_subdivision_rule
 from .metric import (
     _ROW_ENTRY_BYTES,
+    _TRACE_BYTES_PER_TRIANGLE,
     certify_trace_agreement,
     check_agreement_size,
     gasket_cell_trace,
@@ -36,8 +38,9 @@ from .transport import DiscreteMeasure, certify_extent, kantorovich
 SCHEMA_VERSION = 2
 
 # peak RSS of the interpreter with prefractal and numpy imported (`gen
-# --level 0` peaks at 31.3 MiB); the JSON, kantorovich and extent guards
-# add a measured slope per curve or per edge on top of it
+# --level 0` peaks at 31.3 MiB); the JSON and kantorovich guards add a
+# measured slope per curve or per edge on top of it, the extent guard the
+# estimates of its parts
 _BASE_BYTES = 32 << 20
 
 # peak RSS of `gen --format json` per curve of the complex above the base,
@@ -59,12 +62,14 @@ _SVG_BYTES_PER_TRIANGLE = 1100
 # adds one distance row at a time
 _KANTOROVICH_BYTES_PER_EDGE = 500
 
-# peak RSS of `extent` per edge of its coupled graph (the level-m and
-# level-n edges) above the base: the complex, its cell trace, both level
-# graphs and the coupled graph (435-516 B per edge at (n, m) = (2, 9),
-# (2, 10), (9, 10), (10, 10), (2, 11), (11, 11), (2, 12) and (10, 12),
-# highest at n = m; 766 MiB at (10, 12))
-_EXTENT_BYTES_PER_EDGE = 520
+# bytes `extent` adds to the cell trace of gh-table's guard: the trace
+# keeps int32 hops to three corners and the int64 cell and vertex of each
+# of its at most |V_m| + |V_n| union vertices, and the level-n graph and
+# one cell's graph each take a CSR and a BFS row (tracemalloc peak 68 B
+# per edge at levels 9-12). Peaks under wait4: 54/65 MiB at (n, m) =
+# (2, 10)/(10, 10), and 228/228/228/305 MiB at (0, 12)/(2, 12)/(10, 12)/(12, 12)
+_TRACE_KEPT_BYTES_PER_VERTEX = 28
+_CSR_BYTES_PER_EDGE = 70
 
 
 def _emit(text: str, out: str | None):
@@ -185,6 +190,7 @@ def cmd_gh_table(args) -> str:
         rep = gh_upper_bound(n, args.m, samples_per_curve=args.samples, cx=cx,
                              trace=trace)
         agree = certify_trace_agreement(trace)
+        del trace  # its per-vertex arrays would sit under the next trace's peak
         rows.append((n, args.m, float(rep.bound), float(rep.bound_with_slack),
                      float(rep.paper_bound) + float(rep.tail),
                      float(agree.max_discrepancy)))
@@ -257,10 +263,14 @@ def cmd_kantorovich(args) -> str:
 
 def cmd_extent(args) -> str:
     alpha = None if args.alpha == "auto" else _parse_fraction(args.alpha)
-    edges = 3 ** (args.m + 1) + 3 ** (args.n + 1)
-    check_memory(_BASE_BYTES + _EXTENT_BYTES_PER_EDGE * edges,
-                 "extent at levels (%d, %d): the level graphs, the coupled graph "
-                 "and the cell trace" % (args.n, args.m))
+    n, m = args.n, args.m
+    if not 0 <= n <= m:
+        raise ValueError("need 0 <= n <= m, got n=%d m=%d" % (n, m))
+    check_memory(_BASE_BYTES + complex_bytes(m) + _TRACE_BYTES_PER_TRIANGLE * 3**m
+                 + _TRACE_KEPT_BYTES_PER_VERTEX * (vertex_count(m) + vertex_count(n))
+                 + _CSR_BYTES_PER_EDGE * (3 ** (n + 1) + 3 ** (m - n + 1)),
+                 "extent at levels (%d, %d): the complex, its cell trace, the "
+                 "level-%d graph and one cell's graph" % (n, m, n))
     rep = certify_extent(args.n, args.m, alpha=alpha,
                          samples_per_curve=args.samples,
                          mixture_trials=args.trials, seed=args.seed)

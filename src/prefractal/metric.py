@@ -215,36 +215,6 @@ class MetricGraph:
             raise ValueError("need at least one source vertex")
         return [self._value(d) for d in self._sssp(sources)]
 
-    def nearest_sources(self, sources) -> tuple[list[int], list]:
-        """Position in `sources` of each vertex's nearest source, and the
-        distance to it.
-
-        One Dijkstra run whose labels are (distance, source position) in
-        lexicographic order, so ties go to the earliest source.
-        """
-        sources = list(sources)
-        if not sources:
-            raise ValueError("need at least one source vertex")
-        indptr, nbr, wt = self._slot_lists()
-        label = [None] * self.vertex_count
-        heap = []
-        for pos, s in enumerate(sources):
-            if label[s] is None:
-                label[s] = (0, pos)
-                heap.append((0, pos, s))
-        heapq.heapify(heap)
-        while heap:
-            d, pos, u = heapq.heappop(heap)
-            if (d, pos) != label[u]:
-                continue
-            for k in range(indptr[u], indptr[u + 1]):
-                v = nbr[k]
-                cand = (d + wt[k], pos)
-                if label[v] is None or cand < label[v]:
-                    label[v] = cand
-                    heapq.heappush(heap, (d + wt[k], pos, v))
-        return [pos for _, pos in label], [self._value(d) for d, _ in label]
-
     def internal_rows(self, sources):
         """Internal-unit distance rows per source (ints if exact)."""
         return [self._sssp([s]) for s in sources]
@@ -581,11 +551,29 @@ class CellTrace:
     corners: np.ndarray  # (3^n, 3) vertex ids of each cell's corners
     hops: np.ndarray  # (3^n, 3, 3) hops between corners a and b inside cell c
     haus_hops: int  # max over V_m of the hops to the nearest vertex of V_n
+    # the disjoint union of the cells, one entry per (cell, vertex) pair in
+    # that order: the cell, the V_m vertex and the int32 hops to corner k
+    # of the cell inside it, as row k of corner_hops
+    cell_of: np.ndarray
+    vertex_of: np.ndarray
+    corner_hops: np.ndarray
 
     @property
     def hausdorff(self) -> Fraction:
         """Haus_{d_m}(V_n, V_m)."""
         return Fraction(self.haus_hops, 2**self.m)
+
+    def exits(self, v: int) -> tuple[int | None, list[tuple[int, int]]]:
+        """The cell of V_m vertex v and the sorted (hops, corner) pairs
+        through which v first reaches V_n, one per corner of that cell, so
+        the first is its nearest V_n vertex, ties to the lowest id. A V_n
+        vertex is its own only exit, at 0 hops, with cell None."""
+        if v < self.coarse_vertices:
+            return None, [(0, v)]
+        u = int(np.flatnonzero(self.vertex_of == v)[0])
+        cell = int(self.cell_of[u])
+        return cell, sorted(zip(self.corner_hops[:, u].tolist(),
+                                self.corners[cell].tolist()))
 
 
 def _cell_union(corners, tri, n: int, m: int, nv_n: int, nv_m: int):
@@ -657,7 +645,8 @@ def gasket_cell_trace(cx: PrefractalComplex, n: int, m: int) -> CellTrace:
     indptr, arc, nbr = _csr(tri_ids[:, CURVE_SLOTS[:, :2]].reshape(-1, 2), len(cell_of))
     del tri_ids, arc
 
-    dist = np.empty((3, len(cell_of)), dtype=np.int64)
+    # int32: hops stay below |V_m| < 2^31 at every level the guard admits
+    dist = np.empty((3, len(cell_of)), dtype=np.int32)
     for k in range(3):
         dist[k] = _bfs_hops(indptr, nbr, sources[:, k])
     if (dist < 0).any():
@@ -666,7 +655,7 @@ def gasket_cell_trace(cx: PrefractalComplex, n: int, m: int) -> CellTrace:
                          "corner %d" % (vertex_of[u], n, cell_of[u], corners[cell_of[u], k]))
     hops = dist[:, sources].transpose(1, 0, 2)
     haus_hops = int(dist.min(axis=0).max())
-    return CellTrace(n, m, nv_n, corners, hops, haus_hops)
+    return CellTrace(n, m, nv_n, corners, hops, haus_hops, cell_of, vertex_of, dist)
 
 
 def certify_trace_agreement(trace: CellTrace) -> AgreementReport:

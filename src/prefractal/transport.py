@@ -9,8 +9,8 @@ float inputs get a 1e-9 gap tolerance. The returned potentials are
 1-Lipschitz on every edge of the solved graph and certify the optimum.
 
 The coupled-graph half glues a fine prefractal level onto a coarse one
-with cross edges of weight alpha and certifies how far any Dirac state
-can sit from the opposite copy. Reported numbers are upper bounds from
+with cross edges of weight alpha and certifies, from the gasket's cell
+trace, how far any Dirac state can sit from the opposite copy. Reported numbers are upper bounds from
 measured Hausdorff quantities; premises are checked, not assumed.
 """
 
@@ -24,9 +24,10 @@ from math import isfinite, lcm
 
 import numpy as np
 
-from .gasket import PrefractalComplex, build_gasket, kappa
-from .metric import (EdgePoint, FiniteMetricSpace, MetricGraph, _is_exact_weight,
-                     _resolve_point, gasket_metric_graph, gh_upper_bound,
+from .gasket import CURVE_SLOTS, PrefractalComplex, build_gasket, kappa
+from .metric import (EdgePoint, FiniteMetricSpace, MetricGraph, _bfs_hops, _csr,
+                     _is_exact_weight, _resolve_point, certify_trace_agreement,
+                     gasket_cell_trace, gasket_metric_graph, gh_upper_bound,
                      sample_parameters)
 
 _FLOAT_MASS_TOL = 1e-12
@@ -465,11 +466,8 @@ class CoupledGraph:
         g_m = gasket_metric_graph(cx, m, harmonic_lengths=harmonic_lengths)
         g_n = gasket_metric_graph(cx, n, harmonic_lengths=harmonic_lengths)
         shared = [(v, v) for v in range(g_n.vertex_count)]
-        cg = cls(g_m, g_n, shared, alpha,
-                 provenance="coupled levels %d/%d alpha=%s" % (n, m, alpha))
-        cg.coarse_level = n
-        cg.fine_level = m
-        return cg
+        return cls(g_m, g_n, shared, alpha,
+                   provenance="coupled levels %d/%d alpha=%s" % (n, m, alpha))
 
     def a_node(self, index: int) -> int:
         if not 0 <= index < self.n_a:
@@ -556,17 +554,26 @@ def certify_extent(n: int, m: int, alpha=None, samples_per_curve: int = 3,
     """Certify how far Dirac states on either scale sit from the other.
 
     Measures the covering radii (sample-to-vertices at level n, vertices
-    n-to-m plus the 2^-m tail), takes epsilon as their max, couples the
-    graphs with cross weight alpha (default epsilon/4), and reports the
-    worst Dirac-to-opposite-copy distance against alpha + epsilon, with
-    2*alpha + epsilon as the headline bound. Random small mixtures are
-    spot-checked against the same bound, which convexity guarantees.
+    n-to-m plus the 2^-m tail), takes epsilon as their max, couples copy
+    A (level m) to copy B (level n) with cross edges of weight alpha
+    (default epsilon/4) on V_n, and reports the worst Dirac-to-opposite-
+    copy distance against alpha + epsilon, with 2*alpha + epsilon as the
+    headline bound. Random small mixtures are spot-checked against the
+    same bound, which convexity guarantees.
+
+    Everything comes from gasket_cell_trace(cx, n, m); no graph of level
+    m is built. A path from copy A to copy B crosses at some V_n vertex for
+    alpha, so d(x, B) = alpha + d_m(x, V_n), whose max over V_m is alpha +
+    Haus_{d_m}(V_n, V_m), and every B vertex sits alpha from its A copy.
+    Both need d_m = d_n on V_n, which the trace certifies.
     """
     if m < n:
         raise ValueError("need m >= n, got n=%d m=%d" % (n, m))
     if cx is None:
         cx = build_gasket(m)
-    rep = gh_upper_bound(n, m, samples_per_curve=samples_per_curve, cx=cx)
+    trace = gasket_cell_trace(cx, n, m)
+    rep = gh_upper_bound(n, m, samples_per_curve=samples_per_curve, cx=cx,
+                         trace=trace)
     eps_sample = rep.haus_vertices_to_sample + rep.sampling_slack
     eps_vertex = rep.haus_vn_in_vm + rep.tail
     _require_premises(n, m, eps_sample, eps_vertex)
@@ -577,28 +584,24 @@ def certify_extent(n: int, m: int, alpha=None, samples_per_curve: int = 3,
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive, got %s" % alpha)
+    agree = certify_trace_agreement(trace)
+    if agree.max_discrepancy:
+        raise ValueError("extent needs d_%d = d_%d on V_%d, but they differ by %s "
+                         "at pair %s" % (m, n, n, agree.max_discrepancy,
+                                         agree.worst_pair))
 
-    cg = CoupledGraph.from_gasket(cx, n, m, alpha)
-    # one run from copy B gives each copy-A vertex its distance to B and its
-    # nearest B vertex (ties to the lowest index), where mixture atoms move
-    nearest_b, to_b = cg.graph.nearest_sources(range(cg.n_a, cg.n_a + cg.n_b))
-    to_a = cg.graph.multi_source(range(cg.n_a))
-    worst_a = max(Fraction(d) for d in to_b[:cg.n_a])
-    worst_b = max(Fraction(d) for d in to_a[cg.n_a:])
-    empirical = max(worst_a, worst_b)
+    # alpha + the Hausdorff term is below alpha + epsilon by the 2^-m tail
+    worst_a = alpha + trace.hausdorff
     per_dirac = alpha + epsilon
-    bound = 2 * alpha + epsilon
-    if empirical > per_dirac:
-        raise RuntimeError("a Dirac state sits %s from the opposite copy, above "
-                           "alpha + epsilon = %s" % (empirical, per_dirac))
 
-    # copy A keeps its vertex indices, so mu lives on cg.graph as drawn
+    coarse = _csr(trace.corners[:, CURVE_SLOTS[:, :2]].reshape(-1, 2),
+                  trace.coarse_vertices)
+    nv_m = cx.level_vertex_counts[m]
     rng = random.Random(seed)
     mixture_max = Fraction(0)
     for _ in range(mixture_trials):
-        mu = DiscreteMeasure.random_mixture(rng, range(cg.n_a), min(4, cg.n_a))
-        targets = [(cg.b_node(nearest_b[a_idx]), w) for a_idx, w in mu.weights.items()]
-        val = Fraction(kantorovich(cg.graph, mu, DiscreteMeasure(targets)).value)
+        mu = DiscreteMeasure.random_mixture(rng, range(nv_m), min(4, nv_m))
+        val = Fraction(kantorovich(*_mixture_space(cx, trace, coarse, mu, alpha)).value)
         if val > mixture_max:
             mixture_max = val
     if mixture_max > per_dirac:
@@ -614,8 +617,8 @@ def certify_extent(n: int, m: int, alpha=None, samples_per_curve: int = 3,
         epsilon_apriori=eps_apriori,
         samples_per_curve=samples_per_curve,
         worst_a_to_b=worst_a,
-        worst_b_to_a=worst_b,
-        empirical_max=empirical,
+        worst_b_to_a=alpha,
+        empirical_max=worst_a,
         per_dirac_bound=per_dirac,
         bound=2 * alpha + epsilon,
         bound_apriori=2 * alpha + eps_apriori,
@@ -623,6 +626,63 @@ def certify_extent(n: int, m: int, alpha=None, samples_per_curve: int = 3,
         mixture_max=mixture_max,
         exact=True,
     )
+
+
+def _mixture_space(cx: PrefractalComplex, trace, coarse, mu: DiscreteMeasure, alpha):
+    """(space, mu, targets): the coupled graph's metric on mu's atoms on
+    copy A, labelled ("a", vertex), and their nearest corners on copy B,
+    labelled ("b", vertex), with both measures on the space's indices.
+
+    A path between two points leaves each A atom through an exit of its
+    cell, runs between V_n vertices along d_n = d_m (2^(m-n) level-m hops
+    per level-n edge, from BFS over the CSR `coarse` of the level-n
+    graph), and crosses once for alpha between copies. Two atoms in one
+    cell may also stay inside it, which a BFS over its triangles gives.
+    """
+    atoms, weights = list(mu.weights), list(mu.weights.values())
+    exits = [trace.exits(a) for a in atoms]
+    moves = [e[0][1] for _, e in exits]
+    targets = sorted(set(moves))
+    points = exits + [(None, [(0, v)]) for v in targets]
+
+    corners = sorted({c for _, e in points for _, c in e})
+    indptr, _, nbr = coarse
+    d_n = {c: dict(zip(corners, _bfs_hops(indptr, nbr, [c])[corners].tolist()))
+           for c in corners}
+    by_cell = {}
+    for i, (cell, _) in enumerate(exits):
+        if cell is not None:
+            by_cell.setdefault(cell, []).append(i)
+    inside = {}  # (i, j) with i > j -> hops between atoms i and j inside their cell
+    for cell, members in by_cell.items():
+        if len(members) > 1:
+            rows = _hops_in_cell(cx, trace, cell, [atoms[i] for i in members])
+            inside.update(((i, j), rows[y][x]) for y, i in enumerate(members)
+                          for x, j in enumerate(members[:y]))
+
+    step = 1 << (trace.m - trace.n)
+    matrix = [[Fraction(0)] * len(points) for _ in points]
+    for i, (_, ex_i) in enumerate(points):
+        for j in range(i):
+            hops = min(h + step * d_n[c][c2] + h2 for h, c in ex_i for h2, c2 in points[j][1])
+            d = Fraction(min(hops, inside.get((i, j), hops)), 2**trace.m)
+            matrix[i][j] = matrix[j][i] = d if (i < len(atoms)) == (j < len(atoms)) else d + alpha
+    space = FiniteMetricSpace([("a", v) for v in atoms] + [("b", v) for v in targets],
+                              matrix)
+    nu = DiscreteMeasure([(len(atoms) + targets.index(v), w) for v, w in zip(moves, weights)])
+    return space, DiscreteMeasure(list(enumerate(weights))), nu
+
+
+def _hops_in_cell(cx: PrefractalComplex, trace, cell: int, vertices) -> list:
+    """Hops between every two of `vertices`, V_m vertices of level-n cell
+    `cell`, over that cell's level-m triangles only."""
+    per = 3 ** (trace.m - trace.n)
+    tri = np.asarray(cx.triangles[trace.m][cell * per:(cell + 1) * per], dtype=np.int64)
+    ids, local = np.unique(tri, return_inverse=True)
+    indptr, _, nbr = _csr(local.reshape(tri.shape)[:, CURVE_SLOTS[:, :2]].reshape(-1, 2),
+                          len(ids))
+    at = np.searchsorted(ids, vertices)
+    return [_bfs_hops(indptr, nbr, [u])[at].tolist() for u in at.tolist()]
 
 
 # -- distance functions as Lipschitz witnesses ----------------------------

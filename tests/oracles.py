@@ -18,26 +18,33 @@ None of this is on a production path, and none of it is fast:
     transport kernels over per-vertex lists of (neighbour, weight) tuples
     that MetricGraph ran before its CSR arrays. They read only g.edges
     and g.value_scale(), so they share no adjacency code with the graph.
+  * coupled_extent: transport.certify_extent as it ran before the cell
+    trace, on the coupled graph of the level-m and level-n gasket graphs:
+    Dirac terms from multi-source runs, each mixture atom's target from
+    nearest_sources, and each mixture solved on the coupled graph's edges.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import random
 from collections import deque
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
 
-from prefractal.gasket import PrefractalComplex, kappa_inverse
+from prefractal.gasket import PrefractalComplex, build_gasket, kappa_inverse
 from prefractal.harmonic import (
     EMBED_SCALE,
     HarmonicTable,
     LengthEstimate,
     SubdivisionRule,
 )
-from prefractal.metric import AgreementReport, MetricGraph
+from prefractal.metric import AgreementReport, MetricGraph, gh_upper_bound
+from prefractal.transport import (CoupledGraph, DiscreteMeasure, ExtentReport,
+                                  _require_premises, kantorovich)
 
 
 # -- hop blocks by bit-parallel multi-source BFS -------------------------
@@ -538,3 +545,51 @@ def from_triples(n_vertices: int, edges, **kwargs) -> MetricGraph:
     """MetricGraph from a list of (u, v, weight) triples."""
     return MetricGraph(n_vertices, [(u, v) for u, v, _ in edges],
                        [w for _, _, w in edges], **kwargs)
+
+
+# -- extent on the coupled graph -----------------------------------------
+
+
+def coupled_extent(n: int, m: int, alpha=None, samples_per_curve: int = 3,
+                   cx: PrefractalComplex | None = None, mixture_trials: int = 5,
+                   seed: int = 0) -> ExtentReport:
+    """certify_extent over CoupledGraph.from_gasket(cx, n, m, alpha)."""
+    if m < n:
+        raise ValueError("need m >= n, got n=%d m=%d" % (n, m))
+    if cx is None:
+        cx = build_gasket(m)
+    rep = gh_upper_bound(n, m, samples_per_curve=samples_per_curve, cx=cx)
+    eps_sample = rep.haus_vertices_to_sample + rep.sampling_slack
+    eps_vertex = rep.haus_vn_in_vm + rep.tail
+    _require_premises(n, m, eps_sample, eps_vertex)
+    epsilon = max(eps_sample, eps_vertex)
+    eps_apriori = Fraction(1, 2**n) + Fraction(1, 2**m)
+    if alpha is None:
+        alpha = epsilon / 4
+    alpha = Fraction(alpha)
+
+    cg = CoupledGraph.from_gasket(cx, n, m, alpha)
+    g = cg.graph
+    # one run from copy B gives each copy-A vertex its distance to B and its
+    # nearest B vertex (ties to the lowest index), where mixture atoms move
+    nearest_b, to_b = nearest_sources(g, range(cg.n_a, cg.n_a + cg.n_b))
+    to_a = g.multi_source(range(cg.n_a))
+    worst_a = max(Fraction(g._value(d)) for d in to_b[:cg.n_a])
+    worst_b = max(Fraction(d) for d in to_a[cg.n_a:])
+
+    rng = random.Random(seed)
+    mixture_max = Fraction(0)
+    for _ in range(mixture_trials):
+        mu = DiscreteMeasure.random_mixture(rng, range(cg.n_a), min(4, cg.n_a))
+        targets = [(cg.b_node(nearest_b[a]), w) for a, w in mu.weights.items()]
+        val = Fraction(kantorovich(g, mu, DiscreteMeasure(targets)).value)
+        mixture_max = max(mixture_max, val)
+
+    return ExtentReport(
+        n=n, m=m, alpha=alpha, epsilon=epsilon, epsilon_sample=eps_sample,
+        epsilon_vertex=eps_vertex, epsilon_apriori=eps_apriori,
+        samples_per_curve=samples_per_curve, worst_a_to_b=worst_a,
+        worst_b_to_a=worst_b, empirical_max=max(worst_a, worst_b),
+        per_dirac_bound=alpha + epsilon, bound=2 * alpha + epsilon,
+        bound_apriori=2 * alpha + eps_apriori, mixture_trials=mixture_trials,
+        mixture_max=mixture_max, exact=True)

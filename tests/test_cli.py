@@ -222,25 +222,32 @@ class TestTables:
         with pytest.raises(AssertionError, match="built the level-11 complex"):
             main(["kantorovich", "--level", "11", "--mu", mu, "--nu", "1000:1"])
 
-    @pytest.mark.parametrize("n,m", [(11, 11), (10, 12)])
+    @pytest.mark.parametrize("n,m", [(11, 11), (10, 12), (0, 12), (12, 12)])
     def test_extent_guard_admits_measured_levels(self, n, m, monkeypatch):
-        # peaks of 537 and 766 MiB were measured at these levels
+        # peaks of 228 MiB at (10, 12) and (0, 12) and 305 MiB at (12, 12)
+        # were measured; every n is admitted at m = 12
         monkeypatch.setattr("prefractal.transport.build_gasket", _no_build)
         with pytest.raises(AssertionError, match="built the level-%d complex" % m):
             main(["extent", "--n", str(n), "--m", str(m)])
 
-    @pytest.mark.parametrize("n,m,mib", [(11, 12, 1086), (10, 13, 2491)])
+    @pytest.mark.parametrize("n,m,mib", [(0, 13, 1715), (10, 13, 1410)])
     def test_extent_guard_refuses_before_building(self, n, m, mib, capsys,
                                                   monkeypatch):
-        # the smallest refused m: 12 with n = 11 or 12, 13 for every smaller n
+        # the smallest refused m is 13, for every n, as for gh-table
         monkeypatch.setattr("prefractal.transport.build_gasket", _no_build)
         code, out, err = _run(capsys, "extent", "--n", str(n), "--m", str(m))
         assert code == 2 and out == ""
         payload = json.loads(err)
         assert payload["message"] == (
-            "extent at levels (%d, %d): the level graphs, the coupled graph and "
-            "the cell trace needs about %d MiB, above the guard of 1024 MiB"
-            % (n, m, mib))
+            "extent at levels (%d, %d): the complex, its cell trace, the level-%d "
+            "graph and one cell's graph needs about %d MiB, above the guard of "
+            "1024 MiB" % (n, m, n, mib))
+
+    @pytest.mark.parametrize("n,m", [(-5, 20), (5, 3)])
+    def test_extent_rejects_levels_out_of_order(self, n, m, capsys):
+        code, out, err = _run(capsys, "extent", "--n", str(n), "--m", str(m))
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"] == "need 0 <= n <= m, got n=%d m=%d" % (n, m)
 
     def test_gh_table_certifies_every_level_up_to_nine(self, capsys):
         # V_9 inside the level-10 graph; the hop-block check refused this

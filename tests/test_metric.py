@@ -16,7 +16,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import from_triples, hop_block, hop_block_agreement, sssp
+from oracles import (from_triples, hop_block, hop_block_agreement, nearest_sources,
+                     sssp)
 from prefractal.cli import main
 from prefractal.gasket import build_gasket, kappa, vertex_count
 from prefractal.metric import (
@@ -34,6 +35,7 @@ from prefractal.metric import (
     hausdorff_vertex_sets,
     sample_parameters,
 )
+from prefractal.transport import certify_extent
 
 CX = build_gasket(6)
 
@@ -113,7 +115,7 @@ class TestMetricGraph:
         assert g._uniform and g.value_scale() == 3 and g.weights[0] == 10**30
         for s in range(12):
             row = g.single_source(s)
-            assert row == g.nearest_sources([s])[1]
+            assert row == [g._value(d) for d in nearest_sources(g, [s])[1]]
             assert g._sssp([s]) == sssp(g, [s])
         assert g.single_source(0)[11] == 4 * w
         assert max(g._sssp([0])) == 5 * 10**30 > 2**63
@@ -515,6 +517,16 @@ class TestCellTrace:
                              (4, 5, quarter), (5, 2, 3 * quarter), (2, 4, 3 * quarter)])
         assert rep == certify_vertex_agreement(1, 2, g_1, h)
         assert rep.max_discrepancy == quarter and rep.worst_pair == (0, 2)
+
+    def test_extent_refuses_a_disagreeing_trace(self):
+        # the same path cell puts V_1 vertices 0 and 2 a quarter further
+        # apart at level 2 than at level 1, so the extent terms do not hold
+        rows = LEVEL_TWO[:6] + [[4, 5, 12], [12, 13, 14], [14, 15, 2]]
+        cx = _cells(rows, vertices=16)
+        cx.max_level = 2
+        with pytest.raises(ValueError, match=re.escape(
+                "extent needs d_2 = d_1 on V_1, but they differ by 1/4 at pair (0, 2)")):
+            certify_extent(1, 2, cx=cx)
 
     def test_shared_vertex_outside_v_n_is_named(self):
         # row (3, 9, 10) of cell 1 takes vertex 8 from cell 0

@@ -7,14 +7,14 @@ import oracles
 from oracles import (Infeasible, Unbounded, from_triples, max_difference_objective,
                      maximize)
 from prefractal import metric, transport
-from prefractal.gasket import build_gasket
+from prefractal.gasket import CURVE_SLOTS, build_gasket
 from prefractal.harmonic import build_harmonic_gasket
-from prefractal.metric import EdgePoint, FiniteMetricSpace, gasket_metric_graph
-from prefractal.transport import (CoupledGraph, DiscreteMeasure, _require_premises,
-                                  certify_extent, kantorovich, lipschitz_seminorm,
-                                  mcshane_extend, sampled_metric_space,
-                                  tunnel_dirac_distance,
-                                  verify_lipschitz_dirac_identity)
+from prefractal.metric import (EdgePoint, FiniteMetricSpace, MetricGraph, _csr,
+                               gasket_cell_trace, gasket_metric_graph)
+from prefractal.transport import (CoupledGraph, DiscreteMeasure, _mixture_space,
+                                  _require_premises, certify_extent, kantorovich,
+                                  lipschitz_seminorm, mcshane_extend, sampled_metric_space,
+                                  tunnel_dirac_distance, verify_lipschitz_dirac_identity)
 
 CX = build_gasket(7)
 
@@ -410,32 +410,79 @@ class TestExtentCertificate:
 
     def test_mixture_targets_match_per_atom_rule(self):
         # per-atom rule: argmin over copy-B indices j of (d(a, b_j), j); the
-        # rows come from one run per B vertex, equal to A's rows by symmetry
+        # rows come from one run per B vertex, equal to A's rows by symmetry.
+        # The oracle's nearest_sources on the coupled graph gives the same
+        # B vertex as the nearest corner of every V_m vertex's cell.
         for n, m, cx, expected in ((2, 6, CX, F(317, 1920)),
                                    (4, 8, build_gasket(8), F(761, 19200))):
             rep = certify_extent(n, m, cx=cx, mixture_trials=20, seed=3)
             assert F(rep.mixture_max) == expected
             cg = CoupledGraph.from_gasket(cx, n, m, F(rep.alpha))
             rows = cg.graph.internal_rows(cg.b_node(j) for j in range(cg.n_b))
-            nearest, dist = cg.graph.nearest_sources(range(cg.n_a, cg.n_a + cg.n_b))
+            nearest, dist = oracles.nearest_sources(cg.graph, range(cg.n_a, cg.n_a + cg.n_b))
+            trace = gasket_cell_trace(cx, n, m)
             for a in range(cg.n_a):
                 assert nearest[a] == min(range(cg.n_b), key=lambda j: (rows[j][a], j))
-                assert dist[a] == cg.graph._value(rows[nearest[a]][a])
+                assert dist[a] == rows[nearest[a]][a]
+                assert trace.exits(a)[1][0][1] == nearest[a]
 
-    def test_builds_each_level_graph_once(self, monkeypatch):
-        # the bound chain reads the cell trace; the coupled graph builds
-        # each level's graph once
-        levels = []
+    @pytest.mark.parametrize("n,m", [(0, 5), (2, 6), (3, 3)])
+    def test_mixture_space_is_the_coupled_metric(self, n, m):
+        # every entry, atom pairs in one cell included, is the coupled
+        # graph's distance between the labelled copies
+        alpha = F(1, 16)
+        cg = CoupledGraph.from_gasket(CX, n, m, alpha)
+        trace = gasket_cell_trace(CX, n, m)
+        coarse = _csr(trace.corners[:, CURVE_SLOTS[:, :2]].reshape(-1, 2),
+                      trace.coarse_vertices)
+        rng = random.Random(n)
+        same_cell = 0
+        for _ in range(20):
+            mu = DiscreteMeasure.random_mixture(rng, range(cg.n_a), 4)
+            space, mu_s, nu_s = _mixture_space(CX, trace, coarse, mu, alpha)
+            nodes = [cg.node(*label) for label in space.labels]
+            for i, u in enumerate(nodes):
+                assert space.matrix[i] == [cg.graph.single_source(u)[v] for v in nodes]
+            where = space.labels.index
+            assert mu_s.weights == {where(("a", a)): w for a, w in mu.weights.items()}
+            assert nu_s.weights == DiscreteMeasure(
+                [(where(("b", trace.exits(a)[1][0][1])), w)
+                 for a, w in mu.weights.items()]).weights
+            cells = [c for c, _ in map(trace.exits, mu.support) if c is not None]
+            same_cell += len(cells) - len(set(cells))
+        assert same_cell > 0 or n == m
 
-        def spy(cx, level=None, harmonic_lengths=None):
-            levels.append(level)
-            return gasket_metric_graph(cx, level, harmonic_lengths=harmonic_lengths)
+    def test_extent_builds_no_metric_graph(self, monkeypatch):
+        # every number comes from the cell trace; the only MetricGraphs are
+        # kantorovich's complete graphs on each mixture's support union
+        def fail(*args, **kwargs):
+            raise AssertionError("built a graph of the gasket")
 
-        monkeypatch.setattr(metric, "gasket_metric_graph", spy)
-        monkeypatch.setattr(transport, "gasket_metric_graph", spy)
+        init = MetricGraph.__init__
+
+        def support_union_only(self, n_vertices, ends, weights, provenance="generic",
+                               **kwargs):
+            if provenance != "support union" or n_vertices > 8:
+                fail()
+            init(self, n_vertices, ends, weights, provenance, **kwargs)
+
+        for module in (metric, transport):
+            monkeypatch.setattr(module, "gasket_metric_graph", fail)
+        monkeypatch.setattr(MetricGraph, "__init__", support_union_only)
+        monkeypatch.setattr(CoupledGraph, "__init__", fail)
         rep = certify_extent(4, 8, cx=build_gasket(8))
-        assert sorted(levels) == [4, 8]
         assert F(rep.mixture_max) == F(21, 640)
+
+    @pytest.mark.parametrize("n,m", [(0, 5), (1, 1), (2, 6), (3, 3), (3, 7), (4, 8),
+                                     (6, 9)])
+    def test_matches_coupled_graph_oracle(self, n, m):
+        # every field, seeds 0-4 with alpha auto and 1/16; the oracle takes
+        # about 2 s per call at (6, 9), so there 1/16 runs at seed 0 only
+        cx = CX if m <= CX.max_level else build_gasket(m)
+        for seed in range(5):
+            for alpha in (None, F(1, 16)) if seed == 0 or m < 9 else (None,):
+                assert (certify_extent(n, m, alpha=alpha, cx=cx, seed=seed)
+                        == oracles.coupled_extent(n, m, alpha=alpha, cx=cx, seed=seed))
 
     def test_premise_failures_name_the_term(self):
         with pytest.raises(ValueError, match="sample-covering premise"):
@@ -519,10 +566,11 @@ class TestKernelsMatchTupleOracle:
             assert g._sssp([s]) == oracles.sssp(g, [s])
         group = rng.sample(range(n), min(n, 5))
         assert g._sssp(group) == oracles.sssp(g, group)
-        nearest, dist = g.nearest_sources(group)
-        oracle_nearest, oracle_dist = oracles.nearest_sources(g, group)
-        assert nearest == oracle_nearest
-        assert dist == [g._value(d) for d in oracle_dist]
+        nearest, dist = oracles.nearest_sources(g, group)
+        assert dist == g._sssp(group)
+        rows = [g._sssp([s]) for s in group]
+        assert nearest == [min(range(len(group)), key=lambda p: (rows[p][v], p))
+                           for v in range(n)]
 
         # arc flows too: on parallel edges of equal weight only the
         # neighbour order decides which arc carries the flow
