@@ -20,9 +20,9 @@ from fractions import Fraction
 from . import __version__
 from .gasket import (build_gasket, check_memory, complex_bytes, complex_json_text,
                      curve_count, vertex_count)
-from .harmonic import HarmonicTable, build_harmonic_gasket, derive_subdivision_rule
+from .harmonic import (HarmonicTable, build_harmonic_gasket, check_tolerance,
+                       derive_subdivision_rule)
 from .metric import (
-    _ROW_ENTRY_BYTES,
     _TRACE_BYTES_PER_TRIANGLE,
     certify_trace_agreement,
     check_agreement_size,
@@ -58,8 +58,7 @@ _SVG_BYTES_PER_TRIANGLE = 1100
 # peak RSS of `kantorovich` per edge of the level's metric graph above the
 # base: the complex, the graph's arrays and the solver's per-slot lists
 # (58/115/258/753 MiB at levels 9-12 on a one-point query from corner 0
-# to corner 1, 428-477 B per edge beside the row); the plan-cost check
-# adds one distance row at a time
+# to corner 1, 428-477 B per edge)
 _KANTOROVICH_BYTES_PER_EDGE = 500
 
 # bytes `extent` adds to the cell trace of gh-table's guard: the trace
@@ -143,6 +142,7 @@ def _config_echo(args, keys) -> dict:
 
 def cmd_gen(args) -> str:
     config = _config_echo(args, ("geometry", "level", "tol", "format"))
+    check_tolerance(args.tol)  # echoed in every config, so never NaN
     if args.format == "json":
         check_memory(_BASE_BYTES + _JSON_BYTES_PER_CURVE[args.geometry]
                      * curve_count(args.level),
@@ -251,10 +251,8 @@ def cmd_dimension(args) -> str:
 def cmd_kantorovich(args) -> str:
     mu = _parse_measure(args.mu)
     nu = _parse_measure(args.nu)
-    check_memory(_BASE_BYTES + _KANTOROVICH_BYTES_PER_EDGE * 3 ** (args.level + 1)
-                 + _ROW_ENTRY_BYTES * vertex_count(args.level),
-                 "kantorovich at level %d: the metric graph and a distance "
-                 "row" % args.level)
+    check_memory(_BASE_BYTES + _KANTOROVICH_BYTES_PER_EDGE * 3 ** (args.level + 1),
+                 "kantorovich at level %d: the metric graph" % args.level)
     graph = gasket_metric_graph(build_gasket(args.level), args.level)
     res = kantorovich(graph, mu, nu)
     config = _config_echo(args, ("level", "mu", "nu"))

@@ -208,6 +208,12 @@ class LengthEstimate:
         return self.increments[-1] / self.value
 
 
+def check_tolerance(tol) -> None:
+    """Raise ValueError unless the quadrature tolerance is positive and finite."""
+    if not 0 < tol < math.inf:
+        raise ValueError("quadrature tol must be positive and finite, got %s" % tol)
+
+
 def check_refinement_cap(cap: int, den: int) -> None:
     """Raise ValueError when the base polyline of `cap` refinements could
     overflow int64 or its block of 2^cap + 1 points would pass the
@@ -364,6 +370,7 @@ def build_harmonic_gasket(max_level: int, tol: float = 1e-6,
                           cap: int = REFINEMENT_CAP,
                           cx: PrefractalComplex | None = None) -> HarmonicGasket:
     """Harmonic prefractal with per-curve length estimates for all levels."""
+    check_tolerance(tol)
     check_refinement_cap(cap, derive_subdivision_rule().den)
     if cx is None or cx.max_level < max_level:
         cx = build_gasket(max_level)

@@ -138,8 +138,8 @@ def evolve(xi: ModeVector, t: float) -> ModeVector:
 def tail_level_for(epsilon: float) -> int:
     """Smallest n with every level > n curve length below pi*epsilon/2,
     decided with the rational lower bound PI_LOWER on pi."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite, got %s" % epsilon)
     n = 0
     while not Fraction(1, 2 ** (n + 1)) < PI_LOWER * Fraction(epsilon) / 2:
         n += 1
@@ -193,8 +193,7 @@ def covariant_reach_witness(n: int, epsilon: float, trials: int,
     dropped lengths are all below pi*epsilon/2 the defect stays under
     epsilon.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    tail_ok = n >= tail_level_for(epsilon)  # validates epsilon
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = random.Random(seed)
@@ -202,7 +201,6 @@ def covariant_reach_witness(n: int, epsilon: float, trials: int,
               for i in range(t_grid_size)]
     max_reach = 0.0
     max_gap = 0.0
-    tail_ok = Fraction(1, 2 ** (n + 1)) < PI_LOWER * Fraction(epsilon) / 2
     for _ in range(trials):
         xi = random_mode_vector(rng, max_level=max_level)
         eta = project(xi, n)

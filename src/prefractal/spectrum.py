@@ -60,12 +60,12 @@ def mode_count(length, cutoff) -> int:
     bounds and rejected in the (practically unreachable) case where the
     argument sits inside the pi bracket of a half-integer.
     """
+    if not 0 <= cutoff < math.inf:
+        raise ValueError("cutoff must be finite and nonnegative, got %s" % cutoff)
     lam = Fraction(length)
     cut = Fraction(cutoff)
     if lam <= 0:
         raise ValueError("curve length must be positive, got %s" % length)
-    if cut < 0:
-        raise ValueError("cutoff must be nonnegative, got %s" % cutoff)
     x2 = 2 * cut * lam
     n_lo = (x2 + PI_LOWER) / (2 * PI_UPPER)
     n_hi = (x2 + PI_UPPER) / (2 * PI_LOWER)

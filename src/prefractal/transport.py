@@ -7,10 +7,13 @@ inputs run in integers at any support size (masses scaled by the lcm of
 their denominators) and the strong-duality gap must be exactly zero;
 float inputs get a 1e-9 gap tolerance. The returned potentials are
 1-Lipschitz on every edge of the solved graph and certify the optimum.
+Each plan entry (s, t) is certified by the flow path it was walked along:
+its length must equal phi(t) - phi(s) <= d(s, t), so the entry costs its
+geodesic distance, and no traversal is run.
 
-The coupled-graph half glues a fine prefractal level onto a coarse one
-with cross edges of weight alpha and certifies, from the gasket's cell
-trace, how far any Dirac state can sit from the opposite copy. Reported numbers are upper bounds from
+The extent certificate bounds, from the gasket's cell trace, how far a
+Dirac state on the fine level sits from the coarse one glued to it by
+cross edges of weight alpha. Reported numbers are upper bounds from
 measured Hausdorff quantities; premises are checked, not assumed.
 """
 
@@ -91,8 +94,9 @@ class DiscreteMeasure:
 
     @classmethod
     def random_mixture(cls, rng: random.Random, indices, k: int) -> "DiscreteMeasure":
-        """Exact random mixture on k points drawn from `indices`."""
-        chosen = rng.sample(list(indices), k)
+        """Exact random mixture on k points drawn from the sequence `indices`
+        (a range is sampled without being copied)."""
+        chosen = rng.sample(indices, k)
         raw = [rng.randint(1, 9) for _ in chosen]
         total = sum(raw)
         return cls([(i, Fraction(r, total)) for i, r in zip(chosen, raw)])
@@ -198,31 +202,34 @@ def _min_cost_flow(graph: MetricGraph, b, floor):
     raise RuntimeError("min-cost flow failed to settle within %d augmentations" % guard)
 
 
-def _decompose_flow(ends, flow, floor):
-    """Split an acyclic arc flow into (source, sink) -> mass.
+def _decompose_flow(graph: MetricGraph, flow, floor):
+    """Split an acyclic arc flow into walks (source, sink, mass, length).
 
-    Flows, supplies and demands at or below `floor` count as zero, the
-    same floor the solver stops at.
+    A walk's length, in internal units, adds the weight of a flow-carrying
+    arc per step, so it is the length of a real path. Flows, supplies and
+    demands at or below `floor` count as zero, as in the solver.
     """
     out = {}
+    step = {}
     net = {}
     for a, f in enumerate(flow):
         if f > floor:
-            u, v = ends[a >> 1].tolist()
+            u, v = graph.ends[a >> 1].tolist()
             if a & 1:
                 u, v = v, u
             nbrs = out.setdefault(u, {})
             nbrs[v] = nbrs.get(v, 0) + f
+            step.setdefault((u, v), graph.weights[a >> 1])
             net[u] = net.get(u, 0) + f
             net[v] = net.get(v, 0) - f
     supply = {v: m for v, m in net.items() if m > floor}
     demand = {v: -m for v, m in net.items() if -m > floor}
-    plan = {}
+    walks = []
     guard = sum(map(len, out.values())) + len(supply) + len(demand) + 1
     for _ in range(guard):
         s = next((v for v, m in sorted(supply.items()) if m > floor), None)
         if s is None:
-            return plan
+            return walks
         node = s
         path = []
         while demand.get(node, 0) <= floor:
@@ -240,7 +247,7 @@ def _decompose_flow(ends, flow, floor):
                 del out[u][v]
         supply[s] -= m
         demand[node] -= m
-        plan[(s, node)] = plan.get((s, node), 0) + m
+        walks.append((s, node, m, sum(step[e] for e in path)))
     raise RuntimeError("flow decomposition did not terminate")
 
 
@@ -255,7 +262,8 @@ def kantorovich(space: MetricGraph | FiniteMetricSpace, mu: DiscreteMeasure,
     scaled to integers by the lcm of their denominators and the duality
     gap must be exactly zero. Float inputs give float results with a gap
     of at most 1e-9. The potentials are 1-Lipschitz on every edge of the
-    solved graph and are reported on the support union.
+    solved graph and are reported on the support union; each plan entry
+    is certified by its walked flow path, as the module docstring says.
     """
     on_graph = isinstance(space, MetricGraph)
     n_pts = space.vertex_count if on_graph else len(space)
@@ -313,27 +321,19 @@ def kantorovich(space: MetricGraph | FiniteMetricSpace, mu: DiscreteMeasure,
             raise RuntimeError("potentials are not 1-Lipschitz on edge (%d, %d)"
                                % (label[u], label[v]))
 
+    # phi(t) - phi(s) <= d(s, t) <= length, so equality pins each entry's cost
+    moved, plan_cost = {}, 0
+    for s, t, m, length in _decompose_flow(graph, flow, floor):
+        if abs(length - (phi[t] - phi[s])) > slack:
+            raise RuntimeError(
+                "plan entry (%d, %d) walks a path of length %s, not the "
+                "potential difference %s" % (label[s], label[t], out(length, unit),
+                                             out(phi[t] - phi[s], unit)))
+        moved[s, t] = moved.get((s, t), 0) + m
+        plan_cost += m * length
     plan = [(v, v, min(w, nu_w[v])) for v, w in mu_w.items() if v in nu_w]
-    plan += [(u, v, m) for (u, v), m in
-             sorted(_decompose_flow(graph.ends, flow, floor).items())]
+    plan += [(s, t, m) for (s, t), m in sorted(moved.items())]
     _check_marginals(plan, mu_w, nu_w, 2 * floor, label)
-
-    # plan costs from true distances: a decomposed path can only be longer
-    # than the geodesic, and no plan beats the optimum. The moved entries
-    # are sorted by source, so one distance row is held at a time.
-    scaled = (lambda d: int(Fraction(d) * unit)) if graph.exact else float
-
-    def distance_row(u):
-        if on_graph:
-            return graph._sssp([u])
-        return [scaled(space.matrix[nodes[u]][q]) for q in nodes]
-
-    plan_cost, row_source, row = 0, None, None
-    for u, v, m in plan:
-        if u != v:
-            if u != row_source:
-                row_source, row = u, distance_row(u)
-            plan_cost += m * row[v]
     if abs(plan_cost - value) > tol:
         raise RuntimeError("plan cost %s disagrees with flow cost %s"
                            % (out(plan_cost, den), out(value, den)))
@@ -369,9 +369,7 @@ def _seminorm_with_witness(space: FiniteMetricSpace, values, indices):
         for c in range(a + 1, len(indices)):
             i, j = indices[a], indices[c]
             d = space.matrix[i][j]
-            num = values[a] - values[c]
-            if num < 0:
-                num = -num
+            num = abs(values[a] - values[c])
             ratio = (Fraction(num) / Fraction(d)) if exact else _as_float(num) / _as_float(d)
             if best is None or ratio > best:
                 best = ratio
@@ -383,10 +381,7 @@ def _seminorm_with_witness(space: FiniteMetricSpace, values, indices):
 
 def lipschitz_seminorm(space: FiniteMetricSpace, values, indices=None):
     """max |f(i) - f(j)| / d(i, j) over pairs; exact when inputs are."""
-    if indices is None:
-        indices = list(range(len(space)))
-    else:
-        indices = list(indices)
+    indices = list(range(len(space)) if indices is None else indices)
     values = list(values)
     if len(values) != len(indices):
         raise ValueError("need one value per point, got %d values for %d points"
@@ -414,15 +409,8 @@ def mcshane_extend(space: FiniteMetricSpace, indices, values, bound):
         raise ValueError(
             "data is not %s-Lipschitz on the subset: pair (%r, %r) has slope %s"
             % (bound, space.labels[pair[0]], space.labels[pair[1]], semi))
-    out = []
-    for x in range(len(space)):
-        best = None
-        for s, fs in zip(indices, values):
-            cand = lift(fs) + bound_l * lift(space.matrix[s][x])
-            if best is None or cand < best:
-                best = cand
-        out.append(best)
-    return out
+    return [min(lift(fs) + bound_l * lift(space.matrix[s][x])
+                for s, fs in zip(indices, values)) for x in range(len(space))]
 
 
 # -- coupled two-scale graphs ---------------------------------------------
@@ -569,6 +557,8 @@ def certify_extent(n: int, m: int, alpha=None, samples_per_curve: int = 3,
     """
     if m < n:
         raise ValueError("need m >= n, got n=%d m=%d" % (n, m))
+    if mixture_trials < 0:
+        raise ValueError("mixture trials must be nonnegative, got %d" % mixture_trials)
     if cx is None:
         cx = build_gasket(m)
     trace = gasket_cell_trace(cx, n, m)
@@ -740,9 +730,7 @@ def sampled_metric_space(cx: PrefractalComplex, level: int,
     matrix = [[Fraction(0)] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            d = pair(resolved[i], resolved[j])
-            matrix[i][j] = d
-            matrix[j][i] = d
+            matrix[i][j] = matrix[j][i] = pair(resolved[i], resolved[j])
     space = FiniteMetricSpace(points, matrix, validate=False)
     return points, space
 

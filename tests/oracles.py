@@ -18,6 +18,10 @@ None of this is on a production path, and none of it is fast:
     transport kernels over per-vertex lists of (neighbour, weight) tuples
     that MetricGraph ran before its CSR arrays. They read only g.edges
     and g.value_scale(), so they share no adjacency code with the graph.
+  * row_certificate: the plan-cost check kantorovich ran before it
+    certified each plan entry from its walked flow path and the
+    potentials: one distance row per moved source, mass times distance
+    summed and compared with the flow cost.
   * coupled_extent: transport.certify_extent as it ran before the cell
     trace, on the coupled graph of the level-m and level-n gasket graphs:
     Dirac terms from multi-source runs, each mixture atom's target from
@@ -593,3 +597,30 @@ def coupled_extent(n: int, m: int, alpha=None, samples_per_curve: int = 3,
         per_dirac_bound=alpha + epsilon, bound=2 * alpha + epsilon,
         bound_apriori=2 * alpha + eps_apriori, mixture_trials=mixture_trials,
         mixture_max=mixture_max, exact=True)
+
+
+# -- plan costs from distance rows ----------------------------------------
+
+
+def row_certificate(space, result) -> dict:
+    """{(s, t): d(s, t)} over the moved entries of a kantorovich result.
+
+    One distance row per moved source (the entries are sorted by source,
+    so one row is held at a time); raises RuntimeError when the plan
+    cost, mass times distance summed, disagrees with the result's value.
+    """
+    if isinstance(space, MetricGraph):
+        distance_row = space.single_source
+    else:
+        distance_row = space.matrix.__getitem__
+    dist, plan_cost, row_source, row = {}, 0, None, None
+    for u, v, m in result.plan:
+        if u != v:
+            if u != row_source:
+                row_source, row = u, distance_row(u)
+            dist[u, v] = row[v]
+            plan_cost += m * row[v]
+    if abs(plan_cost - result.value) > (0 if result.exact else 1e-9):
+        raise RuntimeError("plan cost %s disagrees with flow cost %s"
+                           % (plan_cost, result.value))
+    return dist

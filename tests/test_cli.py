@@ -23,6 +23,21 @@ def _no_build(level, **kwargs):
     raise AssertionError("built the level-%d complex" % level)
 
 
+def _random_measure(rng, points) -> str:
+    """index:weight list with random rational weights on `points`."""
+    raw = [rng.randint(1, 9) for _ in points]
+    return ",".join("%d:%d/%d" % (p, r, sum(raw)) for p, r in zip(points, raw))
+
+
+def _random_kantorovich(level, k_mu, k_nu, seed) -> list:
+    """kantorovich argv with seeded random measures on disjoint supports."""
+    rng = random.Random(seed)
+    picks = rng.sample(range(vertex_count(level)), k_mu + k_nu)
+    mu = _random_measure(rng, picks[:k_mu])
+    return ["kantorovich", "--level", str(level), "--mu", mu,
+            "--nu", _random_measure(rng, picks[k_mu:])]
+
+
 def _run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
@@ -209,14 +224,14 @@ class TestTables:
         assert code == 2 and out == ""
         payload = json.loads(err)
         assert payload["message"] == (
-            "kantorovich at level 13: the metric graph and a distance row "
-            "needs about 2394 MiB, above the guard of 1024 MiB")
+            "kantorovich at level 13: the metric graph needs about 2312 MiB, "
+            "above the guard of 1024 MiB")
         with pytest.raises(AssertionError, match="built the level-12 complex"):
             main(["kantorovich", "--level", "12", "--mu", "0:1", "--nu", "1:1"])
 
-    def test_kantorovich_guard_budgets_one_row(self, monkeypatch):
-        # the plan cost holds one distance row at a time, so the size of mu
-        # does not count: 300 points at level 11 pass the guard
+    def test_kantorovich_guard_ignores_support_size(self, monkeypatch):
+        # the certificate reads the solver's own flow and potentials, so the
+        # size of mu does not count: 300 points at level 11 pass the guard
         monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
         mu = ",".join("%d:1/300" % p for p in range(300))
         with pytest.raises(AssertionError, match="built the level-11 complex"):
@@ -242,6 +257,24 @@ class TestTables:
             "extent at levels (%d, %d): the complex, its cell trace, the level-%d "
             "graph and one cell's graph needs about %d MiB, above the guard of "
             "1024 MiB" % (n, m, n, mib))
+
+    @pytest.mark.parametrize("argv,message", [
+        (["covariant", "--n", "2", "--epsilon", "inf"],
+         "epsilon must be positive and finite, got inf"),
+        (["spectrum", "--level", "2", "--cutoff", "inf"],
+         "cutoff must be finite and nonnegative, got inf"),
+        (["extent", "--n", "1", "--m", "2", "--trials", "-1"],
+         "mixture trials must be nonnegative, got -1"),
+    ] + [(["gen", "--geometry", "harmonic", "--level", "6", "--tol", tol],
+          "quadrature tol must be positive and finite, got %s" % float(tol))
+         for tol in ("nan", "0", "-1", "inf")]
+      + [(["gen", "--level", "2", "--tol", "nan"],
+          "quadrature tol must be positive and finite, got nan")])
+    def test_bad_numeric_flags_exit_two(self, argv, message, capsys):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "validation", "exitCode": 2,
+                                   "message": message}
 
     @pytest.mark.parametrize("n,m", [(-5, 20), (5, 3)])
     def test_extent_rejects_levels_out_of_order(self, n, m, capsys):
@@ -292,15 +325,8 @@ class TestTables:
         assert sorted(tuple(row) for row in tr["plan"]) == [(0, 2, 0.5), (1, 2, 0.5)]
 
     def test_kantorovich_exact_past_sixty_four_points(self, capsys):
-        rng = random.Random(4040)
-        picks = rng.sample(range(vertex_count(5)), 80)
-
-        def measure(points):
-            raw = [rng.randint(1, 9) for _ in points]
-            return ",".join("%d:%d/%d" % (p, r, sum(raw)) for p, r in zip(points, raw))
-
-        code, out, _ = _run(capsys, "kantorovich", "--level", "5",
-                            "--mu", measure(picks[:40]), "--nu", measure(picks[40:]))
+        picks = random.Random(4040).sample(range(vertex_count(5)), 80)
+        code, out, _ = _run(capsys, *_random_kantorovich(5, 40, 40, seed=4040))
         assert code == 0
         tr = json.loads(out)["transport"]
         assert tr["exact"] is True and tr["gap"] == 0.0
@@ -371,6 +397,11 @@ class TestPlumbing:
           "--mu", ",".join("%d:1/16" % (22 * i) for i in range(16)),
           "--nu", ",".join("%d:%d/136" % (22 * i + 11, i + 1) for i in range(16))],
          "507eecec95c51a13f5b895bc5fcd8eb4eac0289b55cf97f65b1cd4958b40d092"),
+        (_random_kantorovich(7, 20, 25, seed=7),
+         "15be929397b250619487621f10d2bc2fe0d71d5e26f8a93f11548a2a42f47150"),
+        (["kantorovich", "--level", "4", "--mu", "0:0.25,7:0.5,30:0.25",
+          "--nu", "2:0.1,15:0.6,40:0.3"],
+         "bbfaf090d1d958a34888e6e35991ad6fb8df9de0d08b00f06624fea92e5e83ea"),
     )
 
     @pytest.mark.parametrize("argv,digest", GOLDEN, ids=lambda v: " ".join(v)

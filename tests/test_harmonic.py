@@ -291,6 +291,17 @@ class TestRefinementCap:
         with pytest.raises(ValueError, match="nonnegative"):
             harmonic_lengths(CX, TABLE, [0], cap=-1)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+    def test_gasket_tolerance_refused_before_building(self, tol, monkeypatch):
+        # tol = 0 stays open to harmonic_lengths, where it refines to the cap
+        def no_build(level):
+            raise AssertionError("built the level-%d complex" % level)
+
+        monkeypatch.setattr("prefractal.harmonic.build_gasket", no_build)
+        with pytest.raises(ValueError, match="^quadrature tol must be positive and "
+                                             "finite, got %s$" % tol):
+            build_harmonic_gasket(1, tol=tol)
+
 
 class TestHarmonicGasket:
     def test_combinatorics_match_euclidean(self):

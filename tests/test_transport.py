@@ -1,4 +1,6 @@
+import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +9,7 @@ import oracles
 from oracles import (Infeasible, Unbounded, from_triples, max_difference_objective,
                      maximize)
 from prefractal import metric, transport
-from prefractal.gasket import CURVE_SLOTS, build_gasket
+from prefractal.gasket import CURVE_SLOTS, build_gasket, vertex_count
 from prefractal.harmonic import build_harmonic_gasket
 from prefractal.metric import (EdgePoint, FiniteMetricSpace, MetricGraph, _csr,
                                gasket_cell_trace, gasket_metric_graph)
@@ -135,6 +137,20 @@ class TestDiscreteMeasure:
             m = DiscreteMeasure.random_mixture(rng, range(30), 4)
             assert m.exact and sum(m.weights.values()) == 1
             assert len(m) <= 4
+
+    def test_random_mixture_samples_the_range_uncopied(self):
+        # the draw that sampling list(range(|V_12|)) gives, pinned, made
+        # without materialising the 797,163 ints
+        size = vertex_count(12)
+        tracemalloc.start()
+        try:
+            m = DiscreteMeasure.random_mixture(random.Random(12), range(size), 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.weights == {282061: F(3, 17), 497623: F(6, 17), 554833: F(1, 17),
+                             689409: F(7, 17)}
+        assert peak < 1 << 20
 
 
 class TestKantorovich:
@@ -283,6 +299,39 @@ class TestKantorovich:
         g = gasket_metric_graph(CX, 2)
         with pytest.raises(RuntimeError, match=r"1-Lipschitz on edge \((5, \d+|\d+, 5)\)"):
             kantorovich(g, DiscreteMeasure.dirac(0), DiscreteMeasure.dirac(1))
+
+    @pytest.mark.parametrize("on_graph", [True, False])
+    def test_entry_certificate_names_the_entry(self, on_graph, monkeypatch):
+        # each walk reported at twice its length: 1 against d(3, 7) = 1/2
+        decompose = transport._decompose_flow
+
+        def stretched(graph, flow, floor):
+            return [(s, t, m, 2 * length)
+                    for s, t, m, length in decompose(graph, flow, floor)]
+
+        monkeypatch.setattr(transport, "_decompose_flow", stretched)
+        g = gasket_metric_graph(CX, 2)
+        space = g if on_graph else FiniteMetricSpace.from_graph(g)
+        with pytest.raises(RuntimeError, match=r"^plan entry \(3, 7\) walks a path of "
+                           r"length 1, not the potential difference 1/2$"):
+            kantorovich(space, DiscreteMeasure.dirac(3), DiscreteMeasure.dirac(7))
+
+    def test_solve_on_a_graph_runs_no_traversal(self, monkeypatch):
+        g = gasket_metric_graph(CX, 5)
+        rng = random.Random(55)
+        mu, nu = (DiscreteMeasure.random_mixture(rng, range(g.vertex_count), 12)
+                  for _ in range(2))
+        want = kantorovich(FiniteMetricSpace.from_graph(g), mu, nu)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran a traversal")
+
+        monkeypatch.setattr(MetricGraph, "_sssp", refuse)
+        monkeypatch.setattr(metric, "_bfs_hops", refuse)
+        monkeypatch.setattr(transport, "_bfs_hops", refuse)
+        res = kantorovich(g, mu, nu)
+        assert res.exact and res.gap == 0 and res.value == want.value
+        assert len(res.plan) >= 12
 
     def test_json_round_shape(self):
         space = FiniteMetricSpace("abc", [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
@@ -586,3 +635,80 @@ class TestKernelsMatchTupleOracle:
         results = [kantorovich(g, mu, nu) for mu, nu in pairs]
         monkeypatch.setattr(transport, "_min_cost_flow", oracles.min_cost_flow)
         assert [kantorovich(g, mu, nu) for mu, nu in pairs] == results
+
+
+def _walks_and_rows(space, mu, nu, monkeypatch):
+    """kantorovich's result, its walked flow paths as (s, t, length) in
+    the space's labels and values, and the row oracle's distances."""
+    walks = []
+    decompose = transport._decompose_flow
+
+    def spy(graph, flow, floor):
+        found = decompose(graph, flow, floor)
+        label = range(graph.vertex_count) if graph is space else sorted(
+            set(mu.support) | set(nu.support))
+        unit = graph.value_scale() or 1
+        walks.extend((label[s], label[t], F(length, unit) if graph.exact else length)
+                     for s, t, _, length in found)
+        return found
+
+    with monkeypatch.context() as patch:
+        patch.setattr(transport, "_decompose_flow", spy)
+        res = kantorovich(space, mu, nu)
+    return res, walks, oracles.row_certificate(space, res)
+
+
+def _agree(a, b, exact):
+    return a == b if exact else math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-9)
+
+
+class TestEntryCertificateMatchesRows:
+    """Each walked flow path's length, the potential difference of its
+    ends and the distance from the row oracle are one number."""
+
+    def check(self, space, mu, nu, monkeypatch):
+        res, walks, dist = _walks_and_rows(space, mu, nu, monkeypatch)
+        assert {(s, t) for s, t, _ in walks} == set(dist)
+        for s, t, length in walks:
+            d = dist[s, t]
+            assert _agree(length, d, space.exact)
+            assert _agree(res.potentials[s] - res.potentials[t], d, res.exact)
+        return res
+
+    @pytest.mark.parametrize("name", KERNEL_GRAPHS)
+    def test_kernel_graphs(self, name, monkeypatch):
+        g = _kernel_graph(name)
+        n = g.vertex_count
+        rng = random.Random("rows " + name)
+        for k in (1, 4, 8):
+            mu, nu = (DiscreteMeasure.random_mixture(rng, range(n), min(n, k))
+                      for _ in range(2))
+            self.check(g, mu, nu, monkeypatch)
+
+    def test_support_union_solves(self, monkeypatch):
+        rng = random.Random(6061)
+        for _ in range(10):
+            k = rng.randint(2, 8)
+            space = _random_metric(rng, k)
+            mu, nu = (DiscreteMeasure.random_mixture(rng, range(k), rng.randint(1, k))
+                      for _ in range(2))
+            self.check(space, mu, nu, monkeypatch)
+        space = FiniteMetricSpace.from_graph(gasket_metric_graph(CX, 3))
+        for exact in (True, False):
+            mu, nu = (DiscreteMeasure.random_mixture(rng, range(len(space)), 20)
+                      for _ in range(2))
+            if not exact:
+                mu, nu = (DiscreteMeasure({i: float(w) for i, w in m.weights.items()})
+                          for m in (mu, nu))
+            assert self.check(space, mu, nu, monkeypatch).exact == exact
+
+    @pytest.mark.parametrize("level", [3, 4, 5, 6])
+    def test_random_gasket_queries(self, level, monkeypatch):
+        g = gasket_metric_graph(CX, level)
+        rng = random.Random(level)
+        for k in (2, 10, 25):
+            mu, nu = (DiscreteMeasure.random_mixture(rng, range(g.vertex_count), k)
+                      for _ in range(2))
+            self.check(g, mu, nu, monkeypatch)
+        mu = DiscreteMeasure({i: 0.1 for i in rng.sample(range(g.vertex_count), 10)})
+        assert not self.check(g, mu, DiscreteMeasure.dirac(0), monkeypatch).exact
