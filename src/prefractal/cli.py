@@ -70,6 +70,12 @@ _KANTOROVICH_BYTES_PER_EDGE = 500
 _TRACE_KEPT_BYTES_PER_VERTEX = 28
 _CSR_BYTES_PER_EDGE = 70
 
+# peak RSS of `dimension` per cutoff grid point above the base: the grid
+# arrays, the counting table, the fit's lists and the written document
+# (wait4 peaks of 43/56/78 MiB for JSON and 46/61/88 MiB for SVG at 25k,
+# 50k and 100k points, 476 and 572 B per point)
+_DIMENSION_BYTES_PER_POINT = 600
+
 
 def _emit(text: str, out: str | None):
     if out is None:
@@ -236,6 +242,9 @@ def _spectrum_spec(args) -> SpectrumSpec:
 
 def cmd_dimension(args) -> str:
     spec = _spectrum_spec(args)
+    check_memory(_BASE_BYTES + _DIMENSION_BYTES_PER_POINT * args.grid,
+                 "dimension on %d cutoffs: the grid, its counts and the fit"
+                 % args.grid)
     fit = dimension_fit(spec, args.lambda_min, args.lambda_max,
                         grid_size=args.grid)
     config = _config_echo(args, ("geometry", "level", "infinite", "lambda_min",

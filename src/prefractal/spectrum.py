@@ -53,24 +53,32 @@ def _pi_bounds():
 PI_LOWER, PI_UPPER = _pi_bounds()
 
 
+# cross products of the pi bracket a/b <= pi <= c/d, for mode_count
+_PI_BD = PI_LOWER.denominator * PI_UPPER.denominator
+_PI_AD = PI_LOWER.numerator * PI_UPPER.denominator
+_PI_CB = PI_UPPER.numerator * PI_LOWER.denominator
+
+
 def mode_count(length, cutoff) -> int:
     """Number of eigenvalues of the length-L interval operator in [-c, c].
 
     Equals 2*floor(c*L/pi + 1/2); the floor is decided with both pi
     bounds and rejected in the (practically unreachable) case where the
-    argument sits inside the pi bracket of a half-integer.
+    argument sits inside the pi bracket of a half-integer. With
+    2*c*L = p/q and the bracket a/b <= pi <= c/d, the two floors are
+    floor((p/q + a/b) / (2c/d)) = (p*bd + q*ad) // (2q*cb) and
+    floor((p/q + c/d) / (2a/b)) = (p*bd + q*cb) // (2q*ad), integer
+    divisions with positive denominators, so no fraction is normalized.
     """
     if not 0 <= cutoff < math.inf:
         raise ValueError("cutoff must be finite and nonnegative, got %s" % cutoff)
-    lam = Fraction(length)
-    cut = Fraction(cutoff)
-    if lam <= 0:
+    lam_num, lam_den = Fraction(length).as_integer_ratio()
+    if lam_num <= 0:
         raise ValueError("curve length must be positive, got %s" % length)
-    x2 = 2 * cut * lam
-    n_lo = (x2 + PI_LOWER) / (2 * PI_UPPER)
-    n_hi = (x2 + PI_UPPER) / (2 * PI_LOWER)
-    f_lo = n_lo.numerator // n_lo.denominator
-    f_hi = n_hi.numerator // n_hi.denominator
+    cut_num, cut_den = Fraction(cutoff).as_integer_ratio()
+    p, q = 2 * cut_num * lam_num, cut_den * lam_den
+    f_lo = (p * _PI_BD + q * _PI_AD) // (2 * q * _PI_CB)
+    f_hi = (p * _PI_BD + q * _PI_CB) // (2 * q * _PI_AD)
     if f_lo != f_hi:
         raise ValueError(
             "cutoff*length/pi is within the pi bracket of a half-integer; "
@@ -241,6 +249,9 @@ def dimension_fit(spec: SpectrumSpec, lam_min, lam_max,
     The slope estimates the growth exponent of the counting function; the
     gasket limit targets log(3)/log(2), one interval targets 1.
     """
+    for name, value in (("lower", lam_min), ("upper", lam_max)):
+        if not math.isfinite(value):
+            raise ValueError("%s cutoff must be finite, got %s" % (name, value))
     if grid_size < 2:
         raise ValueError("grid must have at least two points")
     if not float(lam_min) >= float(PI_LOWER):

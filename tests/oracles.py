@@ -26,6 +26,12 @@ None of this is on a production path, and none of it is fast:
     trace, on the coupled graph of the level-m and level-n gasket graphs:
     Dirac terms from multi-source runs, each mixture atom's target from
     nearest_sources, and each mixture solved on the coupled graph's edges.
+  * covariant_reach_oracle: modes.covariant_reach_witness as it ran
+    before it evolved only the defect: per grid time, the vector and its
+    projection each evolved as a whole ModeVector and then subtracted.
+  * fraction_mode_count: spectrum.mode_count as it ran before its floors
+    became integer divisions, with both floors taken of normalized
+    Fractions.
 """
 
 from __future__ import annotations
@@ -47,6 +53,9 @@ from prefractal.harmonic import (
     SubdivisionRule,
 )
 from prefractal.metric import AgreementReport, MetricGraph, gh_upper_bound
+from prefractal.modes import (ReachReport, evolve, project, random_mode_vector,
+                              tail_level_for)
+from prefractal.spectrum import PI_LOWER, PI_UPPER
 from prefractal.transport import (CoupledGraph, DiscreteMeasure, ExtentReport,
                                   _require_premises, kantorovich)
 
@@ -624,3 +633,50 @@ def row_certificate(space, result) -> dict:
         raise RuntimeError("plan cost %s disagrees with flow cost %s"
                            % (plan_cost, result.value))
     return dist
+
+
+# -- evolved projection defects and rational mode counts -------------------
+
+
+def covariant_reach_oracle(n: int, epsilon: float, trials: int,
+                           seed: int = 0, t_grid_size: int = 41,
+                           max_level: int = 8) -> ReachReport:
+    """The reach witness with both vectors evolved at every grid time."""
+    tail_ok = n >= tail_level_for(epsilon)  # validates epsilon
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    rng = random.Random(seed)
+    t_grid = [(-1.0 / epsilon) + (2.0 / epsilon) * i / (t_grid_size - 1)
+              for i in range(t_grid_size)]
+    max_reach = 0.0
+    max_gap = 0.0
+    for _ in range(trials):
+        xi = random_mode_vector(rng, max_level=max_level)
+        eta = project(xi, n)
+        static = (xi - eta).norm()
+        sup = max((evolve(xi, t) - evolve(eta, t)).norm() for t in t_grid)
+        max_reach = max(max_reach, sup)
+        max_gap = max(max_gap, abs(sup - static))
+    return ReachReport(n, epsilon, trials, t_grid_size, max_reach, max_gap,
+                       tail_ok, max_reach < epsilon)
+
+
+def fraction_mode_count(length, cutoff) -> int:
+    """2*floor(c*L/pi + 1/2), both pi-bound floors taken of Fractions."""
+    if not 0 <= cutoff < math.inf:
+        raise ValueError("cutoff must be finite and nonnegative, got %s" % cutoff)
+    lam = Fraction(length)
+    cut = Fraction(cutoff)
+    if lam <= 0:
+        raise ValueError("curve length must be positive, got %s" % length)
+    x2 = 2 * cut * lam
+    n_lo = (x2 + PI_LOWER) / (2 * PI_UPPER)
+    n_hi = (x2 + PI_UPPER) / (2 * PI_LOWER)
+    f_lo = n_lo.numerator // n_lo.denominator
+    f_hi = n_hi.numerator // n_hi.denominator
+    if f_lo != f_hi:
+        raise ValueError(
+            "cutoff*length/pi is within the pi bracket of a half-integer; "
+            "the mode count is not decidable at this precision"
+        )
+    return 2 * f_lo

@@ -258,6 +258,20 @@ class TestTables:
             "graph and one cell's graph needs about %d MiB, above the guard of "
             "1024 MiB" % (n, m, n, mib))
 
+    @pytest.mark.parametrize("grid,mib", [(1733646, 1024), (10**9, 572236)])
+    def test_dimension_guard_refuses_before_the_grid(self, grid, mib, capsys,
+                                                     monkeypatch):
+        # 1,733,646 points is the first refused grid
+        def no_fit(*args, **kwargs):
+            raise AssertionError("ran the fit")
+        monkeypatch.setattr("prefractal.cli.dimension_fit", no_fit)
+        code, out, err = _run(capsys, "dimension", "--infinite", "--lambda-min",
+                              "10", "--lambda-max", "100", "--grid", str(grid))
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"] == (
+            "dimension on %d cutoffs: the grid, its counts and the fit needs "
+            "about %d MiB, above the guard of 1024 MiB" % (grid, mib))
+
     @pytest.mark.parametrize("argv,message", [
         (["covariant", "--n", "2", "--epsilon", "inf"],
          "epsilon must be positive and finite, got inf"),
@@ -269,7 +283,11 @@ class TestTables:
           "quadrature tol must be positive and finite, got %s" % float(tol))
          for tol in ("nan", "0", "-1", "inf")]
       + [(["gen", "--level", "2", "--tol", "nan"],
-          "quadrature tol must be positive and finite, got nan")])
+          "quadrature tol must be positive and finite, got nan"),
+         (["dimension", "--infinite", "--lambda-min", "10", "--lambda-max", "inf"],
+          "upper cutoff must be finite, got inf"),
+         (["dimension", "--infinite", "--lambda-min", "nan", "--lambda-max", "100"],
+          "lower cutoff must be finite, got nan")])
     def test_bad_numeric_flags_exit_two(self, argv, message, capsys):
         code, out, err = _run(capsys, *argv)
         assert code == 2 and out == ""
@@ -402,11 +420,37 @@ class TestPlumbing:
         (["kantorovich", "--level", "4", "--mu", "0:0.25,7:0.5,30:0.25",
           "--nu", "2:0.1,15:0.6,40:0.3"],
          "bbfaf090d1d958a34888e6e35991ad6fb8df9de0d08b00f06624fea92e5e83ea"),
+        (["covariant", "--n", "2", "--epsilon", "0.1", "--trials", "500",
+          "--seed", "1"],
+         "99835a41611d06101af6b16ba13559baceddceca92f935c1be4b43b46a62df68"),
+        (["covariant", "--n", "4", "--epsilon", "0.01", "--trials", "100",
+          "--seed", "7"],
+         "2815504bc9073ce64a37ccee63f14a137e49b5d373507cae8771d4e0b33924b1"),
+        (["dimension", "--infinite", "--lambda-min", "10", "--lambda-max", "1e5",
+          "--grid", "200"],
+         "605657d0bafdabb76ebc59d01cdd8eb5eeb4f7108d4a498330050349ca20bc44"),
+        (["spectrum", "--level", "6", "--cutoff", "2000", "--format", "csv"],
+         "4023462cb83b2277fc16723beabce835b5830df706cae23e53071e025c8358f4"),
     )
 
     @pytest.mark.parametrize("argv,digest", GOLDEN, ids=lambda v: " ".join(v)
                              if isinstance(v, list) else "")
     def test_outputs_match_golden_bytes(self, argv, digest, tmp_path, capsys):
+        path = tmp_path / "out"
+        assert main(argv + ["--out", str(path)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_covariant_never_evolves_whole_vectors(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # the witness evolves only the projection defect, so the pinned
+        # bytes come out with evolve, project and subtraction disabled
+        def refuse(*args):
+            raise AssertionError("whole-vector path used")
+        monkeypatch.setattr("prefractal.modes.evolve", refuse)
+        monkeypatch.setattr("prefractal.modes.project", refuse)
+        monkeypatch.setattr("prefractal.modes.ModeVector.__sub__", refuse)
+        argv, digest = next(g for g in self.GOLDEN if g[0][0] == "covariant")
         path = tmp_path / "out"
         assert main(argv + ["--out", str(path)]) == 0
         capsys.readouterr()

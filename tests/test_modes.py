@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from prefractal.gasket import curve_count, kappa
 from prefractal.modes import (
     ModeVector,
@@ -197,6 +198,24 @@ class TestCovariantReach:
             assert rep.tail_lengths_small
             assert rep.below_epsilon
             assert rep.max_reach < eps
+
+    @pytest.mark.parametrize("epsilon", [0.5, 0.1, 0.01])
+    @pytest.mark.parametrize("n", range(10))
+    def test_matches_whole_vector_oracle(self, n, epsilon):
+        # n >= max_level (8) leaves an empty defect, so the sup is 0
+        for seed in range(5):
+            for size in (2, 41):
+                got = covariant_reach_witness(n, epsilon, trials=12, seed=seed,
+                                              t_grid_size=size)
+                assert got == oracles.covariant_reach_oracle(
+                    n, epsilon, trials=12, seed=seed, t_grid_size=size)
+                if n >= 8:
+                    assert got.max_reach == 0.0
+
+    @pytest.mark.parametrize("size", [1, 0, -3])
+    def test_rejects_short_time_grid(self, size):
+        with pytest.raises(ValueError, match="at least two points, got %d" % size):
+            covariant_reach_witness(2, 0.1, trials=1, t_grid_size=size)
 
     def test_report_round_trips(self):
         rep = covariant_reach_witness(2, 0.1, trials=5, seed=3)

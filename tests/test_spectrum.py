@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from prefractal.spectrum import (
     PI_LOWER,
     PI_UPPER,
@@ -78,6 +79,24 @@ class TestModeCount:
             lam = Fraction(rng.randint(1, 16), rng.randint(1, 16))
             cut = Fraction(rng.randint(0, 400), rng.randint(1, 4))
             assert mode_count(lam, cut) == _brute_count([(lam, 1)], float(cut))
+
+    @pytest.mark.parametrize("m", range(41))
+    def test_integer_floors_match_fraction_oracle(self, m):
+        rng = random.Random(m)
+        lam = Fraction(1, 2**m)
+        cutoffs = ([0, 0.0] + [rng.uniform(0, 10.0 ** rng.randint(0, 15))
+                               for _ in range(30)]
+                   + [k * Fraction(math.pi) for k in range(1, 30)]
+                   + [k * Fraction(math.pi) * 2**m for k in range(1, 30)])
+        for cut in cutoffs:
+            assert mode_count(lam, cut) == oracles.fraction_mode_count(lam, cut)
+
+    def test_undecidable_bracket_refused_like_the_oracle(self):
+        # c*L/pi within the bracket of 1/2: the two floors differ
+        cut = (PI_LOWER + PI_UPPER) / 4
+        for count in (mode_count, oracles.fraction_mode_count):
+            with pytest.raises(ValueError, match="not decidable"):
+                count(1, cut)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="positive"):
