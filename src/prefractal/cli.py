@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import __version__
 from .gasket import (build_gasket, check_memory, complex_bytes, complex_json_text,
-                     curve_count, vertex_count)
+                     curve_count)
 from .harmonic import (HarmonicTable, build_harmonic_gasket, check_tolerance,
                        derive_subdivision_rule)
 from .metric import (
@@ -39,8 +39,9 @@ SCHEMA_VERSION = 2
 
 # peak RSS of the interpreter with prefractal and numpy imported (`gen
 # --level 0` peaks at 31.3 MiB); the JSON and kantorovich guards add a
-# measured slope per curve or per edge on top of it, the extent guard the
-# estimates of its parts
+# measured slope per curve or per edge on top of it, the extent guard
+# gh-table's estimate of the complex and its cell trace (peaks under wait4
+# of 228 MiB at (n, m) = (0, 12) and (10, 12), 305 MiB at (12, 12))
 _BASE_BYTES = 32 << 20
 
 # peak RSS of `gen --format json` per curve of the complex above the base,
@@ -60,15 +61,6 @@ _SVG_BYTES_PER_TRIANGLE = 1100
 # (58/115/258/753 MiB at levels 9-12 on a one-point query from corner 0
 # to corner 1, 428-477 B per edge)
 _KANTOROVICH_BYTES_PER_EDGE = 500
-
-# bytes `extent` adds to the cell trace of gh-table's guard: the trace
-# keeps int32 hops to three corners and the int64 cell and vertex of each
-# of its at most |V_m| + |V_n| union vertices, and the level-n graph and
-# one cell's graph each take a CSR and a BFS row (tracemalloc peak 68 B
-# per edge at levels 9-12). Peaks under wait4: 54/65 MiB at (n, m) =
-# (2, 10)/(10, 10), and 228/228/228/305 MiB at (0, 12)/(2, 12)/(10, 12)/(12, 12)
-_TRACE_KEPT_BYTES_PER_VERTEX = 28
-_CSR_BYTES_PER_EDGE = 70
 
 # peak RSS of `dimension` per cutoff grid point above the base: the grid
 # arrays, the counting table, the fit's lists and the written document
@@ -273,11 +265,8 @@ def cmd_extent(args) -> str:
     n, m = args.n, args.m
     if not 0 <= n <= m:
         raise ValueError("need 0 <= n <= m, got n=%d m=%d" % (n, m))
-    check_memory(_BASE_BYTES + complex_bytes(m) + _TRACE_BYTES_PER_TRIANGLE * 3**m
-                 + _TRACE_KEPT_BYTES_PER_VERTEX * (vertex_count(m) + vertex_count(n))
-                 + _CSR_BYTES_PER_EDGE * (3 ** (n + 1) + 3 ** (m - n + 1)),
-                 "extent at levels (%d, %d): the complex, its cell trace, the "
-                 "level-%d graph and one cell's graph" % (n, m, n))
+    check_memory(_BASE_BYTES + complex_bytes(m) + _TRACE_BYTES_PER_TRIANGLE * 3**m,
+                 "extent at levels (%d, %d): the complex and its cell trace" % (n, m))
     rep = certify_extent(args.n, args.m, alpha=alpha,
                          samples_per_curve=args.samples,
                          mixture_trials=args.trials, seed=args.seed)

@@ -280,26 +280,30 @@ def geodesic_point_distance(g: MetricGraph, x, y):
     """
     rx = _resolve_point(g, x)
     ry = _resolve_point(g, y)
-    if rx[0] == "vertex" and ry[0] == "vertex":
-        return g.single_source(rx[1])[ry[1]]
+    rows = {}
 
+    def vdist(u, v):
+        if u not in rows:
+            rows[u] = g.single_source(u)
+        return rows[u][v]
+
+    return _point_distance(rx, ry, vdist)
+
+
+def _point_distance(rx, ry, vdist):
+    """Geodesic distance between two points resolved by _resolve_point,
+    given the distance vdist(u, v) between graph vertices: the shortest
+    route through the points' edge endpoints, or the direct arc when both
+    lie on the same curve."""
     def ends(r):
         if r[0] == "vertex":
             return ((r[1], 0),)
         _, _, u, v, lam, t = r
         return ((u, t * lam), (v, (1 - t) * lam))
 
-    best = None
-    for eu, cu in ends(rx):
-        drow = g.single_source(eu)
-        for ev, cv in ends(ry):
-            cand = cu + drow[ev] + cv
-            if best is None or cand < best:
-                best = cand
+    best = min(cu + vdist(eu, ev) + cv for eu, cu in ends(rx) for ev, cv in ends(ry))
     if rx[0] == "edge" and ry[0] == "edge" and rx[1] == ry[1]:
-        direct = abs(rx[5] - ry[5]) * rx[4]
-        if direct < best:
-            best = direct
+        best = min(best, abs(rx[5] - ry[5]) * rx[4])
     return best
 
 
@@ -550,30 +554,18 @@ class CellTrace:
     coarse_vertices: int  # |V_n|
     corners: np.ndarray  # (3^n, 3) vertex ids of each cell's corners
     hops: np.ndarray  # (3^n, 3, 3) hops between corners a and b inside cell c
-    haus_hops: int  # max over V_m of the hops to the nearest vertex of V_n
-    # the disjoint union of the cells, one entry per (cell, vertex) pair in
-    # that order: the cell, the V_m vertex and the int32 hops to corner k
-    # of the cell inside it, as row k of corner_hops
-    cell_of: np.ndarray
-    vertex_of: np.ndarray
-    corner_hops: np.ndarray
+    # int32 over V_m: hops from each vertex to its nearest V_n vertex, 0 on V_n
+    nearest_hops: np.ndarray
+
+    @property
+    def haus_hops(self) -> int:
+        """Max over V_m of the hops to the nearest vertex of V_n."""
+        return int(self.nearest_hops.max())
 
     @property
     def hausdorff(self) -> Fraction:
         """Haus_{d_m}(V_n, V_m)."""
         return Fraction(self.haus_hops, 2**self.m)
-
-    def exits(self, v: int) -> tuple[int | None, list[tuple[int, int]]]:
-        """The cell of V_m vertex v and the sorted (hops, corner) pairs
-        through which v first reaches V_n, one per corner of that cell, so
-        the first is its nearest V_n vertex, ties to the lowest id. A V_n
-        vertex is its own only exit, at 0 hops, with cell None."""
-        if v < self.coarse_vertices:
-            return None, [(0, v)]
-        u = int(np.flatnonzero(self.vertex_of == v)[0])
-        cell = int(self.cell_of[u])
-        return cell, sorted(zip(self.corner_hops[:, u].tolist(),
-                                self.corners[cell].tolist()))
 
 
 def _cell_union(corners, tri, n: int, m: int, nv_n: int, nv_m: int):
@@ -623,8 +615,9 @@ def gasket_cell_trace(cx: PrefractalComplex, n: int, m: int) -> CellTrace:
     between V_n vertices then splits at its V_n visits into corner-to-corner
     paths inside single cells, so d_m restricted to V_n is the metric of
     the graph H on V_n whose edges are the cells' corner distances. A
-    vertex reaches V_n only through a corner of its cell, so the max over
-    vertices of the min over its cell's corners is Haus_{d_m}(V_n, V_m).
+    vertex reaches V_n only through a corner of its cell, so the min over
+    its cell's corners is d_m(v, V_n) in hops, kept as nearest_hops, and
+    the max of those is Haus_{d_m}(V_n, V_m).
 
     Reads only cx.triangles and cx.level_vertex_counts and checks both
     premises on every entry, raising ValueError that names the vertex and
@@ -654,8 +647,10 @@ def gasket_cell_trace(cx: PrefractalComplex, n: int, m: int) -> CellTrace:
         raise ValueError("vertex %d of level-%d cell %d is unreachable from its "
                          "corner %d" % (vertex_of[u], n, cell_of[u], corners[cell_of[u], k]))
     hops = dist[:, sources].transpose(1, 0, 2)
-    haus_hops = int(dist.min(axis=0).max())
-    return CellTrace(n, m, nv_n, corners, hops, haus_hops, cell_of, vertex_of, dist)
+    # a V_n vertex is a corner of every cell it lies in, so it reads 0
+    nearest_hops = np.zeros(nv_m, dtype=np.int32)
+    nearest_hops[vertex_of] = dist.min(axis=0)
+    return CellTrace(n, m, nv_n, corners, hops, nearest_hops)
 
 
 def certify_trace_agreement(trace: CellTrace) -> AgreementReport:

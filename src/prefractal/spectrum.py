@@ -13,8 +13,9 @@ gasket curve system targets log(3)/log(2), a single interval targets 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -100,6 +101,15 @@ def interval_spectrum(length, cutoff, guard: int = ENUMERATION_GUARD) -> np.ndar
     return np.concatenate([-pos[::-1], pos])
 
 
+def _gasket_levels():
+    """(length, multiplicity) of the gasket's curves level by level, without
+    end: 3^(m+1) curves of length 2^-m at level m."""
+    m = 0
+    while True:
+        yield Fraction(1, 2**m), 3 ** (m + 1)
+        m += 1
+
+
 class SpectrumSpec:
     """Curve-length multiset defining a direct-sum Dirac operator.
 
@@ -132,8 +142,7 @@ class SpectrumSpec:
 
     @classmethod
     def gasket(cls, level: int) -> "SpectrumSpec":
-        entries = [(Fraction(1, 2**m), 3 ** (m + 1)) for m in range(level + 1)]
-        return cls(entries, label="gasket level %d" % level)
+        return cls(islice(_gasket_levels(), level + 1), label="gasket level %d" % level)
 
     @classmethod
     def gasket_limit(cls) -> "SpectrumSpec":
@@ -147,22 +156,16 @@ class SpectrumSpec:
         return cls(sorted(seen.items(), reverse=True), label=label)
 
     def entries_for(self, cutoff):
-        """Concrete (length, multiplicity) list at a working cutoff."""
+        """(length, multiplicity, mode count) triples at a working cutoff;
+        the gasket limit stops at its first level with no modes."""
         if not self.infinite_gasket:
-            return list(self.entries)
+            return [(lam, mult, mode_count(lam, cutoff)) for lam, mult in self.entries]
         out = []
-        m = 0
-        while True:
-            lam = Fraction(1, 2**m)
-            if mode_count(lam, cutoff) == 0:
-                break
-            out.append((lam, 3 ** (m + 1)))
-            m += 1
-        return out
-
-    def curve_count(self, cutoff=None):
-        entries = self.entries_for(cutoff) if self.infinite_gasket else self.entries
-        return sum(mult for _, mult in entries)
+        for lam, mult in _gasket_levels():
+            count = mode_count(lam, cutoff)
+            if count == 0:
+                return out
+            out.append((lam, mult, count))
 
 
 def counting_function(spec: SpectrumSpec, grid) -> list[tuple[float, int]]:
@@ -174,8 +177,7 @@ def counting_function(spec: SpectrumSpec, grid) -> list[tuple[float, int]]:
         raise ValueError("cutoff grid must be strictly increasing")
     out = []
     for cut in grid:
-        total = sum(mult * mode_count(lam, cut)
-                    for lam, mult in spec.entries_for(cut))
+        total = sum(mult * count for _, mult, count in spec.entries_for(cut))
         out.append((float(cut), total))
     return out
 
@@ -203,14 +205,13 @@ def enumerate_eigenvalues(spec: SpectrumSpec, cutoff,
                           guard: int = ENUMERATION_GUARD) -> EigenvalueEnumeration:
     """Materialize the spectrum up to a cutoff (guarded; zero never occurs)."""
     entries = spec.entries_for(cutoff)
-    total = sum(mult * mode_count(lam, cutoff) for lam, mult in entries)
+    total = sum(mult * count for _, mult, count in entries)
     if total > guard:
         raise ValueError("enumeration of %d eigenvalues exceeds guard %d"
                          % (total, guard))
     buckets = {}
-    for lam, mult in entries:
-        half = mode_count(lam, cutoff) // 2
-        for k in range(half):
+    for lam, mult, count in entries:
+        for k in range(count // 2):
             v = math.pi * (k + 0.5) / float(lam)
             buckets[v] = buckets.get(v, 0) + 2 * mult
     values = np.array(sorted(buckets))
@@ -319,17 +320,13 @@ def zeta_partial(spec: SpectrumSpec, s: float, max_curves: int | None = None,
     if spec.infinite_gasket:
         if max_curves is None:
             raise ValueError("the gasket limit needs an explicit curve cap")
-        entries = []
-        m = 0
-        while sum(mult for _, mult in entries) < max_curves:
-            entries.append((Fraction(1, 2**m), 3 ** (m + 1)))
-            m += 1
+        entries = _gasket_levels()
     else:
-        entries = list(spec.entries)
+        entries = spec.entries
     base = _half_integer_zeta(s, mode_tol)
-    total = 0.0
     included = 0
     terms = []
+    # the gasket levels never end; the curve cap stops the loop
     for lam, mult in entries:
         take = mult
         if max_curves is not None:
@@ -338,5 +335,4 @@ def zeta_partial(spec: SpectrumSpec, s: float, max_curves: int | None = None,
                 break
         terms.append(take * 2 * (float(lam) / math.pi) ** s * base)
         included += take
-    total = math.fsum(terms)
-    return ZetaPartial(total, s, included, mode_tol, spec.label)
+    return ZetaPartial(math.fsum(terms), s, included, mode_tol, spec.label)

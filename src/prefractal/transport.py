@@ -14,7 +14,10 @@ geodesic distance, and no traversal is run.
 The extent certificate bounds, from the gasket's cell trace, how far a
 Dirac state on the fine level sits from the coarse one glued to it by
 cross edges of weight alpha. Reported numbers are upper bounds from
-measured Hausdorff quantities; premises are checked, not assumed.
+measured Hausdorff quantities; premises are checked, not assumed. Its
+mixture spot-checks solve no transport: moving each atom to its nearest
+V_n vertex is optimal by Kantorovich-Rubinstein duality, so their value
+is a closed-form sum over the atoms.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from math import isfinite, lcm
 
 import numpy as np
 
-from .gasket import CURVE_SLOTS, PrefractalComplex, build_gasket, kappa
-from .metric import (EdgePoint, FiniteMetricSpace, MetricGraph, _bfs_hops, _csr,
-                     _is_exact_weight, _resolve_point, certify_trace_agreement,
+from .gasket import PrefractalComplex, build_gasket, kappa
+from .metric import (EdgePoint, FiniteMetricSpace, MetricGraph, _is_exact_weight,
+                     _point_distance, _resolve_point, certify_trace_agreement,
                      gasket_cell_trace, gasket_metric_graph, gh_upper_bound,
                      sample_parameters)
 
@@ -554,6 +557,14 @@ def certify_extent(n: int, m: int, alpha=None, samples_per_curve: int = 3,
     alpha, so d(x, B) = alpha + d_m(x, V_n), whose max over V_m is alpha +
     Haus_{d_m}(V_n, V_m), and every B vertex sits alpha from its A copy.
     Both need d_m = d_n on V_n, which the trace certifies.
+
+    A mixture mu = sum w_i delta(a_i) on A moves each atom to the nearest
+    corner c_i of its level-n cell, and W(mu, T#mu) = alpha + sum w_i
+    d_m(a_i, V_n) exactly, read from the trace's nearest_hops. The plan
+    a_i -> c_i, crossing at c_i, costs at most that sum. And f = d(., B)
+    is 1-Lipschitz, alpha + d_m(a_i, V_n) at a_i (a path to B first
+    crosses at some V_n vertex) and 0 on B, so Kantorovich-Rubinstein
+    duality gives W >= int f dmu - int f d(T#mu), the same sum.
     """
     if m < n:
         raise ValueError("need m >= n, got n=%d m=%d" % (n, m))
@@ -584,14 +595,13 @@ def certify_extent(n: int, m: int, alpha=None, samples_per_curve: int = 3,
     worst_a = alpha + trace.hausdorff
     per_dirac = alpha + epsilon
 
-    coarse = _csr(trace.corners[:, CURVE_SLOTS[:, :2]].reshape(-1, 2),
-                  trace.coarse_vertices)
     nv_m = cx.level_vertex_counts[m]
     rng = random.Random(seed)
     mixture_max = Fraction(0)
     for _ in range(mixture_trials):
         mu = DiscreteMeasure.random_mixture(rng, range(nv_m), min(4, nv_m))
-        val = Fraction(kantorovich(*_mixture_space(cx, trace, coarse, mu, alpha)).value)
+        val = alpha + sum(w * Fraction(int(trace.nearest_hops[a]), 2**m)
+                          for a, w in mu.weights.items())
         if val > mixture_max:
             mixture_max = val
     if mixture_max > per_dirac:
@@ -616,63 +626,6 @@ def certify_extent(n: int, m: int, alpha=None, samples_per_curve: int = 3,
         mixture_max=mixture_max,
         exact=True,
     )
-
-
-def _mixture_space(cx: PrefractalComplex, trace, coarse, mu: DiscreteMeasure, alpha):
-    """(space, mu, targets): the coupled graph's metric on mu's atoms on
-    copy A, labelled ("a", vertex), and their nearest corners on copy B,
-    labelled ("b", vertex), with both measures on the space's indices.
-
-    A path between two points leaves each A atom through an exit of its
-    cell, runs between V_n vertices along d_n = d_m (2^(m-n) level-m hops
-    per level-n edge, from BFS over the CSR `coarse` of the level-n
-    graph), and crosses once for alpha between copies. Two atoms in one
-    cell may also stay inside it, which a BFS over its triangles gives.
-    """
-    atoms, weights = list(mu.weights), list(mu.weights.values())
-    exits = [trace.exits(a) for a in atoms]
-    moves = [e[0][1] for _, e in exits]
-    targets = sorted(set(moves))
-    points = exits + [(None, [(0, v)]) for v in targets]
-
-    corners = sorted({c for _, e in points for _, c in e})
-    indptr, _, nbr = coarse
-    d_n = {c: dict(zip(corners, _bfs_hops(indptr, nbr, [c])[corners].tolist()))
-           for c in corners}
-    by_cell = {}
-    for i, (cell, _) in enumerate(exits):
-        if cell is not None:
-            by_cell.setdefault(cell, []).append(i)
-    inside = {}  # (i, j) with i > j -> hops between atoms i and j inside their cell
-    for cell, members in by_cell.items():
-        if len(members) > 1:
-            rows = _hops_in_cell(cx, trace, cell, [atoms[i] for i in members])
-            inside.update(((i, j), rows[y][x]) for y, i in enumerate(members)
-                          for x, j in enumerate(members[:y]))
-
-    step = 1 << (trace.m - trace.n)
-    matrix = [[Fraction(0)] * len(points) for _ in points]
-    for i, (_, ex_i) in enumerate(points):
-        for j in range(i):
-            hops = min(h + step * d_n[c][c2] + h2 for h, c in ex_i for h2, c2 in points[j][1])
-            d = Fraction(min(hops, inside.get((i, j), hops)), 2**trace.m)
-            matrix[i][j] = matrix[j][i] = d if (i < len(atoms)) == (j < len(atoms)) else d + alpha
-    space = FiniteMetricSpace([("a", v) for v in atoms] + [("b", v) for v in targets],
-                              matrix)
-    nu = DiscreteMeasure([(len(atoms) + targets.index(v), w) for v, w in zip(moves, weights)])
-    return space, DiscreteMeasure(list(enumerate(weights))), nu
-
-
-def _hops_in_cell(cx: PrefractalComplex, trace, cell: int, vertices) -> list:
-    """Hops between every two of `vertices`, V_m vertices of level-n cell
-    `cell`, over that cell's level-m triangles only."""
-    per = 3 ** (trace.m - trace.n)
-    tri = np.asarray(cx.triangles[trace.m][cell * per:(cell + 1) * per], dtype=np.int64)
-    ids, local = np.unique(tri, return_inverse=True)
-    indptr, _, nbr = _csr(local.reshape(tri.shape)[:, CURVE_SLOTS[:, :2]].reshape(-1, 2),
-                          len(ids))
-    at = np.searchsorted(ids, vertices)
-    return [_bfs_hops(indptr, nbr, [u])[at].tolist() for u in at.tolist()]
 
 
 # -- distance functions as Lipschitz witnesses ----------------------------
@@ -701,36 +654,12 @@ def sampled_metric_space(cx: PrefractalComplex, level: int,
         return Fraction(rows[u][v], den)
 
     resolved = [_resolve_point(g, p) for p in points]
-
-    def pair(rx, ry):
-        if rx[0] == "vertex" and ry[0] == "vertex":
-            return vdist(rx[1], ry[1])
-        if rx[0] == "vertex":
-            rx, ry = ry, rx
-        _, cid, u, v, lam, t = rx
-        lam = Fraction(lam)
-        t = Fraction(t)
-        if ry[0] == "vertex":
-            w = ry[1]
-            return min(t * lam + vdist(u, w), (1 - t) * lam + vdist(v, w))
-        _, cid2, u2, v2, lam2, s = ry
-        lam2 = Fraction(lam2)
-        s = Fraction(s)
-        best = min(
-            t * lam + vdist(u, u2) + s * lam2,
-            t * lam + vdist(u, v2) + (1 - s) * lam2,
-            (1 - t) * lam + vdist(v, u2) + s * lam2,
-            (1 - t) * lam + vdist(v, v2) + (1 - s) * lam2,
-        )
-        if cid == cid2:
-            best = min(best, abs(t - s) * lam)
-        return best
-
     size = len(points)
     matrix = [[Fraction(0)] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            matrix[i][j] = matrix[j][i] = pair(resolved[i], resolved[j])
+            matrix[i][j] = matrix[j][i] = _point_distance(resolved[i], resolved[j],
+                                                          vdist)
     space = FiniteMetricSpace(points, matrix, validate=False)
     return points, space
 

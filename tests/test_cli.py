@@ -245,7 +245,7 @@ class TestTables:
         with pytest.raises(AssertionError, match="built the level-%d complex" % m):
             main(["extent", "--n", str(n), "--m", str(m)])
 
-    @pytest.mark.parametrize("n,m,mib", [(0, 13, 1715), (10, 13, 1410)])
+    @pytest.mark.parametrize("n,m,mib", [(0, 13, 1331), (10, 13, 1331)])
     def test_extent_guard_refuses_before_building(self, n, m, mib, capsys,
                                                   monkeypatch):
         # the smallest refused m is 13, for every n, as for gh-table
@@ -254,9 +254,8 @@ class TestTables:
         assert code == 2 and out == ""
         payload = json.loads(err)
         assert payload["message"] == (
-            "extent at levels (%d, %d): the complex, its cell trace, the level-%d "
-            "graph and one cell's graph needs about %d MiB, above the guard of "
-            "1024 MiB" % (n, m, n, mib))
+            "extent at levels (%d, %d): the complex and its cell trace needs about "
+            "%d MiB, above the guard of 1024 MiB" % (n, m, mib))
 
     @pytest.mark.parametrize("grid,mib", [(1733646, 1024), (10**9, 572236)])
     def test_dimension_guard_refuses_before_the_grid(self, grid, mib, capsys,
@@ -411,6 +410,15 @@ class TestPlumbing:
         (["extent", "--n", "4", "--m", "8", "--trials", "5", "--seed", "1",
           "--format", "json"],
          "7ffa76f42eb2ee7d2ae1ecad3d24bef5b94dfae0efc5d7a51759ac45156da5af"),
+        (["extent", "--n", "6", "--m", "9", "--trials", "20", "--seed", "3",
+          "--format", "json"],
+         "40eb9f42f6ff28f93c0a8823b097d065a15a8b2cf360ecff7665e0376f624af3"),
+        (["extent", "--n", "9", "--m", "10", "--trials", "10", "--seed", "2",
+          "--format", "json"],
+         "97a582ce225c5e8d23d10d732f3d2f52ad417fde9a04cb458690c9850b5a70dc"),
+        (["extent", "--n", "3", "--m", "7", "--alpha", "3/7", "--trials", "30",
+          "--seed", "4", "--format", "json"],
+         "71655291119bc9bd9a76460f2e931925c404d7727231d4b4832e22a53dc0038e"),
         (["kantorovich", "--level", "5",
           "--mu", ",".join("%d:1/16" % (22 * i) for i in range(16)),
           "--nu", ",".join("%d:%d/136" % (22 * i + 11, i + 1) for i in range(16))],

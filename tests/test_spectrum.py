@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 import oracles
+from prefractal import spectrum
+from prefractal.cli import main
 from prefractal.spectrum import (
     PI_LOWER,
     PI_UPPER,
@@ -132,8 +134,27 @@ class TestSpecs:
             assert (counting_function(limit, [cut])[0][1]
                     == counting_function(deep, [cut])[0][1])
         entries = limit.entries_for(100)
-        assert all(mode_count(lam, 100) > 0 for lam, _ in entries)
+        assert all(count == mode_count(lam, 100) > 0 for lam, _, count in entries)
         assert mode_count(entries[-1][0] / 2, 100) == 0
+
+    @pytest.mark.parametrize("argv,calls", [
+        (["dimension", "--infinite", "--lambda-min", "10", "--lambda-max", "1e5",
+          "--grid", "200"], 2165),
+        (["spectrum", "--level", "6", "--cutoff", "2000"], 7)])
+    def test_each_length_is_counted_once_per_cutoff(self, argv, calls, monkeypatch,
+                                                    tmp_path):
+        # one mode_count per distinct (length, cutoff) pair: the limit's
+        # levels up to its first empty one at each of 200 cutoffs, and the
+        # seven levels of a level-6 spec at one cutoff
+        seen = []
+
+        def counted(length, cutoff):
+            seen.append((length, cutoff))
+            return mode_count(length, cutoff)
+
+        monkeypatch.setattr(spectrum, "mode_count", counted)
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert len(seen) == len(set(seen)) == calls
 
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):

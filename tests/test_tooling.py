@@ -5,9 +5,11 @@ deleting or renaming one of them breaks every traced benchmark run. One
 test installs the tracer in a fresh interpreter and reads the edge count
 of one traced graph build, without running a workload; the other runs the
 benchmark's self-test, whose checks parse every artifact of the workloads
-at tiny sizes.
+at tiny sizes. A third reads the package's own sources for imports
+they never use.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -37,3 +39,25 @@ def test_perfbench_selftest_passes():
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
                           cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_package_modules_use_their_imports():
+    # a stdlib stand-in for a linter's unused-import rule: every name a
+    # module binds by a top-level import must be read somewhere in it
+    unused = []
+    for path in sorted((ROOT / "src" / "prefractal").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += ["%s:%d %s" % (path.name, line, name)
+                   for name, line in bound.items() if name not in read]
+    assert unused == []

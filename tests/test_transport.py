@@ -9,13 +9,14 @@ import oracles
 from oracles import (Infeasible, Unbounded, from_triples, max_difference_objective,
                      maximize)
 from prefractal import metric, transport
-from prefractal.gasket import CURVE_SLOTS, build_gasket, vertex_count
+from prefractal.gasket import build_gasket, vertex_count
 from prefractal.harmonic import build_harmonic_gasket
-from prefractal.metric import (EdgePoint, FiniteMetricSpace, MetricGraph, _csr,
-                               gasket_cell_trace, gasket_metric_graph)
-from prefractal.transport import (CoupledGraph, DiscreteMeasure, _mixture_space,
-                                  _require_premises, certify_extent, kantorovich,
-                                  lipschitz_seminorm, mcshane_extend, sampled_metric_space,
+from prefractal.metric import (EdgePoint, FiniteMetricSpace, MetricGraph,
+                               gasket_cell_trace, gasket_metric_graph,
+                               geodesic_point_distance)
+from prefractal.transport import (CoupledGraph, DiscreteMeasure, _require_premises,
+                                  certify_extent, kantorovich, lipschitz_seminorm,
+                                  mcshane_extend, sampled_metric_space,
                                   tunnel_dirac_distance, verify_lipschitz_dirac_identity)
 
 CX = build_gasket(7)
@@ -328,7 +329,6 @@ class TestKantorovich:
 
         monkeypatch.setattr(MetricGraph, "_sssp", refuse)
         monkeypatch.setattr(metric, "_bfs_hops", refuse)
-        monkeypatch.setattr(transport, "_bfs_hops", refuse)
         res = kantorovich(g, mu, nu)
         assert res.exact and res.gap == 0 and res.value == want.value
         assert len(res.plan) >= 12
@@ -460,8 +460,8 @@ class TestExtentCertificate:
     def test_mixture_targets_match_per_atom_rule(self):
         # per-atom rule: argmin over copy-B indices j of (d(a, b_j), j); the
         # rows come from one run per B vertex, equal to A's rows by symmetry.
-        # The oracle's nearest_sources on the coupled graph gives the same
-        # B vertex as the nearest corner of every V_m vertex's cell.
+        # The oracle's nearest_sources on the coupled graph gives each V_m
+        # vertex the distance alpha + nearest_hops * 2^-m to copy B.
         for n, m, cx, expected in ((2, 6, CX, F(317, 1920)),
                                    (4, 8, build_gasket(8), F(761, 19200))):
             rep = certify_extent(n, m, cx=cx, mixture_trials=20, seed=3)
@@ -473,51 +473,42 @@ class TestExtentCertificate:
             for a in range(cg.n_a):
                 assert nearest[a] == min(range(cg.n_b), key=lambda j: (rows[j][a], j))
                 assert dist[a] == rows[nearest[a]][a]
-                assert trace.exits(a)[1][0][1] == nearest[a]
+                assert (rep.alpha + F(int(trace.nearest_hops[a]), 2**m)
+                        == cg.graph._value(dist[a]))
 
-    @pytest.mark.parametrize("n,m", [(0, 5), (2, 6), (3, 3)])
-    def test_mixture_space_is_the_coupled_metric(self, n, m):
-        # every entry, atom pairs in one cell included, is the coupled
-        # graph's distance between the labelled copies
-        alpha = F(1, 16)
-        cg = CoupledGraph.from_gasket(CX, n, m, alpha)
-        trace = gasket_cell_trace(CX, n, m)
-        coarse = _csr(trace.corners[:, CURVE_SLOTS[:, :2]].reshape(-1, 2),
-                      trace.coarse_vertices)
-        rng = random.Random(n)
-        same_cell = 0
-        for _ in range(20):
-            mu = DiscreteMeasure.random_mixture(rng, range(cg.n_a), 4)
-            space, mu_s, nu_s = _mixture_space(CX, trace, coarse, mu, alpha)
-            nodes = [cg.node(*label) for label in space.labels]
-            for i, u in enumerate(nodes):
-                assert space.matrix[i] == [cg.graph.single_source(u)[v] for v in nodes]
-            where = space.labels.index
-            assert mu_s.weights == {where(("a", a)): w for a, w in mu.weights.items()}
-            assert nu_s.weights == DiscreteMeasure(
-                [(where(("b", trace.exits(a)[1][0][1])), w)
-                 for a, w in mu.weights.items()]).weights
-            cells = [c for c, _ in map(trace.exits, mu.support) if c is not None]
-            same_cell += len(cells) - len(set(cells))
-        assert same_cell > 0 or n == m
+    @pytest.mark.parametrize("n,m", [(2, 6), (3, 3), (4, 8), (6, 9)])
+    def test_every_mixture_value_is_the_coupled_transport(self, n, m):
+        # each trial's closed form alpha + sum w * d_m(a, V_n) equals the
+        # exact transport on the coupled graph to the per-atom targets
+        cx = CX if m <= CX.max_level else build_gasket(m)
+        trace = gasket_cell_trace(cx, n, m)
+        for seed in range(3):
+            rep = certify_extent(n, m, cx=cx, seed=seed)
+            cg = CoupledGraph.from_gasket(cx, n, m, F(rep.alpha))
+            nearest, _ = oracles.nearest_sources(cg.graph,
+                                                 range(cg.n_a, cg.n_a + cg.n_b))
+            rng = random.Random(seed)
+            values = []
+            for _ in range(rep.mixture_trials):
+                mu = DiscreteMeasure.random_mixture(rng, range(cg.n_a), min(4, cg.n_a))
+                nu = DiscreteMeasure([(cg.b_node(nearest[a]), w)
+                                      for a, w in mu.weights.items()])
+                closed = rep.alpha + sum(w * F(int(trace.nearest_hops[a]), 2**m)
+                                         for a, w in mu.weights.items())
+                assert closed == kantorovich(cg.graph, mu, nu).value
+                values.append(closed)
+            assert F(rep.mixture_max) == max(values)
 
     def test_extent_builds_no_metric_graph(self, monkeypatch):
-        # every number comes from the cell trace; the only MetricGraphs are
-        # kantorovich's complete graphs on each mixture's support union
+        # every number comes from the cell trace: no graph is built and no
+        # transport is solved, mixtures included
         def fail(*args, **kwargs):
-            raise AssertionError("built a graph of the gasket")
-
-        init = MetricGraph.__init__
-
-        def support_union_only(self, n_vertices, ends, weights, provenance="generic",
-                               **kwargs):
-            if provenance != "support union" or n_vertices > 8:
-                fail()
-            init(self, n_vertices, ends, weights, provenance, **kwargs)
+            raise AssertionError("built a graph or solved a transport")
 
         for module in (metric, transport):
             monkeypatch.setattr(module, "gasket_metric_graph", fail)
-        monkeypatch.setattr(MetricGraph, "__init__", support_union_only)
+        monkeypatch.setattr(transport, "kantorovich", fail)
+        monkeypatch.setattr(MetricGraph, "__init__", fail)
         monkeypatch.setattr(CoupledGraph, "__init__", fail)
         rep = certify_extent(4, 8, cx=build_gasket(8))
         assert F(rep.mixture_max) == F(21, 640)
@@ -568,6 +559,16 @@ class TestDiracIdentity:
         assert len(points) == 6 + 9 * 2
         # rebuild with validation on: triangle inequality holds exactly
         FiniteMetricSpace(space.labels, space.matrix)
+
+    def test_sampled_space_entries_are_point_geodesics(self):
+        # vertex-vertex, vertex-sample and sample-sample entries, shared
+        # curves included, each equal geodesic_point_distance on the graph
+        cx = build_gasket(2)
+        g = gasket_metric_graph(cx, 2)
+        points, space = sampled_metric_space(cx, 2, samples_per_curve=2)
+        for i, x in enumerate(points):
+            for j, y in enumerate(points):
+                assert space.matrix[i][j] == geodesic_point_distance(g, x, y)
 
 
 def _kernel_graph(name):
