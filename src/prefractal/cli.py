@@ -26,7 +26,8 @@ from .metric import (
     _TRACE_BYTES_PER_TRIANGLE,
     certify_trace_agreement,
     check_agreement_size,
-    gasket_cell_trace,
+    check_samples,
+    gasket_cell_traces,
     gasket_metric_graph,
     gh_upper_bound,
 )
@@ -176,22 +177,25 @@ def cmd_gen(args) -> str:
 
 
 def cmd_gh_table(args) -> str:
+    if args.max_level < 0:
+        raise ValueError("--max-level must be nonnegative, got %d" % args.max_level)
     if args.m < args.max_level:
         raise ValueError("--m must be at least --max-level")
+    check_samples(args.samples)
     check_agreement_size(args.m)
     config = _config_echo(args, ("max_level", "m", "samples", "format"))
     cx = build_gasket(args.m)
     rows = []
-    for n in range(args.max_level + 1):
-        # one cell trace gives both the bound's third term and the agreement
-        trace = gasket_cell_trace(cx, n, args.m)
-        rep = gh_upper_bound(n, args.m, samples_per_curve=args.samples, cx=cx,
+    # one cell trace per level gives both the bound's third term and the
+    # agreement; the traces come from n = max_level down
+    for trace in gasket_cell_traces(cx, args.max_level, args.m):
+        rep = gh_upper_bound(trace.n, args.m, samples_per_curve=args.samples, cx=cx,
                              trace=trace)
         agree = certify_trace_agreement(trace)
-        del trace  # its per-vertex arrays would sit under the next trace's peak
-        rows.append((n, args.m, float(rep.bound), float(rep.bound_with_slack),
+        rows.append((trace.n, args.m, float(rep.bound), float(rep.bound_with_slack),
                      float(rep.paper_bound) + float(rep.tail),
                      float(agree.max_discrepancy)))
+    rows.reverse()
     header = ("n", "m", "bound", "boundWithSlack", "referenceBound",
               "agreementDiscrepancy")
     if args.format == "svg":
@@ -265,6 +269,7 @@ def cmd_extent(args) -> str:
     n, m = args.n, args.m
     if not 0 <= n <= m:
         raise ValueError("need 0 <= n <= m, got n=%d m=%d" % (n, m))
+    check_samples(args.samples)
     check_memory(_BASE_BYTES + complex_bytes(m) + _TRACE_BYTES_PER_TRIANGLE * 3**m,
                  "extent at levels (%d, %d): the complex and its cell trace" % (n, m))
     rep = certify_extent(args.n, args.m, alpha=alpha,

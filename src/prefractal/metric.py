@@ -469,7 +469,8 @@ _ROW_ENTRY_BYTES = 36
 # peak bytes of gasket_cell_trace per level-m triangle: the (cell, vertex)
 # keys and their sort, the CSR arrays of the cells' edges, three distance
 # rows over the cells' vertices (tracemalloc peak 240-428 bytes for
-# m = 9, 10 and 11, highest at n = m)
+# m = 9, 10 and 11, highest at n = m); gasket_cell_traces adds the hops
+# per triangle slot (253 bytes at (8, 12), 416 at (12, 12))
 _TRACE_BYTES_PER_TRIANGLE = 450
 
 
@@ -577,6 +578,9 @@ def _cell_union(corners, tri, n: int, m: int, nv_n: int, nv_m: int):
     corner (as corners).
     """
     cells = len(corners)
+    if len(tri) != cells * 3 ** (m - n):
+        raise ValueError("%d level-%d triangles do not fill %d cells of %d"
+                         % (len(tri), m, cells, 3 ** (m - n)))
     keys = np.repeat(np.arange(cells, dtype=np.int64) * nv_m, tri.size // cells) + tri.ravel()
     union, local = np.unique(keys, return_inverse=True)
     cell_of, vertex_of = np.divmod(union, nv_m)
@@ -624,19 +628,25 @@ def gasket_cell_trace(cx: PrefractalComplex, n: int, m: int) -> CellTrace:
     the cells. Three vectorised BFS passes over the disjoint union of the
     cells, each from corner k of every cell at once, give the hops.
     """
+    return _bfs_cell_trace(cx, n, m, keep_slots=False)[0]
+
+
+def _bfs_cell_trace(cx: PrefractalComplex, n: int, m: int, keep_slots: bool):
+    """gasket_cell_trace, and with keep_slots the int32 (3, 3^m, 3) hops
+    from corner k of its cell to slot s of level-m triangle t, at [k, t, s]
+    (None otherwise)."""
     if not 0 <= n <= m < len(cx.triangles):
         raise ValueError("need 0 <= n <= m <= %d, got n=%d m=%d"
                          % (len(cx.triangles) - 1, n, m))
     corners = np.asarray(cx.triangles[n], dtype=np.int64)
     tri = np.asarray(cx.triangles[m], dtype=np.int64)
-    if len(tri) != len(corners) * 3 ** (m - n):
-        raise ValueError("%d level-%d triangles do not fill %d cells of %d"
-                         % (len(tri), m, len(corners), 3 ** (m - n)))
     nv_n, nv_m = cx.level_vertex_counts[n], cx.level_vertex_counts[m]
     tri_ids, cell_of, vertex_of, sources = _cell_union(corners, tri, n, m, nv_n, nv_m)
     # the three curves of every level-m triangle, in the union's numbering
     indptr, arc, nbr = _csr(tri_ids[:, CURVE_SLOTS[:, :2]].reshape(-1, 2), len(cell_of))
-    del tri_ids, arc
+    # int32 like the hops; union ids stay below 3 * 3^m < 2^31
+    tri_ids = tri_ids.astype(np.int32) if keep_slots else None
+    del arc
 
     # int32: hops stay below |V_m| < 2^31 at every level the guard admits
     dist = np.empty((3, len(cell_of)), dtype=np.int32)
@@ -650,7 +660,90 @@ def gasket_cell_trace(cx: PrefractalComplex, n: int, m: int) -> CellTrace:
     # a V_n vertex is a corner of every cell it lies in, so it reads 0
     nearest_hops = np.zeros(nv_m, dtype=np.int32)
     nearest_hops[vertex_of] = dist.min(axis=0)
-    return CellTrace(n, m, nv_n, corners, hops, nearest_hops)
+    slot_hops = np.take(dist, tri_ids, axis=1) if keep_slots else None
+    return CellTrace(n, m, nv_n, corners, hops, nearest_hops), slot_hops
+
+
+# the closure's "not joined" entry, far above any hop count the memory
+# guard admits; two of them still add up below 2^31, so int32 never wraps
+_UNJOINED = (2**31 - 1) // 2
+
+
+def _corner_closure(cx: PrefractalComplex, n: int, child_hops: np.ndarray):
+    """Corner hops of the level-n cells from those of their children.
+
+    child_hops is the (3^(n+1), 3, 3) corner table of the level-(n+1)
+    cells, exact inside each. _cell_union checks the trace premises of
+    level n on the children's corners, cx.triangles[n + 1]; with the same
+    premises at level n + 1 the children meet only at their corners, and
+    every level-m vertex shared by two level-n cells is such a corner. So
+    a path inside a cell splits at child corners into paths inside single
+    children, and a 9-slot Floyd-Warshall over the children's tables,
+    slots of one vertex joined at 0, is exact. Returns the int32
+    (3^n, 3, 3) corner table and (3^n, 3, 3, 3) hops from corner j of
+    child r to corner k of cell c, at [c, r, j, k].
+    """
+    corners = np.asarray(cx.triangles[n], dtype=np.int64)
+    cells = len(corners)
+    kids = np.asarray(cx.triangles[n + 1], dtype=np.int64)
+    nv = cx.level_vertex_counts
+    ids, _, vertex_of, sources = _cell_union(corners, kids, n, n + 1, nv[n], nv[n + 1])
+    slots = ids.reshape(cells, 9)  # equal ids: one vertex of one cell
+    at = (slots[:, :, None] == sources[:, None, :]).argmax(axis=1)
+
+    # slots (of 9) first and cells last, so each min-plus step runs along
+    # one contiguous row per slot pair
+    d = np.full((3, 3, 3, 3, cells), _UNJOINED, dtype=np.int32)
+    tables = child_hops.reshape(cells, 3, 3, 3).transpose(1, 2, 3, 0)
+    for r in range(3):
+        d[r, :, r] = tables[r]
+    d = d.reshape(9, 9, cells)
+    d[slots.T[:, None] == slots.T[None, :]] = 0
+    for k in range(9):
+        np.minimum(d, d[:, k, None] + d[None, k], out=d)
+    to_corner = np.take_along_axis(d, at.T[None], axis=1)  # [slot, corner, cell]
+    if (to_corner >= _UNJOINED).any():
+        s, k, c = np.argwhere(to_corner >= _UNJOINED)[0].tolist()
+        raise ValueError("vertex %d of level-%d cell %d is unreachable from its "
+                         "corner %d" % (vertex_of[slots[c, s]], n, c, corners[c, k]))
+    hops = np.take_along_axis(to_corner, at.T[:, None], axis=0)
+    return hops.transpose(2, 0, 1), to_corner.transpose(2, 0, 1).reshape(cells, 3, 3, 3)
+
+
+def gasket_cell_traces(cx: PrefractalComplex, max_level: int, m: int):
+    """Yield gasket_cell_trace(cx, n, m) for n = max_level, ..., 0.
+
+    Only n = max_level runs the BFS. Each coarser level comes from the one
+    below it (_corner_closure, which checks that level's premises): a
+    vertex of a level-n cell reaches corner k only through the corners of
+    its child, so its hops to the corners take one 3x3 min-plus step with
+    the children's corner-to-corner hops, kept per level-m triangle slot.
+    """
+    trace, slot_hops = _bfs_cell_trace(cx, max_level, m, keep_slots=True)
+    hops = trace.hops
+    yield trace
+    del trace
+    tri = cx.triangles[m]
+    nv_m = cx.level_vertex_counts[m]
+    lifted = np.empty_like(slot_hops)
+    step = np.empty_like(slot_hops[0])
+    for n in range(max_level - 1, -1, -1):
+        hops, to_corner = _corner_closure(cx, n, hops)
+        # (corner, cell, child, slot) views: the children of cell c are rows
+        # 3c + r, so their level-m triangles are contiguous
+        below = slot_hops.reshape(3, len(hops), 3, -1)
+        out = lifted.reshape(below.shape)
+        tmp = step.reshape(below.shape[1:])
+        for k in range(3):
+            np.add(below[0], to_corner[:, :, 0, k, None], out=out[k])
+            for j in (1, 2):
+                np.add(below[j], to_corner[:, :, j, k, None], out=tmp)
+                np.minimum(out[k], tmp, out=out[k])
+        slot_hops, lifted = lifted, slot_hops
+        nearest_hops = np.zeros(nv_m, dtype=np.int32)
+        nearest_hops[tri] = slot_hops.min(axis=0)
+        yield CellTrace(n, m, cx.level_vertex_counts[n],
+                        np.asarray(cx.triangles[n], dtype=np.int64), hops, nearest_hops)
 
 
 def certify_trace_agreement(trace: CellTrace) -> AgreementReport:
@@ -674,10 +767,15 @@ def certify_trace_agreement(trace: CellTrace) -> AgreementReport:
     return certify_vertex_agreement(n, m, g_n, h)
 
 
-def sample_parameters(k: int) -> list[Fraction]:
-    """k equispaced interior parameters (2i+1)/(2k); cover radius 1/(2k)."""
+def check_samples(k: int) -> None:
+    """Raise ValueError unless k is at least one sample per curve."""
     if k < 1:
         raise ValueError("need at least one sample per curve")
+
+
+def sample_parameters(k: int) -> list[Fraction]:
+    """k equispaced interior parameters (2i+1)/(2k); cover radius 1/(2k)."""
+    check_samples(k)
     return [Fraction(2 * i + 1, 2 * k) for i in range(k)]
 
 

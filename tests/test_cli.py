@@ -286,8 +286,17 @@ class TestTables:
          (["dimension", "--infinite", "--lambda-min", "10", "--lambda-max", "inf"],
           "upper cutoff must be finite, got inf"),
          (["dimension", "--infinite", "--lambda-min", "nan", "--lambda-max", "100"],
-          "lower cutoff must be finite, got nan")])
-    def test_bad_numeric_flags_exit_two(self, argv, message, capsys):
+          "lower cutoff must be finite, got nan")]
+      + [(["gh-table", "--max-level", "-3", "--m", m],
+          "--max-level must be nonnegative, got -3") for m in ("12", "13")]
+      + [(["gh-table", "--max-level", "8", "--m", "12", "--samples", "0"],
+          "need at least one sample per curve"),
+         (["extent", "--n", "10", "--m", "12", "--samples", "0"],
+          "need at least one sample per curve")])
+    def test_bad_numeric_flags_exit_two(self, argv, message, capsys, monkeypatch):
+        # each is refused before any complex is built
+        monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
+        monkeypatch.setattr("prefractal.transport.build_gasket", _no_build)
         code, out, err = _run(capsys, *argv)
         assert code == 2 and out == ""
         assert json.loads(err) == {"error": "validation", "exitCode": 2,

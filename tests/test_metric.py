@@ -18,6 +18,7 @@ import pytest
 
 from oracles import (from_triples, hop_block, hop_block_agreement, nearest_sources,
                      sssp)
+from prefractal import metric
 from prefractal.cli import main
 from prefractal.gasket import build_gasket, kappa, vertex_count
 from prefractal.metric import (
@@ -28,6 +29,7 @@ from prefractal.metric import (
     certify_trace_agreement,
     certify_vertex_agreement,
     gasket_cell_trace,
+    gasket_cell_traces,
     gasket_metric_graph,
     geodesic_point_distance,
     gh_upper_bound,
@@ -420,6 +422,20 @@ class TestHausdorffAndBounds:
         assert main(["gh-table", "--max-level", "3", "--m", "5"]) == 0
         assert capsys.readouterr().out.count(",0.0\n") == 4
 
+    def test_gh_table_runs_one_bfs_trace(self, monkeypatch, capsys):
+        # three BFS passes at n = --max-level; every coarser row is lifted
+        calls = []
+        bfs = metric._bfs_hops
+
+        def counted(*args):
+            calls.append(None)
+            return bfs(*args)
+
+        monkeypatch.setattr(metric, "_bfs_hops", counted)
+        assert main(["gh-table"]) == 0
+        assert capsys.readouterr().out.count(",0.0\n") == 7
+        assert len(calls) == 3
+
     def test_cell_trace_matches_hop_block_oracle(self):
         cx9 = build_gasket(9)
         graphs = {level: gasket_metric_graph(cx9, level) for level in (*range(8), 9)}
@@ -543,3 +559,102 @@ class TestCellTrace:
                 "vertex 5 of V_1 lies in level-1 cell 0 but is not one of its "
                 "corners [0, 3, 4]")):
             gasket_cell_trace(_cells(rows), 1, 2)
+
+
+def _assert_same_trace(got, want):
+    assert (got.n, got.m, got.coarse_vertices) == (want.n, want.m, want.coarse_vertices)
+    for field in ("corners", "hops", "nearest_hops"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert got.hausdorff == want.hausdorff
+
+
+# every n <= max_level <= m for m up to 9, then the top of gh-table's range at m 11
+@pytest.mark.parametrize("max_levels, m", [(range(m + 1), m) for m in range(10)]
+                         + [((8,), 11)],
+                         ids=["m%d" % m for m in range(10)] + ["max8-m11"])
+def test_lifted_traces_match_the_bfs_oracle(max_levels, m):
+    cx = build_gasket(m)
+    bfs = {}
+    for max_level in max_levels:
+        traces = list(gasket_cell_traces(cx, max_level, m))
+        assert [t.n for t in traces] == list(range(max_level, -1, -1))
+        for trace in traces:
+            if trace.n not in bfs:
+                bfs[trace.n] = gasket_cell_trace(cx, trace.n, m)
+            _assert_same_trace(trace, bfs[trace.n])
+
+
+CX3 = build_gasket(3)
+
+
+def _level_three(triangles=None, counts=None):
+    """The gasket's tables through level 3 with the given levels replaced;
+    gasket_cell_traces(cx, 2, 3) runs its BFS on levels 2 and 3 and checks
+    levels 1 and 0 as it lifts."""
+    tables = [np.array(t) for t in CX3.triangles]
+    for level, rows in (triangles or {}).items():
+        tables[level] = np.array(rows, dtype=np.int64)
+    return SimpleNamespace(triangles=tables,
+                           level_vertex_counts=counts or list(CX3.level_vertex_counts))
+
+
+def _fresh_level_two(row, renames):
+    """_level_three with vertices of level-2 row `row` and its level-3
+    children renamed to fresh V_2 ids from 15 on; the level-3 midpoints
+    move up to make room. Every level-2 cell stays intact: its corners are
+    two level-3 steps apart."""
+    fresh = len(renames)
+    t2 = CX3.triangles[2].copy()
+    t3 = np.where(CX3.triangles[3] >= 15, CX3.triangles[3] + fresh, CX3.triangles[3])
+    for rows in (t2[row:row + 1], t3[3 * row:3 * row + 3]):
+        for old, new in renames.items():
+            rows[rows == old] = new
+    cx = _level_three({2: t2, 3: t3}, counts=[3, 6, 15 + fresh, 42 + fresh])
+    assert (gasket_cell_trace(cx, 2, 3).hops == 2 * (1 - np.eye(3, dtype=int))).all()
+    return cx
+
+
+class TestLiftedPremises:
+    def test_vertex_shared_by_two_cells_is_named(self):
+        # level-2 rows 2 and 3, with their level-3 children, change places:
+        # every level-2 cell is intact, but level-1 cell 0 now holds child
+        # (3, 9, 10) and cell 1 holds (7, 8, 4), so midpoint 7 sits in both
+        t2, t3 = CX3.triangles[2].copy(), CX3.triangles[3].copy()
+        t2[[2, 3]] = t2[[3, 2]]
+        t3[6:12] = np.concatenate([t3[9:12], t3[6:9]])
+        cx = _level_three({2: t2, 3: t3})
+        assert (gasket_cell_trace(cx, 2, 3).hops == 2 * (1 - np.eye(3, dtype=int))).all()
+        with pytest.raises(ValueError, match="vertex 7 is shared by level-1 cells "
+                                             "0 and 1 but is not in V_1"):
+            list(gasket_cell_traces(cx, 2, 3))
+
+    def test_v_n_child_corner_off_the_corners_is_named(self):
+        # level-1 cell 0 lists corner 3 twice, so its child corner 4 is left over
+        cx = _level_three({1: [[0, 3, 3], [3, 1, 5], [4, 5, 2]]})
+        with pytest.raises(ValueError, match=re.escape(
+                "vertex 4 of V_1 lies in level-1 cell 0 but is not one of its "
+                "corners [0, 3, 3]")):
+            list(gasket_cell_traces(cx, 2, 3))
+
+    def test_corner_missing_from_the_children_is_named(self):
+        # child (7, 8, 4) of level-1 cell 0 becomes (7, 8, 15): corner 4 is
+        # no longer among the cell's child corners
+        with pytest.raises(ValueError, match="corner 4 of level-1 cell 0 is not a "
+                                             "V_1 vertex of its level-2 triangles"):
+            list(gasket_cell_traces(_fresh_level_two(2, {4: 15}), 2, 3))
+        # V_0 cut to two vertices: corner 2 of the level-0 cell is no V_0
+        # vertex, while levels 1-3 keep their counts
+        cx = _level_three(counts=[2, 6, 15, 42])
+        traces = gasket_cell_traces(cx, 2, 3)
+        assert [next(traces).n, next(traces).n] == [2, 1]
+        with pytest.raises(ValueError, match="corner 2 of level-0 cell 0 is not a "
+                                             "V_0 vertex of its level-1 triangles"):
+            next(traces)
+
+    def test_corners_left_unjoined_are_named(self):
+        # child (6, 3, 8) of level-1 cell 0 becomes (15, 3, 16), which no
+        # sibling touches
+        cx = _fresh_level_two(1, {6: 15, 8: 16})
+        with pytest.raises(ValueError, match="vertex 0 of level-1 cell 0 is "
+                                             "unreachable from its corner 3"):
+            list(gasket_cell_traces(cx, 2, 3))
