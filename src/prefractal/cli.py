@@ -15,10 +15,11 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from . import __version__
-from .gasket import (build_gasket, check_memory, complex_bytes, complex_json_text,
+from .gasket import (build_gasket, check_memory, complex_bytes, complex_json_chunks,
                      curve_count)
 from .harmonic import (HarmonicTable, build_harmonic_gasket, check_tolerance,
                        derive_subdivision_rule)
@@ -46,11 +47,11 @@ SCHEMA_VERSION = 2
 _BASE_BYTES = 32 << 20
 
 # peak RSS of `gen --format json` per curve of the complex above the base,
-# by geometry: the complex, its JSON text written row by row from the
-# triangle table and the joined document (57/109/264/695 MiB at sg levels
-# 8-11, 874-925 B per curve); harmonic adds a dict per curve for its
-# length table (116/285/782 MiB at levels 8-10, 2,964-3,001 B per curve)
-_JSON_BYTES_PER_CURVE = {"sg": 950, "harmonic": 3050}
+# by geometry, with the document streamed in row blocks: sg is the complex
+# itself (54/97/228/622 MiB at levels 10-13 under wait4, 85-86 B per
+# curve); harmonic adds a length estimate per curve (61/114/273/711 MiB at
+# levels 8-11, 893-1,037 B per curve)
+_JSON_BYTES_PER_CURVE = {"sg": 90, "harmonic": 1050}
 
 # peak RSS of `gen --format svg` per drawn triangle, either geometry: the
 # complex, the triangle and coordinate lists, one line per polygon and the
@@ -70,20 +71,28 @@ _KANTOROVICH_BYTES_PER_EDGE = 500
 _DIMENSION_BYTES_PER_POINT = 600
 
 
-def _emit(text: str, out: str | None):
+def _emit(chunks: Iterable[str], out: str | None):
+    """Write the artifact to --out or stdout chunk by chunk as it comes; a
+    string is one chunk."""
+    if isinstance(chunks, str):
+        chunks = [chunks]
     if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        return
+    with open(out, "w") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
 
 
-def _json_text(command: str, config: dict, body: dict,
-               texts: dict[str, str] | None = None) -> str:
-    """The document json.dumps(payload, sort_keys=True, indent=2) gives.
+def _json_chunks(command: str, config: dict, body: dict,
+                 texts: dict[str, str | Iterable[str]] | None = None) -> Iterator[str]:
+    """The document json.dumps(payload, sort_keys=True, indent=2) gives,
+    in chunks, key by key in sorted order.
 
     `texts` maps top-level keys to values that arrive as finished JSON
-    text one level deep; they go in verbatim. Every other value is dumped
+    text one level deep, a string or an iterable of chunks; they go in
+    verbatim, each chunk as it is produced. Every other value is dumped
     on its own and re-indented, which is safe because json.dumps escapes
     the newlines inside strings.
     """
@@ -95,13 +104,23 @@ def _json_text(command: str, config: dict, body: dict,
     }
     payload.update(body)
     texts = texts or {}
-    parts = []
+    sep = "{\n  "
     for key in sorted([*payload, *texts]):
-        value = texts[key] if key in texts else json.dumps(
-            payload[key], sort_keys=True, indent=2).replace("\n", "\n  ")
-        parts += [",\n  " if parts else "{\n  ", json.dumps(key), ": ", value]
-    parts.append("\n}\n")
-    return "".join(parts)
+        yield sep + json.dumps(key) + ": "
+        sep = ",\n  "
+        if key in texts:
+            value = texts[key]
+            yield from [value] if isinstance(value, str) else value
+        else:
+            value = json.dumps(payload[key], sort_keys=True, indent=2)
+            yield value.replace("\n", "\n  ")
+    yield "\n}\n"
+
+
+def _json_text(command: str, config: dict, body: dict,
+               texts: dict[str, str | Iterable[str]] | None = None) -> str:
+    """_json_chunks(command, config, body, texts) joined into one string."""
+    return "".join(_json_chunks(command, config, body, texts))
 
 
 def _csv_text(header, rows) -> str:
@@ -139,7 +158,7 @@ def _config_echo(args, keys) -> dict:
 # -- commands --------------------------------------------------------------
 
 
-def cmd_gen(args) -> str:
+def cmd_gen(args) -> Iterable[str]:
     config = _config_echo(args, ("geometry", "level", "tol", "format"))
     check_tolerance(args.tol)  # echoed in every config, so never NaN
     if args.format == "json":
@@ -151,32 +170,33 @@ def cmd_gen(args) -> str:
         check_memory(_SVG_BYTES_PER_TRIANGLE * 3**args.level,
                      "level %d is past the size cap for SVG output: the "
                      "drawing of its triangles" % args.level)
+    # every check that can fail runs before the first chunk is returned
     if args.geometry == "sg":
         cx = build_gasket(args.level)
         if args.format == "svg":
             return gasket_svg(cx, args.level)
-        return _json_text("gen", config, {}, {"complex": complex_json_text(cx, 1)})
+        return _json_chunks("gen", config, {}, {"complex": complex_json_chunks(cx, 1)})
     if args.format == "svg":
         table = HarmonicTable(build_gasket(args.level))
         coords = plane_coords(table.embedding_array())
         return gasket_svg(table.cx, args.level, coords=coords)
     hg = build_harmonic_gasket(args.level, tol=args.tol)
-    rule = derive_subdivision_rule()
-    body = {
-        "subdivision": {"adjacent": rule.adjacent, "opposite": rule.opposite,
-                        "denominator": rule.den},
-        "lengths": hg.length_table(),
-        "quadrature": {"tol": hg.tol, "refinementCap": hg.cap,
-                       "unconverged": hg.unconverged()},
-    }
     if args.strict and hg.unconverged():
         raise RuntimeError(
             "harmonic quadrature hit the refinement cap on %d curves before "
             "reaching tol=%g" % (len(hg.unconverged()), args.tol))
-    return _json_text("gen", config, body, {"complex": complex_json_text(hg.cx, 1)})
+    rule = derive_subdivision_rule()
+    body = {
+        "subdivision": {"adjacent": rule.adjacent, "opposite": rule.opposite,
+                        "denominator": rule.den},
+        "quadrature": {"tol": hg.tol, "refinementCap": hg.cap,
+                       "unconverged": hg.unconverged()},
+    }
+    return _json_chunks("gen", config, body, {"complex": complex_json_chunks(hg.cx, 1),
+                                              "lengths": hg.length_json_chunks(1)})
 
 
-def cmd_gh_table(args) -> str:
+def cmd_gh_table(args) -> Iterable[str]:
     if args.max_level < 0:
         raise ValueError("--max-level must be nonnegative, got %d" % args.max_level)
     if args.m < args.max_level:
@@ -206,20 +226,20 @@ def cmd_gh_table(args) -> str:
                          "level n", "bound", log_y=True,
                          title="two-scale convergence")
     if args.format == "json":
-        return _json_text("gh-table", config,
-                          {"header": list(header),
-                           "rows": [list(r) for r in rows]})
+        return _json_chunks("gh-table", config,
+                            {"header": list(header),
+                             "rows": [list(r) for r in rows]})
     return _csv_text(header, rows)
 
 
-def cmd_spectrum(args) -> str:
+def cmd_spectrum(args) -> Iterable[str]:
     spec = _spectrum_spec(args)
     enum = enumerate_eigenvalues(spec, args.cutoff)
     config = _config_echo(args, ("geometry", "level", "infinite", "cutoff", "format"))
     if args.format == "csv":
         return _csv_text(("value", "multiplicity"),
                          zip(enum.values.tolist(), enum.multiplicities.tolist()))
-    return _json_text("spectrum", config, {
+    return _json_chunks("spectrum", config, {
         "label": spec.label,
         "cutoff": float(args.cutoff),
         "total": enum.total,
@@ -236,7 +256,7 @@ def _spectrum_spec(args) -> SpectrumSpec:
     return SpectrumSpec.gasket(args.level)
 
 
-def cmd_dimension(args) -> str:
+def cmd_dimension(args) -> Iterable[str]:
     spec = _spectrum_spec(args)
     check_memory(_BASE_BYTES + _DIMENSION_BYTES_PER_POINT * args.grid,
                  "dimension on %d cutoffs: the grid, its counts and the fit"
@@ -250,10 +270,10 @@ def cmd_dimension(args) -> str:
         return line_plot([("mode counts", pts)], "cutoff", "count",
                          log_x=True, log_y=True,
                          title="counting function, slope %.4f" % fit.slope)
-    return _json_text("dimension", config, {"fit": fit.to_dict()})
+    return _json_chunks("dimension", config, {"fit": fit.to_dict()})
 
 
-def cmd_kantorovich(args) -> str:
+def cmd_kantorovich(args) -> Iterable[str]:
     mu = _parse_measure(args.mu)
     nu = _parse_measure(args.nu)
     check_memory(_BASE_BYTES + _KANTOROVICH_BYTES_PER_EDGE * 3 ** (args.level + 1),
@@ -261,10 +281,10 @@ def cmd_kantorovich(args) -> str:
     graph = gasket_metric_graph(build_gasket(args.level), args.level)
     res = kantorovich(graph, mu, nu)
     config = _config_echo(args, ("level", "mu", "nu"))
-    return _json_text("kantorovich", config, {"transport": res.to_dict()})
+    return _json_chunks("kantorovich", config, {"transport": res.to_dict()})
 
 
-def cmd_extent(args) -> str:
+def cmd_extent(args) -> Iterable[str]:
     alpha = None if args.alpha == "auto" else _parse_fraction(args.alpha)
     n, m = args.n, args.m
     if not 0 <= n <= m:
@@ -278,16 +298,16 @@ def cmd_extent(args) -> str:
     config = _config_echo(args, ("n", "m", "alpha", "samples", "trials", "seed",
                                  "format"))
     if args.format == "json":
-        return _json_text("extent", config, {"report": rep.as_floats()})
+        return _json_chunks("extent", config, {"report": rep.as_floats()})
     header = ("n", "m", "alpha", "epsilon", "bound", "empiricalMax")
     return _csv_text(header, [rep.to_row()])
 
 
-def cmd_covariant(args) -> str:
+def cmd_covariant(args) -> Iterable[str]:
     rep = covariant_reach_witness(args.n, args.epsilon, args.trials,
                                   seed=args.seed)
     config = _config_echo(args, ("n", "epsilon", "trials", "seed"))
-    return _json_text("covariant", config, {"report": rep.to_dict()})
+    return _json_chunks("covariant", config, {"report": rep.to_dict()})
 
 
 # -- parser ----------------------------------------------------------------
@@ -380,12 +400,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.func(args)
+        chunks = args.func(args)
     except (ValueError, KeyError) as exc:
         return _fail(2, "validation", str(exc))
     except RuntimeError as exc:
         return _fail(3, "non-convergence", str(exc))
-    _emit(text, args.out)
+    _emit(chunks, args.out)
     return 0
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -174,9 +175,13 @@ class PrefractalComplex:
 
     def _pair_array(self, count: int | None = None) -> np.ndarray:
         """int64 (count, 4) array of the rows of vertex_pairs."""
+        return self._pair_table()[self.vertices[:count]].reshape(-1, 4)
+
+    def _pair_table(self) -> np.ndarray:
+        """int64 (2**max_level + 1, 2) array: row k is the [num, exp] pair
+        of k / 2**max_level."""
         scale = 1 << self.max_level
-        pair = np.array([dyadic_to_pair(Fraction(k, scale)) for k in range(scale + 1)])
-        return pair[self.vertices[:count]].reshape(-1, 4)
+        return np.array([dyadic_to_pair(Fraction(k, scale)) for k in range(scale + 1)])
 
     def euclidean(self) -> np.ndarray:
         """Float (|V|, 2) array of the vertices' plane images (a + b/2, b*sqrt(3)/2)."""
@@ -254,47 +259,75 @@ def complex_to_dict(cx: PrefractalComplex) -> dict:
     }
 
 
-def _fill(row: str, table: np.ndarray) -> str:
-    """`row` once per row of the int array `table`, comma-separated, with
-    that row's entries in its %d slots."""
-    return ",".join([row] * len(table)) % tuple(table.ravel().tolist())
+# rows per %-template fill in the JSON writers: each chunk holds one
+# block's entries and text (`gen --level 9 --format json` peaked at 39 MiB
+# with 256-row blocks, 47 MiB with 4,096 and 63 MiB with 16,384)
+_BLOCK_ROWS = 256
 
 
-def complex_json_text(cx: PrefractalComplex, depth: int = 0) -> str:
+def _fill(row: str, count: int, entries) -> Iterator[str]:
+    """`row` once per row of a `count`-row table, comma-separated, one
+    chunk per block of _BLOCK_ROWS rows. entries(rows) lists, for the rows
+    in the slice `rows`, the values of their %-slots in order."""
+    for start in range(0, count, _BLOCK_ROWS):
+        rows = slice(start, min(count, start + _BLOCK_ROWS))
+        yield ("," if start else "") + ",".join([row] * (rows.stop - start)) % tuple(
+            entries(rows))
+
+
+def complex_json_chunks(cx: PrefractalComplex, depth: int = 0) -> Iterator[str]:
     """The text of json.dumps(complex_to_dict(cx), sort_keys=True, indent=2),
-    indented as a value nested `depth` levels deep.
+    indented as a value nested `depth` levels deep, in chunks.
 
     Rendered straight from the vertex and triangle arrays with one
-    %-template per row, so no dict per curve or triangle is ever built.
+    %-template per row, a block of rows at a time, so no dict per curve
+    or triangle is ever built and no more than a block's text is held.
     """
     p0, p1, p2, p3, p4 = ("\n" + "  " * (depth + k) for k in range(5))
 
-    def curve(m, kind):
-        return (p2 + "{" + p3 + '"endpoints": [' + p4 + "%d," + p4 + "%d" + p3 + "],"
-                + p3 + '"id": %d,' + p3 + '"kind": "' + kind + '",'
-                + p3 + '"length": [' + p4 + "1," + p4 + str(m) + p3 + "],"
-                + p3 + '"level": ' + str(m) + p2 + "}")
-
-    curves = []
-    for m in range(cx.max_level + 1):
+    def curve_row(m):
         # one table row per triangle: (start, end, id) of its three curves
-        ends = cx.curve_ends(m).reshape(-1, 3, 2)
-        ids = kappa(m, 0) + np.arange(3 ** (m + 1)).reshape(-1, 3, 1)
-        curves.append(_fill(",".join(curve(m, kind) for kind in CURVE_KINDS),
-                            np.concatenate([ends, ids], axis=2)))
-    triangles = [
-        _fill(p2 + "{" + p3 + '"index": %d,' + p3 + '"level": ' + str(m) + ","
-              + p3 + '"vertices": [' + p4 + "%d," + p4 + "%d," + p4 + "%d" + p3 + "]"
-              + p2 + "}",
-              np.column_stack([np.arange(1, len(tris) + 1), tris]))
-        for m, tris in enumerate(cx.triangles)]
-    vertices = _fill(p2 + "[" + p3 + "%d," + p3 + "%d," + p3 + "%d," + p3 + "%d" + p2 + "]",
-                     cx._pair_array())
-    return "".join([
-        "{", p1, '"curves": [', ",".join(curves), p1, "],",
-        p1, '"maxLevel": %d,' % cx.max_level,
-        p1, '"triangles": [', ",".join(triangles), p1, "],",
-        p1, '"vertices": [', vertices, p1, "]", p0, "}"])
+        return ",".join(
+            p2 + "{" + p3 + '"endpoints": [' + p4 + "%d," + p4 + "%d" + p3 + "],"
+            + p3 + '"id": %d,' + p3 + '"kind": "' + kind + '",'
+            + p3 + '"length": [' + p4 + "1," + p4 + str(m) + p3 + "],"
+            + p3 + '"level": ' + str(m) + p2 + "}" for kind in CURVE_KINDS)
+
+    def curves(m, rows):
+        ends = cx.triangles[m][rows][:, CURVE_SLOTS[:, :2]]
+        ids = kappa(m, 0) + np.arange(3 * rows.start, 3 * rows.stop).reshape(-1, 3, 1)
+        return np.concatenate([ends, ids], axis=2).ravel().tolist()
+
+    def triangle_row(m):
+        return (p2 + "{" + p3 + '"index": %d,' + p3 + '"level": ' + str(m) + ","
+                + p3 + '"vertices": [' + p4 + "%d," + p4 + "%d," + p4 + "%d" + p3 + "]"
+                + p2 + "}")
+
+    def triangles(m, rows):
+        index = np.arange(rows.start + 1, rows.stop + 1)
+        return np.column_stack([index, cx.triangles[m][rows]]).ravel().tolist()
+
+    vertex_row = p2 + "[" + p3 + "%d," + p3 + "%d," + p3 + "%d," + p3 + "%d" + p2 + "]"
+    pairs = cx._pair_table()
+
+    yield "{" + p1 + '"curves": ['
+    for m in range(cx.max_level + 1):
+        yield "," if m else ""
+        yield from _fill(curve_row(m), len(cx.triangles[m]), lambda rows: curves(m, rows))
+    yield p1 + "]," + p1 + '"maxLevel": %d,' % cx.max_level + p1 + '"triangles": ['
+    for m in range(cx.max_level + 1):
+        yield "," if m else ""
+        yield from _fill(triangle_row(m), len(cx.triangles[m]),
+                         lambda rows: triangles(m, rows))
+    yield p1 + "]," + p1 + '"vertices": ['
+    yield from _fill(vertex_row, len(cx.vertices),
+                     lambda rows: pairs[cx.vertices[rows]].ravel().tolist())
+    yield p1 + "]" + p0 + "}"
+
+
+def complex_json_text(cx: PrefractalComplex, depth: int = 0) -> str:
+    """complex_json_chunks(cx, depth) joined into one string."""
+    return "".join(complex_json_chunks(cx, depth))
 
 
 def complex_from_dict(data: dict) -> PrefractalComplex:

@@ -16,13 +16,15 @@ doubles as a consistency check on the curve layout.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
-from .gasket import (CURVE_KINDS, CURVE_SLOTS, PrefractalComplex, build_gasket,
+from .gasket import (CURVE_KINDS, CURVE_SLOTS, PrefractalComplex, _fill, build_gasket,
                      check_memory, curve_count, kappa)
 from .metric import MetricGraph, gasket_metric_graph
 
@@ -306,9 +308,9 @@ def harmonic_lengths(cx: PrefractalComplex, table: HarmonicTable, curve_ids,
             break
     converged = np.ones(len(ids), dtype=bool)
     converged[active] = False
-    incs = np.diff(lengths, axis=1).tolist()
-    return [LengthEstimate(cid, m, lengths[i, r].item(), m + r, 2**r, incs[i][:r],
-                           ok, tol)
+    incs = np.diff(lengths, axis=1)
+    return [LengthEstimate(cid, m, lengths[i, r].item(), m + r, 2**r,
+                           incs[i, :r].tolist(), ok, tol)
             for i, (cid, m, r, ok) in enumerate(zip(
                 ids.tolist(), levels.tolist(), stop.tolist(), converged.tolist()))]
 
@@ -364,6 +366,37 @@ class HarmonicGasket:
                  "length": e.value, "depth": e.depth,
                  "lastIncrement": e.last_increment, "converged": e.converged}
                 for cid, e in sorted(self.lengths.items())]
+
+    def length_json_chunks(self, depth: int = 0) -> Iterator[str]:
+        """The text of json.dumps(self.length_table(), sort_keys=True,
+        indent=2), indented as a value nested `depth` levels deep, in
+        chunks from the complex's row-block writer.
+
+        Floats go in as %r, which is json.dumps's spelling only for finite
+        floats, so a non-finite length or last increment raises
+        RuntimeError here, before the first chunk. None is expected: every
+        polyline point is a convex combination of the unit corner triples.
+        """
+        ids = sorted(self.lengths)
+        for cid in ids:
+            e = self.lengths[cid]
+            if not (math.isfinite(e.value) and math.isfinite(e.last_increment or 0.0)):
+                raise RuntimeError("harmonic length of curve %d is not finite: %r, "
+                                   "last increment %r" % (cid, e.value, e.last_increment))
+        p0, p1, p2 = ("\n" + "  " * (depth + k) for k in range(3))
+        row = (p1 + "{" + p2 + '"converged": %s,' + p2 + '"depth": %d,'
+               + p2 + '"id": %d,' + p2 + '"kind": "%s",' + p2 + '"lastIncrement": %s,'
+               + p2 + '"length": %r,' + p2 + '"level": %d' + p1 + "}")
+
+        def entries(rows):
+            for cid in ids[rows]:
+                e = self.lengths[cid]
+                last = e.last_increment
+                yield from ("true" if e.converged else "false", e.depth, cid,
+                            CURVE_KINDS[cid % 3], "null" if last is None else repr(last),
+                            e.value, e.level)
+
+        return chain(["["], _fill(row, len(ids), entries), [p0 + "]"])
 
 
 def build_harmonic_gasket(max_level: int, tol: float = 1e-6,

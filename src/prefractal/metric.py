@@ -823,9 +823,12 @@ def gh_upper_bound(n: int, m: int, samples_per_curve: int = 3,
 
     # every level-n curve has length 2^-n and both endpoints in V_n, so a
     # sample at parameter t is min(t, 1 - t) of a curve from V_n; the
-    # V_n -> S_n direction is zero since vertices are in the sample
+    # V_n -> S_n direction is zero since vertices are in the sample. Over
+    # the parameters (2i+1)/(2k), the max of min(t, 1 - t) is at the one
+    # nearest 1/2: i = (k - 1) // 2
+    check_samples(samples_per_curve)
     lam = Fraction(1, 2**n)
-    term1 = lam * max(min(t, 1 - t) for t in sample_parameters(samples_per_curve))
+    term1 = lam * Fraction(2 * ((samples_per_curve - 1) // 2) + 1, 2 * samples_per_curve)
     slack = lam / (2 * samples_per_curve)
     term3 = trace.hausdorff
     tail = Fraction(1, 2**m)

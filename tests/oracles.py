@@ -32,6 +32,9 @@ None of this is on a production path, and none of it is fast:
   * fraction_mode_count: spectrum.mode_count as it ran before its floors
     became integer divisions, with both floors taken of normalized
     Fractions.
+  * sampling_term: gh_upper_bound's sample-to-vertex term per unit curve
+    length as it was taken before its closed form, the max of
+    min(t, 1 - t) over the list of sample parameters.
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ from prefractal.harmonic import (
     LengthEstimate,
     SubdivisionRule,
 )
-from prefractal.metric import AgreementReport, MetricGraph, gh_upper_bound
+from prefractal.metric import (AgreementReport, MetricGraph, gh_upper_bound,
+                               sample_parameters)
 from prefractal.modes import (ReachReport, evolve, project, random_mode_vector,
                               tail_level_for)
 from prefractal.spectrum import PI_LOWER, PI_UPPER
@@ -680,3 +684,8 @@ def fraction_mode_count(length, cutoff) -> int:
             "the mode count is not decidable at this precision"
         )
     return 2 * f_lo
+
+
+def sampling_term(k: int) -> Fraction:
+    """max of min(t, 1 - t) over the k sample parameters (2i+1)/(2k)."""
+    return max(min(t, 1 - t) for t in sample_parameters(k))

@@ -3,7 +3,9 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -79,33 +81,35 @@ class TestGen:
                          payload["message"])
 
     def test_json_guard_refuses_before_building(self, capsys, monkeypatch):
-        # level 12 passes the build guard, but its JSON text would not fit;
-        # level 11 (695 MiB measured) gets past the guard
+        # the streamed document costs no more than the complex: level 13
+        # (622 MiB measured) gets past the guard, level 14 is refused
         monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
-        code, out, err = _run(capsys, "gen", "--level", "12", "--format", "json")
+        code, out, err = _run(capsys, "gen", "--level", "14", "--format", "json")
         assert code == 2 and out == ""
         payload = json.loads(err)
         assert payload["error"] == "validation"
         assert payload["message"] == (
-            "level 12 is past the size cap for JSON output: the complex as JSON "
-            "text needs about 2198 MiB, above the guard of 1024 MiB")
-        with pytest.raises(AssertionError, match="built the level-11 complex"):
-            main(["gen", "--level", "11", "--format", "json"])
+            "level 14 is past the size cap for JSON output: the complex as JSON "
+            "text needs about 1879 MiB, above the guard of 1024 MiB")
+        with pytest.raises(AssertionError, match="built the level-13 complex"):
+            main(["gen", "--level", "13", "--format", "json"])
 
     def test_harmonic_json_guard_refuses_before_building(self, capsys, monkeypatch):
-        # the harmonic length table costs more per curve than the sg text:
-        # level 11 passes the sg JSON guard but not the harmonic one, and
-        # harmonic level 10 (782 MiB measured) gets past it
+        # the harmonic length estimates cost more per curve than the sg
+        # complex: level 12 passes the sg JSON guard but not the harmonic
+        # one, and harmonic level 11 (711 MiB measured) gets past it
         monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
         monkeypatch.setattr("prefractal.cli.build_harmonic_gasket", _no_build)
         code, out, err = _run(capsys, "gen", "--geometry", "harmonic",
-                              "--level", "11", "--format", "json")
+                              "--level", "12", "--format", "json")
         assert code == 2 and out == ""
         assert json.loads(err)["message"] == (
-            "level 11 is past the size cap for JSON output: the complex as JSON "
-            "text needs about 2350 MiB, above the guard of 1024 MiB")
-        with pytest.raises(AssertionError, match="built the level-10 complex"):
-            main(["gen", "--geometry", "harmonic", "--level", "10", "--format", "json"])
+            "level 12 is past the size cap for JSON output: the complex as JSON "
+            "text needs about 2426 MiB, above the guard of 1024 MiB")
+        with pytest.raises(AssertionError, match="built the level-12 complex"):
+            main(["gen", "--level", "12", "--format", "json"])
+        with pytest.raises(AssertionError, match="built the level-11 complex"):
+            main(["gen", "--geometry", "harmonic", "--level", "11", "--format", "json"])
 
     @pytest.mark.parametrize("level", range(6))
     def test_harmonic_json_is_the_dumps_text(self, level, capsys):
@@ -129,6 +133,36 @@ class TestGen:
         assert payload["message"] == (
             "level 13 is past the size cap for SVG output: the drawing of its "
             "triangles needs about 1672 MiB, above the guard of 1024 MiB")
+
+    @pytest.mark.parametrize("argv,code", [
+        (["gen", "--geometry", "harmonic", "--level", "3", "--tol", "1e-30",
+          "--strict"], 3),
+        (["gen", "--level", "14"], 2),
+        (["gen", "--geometry", "harmonic", "--level", "2", "--tol", "0"], 2)])
+    def test_failed_gen_writes_nothing(self, argv, code, capsys, tmp_path):
+        # every check runs before the first chunk, so a refused or failed
+        # command leaves neither stdout text nor an --out file
+        assert _run(capsys, *argv)[:2] == (code, "")
+        path = tmp_path / "out.json"
+        assert _run(capsys, *argv, "--out", str(path))[:2] == (code, "")
+        assert not path.exists()
+
+    def test_json_writer_holds_a_block_not_the_document(self, monkeypatch):
+        # the level-8 document is 7.9 MB; writing it must not peak at a
+        # quarter of that, so a join before the write fails here
+        cx = build_gasket(8)
+        monkeypatch.setattr("prefractal.cli.build_gasket", lambda level: cx)
+        written = []
+        monkeypatch.setattr("sys.stdout", SimpleNamespace(
+            write=lambda chunk: written.append(len(chunk))))
+        tracemalloc.start()
+        try:
+            assert main(["gen", "--level", "8", "--format", "json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(written) > 7_900_000 and len(written) > 100
+        assert peak < sum(written) / 4, peak
 
     def test_harmonic_carries_quadrature_metadata(self, capsys):
         code, out, _ = _run(capsys, "gen", "--geometry", "harmonic",

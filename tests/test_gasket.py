@@ -28,6 +28,7 @@ from prefractal.gasket import (
     build_gasket,
     complex_bytes,
     complex_from_dict,
+    complex_json_chunks,
     complex_json_text,
     complex_to_dict,
     curve_count,
@@ -280,6 +281,20 @@ class TestSerialization:
         want = json.dumps(complex_to_dict(cx), sort_keys=True, indent=2)
         assert complex_json_text(cx, 0) == want
         assert complex_json_text(cx, 1) == want.replace("\n", "\n  ")
+
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    @pytest.mark.parametrize("level", range(6))
+    def test_json_chunks_join_to_the_dumps_text_at_any_block_size(self, level, rows,
+                                                                  monkeypatch):
+        monkeypatch.setattr("prefractal.gasket._BLOCK_ROWS", rows)
+        cx = build_gasket(level)
+        want = json.dumps(complex_to_dict(cx), sort_keys=True, indent=2)
+        chunks = list(complex_json_chunks(cx, 1))
+        assert "".join(chunks) == want.replace("\n", "\n  ")
+        # curves, triangles and vertices each take a chunk per block
+        blocks = -(-len(cx.vertices) // rows) + 2 * sum(
+            -(-3**m // rows) for m in range(level + 1))
+        assert len(chunks) >= blocks
 
     def test_dict_shape(self):
         data = complex_to_dict(build_gasket(1))

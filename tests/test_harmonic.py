@@ -14,6 +14,7 @@ Core claims:
       are refused before any work.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -350,6 +351,28 @@ class TestHarmonicGasket:
         assert len(rows) == 12
         assert {r["kind"] for r in rows} == {"bottom", "right", "left"}
         assert all(r["length"] > 0 for r in rows)
+
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    @pytest.mark.parametrize("level", range(6))
+    def test_length_chunks_join_to_the_dumps_text(self, level, rows, monkeypatch):
+        # the streamed writer against the dict-per-curve table
+        monkeypatch.setattr("prefractal.gasket._BLOCK_ROWS", rows)
+        hg = build_harmonic_gasket(level)
+        want = json.dumps(hg.length_table(), sort_keys=True, indent=2)
+        assert "".join(hg.length_json_chunks(1)) == want.replace("\n", "\n  ")
+        assert "".join(hg.length_json_chunks(0)) == want
+
+    @pytest.mark.parametrize("value,last", [(math.nan, 0.5), (1.0, math.inf),
+                                            (-math.inf, None)])
+    def test_length_chunks_refuse_non_finite_floats(self, value, last):
+        # %r spells these nan and inf, json.dumps NaN and Infinity; the
+        # refusal comes before any chunk
+        hg = build_harmonic_gasket(1)
+        e = hg.lengths[7]
+        e.value, e.increments = value, ([] if last is None else [0.25, last])
+        with pytest.raises(RuntimeError, match="harmonic length of curve 7 is not "
+                           "finite"):
+            hg.length_json_chunks()
 
     def test_vertex_rationals_export(self):
         hg = build_harmonic_gasket(1)

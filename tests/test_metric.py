@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from oracles import (from_triples, hop_block, hop_block_agreement, nearest_sources,
-                     sssp)
+                     sampling_term, sssp)
 from prefractal import metric
 from prefractal.cli import main
 from prefractal.gasket import build_gasket, kappa, vertex_count
@@ -463,6 +463,12 @@ class TestHausdorffAndBounds:
         assert sample_parameters(3) == [Fraction(1, 6), Fraction(1, 2),
                                         Fraction(5, 6)]
         assert sample_parameters(1) == [Fraction(1, 2)]
+
+    def test_sampling_term_has_a_closed_form(self):
+        trace = gasket_cell_trace(CX, 0, 0)
+        for k in range(1, 501):
+            rep = gh_upper_bound(0, 0, samples_per_curve=k, cx=CX, trace=trace)
+            assert rep.haus_vertices_to_sample == sampling_term(k)
 
     def test_bound_chain_terms(self):
         rep = gh_upper_bound(2, 6, cx=CX)
