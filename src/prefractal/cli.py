@@ -19,15 +19,14 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from . import __version__
-from .gasket import (build_gasket, check_memory, complex_bytes, complex_json_chunks,
+from .gasket import (BASE_BYTES, build_gasket, check_memory, complex_json_chunks,
                      curve_count)
 from .harmonic import (HarmonicTable, build_harmonic_gasket, check_tolerance,
                        derive_subdivision_rule)
 from .metric import (
-    _TRACE_BYTES_PER_TRIANGLE,
     certify_trace_agreement,
-    check_agreement_size,
     check_samples,
+    check_trace_size,
     gasket_cell_traces,
     gasket_metric_graph,
     gh_upper_bound,
@@ -38,13 +37,6 @@ from .svg import gasket_svg, line_plot, plane_coords
 from .transport import DiscreteMeasure, certify_extent, kantorovich
 
 SCHEMA_VERSION = 2
-
-# peak RSS of the interpreter with prefractal and numpy imported (`gen
-# --level 0` peaks at 31.3 MiB); the JSON and kantorovich guards add a
-# measured slope per curve or per edge on top of it, the extent guard
-# gh-table's estimate of the complex and its cell trace (peaks under wait4
-# of 228 MiB at (n, m) = (0, 12) and (10, 12), 305 MiB at (12, 12))
-_BASE_BYTES = 32 << 20
 
 # peak RSS of `gen --format json` per curve of the complex above the base,
 # by geometry, with the document streamed in row blocks: sg is the complex
@@ -162,7 +154,7 @@ def cmd_gen(args) -> Iterable[str]:
     config = _config_echo(args, ("geometry", "level", "tol", "format"))
     check_tolerance(args.tol)  # echoed in every config, so never NaN
     if args.format == "json":
-        check_memory(_BASE_BYTES + _JSON_BYTES_PER_CURVE[args.geometry]
+        check_memory(BASE_BYTES + _JSON_BYTES_PER_CURVE[args.geometry]
                      * curve_count(args.level),
                      "level %d is past the size cap for JSON output: the "
                      "complex as JSON text" % args.level)
@@ -202,7 +194,7 @@ def cmd_gh_table(args) -> Iterable[str]:
     if args.m < args.max_level:
         raise ValueError("--m must be at least --max-level")
     check_samples(args.samples)
-    check_agreement_size(args.m)
+    check_trace_size(args.m, "the level-%d complex and its cell trace" % args.m)
     config = _config_echo(args, ("max_level", "m", "samples", "format"))
     cx = build_gasket(args.m)
     rows = []
@@ -258,7 +250,7 @@ def _spectrum_spec(args) -> SpectrumSpec:
 
 def cmd_dimension(args) -> Iterable[str]:
     spec = _spectrum_spec(args)
-    check_memory(_BASE_BYTES + _DIMENSION_BYTES_PER_POINT * args.grid,
+    check_memory(BASE_BYTES + _DIMENSION_BYTES_PER_POINT * args.grid,
                  "dimension on %d cutoffs: the grid, its counts and the fit"
                  % args.grid)
     fit = dimension_fit(spec, args.lambda_min, args.lambda_max,
@@ -276,7 +268,7 @@ def cmd_dimension(args) -> Iterable[str]:
 def cmd_kantorovich(args) -> Iterable[str]:
     mu = _parse_measure(args.mu)
     nu = _parse_measure(args.nu)
-    check_memory(_BASE_BYTES + _KANTOROVICH_BYTES_PER_EDGE * 3 ** (args.level + 1),
+    check_memory(BASE_BYTES + _KANTOROVICH_BYTES_PER_EDGE * 3 ** (args.level + 1),
                  "kantorovich at level %d: the metric graph" % args.level)
     graph = gasket_metric_graph(build_gasket(args.level), args.level)
     res = kantorovich(graph, mu, nu)
@@ -290,8 +282,8 @@ def cmd_extent(args) -> Iterable[str]:
     if not 0 <= n <= m:
         raise ValueError("need 0 <= n <= m, got n=%d m=%d" % (n, m))
     check_samples(args.samples)
-    check_memory(_BASE_BYTES + complex_bytes(m) + _TRACE_BYTES_PER_TRIANGLE * 3**m,
-                 "extent at levels (%d, %d): the complex and its cell trace" % (n, m))
+    check_trace_size(m, "extent at levels (%d, %d): the complex and its cell trace"
+                     % (n, m))
     rep = certify_extent(args.n, args.m, alpha=alpha,
                          samples_per_curve=args.samples,
                          mixture_trials=args.trials, seed=args.seed)

@@ -46,6 +46,11 @@ CORNERS.flags.writeable = False
 # keeps the int64 lattice coordinates (at most 2**max_level) far from overflow.
 MEMORY_GUARD_BYTES = 2**30
 
+# peak RSS of the interpreter with prefractal and numpy imported (`gen
+# --level 0` peaks at 31.3 MiB); the CLI's guards add their command's
+# own estimate on top of it
+BASE_BYTES = 32 << 20
+
 # peak bytes of build_gasket per curve: the corner point arrays, the
 # interning sort and the id tables, vertex rows included (tracemalloc peak
 # 86.4 bytes per curve at levels 9-11, of which 13.4 stay held)

@@ -25,8 +25,9 @@ from math import isfinite, lcm
 
 import numpy as np
 
-from .gasket import (CURVE_SLOTS, PrefractalComplex, build_gasket, check_memory,
-                     complex_bytes, dyadic_from_pair, dyadic_to_pair, kappa)
+from .gasket import (BASE_BYTES, CURVE_SLOTS, PrefractalComplex, build_gasket,
+                     check_memory, complex_bytes, curve_count, dyadic_from_pair,
+                     dyadic_to_pair, kappa)
 
 
 def _is_exact_weight(w) -> bool:
@@ -466,21 +467,20 @@ class AgreementReport:
 # bytes of one entry of a distance row: a list slot and an int object
 _ROW_ENTRY_BYTES = 36
 
-# peak bytes of gasket_cell_trace per level-m triangle: the (cell, vertex)
-# keys and their sort, the CSR arrays of the cells' edges, three distance
-# rows over the cells' vertices (tracemalloc peak 240-428 bytes for
-# m = 9, 10 and 11, highest at n = m); gasket_cell_traces adds the hops
-# per triangle slot (253 bytes at (8, 12), 416 at (12, 12))
-_TRACE_BYTES_PER_TRIANGLE = 450
+# bytes per curve that build_gasket leaves held (tracemalloc 13.3-13.4),
+# and the peak bytes of gasket_cell_traces per level-m triangle above
+# them: the first closure's slot table, join mask and vertex tables
+# (tracemalloc 229-252 at m = 9-12, for one trace or a whole run)
+_HELD_BYTES_PER_CURVE = 14
+_TRACE_BYTES_PER_TRIANGLE = 260
 
 
-def check_agreement_size(m: int) -> None:
-    """Raise ValueError when gh-table at fine level m would exceed
-    MEMORY_GUARD_BYTES: the level-m complex plus the cell trace of
-    gasket_cell_trace, which is linear in the 3^m level-m triangles.
-    """
-    check_memory(complex_bytes(m) + _TRACE_BYTES_PER_TRIANGLE * 3**m,
-                 "the level-%d complex and its cell trace" % m)
+def check_trace_size(m: int, what: str) -> None:
+    """Raise ValueError, naming `what`, when building the level-m complex
+    and tracing it would pass MEMORY_GUARD_BYTES: BASE_BYTES plus the
+    larger of the build's peak and the held complex with the trace."""
+    trace = _HELD_BYTES_PER_CURVE * curve_count(m) + _TRACE_BYTES_PER_TRIANGLE * 3**m
+    check_memory(BASE_BYTES + max(complex_bytes(m), trace), what)
 
 
 def certify_vertex_agreement(n: int, m: int, g_n: MetricGraph,
@@ -569,181 +569,174 @@ class CellTrace:
         return Fraction(self.haus_hops, 2**self.m)
 
 
-def _cell_union(corners, tri, n: int, m: int, nv_n: int, nv_m: int):
-    """Number the distinct (cell, vertex) pairs, in that order, as the
-    vertices of the disjoint union of the cells, and check both premises.
-
-    Returns the union id of every level-m triangle corner (as tri), the
-    cell and vertex of every union vertex, and the union id of every cell
-    corner (as corners).
-    """
-    cells = len(corners)
-    if len(tri) != cells * 3 ** (m - n):
-        raise ValueError("%d level-%d triangles do not fill %d cells of %d"
-                         % (len(tri), m, cells, 3 ** (m - n)))
-    keys = np.repeat(np.arange(cells, dtype=np.int64) * nv_m, tri.size // cells) + tri.ravel()
-    union, local = np.unique(keys, return_inverse=True)
-    cell_of, vertex_of = np.divmod(union, nv_m)
-
-    shared = np.bincount(vertex_of, minlength=nv_m) > 1
-    shared[:nv_n] = False
-    if shared.any():
-        v = int(np.argmax(shared))
-        a, b = cell_of[vertex_of == v][:2].tolist()
-        raise ValueError("vertex %d is shared by level-%d cells %d and %d but is "
-                         "not in V_%d" % (v, n, a, b, n))
-    corner_keys = np.arange(cells, dtype=np.int64)[:, None] * nv_m + corners
-    sources = np.minimum(np.searchsorted(union, corner_keys), len(union) - 1)
-    missing = (union[sources] != corner_keys) | (corners >= nv_n)
-    if missing.any():
-        c, k = np.argwhere(missing)[0].tolist()
-        raise ValueError("corner %d of level-%d cell %d is not a V_%d vertex of "
-                         "its level-%d triangles" % (corners[c, k], n, c, n, m))
-    extra = vertex_of < nv_n
-    extra[sources] = False
-    if extra.any():
-        u = int(np.argmax(extra))
-        raise ValueError("vertex %d of V_%d lies in level-%d cell %d but is not "
-                         "one of its corners %s" % (vertex_of[u], n, n, cell_of[u],
-                                                    corners[cell_of[u]].tolist()))
-    return local.reshape(tri.shape), cell_of, vertex_of, sources
-
-
-def gasket_cell_trace(cx: PrefractalComplex, n: int, m: int) -> CellTrace:
-    """Corner-to-corner hops of the level-m graph inside each level-n cell.
-
-    A cell is the set of level-m triangles inside one level-n triangle;
-    the children of row j are rows 3j + r, so level-m row t lies in cell
-    t // 3^(m-n). Suppose a vertex shared by two cells is in V_n, and the
-    V_n vertices of each cell are exactly its three corners. A path
-    between V_n vertices then splits at its V_n visits into corner-to-corner
-    paths inside single cells, so d_m restricted to V_n is the metric of
-    the graph H on V_n whose edges are the cells' corner distances. A
-    vertex reaches V_n only through a corner of its cell, so the min over
-    its cell's corners is d_m(v, V_n) in hops, kept as nearest_hops, and
-    the max of those is Haus_{d_m}(V_n, V_m).
-
-    Reads only cx.triangles and cx.level_vertex_counts and checks both
-    premises on every entry, raising ValueError that names the vertex and
-    the cells. Three vectorised BFS passes over the disjoint union of the
-    cells, each from corner k of every cell at once, give the hops.
-    """
-    return _bfs_cell_trace(cx, n, m, keep_slots=False)[0]
-
-
-def _bfs_cell_trace(cx: PrefractalComplex, n: int, m: int, keep_slots: bool):
-    """gasket_cell_trace, and with keep_slots the int32 (3, 3^m, 3) hops
-    from corner k of its cell to slot s of level-m triangle t, at [k, t, s]
-    (None otherwise)."""
-    if not 0 <= n <= m < len(cx.triangles):
-        raise ValueError("need 0 <= n <= m <= %d, got n=%d m=%d"
-                         % (len(cx.triangles) - 1, n, m))
-    corners = np.asarray(cx.triangles[n], dtype=np.int64)
-    tri = np.asarray(cx.triangles[m], dtype=np.int64)
-    nv_n, nv_m = cx.level_vertex_counts[n], cx.level_vertex_counts[m]
-    tri_ids, cell_of, vertex_of, sources = _cell_union(corners, tri, n, m, nv_n, nv_m)
-    # the three curves of every level-m triangle, in the union's numbering
-    indptr, arc, nbr = _csr(tri_ids[:, CURVE_SLOTS[:, :2]].reshape(-1, 2), len(cell_of))
-    # int32 like the hops; union ids stay below 3 * 3^m < 2^31
-    tri_ids = tri_ids.astype(np.int32) if keep_slots else None
-    del arc
-
-    # int32: hops stay below |V_m| < 2^31 at every level the guard admits
-    dist = np.empty((3, len(cell_of)), dtype=np.int32)
-    for k in range(3):
-        dist[k] = _bfs_hops(indptr, nbr, sources[:, k])
-    if (dist < 0).any():
-        k, u = np.argwhere(dist < 0)[0].tolist()
-        raise ValueError("vertex %d of level-%d cell %d is unreachable from its "
-                         "corner %d" % (vertex_of[u], n, cell_of[u], corners[cell_of[u], k]))
-    hops = dist[:, sources].transpose(1, 0, 2)
-    # a V_n vertex is a corner of every cell it lies in, so it reads 0
-    nearest_hops = np.zeros(nv_m, dtype=np.int32)
-    nearest_hops[vertex_of] = dist.min(axis=0)
-    slot_hops = np.take(dist, tri_ids, axis=1) if keep_slots else None
-    return CellTrace(n, m, nv_n, corners, hops, nearest_hops), slot_hops
+def _check_rows(tri, level: int, nv: int) -> None:
+    """Refuse a level's triangle table unless every id is a V_level vertex
+    and every row names three distinct vertices."""
+    outside = (tri < 0) | (tri >= nv)
+    if outside.any():
+        t, s = np.argwhere(outside)[0].tolist()
+        raise ValueError("level-%d row %d %s names vertex %d, outside V_%d (0..%d)"
+                         % (level, t, tri[t].tolist(), tri[t, s], level, nv - 1))
+    repeated = (tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2]) | (tri[:, 2] == tri[:, 0])
+    if repeated.any():
+        t = int(np.argmax(repeated))
+        raise ValueError("level-%d row %d %s has fewer than three distinct vertices"
+                         % (level, t, tri[t].tolist()))
 
 
 # the closure's "not joined" entry, far above any hop count the memory
 # guard admits; two of them still add up below 2^31, so int32 never wraps
 _UNJOINED = (2**31 - 1) // 2
 
+# cells per Floyd-Warshall block: its (9, 9, block) int32 temporary is 1.3 MB
+_CLOSURE_BLOCK = 1 << 12
+
 
 def _corner_closure(cx: PrefractalComplex, n: int, child_hops: np.ndarray):
     """Corner hops of the level-n cells from those of their children.
 
     child_hops is the (3^(n+1), 3, 3) corner table of the level-(n+1)
-    cells, exact inside each. _cell_union checks the trace premises of
-    level n on the children's corners, cx.triangles[n + 1]; with the same
-    premises at level n + 1 the children meet only at their corners, and
-    every level-m vertex shared by two level-n cells is such a corner. So
-    a path inside a cell splits at child corners into paths inside single
-    children, and a 9-slot Floyd-Warshall over the children's tables,
-    slots of one vertex joined at 0, is exact. Returns the int32
-    (3^n, 3, 3) corner table and (3^n, 3, 3, 3) hops from corner j of
-    child r to corner k of cell c, at [c, r, j, k].
+    cells, exact inside each. The corners of the children, rows 3c + r of
+    cx.triangles[n + 1], are the 9 slots of cell c; the premises of level
+    n are checked on them. With the same premises at level n + 1 the
+    children meet only at their corners, and every level-m vertex shared
+    by two level-n cells is such a corner. So a path inside a cell splits
+    at child corners into paths inside single children, and a 9-slot
+    Floyd-Warshall over the children's tables, slots of one vertex joined
+    at 0, is exact. Returns the int32 (3^n, 3, 3) corner table and
+    (3^n, 3, 3, 3) hops from corner j of child r to corner k of cell c,
+    at [c, r, j, k].
     """
     corners = np.asarray(cx.triangles[n], dtype=np.int64)
     cells = len(corners)
     kids = np.asarray(cx.triangles[n + 1], dtype=np.int64)
-    nv = cx.level_vertex_counts
-    ids, _, vertex_of, sources = _cell_union(corners, kids, n, n + 1, nv[n], nv[n + 1])
-    slots = ids.reshape(cells, 9)  # equal ids: one vertex of one cell
-    at = (slots[:, :, None] == sources[:, None, :]).argmax(axis=1)
+    nv_n, nv_kids = cx.level_vertex_counts[n], cx.level_vertex_counts[n + 1]
+    if len(kids) != 3 * cells:
+        raise ValueError("%d level-%d triangles do not fill %d cells of 3"
+                         % (len(kids), n + 1, cells))
+    _check_rows(kids, n + 1, nv_kids)
+    slots = kids.reshape(cells, 9)
+
+    # a vertex in two cells has its first cell below its last
+    cell = np.arange(cells)
+    first, last = np.full(nv_kids, cells), np.full(nv_kids, -1)
+    np.minimum.at(first, slots.ravel(), np.repeat(cell, 9))
+    np.maximum.at(last, slots.ravel(), np.repeat(cell, 9))
+    shared = first < last
+    shared[:nv_n] = False
+    if shared.any():
+        v = int(np.argmax(shared))
+        raise ValueError("vertex %d is shared by level-%d cells %d and %d but is "
+                         "not in V_%d" % (v, n, first[v], last[v], n))
+    is_corner = slots[None] == corners.T[:, :, None]  # [corner, cell, slot]
+    at = is_corner.argmax(axis=2)  # the slot of corner k, at [k, cell]
+    missing = (np.take_along_axis(slots, at.T, axis=1) != corners) | (corners >= nv_n)
+    if missing.any():
+        c, k = np.argwhere(missing)[0].tolist()
+        raise ValueError("corner %d of level-%d cell %d is not a V_%d vertex of "
+                         "its level-%d triangles" % (corners[c, k], n, c, n, n + 1))
+    extra = (slots < nv_n) & ~(is_corner[0] | is_corner[1] | is_corner[2])
+    if extra.any():
+        c, s = np.argwhere(extra)[0].tolist()
+        raise ValueError("vertex %d of V_%d lies in level-%d cell %d but is not "
+                         "one of its corners %s" % (slots[c, s], n, n, c,
+                                                    corners[c].tolist()))
 
     # slots (of 9) first and cells last, so each min-plus step runs along
-    # one contiguous row per slot pair
-    d = np.full((3, 3, 3, 3, cells), _UNJOINED, dtype=np.int32)
+    # one contiguous row per slot pair; slots of one vertex start at 0
+    by_slot = np.ascontiguousarray(slots.T)
+    d = np.multiply(by_slot[:, None] != by_slot[None, :], _UNJOINED, dtype=np.int32)
     tables = child_hops.reshape(cells, 3, 3, 3).transpose(1, 2, 3, 0)
+    by_child = d.reshape(3, 3, 3, 3, cells)
     for r in range(3):
-        d[r, :, r] = tables[r]
-    d = d.reshape(9, 9, cells)
-    d[slots.T[:, None] == slots.T[None, :]] = 0
-    for k in range(9):
-        np.minimum(d, d[:, k, None] + d[None, k], out=d)
-    to_corner = np.take_along_axis(d, at.T[None], axis=1)  # [slot, corner, cell]
+        by_child[r, :, r] = tables[r]
+    # in blocks of cells, so the temporary stays small at every level
+    for lo in range(0, cells, _CLOSURE_BLOCK):
+        block = d[:, :, lo:lo + _CLOSURE_BLOCK]
+        for k in range(9):
+            np.minimum(block, block[:, k, None] + block[None, k], out=block)
+    to_corner = d[:, at, cell]  # [slot, corner, cell]
     if (to_corner >= _UNJOINED).any():
         s, k, c = np.argwhere(to_corner >= _UNJOINED)[0].tolist()
         raise ValueError("vertex %d of level-%d cell %d is unreachable from its "
-                         "corner %d" % (vertex_of[slots[c, s]], n, c, corners[c, k]))
-    hops = np.take_along_axis(to_corner, at.T[:, None], axis=0)
+                         "corner %d" % (slots[c, s], n, c, corners[c, k]))
+    hops = to_corner[at[:, None], np.arange(3)[:, None], cell]
     return hops.transpose(2, 0, 1), to_corner.transpose(2, 0, 1).reshape(cells, 3, 3, 3)
 
 
 def gasket_cell_traces(cx: PrefractalComplex, max_level: int, m: int):
-    """Yield gasket_cell_trace(cx, n, m) for n = max_level, ..., 0.
+    """Yield the CellTrace of levels (n, m) for n = max_level, ..., 0: the
+    corner-to-corner hops of the level-m graph inside each level-n cell.
 
-    Only n = max_level runs the BFS. Each coarser level comes from the one
-    below it (_corner_closure, which checks that level's premises): a
-    vertex of a level-n cell reaches corner k only through the corners of
-    its child, so its hops to the corners take one 3x3 min-plus step with
-    the children's corner-to-corner hops, kept per level-m triangle slot.
+    A level-n cell is the set of level-m triangles inside one level-n
+    triangle; the children of row j are rows 3j + r, so level-m row t lies
+    in cell t // 3^(m-n). Suppose a vertex shared by two cells is in V_n,
+    and the V_n vertices of each cell are exactly its three corners. A
+    path between V_n vertices then splits at its V_n visits into
+    corner-to-corner paths inside single cells, so d_m restricted to V_n
+    is the metric of the graph H on V_n whose edges are the cells' corner
+    distances. A vertex reaches V_n only through a corner of its cell, so
+    the min over its cell's corners is d_m(v, V_n) in hops, kept as
+    nearest_hops, and the max of those is Haus_{d_m}(V_n, V_m).
+
+    The premises of (n, m) follow from those of every (k, k + 1) with
+    n <= k < m, which _corner_closure checks as the lift passes level k.
+    Take a level-m vertex v in two level-n cells. Its level-m triangles
+    there have two different level-(m-1) parents, so v is in V_(m-1) and
+    is a corner of both parents. Those parents lie in the same two level-n
+    cells, so the same step applies to them, and so on down to V_n. A V_n
+    vertex of a cell is in V_(m-1), so it is a corner of its level-(m-1)
+    parent, and so on up to the cell. Each corner of a cell is a corner of
+    one of its children, and so on down to level m. And with three
+    children per triangle at every level, the level-m triangles fill the
+    cells.
+
+    The lift starts at level m, where each cell is one triangle: its
+    three distinct corners (checked) are one hop apart and each slot is
+    its own corner. Each coarser level comes from the one below it
+    (_corner_closure): a vertex of a level-n cell reaches corner k only
+    through the corners of its child, so its hops to the corners take one
+    3x3 min-plus step with the children's corner-to-corner hops, kept per
+    level-m triangle slot. Reads only cx.triangles and
+    cx.level_vertex_counts; a failed check raises ValueError naming the
+    row, or the vertex and the cells.
     """
-    trace, slot_hops = _bfs_cell_trace(cx, max_level, m, keep_slots=True)
-    hops = trace.hops
-    yield trace
-    del trace
-    tri = cx.triangles[m]
+    if not 0 <= max_level <= m < len(cx.triangles):
+        raise ValueError("need 0 <= n <= m <= %d, got n=%d m=%d"
+                         % (len(cx.triangles) - 1, max_level, m))
+    tri = np.asarray(cx.triangles[m], dtype=np.int64)
     nv_m = cx.level_vertex_counts[m]
-    lifted = np.empty_like(slot_hops)
-    step = np.empty_like(slot_hops[0])
-    for n in range(max_level - 1, -1, -1):
-        hops, to_corner = _corner_closure(cx, n, hops)
-        # (corner, cell, child, slot) views: the children of cell c are rows
-        # 3c + r, so their level-m triangles are contiguous
-        below = slot_hops.reshape(3, len(hops), 3, -1)
-        out = lifted.reshape(below.shape)
-        tmp = step.reshape(below.shape[1:])
-        for k in range(3):
-            np.add(below[0], to_corner[:, :, 0, k, None], out=out[k])
-            for j in (1, 2):
-                np.add(below[j], to_corner[:, :, j, k, None], out=tmp)
-                np.minimum(out[k], tmp, out=out[k])
-        slot_hops, lifted = lifted, slot_hops
-        nearest_hops = np.zeros(nv_m, dtype=np.int32)
-        nearest_hops[tri] = slot_hops.min(axis=0)
-        yield CellTrace(n, m, cx.level_vertex_counts[n],
-                        np.asarray(cx.triangles[n], dtype=np.int64), hops, nearest_hops)
+    _check_rows(tri, m, nv_m)
+    # int32 hops: they stay below |V_m| < 2^31 at every level the guard admits
+    one_hop = 1 - np.eye(3, dtype=np.int32)
+    hops = np.broadcast_to(one_hop, (len(tri), 3, 3))
+    # hops from corner k of its cell to slot s of level-m triangle t, at [k, t, s]
+    slot_hops = np.broadcast_to(one_hop[:, None, :], (3, len(tri), 3))
+    for n in range(m, -1, -1):
+        if n < m:
+            hops, to_corner = _corner_closure(cx, n, hops)
+            # (corner, cell, child, slot) views: the children of cell c are
+            # rows 3c + r, so their level-m triangles are contiguous; the
+            # buffer is made after the closure, so its temporaries are gone
+            below = slot_hops.reshape(3, len(hops), 3, -1)
+            lifted = np.empty(below.shape, dtype=np.int32)
+            for k in range(3):
+                np.minimum(below[0] + to_corner[:, :, 0, k, None],
+                           below[1] + to_corner[:, :, 1, k, None], out=lifted[k])
+                np.minimum(lifted[k], below[2] + to_corner[:, :, 2, k, None], out=lifted[k])
+            del below  # frees the old table before the next closure
+            slot_hops = lifted.reshape(3, len(tri), 3)
+        if n <= max_level:
+            nearest_hops = np.zeros(nv_m, dtype=np.int32)
+            nearest_hops[tri] = slot_hops.min(axis=0)
+            yield CellTrace(n, m, cx.level_vertex_counts[n],
+                            np.asarray(cx.triangles[n], dtype=np.int64), hops, nearest_hops)
+
+
+def gasket_cell_trace(cx: PrefractalComplex, n: int, m: int) -> CellTrace:
+    """The cell trace of levels (n, m): the first of
+    gasket_cell_traces(cx, n, m), which lifts it from level m."""
+    return next(gasket_cell_traces(cx, n, m))
 
 
 def certify_trace_agreement(trace: CellTrace) -> AgreementReport:

@@ -6,6 +6,10 @@ None of this is on a production path, and none of it is fast:
     that certified vertex agreement before the cell trace
     (metric.gasket_cell_trace) replaced it; the cell certificate must
     match it exactly.
+  * bfs_cell_trace: metric.gasket_cell_traces' trace of one (n, m) pair
+    as it was computed before every level was lifted from the level-m
+    triangles: three numpy BFS passes over the disjoint union of the
+    level-n cells, one from corner k of every cell at once.
   * maximize / max_difference_objective: a dense exact simplex over
     Fractions with Bland's anti-cycling rule, for shortest-path duality
     checks. It shares no code with the graph machinery; sizes stay in the
@@ -48,15 +52,15 @@ from math import lcm
 
 import numpy as np
 
-from prefractal.gasket import PrefractalComplex, build_gasket, kappa_inverse
+from prefractal.gasket import CURVE_SLOTS, PrefractalComplex, build_gasket, kappa_inverse
 from prefractal.harmonic import (
     EMBED_SCALE,
     HarmonicTable,
     LengthEstimate,
     SubdivisionRule,
 )
-from prefractal.metric import (AgreementReport, MetricGraph, gh_upper_bound,
-                               sample_parameters)
+from prefractal.metric import (AgreementReport, CellTrace, MetricGraph, _bfs_hops,
+                               _check_rows, _csr, gh_upper_bound, sample_parameters)
 from prefractal.modes import (ReachReport, evolve, project, random_mode_vector,
                               tail_level_for)
 from prefractal.spectrum import PI_LOWER, PI_UPPER
@@ -183,6 +187,77 @@ def hop_block_agreement(n: int, m: int, g_n: MetricGraph, g_m: MetricGraph,
     diff[ids[:, None] >= ids] = -1
     i, j = divmod(int(np.argmax(diff)), nv)
     return AgreementReport(n, m, nv, Fraction(int(diff[i, j]), scale), (i, j), True)
+
+
+# -- the cell trace by BFS over the cells' disjoint union ------------------
+
+
+def _cell_union(corners, tri, n: int, m: int, nv_n: int, nv_m: int):
+    """Number the distinct (cell, vertex) pairs, in that order, as the
+    vertices of the disjoint union of the level-n cells, and check both
+    premises of (n, m) on them directly.
+
+    Returns the union id of every level-m triangle corner (as tri), the
+    cell and vertex of every union vertex, and the union id of every cell
+    corner (as corners).
+    """
+    cells = len(corners)
+    if len(tri) != cells * 3 ** (m - n):
+        raise ValueError("%d level-%d triangles do not fill %d cells of %d"
+                         % (len(tri), m, cells, 3 ** (m - n)))
+    keys = np.repeat(np.arange(cells, dtype=np.int64) * nv_m, tri.size // cells) + tri.ravel()
+    union, local = np.unique(keys, return_inverse=True)
+    cell_of, vertex_of = np.divmod(union, nv_m)
+
+    shared = np.bincount(vertex_of, minlength=nv_m) > 1
+    shared[:nv_n] = False
+    if shared.any():
+        v = int(np.argmax(shared))
+        a, b = cell_of[vertex_of == v][:2].tolist()
+        raise ValueError("vertex %d is shared by level-%d cells %d and %d but is "
+                         "not in V_%d" % (v, n, a, b, n))
+    corner_keys = np.arange(cells, dtype=np.int64)[:, None] * nv_m + corners
+    sources = np.minimum(np.searchsorted(union, corner_keys), len(union) - 1)
+    missing = (union[sources] != corner_keys) | (corners >= nv_n)
+    if missing.any():
+        c, k = np.argwhere(missing)[0].tolist()
+        raise ValueError("corner %d of level-%d cell %d is not a V_%d vertex of "
+                         "its level-%d triangles" % (corners[c, k], n, c, n, m))
+    extra = vertex_of < nv_n
+    extra[sources] = False
+    if extra.any():
+        u = int(np.argmax(extra))
+        raise ValueError("vertex %d of V_%d lies in level-%d cell %d but is not "
+                         "one of its corners %s" % (vertex_of[u], n, n, cell_of[u],
+                                                    corners[cell_of[u]].tolist()))
+    return local.reshape(tri.shape), cell_of, vertex_of, sources
+
+
+def bfs_cell_trace(cx: PrefractalComplex, n: int, m: int) -> CellTrace:
+    """The cell trace of levels (n, m) from three BFS passes, one from
+    corner k of every level-n cell at once, over the disjoint union of the
+    cells; _cell_union numbers it and checks both premises of (n, m)."""
+    if not 0 <= n <= m < len(cx.triangles):
+        raise ValueError("need 0 <= n <= m <= %d, got n=%d m=%d"
+                         % (len(cx.triangles) - 1, n, m))
+    corners = np.asarray(cx.triangles[n], dtype=np.int64)
+    tri = np.asarray(cx.triangles[m], dtype=np.int64)
+    nv_n, nv_m = cx.level_vertex_counts[n], cx.level_vertex_counts[m]
+    _check_rows(tri, m, nv_m)
+    tri_ids, cell_of, vertex_of, sources = _cell_union(corners, tri, n, m, nv_n, nv_m)
+    # the three curves of every level-m triangle, in the union's numbering
+    indptr, _, nbr = _csr(tri_ids[:, CURVE_SLOTS[:, :2]].reshape(-1, 2), len(cell_of))
+    dist = np.empty((3, len(cell_of)), dtype=np.int32)
+    for k in range(3):
+        dist[k] = _bfs_hops(indptr, nbr, sources[:, k])
+    if (dist < 0).any():
+        k, u = np.argwhere(dist < 0)[0].tolist()
+        raise ValueError("vertex %d of level-%d cell %d is unreachable from its "
+                         "corner %d" % (vertex_of[u], n, cell_of[u], corners[cell_of[u], k]))
+    # a V_n vertex is a corner of every cell it lies in, so it reads 0
+    nearest_hops = np.zeros(nv_m, dtype=np.int32)
+    nearest_hops[vertex_of] = dist.min(axis=0)
+    return CellTrace(n, m, nv_n, corners, dist[:, sources].transpose(1, 0, 2), nearest_hops)
 
 
 # -- shortest paths and min-cost flow over tuple adjacency -----------------

@@ -241,14 +241,18 @@ class TestTables:
         assert json.loads(err)["error"] == "validation"
 
     def test_gh_table_refuses_oversized_agreement(self, capsys, monkeypatch):
-        # the level-13 complex (615 MiB) and its cell trace (684 MiB)
+        # the build phase is the larger: the level-14 complex (1,847 MiB)
+        # against the held complex and the cell trace (1,473 MiB); m = 13
+        # runs (622 MiB measured, 647 MiB estimated)
         monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
-        code, _, err = _run(capsys, "gh-table", "--max-level", "3", "--m", "13")
+        code, _, err = _run(capsys, "gh-table", "--max-level", "3", "--m", "14")
         assert code == 2
         payload = json.loads(err)
         assert payload["error"] == "validation"
-        assert payload["message"] == ("the level-13 complex and its cell trace needs "
-                                      "about 1299 MiB, above the guard of 1024 MiB")
+        assert payload["message"] == ("the level-14 complex and its cell trace needs "
+                                      "about 1879 MiB, above the guard of 1024 MiB")
+        with pytest.raises(AssertionError, match="built the level-13 complex"):
+            main(["gh-table", "--max-level", "3", "--m", "13"])
 
     def test_kantorovich_guard_refuses_before_building(self, capsys, monkeypatch):
         # level 12 runs (753 MiB on a one-point query); level 13 is refused
@@ -271,18 +275,19 @@ class TestTables:
         with pytest.raises(AssertionError, match="built the level-11 complex"):
             main(["kantorovich", "--level", "11", "--mu", mu, "--nu", "1000:1"])
 
-    @pytest.mark.parametrize("n,m", [(11, 11), (10, 12), (0, 12), (12, 12)])
+    @pytest.mark.parametrize("n,m", [(11, 11), (10, 12), (0, 12), (12, 12),
+                                     (0, 13), (10, 13), (13, 13)])
     def test_extent_guard_admits_measured_levels(self, n, m, monkeypatch):
-        # peaks of 228 MiB at (10, 12) and (0, 12) and 305 MiB at (12, 12)
-        # were measured; every n is admitted at m = 12
+        # peaks of 228 MiB at (10, 12) and (0, 12) and 622 MiB at (0, 13)
+        # and (10, 13) were measured; every n is admitted at m = 13
         monkeypatch.setattr("prefractal.transport.build_gasket", _no_build)
         with pytest.raises(AssertionError, match="built the level-%d complex" % m):
             main(["extent", "--n", str(n), "--m", str(m)])
 
-    @pytest.mark.parametrize("n,m,mib", [(0, 13, 1331), (10, 13, 1331)])
+    @pytest.mark.parametrize("n,m,mib", [(0, 14, 1879), (10, 14, 1879)])
     def test_extent_guard_refuses_before_building(self, n, m, mib, capsys,
                                                   monkeypatch):
-        # the smallest refused m is 13, for every n, as for gh-table
+        # the smallest refused m is 14, for every n, as for gh-table
         monkeypatch.setattr("prefractal.transport.build_gasket", _no_build)
         code, out, err = _run(capsys, "extent", "--n", str(n), "--m", str(m))
         assert code == 2 and out == ""

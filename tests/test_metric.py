@@ -16,8 +16,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import (from_triples, hop_block, hop_block_agreement, nearest_sources,
-                     sampling_term, sssp)
+from oracles import (bfs_cell_trace, from_triples, hop_block, hop_block_agreement,
+                     nearest_sources, sampling_term, sssp)
 from prefractal import metric
 from prefractal.cli import main
 from prefractal.gasket import build_gasket, kappa, vertex_count
@@ -422,19 +422,17 @@ class TestHausdorffAndBounds:
         assert main(["gh-table", "--max-level", "3", "--m", "5"]) == 0
         assert capsys.readouterr().out.count(",0.0\n") == 4
 
-    def test_gh_table_runs_one_bfs_trace(self, monkeypatch, capsys):
-        # three BFS passes at n = --max-level; every coarser row is lifted
-        calls = []
-        bfs = metric._bfs_hops
+    def test_gh_table_and_extent_run_no_bfs(self, monkeypatch, capsys):
+        # every trace is lifted from the level-m triangles; only MetricGraph
+        # runs _bfs_hops
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran a BFS")
 
-        def counted(*args):
-            calls.append(None)
-            return bfs(*args)
-
-        monkeypatch.setattr(metric, "_bfs_hops", counted)
+        monkeypatch.setattr(metric, "_bfs_hops", refuse)
         assert main(["gh-table"]) == 0
         assert capsys.readouterr().out.count(",0.0\n") == 7
-        assert len(calls) == 3
+        assert main(["extent", "--n", "4", "--m", "8"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("4,8,")
 
     def test_cell_trace_matches_hop_block_oracle(self):
         cx9 = build_gasket(9)
@@ -566,6 +564,30 @@ class TestCellTrace:
                 "corners [0, 3, 4]")):
             gasket_cell_trace(_cells(rows), 1, 2)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("row, message", [
+        # V_2 is 0..14
+        ([0, 6, 15], "names vertex 15, outside V_2 (0..14)"),
+        ([-1, 6, 7], "names vertex -1, outside V_2 (0..14)"),
+        # the seed's one-hop table needs three distinct corners
+        ([0, 6, 6], "has fewer than three distinct vertices"),
+    ])
+    def test_bad_level_m_row_is_named(self, n, row, message):
+        rows = [list(r) for r in LEVEL_TWO]
+        rows[0] = row
+        with pytest.raises(ValueError, match=re.escape("level-2 row 0 %s %s" % (row, message))):
+            gasket_cell_trace(_cells(rows), n, 2)
+
+    def test_bad_coarser_row_is_named_as_the_lift_passes_it(self):
+        # level-1 cell 1 lists corner 3 twice, and its children swap vertex
+        # 1 for 3, so levels (1, 2) hold; the (0, 1) step refuses the row
+        cx = _cells(LEVEL_TWO[:4] + [[9, 3, 11]] + LEVEL_TWO[5:])
+        cx.triangles[1] = np.array([[0, 3, 4], [3, 3, 5], [4, 5, 2]])
+        assert gasket_cell_trace(cx, 1, 2).n == 1
+        with pytest.raises(ValueError, match=re.escape(
+                "level-1 row 1 [3, 3, 5] has fewer than three distinct vertices")):
+            gasket_cell_trace(cx, 0, 2)
+
 
 def _assert_same_trace(got, want):
     assert (got.n, got.m, got.coarse_vertices) == (want.n, want.m, want.coarse_vertices)
@@ -574,10 +596,12 @@ def _assert_same_trace(got, want):
     assert got.hausdorff == want.hausdorff
 
 
-# every n <= max_level <= m for m up to 9, then the top of gh-table's range at m 11
+# every n <= max_level <= m for m up to 9, then at m = 11 the top of
+# gh-table's range and both ends of the levels a single trace can ask for
 @pytest.mark.parametrize("max_levels, m", [(range(m + 1), m) for m in range(10)]
-                         + [((8,), 11)],
-                         ids=["m%d" % m for m in range(10)] + ["max8-m11"])
+                         + [((8,), 11), ((0,), 11), ((11,), 11)],
+                         ids=["m%d" % m for m in range(10)]
+                         + ["max8-m11", "max0-m11", "max11-m11"])
 def test_lifted_traces_match_the_bfs_oracle(max_levels, m):
     cx = build_gasket(m)
     bfs = {}
@@ -586,8 +610,9 @@ def test_lifted_traces_match_the_bfs_oracle(max_levels, m):
         assert [t.n for t in traces] == list(range(max_level, -1, -1))
         for trace in traces:
             if trace.n not in bfs:
-                bfs[trace.n] = gasket_cell_trace(cx, trace.n, m)
+                bfs[trace.n] = bfs_cell_trace(cx, trace.n, m)
             _assert_same_trace(trace, bfs[trace.n])
+    _assert_same_trace(gasket_cell_trace(cx, max_level, m), bfs[max_level])
 
 
 CX3 = build_gasket(3)
@@ -595,8 +620,8 @@ CX3 = build_gasket(3)
 
 def _level_three(triangles=None, counts=None):
     """The gasket's tables through level 3 with the given levels replaced;
-    gasket_cell_traces(cx, 2, 3) runs its BFS on levels 2 and 3 and checks
-    levels 1 and 0 as it lifts."""
+    gasket_cell_traces(cx, 2, 3) seeds its lift with the level-3 triangles
+    and checks levels 2, 1 and 0 as it lifts, yielding from level 2."""
     tables = [np.array(t) for t in CX3.triangles]
     for level, rows in (triangles or {}).items():
         tables[level] = np.array(rows, dtype=np.int64)
