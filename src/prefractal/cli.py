@@ -20,13 +20,14 @@ from fractions import Fraction
 
 from . import __version__
 from .gasket import (BASE_BYTES, build_gasket, check_memory, complex_json_chunks,
-                     curve_count)
+                     curve_count, vertex_count)
 from .harmonic import (HarmonicTable, build_harmonic_gasket, check_tolerance,
                        derive_subdivision_rule)
 from .metric import (
     certify_trace_agreement,
     check_samples,
     check_trace_size,
+    gasket_cell_trace,
     gasket_cell_traces,
     gasket_metric_graph,
     gh_upper_bound,
@@ -34,7 +35,8 @@ from .metric import (
 from .modes import covariant_reach_witness
 from .spectrum import SpectrumSpec, dimension_fit, enumerate_eigenvalues
 from .svg import gasket_svg, line_plot, plane_coords
-from .transport import DiscreteMeasure, certify_extent, kantorovich
+from .transport import (DiscreteMeasure, certify_extent, check_support, check_trials,
+                        kantorovich)
 
 SCHEMA_VERSION = 2
 
@@ -126,7 +128,10 @@ def _csv_text(header, rows) -> str:
 def _parse_fraction(text: str) -> Fraction:
     text = text.strip()
     if "/" in text:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError("fraction %r has a zero denominator" % text) from None
     if any(c in text for c in ".eE"):
         return Fraction(repr(float(text)))
     return Fraction(int(text))
@@ -201,8 +206,7 @@ def cmd_gh_table(args) -> Iterable[str]:
     # one cell trace per level gives both the bound's third term and the
     # agreement; the traces come from n = max_level down
     for trace in gasket_cell_traces(cx, args.max_level, args.m):
-        rep = gh_upper_bound(trace.n, args.m, samples_per_curve=args.samples, cx=cx,
-                             trace=trace)
+        rep = gh_upper_bound(trace, args.samples)
         agree = certify_trace_agreement(trace)
         rows.append((trace.n, args.m, float(rep.bound), float(rep.bound_with_slack),
                      float(rep.paper_bound) + float(rep.tail),
@@ -268,6 +272,7 @@ def cmd_dimension(args) -> Iterable[str]:
 def cmd_kantorovich(args) -> Iterable[str]:
     mu = _parse_measure(args.mu)
     nu = _parse_measure(args.nu)
+    check_support(mu, nu, vertex_count(args.level))
     check_memory(BASE_BYTES + _KANTOROVICH_BYTES_PER_EDGE * 3 ** (args.level + 1),
                  "kantorovich at level %d: the metric graph" % args.level)
     graph = gasket_metric_graph(build_gasket(args.level), args.level)
@@ -282,9 +287,10 @@ def cmd_extent(args) -> Iterable[str]:
     if not 0 <= n <= m:
         raise ValueError("need 0 <= n <= m, got n=%d m=%d" % (n, m))
     check_samples(args.samples)
+    check_trials(args.trials)
     check_trace_size(m, "extent at levels (%d, %d): the complex and its cell trace"
                      % (n, m))
-    rep = certify_extent(args.n, args.m, alpha=alpha,
+    rep = certify_extent(gasket_cell_trace(build_gasket(m), n, m), alpha=alpha,
                          samples_per_curve=args.samples,
                          mixture_trials=args.trials, seed=args.seed)
     config = _config_echo(args, ("n", "m", "alpha", "samples", "trials", "seed",

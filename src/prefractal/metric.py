@@ -25,9 +25,9 @@ from math import isfinite, lcm
 
 import numpy as np
 
-from .gasket import (BASE_BYTES, CURVE_SLOTS, PrefractalComplex, build_gasket,
-                     check_memory, complex_bytes, curve_count, dyadic_from_pair,
-                     dyadic_to_pair, kappa)
+from .gasket import (BASE_BYTES, CURVE_SLOTS, PrefractalComplex, check_memory,
+                     complex_bytes, curve_count, dyadic_from_pair, dyadic_to_pair,
+                     kappa)
 
 
 def _is_exact_weight(w) -> bool:
@@ -785,41 +785,24 @@ class GHBoundReport:
     bound_with_slack: object
     paper_bound: object  # 2^(1-n)
 
-    def as_floats(self) -> dict:
-        return {f: float(v) if f != "samples_per_curve" else v
-                for f, v in self.__dict__.items()}
 
-
-def gh_upper_bound(n: int, m: int, samples_per_curve: int = 3,
-                   cx: PrefractalComplex | None = None,
-                   trace: CellTrace | None = None) -> GHBoundReport:
-    """Certified upper bound for the coarse-vs-limit comparison at level n.
+def gh_upper_bound(trace: CellTrace, samples_per_curve: int = 3) -> GHBoundReport:
+    """Certified upper bound for the coarse-vs-limit comparison at level
+    n = trace.n, against the fine level m = trace.m.
 
     Chain: (level-n set vs V_n under d_n) + (exact vertex agreement, zero)
     + (V_n vs V_m under d_m, plus the 2^-m density of V_m in the limit).
     The first term is computed on the on-edge sample S_n; its cover-radius
     slack is reported separately, never folded in silently. The third term
-    comes from gasket_cell_trace(cx, n, m); a caller that already holds
-    that trace passes it.
+    is the trace's Hausdorff distance.
     """
-    if m < n:
-        raise ValueError("need m >= n, got n=%d m=%d" % (n, m))
-    if cx is None:
-        cx = build_gasket(m)
-    if cx.max_level < m:
-        raise ValueError("complex built to level %d, need %d" % (cx.max_level, m))
-    if trace is None:
-        trace = gasket_cell_trace(cx, n, m)
-    elif (trace.n, trace.m) != (n, m):
-        raise ValueError("trace is of levels (%d, %d), need (%d, %d)"
-                         % (trace.n, trace.m, n, m))
-
+    check_samples(samples_per_curve)
+    n, m = trace.n, trace.m
     # every level-n curve has length 2^-n and both endpoints in V_n, so a
     # sample at parameter t is min(t, 1 - t) of a curve from V_n; the
     # V_n -> S_n direction is zero since vertices are in the sample. Over
     # the parameters (2i+1)/(2k), the max of min(t, 1 - t) is at the one
     # nearest 1/2: i = (k - 1) // 2
-    check_samples(samples_per_curve)
     lam = Fraction(1, 2**n)
     term1 = lam * Fraction(2 * ((samples_per_curve - 1) // 2) + 1, 2 * samples_per_curve)
     slack = lam / (2 * samples_per_curve)

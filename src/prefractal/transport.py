@@ -31,9 +31,9 @@ from math import isfinite, lcm
 import numpy as np
 
 from .gasket import PrefractalComplex, build_gasket, kappa
-from .metric import (EdgePoint, FiniteMetricSpace, MetricGraph, _is_exact_weight,
-                     _point_distance, _resolve_point, certify_trace_agreement,
-                     gasket_cell_trace, gasket_metric_graph, gh_upper_bound,
+from .metric import (CellTrace, EdgePoint, FiniteMetricSpace, MetricGraph,
+                     _is_exact_weight, _point_distance, _resolve_point,
+                     certify_trace_agreement, gasket_metric_graph, gh_upper_bound,
                      sample_parameters)
 
 _FLOAT_MASS_TOL = 1e-12
@@ -254,6 +254,15 @@ def _decompose_flow(graph: MetricGraph, flow, floor):
     raise RuntimeError("flow decomposition did not terminate")
 
 
+def check_support(mu: DiscreteMeasure, nu: DiscreteMeasure, n_pts: int) -> None:
+    """Raise ValueError unless every support index of mu and nu is below n_pts."""
+    for meas, name in ((mu, "mu"), (nu, "nu")):
+        top = max(meas.support)
+        if top >= n_pts:
+            raise ValueError("%s has support index %d but the space has %d points"
+                             % (name, top, n_pts))
+
+
 def kantorovich(space: MetricGraph | FiniteMetricSpace, mu: DiscreteMeasure,
                 nu: DiscreteMeasure) -> TransportResult:
     """Optimal transport cost between mu and nu, with a checked certificate.
@@ -270,11 +279,7 @@ def kantorovich(space: MetricGraph | FiniteMetricSpace, mu: DiscreteMeasure,
     """
     on_graph = isinstance(space, MetricGraph)
     n_pts = space.vertex_count if on_graph else len(space)
-    for meas, name in ((mu, "mu"), (nu, "nu")):
-        top = max(meas.support)
-        if top >= n_pts:
-            raise ValueError("%s has support index %d but the space has %d points"
-                             % (name, top, n_pts))
+    check_support(mu, nu, n_pts)
     nodes = sorted(set(mu.support) | set(nu.support))
     if on_graph:
         graph, label = space, range(n_pts)
@@ -539,10 +544,16 @@ def _require_premises(n, m, eps_sample, eps_vertex):
             % (n, m, eps_vertex, Fraction(1, 2**n) + Fraction(1, 2**m)))
 
 
-def certify_extent(n: int, m: int, alpha=None, samples_per_curve: int = 3,
-                   cx: PrefractalComplex | None = None, mixture_trials: int = 5,
-                   seed: int = 0) -> ExtentReport:
-    """Certify how far Dirac states on either scale sit from the other.
+def check_trials(k: int) -> None:
+    """Raise ValueError unless k is a nonnegative number of mixture trials."""
+    if k < 0:
+        raise ValueError("mixture trials must be nonnegative, got %d" % k)
+
+
+def certify_extent(trace: CellTrace, alpha=None, samples_per_curve: int = 3,
+                   mixture_trials: int = 5, seed: int = 0) -> ExtentReport:
+    """Certify how far Dirac states on either scale sit from the other, at
+    the levels n = trace.n and m = trace.m.
 
     Measures the covering radii (sample-to-vertices at level n, vertices
     n-to-m plus the 2^-m tail), takes epsilon as their max, couples copy
@@ -552,9 +563,9 @@ def certify_extent(n: int, m: int, alpha=None, samples_per_curve: int = 3,
     headline bound. Random small mixtures are spot-checked against the
     same bound, which convexity guarantees.
 
-    Everything comes from gasket_cell_trace(cx, n, m); no graph of level
-    m is built. A path from copy A to copy B crosses at some V_n vertex for
-    alpha, so d(x, B) = alpha + d_m(x, V_n), whose max over V_m is alpha +
+    Everything comes from the trace; no complex, trace or graph is built.
+    A path from copy A to copy B crosses at some V_n vertex for alpha, so
+    d(x, B) = alpha + d_m(x, V_n), whose max over V_m is alpha +
     Haus_{d_m}(V_n, V_m), and every B vertex sits alpha from its A copy.
     Both need d_m = d_n on V_n, which the trace certifies.
 
@@ -566,15 +577,9 @@ def certify_extent(n: int, m: int, alpha=None, samples_per_curve: int = 3,
     crosses at some V_n vertex) and 0 on B, so Kantorovich-Rubinstein
     duality gives W >= int f dmu - int f d(T#mu), the same sum.
     """
-    if m < n:
-        raise ValueError("need m >= n, got n=%d m=%d" % (n, m))
-    if mixture_trials < 0:
-        raise ValueError("mixture trials must be nonnegative, got %d" % mixture_trials)
-    if cx is None:
-        cx = build_gasket(m)
-    trace = gasket_cell_trace(cx, n, m)
-    rep = gh_upper_bound(n, m, samples_per_curve=samples_per_curve, cx=cx,
-                         trace=trace)
+    check_trials(mixture_trials)
+    n, m = trace.n, trace.m
+    rep = gh_upper_bound(trace, samples_per_curve)
     eps_sample = rep.haus_vertices_to_sample + rep.sampling_slack
     eps_vertex = rep.haus_vn_in_vm + rep.tail
     _require_premises(n, m, eps_sample, eps_vertex)
@@ -595,7 +600,7 @@ def certify_extent(n: int, m: int, alpha=None, samples_per_curve: int = 3,
     worst_a = alpha + trace.hausdorff
     per_dirac = alpha + epsilon
 
-    nv_m = cx.level_vertex_counts[m]
+    nv_m = len(trace.nearest_hops)
     rng = random.Random(seed)
     mixture_max = Fraction(0)
     for _ in range(mixture_trials):

@@ -60,7 +60,8 @@ from prefractal.harmonic import (
     SubdivisionRule,
 )
 from prefractal.metric import (AgreementReport, CellTrace, MetricGraph, _bfs_hops,
-                               _check_rows, _csr, gh_upper_bound, sample_parameters)
+                               _check_rows, _csr, gasket_cell_trace, gh_upper_bound,
+                               sample_parameters)
 from prefractal.modes import (ReachReport, evolve, project, random_mode_vector,
                               tail_level_for)
 from prefractal.spectrum import PI_LOWER, PI_UPPER
@@ -650,7 +651,7 @@ def coupled_extent(n: int, m: int, alpha=None, samples_per_curve: int = 3,
         raise ValueError("need m >= n, got n=%d m=%d" % (n, m))
     if cx is None:
         cx = build_gasket(m)
-    rep = gh_upper_bound(n, m, samples_per_curve=samples_per_curve, cx=cx)
+    rep = gh_upper_bound(gasket_cell_trace(cx, n, m), samples_per_curve)
     eps_sample = rep.haus_vertices_to_sample + rep.sampling_slack
     eps_vertex = rep.haus_vn_in_vm + rep.tail
     _require_premises(n, m, eps_sample, eps_vertex)

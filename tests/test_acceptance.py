@@ -17,7 +17,7 @@ from oracles import from_triples, max_difference_objective
 from prefractal.gasket import build_gasket, curve_count
 from prefractal.harmonic import HarmonicTable, build_harmonic_gasket
 from prefractal.metric import (FiniteMetricSpace, certify_vertex_agreement,
-                               gasket_metric_graph, gh_upper_bound)
+                               gasket_cell_trace, gasket_metric_graph, gh_upper_bound)
 from prefractal.modes import (covariant_reach_witness, project,
                               random_mode_vector, tail_level_for)
 from prefractal.spectrum import (SpectrumSpec, dimension_fit,
@@ -50,7 +50,7 @@ def test_criterion_01_vertex_metric_agreement(cx9):
 def test_criterion_02_sampled_hausdorff_premise(cx9):
     worst = F(0)
     for n in range(9):
-        rep = gh_upper_bound(n, n, samples_per_curve=3, cx=cx9)
+        rep = gh_upper_bound(gasket_cell_trace(cx9, n, n), 3)
         computed = F(rep.haus_vertices_to_sample)
         slack = F(rep.sampling_slack)
         assert computed <= F(1, 2 ** (n + 1)) + slack
@@ -63,7 +63,7 @@ def test_criterion_02_sampled_hausdorff_premise(cx9):
 def test_criterion_03_gh_bound_chain(cx9):
     m = 9
     for n in range(7):
-        rep = gh_upper_bound(n, m, samples_per_curve=3, cx=cx9)
+        rep = gh_upper_bound(gasket_cell_trace(cx9, n, m), 3)
         target = F(2, 2 ** n) + F(1, 2 ** m)
         assert F(rep.bound) <= target
         assert F(rep.bound_with_slack) <= target
@@ -90,7 +90,7 @@ def test_criterion_04_kantorovich_dirac_isometry(cx9):
 def test_criterion_05_tunnel_extent_bound(cx9):
     rows = []
     for n in (2, 3, 4):
-        rep = certify_extent(n, n + 4, cx=cx9)
+        rep = certify_extent(gasket_cell_trace(cx9, n, n + 4))
         assert F(rep.alpha) == F(rep.epsilon) / 4
         assert F(rep.worst_a_to_b) <= F(rep.per_dirac_bound)
         assert F(rep.worst_b_to_a) <= F(rep.per_dirac_bound)

@@ -280,7 +280,7 @@ class TestTables:
     def test_extent_guard_admits_measured_levels(self, n, m, monkeypatch):
         # peaks of 228 MiB at (10, 12) and (0, 12) and 622 MiB at (0, 13)
         # and (10, 13) were measured; every n is admitted at m = 13
-        monkeypatch.setattr("prefractal.transport.build_gasket", _no_build)
+        monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
         with pytest.raises(AssertionError, match="built the level-%d complex" % m):
             main(["extent", "--n", str(n), "--m", str(m)])
 
@@ -288,7 +288,7 @@ class TestTables:
     def test_extent_guard_refuses_before_building(self, n, m, mib, capsys,
                                                   monkeypatch):
         # the smallest refused m is 14, for every n, as for gh-table
-        monkeypatch.setattr("prefractal.transport.build_gasket", _no_build)
+        monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
         code, out, err = _run(capsys, "extent", "--n", str(n), "--m", str(m))
         assert code == 2 and out == ""
         payload = json.loads(err)
@@ -331,11 +331,19 @@ class TestTables:
       + [(["gh-table", "--max-level", "8", "--m", "12", "--samples", "0"],
           "need at least one sample per curve"),
          (["extent", "--n", "10", "--m", "12", "--samples", "0"],
-          "need at least one sample per curve")])
+          "need at least one sample per curve"),
+         (["kantorovich", "--level", "2", "--mu", "0:1/0", "--nu", "1:1"],
+          "fraction '1/0' has a zero denominator"),
+         (["extent", "--n", "1", "--m", "2", "--alpha", "1/0"],
+          "fraction '1/0' has a zero denominator")]
+      # |V_11| = 265,722: each index is checked before the guard and the build
+      + [(["kantorovich", "--level", "11", "--mu", mu, "--nu", nu],
+          "%s has support index 999999999 but the space has 265722 points" % side)
+         for mu, nu, side in (("999999999:1", "0:1", "mu"),
+                              ("0:1", "999999999:1", "nu"))])
     def test_bad_numeric_flags_exit_two(self, argv, message, capsys, monkeypatch):
         # each is refused before any complex is built
         monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
-        monkeypatch.setattr("prefractal.transport.build_gasket", _no_build)
         code, out, err = _run(capsys, *argv)
         assert code == 2 and out == ""
         assert json.loads(err) == {"error": "validation", "exitCode": 2,

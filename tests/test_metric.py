@@ -465,22 +465,16 @@ class TestHausdorffAndBounds:
     def test_sampling_term_has_a_closed_form(self):
         trace = gasket_cell_trace(CX, 0, 0)
         for k in range(1, 501):
-            rep = gh_upper_bound(0, 0, samples_per_curve=k, cx=CX, trace=trace)
+            rep = gh_upper_bound(trace, k)
             assert rep.haus_vertices_to_sample == sampling_term(k)
 
     def test_bound_chain_terms(self):
-        rep = gh_upper_bound(2, 6, cx=CX)
+        rep = gh_upper_bound(gasket_cell_trace(CX, 2, 6))
         assert Fraction(rep.haus_vertices_to_sample) == Fraction(1, 8)
         assert Fraction(rep.sampling_slack) == Fraction(1, 24)
         assert Fraction(rep.haus_vn_in_vm) == Fraction(1, 8)
         assert Fraction(rep.tail) == Fraction(1, 64)
         assert Fraction(rep.bound) == Fraction(17, 64)
-
-    def test_bound_checks_passed_trace(self):
-        with pytest.raises(ValueError, match=re.escape("levels (3, 4), need (2, 4)")):
-            gh_upper_bound(2, 4, cx=CX, trace=gasket_cell_trace(CX, 3, 4))
-        trace = gasket_cell_trace(CX, 2, 4)
-        assert gh_upper_bound(2, 4, cx=CX, trace=trace) == gh_upper_bound(2, 4, cx=CX)
 
     def test_bound_chain_reads_no_graph(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -488,13 +482,13 @@ class TestHausdorffAndBounds:
 
         monkeypatch.setattr(MetricGraph, "__init__", refuse)
         for n in range(4):
-            rep = gh_upper_bound(n, 6, samples_per_curve=4, cx=CX)
+            rep = gh_upper_bound(gasket_cell_trace(CX, n, 6), 4)
             # the worst sample sits at t = 3/8 or 5/8 of a 2^-n curve
             assert rep.haus_vertices_to_sample == Fraction(3, 8 * 2**n)
 
     def test_bound_below_coarse_budget(self):
         for n in range(4):
-            rep = gh_upper_bound(n, 6, cx=CX)
+            rep = gh_upper_bound(gasket_cell_trace(CX, n, 6))
             assert Fraction(rep.bound) <= Fraction(2, 2**n) + Fraction(1, 2**6)
             assert Fraction(rep.bound_with_slack) == (
                 Fraction(rep.bound) + Fraction(rep.sampling_slack))
@@ -542,11 +536,10 @@ class TestCellTrace:
         # the same path cell puts V_1 vertices 0 and 2 a quarter further
         # apart at level 2 than at level 1, so the extent terms do not hold
         rows = LEVEL_TWO[:6] + [[4, 5, 12], [12, 13, 14], [14, 15, 2]]
-        cx = _cells(rows, vertices=16)
-        cx.max_level = 2
+        trace = gasket_cell_trace(_cells(rows, vertices=16), 1, 2)
         with pytest.raises(ValueError, match=re.escape(
                 "extent needs d_2 = d_1 on V_1, but they differ by 1/4 at pair (0, 2)")):
-            certify_extent(1, 2, cx=cx)
+            certify_extent(trace)
 
     def test_shared_vertex_outside_v_n_is_named(self):
         # row (3, 9, 10) of cell 1 takes vertex 8 from cell 0

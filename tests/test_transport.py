@@ -12,8 +12,9 @@ from prefractal import metric, transport
 from prefractal.gasket import build_gasket, vertex_count
 from prefractal.harmonic import build_harmonic_gasket
 from prefractal.metric import (EdgePoint, FiniteMetricSpace, MetricGraph,
-                               gasket_cell_trace, gasket_metric_graph,
-                               geodesic_point_distance)
+                               gasket_cell_trace, gasket_cell_traces,
+                               gasket_metric_graph, geodesic_point_distance,
+                               gh_upper_bound)
 from prefractal.transport import (CoupledGraph, DiscreteMeasure, _require_premises,
                                   certify_extent, kantorovich, lipschitz_seminorm,
                                   mcshane_extend, sampled_metric_space,
@@ -441,7 +442,7 @@ class TestCoupledGraph:
 
 class TestExtentCertificate:
     def test_frozen_three_seven_row(self):
-        rep = certify_extent(3, 7, alpha=F(1, 16), cx=CX)
+        rep = certify_extent(gasket_cell_trace(CX, 3, 7), alpha=F(1, 16))
         assert F(rep.bound_apriori) == F(33, 128)
         assert F(rep.epsilon_apriori) == F(17, 128)
         assert F(rep.worst_b_to_a) == F(1, 16)
@@ -451,7 +452,7 @@ class TestExtentCertificate:
         assert emp <= bound
 
     def test_default_alpha_is_quarter_epsilon(self):
-        rep = certify_extent(2, 6, cx=CX)
+        rep = certify_extent(gasket_cell_trace(CX, 2, 6))
         assert F(rep.alpha) == F(rep.epsilon) / 4
         assert F(rep.bound) == 2 * F(rep.alpha) + F(rep.epsilon)
         assert F(rep.epsilon) == max(F(rep.epsilon_sample), F(rep.epsilon_vertex))
@@ -464,12 +465,12 @@ class TestExtentCertificate:
         # vertex the distance alpha + nearest_hops * 2^-m to copy B.
         for n, m, cx, expected in ((2, 6, CX, F(317, 1920)),
                                    (4, 8, build_gasket(8), F(761, 19200))):
-            rep = certify_extent(n, m, cx=cx, mixture_trials=20, seed=3)
+            trace = gasket_cell_trace(cx, n, m)
+            rep = certify_extent(trace, mixture_trials=20, seed=3)
             assert F(rep.mixture_max) == expected
             cg = CoupledGraph.from_gasket(cx, n, m, F(rep.alpha))
             rows = cg.graph.internal_rows(cg.b_node(j) for j in range(cg.n_b))
             nearest, dist = oracles.nearest_sources(cg.graph, range(cg.n_a, cg.n_a + cg.n_b))
-            trace = gasket_cell_trace(cx, n, m)
             for a in range(cg.n_a):
                 assert nearest[a] == min(range(cg.n_b), key=lambda j: (rows[j][a], j))
                 assert dist[a] == rows[nearest[a]][a]
@@ -483,7 +484,7 @@ class TestExtentCertificate:
         cx = CX if m <= CX.max_level else build_gasket(m)
         trace = gasket_cell_trace(cx, n, m)
         for seed in range(3):
-            rep = certify_extent(n, m, cx=cx, seed=seed)
+            rep = certify_extent(trace, seed=seed)
             cg = CoupledGraph.from_gasket(cx, n, m, F(rep.alpha))
             nearest, _ = oracles.nearest_sources(cg.graph,
                                                  range(cg.n_a, cg.n_a + cg.n_b))
@@ -510,7 +511,7 @@ class TestExtentCertificate:
         monkeypatch.setattr(transport, "kantorovich", fail)
         monkeypatch.setattr(MetricGraph, "__init__", fail)
         monkeypatch.setattr(CoupledGraph, "__init__", fail)
-        rep = certify_extent(4, 8, cx=build_gasket(8))
+        rep = certify_extent(gasket_cell_trace(build_gasket(8), 4, 8))
         assert F(rep.mixture_max) == F(21, 640)
 
     @pytest.mark.parametrize("n,m", [(0, 5), (1, 1), (2, 6), (3, 3), (3, 7), (4, 8),
@@ -519,10 +520,26 @@ class TestExtentCertificate:
         # every field, seeds 0-4 with alpha auto and 1/16; the oracle takes
         # about 2 s per call at (6, 9), so there 1/16 runs at seed 0 only
         cx = CX if m <= CX.max_level else build_gasket(m)
+        trace = gasket_cell_trace(cx, n, m)
         for seed in range(5):
             for alpha in (None, F(1, 16)) if seed == 0 or m < 9 else (None,):
-                assert (certify_extent(n, m, alpha=alpha, cx=cx, seed=seed)
+                assert (certify_extent(trace, alpha=alpha, seed=seed)
                         == oracles.coupled_extent(n, m, alpha=alpha, cx=cx, seed=seed))
+
+    def test_one_lift_feeds_every_certificate(self):
+        # each trace of one gasket_cell_traces pass gives the same bound and
+        # extent report as the trace lifted for its level alone
+        cx = build_gasket(8)
+        levels = []
+        for trace in gasket_cell_traces(cx, 8, 8):
+            n = trace.n
+            alone = gasket_cell_trace(cx, n, 8)
+            assert gh_upper_bound(trace) == gh_upper_bound(alone)
+            assert gh_upper_bound(trace, 5) == gh_upper_bound(alone, 5)
+            assert (certify_extent(trace, seed=n, mixture_trials=10)
+                    == certify_extent(alone, seed=n, mixture_trials=10))
+            levels.append(n)
+        assert levels == list(range(8, -1, -1))
 
     def test_premise_failures_name_the_term(self):
         with pytest.raises(ValueError, match="sample-covering premise"):
@@ -531,8 +548,8 @@ class TestExtentCertificate:
             _require_premises(2, 6, F(1, 8), F(1, 2))
 
     def test_rejects_inverted_levels(self):
-        with pytest.raises(ValueError, match="m >= n"):
-            certify_extent(4, 2, cx=CX)
+        with pytest.raises(ValueError, match="need 0 <= n <= m"):
+            certify_extent(gasket_cell_trace(CX, 4, 2))
 
 
 class TestDiracIdentity:
