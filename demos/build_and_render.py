@@ -18,20 +18,20 @@ print("level %d complex: %d vertices, %d curves at the top level"
       % (LEVEL, len(cx.vertices), 3 ** (LEVEL + 1)))
 
 with open("gasket_euclidean.svg", "w") as fh:
-    fh.write(gasket_svg(cx, level=LEVEL))
+    fh.writelines(gasket_svg(cx, LEVEL))
 print("wrote gasket_euclidean.svg")
 
 # harmonic embedding: evaluate the three corner indicators at every
 # vertex, then project the simplex-valued triples to the plane
 table = HarmonicTable(cx)
 emb = table.embedding_array()
-coords = np.array(plane_coords(emb))
+coords = plane_coords(emb)
 print("harmonic coordinates span x: [%.3f, %.3f], y: [%.3f, %.3f]"
       % (coords[:, 0].min(), coords[:, 0].max(),
          coords[:, 1].min(), coords[:, 1].max()))
 
 with open("gasket_harmonic.svg", "w") as fh:
-    fh.write(gasket_svg(cx, level=LEVEL, coords=coords))
+    fh.writelines(gasket_svg(cx, LEVEL, coords=coords))
 print("wrote gasket_harmonic.svg")
 
 # the two embeddings agree on the three corners up to rotation/scale,

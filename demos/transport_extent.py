@@ -10,7 +10,7 @@ from fractions import Fraction
 from prefractal.gasket import build_gasket
 from prefractal.metric import FiniteMetricSpace, gasket_cell_trace, gasket_metric_graph
 from prefractal.transport import (DiscreteMeasure, certify_extent, kantorovich,
-                                  tunnel_dirac_distance, CoupledGraph)
+                                  CoupledGraph)
 
 cx = build_gasket(8)
 space = FiniteMetricSpace.from_graph(gasket_metric_graph(cx, 2))
@@ -25,7 +25,7 @@ for i, j, mass in res.plan:
 
 # couple level 2 against level 6 and measure Dirac-to-Dirac tunnels
 cg = CoupledGraph.from_gasket(cx, 2, 6, Fraction(1, 24))
-d = tunnel_dirac_distance(cg, 7, 7)
+d = cg.distance(("a", 7), ("b", 7))
 print("same vertex seen in both copies sits %s apart (the crossing toll)" % d)
 
 print()

@@ -35,8 +35,8 @@ from .metric import (
 from .modes import covariant_reach_witness
 from .spectrum import SpectrumSpec, dimension_fit, enumerate_eigenvalues
 from .svg import gasket_svg, line_plot, plane_coords
-from .transport import (DiscreteMeasure, certify_extent, check_support, check_trials,
-                        kantorovich)
+from .transport import (DiscreteMeasure, certify_extent, check_alpha, check_support,
+                        check_trials, kantorovich)
 
 SCHEMA_VERSION = 2
 
@@ -44,13 +44,9 @@ SCHEMA_VERSION = 2
 # by geometry, with the document streamed in row blocks: sg is the complex
 # itself (54/97/228/622 MiB at levels 10-13 under wait4, 85-86 B per
 # curve); harmonic adds a length estimate per curve (61/114/273/711 MiB at
-# levels 8-11, 893-1,037 B per curve)
+# levels 8-11, 893-1,037 B per curve). `gen --format svg` of either
+# geometry streams its polygons the same way and peaks where sg JSON does
 _JSON_BYTES_PER_CURVE = {"sg": 90, "harmonic": 1050}
-
-# peak RSS of `gen --format svg` per drawn triangle, either geometry: the
-# complex, the triangle and coordinate lists, one line per polygon and the
-# joined text (RSS grew by 1,040-1,060 bytes per triangle at levels 10-11)
-_SVG_BYTES_PER_TRIANGLE = 1100
 
 # peak RSS of `kantorovich` per edge of the level's metric graph above the
 # base: the complex, the graph's arrays and the solver's per-slot lists
@@ -111,12 +107,6 @@ def _json_chunks(command: str, config: dict, body: dict,
     yield "\n}\n"
 
 
-def _json_text(command: str, config: dict, body: dict,
-               texts: dict[str, str | Iterable[str]] | None = None) -> str:
-    """_json_chunks(command, config, body, texts) joined into one string."""
-    return "".join(_json_chunks(command, config, body, texts))
-
-
 def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -158,22 +148,19 @@ def _config_echo(args, keys) -> dict:
 def cmd_gen(args) -> Iterable[str]:
     config = _config_echo(args, ("geometry", "level", "tol", "format"))
     check_tolerance(args.tol)  # echoed in every config, so never NaN
-    if args.format == "json":
-        check_memory(BASE_BYTES + _JSON_BYTES_PER_CURVE[args.geometry]
-                     * curve_count(args.level),
-                     "level %d is past the size cap for JSON output: the "
-                     "complex as JSON text" % args.level)
-    else:
-        check_memory(_SVG_BYTES_PER_TRIANGLE * 3**args.level,
-                     "level %d is past the size cap for SVG output: the "
-                     "drawing of its triangles" % args.level)
+    svg = args.format == "svg"
+    what = ("SVG output: the drawing of its triangles" if svg
+            else "JSON output: the complex as JSON text")
+    check_memory(BASE_BYTES + _JSON_BYTES_PER_CURVE["sg" if svg else args.geometry]
+                 * curve_count(args.level),
+                 "level %d is past the size cap for %s" % (args.level, what))
     # every check that can fail runs before the first chunk is returned
     if args.geometry == "sg":
         cx = build_gasket(args.level)
-        if args.format == "svg":
+        if svg:
             return gasket_svg(cx, args.level)
         return _json_chunks("gen", config, {}, {"complex": complex_json_chunks(cx, 1)})
-    if args.format == "svg":
+    if svg:
         table = HarmonicTable(build_gasket(args.level))
         coords = plane_coords(table.embedding_array())
         return gasket_svg(table.cx, args.level, coords=coords)
@@ -288,6 +275,7 @@ def cmd_extent(args) -> Iterable[str]:
         raise ValueError("need 0 <= n <= m, got n=%d m=%d" % (n, m))
     check_samples(args.samples)
     check_trials(args.trials)
+    check_alpha(alpha)
     check_trace_size(m, "extent at levels (%d, %d): the complex and its cell trace"
                      % (n, m))
     rep = certify_extent(gasket_cell_trace(build_gasket(m), n, m), alpha=alpha,

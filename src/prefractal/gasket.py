@@ -264,19 +264,20 @@ def complex_to_dict(cx: PrefractalComplex) -> dict:
     }
 
 
-# rows per %-template fill in the JSON writers: each chunk holds one
+# rows per %-template fill in the JSON and SVG writers: each chunk holds one
 # block's entries and text (`gen --level 9 --format json` peaked at 39 MiB
 # with 256-row blocks, 47 MiB with 4,096 and 63 MiB with 16,384)
 _BLOCK_ROWS = 256
 
 
-def _fill(row: str, count: int, entries) -> Iterator[str]:
-    """`row` once per row of a `count`-row table, comma-separated, one
-    chunk per block of _BLOCK_ROWS rows. entries(rows) lists, for the rows
-    in the slice `rows`, the values of their %-slots in order."""
+def _fill(row: str, count: int, entries, sep: str = ",") -> Iterator[str]:
+    """`row` once per row of a `count`-row table, joined by `sep` ("," for
+    JSON rows, "\n" for SVG lines), one chunk per block of _BLOCK_ROWS
+    rows. entries(rows) lists, for the rows in the slice `rows`, the values
+    of their %-slots in order."""
     for start in range(0, count, _BLOCK_ROWS):
         rows = slice(start, min(count, start + _BLOCK_ROWS))
-        yield ("," if start else "") + ",".join([row] * (rows.stop - start)) % tuple(
+        yield (sep if start else "") + sep.join([row] * (rows.stop - start)) % tuple(
             entries(rows))
 
 
@@ -328,11 +329,6 @@ def complex_json_chunks(cx: PrefractalComplex, depth: int = 0) -> Iterator[str]:
     yield from _fill(vertex_row, len(cx.vertices),
                      lambda rows: pairs[cx.vertices[rows]].ravel().tolist())
     yield p1 + "]" + p0 + "}"
-
-
-def complex_json_text(cx: PrefractalComplex, depth: int = 0) -> str:
-    """complex_json_chunks(cx, depth) joined into one string."""
-    return "".join(complex_json_chunks(cx, depth))
 
 
 def complex_from_dict(data: dict) -> PrefractalComplex:

@@ -88,19 +88,6 @@ def mode_count(length, cutoff) -> int:
     return 2 * f_lo
 
 
-def interval_spectrum(length, cutoff, guard: int = ENUMERATION_GUARD) -> np.ndarray:
-    """Sorted eigenvalues pi*(k+1/2)/length in [-cutoff, cutoff]."""
-    count = mode_count(length, cutoff)
-    if count > guard:
-        raise ValueError("enumeration of %d eigenvalues exceeds guard %d"
-                         % (count, guard))
-    half = count // 2
-    if half == 0:
-        return np.empty(0)
-    pos = math.pi * (np.arange(half) + 0.5) / float(length)
-    return np.concatenate([-pos[::-1], pos])
-
-
 def _gasket_levels():
     """(length, multiplicity) of the gasket's curves level by level, without
     end: 3^(m+1) curves of length 2^-m at level m."""

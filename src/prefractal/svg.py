@@ -7,67 +7,61 @@ inputs always produce byte-identical files.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from itertools import chain
 
-from .gasket import PrefractalComplex
+import numpy as np
+
+from .gasket import PrefractalComplex, _fill
 
 PALETTE = ("#1a466b", "#b03a2e", "#1e8449", "#7d3c98", "#b9770e", "#117a8b")
+
+# pixel sizes: the square gasket figure and its margin, and the line plot
+GASKET_SIZE, GASKET_MARGIN = 720, 24
+PLOT_WIDTH, PLOT_HEIGHT = 640, 440
 
 
 def _f(x: float) -> str:
     return ("%.4f" % x).rstrip("0").rstrip(".")
 
 
-def gasket_svg(cx: PrefractalComplex, level: int | None = None, coords=None,
-               size: int = 720, margin: int = 24, stroke: str = PALETTE[0]) -> str:
-    """Draw the level triangles as outlined polygons.
+def gasket_svg(cx: PrefractalComplex, level: int, coords=None) -> Iterator[str]:
+    """The level triangles as outlined polygons, one line each, in chunks
+    of a row block. Every vertex of V_level (an id prefix) is placed
+    before the first chunk is returned.
 
     coords overrides the vertex positions (one (x, y) per vertex id),
     which is how harmonic embeddings get rendered; the default is the
     Euclidean picture. y is flipped into screen orientation.
     """
-    if level is None:
-        level = cx.max_level
-    tris = cx.triangles[level].tolist()
-    if coords is None:
-        coords = cx.euclidean().tolist()
-    used = sorted({i for t in tris for i in t})
-    xs = [coords[i][0] for i in used]
-    ys = [coords[i][1] for i in used]
-    span = max(max(xs) - min(xs), max(ys) - min(ys)) or 1.0
-    scale = (size - 2 * margin) / span
-    x0, y1 = min(xs), max(ys)
+    tris = cx.triangles[level]
+    pts = np.asarray(cx.euclidean() if coords is None else coords,
+                     dtype=float)[:cx.level_vertex_counts[level]]
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    scale = (GASKET_SIZE - 2 * GASKET_MARGIN) / (float((hi - lo).max()) or 1.0)
+    placed = np.column_stack([GASKET_MARGIN + (pts[:, 0] - lo[0]) * scale,
+                              GASKET_MARGIN + (hi[1] - pts[:, 1]) * scale])
+    row = ('<polygon points="%s,%s %s,%s %s,%s" fill="none" stroke="' + PALETTE[0]
+           + '" stroke-width="0.8"/>')
+    head = ('<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
+            'viewBox="0 0 %d %d">\n<rect width="%d" height="%d" fill="white"/>\n'
+            % ((GASKET_SIZE,) * 6))
 
-    def place(i):
-        x, y = coords[i]
-        return (margin + (x - x0) * scale, margin + (y1 - y) * scale)
+    def corners(rows):
+        return map(_f, placed[tris[rows]].ravel().tolist())
 
-    lines = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-        'viewBox="0 0 %d %d">' % (size, size, size, size),
-        '<rect width="%d" height="%d" fill="white"/>' % (size, size),
-    ]
-    for t in tris:
-        pts = " ".join("%s,%s" % (_f(px), _f(py))
-                       for px, py in (place(i) for i in t))
-        lines.append('<polygon points="%s" fill="none" stroke="%s" '
-                     'stroke-width="0.8"/>' % (pts, stroke))
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    return chain([head], _fill(row, len(tris), corners, sep="\n"), ["\n</svg>\n"])
 
 
-def plane_coords(embedding) -> list:
-    """Flatten points of the plane x+y+z = const to 2D, orthonormally."""
-    s2 = math.sqrt(2.0)
-    s6 = math.sqrt(6.0)
-    out = []
-    for x, y, z in embedding:
-        out.append(((x - y) / s2, (x + y - 2.0 * z) / s6))
-    return out
+def plane_coords(embedding) -> np.ndarray:
+    """Float (k, 2) array: points of the plane x+y+z = const flattened to
+    2D, orthonormally."""
+    x, y, z = np.asarray(embedding, dtype=float).T
+    return np.column_stack([(x - y) / math.sqrt(2.0), (x + y - 2.0 * z) / math.sqrt(6.0)])
 
 
 def line_plot(series, x_label: str, y_label: str, title: str = "",
-              log_x: bool = False, log_y: bool = False,
-              width: int = 640, height: int = 440) -> str:
+              log_x: bool = False, log_y: bool = False) -> str:
     """Polyline chart with markers; series = [(name, [(x, y), ...]), ...]."""
     if not series or not any(pts for _, pts in series):
         raise ValueError("nothing to plot")
@@ -86,6 +80,7 @@ def line_plot(series, x_label: str, y_label: str, title: str = "",
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
+    width, height = PLOT_WIDTH, PLOT_HEIGHT
     left, right, top, bottom = 64, 16, 28, 44
     pw = width - left - right
     ph = height - top - bottom

@@ -483,17 +483,11 @@ class CoupledGraph:
         raise ValueError("side must be 'a' or 'b', got %r" % side)
 
     def distance(self, x, y):
-        """Distance between (side, index) pairs in the coupled graph."""
+        """Distance between (side, index) pairs in the coupled graph. From
+        ("a", x) to ("b", y) it is sup f(x) - g(y) over pairs with coupled
+        seminorm at most one: shortest paths are dual to difference
+        constraints."""
         return self.graph.single_source(self.node(*x))[self.node(*y)]
-
-
-def tunnel_dirac_distance(cg: CoupledGraph, a_index: int, b_index: int):
-    """Distance from a copy-A Dirac to a copy-B Dirac through the coupling.
-
-    Equals sup f(x) - g(y) over pairs with coupled seminorm at most one,
-    by the duality between shortest paths and difference constraints.
-    """
-    return cg.graph.single_source(cg.a_node(a_index))[cg.b_node(b_index)]
 
 
 # -- extent certification -------------------------------------------------
@@ -550,6 +544,12 @@ def check_trials(k: int) -> None:
         raise ValueError("mixture trials must be nonnegative, got %d" % k)
 
 
+def check_alpha(alpha) -> None:
+    """Raise ValueError unless alpha is None (epsilon/4) or positive."""
+    if alpha is not None and alpha <= 0:
+        raise ValueError("alpha must be positive, got %s" % alpha)
+
+
 def certify_extent(trace: CellTrace, alpha=None, samples_per_curve: int = 3,
                    mixture_trials: int = 5, seed: int = 0) -> ExtentReport:
     """Certify how far Dirac states on either scale sit from the other, at
@@ -588,8 +588,7 @@ def certify_extent(trace: CellTrace, alpha=None, samples_per_curve: int = 3,
     if alpha is None:
         alpha = epsilon / 4
     alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive, got %s" % alpha)
+    check_alpha(alpha)
     agree = certify_trace_agreement(trace)
     if agree.max_discrepancy:
         raise ValueError("extent needs d_%d = d_%d on V_%d, but they differ by %s "

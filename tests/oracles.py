@@ -39,6 +39,9 @@ None of this is on a production path, and none of it is fast:
   * sampling_term: gh_upper_bound's sample-to-vertex term per unit curve
     length as it was taken before its closed form, the max of
     min(t, 1 - t) over the list of sample parameters.
+  * gasket_svg_text: svg.gasket_svg as it was before it streamed its
+    polygons in row blocks: per-vertex Python placement and the whole
+    document joined into one string.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from prefractal.metric import (AgreementReport, CellTrace, MetricGraph, _bfs_hop
 from prefractal.modes import (ReachReport, evolve, project, random_mode_vector,
                               tail_level_for)
 from prefractal.spectrum import PI_LOWER, PI_UPPER
+from prefractal.svg import PALETTE, _f
 from prefractal.transport import (CoupledGraph, DiscreteMeasure, ExtentReport,
                                   _require_premises, kantorovich)
 
@@ -765,3 +769,41 @@ def fraction_mode_count(length, cutoff) -> int:
 def sampling_term(k: int) -> Fraction:
     """max of min(t, 1 - t) over the k sample parameters (2i+1)/(2k)."""
     return max(min(t, 1 - t) for t in sample_parameters(k))
+
+
+def gasket_svg_text(cx: PrefractalComplex, level: int | None = None, coords=None,
+                    size: int = 720, margin: int = 24, stroke: str = PALETTE[0]) -> str:
+    """Draw the level triangles as outlined polygons.
+
+    coords overrides the vertex positions (one (x, y) per vertex id),
+    which is how harmonic embeddings get rendered; the default is the
+    Euclidean picture. y is flipped into screen orientation.
+    """
+    if level is None:
+        level = cx.max_level
+    tris = cx.triangles[level].tolist()
+    if coords is None:
+        coords = cx.euclidean().tolist()
+    used = sorted({i for t in tris for i in t})
+    xs = [coords[i][0] for i in used]
+    ys = [coords[i][1] for i in used]
+    span = max(max(xs) - min(xs), max(ys) - min(ys)) or 1.0
+    scale = (size - 2 * margin) / span
+    x0, y1 = min(xs), max(ys)
+
+    def place(i):
+        x, y = coords[i]
+        return (margin + (x - x0) * scale, margin + (y1 - y) * scale)
+
+    lines = [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
+        'viewBox="0 0 %d %d">' % (size, size, size, size),
+        '<rect width="%d" height="%d" fill="white"/>' % (size, size),
+    ]
+    for t in tris:
+        pts = " ".join("%s,%s" % (_f(px), _f(py))
+                       for px, py in (place(i) for i in t))
+        lines.append('<polygon points="%s" fill="none" stroke="%s" '
+                     'stroke-width="0.8"/>' % (pts, stroke))
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"

@@ -23,7 +23,7 @@ from prefractal.modes import (covariant_reach_witness, project,
 from prefractal.spectrum import (SpectrumSpec, dimension_fit,
                                  enumerate_eigenvalues)
 from prefractal.transport import (CoupledGraph, DiscreteMeasure, certify_extent,
-                                  kantorovich, tunnel_dirac_distance)
+                                  kantorovich)
 
 
 @pytest.fixture(scope="module")
@@ -232,7 +232,7 @@ def test_criterion_11_difference_constraint_duality():
             cons += [(ai, off + bi, alpha), (off + bi, ai, alpha)]
         x = rng.randrange(ga.vertex_count)
         y = rng.randrange(gb.vertex_count)
-        got = F(tunnel_dirac_distance(cg, x, y))
+        got = F(cg.distance(("a", x), ("b", y)))
         want = max_difference_objective(off + gb.vertex_count, cons, x, off + y)
         assert got == want
     print("criterion 11 PASS: 200 coupled instances match the exact LP "

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from prefractal import __version__
-from prefractal.cli import _json_text, _parse_fraction, _parse_measure, main
+from prefractal.cli import _json_chunks, _parse_fraction, _parse_measure, main
 from prefractal.gasket import (
     build_gasket,
     complex_from_dict,
@@ -124,15 +124,18 @@ class TestGen:
 
     @pytest.mark.parametrize("geometry", ["sg", "harmonic"])
     def test_svg_guard_refuses_before_building(self, geometry, capsys, monkeypatch):
-        # level 12 draws (about 560 MiB); level 13 is the first refused
+        # the polygons stream like sg JSON and share its estimate: level 13
+        # gets past the guard, level 14 is the first refused
         monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
         code, out, err = _run(capsys, "gen", "--geometry", geometry,
-                              "--level", "13", "--format", "svg")
+                              "--level", "14", "--format", "svg")
         assert code == 2 and out == ""
         payload = json.loads(err)
         assert payload["message"] == (
-            "level 13 is past the size cap for SVG output: the drawing of its "
-            "triangles needs about 1672 MiB, above the guard of 1024 MiB")
+            "level 14 is past the size cap for SVG output: the drawing of its "
+            "triangles needs about 1879 MiB, above the guard of 1024 MiB")
+        with pytest.raises(AssertionError, match="built the level-13 complex"):
+            main(["gen", "--geometry", geometry, "--level", "13", "--format", "svg"])
 
     @pytest.mark.parametrize("argv,code", [
         (["gen", "--geometry", "harmonic", "--level", "3", "--tol", "1e-30",
@@ -340,7 +343,10 @@ class TestTables:
       + [(["kantorovich", "--level", "11", "--mu", mu, "--nu", nu],
           "%s has support index 999999999 but the space has 265722 points" % side)
          for mu, nu, side in (("999999999:1", "0:1", "mu"),
-                              ("0:1", "999999999:1", "nu"))])
+                              ("0:1", "999999999:1", "nu"))]
+      # both parse to 0 and are refused before the level-12 build
+      + [(["extent", "--n", "0", "--m", "12", "--alpha", alpha],
+          "alpha must be positive, got 0") for alpha in ("0", "0.5e-400")])
     def test_bad_numeric_flags_exit_two(self, argv, message, capsys, monkeypatch):
         # each is refused before any complex is built
         monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
@@ -529,7 +535,7 @@ class TestPlumbing:
                                        indent=2).replace("\n", "\n  ")}
         payload = {"schemaVersion": 2, "version": __version__, "command": "cmd",
                    "config": {"k": 1}, "complex": {"z": [1, [2]], "a": {}}, **body}
-        assert (_json_text("cmd", {"k": 1}, body, texts)
+        assert ("".join(_json_chunks("cmd", {"k": 1}, body, texts))
                 == json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
     def test_flags_are_registered_only_where_read(self):

@@ -26,7 +26,6 @@ from prefractal.spectrum import (
     counting_function,
     dimension_fit,
     enumerate_eigenvalues,
-    interval_spectrum,
     mode_count,
     zeta_partial,
 )
@@ -108,16 +107,17 @@ class TestModeCount:
 
 
 class TestIntervalSpectrum:
+    # one interval's signed spectrum, pi*(k+1/2)/length for k = -K..K-1
     def test_values_at_pi(self):
-        vals = interval_spectrum(1, Fraction(math.pi))
+        vals = enumerate_eigenvalues(SpectrumSpec.single(1), Fraction(math.pi)).signed()
         assert np.allclose(vals, [-math.pi / 2, math.pi / 2])
 
     def test_empty(self):
-        assert interval_spectrum(1, 1).size == 0
+        assert enumerate_eigenvalues(SpectrumSpec.single(1), 1).signed().size == 0
 
     def test_guard(self):
         with pytest.raises(ValueError, match="guard"):
-            interval_spectrum(1, 10**9, guard=100)
+            enumerate_eigenvalues(SpectrumSpec.single(1), 10**9, guard=100).signed()
 
 
 class TestSpecs:

@@ -18,7 +18,7 @@ from prefractal.metric import (EdgePoint, FiniteMetricSpace, MetricGraph,
 from prefractal.transport import (CoupledGraph, DiscreteMeasure, _require_premises,
                                   certify_extent, kantorovich, lipschitz_seminorm,
                                   mcshane_extend, sampled_metric_space,
-                                  tunnel_dirac_distance, verify_lipschitz_dirac_identity)
+                                  verify_lipschitz_dirac_identity)
 
 CX = build_gasket(7)
 
@@ -387,7 +387,7 @@ class TestCoupledGraph:
         alpha = F(1, 16)
         cg = CoupledGraph.from_gasket(CX, 1, 3, alpha)
         for v in range(6):
-            assert tunnel_dirac_distance(cg, v, v) == alpha
+            assert cg.distance(("a", v), ("b", v)) == alpha
 
     def test_within_copy_matches_each_scale(self):
         cg = CoupledGraph.from_gasket(CX, 1, 3, F(1, 16))
@@ -400,7 +400,7 @@ class TestCoupledGraph:
         prev = None
         for alpha in [F(1, 64), F(1, 16), F(1, 4), F(1, 2)]:
             cg = CoupledGraph.from_gasket(CX, 1, 3, alpha)
-            d = tunnel_dirac_distance(cg, 7, 2)
+            d = cg.distance(("a", 7), ("b", 2))
             assert d >= alpha
             if prev is not None:
                 assert d >= prev
@@ -435,7 +435,7 @@ class TestCoupledGraph:
                 cons += [(ai, off + bi, alpha), (off + bi, ai, alpha)]
             x = rng.randrange(ga.vertex_count)
             y = rng.randrange(gb.vertex_count)
-            got = F(tunnel_dirac_distance(cg, x, y))
+            got = F(cg.distance(("a", x), ("b", y)))
             assert got == max_difference_objective(off + gb.vertex_count,
                                                    cons, x, off + y)
 
