@@ -12,7 +12,7 @@ print("replacement weights: adjacent %d, opposite %d, over %d"
       % (rule.adjacent, rule.opposite, rule.den))
 
 hg = build_harmonic_gasket(6, tol=1e-6)
-deepest = max(e.depth - e.level for e in hg.lengths.values())
+deepest = int((hg.lengths.depth - hg.lengths.level).max())
 print("quadrature tol %g, at most %d refinements below each curve's level; "
       "%d curves unconverged, the deepest needed %d"
       % (hg.tol, hg.cap, len(hg.unconverged()), deepest))

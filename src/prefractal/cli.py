@@ -43,10 +43,10 @@ SCHEMA_VERSION = 2
 # peak RSS of `gen --format json` per curve of the complex above the base,
 # by geometry, with the document streamed in row blocks: sg is the complex
 # itself (54/97/228/622 MiB at levels 10-13 under wait4, 85-86 B per
-# curve); harmonic adds a length estimate per curve (61/114/273/711 MiB at
-# levels 8-11, 893-1,037 B per curve). `gen --format svg` of either
-# geometry streams its polygons the same way and peaks where sg JSON does
-_JSON_BYTES_PER_CURVE = {"sg": 90, "harmonic": 1050}
+# curve); harmonic adds its length columns (56/97/225/550 MiB at levels
+# 9-12, 227-281 B per curve). `gen --format svg` of either geometry
+# streams its polygons the same way and peaks where sg JSON does
+_JSON_BYTES_PER_CURVE = {"sg": 90, "harmonic": 300}
 
 # peak RSS of `kantorovich` per edge of the level's metric graph above the
 # base: the complex, the graph's arrays and the solver's per-slot lists
@@ -391,7 +391,10 @@ def main(argv=None) -> int:
         return _fail(2, "validation", str(exc))
     except RuntimeError as exc:
         return _fail(3, "non-convergence", str(exc))
-    _emit(chunks, args.out)
+    try:
+        _emit(chunks, args.out)
+    except OSError as exc:  # an --out path that cannot be opened, or a closed stdout
+        return _fail(2, "validation", str(exc))
     return 0
 
 

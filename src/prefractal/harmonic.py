@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -188,26 +188,23 @@ def embedding_point(triple) -> np.ndarray:
     return EMBED_SCALE * (np.asarray([float(t) for t in triple]) - 1.0)
 
 
-@dataclass
-class LengthEstimate:
-    curve_id: int
-    level: int
-    value: float  # inscribed polyline length, a lower bound
-    depth: int  # absolute subdivision level of the polyline
-    segments: int
-    increments: list[float]
-    converged: bool
-    tol: float
+@dataclass(frozen=True, eq=False)
+class CurveLengths:
+    """Inscribed-polyline lengths of many curves, a column per field; row
+    i is curve ids[i]. depth is the polyline's absolute subdivision level,
+    last_increment what the last refinement added (NaN where none ran),
+    and converged whether tol, not the cap, stopped the refinement."""
 
-    @property
-    def last_increment(self) -> float | None:
-        return self.increments[-1] if self.increments else None
+    ids: np.ndarray
+    level: np.ndarray
+    value: np.ndarray
+    depth: np.ndarray
+    last_increment: np.ndarray
+    converged: np.ndarray
 
-    @property
-    def relative_increment(self) -> float | None:
-        if not self.increments or self.value == 0:
-            return None
-        return self.increments[-1] / self.value
+    def rows(self, rows=slice(None)) -> Iterator[tuple]:
+        """The selected rows as tuples of Python scalars, fields in order."""
+        return zip(*(getattr(self, f.name)[rows].tolist() for f in fields(self)))
 
 
 def check_tolerance(tol) -> None:
@@ -270,8 +267,7 @@ def _curve_edges(cx: PrefractalComplex, table: HarmonicTable,
 
 
 def harmonic_lengths(cx: PrefractalComplex, table: HarmonicTable, curve_ids,
-                     tol: float = 1e-6,
-                     cap: int = REFINEMENT_CAP) -> list[LengthEstimate]:
+                     tol: float = 1e-6, cap: int = REFINEMENT_CAP) -> CurveLengths:
     """Inscribed-polyline lengths of many embedded curves at once.
 
     The triple at F_w(x) is the corner-triple matrix of cell w applied to
@@ -287,85 +283,88 @@ def harmonic_lengths(cx: PrefractalComplex, table: HarmonicTable, curve_ids,
     ids = np.asarray(curve_ids, dtype=np.int64).reshape(-1)
     levels, edges = _curve_edges(cx, table, ids)
     base = base_polyline(cap, table.rule)
-    lengths = np.zeros((len(ids), cap + 1))
     chords = edges[:, :, 0]
-    lengths[:, 0] = EMBED_SCALE * np.sqrt(np.einsum("ci,ci->c", chords, chords))
-    stop = np.full(len(ids), cap)
+    value = EMBED_SCALE * np.sqrt(np.einsum("ci,ci->c", chords, chords))
+    last = np.full(len(ids), np.nan)
+    depth = levels + cap
     active = np.arange(len(ids))
     for d in range(1, cap + 1):
         steps = np.diff(base[:: 1 << (cap - d), 1:], axis=0).T / float(
             table.rule.den**cap)
         per = max(1, _BLOCK_ENTRIES // steps.shape[1])
-        for blk in np.split(active, range(per, len(active), per)):
-            seg = np.matmul(edges[blk], steps)
-            lengths[blk, d] = EMBED_SCALE * np.sqrt(
+        now = np.empty(len(active))
+        for k in range(0, len(active), per):
+            seg = np.matmul(edges[active[k:k + per]], steps)
+            now[k:k + per] = EMBED_SCALE * np.sqrt(
                 np.einsum("cip,cip->cp", seg, seg)).sum(axis=1)
-        now = lengths[active, d]
-        done = now - lengths[active, d - 1] <= tol * now
-        stop[active[done]] = d
+        inc = now - value[active]
+        last[active], value[active] = inc, now
+        done = inc <= tol * now
+        depth[active[done]] = levels[active[done]] + d
         active = active[~done]
         if not len(active):
             break
     converged = np.ones(len(ids), dtype=bool)
     converged[active] = False
-    incs = np.diff(lengths, axis=1)
-    return [LengthEstimate(cid, m, lengths[i, r].item(), m + r, 2**r,
-                           incs[i, :r].tolist(), ok, tol)
-            for i, (cid, m, r, ok) in enumerate(zip(
-                ids.tolist(), levels.tolist(), stop.tolist(), converged.tolist()))]
+    return CurveLengths(ids, levels, value, depth, last, converged)
 
 
 def harmonic_curve_length(cx: PrefractalComplex, curve_id: int,
                           tol: float = 1e-6, cap: int = REFINEMENT_CAP,
-                          table: HarmonicTable | None = None) -> LengthEstimate:
-    """Inscribed-polyline length of one embedded curve: harmonic_lengths
-    for a single id. The estimate is monotone nondecreasing in depth and
-    the report says whether tol or the cap stopped it."""
+                          table: HarmonicTable | None = None) -> CurveLengths:
+    """Inscribed-polyline length of one embedded curve: the one-row
+    record of harmonic_lengths for a single id. The estimate is monotone
+    nondecreasing in depth."""
     if table is None:
         table = HarmonicTable(cx)
-    return harmonic_lengths(cx, table, [curve_id], tol=tol, cap=cap)[0]
+    return harmonic_lengths(cx, table, [curve_id], tol=tol, cap=cap)
 
 
 class HarmonicGasket:
     """Prefractal with harmonic edge lengths; combinatorics match the
-    Euclidean build, only the metric changes."""
+    Euclidean build, only the metric changes. lengths is indexed by curve
+    id and stops at the gasket's level; the complex may be deeper."""
 
     def __init__(self, cx: PrefractalComplex, table: HarmonicTable,
-                 lengths: dict[int, LengthEstimate], tol: float, cap: int):
+                 lengths: CurveLengths, tol: float, cap: int):
         self.cx = cx
         self.table = table
         self.lengths = lengths
         self.tol = tol
         self.cap = cap
 
+    @property
+    def level(self) -> int:
+        """The deepest level with lengths."""
+        return int(self.lengths.level.max())
+
     def metric_graph(self, level: int | None = None) -> MetricGraph:
         if level is None:
-            level = self.cx.max_level
-        weights = {e.curve_id: e.value for e in self.lengths_at_level(level)}
-        return gasket_metric_graph(self.cx, level, harmonic_lengths=weights)
-
-    def lengths_at_level(self, level: int) -> list[LengthEstimate]:
-        return [self.lengths[cid] for cid in range(kappa(level, 0), kappa(level + 1, 0))]
+            level = self.level
+        if level > self.level:
+            raise ValueError("no lengths at level %d: the harmonic gasket stops "
+                             "at level %d" % (level, self.level))
+        return gasket_metric_graph(self.cx, level, harmonic_lengths=self.lengths.value)
 
     def max_length_at_level(self, level: int) -> float:
-        return max(e.value for e in self.lengths_at_level(level))
+        return float(self.lengths.value[kappa(level, 0):kappa(level + 1, 0)].max())
 
     def total_length_at_level(self, level: int) -> float:
-        return math.fsum(e.value for e in self.lengths_at_level(level))
+        return math.fsum(self.lengths.value[kappa(level, 0):kappa(level + 1, 0)])
 
     def unconverged(self) -> list[int]:
-        return [cid for cid, e in self.lengths.items() if not e.converged]
+        return np.flatnonzero(~self.lengths.converged).tolist()
 
     def vertex_rationals(self, n_vertices: int | None = None) -> list[list[str]]:
-        """Exact triples as fraction strings, for export."""
-        n = len(self.cx.vertices) if n_vertices is None else n_vertices
+        """Exact triples of V_level, or of the first n vertices, as strings."""
+        n = self.cx.level_vertex_counts[self.level] if n_vertices is None else n_vertices
         return [[str(f) for f in self.table.triple(v)] for v in range(n)]
 
     def length_table(self) -> list[dict]:
-        return [{"id": cid, "level": e.level, "kind": CURVE_KINDS[cid % 3],
-                 "length": e.value, "depth": e.depth,
-                 "lastIncrement": e.last_increment, "converged": e.converged}
-                for cid, e in sorted(self.lengths.items())]
+        return [{"id": cid, "level": m, "kind": CURVE_KINDS[cid % 3], "length": v,
+                 "depth": d, "lastIncrement": None if math.isnan(last) else last,
+                 "converged": ok}
+                for cid, m, v, d, last, ok in self.lengths.rows()]
 
     def length_json_chunks(self, depth: int = 0) -> Iterator[str]:
         """The text of json.dumps(self.length_table(), sort_keys=True,
@@ -373,30 +372,28 @@ class HarmonicGasket:
         chunks from the complex's row-block writer.
 
         Floats go in as %r, which is json.dumps's spelling only for finite
-        floats, so a non-finite length or last increment raises
-        RuntimeError here, before the first chunk. None is expected: every
-        polyline point is a convex combination of the unit corner triples.
+        floats, so a non-finite length, or last increment of a curve that
+        refined, raises RuntimeError here, before the first chunk. None is
+        expected: every polyline point is a convex combination of the unit
+        corner triples.
         """
-        ids = sorted(self.lengths)
-        for cid in ids:
-            e = self.lengths[cid]
-            if not (math.isfinite(e.value) and math.isfinite(e.last_increment or 0.0)):
-                raise RuntimeError("harmonic length of curve %d is not finite: %r, "
-                                   "last increment %r" % (cid, e.value, e.last_increment))
+        c = self.lengths
+        bad = ~np.isfinite(c.value) | (~np.isfinite(c.last_increment) & (c.depth > c.level))
+        if bad.any():
+            cid, _, v, _, last, _ = next(c.rows(bad))
+            raise RuntimeError("harmonic length of curve %d is not finite: %r, "
+                               "last increment %r" % (cid, v, last))
         p0, p1, p2 = ("\n" + "  " * (depth + k) for k in range(3))
         row = (p1 + "{" + p2 + '"converged": %s,' + p2 + '"depth": %d,'
                + p2 + '"id": %d,' + p2 + '"kind": "%s",' + p2 + '"lastIncrement": %s,'
                + p2 + '"length": %r,' + p2 + '"level": %d' + p1 + "}")
 
         def entries(rows):
-            for cid in ids[rows]:
-                e = self.lengths[cid]
-                last = e.last_increment
-                yield from ("true" if e.converged else "false", e.depth, cid,
-                            CURVE_KINDS[cid % 3], "null" if last is None else repr(last),
-                            e.value, e.level)
+            for cid, m, v, d, last, ok in c.rows(rows):
+                yield from ("true" if ok else "false", d, cid, CURVE_KINDS[cid % 3],
+                            "null" if math.isnan(last) else repr(last), v, m)
 
-        return chain(["["], _fill(row, len(ids), entries), [p0 + "]"])
+        return chain(["["], _fill(row, len(c.ids), entries), [p0 + "]"])
 
 
 def build_harmonic_gasket(max_level: int, tol: float = 1e-6,
@@ -408,6 +405,5 @@ def build_harmonic_gasket(max_level: int, tol: float = 1e-6,
     if cx is None or cx.max_level < max_level:
         cx = build_gasket(max_level)
     table = HarmonicTable(cx)
-    estimates = harmonic_lengths(cx, table, range(curve_count(max_level)),
-                                 tol=tol, cap=cap)
-    return HarmonicGasket(cx, table, {e.curve_id: e for e in estimates}, tol, cap)
+    lengths = harmonic_lengths(cx, table, range(curve_count(max_level)), tol=tol, cap=cap)
+    return HarmonicGasket(cx, table, lengths, tol, cap)

@@ -17,7 +17,9 @@ None of this is on a production path, and none of it is fast:
   * harmonic_curve_length / edge_polyline: the per-curve quadrature that
     harmonic_lengths replaced. It halves one curve's cells in Python
     integers, whose numerators grow as 5^depth, and measures the
-    inscribed polyline up to an absolute depth cap.
+    inscribed polyline up to an absolute depth cap. It reports a
+    LengthEstimate, the per-curve record with every increment that
+    harmonic_lengths returned before its columns.
   * sssp / nearest_sources / min_cost_flow: the shortest-path and
     transport kernels over per-vertex lists of (neighbour, weight) tuples
     that MetricGraph ran before its CSR arrays. They read only g.edges
@@ -50,6 +52,7 @@ import heapq
 import math
 import random
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -59,7 +62,6 @@ from prefractal.gasket import CURVE_SLOTS, PrefractalComplex, build_gasket, kapp
 from prefractal.harmonic import (
     EMBED_SCALE,
     HarmonicTable,
-    LengthEstimate,
     SubdivisionRule,
 )
 from prefractal.metric import (AgreementReport, CellTrace, MetricGraph, _bfs_hops,
@@ -608,6 +610,21 @@ def edge_polyline(depth: int, rule: SubdivisionRule) -> list[tuple[int, ...]]:
         cells = _subdivide_along(cells, 0, 1, rule.adjacent, rule.opposite,
                                  rule.den)
     return [cells[0][0]] + [cell[1] for cell in cells]
+
+
+@dataclass
+class LengthEstimate:
+    """One curve's quadrature, as harmonic_lengths reported it per curve
+    before its result became columns."""
+
+    curve_id: int
+    level: int
+    value: float  # inscribed polyline length, a lower bound
+    depth: int  # absolute subdivision level of the polyline
+    segments: int
+    increments: list[float]
+    converged: bool
+    tol: float
 
 
 def harmonic_curve_length(cx: PrefractalComplex, curve_id: int, tol: float,

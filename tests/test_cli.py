@@ -95,21 +95,21 @@ class TestGen:
             main(["gen", "--level", "13", "--format", "json"])
 
     def test_harmonic_json_guard_refuses_before_building(self, capsys, monkeypatch):
-        # the harmonic length estimates cost more per curve than the sg
-        # complex: level 12 passes the sg JSON guard but not the harmonic
-        # one, and harmonic level 11 (711 MiB measured) gets past it
+        # the harmonic length columns cost more per curve than the sg
+        # complex: level 13 passes the sg JSON guard but not the harmonic
+        # one, and harmonic level 12 (550 MiB measured) gets past it
         monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
         monkeypatch.setattr("prefractal.cli.build_harmonic_gasket", _no_build)
         code, out, err = _run(capsys, "gen", "--geometry", "harmonic",
-                              "--level", "12", "--format", "json")
+                              "--level", "13", "--format", "json")
         assert code == 2 and out == ""
         assert json.loads(err)["message"] == (
-            "level 12 is past the size cap for JSON output: the complex as JSON "
-            "text needs about 2426 MiB, above the guard of 1024 MiB")
+            "level 13 is past the size cap for JSON output: the complex as JSON "
+            "text needs about 2084 MiB, above the guard of 1024 MiB")
+        with pytest.raises(AssertionError, match="built the level-13 complex"):
+            main(["gen", "--level", "13", "--format", "json"])
         with pytest.raises(AssertionError, match="built the level-12 complex"):
-            main(["gen", "--level", "12", "--format", "json"])
-        with pytest.raises(AssertionError, match="built the level-11 complex"):
-            main(["gen", "--geometry", "harmonic", "--level", "11", "--format", "json"])
+            main(["gen", "--geometry", "harmonic", "--level", "12", "--format", "json"])
 
     @pytest.mark.parametrize("level", range(6))
     def test_harmonic_json_is_the_dumps_text(self, level, capsys):
@@ -149,6 +149,15 @@ class TestGen:
         path = tmp_path / "out.json"
         assert _run(capsys, *argv, "--out", str(path))[:2] == (code, "")
         assert not path.exists()
+
+    def test_unopenable_out_path_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = _run(capsys, "gen", "--level", "1", "--out", str(path))
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "validation" and payload["exitCode"] == 2
+        assert str(path) in payload["message"]
+        assert not path.parent.exists()
 
     def test_json_writer_holds_a_block_not_the_document(self, monkeypatch):
         # the level-8 document is 7.9 MB; writing it must not peak at a

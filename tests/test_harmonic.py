@@ -14,6 +14,7 @@ Core claims:
       are refused before any work.
 """
 
+import dataclasses
 import json
 import math
 import random
@@ -27,7 +28,6 @@ from prefractal.gasket import build_gasket, curve_count, kappa, vertex_count
 from prefractal.harmonic import (
     EMBED_SCALE,
     HarmonicTable,
-    LengthEstimate,
     base_polyline,
     build_harmonic_gasket,
     derive_subdivision_rule,
@@ -172,56 +172,72 @@ class TestEmbedding:
         assert len(triples) == vertex_count(4)
 
 
+def _row(lengths, i=0) -> dict:
+    """Row i of a CurveLengths record as Python scalars by column name."""
+    return {f.name: getattr(lengths, f.name)[i].item()
+            for f in dataclasses.fields(lengths)}
+
+
 class TestCurveLength:
     def test_chord_is_lower_bound(self):
-        est = harmonic_curve_length(CX, 0, tol=1e-6)
+        est = _row(harmonic_curve_length(CX, 0, tol=1e-6))
         chord = 1.0  # corner images are unit apart
-        assert est.value > chord
+        assert est["value"] > chord
 
     def test_increments_positive_and_quarter_rate(self):
-        est = harmonic_curve_length(CX, 0, tol=0.0, cap=12)
-        assert all(inc > 0 for inc in est.increments)
-        ratios = [a / b for a, b in zip(est.increments[2:], est.increments[3:])]
+        # at tol 0 a cap of k refinements ends on curve 0's k-th increment
+        incs = [harmonic_lengths(CX, TABLE, [0], tol=0.0, cap=k).last_increment[0]
+                for k in range(1, 13)]
+        assert all(inc > 0 for inc in incs)
+        ratios = [a / b for a, b in zip(incs[2:], incs[3:])]
         assert all(3.3 < r < 5.2 for r in ratios)
 
     def test_level0_value_frozen(self):
-        est = harmonic_curve_length(CX, 0, tol=0.0, cap=12)
-        assert est.value == pytest.approx(1.074351979421, abs=1e-9)
-        assert est.depth == 12
-        assert not est.converged
+        est = _row(harmonic_curve_length(CX, 0, tol=0.0, cap=12))
+        assert est["value"] == pytest.approx(1.074351979421, abs=1e-9)
+        assert est["depth"] == 12
+        assert not est["converged"]
 
     def test_three_sides_symmetric(self):
-        vals = [harmonic_curve_length(CX, j, tol=0.0, cap=10).value
+        vals = [harmonic_curve_length(CX, j, tol=0.0, cap=10).value[0]
                 for j in range(3)]
         assert max(vals) - min(vals) < 1e-12
 
     def test_converges_at_default_tolerance(self):
-        est = harmonic_curve_length(CX, 0, tol=1e-6)
-        assert est.converged
-        assert est.depth < 12
-        assert est.relative_increment <= 1e-6
+        est = _row(harmonic_curve_length(CX, 0, tol=1e-6))
+        assert est["converged"]
+        assert est["depth"] < 12
+        assert est["last_increment"] / est["value"] <= 1e-6
 
     def test_additive_at_equal_absolute_depth(self):
         # halves of the bottom edge live in child cells 0 and 1
-        parent = harmonic_curve_length(CX, 0, tol=0.0, cap=10)
+        parent = _row(harmonic_curve_length(CX, 0, tol=0.0, cap=10))
         # the cap counts refinements below each curve's level: all three
         # polylines end at absolute depth 10
-        left = harmonic_curve_length(CX, kappa(1, 0) + 0, tol=0.0, cap=9)
-        right = harmonic_curve_length(CX, kappa(1, 1) + 0, tol=0.0, cap=9)
-        assert parent.depth == left.depth == right.depth == 10
-        assert parent.value == pytest.approx(left.value + right.value, abs=1e-12)
+        left = _row(harmonic_curve_length(CX, kappa(1, 0) + 0, tol=0.0, cap=9))
+        right = _row(harmonic_curve_length(CX, kappa(1, 1) + 0, tol=0.0, cap=9))
+        assert parent["depth"] == left["depth"] == right["depth"] == 10
+        assert parent["value"] == pytest.approx(left["value"] + right["value"],
+                                                abs=1e-12)
 
     def test_cap_below_tolerance_flags_unconverged(self):
-        est = harmonic_curve_length(CX, 0, tol=1e-12, cap=6)
-        assert not est.converged
-        assert est.depth == 6
-        assert est.value > 1.0
+        est = _row(harmonic_curve_length(CX, 0, tol=1e-12, cap=6))
+        assert not est["converged"]
+        assert est["depth"] == 6
+        assert est["value"] > 1.0
 
     def test_cap_counts_refinements_below_the_curve_level(self):
         cid = kappa(5, 17) + 2
-        est = harmonic_curve_length(CX, cid, tol=0.0, cap=4, table=TABLE)
-        assert (est.level, est.depth, est.segments) == (5, 9, 16)
-        assert len(est.increments) == 4 and not est.converged
+        est = _row(harmonic_curve_length(CX, cid, tol=0.0, cap=4, table=TABLE))
+        segments = 2 ** (est["depth"] - est["level"])
+        assert (est["ids"], est["level"], est["depth"], segments) == (cid, 5, 9, 16)
+        assert not est["converged"]
+
+    def test_no_refinement_leaves_the_chord(self):
+        est = _row(harmonic_curve_length(CX, 0, cap=0, table=TABLE))
+        assert est["value"] == pytest.approx(1.0) and est["depth"] == 0
+        assert not est["converged"]
+        assert math.isnan(est["last_increment"])
 
     def test_rejects_curves_beyond_the_complex(self):
         with pytest.raises(ValueError, match="curve ids"):
@@ -238,38 +254,42 @@ class TestLengthOracle:
         assert got.tolist() == [list(p) for p in oracles.edge_polyline(cap, self.RULE)]
 
     @staticmethod
-    def _agree(est, ref):
-        assert (est.depth, est.segments, est.converged) == (
-            ref.depth, ref.segments, ref.converged)
-        assert est.value == pytest.approx(ref.value, rel=1e-12, abs=0)
-        assert len(est.increments) == len(ref.increments)
-        for a, b in zip(est.increments, ref.increments):
-            assert abs(a - b) <= 1e-12 * ref.value
+    def _agree(cx, table, ids, tol, cap):
+        """harmonic_lengths of the ids against the oracle, curve by curve,
+        and every increment of the oracle's against the last increment of
+        a tol-0 run whose cap ends on it."""
+        got = harmonic_lengths(cx, table, ids, tol=tol, cap=cap)
+        assert got.ids.tolist() == list(ids)
+        refs = [oracles.harmonic_curve_length(cx, cid, tol, m + cap, table)
+                for cid, m in zip(ids, got.level.tolist())]
+        for i, ref in enumerate(refs):
+            est = _row(got, i)
+            assert (est["depth"], 2 ** (est["depth"] - est["level"]),
+                    est["converged"]) == (ref.depth, ref.segments, ref.converged)
+            assert est["value"] == pytest.approx(ref.value, rel=1e-12, abs=0)
+            assert abs(est["last_increment"] - ref.increments[-1]) <= 1e-12 * ref.value
+        for k in range(1, max(len(ref.increments) for ref in refs) + 1):
+            at_k = harmonic_lengths(cx, table, ids, tol=0.0, cap=k).last_increment
+            for inc, ref in zip(at_k.tolist(), refs):
+                if k <= len(ref.increments):
+                    assert abs(inc - ref.increments[k - 1]) <= 1e-12 * ref.value
+        return got
 
     def test_every_curve_through_level4_at_equal_depth(self):
         cx = build_gasket(4)
-        table = HarmonicTable(cx)
-        ests = harmonic_lengths(cx, table, range(curve_count(4)), tol=0.0, cap=6)
-        for est in ests:
-            ref = oracles.harmonic_curve_length(cx, est.curve_id, 0.0,
-                                                est.level + 6, table)
-            self._agree(est, ref)
+        self._agree(cx, HarmonicTable(cx), range(curve_count(4)), 0.0, 6)
 
     def test_sampled_level6_curves_stop_where_the_oracle_stops(self):
         cx = build_gasket(6)
-        table = HarmonicTable(cx)
         ids = random.Random(606).sample(range(kappa(6, 0), curve_count(6)), 24)
-        for est in harmonic_lengths(cx, table, ids):
-            assert est.converged
-            ref = oracles.harmonic_curve_length(cx, est.curve_id, 1e-6,
-                                                est.level + 12, table)
-            self._agree(est, ref)
+        got = self._agree(cx, HarmonicTable(cx), ids, 1e-6, 12)
+        assert got.converged.all()
 
     def test_one_curve_call_matches_the_batch(self):
         ids = [0, 4, kappa(3, 20) + 1, kappa(5, 200)]
         batch = harmonic_lengths(CX, TABLE, ids)
-        for cid, est in zip(ids, batch):
-            assert harmonic_curve_length(CX, cid, table=TABLE) == est
+        for i, cid in enumerate(ids):
+            assert _row(harmonic_curve_length(CX, cid, table=TABLE)) == _row(batch, i)
 
 
 class TestRefinementCap:
@@ -333,17 +353,28 @@ class TestHarmonicGasket:
     def test_unconverged_estimates_reported_honestly(self):
         # at the default tol every curve converges; 1e-9 leaves some short
         hg = build_harmonic_gasket(3, tol=1e-9)
-        assert 0 < len(hg.unconverged()) < len(hg.lengths)
+        assert 0 < len(hg.unconverged()) < curve_count(3)
         for cid in hg.unconverged():
-            e = hg.lengths[cid]
-            assert e.depth == e.level + hg.cap
-            assert e.relative_increment > hg.tol
+            e = _row(hg.lengths, cid)
+            assert e["ids"] == cid
+            assert e["depth"] == e["level"] + hg.cap
+            assert e["last_increment"] / e["value"] > hg.tol
 
     def test_level7_converges_at_the_defaults(self):
         hg = build_harmonic_gasket(7)
-        assert len(hg.lengths) == curve_count(7)
+        assert hg.lengths.ids.tolist() == list(range(curve_count(7)))
         assert hg.unconverged() == []
-        assert all(e.relative_increment <= 1e-6 for e in hg.lengths.values())
+        assert (hg.lengths.last_increment / hg.lengths.value <= 1e-6).all()
+
+    def test_lengths_stop_at_the_gasket_level_on_a_deeper_complex(self):
+        hg = build_harmonic_gasket(2, cx=build_gasket(4))
+        own = build_harmonic_gasket(2)
+        assert hg.level == own.level == 2
+        assert hg.metric_graph().edges == own.metric_graph().edges
+        assert hg.vertex_rationals() == own.vertex_rationals()
+        assert len(hg.vertex_rationals()) == vertex_count(2)
+        with pytest.raises(ValueError, match="no lengths at level 3"):
+            hg.metric_graph(3)
 
     def test_length_table_shape(self):
         hg = build_harmonic_gasket(1)
@@ -363,13 +394,20 @@ class TestHarmonicGasket:
         assert "".join(hg.length_json_chunks(0)) == want
 
     @pytest.mark.parametrize("value,last", [(math.nan, 0.5), (1.0, math.inf),
-                                            (-math.inf, None)])
+                                            (-math.inf, None), (1.0, math.nan)])
     def test_length_chunks_refuse_non_finite_floats(self, value, last):
         # %r spells these nan and inf, json.dumps NaN and Infinity; the
-        # refusal comes before any chunk
+        # refusal comes before any chunk. last None: no refinement ran
         hg = build_harmonic_gasket(1)
-        e = hg.lengths[7]
-        e.value, e.increments = value, ([] if last is None else [0.25, last])
+        c = hg.lengths
+        value_col, last_col, depth_col = c.value.copy(), c.last_increment.copy(), c.depth.copy()
+        value_col[7] = value
+        if last is None:
+            last_col[7], depth_col[7] = math.nan, c.level[7]
+        else:
+            last_col[7] = last
+        hg.lengths = dataclasses.replace(c, value=value_col, last_increment=last_col,
+                                         depth=depth_col)
         with pytest.raises(RuntimeError, match="harmonic length of curve 7 is not "
                            "finite"):
             hg.length_json_chunks()
