@@ -6,6 +6,11 @@ determinism contract: identical configs and seeds give byte-identical
 output, so JSON is dumped with sorted keys and no timestamps ever enter
 a file. Exit codes: 0 success, 2 validation error, 3 non-convergence;
 failures print a machine-readable JSON object on stderr.
+
+Each command imports the modules it calls inside its own body, so a
+command loads only what it runs: `spectrum` and `covariant` never import
+numpy, and `gen` of the plain gasket loads neither the metric nor the
+harmonic code.
 """
 
 from __future__ import annotations
@@ -19,24 +24,6 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from . import __version__
-from .gasket import (BASE_BYTES, build_gasket, check_memory, complex_json_chunks,
-                     curve_count, vertex_count)
-from .harmonic import (HarmonicTable, build_harmonic_gasket, check_tolerance,
-                       derive_subdivision_rule)
-from .metric import (
-    certify_trace_agreement,
-    check_samples,
-    check_trace_size,
-    gasket_cell_trace,
-    gasket_cell_traces,
-    gasket_metric_graph,
-    gh_upper_bound,
-)
-from .modes import covariant_reach_witness
-from .spectrum import SpectrumSpec, dimension_fit, enumerate_eigenvalues
-from .svg import gasket_svg, line_plot, plane_coords
-from .transport import (DiscreteMeasure, certify_extent, check_alpha, check_support,
-                        check_trials, kantorovich)
 
 SCHEMA_VERSION = 2
 
@@ -127,8 +114,11 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(int(text))
 
 
-def _parse_measure(text: str) -> DiscreteMeasure:
-    """Comma list of index:weight pairs, weights as fractions or floats."""
+def _parse_measure(text: str):
+    """Comma list of index:weight pairs, weights as fractions or floats, as
+    a DiscreteMeasure."""
+    from .transport import DiscreteMeasure
+
     entries = []
     for chunk in text.split(","):
         if ":" not in chunk:
@@ -146,6 +136,10 @@ def _config_echo(args, keys) -> dict:
 
 
 def cmd_gen(args) -> Iterable[str]:
+    from .curves import curve_count
+    from .gasket import (BASE_BYTES, build_gasket, check_memory, check_tolerance,
+                         complex_json_chunks)
+
     config = _config_echo(args, ("geometry", "level", "tol", "format"))
     check_tolerance(args.tol)  # echoed in every config, so never NaN
     svg = args.format == "svg"
@@ -155,15 +149,21 @@ def cmd_gen(args) -> Iterable[str]:
                  * curve_count(args.level),
                  "level %d is past the size cap for %s" % (args.level, what))
     # every check that can fail runs before the first chunk is returned
-    if args.geometry == "sg":
-        cx = build_gasket(args.level)
-        if svg:
-            return gasket_svg(cx, args.level)
-        return _json_chunks("gen", config, {}, {"complex": complex_json_chunks(cx, 1)})
     if svg:
+        from .svg import gasket_svg, plane_coords
+
+        if args.geometry == "sg":
+            return gasket_svg(build_gasket(args.level), args.level)
+        from .harmonic import HarmonicTable
+
         table = HarmonicTable(build_gasket(args.level))
         coords = plane_coords(table.embedding_array())
         return gasket_svg(table.cx, args.level, coords=coords)
+    if args.geometry == "sg":
+        cx = build_gasket(args.level)
+        return _json_chunks("gen", config, {}, {"complex": complex_json_chunks(cx, 1)})
+    from .harmonic import build_harmonic_gasket, derive_subdivision_rule
+
     hg = build_harmonic_gasket(args.level, tol=args.tol)
     if args.strict and hg.unconverged():
         raise RuntimeError(
@@ -181,6 +181,10 @@ def cmd_gen(args) -> Iterable[str]:
 
 
 def cmd_gh_table(args) -> Iterable[str]:
+    from .gasket import build_gasket
+    from .metric import (certify_trace_agreement, check_samples, check_trace_size,
+                         gasket_cell_traces, gh_upper_bound)
+
     if args.max_level < 0:
         raise ValueError("--max-level must be nonnegative, got %d" % args.max_level)
     if args.m < args.max_level:
@@ -202,6 +206,8 @@ def cmd_gh_table(args) -> Iterable[str]:
     header = ("n", "m", "bound", "boundWithSlack", "referenceBound",
               "agreementDiscrepancy")
     if args.format == "svg":
+        from .svg import line_plot
+
         certified = [(r[0], r[2]) for r in rows]
         reference = [(r[0], r[4]) for r in rows]
         return line_plot([("certified bound", certified),
@@ -216,22 +222,26 @@ def cmd_gh_table(args) -> Iterable[str]:
 
 
 def cmd_spectrum(args) -> Iterable[str]:
+    from .spectrum import enumerate_eigenvalues
+
     spec = _spectrum_spec(args)
     enum = enumerate_eigenvalues(spec, args.cutoff)
     config = _config_echo(args, ("geometry", "level", "infinite", "cutoff", "format"))
     if args.format == "csv":
         return _csv_text(("value", "multiplicity"),
-                         zip(enum.values.tolist(), enum.multiplicities.tolist()))
+                         zip(enum.values, enum.multiplicities))
     return _json_chunks("spectrum", config, {
         "label": spec.label,
         "cutoff": float(args.cutoff),
         "total": enum.total,
-        "values": enum.values.tolist(),
-        "multiplicities": enum.multiplicities.tolist(),
+        "values": enum.values,
+        "multiplicities": enum.multiplicities,
     })
 
 
-def _spectrum_spec(args) -> SpectrumSpec:
+def _spectrum_spec(args):
+    from .spectrum import SpectrumSpec
+
     if getattr(args, "infinite", False):
         return SpectrumSpec.gasket_limit()
     if args.level is None:
@@ -240,6 +250,9 @@ def _spectrum_spec(args) -> SpectrumSpec:
 
 
 def cmd_dimension(args) -> Iterable[str]:
+    from .gasket import BASE_BYTES, check_memory
+    from .spectrum import dimension_fit
+
     spec = _spectrum_spec(args)
     check_memory(BASE_BYTES + _DIMENSION_BYTES_PER_POINT * args.grid,
                  "dimension on %d cutoffs: the grid, its counts and the fit"
@@ -249,6 +262,8 @@ def cmd_dimension(args) -> Iterable[str]:
     config = _config_echo(args, ("geometry", "level", "infinite", "lambda_min",
                                  "lambda_max", "grid", "format"))
     if args.format == "svg":
+        from .svg import line_plot
+
         pts = list(zip(fit.grid.tolist(), [max(c, 1) for c in fit.counts.tolist()]))
         return line_plot([("mode counts", pts)], "cutoff", "count",
                          log_x=True, log_y=True,
@@ -257,6 +272,11 @@ def cmd_dimension(args) -> Iterable[str]:
 
 
 def cmd_kantorovich(args) -> Iterable[str]:
+    from .curves import vertex_count
+    from .gasket import BASE_BYTES, build_gasket, check_memory
+    from .metric import gasket_metric_graph
+    from .transport import check_support, kantorovich
+
     mu = _parse_measure(args.mu)
     nu = _parse_measure(args.nu)
     check_support(mu, nu, vertex_count(args.level))
@@ -269,6 +289,10 @@ def cmd_kantorovich(args) -> Iterable[str]:
 
 
 def cmd_extent(args) -> Iterable[str]:
+    from .gasket import build_gasket
+    from .metric import check_samples, check_trace_size, gasket_cell_trace
+    from .transport import certify_extent, check_alpha, check_trials
+
     alpha = None if args.alpha == "auto" else _parse_fraction(args.alpha)
     n, m = args.n, args.m
     if not 0 <= n <= m:
@@ -290,6 +314,8 @@ def cmd_extent(args) -> Iterable[str]:
 
 
 def cmd_covariant(args) -> Iterable[str]:
+    from .modes import covariant_reach_witness
+
     rep = covariant_reach_witness(args.n, args.epsilon, args.trials,
                                   seed=args.seed)
     config = _config_echo(args, ("n", "epsilon", "trials", "seed"))

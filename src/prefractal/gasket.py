@@ -9,7 +9,7 @@ integers over 2**L. A complex stores them as int64 arrays scaled by
 exact integer facts.
 
 Curves (triangle edges) are indexed for all levels m <= n by the standard
-parametrization: the bottom, right and left edges of the r-th level-m
+parametrization (its id arithmetic is prefractal.curves): the bottom, right and left edges of the r-th level-m
 triangle get ids kappa(m,r), kappa(m,r)+1, kappa(m,r)+2, and the total
 number of curves through level n is curve_count(n) = (3/2)(3**(n+1) - 1).
 Coarse edges overlap finer ones by design; nothing is deduplicated. The
@@ -21,11 +21,12 @@ corners of level-m triangle row i // 3 (PrefractalComplex.curve_ends).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
+
+from .curves import curve_count, kappa
 
 CURVE_KINDS = ("bottom", "right", "left")
 
@@ -46,9 +47,9 @@ CORNERS.flags.writeable = False
 # keeps the int64 lattice coordinates (at most 2**max_level) far from overflow.
 MEMORY_GUARD_BYTES = 2**30
 
-# peak RSS of the interpreter with prefractal and numpy imported (`gen
-# --level 0` peaks at 31.3 MiB); the CLI's guards add their command's
-# own estimate on top of it
+# peak RSS of a command that imports numpy and the gasket and builds the
+# smallest complex (`gen --level 0` peaks at 29.1 MiB under wait4); the
+# CLI's guards add their command's own estimate on top of it
 BASE_BYTES = 32 << 20
 
 # peak bytes of build_gasket per curve: the corner point arrays, the
@@ -62,6 +63,12 @@ def check_memory(need: int, what: str) -> None:
     if need > MEMORY_GUARD_BYTES:
         raise ValueError("%s needs about %d MiB, above the guard of %d MiB"
                          % (what, need >> 20, MEMORY_GUARD_BYTES >> 20))
+
+
+def check_tolerance(tol) -> None:
+    """Raise ValueError unless the quadrature tolerance is positive and finite."""
+    if not 0 < tol < math.inf:
+        raise ValueError("quadrature tol must be positive and finite, got %s" % tol)
 
 
 def dyadic_to_pair(value: int | Fraction) -> list[int] | None:
@@ -98,45 +105,6 @@ def similitude_apply(r: int, points, scale: int) -> np.ndarray:
         raise ValueError("image leaves the lattice of scale %d; build at a finer scale"
                          % scale)
     return shifted >> 1
-
-
-def kappa(n: int, r: int) -> int:
-    """Curve id of the bottom edge of the r-th (0-indexed) level-n triangle."""
-    if n < 0:
-        raise ValueError("level must be nonnegative, got %d" % n)
-    if not 0 <= r < 3**n:
-        raise ValueError("triangle index %d out of range 0..%d for level %d" % (r, 3**n - 1, n))
-    # 3 * (sum_{k<n} 3^k + r), with kappa(0,0) = 0 by convention
-    return 3 * ((3**n - 1) // 2 + r)
-
-
-# kappa(n, 0) for n = 0, 1, ...; kappa_inverse extends it past the largest id seen
-_LEVEL_STARTS = [kappa(n, 0) for n in range(32)]
-
-
-def kappa_inverse(curve_id: int) -> tuple[int, int, int]:
-    """Inverse lookup: curve id -> (level n, triangle index r, edge offset)."""
-    if curve_id < 0:
-        raise ValueError("curve id must be nonnegative, got %d" % curve_id)
-    while _LEVEL_STARTS[-1] <= curve_id:
-        _LEVEL_STARTS.append(kappa(len(_LEVEL_STARTS), 0))
-    n = bisect_right(_LEVEL_STARTS, curve_id) - 1
-    within = curve_id - _LEVEL_STARTS[n]
-    return (n, within // 3, within % 3)
-
-
-def curve_count(n: int) -> int:
-    """B_n, the number of curves with level <= n: (3/2)(3^(n+1) - 1)."""
-    if n < 0:
-        raise ValueError("level must be nonnegative, got %d" % n)
-    return 3 * (3 ** (n + 1) - 1) // 2
-
-
-def vertex_count(n: int) -> int:
-    """|V_n| = (3^(n+1) + 3)/2."""
-    if n < 0:
-        raise ValueError("level must be nonnegative, got %d" % n)
-    return (3 ** (n + 1) + 3) // 2
 
 
 class PrefractalComplex:

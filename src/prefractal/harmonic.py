@@ -21,12 +21,16 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .curves import curve_count, kappa
 from .gasket import (CURVE_KINDS, CURVE_SLOTS, PrefractalComplex, _fill, build_gasket,
-                     check_memory, curve_count, kappa)
-from .metric import MetricGraph, gasket_metric_graph
+                     check_memory, check_tolerance)
+
+if TYPE_CHECKING:
+    from .metric import MetricGraph
 
 RATIONAL_DEPTH_CAP = 12  # numerators grow as den^depth; ints stay cheap here
 
@@ -207,12 +211,6 @@ class CurveLengths:
         return zip(*(getattr(self, f.name)[rows].tolist() for f in fields(self)))
 
 
-def check_tolerance(tol) -> None:
-    """Raise ValueError unless the quadrature tolerance is positive and finite."""
-    if not 0 < tol < math.inf:
-        raise ValueError("quadrature tol must be positive and finite, got %s" % tol)
-
-
 def check_refinement_cap(cap: int, den: int) -> None:
     """Raise ValueError when the base polyline of `cap` refinements could
     overflow int64 or its block of 2^cap + 1 points would pass the
@@ -257,7 +255,7 @@ def _curve_edges(cx: PrefractalComplex, table: HarmonicTable,
         raise ValueError("curve ids must lie in 0..%d for a level-%d complex"
                          % (starts[-1] - 1, cx.max_level))
     edges = np.empty((len(ids), 3, 2))
-    for m in np.unique(levels).tolist():
+    for m in np.flatnonzero(np.bincount(levels)).tolist():
         sel = levels == m
         tri, kind = np.divmod(ids[sel] - starts[m], 3)
         exact = table.at_level(np.take_along_axis(
@@ -344,6 +342,8 @@ class HarmonicGasket:
         if level > self.level:
             raise ValueError("no lengths at level %d: the harmonic gasket stops "
                              "at level %d" % (level, self.level))
+        from .metric import gasket_metric_graph
+
         return gasket_metric_graph(self.cx, level, harmonic_lengths=self.lengths.value)
 
     def max_length_at_level(self, level: int) -> float:

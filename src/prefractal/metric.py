@@ -25,9 +25,9 @@ from math import isfinite, lcm
 
 import numpy as np
 
+from .curves import curve_count, kappa
 from .gasket import (BASE_BYTES, CURVE_SLOTS, PrefractalComplex, check_memory,
-                     complex_bytes, curve_count, dyadic_from_pair, dyadic_to_pair,
-                     kappa)
+                     complex_bytes, dyadic_from_pair, dyadic_to_pair)
 
 
 def _is_exact_weight(w) -> bool:

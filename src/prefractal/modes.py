@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gasket import curve_count, kappa, kappa_inverse
+from .curves import curve_count, kappa, kappa_inverse
 from .spectrum import PI_LOWER
 
 INFINITE = None  # level argument meaning "no truncation"

@@ -16,8 +16,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 ENUMERATION_GUARD = 10**7
 
@@ -174,18 +176,18 @@ class EigenvalueEnumeration:
     """Distinct absolute eigenvalues <= cutoff with multiplicities."""
 
     cutoff: float
-    values: np.ndarray  # distinct positive magnitudes, ascending
-    multiplicities: np.ndarray  # combined weight of +v and -v
+    values: list[float]  # distinct positive magnitudes, ascending
+    multiplicities: list[int]  # combined weight of +v and -v
 
     @property
     def total(self) -> int:
-        return int(self.multiplicities.sum())
+        return sum(self.multiplicities)
 
-    def signed(self) -> np.ndarray:
+    def signed(self) -> list[float]:
         """Full symmetric spectrum, one entry per eigenvalue with multiplicity."""
-        reps = self.multiplicities // 2
-        pos = np.repeat(self.values, reps)
-        return np.concatenate([-pos[::-1], pos])
+        pos = [v for v, m in zip(self.values, self.multiplicities)
+               for _ in range(m // 2)]
+        return [-v for v in reversed(pos)] + pos
 
 
 def enumerate_eigenvalues(spec: SpectrumSpec, cutoff,
@@ -201,9 +203,9 @@ def enumerate_eigenvalues(spec: SpectrumSpec, cutoff,
         for k in range(count // 2):
             v = math.pi * (k + 0.5) / float(lam)
             buckets[v] = buckets.get(v, 0) + 2 * mult
-    values = np.array(sorted(buckets))
-    mults = np.array([buckets[v] for v in values], dtype=int)
-    if values.size and values[0] <= 0:
+    values = sorted(buckets)
+    mults = [buckets[v] for v in values]
+    if values and values[0] <= 0:
         raise AssertionError("zero or negative magnitude in enumeration")
     return EigenvalueEnumeration(float(cutoff), values, mults)
 
@@ -247,6 +249,8 @@ def dimension_fit(spec: SpectrumSpec, lam_min, lam_max,
                          % lam_min)
     if not float(lam_max) > float(lam_min):
         raise ValueError("degenerate cutoff range")
+    import numpy as np
+
     grid = np.exp(np.linspace(math.log(float(lam_min)),
                               math.log(float(lam_max)), grid_size))
     table = counting_function(spec, grid.tolist())
@@ -279,6 +283,8 @@ def _half_integer_zeta(s: float, tol: float = 1e-12) -> float:
         k_tail *= 2
         if k_tail > 2**26:
             raise ValueError("mode-sum tolerance unreachable for s=%s" % s)
+    import numpy as np
+
     ks = np.arange(k_tail) + 0.5
     partial = math.fsum((ks ** (-s)).tolist())
     tail = k_tail ** (1 - s) / (s - 1)

@@ -30,7 +30,8 @@ from math import isfinite, lcm
 
 import numpy as np
 
-from .gasket import PrefractalComplex, build_gasket, kappa
+from .curves import kappa
+from .gasket import PrefractalComplex, build_gasket
 from .metric import (CellTrace, EdgePoint, FiniteMetricSpace, MetricGraph,
                      _is_exact_weight, _point_distance, _resolve_point,
                      certify_trace_agreement, gasket_metric_graph, gh_upper_bound,

@@ -58,7 +58,8 @@ from math import lcm
 
 import numpy as np
 
-from prefractal.gasket import CURVE_SLOTS, PrefractalComplex, build_gasket, kappa_inverse
+from prefractal.curves import kappa_inverse
+from prefractal.gasket import CURVE_SLOTS, PrefractalComplex, build_gasket
 from prefractal.harmonic import (
     EMBED_SCALE,
     HarmonicTable,

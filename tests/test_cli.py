@@ -11,12 +11,11 @@ import pytest
 
 from prefractal import __version__
 from prefractal.cli import _json_chunks, _parse_fraction, _parse_measure, main
+from prefractal.curves import curve_count, vertex_count
 from prefractal.gasket import (
     build_gasket,
     complex_from_dict,
     complex_to_dict,
-    curve_count,
-    vertex_count,
 )
 from prefractal.spectrum import SpectrumSpec, enumerate_eigenvalues
 
@@ -83,7 +82,7 @@ class TestGen:
     def test_json_guard_refuses_before_building(self, capsys, monkeypatch):
         # the streamed document costs no more than the complex: level 13
         # (622 MiB measured) gets past the guard, level 14 is refused
-        monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
+        monkeypatch.setattr("prefractal.gasket.build_gasket", _no_build)
         code, out, err = _run(capsys, "gen", "--level", "14", "--format", "json")
         assert code == 2 and out == ""
         payload = json.loads(err)
@@ -98,8 +97,8 @@ class TestGen:
         # the harmonic length columns cost more per curve than the sg
         # complex: level 13 passes the sg JSON guard but not the harmonic
         # one, and harmonic level 12 (550 MiB measured) gets past it
-        monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
-        monkeypatch.setattr("prefractal.cli.build_harmonic_gasket", _no_build)
+        monkeypatch.setattr("prefractal.gasket.build_gasket", _no_build)
+        monkeypatch.setattr("prefractal.harmonic.build_harmonic_gasket", _no_build)
         code, out, err = _run(capsys, "gen", "--geometry", "harmonic",
                               "--level", "13", "--format", "json")
         assert code == 2 and out == ""
@@ -126,7 +125,7 @@ class TestGen:
     def test_svg_guard_refuses_before_building(self, geometry, capsys, monkeypatch):
         # the polygons stream like sg JSON and share its estimate: level 13
         # gets past the guard, level 14 is the first refused
-        monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
+        monkeypatch.setattr("prefractal.gasket.build_gasket", _no_build)
         code, out, err = _run(capsys, "gen", "--geometry", geometry,
                               "--level", "14", "--format", "svg")
         assert code == 2 and out == ""
@@ -163,7 +162,7 @@ class TestGen:
         # the level-8 document is 7.9 MB; writing it must not peak at a
         # quarter of that, so a join before the write fails here
         cx = build_gasket(8)
-        monkeypatch.setattr("prefractal.cli.build_gasket", lambda level: cx)
+        monkeypatch.setattr("prefractal.gasket.build_gasket", lambda level: cx)
         written = []
         monkeypatch.setattr("sys.stdout", SimpleNamespace(
             write=lambda chunk: written.append(len(chunk))))
@@ -256,7 +255,7 @@ class TestTables:
         # the build phase is the larger: the level-14 complex (1,847 MiB)
         # against the held complex and the cell trace (1,473 MiB); m = 13
         # runs (622 MiB measured, 647 MiB estimated)
-        monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
+        monkeypatch.setattr("prefractal.gasket.build_gasket", _no_build)
         code, _, err = _run(capsys, "gh-table", "--max-level", "3", "--m", "14")
         assert code == 2
         payload = json.loads(err)
@@ -268,7 +267,7 @@ class TestTables:
 
     def test_kantorovich_guard_refuses_before_building(self, capsys, monkeypatch):
         # level 12 runs (753 MiB on a one-point query); level 13 is refused
-        monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
+        monkeypatch.setattr("prefractal.gasket.build_gasket", _no_build)
         code, out, err = _run(capsys, "kantorovich", "--level", "13",
                               "--mu", "0:1", "--nu", "1:1")
         assert code == 2 and out == ""
@@ -282,7 +281,7 @@ class TestTables:
     def test_kantorovich_guard_ignores_support_size(self, monkeypatch):
         # the certificate reads the solver's own flow and potentials, so the
         # size of mu does not count: 300 points at level 11 pass the guard
-        monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
+        monkeypatch.setattr("prefractal.gasket.build_gasket", _no_build)
         mu = ",".join("%d:1/300" % p for p in range(300))
         with pytest.raises(AssertionError, match="built the level-11 complex"):
             main(["kantorovich", "--level", "11", "--mu", mu, "--nu", "1000:1"])
@@ -292,7 +291,7 @@ class TestTables:
     def test_extent_guard_admits_measured_levels(self, n, m, monkeypatch):
         # peaks of 228 MiB at (10, 12) and (0, 12) and 622 MiB at (0, 13)
         # and (10, 13) were measured; every n is admitted at m = 13
-        monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
+        monkeypatch.setattr("prefractal.gasket.build_gasket", _no_build)
         with pytest.raises(AssertionError, match="built the level-%d complex" % m):
             main(["extent", "--n", str(n), "--m", str(m)])
 
@@ -300,7 +299,7 @@ class TestTables:
     def test_extent_guard_refuses_before_building(self, n, m, mib, capsys,
                                                   monkeypatch):
         # the smallest refused m is 14, for every n, as for gh-table
-        monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
+        monkeypatch.setattr("prefractal.gasket.build_gasket", _no_build)
         code, out, err = _run(capsys, "extent", "--n", str(n), "--m", str(m))
         assert code == 2 and out == ""
         payload = json.loads(err)
@@ -314,7 +313,7 @@ class TestTables:
         # 1,733,646 points is the first refused grid
         def no_fit(*args, **kwargs):
             raise AssertionError("ran the fit")
-        monkeypatch.setattr("prefractal.cli.dimension_fit", no_fit)
+        monkeypatch.setattr("prefractal.spectrum.dimension_fit", no_fit)
         code, out, err = _run(capsys, "dimension", "--infinite", "--lambda-min",
                               "10", "--lambda-max", "100", "--grid", str(grid))
         assert code == 2 and out == ""
@@ -358,7 +357,7 @@ class TestTables:
           "alpha must be positive, got 0") for alpha in ("0", "0.5e-400")])
     def test_bad_numeric_flags_exit_two(self, argv, message, capsys, monkeypatch):
         # each is refused before any complex is built
-        monkeypatch.setattr("prefractal.cli.build_gasket", _no_build)
+        monkeypatch.setattr("prefractal.gasket.build_gasket", _no_build)
         code, out, err = _run(capsys, *argv)
         assert code == 2 and out == ""
         assert json.loads(err) == {"error": "validation", "exitCode": 2,
@@ -387,8 +386,7 @@ class TestTables:
         assert lines[0] == "value,multiplicity"
         got = [(float(a), int(b)) for a, b in
                (line.split(",") for line in lines[1:])]
-        assert got == list(zip(enum.values.tolist(),
-                               enum.multiplicities.tolist()))
+        assert got == list(zip(enum.values, enum.multiplicities))
 
     def test_spectrum_needs_a_spec(self, capsys):
         code, _, err = _run(capsys, "spectrum", "--cutoff", "10")

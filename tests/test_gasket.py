@@ -22,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from prefractal.curves import curve_count, kappa, kappa_inverse, vertex_count
 from prefractal.gasket import (
     CORNERS,
     CURVE_KINDS,
@@ -30,11 +31,7 @@ from prefractal.gasket import (
     complex_from_dict,
     complex_json_chunks,
     complex_to_dict,
-    curve_count,
-    kappa,
-    kappa_inverse,
     similitude_apply,
-    vertex_count,
 )
 
 

@@ -24,7 +24,8 @@ import numpy as np
 import pytest
 
 import oracles
-from prefractal.gasket import build_gasket, curve_count, kappa, vertex_count
+from prefractal.curves import curve_count, kappa, vertex_count
+from prefractal.gasket import build_gasket
 from prefractal.harmonic import (
     EMBED_SCALE,
     HarmonicTable,

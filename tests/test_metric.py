@@ -20,7 +20,8 @@ from oracles import (bfs_cell_trace, from_triples, hop_block, hop_block_agreemen
                      nearest_sources, sampling_term, sssp)
 from prefractal import metric
 from prefractal.cli import main
-from prefractal.gasket import build_gasket, kappa, vertex_count
+from prefractal.curves import kappa, vertex_count
+from prefractal.gasket import build_gasket
 from prefractal.metric import (
     AgreementReport,
     EdgePoint,

@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from prefractal.gasket import curve_count, kappa
+from prefractal.curves import curve_count, kappa
 from prefractal.modes import (
     ModeVector,
     coupled_dnorm,

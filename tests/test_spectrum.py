@@ -113,7 +113,7 @@ class TestIntervalSpectrum:
         assert np.allclose(vals, [-math.pi / 2, math.pi / 2])
 
     def test_empty(self):
-        assert enumerate_eigenvalues(SpectrumSpec.single(1), 1).signed().size == 0
+        assert enumerate_eigenvalues(SpectrumSpec.single(1), 1).signed() == []
 
     def test_guard(self):
         with pytest.raises(ValueError, match="guard"):
@@ -211,9 +211,14 @@ class TestEnumeration:
             spec = _make_random_spec(rng)
             cut = rng.uniform(0.5, 40.0)
             en = enumerate_eigenvalues(spec, cut)
-            assert (en.values > 0).all()
+            # distinct ascending float magnitudes with even int weights
+            assert en.values == sorted(set(en.values)) and all(v > 0 for v in en.values)
+            assert all(type(v) is float for v in en.values)
+            assert all(type(m) is int and m > 0 and m % 2 == 0
+                       for m in en.multiplicities)
             signed = en.signed()
-            assert np.allclose(signed, -signed[::-1])
+            assert signed == [-v for v in reversed(signed)]
+            assert len(signed) == en.total
             assert en.total == counting_function(spec, [cut])[0][1]
 
     def test_guard(self):

@@ -3,10 +3,11 @@
 perfbench/spans.py wraps prefractal's public functions by name, so
 deleting or renaming one of them breaks every traced benchmark run. One
 test installs the tracer in a fresh interpreter and reads the edge count
-of one traced graph build, without running a workload; the other runs the
-benchmark's self-test, whose checks parse every artifact of the workloads
-at tiny sizes. A third reads the package's own sources for imports
-they never use.
+of one traced graph build, without running a workload; a second runs two
+CLI commands under the tracer, whose modules are imported only when the
+command runs; another runs the benchmark's self-test, whose checks parse
+every artifact of the workloads at tiny sizes. The last reads the
+package's own sources for imports they never use.
 """
 
 import ast
@@ -35,29 +36,66 @@ def test_perfbench_tracer_installs(tmp_path):
     assert proc.stdout.split() == ["81"]
 
 
+def test_perfbench_tracer_sees_call_time_imports(tmp_path):
+    # the CLI imports build_gasket and enumerate_eigenvalues inside its
+    # commands, after the tracer replaced them: the spans must still come
+    # from the wrappers, and the level-2 complex has 15 vertices
+    code = ("import sys; sys.path.insert(0, %r)\n"
+            "import contextlib, io\n"
+            "from spans import Tracer\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "from prefractal import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['gen', '--level', '2']) == 0\n"
+            "    assert cli.main(['spectrum', '--level', '2', '--cutoff', '50']) == 0\n"
+            "print(' '.join(sorted({span[0] for span in tracer.spans})))\n"
+            "print(tracer.counts['gasket.vertices'])\n" % str(ROOT / "perfbench"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names, vertices = proc.stdout.splitlines()
+    assert {"cli.self", "gasket.build", "spectrum.enumerate"} <= set(names.split())
+    assert vertices == "15"
+
+
 def test_perfbench_selftest_passes():
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
                           cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
+def _imports_by_scope(node, scope, found):
+    """Map each function, and the module, to the imports whose innermost
+    enclosing function it is."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            found.setdefault(scope, []).append(child)
+        inner = child if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        _imports_by_scope(child, inner, found)
+    return found
+
+
 def test_package_modules_use_their_imports():
-    # a stdlib stand-in for a linter's unused-import rule: every name a
-    # module binds by a top-level import must be read somewhere in it
+    # a stdlib stand-in for a linter's unused-import rule: every name an
+    # import binds must be read in its scope, the whole module for an
+    # import outside any function and the function body for one inside
     unused = []
     for path in sorted((ROOT / "src" / "prefractal").glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
-        bound = {}
-        for node in tree.body:
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
-            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-                for alias in node.names:
-                    bound[alias.asname or alias.name] = node.lineno
-        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        unused += ["%s:%d %s" % (path.name, line, name)
-                   for name, line in bound.items() if name not in read]
+        for scope, imports in _imports_by_scope(tree, tree, {}).items():
+            bound = {}
+            for node in imports:
+                if isinstance(node, ast.Import):
+                    for alias in node.names:
+                        bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+                elif node.module != "__future__":
+                    for alias in node.names:
+                        bound[alias.asname or alias.name] = node.lineno
+            read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+            unused += ["%s:%d %s" % (path.name, line, name)
+                       for name, line in bound.items() if name not in read]
     assert unused == []

@@ -9,7 +9,8 @@ import oracles
 from oracles import (Infeasible, Unbounded, from_triples, max_difference_objective,
                      maximize)
 from prefractal import metric, transport
-from prefractal.gasket import build_gasket, vertex_count
+from prefractal.curves import vertex_count
+from prefractal.gasket import build_gasket
 from prefractal.harmonic import build_harmonic_gasket
 from prefractal.metric import (EdgePoint, FiniteMetricSpace, MetricGraph,
                                gasket_cell_trace, gasket_cell_traces,
