@@ -16,10 +16,9 @@ _EXPORTS = {
                "PrefractalComplex", "build_gasket", "complex_from_dict",
                "complex_json_chunks", "complex_to_dict", "dyadic_from_pair",
                "dyadic_to_pair", "similitude_apply"),
-    "metric": ("AgreementReport", "EdgePoint", "FiniteMetricSpace", "GHBoundReport",
-               "MetricGraph", "certify_vertex_agreement", "gasket_cell_trace",
-               "gasket_metric_graph", "geodesic_point_distance", "gh_upper_bound",
-               "hausdorff", "hausdorff_vertex_sets", "sample_parameters"),
+    "metric": ("AgreementReport", "FiniteMetricSpace", "GHBoundReport", "MetricGraph",
+               "certify_vertex_agreement", "gasket_cell_trace", "gasket_metric_graph",
+               "gh_upper_bound", "hausdorff", "hausdorff_vertex_sets", "sample_parameters"),
     "harmonic": ("CurveLengths", "HarmonicGasket", "HarmonicTable", "SubdivisionRule",
                  "build_harmonic_gasket", "derive_subdivision_rule", "embedding_point",
                  "harmonic_curve_length", "harmonic_extend"),
@@ -29,10 +28,8 @@ _EXPORTS = {
     "modes": ("ModeVector", "ReachReport", "coupled_dnorm", "covariant_reach_witness",
               "dn_norm", "evolve", "inner", "mode_frequency", "project",
               "random_mode_vector", "tail_level_for"),
-    "transport": ("CoupledGraph", "DiscreteMeasure", "ExtentReport", "IdentityRow",
-                  "TransportResult", "certify_extent", "kantorovich",
-                  "lipschitz_seminorm", "mcshane_extend", "sampled_metric_space",
-                  "verify_lipschitz_dirac_identity"),
+    "transport": ("CoupledGraph", "DiscreteMeasure", "ExtentReport", "TransportResult",
+                  "certify_extent", "kantorovich", "lipschitz_seminorm", "mcshane_extend"),
 }
 
 # public name -> the submodule that defines it

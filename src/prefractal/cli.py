@@ -104,14 +104,17 @@ def _csv_text(header, rows) -> str:
 
 def _parse_fraction(text: str) -> Fraction:
     text = text.strip()
-    if "/" in text:
-        try:
+    try:
+        if "/" in text:
             return Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError("fraction %r has a zero denominator" % text) from None
-    if any(c in text for c in ".eE"):
-        return Fraction(repr(float(text)))
-    return Fraction(int(text))
+        if any(c in text for c in ".eE"):
+            # 1e400 overflows to inf, which Fraction refuses
+            return Fraction(repr(float(text)))
+        return Fraction(int(text))
+    except ZeroDivisionError:
+        raise ValueError("fraction %r has a zero denominator" % text) from None
+    except ValueError:
+        raise ValueError("%r is not a finite integer, decimal or fraction" % text) from None
 
 
 def _parse_measure(text: str):
@@ -124,7 +127,11 @@ def _parse_measure(text: str):
         if ":" not in chunk:
             raise ValueError("measure entry %r is not index:weight" % chunk)
         idx, w = chunk.split(":", 1)
-        entries.append((int(idx), _parse_fraction(w)))
+        try:
+            idx = int(idx)
+        except ValueError:
+            raise ValueError("measure index %r is not an integer" % idx) from None
+        entries.append((idx, _parse_fraction(w)))
     return DiscreteMeasure(entries)
 
 

@@ -27,19 +27,11 @@ import numpy as np
 
 from .curves import curve_count, kappa
 from .gasket import (BASE_BYTES, CURVE_SLOTS, PrefractalComplex, check_memory,
-                     complex_bytes, dyadic_from_pair, dyadic_to_pair)
+                     complex_bytes, dyadic_from_pair)
 
 
 def _is_exact_weight(w) -> bool:
     return isinstance(w, (int, Fraction))
-
-
-@dataclass(frozen=True)
-class EdgePoint:
-    """Point on a curve of the graph's own level, at parameter t in [0,1]."""
-
-    curve_id: int
-    t: object  # Fraction (exact) or float
 
 
 def _bfs_hops(indptr, nbr, sources) -> np.ndarray:
@@ -92,8 +84,7 @@ class MetricGraph:
     are immutable by convention.
     """
 
-    def __init__(self, n_vertices, ends, weights, provenance="generic",
-                 edge_ids=None, vertex_keys=None):
+    def __init__(self, n_vertices, ends, weights, vertex_keys=None):
         if n_vertices <= 0:
             raise ValueError("graph needs at least one vertex")
         ends = np.asarray(ends, dtype=np.int64).reshape(-1, 2)
@@ -104,15 +95,11 @@ class MetricGraph:
                 raise ValueError("vertex_keys length does not match vertex count")
         if len(weights) != len(ends):
             raise ValueError("weights length does not match edge count")
-        if edge_ids is not None and len(edge_ids) != len(ends):
-            raise ValueError("edge_ids length does not match edge count")
         outside = ((ends < 0) | (ends >= n_vertices)).any(axis=1)
         if outside.any():
             raise ValueError("edge (%r,%r) references a vertex out of range"
                              % tuple(ends[outside.argmax()].tolist()))
         self.vertex_count = n_vertices
-        self.provenance = provenance
-        self.edge_ids = edge_ids  # curve ids of the edges, a range, for EdgePoints
         self.vertex_keys = vertex_keys
         self.ends = ends
         exact = all(issubclass(t, (int, Fraction)) for t in set(map(type, weights)))
@@ -233,79 +220,14 @@ def gasket_metric_graph(cx: PrefractalComplex, level: int | None = None,
     if level is None:
         level = cx.max_level
     ends = cx.curve_ends(level)
-    ids = range(kappa(level, 0), kappa(level + 1, 0))
     nv = cx.level_vertex_counts[level]
     if harmonic_lengths is None:
         # one shared weight object: see MetricGraph
         weights = [Fraction(1, 1 << level)] * len(ends)
-        tag = "euclidean-gasket level %d" % level
     else:
+        ids = range(kappa(level, 0), kappa(level + 1, 0))
         weights = [harmonic_lengths[cid] for cid in ids]
-        tag = "harmonic-gasket level %d" % level
-    return MetricGraph(nv, ends, weights, provenance=tag, edge_ids=ids,
-                       vertex_keys=cx._pair_array(nv))
-
-
-def _resolve_point(g: MetricGraph, p):
-    if isinstance(p, int):
-        if not 0 <= p < g.vertex_count:
-            raise ValueError("vertex index %d out of range" % p)
-        return ("vertex", p)
-    if not isinstance(p, EdgePoint):
-        raise TypeError("expected vertex index or EdgePoint, got %r" % (p,))
-    if g.edge_ids is None or p.curve_id not in g.edge_ids:
-        raise ValueError(
-            "curve id %d is not an edge of this graph (%s); points on coarser "
-            "curves must be re-expressed at the graph's own level"
-            % (p.curve_id, g.provenance)
-        )
-    t = Fraction(p.t) if g.exact and not isinstance(p.t, float) else float(p.t)
-    if not 0 <= t <= 1:
-        raise ValueError("edge parameter t=%s outside [0,1]" % p.t)
-    e = g.edge_ids.index(p.curve_id)
-    u, v = g.ends[e].tolist()
-    lam = g._value(g.weights[e])
-    if t == 0:
-        return ("vertex", u)
-    if t == 1:
-        return ("vertex", v)
-    return ("edge", p.curve_id, u, v, lam, t)
-
-
-def geodesic_point_distance(g: MetricGraph, x, y):
-    """Geodesic distance between two vertices or on-edge points.
-
-    Off-vertex points route through their edge endpoints (plus the direct
-    arc when both lie on the same curve); this is exact for the prefractal
-    because distinct edges meet only at vertices.
-    """
-    rx = _resolve_point(g, x)
-    ry = _resolve_point(g, y)
-    rows = {}
-
-    def vdist(u, v):
-        if u not in rows:
-            rows[u] = g.single_source(u)
-        return rows[u][v]
-
-    return _point_distance(rx, ry, vdist)
-
-
-def _point_distance(rx, ry, vdist):
-    """Geodesic distance between two points resolved by _resolve_point,
-    given the distance vdist(u, v) between graph vertices: the shortest
-    route through the points' edge endpoints, or the direct arc when both
-    lie on the same curve."""
-    def ends(r):
-        if r[0] == "vertex":
-            return ((r[1], 0),)
-        _, _, u, v, lam, t = r
-        return ((u, t * lam), (v, (1 - t) * lam))
-
-    best = min(cu + vdist(eu, ev) + cv for eu, cu in ends(rx) for ev, cv in ends(ry))
-    if rx[0] == "edge" and ry[0] == "edge" and rx[1] == ry[1]:
-        best = min(best, abs(rx[5] - ry[5]) * rx[4])
-    return best
+    return MetricGraph(nv, ends, weights, vertex_keys=cx._pair_array(nv))
 
 
 # -- finite metric spaces ----------------------------------------------
@@ -395,18 +317,6 @@ class FiniteMetricSpace:
         matrix = [[g._value(rows[i][ids[j]]) for j in range(len(ids))]
                   for i in range(len(ids))]
         return cls(ids, matrix, validate=validate)
-
-    def to_dict(self) -> dict:
-        def encode(e):
-            if not _is_exact_weight(e):
-                return float(e)
-            pair = dyadic_to_pair(e)
-            return pair if pair is not None else "%d/%d" % (e.numerator, e.denominator)
-
-        return {
-            "labels": self.labels,
-            "d": [[encode(e) for e in row] for row in self.matrix],
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "FiniteMetricSpace":
@@ -519,31 +429,22 @@ def certify_vertex_agreement(n: int, m: int, g_n: MetricGraph,
     rows_n = g_n.internal_rows(sources)
     rows_m = g_m.internal_rows(sources)
 
+    # internal units over each graph's denominator, 1 for a float graph
+    dn_den, dm_den = g_n._den or 1, g_m._den or 1
+    fn_den, fm_den = float(dn_den), float(dm_den)
     worst = None
     worst_pair = None
-    if both_exact:
-        dn_den = g_n._den
-        dm_den = g_m._den
-        for i in range(nv):
-            rn, rm = rows_n[i], rows_m[i]
-            for j in range(i + 1, nv):
+    for i in range(nv):
+        rn, rm = rows_n[i], rows_m[i]
+        for j in range(i + 1, nv):
+            if both_exact:
                 diff = abs(rn[j] * dm_den - rm[j] * dn_den)
-                if worst is None or diff > worst:
-                    worst, worst_pair = diff, (i, j)
-        value = Fraction(worst, dn_den * dm_den)
-    else:
-        for i in range(nv):
-            rn, rm = rows_n[i], rows_m[i]
-            for j in range(i + 1, nv):
-                diff = abs(float(rn[j]) / _den_or_one(g_n) - float(rm[j]) / _den_or_one(g_m))
-                if worst is None or diff > worst:
-                    worst, worst_pair = diff, (i, j)
-        value = worst
+            else:
+                diff = abs(float(rn[j]) / fn_den - float(rm[j]) / fm_den)
+            if worst is None or diff > worst:
+                worst, worst_pair = diff, (i, j)
+    value = Fraction(worst, dn_den * dm_den) if both_exact else worst
     return AgreementReport(n, m, nv, value, worst_pair, both_exact)
-
-
-def _den_or_one(g: MetricGraph) -> float:
-    return float(g._den) if g.exact else 1.0
 
 
 @dataclass(frozen=True)

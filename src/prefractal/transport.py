@@ -30,12 +30,9 @@ from math import isfinite, lcm
 
 import numpy as np
 
-from .curves import kappa
-from .gasket import PrefractalComplex, build_gasket
-from .metric import (CellTrace, EdgePoint, FiniteMetricSpace, MetricGraph,
-                     _is_exact_weight, _point_distance, _resolve_point,
-                     certify_trace_agreement, gasket_metric_graph, gh_upper_bound,
-                     sample_parameters)
+from .gasket import PrefractalComplex
+from .metric import (CellTrace, FiniteMetricSpace, MetricGraph, _is_exact_weight,
+                     certify_trace_agreement, gasket_metric_graph, gh_upper_bound)
 
 _FLOAT_MASS_TOL = 1e-12
 _FLOAT_GAP_TOL = 1e-9
@@ -289,8 +286,7 @@ def kantorovich(space: MetricGraph | FiniteMetricSpace, mu: DiscreteMeasure,
         k = len(nodes)
         graph = MetricGraph(k, np.stack(np.tril_indices(k, -1), axis=1),
                             [space.matrix[nodes[a]][nodes[c]]
-                             for a in range(k) for c in range(a)],
-                            provenance="support union")
+                             for a in range(k) for c in range(a)])
         label = nodes
     where = {p: p if on_graph else k for k, p in enumerate(nodes)}
     unit = graph.value_scale() or 1
@@ -433,8 +429,7 @@ class CoupledGraph:
     combined graph must come out connected, which MetricGraph checks.
     """
 
-    def __init__(self, graph_a: MetricGraph, graph_b: MetricGraph,
-                 shared, alpha, provenance="coupled"):
+    def __init__(self, graph_a: MetricGraph, graph_b: MetricGraph, shared, alpha):
         alpha_f = Fraction(alpha) if _is_exact_weight(alpha) else float(alpha)
         if alpha_f <= 0:
             raise ValueError("cross-edge weight alpha must be positive, got %s" % alpha)
@@ -452,7 +447,7 @@ class CoupledGraph:
                                np.array(shared, dtype=np.int64) + [0, self.n_a]])
         weights = (graph_a.weight_values() + graph_b.weight_values()
                    + [alpha_f] * len(shared))
-        self.graph = MetricGraph(self.n_a + self.n_b, ends, weights, provenance=provenance)
+        self.graph = MetricGraph(self.n_a + self.n_b, ends, weights)
 
     @classmethod
     def from_gasket(cls, cx: PrefractalComplex, n: int, m: int, alpha,
@@ -463,8 +458,7 @@ class CoupledGraph:
         g_m = gasket_metric_graph(cx, m, harmonic_lengths=harmonic_lengths)
         g_n = gasket_metric_graph(cx, n, harmonic_lengths=harmonic_lengths)
         shared = [(v, v) for v in range(g_n.vertex_count)]
-        return cls(g_m, g_n, shared, alpha,
-                   provenance="coupled levels %d/%d alpha=%s" % (n, m, alpha))
+        return cls(g_m, g_n, shared, alpha)
 
     def a_node(self, index: int) -> int:
         if not 0 <= index < self.n_a:
@@ -631,75 +625,3 @@ def certify_extent(trace: CellTrace, alpha=None, samples_per_curve: int = 3,
         mixture_max=mixture_max,
         exact=True,
     )
-
-
-# -- distance functions as Lipschitz witnesses ----------------------------
-
-
-def sampled_metric_space(cx: PrefractalComplex, level: int,
-                         samples_per_curve: int = 3, extra_points=()):
-    """All level vertices plus on-edge samples, with the exact pair matrix.
-
-    Returns (points, FiniteMetricSpace); points are vertex indices and
-    EdgePoints. Quadratic in the point count, meant for small levels.
-    """
-    g = gasket_metric_graph(cx, level)
-    nv = g.vertex_count
-    points = list(range(nv))
-    for cid in range(kappa(level, 0), kappa(level + 1, 0)):
-        for t in sample_parameters(samples_per_curve):
-            points.append(EdgePoint(cid, t))
-    for p in extra_points:
-        if p not in points:
-            points.append(p)
-    rows = g.internal_rows(range(nv))
-    den = g.value_scale()
-
-    def vdist(u, v):
-        return Fraction(rows[u][v], den)
-
-    resolved = [_resolve_point(g, p) for p in points]
-    size = len(points)
-    matrix = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i + 1, size):
-            matrix[i][j] = matrix[j][i] = _point_distance(resolved[i], resolved[j],
-                                                          vdist)
-    space = FiniteMetricSpace(points, matrix, validate=False)
-    return points, space
-
-
-@dataclass
-class IdentityRow:
-    x: object
-    y: object
-    distance: object
-    witness_seminorm: object
-    attained: bool
-    exact: bool
-
-
-def verify_lipschitz_dirac_identity(n: int, pairs, cx: PrefractalComplex | None = None,
-                                    samples_per_curve: int = 3) -> list:
-    """Check sup {f(y) - f(x) : Lip(f) <= 1} = d(x, y) with f = d(x, .).
-
-    Each pair (x, y) of vertices or on-edge points yields one row: the
-    geodesic distance, the seminorm of the witness on the sampled space
-    (never above one), and whether the witness attains the distance.
-    """
-    if cx is None:
-        cx = build_gasket(n)
-    points, space = sampled_metric_space(cx, n, samples_per_curve=samples_per_curve,
-                                         extra_points=[p for pr in pairs for p in pr])
-    index = {p: k for k, p in enumerate(points)}
-    rows = []
-    for x, y in pairs:
-        ix, iy = index[x], index[y]
-        f = [space.matrix[ix][k] for k in range(len(points))]
-        semi = lipschitz_seminorm(space, f)
-        d = space.matrix[ix][iy]
-        attained = Fraction(semi) <= 1 and f[iy] - f[ix] == d
-        rows.append(IdentityRow(x=x, y=y, distance=Fraction(d),
-                                witness_seminorm=semi, attained=attained,
-                                exact=True))
-    return rows

@@ -41,6 +41,14 @@ None of this is on a production path, and none of it is fast:
   * sampling_term: gh_upper_bound's sample-to-vertex term per unit curve
     length as it was taken before its closed form, the max of
     min(t, 1 - t) over the list of sample parameters.
+  * point_distance / sampled_space: the on-edge point layer, which the
+    package dropped once gh_upper_bound's sampling term became a closed
+    form. A point is a vertex id or a (curve_id, t) tuple on a curve of
+    the graph's own level; distances route through curve ends over the
+    graph's internal rows. It is the geodesic reference for that closed
+    form and for the Lipschitz-Dirac identity on on-edge points.
+  * space_to_dict: the encoder of the document FiniteMetricSpace.from_dict
+    reads, left from the metric-space cache.
   * gasket_svg_text: svg.gasket_svg as it was before it streamed its
     polygons in row blocks: per-vertex Python placement and the whole
     document joined into one string.
@@ -58,16 +66,16 @@ from math import lcm
 
 import numpy as np
 
-from prefractal.curves import kappa_inverse
-from prefractal.gasket import CURVE_SLOTS, PrefractalComplex, build_gasket
+from prefractal.curves import kappa, kappa_inverse
+from prefractal.gasket import CURVE_SLOTS, PrefractalComplex, build_gasket, dyadic_to_pair
 from prefractal.harmonic import (
     EMBED_SCALE,
     HarmonicTable,
     SubdivisionRule,
 )
-from prefractal.metric import (AgreementReport, CellTrace, MetricGraph, _bfs_hops,
-                               _check_rows, _csr, gasket_cell_trace, gh_upper_bound,
-                               sample_parameters)
+from prefractal.metric import (AgreementReport, CellTrace, FiniteMetricSpace, MetricGraph,
+                               _bfs_hops, _check_rows, _csr, gasket_cell_trace,
+                               gasket_metric_graph, gh_upper_bound, sample_parameters)
 from prefractal.modes import (ReachReport, evolve, project, random_mode_vector,
                               tail_level_for)
 from prefractal.spectrum import PI_LOWER, PI_UPPER
@@ -787,6 +795,71 @@ def fraction_mode_count(length, cutoff) -> int:
 def sampling_term(k: int) -> Fraction:
     """max of min(t, 1 - t) over the k sample parameters (2i+1)/(2k)."""
     return max(min(t, 1 - t) for t in sample_parameters(k))
+
+
+# -- on-edge points --------------------------------------------------------
+
+
+def _routes(g: MetricGraph, p) -> list:
+    """(vertex, internal offset) pairs through which point p of the gasket
+    graph g leaves: a vertex id is itself at 0, and (curve_id, t) is t of
+    its curve from the first end and 1 - t from the second."""
+    if isinstance(p, int):
+        return [(p, 0)]
+    curve_id, t = p
+    level, tri, side = kappa_inverse(curve_id)
+    if 3 ** (level + 1) != len(g.ends):
+        raise ValueError("curve id %d is not an edge of this graph" % curve_id)
+    if not 0 <= t <= 1:
+        raise ValueError("edge parameter t=%s outside [0,1]" % t)
+    e = 3 * tri + side
+    u, v = g.ends[e].tolist()
+    return [(u, t * g.weights[e]), (v, (1 - t) * g.weights[e])]
+
+
+def point_distance(g: MetricGraph, rows, x, y) -> Fraction:
+    """Geodesic distance between points x and y of the level graph g of a
+    gasket (gasket_metric_graph): vertex ids, or (curve_id, t) at t in
+    [0, 1] on one of g's own curves. rows[u] is vertex u's internal row
+    (g.internal_rows). Distinct curves meet only at vertices, so a point
+    leaves its curve through an end: the distance is the shortest route
+    through the two points' ends, or the arc between them on a shared
+    curve, whose length is the sum of a point's two offsets."""
+    rx, ry = _routes(g, x), _routes(g, y)
+    best = min(a + rows[u][v] + b for u, a in rx for v, b in ry)
+    if len(rx) == len(ry) == 2 and x[0] == y[0]:
+        best = min(best, abs(x[1] - y[1]) * (rx[0][1] + rx[1][1]))
+    return Fraction(best) / g.value_scale()
+
+
+def sampled_space(cx: PrefractalComplex, level: int, k: int, extra=()):
+    """The level's vertices, the k samples (2i+1)/(2k) on each of its
+    curves, then each extra point not yet listed, as (points,
+    FiniteMetricSpace) with exact point_distance entries, unvalidated."""
+    g = gasket_metric_graph(cx, level)
+    rows = g.internal_rows(range(g.vertex_count))
+    points = list(range(g.vertex_count))
+    points += [(c, t) for c in range(kappa(level, 0), kappa(level + 1, 0))
+               for t in sample_parameters(k)]
+    points += [p for p in dict.fromkeys(extra) if p not in points]
+    matrix = [[Fraction(0)] * len(points) for _ in points]
+    for i, x in enumerate(points):
+        for j in range(i + 1, len(points)):
+            matrix[i][j] = matrix[j][i] = point_distance(g, rows, x, points[j])
+    return points, FiniteMetricSpace(points, matrix, validate=False)
+
+
+def space_to_dict(space: FiniteMetricSpace) -> dict:
+    """The document FiniteMetricSpace.from_dict reads: dyadic entries as
+    [numerator, exponent] pairs, other fractions as "p/q", floats as
+    numbers."""
+    def encode(e):
+        if isinstance(e, float):
+            return e
+        pair = dyadic_to_pair(e)
+        return pair if pair is not None else "%d/%d" % (e.numerator, e.denominator)
+
+    return {"labels": space.labels, "d": [[encode(e) for e in row] for row in space.matrix]}
 
 
 def gasket_svg_text(cx: PrefractalComplex, level: int | None = None, coords=None,

@@ -354,7 +354,15 @@ class TestTables:
                               ("0:1", "999999999:1", "nu"))]
       # both parse to 0 and are refused before the level-12 build
       + [(["extent", "--n", "0", "--m", "12", "--alpha", alpha],
-          "alpha must be positive, got 0") for alpha in ("0", "0.5e-400")])
+          "alpha must be positive, got 0") for alpha in ("0", "0.5e-400")]
+      # text that is no finite number is named, not passed to int() or Fraction()
+      + [(["kantorovich", "--level", "2", "--mu", mu, "--nu", "1:1"],
+          "%r is not a finite integer, decimal or fraction" % weight)
+         for mu, weight in (("0:nan", "nan"), ("0:1e400", "1e400"), ("0:", ""))]
+      + [(["kantorovich", "--level", "2", "--mu", "x:1", "--nu", "1:1"],
+          "measure index 'x' is not an integer"),
+         (["extent", "--n", "1", "--m", "2", "--alpha", "inf"],
+          "'inf' is not a finite integer, decimal or fraction")])
     def test_bad_numeric_flags_exit_two(self, argv, message, capsys, monkeypatch):
         # each is refused before any complex is built
         monkeypatch.setattr("prefractal.gasket.build_gasket", _no_build)

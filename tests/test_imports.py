@@ -26,10 +26,9 @@ EXPORTS = {
                "PrefractalComplex", "build_gasket", "complex_from_dict",
                "complex_json_chunks", "complex_to_dict", "dyadic_from_pair",
                "dyadic_to_pair", "similitude_apply"],
-    "metric": ["AgreementReport", "EdgePoint", "FiniteMetricSpace", "GHBoundReport",
-               "MetricGraph", "certify_vertex_agreement", "gasket_cell_trace",
-               "gasket_metric_graph", "geodesic_point_distance", "gh_upper_bound",
-               "hausdorff", "hausdorff_vertex_sets", "sample_parameters"],
+    "metric": ["AgreementReport", "FiniteMetricSpace", "GHBoundReport", "MetricGraph",
+               "certify_vertex_agreement", "gasket_cell_trace", "gasket_metric_graph",
+               "gh_upper_bound", "hausdorff", "hausdorff_vertex_sets", "sample_parameters"],
     "harmonic": ["CurveLengths", "HarmonicGasket", "HarmonicTable", "SubdivisionRule",
                  "build_harmonic_gasket", "derive_subdivision_rule", "embedding_point",
                  "harmonic_curve_length", "harmonic_extend"],
@@ -39,10 +38,8 @@ EXPORTS = {
     "modes": ["ModeVector", "ReachReport", "coupled_dnorm", "covariant_reach_witness",
               "dn_norm", "evolve", "inner", "mode_frequency", "project",
               "random_mode_vector", "tail_level_for"],
-    "transport": ["CoupledGraph", "DiscreteMeasure", "ExtentReport", "IdentityRow",
-                  "TransportResult", "certify_extent", "kantorovich",
-                  "lipschitz_seminorm", "mcshane_extend", "sampled_metric_space",
-                  "verify_lipschitz_dirac_identity"],
+    "transport": ["CoupledGraph", "DiscreteMeasure", "ExtentReport", "TransportResult",
+                  "certify_extent", "kantorovich", "lipschitz_seminorm", "mcshane_extend"],
 }
 
 _PROBE = """
@@ -104,7 +101,7 @@ class TestCommandFootprint:
 class TestLazyExports:
     def test_public_names(self):
         names = sorted(n for names in EXPORTS.values() for n in names)
-        assert len(names) == 69
+        assert len(names) == 64
         assert sorted(prefractal.__all__) == names
 
     def test_each_name_is_its_home_object(self):

@@ -3,7 +3,8 @@
 Core claims:
     - exact integer Dijkstra agrees with a Floyd-Warshall oracle in Fractions;
     - distances across refinement levels agree exactly on shared vertices;
-    - on-edge points route correctly, including the same-curve direct arc;
+    - the on-edge point oracle routes correctly, including the same-curve
+      direct arc, and its geodesics give the bound chain's sampling term;
     - Haus(V_n, V_{n+1}) = 2^-(n+1) exactly, and the certified bound chain
       stays below the coarse 2^(1-n) + 2^-m budget.
 """
@@ -17,14 +18,14 @@ import numpy as np
 import pytest
 
 from oracles import (bfs_cell_trace, from_triples, hop_block, hop_block_agreement,
-                     nearest_sources, sampling_term, sssp)
+                     nearest_sources, point_distance, sampled_space, sampling_term,
+                     space_to_dict, sssp)
 from prefractal import metric
 from prefractal.cli import main
 from prefractal.curves import kappa, vertex_count
 from prefractal.gasket import build_gasket
 from prefractal.metric import (
     AgreementReport,
-    EdgePoint,
     FiniteMetricSpace,
     MetricGraph,
     certify_trace_agreement,
@@ -32,7 +33,6 @@ from prefractal.metric import (
     gasket_cell_trace,
     gasket_cell_traces,
     gasket_metric_graph,
-    geodesic_point_distance,
     gh_upper_bound,
     hausdorff,
     hausdorff_vertex_sets,
@@ -204,39 +204,40 @@ class TestMetricGraph:
         assert g.single_source(0)[2] == 0.75
 
 
+def _point_distance(level, x, y):
+    """oracles.point_distance on the level graph of CX."""
+    g = gasket_metric_graph(CX, level)
+    return point_distance(g, g.internal_rows(range(g.vertex_count)), x, y)
+
+
 class TestPointDistances:
+    # the on-edge point oracle: (curve_id, t) points, hand-computed values
     def test_corner_to_bottom_midpoint_before_and_after_refining(self):
         # the shortcut through the inner vertex only exists at level >= 1
-        g0 = gasket_metric_graph(CX, 0)
         g1 = gasket_metric_graph(CX, 1)
-        mid = EdgePoint(0, Fraction(1, 2))
-        assert geodesic_point_distance(g0, 2, mid) == Fraction(3, 2)
+        assert _point_distance(0, 2, (0, Fraction(1, 2))) == Fraction(3, 2)
         mid_idx = 3  # (1/2, 0) is the first refinement vertex
         assert g1.single_source(2)[mid_idx] == 1
 
     def test_bottom_edge_midpoints(self):
-        g1 = gasket_metric_graph(CX, 1)
-        pa = EdgePoint(3, Fraction(1, 2))
-        pb = EdgePoint(6, Fraction(1, 2))
-        assert geodesic_point_distance(g1, pa, pb) == Fraction(1, 2)
+        pa = (3, Fraction(1, 2))
+        pb = (6, Fraction(1, 2))
+        assert _point_distance(1, pa, pb) == Fraction(1, 2)
 
     def test_same_curve_direct_arc(self):
-        g1 = gasket_metric_graph(CX, 1)
-        a = EdgePoint(3, Fraction(1, 8))
-        b = EdgePoint(3, Fraction(7, 8))
-        # around through vertices would cost 1/8 + 0 + ... >= direct 3/8... no:
-        # direct along the edge is (7/8-1/8)*1/2 = 3/8, endpoint routing gives
-        # 1/16 + 1/2 + ... so the direct arc must win
-        assert geodesic_point_distance(g1, a, b) == Fraction(3, 8)
+        # along the curve: (7/8 - 1/8) * 1/2 = 3/8; through its ends at
+        # least 1/16 + 1/16 + the 1/2 between them
+        a = (3, Fraction(1, 8))
+        b = (3, Fraction(7, 8))
+        assert _point_distance(1, a, b) == Fraction(3, 8)
 
     def test_endpoint_parameters_collapse_to_vertices(self):
-        g1 = gasket_metric_graph(CX, 1)
-        p = EdgePoint(3, Fraction(0))
-        assert geodesic_point_distance(g1, p, 0) == 0
+        assert _point_distance(1, (3, Fraction(0)), 0) == 0
 
     def test_oracle_over_all_routings(self):
         # brute force: min over four endpoint routes plus same-curve arc
         g = gasket_metric_graph(CX, 2)
+        rows = g.internal_rows(range(g.vertex_count))
         rng = random.Random(515)
         curves = range(kappa(2, 0), kappa(3, 0))
         lam = Fraction(1, 4)
@@ -254,18 +255,15 @@ class TestPointDistances:
                     cands.append(wa + Fraction(row[eb]) + wb)
             if ca == cb:
                 cands.append(abs(ta - tb) * lam)
-            got = geodesic_point_distance(g, EdgePoint(ca, ta), EdgePoint(cb, tb))
-            assert Fraction(got) == min(cands)
+            assert point_distance(g, rows, (ca, ta), (cb, tb)) == min(cands)
 
     def test_rejects_coarse_curve_point(self):
-        g1 = gasket_metric_graph(CX, 1)
         with pytest.raises(ValueError, match="not an edge of this graph"):
-            geodesic_point_distance(g1, 0, EdgePoint(0, Fraction(1, 2)))
+            _point_distance(1, 0, (0, Fraction(1, 2)))
 
     def test_rejects_bad_parameter(self):
-        g1 = gasket_metric_graph(CX, 1)
         with pytest.raises(ValueError, match="outside"):
-            geodesic_point_distance(g1, 0, EdgePoint(3, Fraction(3, 2)))
+            _point_distance(1, 0, (3, Fraction(3, 2)))
 
 
 class TestFiniteMetricSpace:
@@ -301,7 +299,7 @@ class TestFiniteMetricSpace:
     def test_roundtrip_exact_entries(self):
         g = gasket_metric_graph(CX, 2)
         fm = FiniteMetricSpace.from_graph(g, vertex_ids=range(6))
-        back = FiniteMetricSpace.from_dict(fm.to_dict())
+        back = FiniteMetricSpace.from_dict(space_to_dict(fm))
         assert back.matrix == fm.matrix
         assert back.exact
 
@@ -468,6 +466,16 @@ class TestHausdorffAndBounds:
         for k in range(1, 501):
             rep = gh_upper_bound(trace, k)
             assert rep.haus_vertices_to_sample == sampling_term(k)
+
+    def test_sampling_term_is_the_geodesic_hausdorff_distance(self):
+        # Haus_{d_n}(V_n, S_n) over the point oracle's geodesics, V_n
+        # against every vertex and sample
+        for n in range(3):
+            trace = gasket_cell_trace(CX, n, n)
+            for k in range(1, 6):
+                points, space = sampled_space(CX, n, k)
+                assert gh_upper_bound(trace, k).haus_vertices_to_sample == hausdorff(
+                    space, range(vertex_count(n)), range(len(points)))
 
     def test_bound_chain_terms(self):
         rep = gh_upper_bound(gasket_cell_trace(CX, 2, 6))

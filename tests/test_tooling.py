@@ -2,21 +2,45 @@
 
 perfbench/spans.py wraps prefractal's public functions by name, so
 deleting or renaming one of them breaks every traced benchmark run. One
-test installs the tracer in a fresh interpreter and reads the edge count
-of one traced graph build, without running a workload; a second runs two
-CLI commands under the tracer, whose modules are imported only when the
-command runs; another runs the benchmark's self-test, whose checks parse
-every artifact of the workloads at tiny sizes. The last reads the
-package's own sources for imports they never use.
+test per wrapped name looks it up where the tracer will, so a deleted
+name fails under its own name. One test installs the tracer in a fresh
+interpreter and reads the edge count of one traced graph build, without
+running a workload; a second runs two CLI commands under the tracer,
+whose modules are imported only when the command runs; another runs the
+benchmark's self-test, whose checks parse every artifact of the
+workloads at tiny sizes. The last reads the package's own sources for
+imports they never use.
 """
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _traced_names():
+    """(home module, name) of every callable perfbench/spans.py wraps."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return [(home, target) for home, target, *_ in spans.TARGETS]
+
+
+@pytest.mark.parametrize("home,name", _traced_names())
+def test_traced_name_resolves(home, name):
+    # Tracer.install reads a function from its module and a method from its
+    # class's own __dict__, both with no default
+    module = importlib.import_module("prefractal." + home)
+    owner, _, attr = name.rpartition(".")
+    found = getattr(module, owner).__dict__ if owner else vars(module)
+    assert attr in found, "perfbench wraps prefractal.%s.%s" % (home, name)
 
 
 def test_perfbench_tracer_installs(tmp_path):

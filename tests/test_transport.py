@@ -12,14 +12,11 @@ from prefractal import metric, transport
 from prefractal.curves import vertex_count
 from prefractal.gasket import build_gasket
 from prefractal.harmonic import build_harmonic_gasket
-from prefractal.metric import (EdgePoint, FiniteMetricSpace, MetricGraph,
-                               gasket_cell_trace, gasket_cell_traces,
-                               gasket_metric_graph, geodesic_point_distance,
-                               gh_upper_bound)
+from prefractal.metric import (FiniteMetricSpace, MetricGraph, gasket_cell_trace,
+                               gasket_cell_traces, gasket_metric_graph, gh_upper_bound)
 from prefractal.transport import (CoupledGraph, DiscreteMeasure, _require_premises,
                                   certify_extent, kantorovich, lipschitz_seminorm,
-                                  mcshane_extend, sampled_metric_space,
-                                  verify_lipschitz_dirac_identity)
+                                  mcshane_extend)
 
 CX = build_gasket(7)
 
@@ -553,40 +550,49 @@ class TestExtentCertificate:
             certify_extent(gasket_cell_trace(CX, 4, 2))
 
 
+def _dirac_witnesses(level, pairs):
+    """f(y) - f(x) and the Lipschitz seminorm of f = d(x, .), for each pair
+    (x, y), on the point oracle's level sampled space (3 samples per curve)
+    with the pairs' points added."""
+    points, space = oracles.sampled_space(CX, level, 3, [p for pair in pairs for p in pair])
+    rows = []
+    for x, y in pairs:
+        f = space.matrix[points.index(x)]
+        rows.append((f[points.index(y)] - f[points.index(x)], lipschitz_seminorm(space, f)))
+    return rows
+
+
 class TestDiracIdentity:
+    # sup {f(y) - f(x) : Lip(f) <= 1} = d(x, y), attained by f = d(x, .)
     def test_corner_to_midpoint_across_scales(self):
-        rows = verify_lipschitz_dirac_identity(0, [(2, EdgePoint(0, F(1, 2)))])
-        assert F(rows[0].distance) == F(3, 2)
-        assert rows[0].attained and F(rows[0].witness_seminorm) <= 1
-        rows = verify_lipschitz_dirac_identity(1, [(2, 3)])
-        assert F(rows[0].distance) == 1
-        assert rows[0].attained
+        [(gain, semi)] = _dirac_witnesses(0, [(2, (0, F(1, 2)))])
+        assert gain == F(3, 2) and semi <= 1
+        [(gain, semi)] = _dirac_witnesses(1, [(2, 3)])
+        assert gain == 1 and semi <= 1
 
     def test_random_vertex_pairs_attain_their_distance(self):
         rng = random.Random(31)
-        cx = build_gasket(2)
         pairs = [tuple(rng.sample(range(15), 2)) for _ in range(6)]
-        rows = verify_lipschitz_dirac_identity(2, pairs, cx=cx)
-        for row in rows:
-            assert row.attained
-            assert F(row.witness_seminorm) == 1
+        g = gasket_metric_graph(CX, 2)
+        for (x, y), (gain, semi) in zip(pairs, _dirac_witnesses(2, pairs)):
+            assert gain == g.single_source(x)[y]
+            assert semi == 1
 
     def test_sampled_space_is_a_metric_space(self):
-        cx = build_gasket(1)
-        points, space = sampled_metric_space(cx, 1, samples_per_curve=2)
+        points, space = oracles.sampled_space(CX, 1, 2)
         assert len(points) == 6 + 9 * 2
         # rebuild with validation on: triangle inequality holds exactly
         FiniteMetricSpace(space.labels, space.matrix)
 
     def test_sampled_space_entries_are_point_geodesics(self):
         # vertex-vertex, vertex-sample and sample-sample entries, shared
-        # curves included, each equal geodesic_point_distance on the graph
-        cx = build_gasket(2)
-        g = gasket_metric_graph(cx, 2)
-        points, space = sampled_metric_space(cx, 2, samples_per_curve=2)
+        # curves included, each equal to point_distance on the graph
+        g = gasket_metric_graph(CX, 2)
+        rows = g.internal_rows(range(g.vertex_count))
+        points, space = oracles.sampled_space(CX, 2, 2)
         for i, x in enumerate(points):
             for j, y in enumerate(points):
-                assert space.matrix[i][j] == geodesic_point_distance(g, x, y)
+                assert space.matrix[i][j] == oracles.point_distance(g, rows, x, y)
 
 
 def _kernel_graph(name):
