@@ -37,8 +37,8 @@ _JSON_BYTES_PER_CURVE = {"sg": 90, "harmonic": 300}
 
 # peak RSS of `kantorovich` per edge of the level's metric graph above the
 # base: the complex, the graph's arrays and the solver's per-slot lists
-# (58/115/258/753 MiB at levels 9-12 on a one-point query from corner 0
-# to corner 1, 428-477 B per edge)
+# (57.0/113.8/256.3 MiB at levels 9-11 under wait4 on a one-point query
+# from corner 0 to corner 1, 443-484 B per edge)
 _KANTOROVICH_BYTES_PER_EDGE = 500
 
 # peak RSS of `dimension` per cutoff grid point above the base: the grid
@@ -135,8 +135,10 @@ def _parse_measure(text: str):
     return DiscreteMeasure(entries)
 
 
-def _config_echo(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+def _config_echo(args) -> dict:
+    """The parsed arguments that shape the result, unset ones left out."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("command", "func", "out", "strict") and v is not None}
 
 
 # -- commands --------------------------------------------------------------
@@ -147,7 +149,6 @@ def cmd_gen(args) -> Iterable[str]:
     from .gasket import (BASE_BYTES, build_gasket, check_memory, check_tolerance,
                          complex_json_chunks)
 
-    config = _config_echo(args, ("geometry", "level", "tol", "format"))
     check_tolerance(args.tol)  # echoed in every config, so never NaN
     svg = args.format == "svg"
     what = ("SVG output: the drawing of its triangles" if svg
@@ -168,7 +169,8 @@ def cmd_gen(args) -> Iterable[str]:
         return gasket_svg(table.cx, args.level, coords=coords)
     if args.geometry == "sg":
         cx = build_gasket(args.level)
-        return _json_chunks("gen", config, {}, {"complex": complex_json_chunks(cx, 1)})
+        return _json_chunks("gen", _config_echo(args), {},
+                            {"complex": complex_json_chunks(cx, 1)})
     from .harmonic import build_harmonic_gasket, derive_subdivision_rule
 
     hg = build_harmonic_gasket(args.level, tol=args.tol)
@@ -183,8 +185,9 @@ def cmd_gen(args) -> Iterable[str]:
         "quadrature": {"tol": hg.tol, "refinementCap": hg.cap,
                        "unconverged": hg.unconverged()},
     }
-    return _json_chunks("gen", config, body, {"complex": complex_json_chunks(hg.cx, 1),
-                                              "lengths": hg.length_json_chunks(1)})
+    return _json_chunks("gen", _config_echo(args), body,
+                        {"complex": complex_json_chunks(hg.cx, 1),
+                         "lengths": hg.length_json_chunks(1)})
 
 
 def cmd_gh_table(args) -> Iterable[str]:
@@ -198,7 +201,6 @@ def cmd_gh_table(args) -> Iterable[str]:
         raise ValueError("--m must be at least --max-level")
     check_samples(args.samples)
     check_trace_size(args.m, "the level-%d complex and its cell trace" % args.m)
-    config = _config_echo(args, ("max_level", "m", "samples", "format"))
     cx = build_gasket(args.m)
     rows = []
     # one cell trace per level gives both the bound's third term and the
@@ -222,7 +224,7 @@ def cmd_gh_table(args) -> Iterable[str]:
                          "level n", "bound", log_y=True,
                          title="two-scale convergence")
     if args.format == "json":
-        return _json_chunks("gh-table", config,
+        return _json_chunks("gh-table", _config_echo(args),
                             {"header": list(header),
                              "rows": [list(r) for r in rows]})
     return _csv_text(header, rows)
@@ -233,11 +235,10 @@ def cmd_spectrum(args) -> Iterable[str]:
 
     spec = _spectrum_spec(args)
     enum = enumerate_eigenvalues(spec, args.cutoff)
-    config = _config_echo(args, ("geometry", "level", "infinite", "cutoff", "format"))
     if args.format == "csv":
         return _csv_text(("value", "multiplicity"),
                          zip(enum.values, enum.multiplicities))
-    return _json_chunks("spectrum", config, {
+    return _json_chunks("spectrum", _config_echo(args), {
         "label": spec.label,
         "cutoff": float(args.cutoff),
         "total": enum.total,
@@ -266,8 +267,6 @@ def cmd_dimension(args) -> Iterable[str]:
                  % args.grid)
     fit = dimension_fit(spec, args.lambda_min, args.lambda_max,
                         grid_size=args.grid)
-    config = _config_echo(args, ("geometry", "level", "infinite", "lambda_min",
-                                 "lambda_max", "grid", "format"))
     if args.format == "svg":
         from .svg import line_plot
 
@@ -275,7 +274,7 @@ def cmd_dimension(args) -> Iterable[str]:
         return line_plot([("mode counts", pts)], "cutoff", "count",
                          log_x=True, log_y=True,
                          title="counting function, slope %.4f" % fit.slope)
-    return _json_chunks("dimension", config, {"fit": fit.to_dict()})
+    return _json_chunks("dimension", _config_echo(args), {"fit": fit.to_dict()})
 
 
 def cmd_kantorovich(args) -> Iterable[str]:
@@ -291,8 +290,7 @@ def cmd_kantorovich(args) -> Iterable[str]:
                  "kantorovich at level %d: the metric graph" % args.level)
     graph = gasket_metric_graph(build_gasket(args.level), args.level)
     res = kantorovich(graph, mu, nu)
-    config = _config_echo(args, ("level", "mu", "nu"))
-    return _json_chunks("kantorovich", config, {"transport": res.to_dict()})
+    return _json_chunks("kantorovich", _config_echo(args), {"transport": res.to_dict()})
 
 
 def cmd_extent(args) -> Iterable[str]:
@@ -312,10 +310,8 @@ def cmd_extent(args) -> Iterable[str]:
     rep = certify_extent(gasket_cell_trace(build_gasket(m), n, m), alpha=alpha,
                          samples_per_curve=args.samples,
                          mixture_trials=args.trials, seed=args.seed)
-    config = _config_echo(args, ("n", "m", "alpha", "samples", "trials", "seed",
-                                 "format"))
     if args.format == "json":
-        return _json_chunks("extent", config, {"report": rep.as_floats()})
+        return _json_chunks("extent", _config_echo(args), {"report": rep.as_floats()})
     header = ("n", "m", "alpha", "epsilon", "bound", "empiricalMax")
     return _csv_text(header, [rep.to_row()])
 
@@ -325,15 +321,21 @@ def cmd_covariant(args) -> Iterable[str]:
 
     rep = covariant_reach_witness(args.n, args.epsilon, args.trials,
                                   seed=args.seed)
-    config = _config_echo(args, ("n", "epsilon", "trials", "seed"))
-    return _json_chunks("covariant", config, {"report": rep.to_dict()})
+    return _json_chunks("covariant", _config_echo(args), {"report": rep.to_dict()})
 
 
 # -- parser ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, the subcommands' too, print the JSON error object."""
+
+    def error(self, message):
+        self.exit(_fail(2, "validation", message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prefractal",
         description="prefractal gasket geometry, spectra, and transport tables")
     parser.add_argument("--version", action="version", version=__version__)

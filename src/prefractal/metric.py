@@ -5,7 +5,9 @@ so its intrinsic metric restricted to vertices is the shortest-path metric
 of the weighted graph on V_n whose edges are the level-n curves. Rational
 edge weights are rescaled to a common integer denominator, so shortest
 paths, Hausdorff distances and agreement certificates are computed in
-exact integer arithmetic; harmonic graphs carry float weights.
+exact integer arithmetic; harmonic graphs carry float weights. Every
+shortest-path query runs one array kernel, _relax: label-correcting
+rounds over the CSR slots, in int64 (Python ints past 2^62) or float64.
 
 Core claims exercised by the test suite:
   * d_n and d_m agree exactly on V_n for m >= n (Euclidean gasket), which
@@ -17,7 +19,6 @@ Core claims exercised by the test suite:
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,26 +35,45 @@ def _is_exact_weight(w) -> bool:
     return isinstance(w, (int, Fraction))
 
 
-def _bfs_hops(indptr, nbr, sources) -> np.ndarray:
-    """Hops from the nearest of `sources` over CSR adjacency; -1 if unreached."""
-    dist = np.full(len(indptr) - 1, -1, dtype=np.int64)
+def _exact_dtype(bound: int):
+    """int64 for values under a bound below 2^62 (sums of two fit), else Python ints."""
+    return np.int64 if bound < 2**62 else object
+
+
+def _far(dtype):
+    """What an unreached vertex reads: the dtype's max for ints, inf otherwise."""
+    return np.iinfo(dtype).max if dtype.kind == "i" else np.inf
+
+
+def _relax(indptr, nbr, arc, edge_w, sources) -> np.ndarray:
+    """Least weight from the nearest of `sources` to every vertex over the
+    CSR adjacency from _csr, edge e weighing edge_w[e]; _far(edge_w.dtype)
+    if unreached.
+
+    Label-correcting rounds: each relaxes the slots out of the vertices
+    the previous round improved and keeps the least candidate per head.
+    A label is the weight of a simple path (a walk through a cycle never
+    improves on the path without it), so labels stay below the largest
+    weight times |V|. With unit weights each round is one BFS level.
+    """
+    dist = np.full(len(indptr) - 1, _far(edge_w.dtype), dtype=edge_w.dtype)
     slot_of = np.empty(len(dist), dtype=np.int64)
     frontier = np.unique(sources)
     dist[frontier] = 0
-    depth = 0
     while len(frontier):
-        depth += 1
         start = indptr[frontier]
         count = indptr[frontier + 1] - start
-        # the CSR slots of every frontier vertex's neighbours, in one gather
+        # the CSR slots out of every frontier vertex, in one gather
         slots = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
-        reached = nbr[slots]
-        reached = reached[dist[reached] < 0]
-        # keep each new vertex once: the last write of its position wins
-        pos = np.arange(len(reached))
-        slot_of[reached] = pos
-        frontier = reached[slot_of[reached] == pos]
-        dist[frontier] = depth
+        heads = nbr[slots]
+        cand = np.repeat(dist[frontier], count) + edge_w[arc[slots] >> 1]
+        better = cand < dist[heads]
+        heads = heads[better]
+        np.minimum.at(dist, heads, cand[better])
+        # keep each improved vertex once: the last write of its position wins
+        pos = np.arange(len(heads))
+        slot_of[heads] = pos
+        frontier = heads[slot_of[heads] == pos]
     return dist
 
 
@@ -79,9 +99,11 @@ class MetricGraph:
     and has weight weights[e]. Weights must either all be rational (int or
     Fraction), kept as Python ints over the common denominator
     value_scale() so shortest paths are exact integers at any size, or
-    all floats. indptr, arc and nbr are the CSR adjacency from _csr.
-    Construction verifies ranges, positivity and connectivity; instances
-    are immutable by convention.
+    all floats. indptr, arc and nbr are the CSR adjacency from _csr, and
+    _edge_w holds the internal weights for _relax: float64, or exact in
+    the dtype _exact_dtype picks for the largest weight times |V|, a bound
+    on every distance. Construction verifies ranges, positivity and
+    connectivity; instances are immutable by convention.
     """
 
     def __init__(self, n_vertices, ends, weights, vertex_keys=None):
@@ -127,11 +149,12 @@ class MetricGraph:
             den = None
         self._den = den
         self.weights = list(map(value.__getitem__, keys))  # internal units
-        # one exact weight: distances are hop counts times it
-        self._uniform = exact and len(set(value.values())) == 1
 
         self.indptr, self.arc, self.nbr = _csr(ends, n_vertices)
-        unreached = _bfs_hops(self.indptr, self.nbr, [0]) < 0
+        bound = max(value.values(), default=0) * n_vertices
+        self._edge_w = np.array(self.weights, _exact_dtype(bound) if exact else np.float64)
+        unreached = (_relax(self.indptr, self.nbr, self.arc, self._edge_w, [0])
+                     == _far(self._edge_w.dtype))
         if unreached.any():
             raise ValueError("graph is disconnected: vertex %d is unreachable "
                              "from vertex 0" % unreached.argmax())
@@ -149,39 +172,9 @@ class MetricGraph:
 
     # -- internal single/multi source runs -----------------------------
 
-    def _slot_lists(self):
-        """indptr, and the head and internal weight of every CSR slot, as
-        Python lists for the heap loops."""
-        wt = np.array(self.weights, dtype=object)[self.arc >> 1]
-        return self.indptr.tolist(), self.nbr.tolist(), wt.tolist()
-
     def _sssp(self, sources):
         """Internal distances from the nearest of `sources` to every vertex."""
-        if self._uniform:
-            w0 = self.weights[0]
-            return [h * w0 for h in _bfs_hops(self.indptr, self.nbr, list(sources)).tolist()]
-
-        indptr, nbr, wt = self._slot_lists()
-        inf = float("inf")
-        dist = [inf] * self.vertex_count
-        heap = []
-        for s in sorted(sources):
-            dist[s] = 0
-            heap.append((0, s))
-        heapq.heapify(heap)
-        pop = heapq.heappop
-        push = heapq.heappush
-        while heap:
-            d, u = pop(heap)
-            if d > dist[u]:
-                continue
-            for k in range(indptr[u], indptr[u + 1]):
-                v = nbr[k]
-                nd = d + wt[k]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    push(heap, (nd, v))
-        return dist
+        return _relax(self.indptr, self.nbr, self.arc, self._edge_w, sources).tolist()
 
     def _value(self, internal):
         if self.exact:
@@ -298,8 +291,7 @@ class FiniteMetricSpace:
         if self.exact:
             den = lcm(*{e.denominator for row in m for e in row})
             ints = [[e.numerator * (den // e.denominator) for e in row] for row in m]
-            wide = max(map(max, ints), default=0) >= 2**62
-            d = np.array(ints, dtype=object if wide else np.int64)
+            d = np.array(ints, dtype=_exact_dtype(max(map(max, ints), default=0)))
         else:
             d = np.array(m, dtype=np.float64)
         for k in range(len(d)):
@@ -313,9 +305,7 @@ class FiniteMetricSpace:
                    validate=True) -> "FiniteMetricSpace":
         """Distance matrix of a vertex subset (default: all vertices)."""
         ids = list(range(g.vertex_count)) if vertex_ids is None else list(vertex_ids)
-        rows = g.internal_rows(ids)
-        matrix = [[g._value(rows[i][ids[j]]) for j in range(len(ids))]
-                  for i in range(len(ids))]
+        matrix = [[g._value(row[j]) for j in ids] for row in g.internal_rows(ids)]
         return cls(ids, matrix, validate=validate)
 
     @classmethod
@@ -374,7 +364,8 @@ class AgreementReport:
     exact: bool
 
 
-# bytes of one entry of a distance row: a list slot and an int object
+# bytes of one entry of a distance row or block: a list or array slot and
+# at most an int object
 _ROW_ENTRY_BYTES = 36
 
 # bytes per curve that build_gasket leaves held (tracemalloc 13.3-13.4),
@@ -425,26 +416,29 @@ def certify_vertex_agreement(n: int, m: int, g_n: MetricGraph,
     check_memory(_ROW_ENTRY_BYTES * nv * (nv + g_m.vertex_count),
                  "row-by-row agreement of %d coarse vertices inside %d fine ones"
                  % (nv, g_m.vertex_count))
-    sources = range(nv)
-    rows_n = g_n.internal_rows(sources)
-    rows_m = g_m.internal_rows(sources)
-
-    # internal units over each graph's denominator, 1 for a float graph
+    # internal units over each graph's denominator, 1 for a float graph;
+    # exact blocks are compared over dn_den * dm_den, and a graph's largest
+    # weight times |V| bounds each of its distances
     dn_den, dm_den = g_n._den or 1, g_m._den or 1
-    fn_den, fm_den = float(dn_den), float(dm_den)
-    worst = None
-    worst_pair = None
-    for i in range(nv):
-        rn, rm = rows_n[i], rows_m[i]
-        for j in range(i + 1, nv):
-            if both_exact:
-                diff = abs(rn[j] * dm_den - rm[j] * dn_den)
-            else:
-                diff = abs(float(rn[j]) / fn_den - float(rm[j]) / fm_den)
-            if worst is None or diff > worst:
-                worst, worst_pair = diff, (i, j)
-    value = Fraction(worst, dn_den * dm_den) if both_exact else worst
-    return AgreementReport(n, m, nv, value, worst_pair, both_exact)
+    dtype = (_exact_dtype(max(max(g_n.weights) * nv * dm_den,
+                              max(g_m.weights) * g_m.vertex_count * dn_den))
+             if both_exact else np.float64)
+    # the V_n x V_n block of each graph, one run per row
+    diff, other = (np.array([g._sssp([s])[:nv] for s in range(nv)], dtype=dtype)
+                   for g in (g_n, g_m))
+    if both_exact:
+        diff *= dm_den
+        other *= dn_den
+    else:
+        diff /= float(dn_den)
+        other /= float(dm_den)
+    diff -= other
+    np.abs(diff, out=diff)
+    # the first maximal pair i < j in row-major order
+    diff[np.tri(nv, dtype=bool)] = -1
+    i, j = divmod(int(np.argmax(diff)), nv)
+    value = Fraction(int(diff[i, j]), dn_den * dm_den) if both_exact else float(diff[i, j])
+    return AgreementReport(n, m, nv, value, (i, j), both_exact)
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,8 @@ class SpectrumSpec:
 
     @classmethod
     def gasket(cls, level: int) -> "SpectrumSpec":
+        if level < 0:
+            raise ValueError("level must be nonnegative, got %d" % level)
         return cls(islice(_gasket_levels(), level + 1), label="gasket level %d" % level)
 
     @classmethod

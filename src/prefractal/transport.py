@@ -143,14 +143,14 @@ def _min_cost_flow(graph: MetricGraph, b, floor):
     residual arc and equality on arcs that carry flow.
     """
     n = graph.vertex_count
-    indptr, nbr, wt = graph._slot_lists()
-    arc = graph.arc.tolist()
+    indptr, nbr, arc = graph.indptr.tolist(), graph.nbr.tolist(), graph.arc.tolist()
+    weights = graph.weights
     active = [v for v, x in enumerate(b) if x]
     excess = list(b)
     flow = [0] * len(arc)
     phi = [0] * n
     pop, push = heapq.heappop, heapq.heappush
-    guard = 4 * (len(active) + len(graph.weights)) + 16
+    guard = 4 * (len(active) + len(weights)) + 16
     for _ in range(guard):
         sources = [v for v in active if excess[v] > floor]
         if not sources or not any(excess[v] < -floor for v in active):
@@ -174,7 +174,8 @@ def _min_cost_flow(graph: MetricGraph, b, floor):
                 if v in done:
                     continue
                 a = arc[k]
-                nd = base + (-wt[k] if flow[a ^ 1] > 0 else wt[k]) - phi[v]
+                w = weights[a >> 1]
+                nd = base + (-w if flow[a ^ 1] > 0 else w) - phi[v]
                 if v not in dist or nd < dist[v]:
                     dist[v] = nd
                     parent[v] = (u, a)

@@ -8,8 +8,9 @@ None of this is on a production path, and none of it is fast:
     match it exactly.
   * bfs_cell_trace: metric.gasket_cell_traces' trace of one (n, m) pair
     as it was computed before every level was lifted from the level-m
-    triangles: three numpy BFS passes over the disjoint union of the
-    level-n cells, one from corner k of every cell at once.
+    triangles: three BFS passes (metric._relax on unit weights) over the
+    disjoint union of the level-n cells, one from corner k of every cell
+    at once.
   * maximize / max_difference_objective: a dense exact simplex over
     Fractions with Bland's anti-cycling rule, for shortest-path duality
     checks. It shares no code with the graph machinery; sizes stay in the
@@ -22,8 +23,10 @@ None of this is on a production path, and none of it is fast:
     harmonic_lengths returned before its columns.
   * sssp / nearest_sources / min_cost_flow: the shortest-path and
     transport kernels over per-vertex lists of (neighbour, weight) tuples
-    that MetricGraph ran before its CSR arrays. They read only g.edges
-    and g.value_scale(), so they share no adjacency code with the graph.
+    that MetricGraph ran before its CSR arrays. sssp, a deque BFS on one
+    exact weight and heap Dijkstra otherwise, is the reference for
+    metric._relax, which replaced both. They read only g.edges and
+    g.value_scale(), so they share no adjacency code with the graph.
   * row_certificate: the plan-cost check kantorovich ran before it
     certified each plan entry from its walked flow path and the
     potentials: one distance row per moved source, mass times distance
@@ -74,7 +77,7 @@ from prefractal.harmonic import (
     SubdivisionRule,
 )
 from prefractal.metric import (AgreementReport, CellTrace, FiniteMetricSpace, MetricGraph,
-                               _bfs_hops, _check_rows, _csr, gasket_cell_trace,
+                               _check_rows, _csr, _far, _relax, gasket_cell_trace,
                                gasket_metric_graph, gh_upper_bound, sample_parameters)
 from prefractal.modes import (ReachReport, evolve, project, random_mode_vector,
                               tail_level_for)
@@ -107,6 +110,12 @@ def neighbour_table(g: MetricGraph) -> np.ndarray:
     return table
 
 
+def one_exact_weight(g: MetricGraph) -> bool:
+    """Whether g is exact with one distinct edge weight, so its distances
+    are hop counts times that weight."""
+    return g.exact and len(set(g.weights)) == 1
+
+
 def hop_block(g: MetricGraph, sources, targets) -> np.ndarray:
     """Hop counts as an int64 (targets x sources) matrix, by MS-BFS.
 
@@ -119,7 +128,7 @@ def hop_block(g: MetricGraph, sources, targets) -> np.ndarray:
     Hops times the uniform weight are the exact internal distances, so
     only exact graphs with one edge weight qualify.
     """
-    if not g._uniform:
+    if not one_exact_weight(g):
         raise ValueError("hop counts need an exact graph with uniform weights")
     sources = np.asarray(sources, dtype=np.intp)
     targets = np.asarray(targets, dtype=np.intp)
@@ -186,7 +195,7 @@ def hop_block_agreement(n: int, m: int, g_n: MetricGraph, g_m: MetricGraph,
         if len(fine_hops) < nv:
             raise ValueError("fine_hops covers %d vertices, V_%d has %d"
                              % (len(fine_hops), n, nv))
-    if not (g_n._uniform and g_m._uniform):
+    if not (one_exact_weight(g_n) and one_exact_weight(g_m)):
         raise ValueError("hop blocks need two uniform exact graphs")
     # d = hops * weight; times `scale`, the lcm of the two weights'
     # denominators, the discrepancy |hops_n * a - hops_m * b| is an integer
@@ -262,12 +271,14 @@ def bfs_cell_trace(cx: PrefractalComplex, n: int, m: int) -> CellTrace:
     _check_rows(tri, m, nv_m)
     tri_ids, cell_of, vertex_of, sources = _cell_union(corners, tri, n, m, nv_n, nv_m)
     # the three curves of every level-m triangle, in the union's numbering
-    indptr, _, nbr = _csr(tri_ids[:, CURVE_SLOTS[:, :2]].reshape(-1, 2), len(cell_of))
+    indptr, arc, nbr = _csr(tri_ids[:, CURVE_SLOTS[:, :2]].reshape(-1, 2), len(cell_of))
+    unit = np.ones(len(arc) // 2, dtype=np.int32)
     dist = np.empty((3, len(cell_of)), dtype=np.int32)
     for k in range(3):
-        dist[k] = _bfs_hops(indptr, nbr, sources[:, k])
-    if (dist < 0).any():
-        k, u = np.argwhere(dist < 0)[0].tolist()
+        dist[k] = _relax(indptr, nbr, arc, unit, sources[:, k])
+    unreached = dist == _far(dist.dtype)
+    if unreached.any():
+        k, u = np.argwhere(unreached)[0].tolist()
         raise ValueError("vertex %d of level-%d cell %d is unreachable from its "
                          "corner %d" % (vertex_of[u], n, cell_of[u], corners[cell_of[u], k]))
     # a V_n vertex is a corner of every cell it lies in, so it reads 0

@@ -362,7 +362,11 @@ class TestTables:
       + [(["kantorovich", "--level", "2", "--mu", "x:1", "--nu", "1:1"],
           "measure index 'x' is not an integer"),
          (["extent", "--n", "1", "--m", "2", "--alpha", "inf"],
-          "'inf' is not a finite integer, decimal or fraction")])
+          "'inf' is not a finite integer, decimal or fraction"),
+         (["dimension", "--level", "-2", "--lambda-min", "10", "--lambda-max", "100"],
+          "level must be nonnegative, got -2"),
+         (["spectrum", "--level", "-1", "--cutoff", "10"],
+          "level must be nonnegative, got -1")])
     def test_bad_numeric_flags_exit_two(self, argv, message, capsys, monkeypatch):
         # each is refused before any complex is built
         monkeypatch.setattr("prefractal.gasket.build_gasket", _no_build)
@@ -560,6 +564,28 @@ class TestPlumbing:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv,message", [
+        (["extent", "--n", "1", "--alpha", "1"],
+         "the following arguments are required: --m"),
+        # argparse takes -1:1 for a flag; --mu=-1:1 reaches the command
+        (["kantorovich", "--level", "2", "--mu", "-1:1", "--nu", "1:1"],
+         "argument --mu: expected one argument"),
+    ])
+    def test_argument_errors_print_the_json_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert json.loads(err) == {"error": "validation", "exitCode": 2,
+                                   "message": message}
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["gen", "--help"]])
+    def test_help_and_version_exit_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 0 and out and err == ""
 
     def test_config_echo_embeds_parameters(self, capsys):
         _, out, _ = _run(capsys, "covariant", "--n", "3", "--epsilon", "0.1",

@@ -111,11 +111,11 @@ class TestMetricGraph:
         assert str(exc.value) == message
 
     def test_uniform_weight_past_int64_stays_exact(self):
-        # the scaled weight 10**30 passes 2**63; the BFS path multiplies hop
-        # counts by it in Python ints and must equal the heap path
+        # the scaled weight 10**30 passes 2**63, so the kernel adds Python
+        # ints and must equal the tuple-adjacency oracle
         w = Fraction(10**30, 3)
         g = from_triples(12, [(i, i + 1, w) for i in range(11)] + [(0, 6, w), (3, 11, w)])
-        assert g._uniform and g.value_scale() == 3 and g.weights[0] == 10**30
+        assert g.value_scale() == 3 and g.weights == [10**30] * 13
         for s in range(12):
             row = g.single_source(s)
             assert row == [g._value(d) for d in nearest_sources(g, [s])[1]]
@@ -128,11 +128,10 @@ class TestMetricGraph:
         # one uniform weight, and mixed int/Fraction share one denominator
         g = from_triples(4, [(0, 1, Fraction(1, 4)), (1, 2, Fraction(2, 8)),
                              (2, 3, Fraction(1, 4))])
-        assert g._uniform and g.weights == [1, 1, 1]
+        assert g.weights == [1, 1, 1]
         assert hop_block(g, [0], [3]).tolist() == [[3]]
         g = from_triples(3, [(0, 1, 1), (1, 2, Fraction(1, 3))])
-        assert not g._uniform and g.value_scale() == 3
-        assert g.weights == [3, 1]
+        assert g.value_scale() == 3 and g.weights == [3, 1]
         assert g.edges == [(0, 1, Fraction(1)), (1, 2, Fraction(1, 3))]
 
     def test_dijkstra_matches_floyd_warshall(self):
@@ -146,7 +145,7 @@ class TestMetricGraph:
                     assert rows[i][j] == oracle[i][j]
 
     def test_uniform_weights_use_same_values(self):
-        # BFS fast path must give the same answers as the generic heap
+        # one exact weight and two distinct weights run the same kernel
         g_bfs = from_triples(5, [(0, 1, Fraction(1, 2)), (1, 2, Fraction(1, 2)),
                                  (2, 3, Fraction(1, 2)), (3, 4, Fraction(1, 2)),
                                  (0, 4, Fraction(1, 2))])
@@ -361,6 +360,32 @@ class TestHausdorffAndBounds:
             assert rep.worst_pair == pair
             assert rep.max_discrepancy == Fraction(worst, g2._den * g_m._den) > 0
 
+    def test_float_agreement_matches_the_pair_loop(self):
+        # float weights on either graph: each distance over its graph's own
+        # denominator as a float, and the first maximal pair in row order
+        g2 = gasket_metric_graph(CX, 2)
+        g3 = gasket_metric_graph(CX, 3)
+        rng = random.Random(4417)
+
+        def jitter(g):
+            return from_triples(g.vertex_count, [(u, v, float(w) * rng.uniform(0.5, 1.5))
+                                                 for u, v, w in g.edges],
+                                vertex_keys=g.vertex_keys)
+
+        for g_n, g_m in ((g2, jitter(g3)), (jitter(g2), g3), (jitter(g2), jitter(g3))):
+            rep = certify_vertex_agreement(2, 3, g_n, g_m)
+            dn, dm = float(g_n._den or 1), float(g_m._den or 1)
+            rows_n = g_n.internal_rows(range(15))
+            rows_m = g_m.internal_rows(range(15))
+            worst, pair = None, None
+            for i in range(15):
+                for j in range(i + 1, 15):
+                    diff = abs(float(rows_n[i][j]) / dn - float(rows_m[i][j]) / dm)
+                    if worst is None or diff > worst:
+                        worst, pair = diff, (i, j)
+            assert not rep.exact and type(rep.max_discrepancy) is float
+            assert (rep.max_discrepancy, rep.worst_pair) == (worst, pair)
+
     @pytest.mark.parametrize("max_level, m", [(3, 5), (4, 7)])
     def test_shared_fine_block_matches_standalone(self, max_level, m):
         # the oracle reads every V_n block from the top-left corner of the
@@ -423,11 +448,11 @@ class TestHausdorffAndBounds:
 
     def test_gh_table_and_extent_run_no_bfs(self, monkeypatch, capsys):
         # every trace is lifted from the level-m triangles; only MetricGraph
-        # runs _bfs_hops
+        # runs the shortest-path kernel _relax
         def refuse(*args, **kwargs):
             raise AssertionError("ran a BFS")
 
-        monkeypatch.setattr(metric, "_bfs_hops", refuse)
+        monkeypatch.setattr(metric, "_relax", refuse)
         assert main(["gh-table"]) == 0
         assert capsys.readouterr().out.count(",0.0\n") == 7
         assert main(["extent", "--n", "4", "--m", "8"]) == 0

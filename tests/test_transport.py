@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import oracles
@@ -327,7 +328,7 @@ class TestKantorovich:
             raise AssertionError("ran a traversal")
 
         monkeypatch.setattr(MetricGraph, "_sssp", refuse)
-        monkeypatch.setattr(metric, "_bfs_hops", refuse)
+        monkeypatch.setattr(metric, "_relax", refuse)
         res = kantorovich(g, mu, nu)
         assert res.exact and res.gap == 0 and res.value == want.value
         assert len(res.plan) >= 12
@@ -620,16 +621,31 @@ def _kernel_graph(name):
     edges += [(rng.randrange(k), rng.randrange(k), weight()) for _ in range(k)]
     edges += [(v, u, w) for u, v, w in rng.sample(edges, 4)]
     edges += [(u, v, weight()) for u, v, _ in rng.sample(edges, 4)]
-    return from_triples(k, edges)
+    if kind == "random":
+        return from_triples(k, edges)
+    # the same graph with integer weights on either side of the kernel's
+    # int64 bound: largest weight times |V| just below 2^62 ("narrow"), or
+    # every weight at least 2^62 ("wide"), so distances pass it
+    top = max(w.numerator for _, _, w in edges)
+    scale = (2**62 - 1) // (top * k) if kind == "narrow" else 2**62
+    return from_triples(k, [(u, v, w.numerator * scale) for u, v, w in edges])
 
 
 KERNEL_GRAPHS = (["gasket-%d" % level for level in range(8)]
                  + ["harmonic-4", "coupled-2-5", "coupled-4-8"]
-                 + ["random-%d" % seed for seed in range(6)])
+                 + ["random-%d" % seed for seed in range(6)]
+                 + ["narrow-4", "wide-2"])
 
 
 class TestKernelsMatchTupleOracle:
     """The CSR kernels against the tuple-adjacency kernels they replaced."""
+
+    def test_exact_graphs_on_both_sides_of_the_int64_bound(self):
+        narrow, wide = _kernel_graph("narrow-4"), _kernel_graph("wide-2")
+        assert 2**62 - 2**40 < max(narrow.weights) * narrow.vertex_count < 2**62
+        assert narrow._edge_w.dtype == np.int64
+        assert wide._edge_w.dtype == object
+        assert max(wide._sssp([0])) > 2**63
 
     @pytest.mark.parametrize("name", KERNEL_GRAPHS)
     def test_rows_nearest_sources_and_plans(self, name, monkeypatch):
