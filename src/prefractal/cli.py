@@ -29,10 +29,10 @@ SCHEMA_VERSION = 2
 
 # peak RSS of `gen --format json` per curve of the complex above the base,
 # by geometry, with the document streamed in row blocks: sg is the complex
-# itself (54/97/228/622 MiB at levels 10-13 under wait4, 85-86 B per
-# curve); harmonic adds its length columns (56/97/225/550 MiB at levels
-# 9-12, 227-281 B per curve). `gen --format svg` of either geometry
-# streams its polygons the same way and peaks where sg JSON does
+# itself (33.9/42.5/70.6/154.2 MiB at levels 10-13 under wait4, 7-18 B
+# per curve, kept at complex_bytes' 90); harmonic adds its length columns
+# (51.5/92.7/214.5 MiB at levels 9-11, 231-240 B per curve). `gen --format
+# svg` streams the same way (sg: 52.0/96.6/230.4 MiB at levels 11-13)
 _JSON_BYTES_PER_CURVE = {"sg": 90, "harmonic": 300}
 
 # peak RSS of `kantorovich` per edge of the level's metric graph above the

@@ -6,7 +6,8 @@ similitudes T_r(x) = (x + v_r)/2. Points live in the oblique lattice basis
 {v1, v2}, and every vertex through level L has coordinates (a, b) that are
 integers over 2**L. A complex stores them as int64 arrays scaled by
 2**max_level, so vertex identity, edge lengths and midpoint relations are
-exact integer facts.
+exact integer facts. Vertex ids come from id maps, not from comparing
+points, since the gasket is post-critically finite (build_gasket).
 
 Curves (triangle edges) are indexed for all levels m <= n by the standard
 parametrization (its id arithmetic is prefractal.curves): the bottom, right and left edges of the r-th level-m
@@ -26,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curves import curve_count, kappa
+from .curves import curve_count, kappa, vertex_count
 
 CURVE_KINDS = ("bottom", "right", "left")
 
@@ -52,9 +53,9 @@ MEMORY_GUARD_BYTES = 2**30
 # CLI's guards add their command's own estimate on top of it
 BASE_BYTES = 32 << 20
 
-# peak bytes of build_gasket per curve: the corner point arrays, the
-# interning sort and the id tables, vertex rows included (tracemalloc peak
-# 86.4 bytes per curve at levels 9-11, of which 13.4 stay held)
+# estimated peak bytes of build_gasket per curve: it holds 13.3-13.4 and
+# peaks at 16.0 (tracemalloc, levels 9-12); 90 stays, so the guard keeps
+# refusing level 14 until that level is measured end to end
 _BYTES_PER_CURVE = 90
 
 
@@ -111,13 +112,13 @@ class PrefractalComplex:
     """All triangles and vertices of the gasket through max_level.
 
     vertices is an int64 (|V|, 2) array of lattice coordinates (a, b)
-    scaled by 2**max_level. Vertices are deduplicated and enumerated level
-    by level, so the first vertex_count(m) rows are exactly V_m for every
-    m <= max_level, with indices stable across different max_level builds.
+    scaled by 2**max_level, numbered by first occurrence level by level,
+    so the first vertex_count(m) rows are exactly V_m for every m <=
+    max_level, with indices stable across different max_level builds.
     triangles[m] is an int64 (3**m, 3) array of vertex ids (bottom-left,
     bottom-right, top); row j holds the triangle with 1-based index j + 1,
-    and T_r maps it to row j + r*3**m of level m + 1. Immutable after
-    construction.
+    and T_r (id map phi_r, see build_gasket) maps it to row j + r*3**m of
+    level m + 1. Immutable after construction.
     """
 
     def __init__(self, max_level, triangles, vertices, level_vertex_counts):
@@ -170,6 +171,15 @@ def complex_bytes(max_level: int) -> int:
 def build_gasket(max_level: int) -> PrefractalComplex:
     """Construct the exact prefractal complex through max_level.
 
+    T_r sends vertex v to phi_r[v]; level m + 1's table is phi_0, phi_1,
+    phi_2 of level m's, stacked. phi is [[0, 3, 4], [3, 1, 5], [4, 5, 2]]
+    on V_0 and sends level m's new block (m >= 1), the k = 3^m ids of V_m
+    outside V_(m-1), in order to |V_m| + r*k + arange(k). That is first
+    occurrence, as T_r(K) meets T_s(K) only in V_1, which meets T_r(K) in
+    T_r(V_0) (Kigami, Analysis on Fractals, 2001, ch. 1): the block's
+    images are new, disjoint and all that level m + 1 adds, in T_0, T_1,
+    T_2 row order. Only they get coordinates, from similitude_apply.
+
     Raises ValueError, before allocating anything, when the estimated size
     exceeds MEMORY_GUARD_BYTES.
     """
@@ -178,33 +188,22 @@ def build_gasket(max_level: int) -> PrefractalComplex:
     check_memory(complex_bytes(max_level),
                  "max_level %d is past the size cap: the complex" % max_level)
 
-    # corner points of every triangle, level by level; the children of
-    # level m are T_0, T_1, T_2 of all its triangles, in that order, so
-    # the child of row j under T_r is row j + r*3^m
     scale = 1 << max_level
-    points = [scale * CORNERS[None]]
-    for _ in range(max_level):
-        points.append(np.concatenate([similitude_apply(r, points[-1], scale)
-                                      for r in range(3)]))
-
-    # intern by first occurrence in the order levels, triangles, corners
-    flat = np.concatenate([p.reshape(-1, 2) for p in points])
-    keys = flat[:, 0] * (scale + 1) + flat[:, 1]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    ids = rank[inverse.reshape(-1)]
-    vertices = flat[first[order]]
-
-    triangles, level_vertex_counts, start = [], [], 0
-    for m in range(max_level + 1):
-        stop = start + 3 ** (m + 1)
-        triangles.append(ids[start:stop].reshape(-1, 3))
-        level_vertex_counts.append(int(ids[:stop].max()) + 1)
-        start = stop
-
-    return PrefractalComplex(max_level, triangles, vertices, level_vertex_counts)
+    counts = [vertex_count(m) for m in range(max_level + 1)]
+    vertices = np.empty((counts[-1], 2), dtype=np.int64)
+    vertices[:3] = scale * CORNERS
+    # phi[r, v] is the id of T_r(v), filled on V_m when the loop reaches m
+    phi = np.empty((3, counts[max_level - 1] if max_level else 3), dtype=np.int64)
+    phi[:, :3] = [[0, 3, 4], [3, 1, 5], [4, 5, 2]]
+    triangles = [np.array([[0, 1, 2]], dtype=np.int64)]
+    for m in range(max_level):
+        lo, nv = (counts[m - 1] if m else 0), counts[m]  # new block, or V_0
+        if m:
+            phi[:, lo:nv] = nv + (nv - lo) * np.arange(3)[:, None] + np.arange(nv - lo)
+        for r in range(3):
+            vertices[phi[r, lo:nv]] = similitude_apply(r, vertices[lo:nv], scale)
+        triangles.append(np.take(phi, triangles[m], axis=1).reshape(-1, 3))
+    return PrefractalComplex(max_level, triangles, vertices, counts)
 
 
 # -- JSON round-trip ----------------------------------------------------

@@ -58,8 +58,8 @@ def _relax(indptr, nbr, arc, edge_w, sources) -> np.ndarray:
     """
     dist = np.full(len(indptr) - 1, _far(edge_w.dtype), dtype=edge_w.dtype)
     slot_of = np.empty(len(dist), dtype=np.int64)
-    frontier = np.unique(sources)
-    dist[frontier] = 0
+    dist[sources] = 0
+    frontier = np.flatnonzero(dist == 0)
     while len(frontier):
         start = indptr[frontier]
         count = indptr[frontier + 1] - start
@@ -370,8 +370,9 @@ _ROW_ENTRY_BYTES = 36
 
 # bytes per curve that build_gasket leaves held (tracemalloc 13.3-13.4),
 # and the peak bytes of gasket_cell_traces per level-m triangle above
-# them: the first closure's slot table, join mask and vertex tables
-# (tracemalloc 229-252 at m = 9-12, for one trace or a whole run)
+# them: the slot hops, their lift and the first closure's whole-level
+# tables (tracemalloc 117-162 at m = 9-12, for one trace or a whole run).
+# 260 stays, as complex_bytes' 90 does, until m = 14 is measured
 _HELD_BYTES_PER_CURVE = 14
 _TRACE_BYTES_PER_TRIANGLE = 260
 
@@ -483,8 +484,8 @@ def _check_rows(tri, level: int, nv: int) -> None:
 # guard admits; two of them still add up below 2^31, so int32 never wraps
 _UNJOINED = (2**31 - 1) // 2
 
-# cells per Floyd-Warshall block: its (9, 9, block) int32 temporary is 1.3 MB
-_CLOSURE_BLOCK = 1 << 12
+# cells per block of _corner_closure's (9, 9, block) int32 table (332 kB)
+_CLOSURE_BLOCK = 1 << 10
 
 
 def _corner_closure(cx: PrefractalComplex, n: int, child_hops: np.ndarray):
@@ -498,9 +499,9 @@ def _corner_closure(cx: PrefractalComplex, n: int, child_hops: np.ndarray):
     by two level-n cells is such a corner. So a path inside a cell splits
     at child corners into paths inside single children, and a 9-slot
     Floyd-Warshall over the children's tables, slots of one vertex joined
-    at 0, is exact. Returns the int32 (3^n, 3, 3) corner table and
-    (3^n, 3, 3, 3) hops from corner j of child r to corner k of cell c,
-    at [c, r, j, k].
+    at 0, is exact; it runs _CLOSURE_BLOCK cells at a time. Returns the
+    int32 (3^n, 3, 3) corner table and (3^n, 3, 3, 3) hops from corner j
+    of child r to corner k of cell c, at [c, r, j, k].
     """
     corners = np.asarray(cx.triangles[n], dtype=np.int64)
     cells = len(corners)
@@ -537,20 +538,19 @@ def _corner_closure(cx: PrefractalComplex, n: int, child_hops: np.ndarray):
                          "one of its corners %s" % (slots[c, s], n, n, c,
                                                     corners[c].tolist()))
 
-    # slots (of 9) first and cells last, so each min-plus step runs along
-    # one contiguous row per slot pair; slots of one vertex start at 0
-    by_slot = np.ascontiguousarray(slots.T)
-    d = np.multiply(by_slot[:, None] != by_slot[None, :], _UNJOINED, dtype=np.int32)
+    # a 9 x 9 slot table per block, cells last so each min-plus step runs
+    # along contiguous rows; slots of one vertex start at 0
     tables = child_hops.reshape(cells, 3, 3, 3).transpose(1, 2, 3, 0)
-    by_child = d.reshape(3, 3, 3, 3, cells)
-    for r in range(3):
-        by_child[r, :, r] = tables[r]
-    # in blocks of cells, so the temporary stays small at every level
+    to_corner = np.empty((9, 3, cells), dtype=np.int32)  # [slot, corner, cell]
     for lo in range(0, cells, _CLOSURE_BLOCK):
-        block = d[:, :, lo:lo + _CLOSURE_BLOCK]
+        block = slice(lo, min(cells, lo + _CLOSURE_BLOCK))
+        by_slot = np.ascontiguousarray(slots[block].T)
+        d = np.multiply(by_slot[:, None] != by_slot[None, :], _UNJOINED, dtype=np.int32)
+        for r in range(3):
+            d.reshape(3, 3, 3, 3, -1)[r, :, r] = tables[r, ..., block]
         for k in range(9):
-            np.minimum(block, block[:, k, None] + block[None, k], out=block)
-    to_corner = d[:, at, cell]  # [slot, corner, cell]
+            np.minimum(d, d[:, k, None] + d[None, k], out=d)
+        to_corner[..., block] = d[:, at[:, block], cell[:block.stop - lo]]
     if (to_corner >= _UNJOINED).any():
         s, k, c = np.argwhere(to_corner >= _UNJOINED)[0].tolist()
         raise ValueError("vertex %d of level-%d cell %d is unreachable from its "

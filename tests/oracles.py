@@ -2,6 +2,10 @@
 
 None of this is on a production path, and none of it is fast:
 
+  * interning_build: gasket.build_gasket as it was before the id maps.
+    It applies T_0, T_1 and T_2 to the corner points of every triangle,
+    level by level, and interns all of them at once by first occurrence
+    with np.unique, argsort and a rank table.
   * hop_block / hop_block_agreement: the bit-parallel multi-source BFS
     that certified vertex agreement before the cell trace
     (metric.gasket_cell_trace) replaced it; the cell certificate must
@@ -70,7 +74,8 @@ from math import lcm
 import numpy as np
 
 from prefractal.curves import kappa, kappa_inverse
-from prefractal.gasket import CURVE_SLOTS, PrefractalComplex, build_gasket, dyadic_to_pair
+from prefractal.gasket import (CORNERS, CURVE_SLOTS, PrefractalComplex, build_gasket,
+                               dyadic_to_pair, similitude_apply)
 from prefractal.harmonic import (
     EMBED_SCALE,
     HarmonicTable,
@@ -85,6 +90,35 @@ from prefractal.spectrum import PI_LOWER, PI_UPPER
 from prefractal.svg import PALETTE, _f
 from prefractal.transport import (CoupledGraph, DiscreteMeasure, ExtentReport,
                                   _require_premises, kantorovich)
+
+
+# -- the complex by interning every corner point -------------------------
+
+
+def interning_build(max_level: int) -> PrefractalComplex:
+    """The complex through max_level, its vertices interned by first
+    occurrence in the order levels, triangles, corners."""
+    # the children of level m are T_0, T_1, T_2 of all its triangles, in
+    # that order, so the child of row j under T_r is row j + r*3^m
+    scale = 1 << max_level
+    points = [scale * CORNERS[None]]
+    for _ in range(max_level):
+        points.append(np.concatenate([similitude_apply(r, points[-1], scale)
+                                      for r in range(3)]))
+    flat = np.concatenate([p.reshape(-1, 2) for p in points])
+    keys = flat[:, 0] * (scale + 1) + flat[:, 1]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ids = rank[inverse.reshape(-1)]
+    triangles, level_vertex_counts, start = [], [], 0
+    for m in range(max_level + 1):
+        stop = start + 3 ** (m + 1)
+        triangles.append(ids[start:stop].reshape(-1, 3))
+        level_vertex_counts.append(int(ids[:stop].max()) + 1)
+        start = stop
+    return PrefractalComplex(max_level, triangles, flat[first[order]], level_vertex_counts)
 
 
 # -- hop blocks by bit-parallel multi-source BFS -------------------------

@@ -7,8 +7,9 @@ Core claims:
     - counts: 3^(n+1) triangles' edges at level n, (3^(n+1)+3)/2 vertices;
     - vertex enumeration is a stable prefix: V_n sits at the front of any
       deeper build, and equals the brute-force iterated-map vertex set;
+    - the id-map build equals the interning build it replaced;
     - oversized builds are refused before anything is allocated, and the
-      build's memory stays within its estimate;
+      build's memory stays within its estimate and near what it holds;
     - a serialized complex is validated against its own triangle table,
       and its JSON text is json.dumps's text of complex_to_dict.
 """
@@ -22,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import interning_build
 from prefractal.curves import curve_count, kappa, kappa_inverse, vertex_count
 from prefractal.gasket import (
     CORNERS,
@@ -186,6 +188,16 @@ class TestBuildGasket:
                     for a, b in cx.vertices.tolist()] == vertices
             assert [list(map(tuple, t.tolist())) for t in cx.triangles] == triangles
 
+    def test_matches_the_interning_build(self):
+        for level in range(11):
+            cx, ref = build_gasket(level), interning_build(level)
+            assert cx.level_vertex_counts == ref.level_vertex_counts
+            assert np.array_equal(cx.vertices, ref.vertices)
+            assert len(cx.triangles) == len(ref.triangles) == level + 1
+            for got, want in zip(cx.triangles, ref.triangles):
+                assert got.dtype == want.dtype == np.int64
+                assert np.array_equal(got, want)
+
     def test_vertices_match_brute_force(self):
         cx = build_gasket(4)
         mine = sorted(map(tuple, cx.euclidean().tolist()))
@@ -253,6 +265,19 @@ class TestBuildGasket:
             tracemalloc.stop()
         assert peak <= complex_bytes(9)
         assert held < 32 * cx.b_n
+
+    def test_peak_stays_near_what_the_build_holds(self):
+        # the id maps are the only transient: peak 1.20x held at levels
+        # 9-12, where interning every corner point peaked at 6.5x
+        build_gasket(9)
+        tracemalloc.start()
+        try:
+            cx = build_gasket(9)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held >= 12 * cx.b_n
+        assert peak < 1.5 * held
 
     def test_level_eleven_still_builds(self):
         cx = build_gasket(11)

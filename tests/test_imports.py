@@ -97,6 +97,22 @@ class TestCommandFootprint:
         assert "prefractal.metric" not in loaded
         assert "numpy.ma" not in loaded
 
+    # numpy imports numpy.ma lazily, and some calls (np.unique among them)
+    # load it; it adds about 15 ms to a command's start-up
+    @pytest.mark.parametrize("argv", [
+        ("gh-table", "--max-level", "3", "--m", "5"),
+        ("extent", "--n", "2", "--m", "5"),
+        ("kantorovich", "--level", "3", "--mu", "0:1", "--nu", "1:1/2,2:1/2"),
+        ("gen", "--level", "3", "--format", "json"),
+        ("gen", "--level", "3", "--format", "svg"),
+        ("dimension", "--infinite", "--lambda-min", "10", "--lambda-max", "1000",
+         "--grid", "20"),
+    ], ids=["gh-table", "extent", "kantorovich", "gen-json", "gen-svg", "dimension"])
+    def test_numpy_commands_load_no_masked_arrays(self, argv):
+        loaded = _loaded(*argv)
+        assert "numpy" in loaded
+        assert "numpy.ma" not in loaded
+
 
 class TestLazyExports:
     def test_public_names(self):

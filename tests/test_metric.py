@@ -11,6 +11,7 @@ Core claims:
 
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -642,6 +643,43 @@ def test_lifted_traces_match_the_bfs_oracle(max_levels, m):
     _assert_same_trace(gasket_cell_trace(cx, max_level, m), bfs[max_level])
 
 
+@pytest.mark.parametrize("block", [1, 5])
+def test_closure_does_not_depend_on_the_block_size(block, monkeypatch):
+    cx = build_gasket(7)
+    default = list(gasket_cell_traces(cx, 7, 7))
+    # every gasket cell has the same child tables, so also close random
+    # ones, where a block that read another block's tables would show
+    rng = np.random.default_rng(7)
+    child_hops = rng.integers(1, 10, size=(3**6, 3, 3), dtype=np.int32)
+    child_hops += child_hops.transpose(0, 2, 1)
+    child_hops[:, range(3), range(3)] = 0
+    closed = metric._corner_closure(cx, 5, child_hops)
+    monkeypatch.setattr(metric, "_CLOSURE_BLOCK", block)
+    blocked = list(gasket_cell_traces(cx, 7, 7))
+    assert [t.n for t in blocked] == list(range(7, -1, -1))
+    for trace, want in zip(blocked, default):
+        _assert_same_trace(trace, want)
+        _assert_same_trace(trace, bfs_cell_trace(cx, trace.n, 7))
+    for got, want in zip(metric._corner_closure(cx, 5, child_hops), closed):
+        assert np.array_equal(got, want)
+
+
+def test_trace_pass_peaks_below_its_share_per_triangle():
+    # the closure holds one block's slot table, not 324 B per cell of the
+    # level: a (6, 9) pass peaked at 156 B per level-9 triangle under
+    # tracemalloc, 249 B with the whole level's table
+    cx = build_gasket(9)
+    list(gasket_cell_traces(cx, 6, 9))
+    tracemalloc.start()
+    try:
+        for _ in gasket_cell_traces(cx, 6, 9):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 180 * 3**9, peak
+
+
 CX3 = build_gasket(3)
 
 
@@ -716,3 +754,24 @@ class TestLiftedPremises:
         with pytest.raises(ValueError, match="vertex 0 of level-1 cell 0 is "
                                              "unreachable from its corner 3"):
             list(gasket_cell_traces(cx, 2, 3))
+
+
+# every forged-complex premise test, rerun with blocks of one and two
+# cells, which split the failing level-1 cells; each checks its message
+PREMISE_TESTS = [
+    "TestCellTrace::test_shared_vertex_outside_v_n_is_named",
+    "TestCellTrace::test_v_n_vertex_off_the_corners_is_named",
+    "TestCellTrace::test_bad_coarser_row_is_named_as_the_lift_passes_it",
+    "TestLiftedPremises::test_vertex_shared_by_two_cells_is_named",
+    "TestLiftedPremises::test_v_n_child_corner_off_the_corners_is_named",
+    "TestLiftedPremises::test_corner_missing_from_the_children_is_named",
+    "TestLiftedPremises::test_corners_left_unjoined_are_named",
+]
+
+
+@pytest.mark.parametrize("block", [1, 2])
+@pytest.mark.parametrize("case", PREMISE_TESTS)
+def test_premise_messages_do_not_depend_on_the_block_size(case, block, monkeypatch):
+    monkeypatch.setattr(metric, "_CLOSURE_BLOCK", block)
+    cls, name = case.split("::")
+    getattr(globals()[cls](), name)()
