@@ -11,11 +11,11 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "curves": ("curve_count", "kappa", "kappa_inverse", "vertex_count"),
-    "gasket": ("CORNERS", "CURVE_KINDS", "CURVE_SLOTS", "MEMORY_GUARD_BYTES",
-               "PrefractalComplex", "build_gasket", "complex_from_dict",
-               "complex_json_chunks", "complex_to_dict", "dyadic_from_pair",
-               "dyadic_to_pair", "similitude_apply"),
+    "curves": ("GasketSpace", "MEMORY_GUARD_BYTES", "curve_count", "kappa",
+               "kappa_inverse", "vertex_count", "vertex_word"),
+    "gasket": ("CORNERS", "CURVE_KINDS", "CURVE_SLOTS", "PrefractalComplex",
+               "build_gasket", "complex_from_dict", "complex_json_chunks",
+               "complex_to_dict", "dyadic_from_pair", "dyadic_to_pair", "similitude_apply"),
     "metric": ("AgreementReport", "FiniteMetricSpace", "GHBoundReport", "MetricGraph",
                "certify_vertex_agreement", "gasket_cell_trace", "gasket_metric_graph",
                "gh_upper_bound", "hausdorff", "hausdorff_vertex_sets", "sample_parameters"),

@@ -8,9 +8,9 @@ a file. Exit codes: 0 success, 2 validation error, 3 non-convergence;
 failures print a machine-readable JSON object on stderr.
 
 Each command imports the modules it calls inside its own body, so a
-command loads only what it runs: `spectrum` and `covariant` never import
-numpy, and `gen` of the plain gasket loads neither the metric nor the
-harmonic code.
+command loads only what it runs: `spectrum`, `covariant` and `kantorovich`
+never import numpy, and `gen` of the plain gasket loads neither the
+metric nor the harmonic code.
 """
 
 from __future__ import annotations
@@ -35,11 +35,13 @@ SCHEMA_VERSION = 2
 # svg` streams the same way (sg: 52.0/96.6/230.4 MiB at levels 11-13)
 _JSON_BYTES_PER_CURVE = {"sg": 90, "harmonic": 300}
 
-# peak RSS of `kantorovich` per edge of the level's metric graph above the
-# base: the complex, the graph's arrays and the solver's per-slot lists
-# (57.0/113.8/256.3 MiB at levels 9-11 under wait4 on a one-point query
-# from corner 0 to corner 1, 443-484 B per edge)
-_KANTOROVICH_BYTES_PER_EDGE = 500
+# peak RSS of `kantorovich` (no numpy): 16.4-16.9 MiB under wait4 for 1-80
+# support points at levels 1-11, plus 40 + level/8 B per int slot: k^2 for
+# the distance block, 16 per point and level for the oracle's tables (k =
+# 500/1000 at level 11: 22.9/41.1 MiB, 26 B per entry; k = 500 at level
+# 38: 29.4 MiB, 480 B per table)
+_KANTOROVICH_BASE_BYTES = 17 << 20
+_KANTOROVICH_SLOTS_PER_TABLE = 16
 
 # peak RSS of `dimension` per cutoff grid point above the base: the grid
 # arrays, the counting table, the fit's lists and the written document
@@ -107,14 +109,18 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         if "/" in text:
             return Fraction(text)
-        if any(c in text for c in ".eE"):
-            # 1e400 overflows to inf, which Fraction refuses
-            return Fraction(repr(float(text)))
-        return Fraction(int(text))
+        if not any(c in text for c in ".eE"):
+            return Fraction(int(text))
+        # 1e400 overflows to inf, which Fraction refuses
+        value = Fraction(repr(float(text)))
+        underflow = value == 0 and Fraction(text) != 0
     except ZeroDivisionError:
         raise ValueError("fraction %r has a zero denominator" % text) from None
     except ValueError:
         raise ValueError("%r is not a finite integer, decimal or fraction" % text) from None
+    if underflow:
+        raise ValueError("%r is not zero but underflows to 0 as a float" % text)
+    return value
 
 
 def _parse_measure(text: str):
@@ -278,18 +284,17 @@ def cmd_dimension(args) -> Iterable[str]:
 
 
 def cmd_kantorovich(args) -> Iterable[str]:
-    from .curves import vertex_count
-    from .gasket import BASE_BYTES, build_gasket, check_memory
-    from .metric import gasket_metric_graph
-    from .transport import check_support, kantorovich
+    from .curves import GasketSpace, check_memory
+    from .transport import kantorovich
 
     mu = _parse_measure(args.mu)
     nu = _parse_measure(args.nu)
-    check_support(mu, nu, vertex_count(args.level))
-    check_memory(BASE_BYTES + _KANTOROVICH_BYTES_PER_EDGE * 3 ** (args.level + 1),
-                 "kantorovich at level %d: the metric graph" % args.level)
-    graph = gasket_metric_graph(build_gasket(args.level), args.level)
-    res = kantorovich(graph, mu, nu)
+    k = len(set(mu.support) | set(nu.support))
+    slots = k * k + _KANTOROVICH_SLOTS_PER_TABLE * k * args.level
+    check_memory(_KANTOROVICH_BASE_BYTES + slots * (40 + args.level // 8),
+                 "kantorovich on %d support points at level %d: the distance block "
+                 "and the oracle's tables" % (k, args.level))
+    res = kantorovich(GasketSpace(args.level), mu, nu)
     return _json_chunks("kantorovich", _config_echo(args), {"transport": res.to_dict()})
 
 

@@ -1,15 +1,32 @@
-"""Curve and vertex counts of the gasket's standard parametrization.
+"""Curve and vertex ids of the gasket's standard parametrization.
 
 The bottom, right and left edges of the r-th level-m triangle are curves
 kappa(m, r), kappa(m, r) + 1 and kappa(m, r) + 2; through level n there
-are curve_count(n) curves on vertex_count(n) vertices. This is integer
-arithmetic on ids only, with no complex and no arrays, so the sparse
-mode vectors of `covariant` index their curves without importing numpy.
+are curve_count(n) curves on vertex_count(n) vertices. GasketSpace reads
+the geodesic distance between two vertices from their ids. This is
+integer arithmetic on ids only, with no complex and no arrays, so the
+sparse mode vectors of `covariant` and the transport of `kantorovich`
+run without importing numpy.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+
+# cap on the estimated bytes of a complex's build, a row-by-row agreement
+# check, or a CLI command (each estimates its own peak); it also keeps a
+# complex's int64 lattice coordinates (at most 2**max_level) far from overflow
+MEMORY_GUARD_BYTES = 2**30
+
+# phi_r on V_0, row r: the ids of T_r(v_0), T_r(v_1), T_r(v_2), level-1 triangle r
+V0_IMAGES = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
+
+
+def check_memory(need: int, what: str) -> None:
+    """Raise ValueError when `need` bytes exceed MEMORY_GUARD_BYTES."""
+    if need > MEMORY_GUARD_BYTES:
+        raise ValueError("%s needs about %d MiB, above the guard of %d MiB"
+                         % (what, need >> 20, MEMORY_GUARD_BYTES >> 20))
 
 
 def kappa(n: int, r: int) -> int:
@@ -50,3 +67,82 @@ def vertex_count(n: int) -> int:
         raise ValueError("level must be nonnegative, got %d" % n)
     return (3 ** (n + 1) + 3) // 2
 
+
+# hops between the six V_1 vertices: Floyd-Warshall over the sides of the
+# level-1 triangles V0_IMAGES
+_V1_HOPS = [[0 if p == q else 1 if any({p, q} <= set(t) for t in V0_IMAGES) else 6
+             for q in range(6)] for p in range(6)]
+for _k in range(6):
+    _V1_HOPS = [[min(row[q], row[_k] + _V1_HOPS[_k][q]) for q in range(6)] for row in _V1_HOPS]
+
+
+def vertex_word(v: int) -> tuple[list[int], int]:
+    """(w, p) with p in V_1 and vertex v = T_w[0] ... T_w[-1](p), w empty
+    on V_1 and one letter shorter than v's first level otherwise.
+
+    Inverts build_gasket's id maps: for L >= 2 the new block of V_L holds
+    |V_(L-1)| + r*3^(L-1) + i = T_r(|V_(L-2)| + i), 0 <= i < 3^(L-1).
+    """
+    if v < 0:
+        raise ValueError("vertex id must be nonnegative, got %d" % v)
+    counts = [3, 6]  # |V_0|, |V_1|, ..., up to the first above v
+    while counts[-1] <= v:
+        counts.append(3 * counts[-1] - 3)
+    word = []
+    for level in range(len(counts) - 1, 1, -1):
+        r, i = divmod(v - counts[level - 1], (counts[level] - counts[level - 1]) // 3)
+        word.append(r)
+        v = counts[level - 2] + i
+    return word, v
+
+
+class GasketSpace:
+    """V_level of the gasket with its geodesic metric, read from vertex ids.
+
+    Distances are ints over `scale`, hops of level max(level, 1). A path
+    leaves a cell through its corners, and none between two corners is
+    shorter than their side (Kigami, Analysis on Fractals, 2001, ch. 1;
+    Hinz & Schief, "The average distance on the Sierpinski gasket", PTRF
+    1990), so d on a cell is its own, and on its V_1 the hop metric.
+
+    x = T_w(p) lies in the cells T_w[:k](K), k <= |w|. Its table delta_k
+    holds d(x, q) for the six points q of the level-k cell's V_1: the
+    scaled V_1 hops from p at k = |w|, then one 6-point min-plus step per
+    level, delta_k(q) = min_j delta_(k+1)(j) + d(phi_r(j), q), as the
+    child T_r holding x meets the rest of the cell only at its corners
+    phi_r(V_0). A pair meets at its lowest common cell, the longest
+    common prefix u of the words, and d(x, y) = min_q delta_x(q) +
+    delta_y(q) over that cell's V_1: a geodesic leaves the child of x
+    through one of its corners, unless y is in that child and so is
+    itself a corner, or the word of x ends at u and x is a q.
+    """
+
+    def __init__(self, level: int):
+        self.vertex_count = vertex_count(level)
+        self.level = level
+        self.scale = 2 ** max(level, 1)
+
+    def _tables(self, v: int) -> tuple[list[int], list[list[int]]]:
+        """The word of v and its delta_k for k = 0..|word|, over scale."""
+        if not 0 <= v < self.vertex_count:
+            raise ValueError("vertex %d is not in V_%d" % (v, self.level))
+        word, p = vertex_word(v)
+        unit = self.scale >> len(word) + 1  # a V_1 hop of v's own cell
+        tables = [[h * unit for h in _V1_HOPS[p]]]
+        for r in reversed(word):
+            unit *= 2
+            delta, hops = tables[-1], [_V1_HOPS[c] for c in V0_IMAGES[r]]
+            tables.append([min(delta[j] + hops[j][q] * unit for j in range(3))
+                           for q in range(6)])
+        return word, tables[::-1]
+
+    def support_block(self, nodes) -> tuple[list[list[int]], int]:
+        """The distances among `nodes`, ints over `scale`, and `scale`."""
+        points = [self._tables(v) for v in nodes]
+        block = [[0] * len(points) for _ in points]
+        for a, (word_a, tables_a) in enumerate(points):
+            for c, (word_c, tables_c) in enumerate(points[:a]):
+                k = next((k for k, (x, y) in enumerate(zip(word_a, word_c)) if x != y),
+                         min(len(word_a), len(word_c)))
+                block[a][c] = block[c][a] = min(map(int.__add__, tables_a[k], tables_c[k]))
+        return block, self.scale

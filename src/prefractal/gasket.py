@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curves import curve_count, kappa, vertex_count
+from .curves import V0_IMAGES, check_memory, curve_count, kappa, vertex_count
 
 CURVE_KINDS = ("bottom", "right", "left")
 
@@ -42,12 +42,6 @@ _SQRT3_2 = math.sqrt(3.0) / 2.0
 CORNERS = np.array([[0, 0], [1, 0], [0, 1]], dtype=np.int64)
 CORNERS.flags.writeable = False
 
-# cap on the estimated bytes of one allocation-heavy step: building a
-# complex, a row-by-row vertex-agreement check, or a CLI command that
-# builds a complex (each command estimates its own peak). It also
-# keeps the int64 lattice coordinates (at most 2**max_level) far from overflow.
-MEMORY_GUARD_BYTES = 2**30
-
 # peak RSS of a command that imports numpy and the gasket and builds the
 # smallest complex (`gen --level 0` peaks at 29.1 MiB under wait4); the
 # CLI's guards add their command's own estimate on top of it
@@ -57,13 +51,6 @@ BASE_BYTES = 32 << 20
 # peaks at 16.0 (tracemalloc, levels 9-12); 90 stays, so the guard keeps
 # refusing level 14 until that level is measured end to end
 _BYTES_PER_CURVE = 90
-
-
-def check_memory(need: int, what: str) -> None:
-    """Raise ValueError when `need` bytes exceed MEMORY_GUARD_BYTES."""
-    if need > MEMORY_GUARD_BYTES:
-        raise ValueError("%s needs about %d MiB, above the guard of %d MiB"
-                         % (what, need >> 20, MEMORY_GUARD_BYTES >> 20))
 
 
 def check_tolerance(tol) -> None:
@@ -172,13 +159,13 @@ def build_gasket(max_level: int) -> PrefractalComplex:
     """Construct the exact prefractal complex through max_level.
 
     T_r sends vertex v to phi_r[v]; level m + 1's table is phi_0, phi_1,
-    phi_2 of level m's, stacked. phi is [[0, 3, 4], [3, 1, 5], [4, 5, 2]]
-    on V_0 and sends level m's new block (m >= 1), the k = 3^m ids of V_m
-    outside V_(m-1), in order to |V_m| + r*k + arange(k). That is first
-    occurrence, as T_r(K) meets T_s(K) only in V_1, which meets T_r(K) in
-    T_r(V_0) (Kigami, Analysis on Fractals, 2001, ch. 1): the block's
-    images are new, disjoint and all that level m + 1 adds, in T_0, T_1,
-    T_2 row order. Only they get coordinates, from similitude_apply.
+    phi_2 of level m's, stacked. phi is curves.V0_IMAGES on V_0 and sends
+    level m's new block (m >= 1), the k = 3^m ids of V_m outside V_(m-1),
+    in order to |V_m| + r*k + arange(k). That is first occurrence, as
+    T_r(K) meets T_s(K) only in V_1, which meets T_r(K) in T_r(V_0)
+    (Kigami, Analysis on Fractals, 2001, ch. 1): the block's images are
+    new, disjoint and all that level m + 1 adds, in T_0, T_1, T_2 row
+    order. Only they get coordinates, from similitude_apply.
 
     Raises ValueError, before allocating anything, when the estimated size
     exceeds MEMORY_GUARD_BYTES.
@@ -194,7 +181,7 @@ def build_gasket(max_level: int) -> PrefractalComplex:
     vertices[:3] = scale * CORNERS
     # phi[r, v] is the id of T_r(v), filled on V_m when the loop reaches m
     phi = np.empty((3, counts[max_level - 1] if max_level else 3), dtype=np.int64)
-    phi[:, :3] = [[0, 3, 4], [3, 1, 5], [4, 5, 2]]
+    phi[:, :3] = V0_IMAGES
     triangles = [np.array([[0, 1, 2]], dtype=np.int64)]
     for m in range(max_level):
         lo, nv = (counts[m - 1] if m else 0), counts[m]  # new block, or V_0

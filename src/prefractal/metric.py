@@ -31,10 +31,6 @@ from .gasket import (BASE_BYTES, CURVE_SLOTS, PrefractalComplex, check_memory,
                      complex_bytes, dyadic_from_pair)
 
 
-def _is_exact_weight(w) -> bool:
-    return isinstance(w, (int, Fraction))
-
-
 def _exact_dtype(bound: int):
     """int64 for values under a bound below 2^62 (sums of two fit), else Python ints."""
     return np.int64 if bound < 2**62 else object
@@ -200,6 +196,10 @@ class MetricGraph:
         """Internal-unit distance rows per source (ints if exact)."""
         return [self._sssp([s]) for s in sources]
 
+    def support_block(self, nodes):
+        """Distances among `nodes` in internal units, and value_scale()."""
+        return [[row[j] for j in nodes] for row in self.internal_rows(nodes)], self._den
+
 
 def gasket_metric_graph(cx: PrefractalComplex, level: int | None = None,
                         harmonic_lengths=None) -> MetricGraph:
@@ -243,10 +243,10 @@ class FiniteMetricSpace:
     def __init__(self, labels, matrix, validate=True):
         self.labels = list(labels)
         self.matrix = [list(row) for row in matrix]
-        n = len(self.labels)
+        self.vertex_count = n = len(self.labels)
         if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
             raise ValueError("distance matrix shape does not match labels")
-        self.exact = all(_is_exact_weight(e) for row in self.matrix for e in row)
+        self.exact = all(isinstance(e, (int, Fraction)) for row in self.matrix for e in row)
         if validate:
             self._validate()
 
@@ -255,6 +255,15 @@ class FiniteMetricSpace:
 
     def distance(self, i: int, j: int):
         return self.matrix[i][j]
+
+    def support_block(self, nodes):
+        """Distances among `nodes`: ints over their lcm denominator and it
+        when the space is exact, else floats and None."""
+        block = [[self.matrix[i][j] for j in nodes] for i in nodes]
+        if not self.exact:
+            return [list(map(float, row)) for row in block], None
+        den = lcm(*(e.denominator for row in block for e in row))
+        return [[e.numerator * (den // e.denominator) for e in row] for row in block], den
 
     def _validate(self):
         n = len(self.labels)

@@ -1,15 +1,15 @@
 """Optimal transport on finite metric spaces and coupled two-scale graphs.
 
-Kantorovich distances are solved as uncapacitated min-cost flow by
-successive shortest paths: on a metric graph's own edges, or on the
-complete graph of the support union of a finite metric space. Rational
+Kantorovich distances are solved on the distance block of the support
+union alone: a FiniteMetricSpace reads its matrix, a MetricGraph runs one
+traversal per support point, and a GasketSpace (prefractal.curves) reads
+the gasket's geodesics from vertex ids. Mass moves from the net-supply to
+the net-demand points, as a metric needs no transshipment. Rational
 inputs run in integers at any support size (masses scaled by the lcm of
-their denominators) and the strong-duality gap must be exactly zero;
-float inputs get a 1e-9 gap tolerance. The returned potentials are
-1-Lipschitz on every edge of the solved graph and certify the optimum.
-Each plan entry (s, t) is certified by the flow path it was walked along:
-its length must equal phi(t) - phi(s) <= d(s, t), so the entry costs its
-geodesic distance, and no traversal is run.
+their denominators) and the duality gap must be exactly zero; float
+inputs get a 1e-9 gap tolerance. The potentials are checked 1-Lipschitz
+on every pair of the support union, and every plan entry (s, t) tight:
+its potentials differ by exactly d(s, t).
 
 The extent certificate bounds, from the gasket's cell trace, how far a
 Dirac state on the fine level sits from the coarse one glued to it by
@@ -17,7 +17,8 @@ cross edges of weight alpha. Reported numbers are upper bounds from
 measured Hausdorff quantities; premises are checked, not assumed. Its
 mixture spot-checks solve no transport: moving each atom to its nearest
 V_n vertex is optimal by Kantorovich-Rubinstein duality, so their value
-is a closed-form sum over the atoms.
+is a closed-form sum over the atoms. Only CoupledGraph and
+certify_extent import numpy and prefractal.metric, when they run.
 """
 
 from __future__ import annotations
@@ -27,15 +28,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, lcm
-
-import numpy as np
-
-from .gasket import PrefractalComplex
-from .metric import (CellTrace, FiniteMetricSpace, MetricGraph, _is_exact_weight,
-                     certify_trace_agreement, gasket_metric_graph, gh_upper_bound)
+from operator import mul, truediv
 
 _FLOAT_MASS_TOL = 1e-12
 _FLOAT_GAP_TOL = 1e-9
+
+
+def _is_exact_weight(w) -> bool:
+    return isinstance(w, (int, Fraction))
 
 
 def _as_float(value):
@@ -131,237 +131,132 @@ class TransportResult:
         }
 
 
-def _min_cost_flow(graph: MetricGraph, b, floor):
-    """Uncapacitated min-cost flow on the graph's edges for imbalances b.
+def _transport(d, b, floor):
+    """Uncapacitated transport on the distance block d for net supplies b,
+    from the points above `floor` to those below -floor.
 
     Successive shortest paths: each round runs heap Dijkstra under reduced
-    costs from every vertex whose excess is above `floor`, stops at the
-    first vertex with a deficit, and augments along that path. Edge e is
-    arc 2e from its first to its second endpoint and arc 2e+1 back; an arc
-    whose reverse carries flow cancels it at the negated cost. Returns
-    (arc flows, potentials phi) with w + phi[u] - phi[v] >= 0 on every
-    residual arc and equality on arcs that carry flow.
+    costs from the first point with excess above `floor`, over the arcs
+    from a supply point to every demand point and, at the negated cost,
+    back along each pair that carries flow, and augments along the path
+    to the first point with a deficit. The potentials phi keep d(s, t) +
+    phi[s] - phi[t] >= 0 on every arc, with equality where flow runs.
+    Returns the flow {(s, t): mass} and f(x) = min over supply points s of
+    phi[s] + d(s, x), which is 1-Lipschitz and phi where flow runs.
     """
-    n = graph.vertex_count
-    indptr, nbr, arc = graph.indptr.tolist(), graph.nbr.tolist(), graph.arc.tolist()
-    weights = graph.weights
-    active = [v for v, x in enumerate(b) if x]
-    excess = list(b)
-    flow = [0] * len(arc)
-    phi = [0] * n
-    pop, push = heapq.heappop, heapq.heappush
-    guard = 4 * (len(active) + len(weights)) + 16
+    supply = [v for v, x in enumerate(b) if x > floor]
+    demand = [v for v, x in enumerate(b) if x < -floor]
+    excess, flow, phi = list(b), {}, [0] * len(b)
+    into = {t: {} for t in demand}  # the supply points that send t flow
+    guard = 4 * (len(supply) + 1) * (len(demand) + 1)
     for _ in range(guard):
-        sources = [v for v in active if excess[v] > floor]
-        if not sources or not any(excess[v] < -floor for v in active):
-            return flow, phi
-        dist = dict.fromkeys(sources, 0)
-        heap = [(0, s) for s in sources]
-        parent = {}
-        done = {}
-        t = None
-        while heap:
-            d, u = pop(heap)
+        source = next((s for s in supply if excess[s] > floor), None)
+        if source is None or all(excess[t] >= -floor for t in demand):
+            break
+        dist, heap, parent, done = {source: 0}, [(0, source)], {}, {}
+        while heap:  # every demand point is one arc from the source
+            du, u = heapq.heappop(heap)
             if u in done:
                 continue
-            done[u] = d
+            done[u] = du
             if excess[u] < -floor:
-                t = u
                 break
-            base = d + phi[u]
-            for k in range(indptr[u], indptr[u + 1]):
-                v = nbr[k]
-                if v in done:
-                    continue
-                a = arc[k]
-                w = weights[a >> 1]
-                nd = base + (-w if flow[a ^ 1] > 0 else w) - phi[v]
+            base = du + phi[u]
+            if u in into:
+                arcs = [(s, base - d[s][u] - phi[s]) for s in into[u] if s not in done]
+            else:
+                row = d[u]
+                arcs = [(t, base + row[t] - phi[t]) for t in demand if t not in done]
+            for v, nd in arcs:
                 if v not in dist or nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = (u, a)
-                    push(heap, (nd, v))
-        if t is None:
-            raise RuntimeError("no vertex with a deficit is reachable")
-        # shifting phi by min(d, d_t) - d_t keeps reduced costs nonnegative
-        # and touches only the settled vertices
-        d_t = done[t]
-        for v, d in done.items():
-            phi[v] += d - d_t
-        path = []
-        s = t
-        while s in parent:
-            s, a = parent[s]
-            path.append(a)
-        amount = min([excess[s], -excess[t]]
-                     + [flow[a ^ 1] for a in path if flow[a ^ 1] > 0])
-        for a in path:
-            if flow[a ^ 1] > 0:
-                flow[a ^ 1] -= amount
+                    dist[v], parent[v] = nd, u
+                    heapq.heappush(heap, (nd, v))
+        # shifting phi by min(d, d_u) - d_u keeps reduced costs nonnegative
+        for v, dv in done.items():
+            phi[v] += dv - du
+        path, v = [], u
+        while v in parent:
+            path.append((parent[v], v))
+            v = parent[v]
+        # a backward arc leaves a demand point and cancels flow
+        amount = min([excess[v], -excess[u]] + [flow[y, x] for x, y in path if x in into])
+        for x, y in path:
+            if x in into:
+                flow[y, x] -= amount
+                if not flow[y, x]:
+                    del flow[y, x], into[x][y]
             else:
-                flow[a] += amount
-        excess[s] -= amount
-        excess[t] += amount
-    raise RuntimeError("min-cost flow failed to settle within %d augmentations" % guard)
+                flow[x, y] = flow.get((x, y), 0) + amount
+                into[y][x] = True
+        excess[v] -= amount
+        excess[u] += amount
+    else:
+        raise RuntimeError("transport failed to settle within %d augmentations" % guard)
+    return flow, [min(phi[s] + d[s][x] for s in supply) if supply else 0
+                  for x in range(len(b))]
 
 
-def _decompose_flow(graph: MetricGraph, flow, floor):
-    """Split an acyclic arc flow into walks (source, sink, mass, length).
-
-    A walk's length, in internal units, adds the weight of a flow-carrying
-    arc per step, so it is the length of a real path. Flows, supplies and
-    demands at or below `floor` count as zero, as in the solver.
-    """
-    out = {}
-    step = {}
-    net = {}
-    for a, f in enumerate(flow):
-        if f > floor:
-            u, v = graph.ends[a >> 1].tolist()
-            if a & 1:
-                u, v = v, u
-            nbrs = out.setdefault(u, {})
-            nbrs[v] = nbrs.get(v, 0) + f
-            step.setdefault((u, v), graph.weights[a >> 1])
-            net[u] = net.get(u, 0) + f
-            net[v] = net.get(v, 0) - f
-    supply = {v: m for v, m in net.items() if m > floor}
-    demand = {v: -m for v, m in net.items() if -m > floor}
-    walks = []
-    guard = sum(map(len, out.values())) + len(supply) + len(demand) + 1
-    for _ in range(guard):
-        s = next((v for v, m in sorted(supply.items()) if m > floor), None)
-        if s is None:
-            return walks
-        node = s
-        path = []
-        while demand.get(node, 0) <= floor:
-            if not out.get(node) or len(path) > len(out):
-                raise RuntimeError("flow conservation violated at vertex %d" % node)
-            nxt = min(out[node])
-            path.append((node, nxt))
-            node = nxt
-        m = min(supply[s], demand[node], min(out[u][v] for u, v in path))
-        for u, v in path:
-            left = out[u][v] - m
-            if left > floor:
-                out[u][v] = left
-            else:
-                del out[u][v]
-        supply[s] -= m
-        demand[node] -= m
-        walks.append((s, node, m, sum(step[e] for e in path)))
-    raise RuntimeError("flow decomposition did not terminate")
-
-
-def check_support(mu: DiscreteMeasure, nu: DiscreteMeasure, n_pts: int) -> None:
-    """Raise ValueError unless every support index of mu and nu is below n_pts."""
-    for meas, name in ((mu, "mu"), (nu, "nu")):
-        top = max(meas.support)
-        if top >= n_pts:
-            raise ValueError("%s has support index %d but the space has %d points"
-                             % (name, top, n_pts))
-
-
-def kantorovich(space: MetricGraph | FiniteMetricSpace, mu: DiscreteMeasure,
-                nu: DiscreteMeasure) -> TransportResult:
+def kantorovich(space, mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:
     """Optimal transport cost between mu and nu, with a checked certificate.
 
-    On a MetricGraph the transport runs as min-cost flow on the graph's
-    own edges; on a FiniteMetricSpace it runs on the complete graph of the
-    support union, weighted by the space's distances. Exact at any support
-    size when the weights and both measures are rational: masses are
-    scaled to integers by the lcm of their denominators and the duality
-    gap must be exactly zero. Float inputs give float results with a gap
-    of at most 1e-9. The potentials are 1-Lipschitz on every edge of the
-    solved graph and are reported on the support union; each plan entry
-    is certified by its walked flow path, as the module docstring says.
+    `space` is a FiniteMetricSpace, a MetricGraph or a GasketSpace, whose
+    support_block gives the distances among the support union: ints over
+    a common denominator, or floats. Exact at any support size when those
+    and both measures are rational: masses are scaled to integers by the
+    lcm of their denominators and the duality gap must be exactly zero.
+    Float inputs give float results with a gap of at most 1e-9. The
+    potentials are reported on the support union; a failed check names
+    the gap, the pair or the entry.
     """
-    on_graph = isinstance(space, MetricGraph)
-    n_pts = space.vertex_count if on_graph else len(space)
-    check_support(mu, nu, n_pts)
+    for meas, name in ((mu, "mu"), (nu, "nu")):
+        if max(meas.support) >= space.vertex_count:
+            raise ValueError("%s has support index %d but the space has %d points"
+                             % (name, max(meas.support), space.vertex_count))
     nodes = sorted(set(mu.support) | set(nu.support))
-    if on_graph:
-        graph, label = space, range(n_pts)
-    else:
-        # the complete graph: edge (a, c) for every c < a, row by row
-        k = len(nodes)
-        graph = MetricGraph(k, np.stack(np.tril_indices(k, -1), axis=1),
-                            [space.matrix[nodes[a]][nodes[c]]
-                             for a in range(k) for c in range(a)])
-        label = nodes
-    where = {p: p if on_graph else k for k, p in enumerate(nodes)}
-    unit = graph.value_scale() or 1
-    exact = graph.exact and mu.exact and nu.exact
-    if exact:
-        scale = lcm(*(w.denominator for m in (mu, nu) for w in m.weights.values()))
-
-        def lift(w):
-            return w.numerator * (scale // w.denominator)
-
-        out = Fraction
-    else:
-        scale, lift = 1, _as_float
-
-        def out(x, den):
-            return x / den
+    d, unit = space.support_block(nodes)
+    exact = bool(unit) and mu.exact and nu.exact
+    slack, unit = (0, unit) if unit else (_FLOAT_GAP_TOL, 1)
+    scale = lcm(*(w.denominator for m in (mu, nu) for w in m.weights.values())) if exact else 1
+    lift = (lambda w: w.numerator * (scale // w.denominator)) if exact else _as_float
+    out = Fraction if exact else truediv
     den = scale * unit
-    tol = 0 if exact else _FLOAT_GAP_TOL * den
-    floor = 0 if exact else _FLOAT_MASS_TOL
-    mu_w = {where[p]: lift(w) for p, w in mu.weights.items()}
-    nu_w = {where[p]: lift(w) for p, w in nu.weights.items()}
-    b = [0] * graph.vertex_count
-    for v, w in mu_w.items():
-        b[v] += w
-    for v, w in nu_w.items():
-        b[v] -= w
+    tol, floor = (0, 0) if exact else (_FLOAT_GAP_TOL * den, _FLOAT_MASS_TOL)
+    mu_w = {k: lift(mu.weights[p]) for k, p in enumerate(nodes) if p in mu.weights}
+    nu_w = {k: lift(nu.weights[p]) for k, p in enumerate(nodes) if p in nu.weights}
+    b = [mu_w.get(k, 0) - nu_w.get(k, 0) for k in range(len(nodes))]
 
-    flow, phi = _min_cost_flow(graph, b, floor)
-    weights = graph.weights
-    value = sum(f * weights[a >> 1] for a, f in enumerate(flow) if f)
-    gap = value + sum(b[v] * phi[v] for v in where.values())
+    flow, f = _transport(d, b, floor)
+    moved = sorted((s, t, m) for (s, t), m in flow.items() if m > floor)
+    # f(t) - f(s) <= d(s, t) for 1-Lipschitz f, so equality pins each entry's cost
+    for s, t, _ in moved:
+        if abs(f[t] - f[s] - d[s][t]) > slack:
+            raise RuntimeError(
+                "plan entry (%d, %d) moves mass a distance %s, not the potential "
+                "difference %s" % (nodes[s], nodes[t], out(d[s][t], unit),
+                                   out(f[t] - f[s], unit)))
+    value = sum(m * d[s][t] for s, t, m in moved)
+    gap = value + sum(map(mul, b, f))
     if abs(gap) > tol:
         raise RuntimeError("duality gap %s exceeds %g" % (out(gap, den), tol / den))
-    slack = 0 if graph.exact else _FLOAT_GAP_TOL
-    for u, v, w in zip(*graph.ends.T.tolist(), weights):
-        if abs(phi[u] - phi[v]) > w + slack:
-            raise RuntimeError("potentials are not 1-Lipschitz on edge (%d, %d)"
-                               % (label[u], label[v]))
-
-    # phi(t) - phi(s) <= d(s, t) <= length, so equality pins each entry's cost
-    moved, plan_cost = {}, 0
-    for s, t, m, length in _decompose_flow(graph, flow, floor):
-        if abs(length - (phi[t] - phi[s])) > slack:
-            raise RuntimeError(
-                "plan entry (%d, %d) walks a path of length %s, not the "
-                "potential difference %s" % (label[s], label[t], out(length, unit),
-                                             out(phi[t] - phi[s], unit)))
-        moved[s, t] = moved.get((s, t), 0) + m
-        plan_cost += m * length
-    plan = [(v, v, min(w, nu_w[v])) for v, w in mu_w.items() if v in nu_w]
-    plan += [(s, t, m) for (s, t), m in sorted(moved.items())]
-    _check_marginals(plan, mu_w, nu_w, 2 * floor, label)
-    if abs(plan_cost - value) > tol:
-        raise RuntimeError("plan cost %s disagrees with flow cost %s"
-                           % (out(plan_cost, den), out(value, den)))
-
+    for a, row in enumerate(d):
+        for c in range(a):
+            if abs(f[a] - f[c]) > row[c] + slack:
+                raise RuntimeError("potentials are not 1-Lipschitz on pair (%d, %d)"
+                                   % (nodes[c], nodes[a]))
+    plan = [(k, k, min(w, nu_w[k])) for k, w in mu_w.items() if k in nu_w] + moved
+    row, col = {}, {}
+    for s, t, m in plan:
+        row[s] = row.get(s, 0) + m
+        col[t] = col.get(t, 0) + m
+    for k, p in enumerate(nodes):
+        if max(abs(row.get(k, 0) - mu_w.get(k, 0)),
+               abs(col.get(k, 0) - nu_w.get(k, 0))) > 2 * floor:
+            raise RuntimeError("plan marginals disagree with the measures at point %d" % p)
     return TransportResult(
         value=out(value, den),
-        plan=[(label[u], label[v], out(m, scale)) for u, v, m in plan],
-        potentials={p: out(-phi[v], unit) for p, v in where.items()},
+        plan=[(nodes[s], nodes[t], out(m, scale)) for s, t, m in plan],
+        potentials={p: out(-f[k], unit) for k, p in enumerate(nodes)},
         gap=out(gap, den), exact=exact)
-
-
-def _check_marginals(plan, mu_w, nu_w, tol, label):
-    row = {}
-    col = {}
-    for u, v, m in plan:
-        row[u] = row.get(u, 0) + m
-        col[v] = col.get(v, 0) + m
-    for v in sorted(set(mu_w) | set(nu_w) | set(row) | set(col)):
-        if (abs(row.get(v, 0) - mu_w.get(v, 0)) > tol
-                or abs(col.get(v, 0) - nu_w.get(v, 0)) > tol):
-            raise RuntimeError("plan marginals disagree with the measures at "
-                               "point %d" % label[v])
 
 
 # -- Lipschitz calculus ---------------------------------------------------
@@ -431,6 +326,10 @@ class CoupledGraph:
     """
 
     def __init__(self, graph_a: MetricGraph, graph_b: MetricGraph, shared, alpha):
+        import numpy as np
+
+        from .metric import MetricGraph
+
         alpha_f = Fraction(alpha) if _is_exact_weight(alpha) else float(alpha)
         if alpha_f <= 0:
             raise ValueError("cross-edge weight alpha must be positive, got %s" % alpha)
@@ -456,6 +355,8 @@ class CoupledGraph:
         """Couple the fine level-m graph (copy A) to the coarse level-n one."""
         if m < n:
             raise ValueError("fine level m=%d must be at least coarse level n=%d" % (m, n))
+        from .metric import gasket_metric_graph
+
         g_m = gasket_metric_graph(cx, m, harmonic_lengths=harmonic_lengths)
         g_n = gasket_metric_graph(cx, n, harmonic_lengths=harmonic_lengths)
         shared = [(v, v) for v in range(g_n.vertex_count)]
@@ -573,6 +474,8 @@ def certify_extent(trace: CellTrace, alpha=None, samples_per_curve: int = 3,
     crosses at some V_n vertex) and 0 on B, so Kantorovich-Rubinstein
     duality gives W >= int f dmu - int f d(T#mu), the same sum.
     """
+    from .metric import certify_trace_agreement, gh_upper_bound
+
     check_trials(mixture_trials)
     n, m = trace.n, trace.m
     rep = gh_upper_bound(trace, samples_per_curve)

@@ -31,10 +31,12 @@ None of this is on a production path, and none of it is fast:
     exact weight and heap Dijkstra otherwise, is the reference for
     metric._relax, which replaced both. They read only g.edges and
     g.value_scale(), so they share no adjacency code with the graph.
+  * graph_transport: kantorovich's value as it was solved before it ran
+    on the support union alone: min_cost_flow on the whole graph's own
+    edges, the whole-graph reference for the support-union kernel.
   * row_certificate: the plan-cost check kantorovich ran before it
-    certified each plan entry from its walked flow path and the
-    potentials: one distance row per moved source, mass times distance
-    summed and compared with the flow cost.
+    certified each plan entry from its potentials: one distance row per
+    moved source, mass times distance summed and compared with the value.
   * coupled_extent: transport.certify_extent as it ran before the cell
     trace, on the coupled graph of the level-m and level-n gasket graphs:
     Dirac terms from multi-source runs, each mixture atom's target from
@@ -408,9 +410,10 @@ def nearest_sources(g: MetricGraph, sources) -> tuple[list[int], list]:
 
 
 def min_cost_flow(graph: MetricGraph, b, floor):
-    """transport._min_cost_flow over per-vertex (head, weight, arc) lists:
-    successive shortest paths under reduced costs, edge e as arcs 2e and
-    2e+1. Returns (arc flows, potentials)."""
+    """Uncapacitated min-cost flow on the graph's edges for imbalances b,
+    over per-vertex (head, weight, arc) lists: successive shortest paths
+    under reduced costs, from every vertex whose excess is above `floor`,
+    edge e as arcs 2e and 2e+1. Returns (arc flows, potentials)."""
     edges = internal_edges(graph)
     n = graph.vertex_count
     arcs = [[] for _ in range(n)]
@@ -469,6 +472,25 @@ def min_cost_flow(graph: MetricGraph, b, floor):
         excess[s] -= amount
         excess[t] += amount
     raise RuntimeError("min-cost flow failed to settle within %d augmentations" % guard)
+
+
+def graph_transport(graph: MetricGraph, mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """The Kantorovich distance by min_cost_flow on the whole graph: a
+    Fraction when the graph and both measures are exact, with masses
+    scaled by the lcm of their denominators, else a float with the 1e-12
+    mass floor."""
+    exact = graph.exact and mu.exact and nu.exact
+    scale = (lcm(*(w.denominator for m in (mu, nu) for w in m.weights.values()))
+             if exact else 1)
+    b = [0] * graph.vertex_count
+    for meas, sign in ((mu, 1), (nu, -1)):
+        for v, w in meas.weights.items():
+            b[v] += sign * (w.numerator * (scale // w.denominator) if exact else float(w))
+    flow, _ = min_cost_flow(graph, b, 0 if exact else 1e-12)
+    edges = internal_edges(graph)
+    cost = sum(f * edges[a >> 1][2] for a, f in enumerate(flow) if f)
+    unit = graph.value_scale() or 1
+    return Fraction(cost, scale * unit) if exact else cost / unit
 
 
 # -- exact dense simplex -------------------------------------------------

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import oracles
 from prefractal import __version__
 from prefractal.cli import _json_chunks, _parse_fraction, _parse_measure, main
 from prefractal.curves import curve_count, vertex_count
@@ -17,6 +18,7 @@ from prefractal.gasket import (
     complex_from_dict,
     complex_to_dict,
 )
+from prefractal.metric import gasket_metric_graph
 from prefractal.spectrum import SpectrumSpec, enumerate_eigenvalues
 
 
@@ -266,25 +268,52 @@ class TestTables:
             main(["gh-table", "--max-level", "3", "--m", "13"])
 
     def test_kantorovich_guard_refuses_before_building(self, capsys, monkeypatch):
-        # level 12 runs (753 MiB on a one-point query); level 13 is refused
-        monkeypatch.setattr("prefractal.gasket.build_gasket", _no_build)
-        code, out, err = _run(capsys, "kantorovich", "--level", "13",
-                              "--mu", "0:1", "--nu", "1:1")
-        assert code == 2 and out == ""
-        payload = json.loads(err)
-        assert payload["message"] == (
-            "kantorovich at level 13: the metric graph needs about 2312 MiB, "
-            "above the guard of 1024 MiB")
-        with pytest.raises(AssertionError, match="built the level-12 complex"):
-            main(["kantorovich", "--level", "12", "--mu", "0:1", "--nu", "1:1"])
+        # the estimate grows with the support union's size squared and with
+        # its size times the level: 5,101 points at level 9 are refused, as
+        # are two points at level 100,000, before any distance is read
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("reached the oracle")
 
-    def test_kantorovich_guard_ignores_support_size(self, monkeypatch):
-        # the certificate reads the solver's own flow and potentials, so the
-        # size of mu does not count: 300 points at level 11 pass the guard
+        monkeypatch.setattr("prefractal.curves.GasketSpace.support_block", no_oracle)
+        monkeypatch.setattr("prefractal.curves.vertex_count", no_oracle)
+        mu = ",".join("%d:1/5100" % p for p in range(5100))
+        for argv, what, mib in ((["--level", "9", "--mu", mu, "--nu", "5100:1"],
+                                 "5101 support points at level 9", 1063),
+                                (["--level", "100000", "--mu", "0:1", "--nu", "1:1"],
+                                 "2 support points at level 100000", 38286)):
+            code, out, err = _run(capsys, "kantorovich", *argv)
+            assert code == 2 and out == ""
+            assert json.loads(err)["message"] == (
+                "kantorovich on %s: the distance block and the oracle's tables needs "
+                "about %d MiB, above the guard of 1024 MiB" % (what, mib))
+        # 5,001 points pass, at an estimated 1023 MiB
+        mu = ",".join("%d:1/5000" % p for p in range(5000))
+        with pytest.raises(AssertionError, match="reached the oracle"):
+            main(["kantorovich", "--level", "9", "--mu", mu, "--nu", "5000:1"])
+
+    @pytest.mark.parametrize("level", [13, 20, 38])
+    def test_kantorovich_guard_admits_levels_past_twelve(self, level, capsys):
+        # the graph guard refused level 13; the oracle's tables grow with
+        # the level, so 40 + 40 points run up to level 2,414
+        code, out, _ = _run(capsys, *_random_kantorovich(level, 40, 40, seed=level))
+        assert code == 0
+        tr = json.loads(out)["transport"]
+        assert tr["exact"] is True and tr["gap"] == 0.0 and len(tr["dual"]) == 80
+
+    def test_kantorovich_at_level_eleven_builds_no_graph(self, capsys, monkeypatch):
+        # the support block comes from vertex ids: no complex is built and
+        # no shortest path is run, and the result is exact with gap 0
+        from prefractal import metric
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran a traversal")
+
         monkeypatch.setattr("prefractal.gasket.build_gasket", _no_build)
-        mu = ",".join("%d:1/300" % p for p in range(300))
-        with pytest.raises(AssertionError, match="built the level-11 complex"):
-            main(["kantorovich", "--level", "11", "--mu", mu, "--nu", "1000:1"])
+        monkeypatch.setattr(metric, "_relax", refuse)
+        code, out, _ = _run(capsys, *_random_kantorovich(11, 40, 40, seed=1))
+        assert code == 0
+        tr = json.loads(out)["transport"]
+        assert tr["exact"] is True and tr["gap"] == 0.0 and len(tr["dual"]) == 80
 
     @pytest.mark.parametrize("n,m", [(11, 11), (10, 12), (0, 12), (12, 12),
                                      (0, 13), (10, 13), (13, 13)])
@@ -354,7 +383,7 @@ class TestTables:
                               ("0:1", "999999999:1", "nu"))]
       # both parse to 0 and are refused before the level-12 build
       + [(["extent", "--n", "0", "--m", "12", "--alpha", alpha],
-          "alpha must be positive, got 0") for alpha in ("0", "0.5e-400")]
+          "alpha must be positive, got 0") for alpha in ("0", "0.0")]
       # text that is no finite number is named, not passed to int() or Fraction()
       + [(["kantorovich", "--level", "2", "--mu", mu, "--nu", "1:1"],
           "%r is not a finite integer, decimal or fraction" % weight)
@@ -366,6 +395,13 @@ class TestTables:
          (["dimension", "--level", "-2", "--lambda-min", "10", "--lambda-max", "100"],
           "level must be nonnegative, got -2"),
          (["spectrum", "--level", "-1", "--cutoff", "10"],
+          "level must be nonnegative, got -1"),
+         # a decimal that is not 0 but underflows to it is refused by the parse
+         (["kantorovich", "--level", "2", "--mu", "0:1e-400,1:1", "--nu", "2:1"],
+          "'1e-400' is not zero but underflows to 0 as a float"),
+         (["extent", "--n", "0", "--m", "12", "--alpha", "0.5e-400"],
+          "'0.5e-400' is not zero but underflows to 0 as a float"),
+         (["kantorovich", "--level", "-1", "--mu", "0:1", "--nu", "1:1"],
           "level must be nonnegative, got -1")])
     def test_bad_numeric_flags_exit_two(self, argv, message, capsys, monkeypatch):
         # each is refused before any complex is built
@@ -473,6 +509,8 @@ class TestPlumbing:
     # sha256 of outputs; any change to these bytes is a format change and
     # needs a schemaVersion bump. Schema 2 (refinementCap) changed the sg
     # and extent JSON only in that line; the SVG and CSV digests predate it.
+    # The level-5 and level-7 kantorovich digests changed with the solve on
+    # the support union: the same value and potentials, another optimal plan.
     GOLDEN = (
         (["gen", "--level", "5"],
          "b5c85e2cf099f47a46bdd467df04f3f6fef2cfd7ee61326cd0165309a6ac7005"),
@@ -503,9 +541,9 @@ class TestPlumbing:
         (["kantorovich", "--level", "5",
           "--mu", ",".join("%d:1/16" % (22 * i) for i in range(16)),
           "--nu", ",".join("%d:%d/136" % (22 * i + 11, i + 1) for i in range(16))],
-         "507eecec95c51a13f5b895bc5fcd8eb4eac0289b55cf97f65b1cd4958b40d092"),
+         "94d56c202c0831726173e75e86b167fdfd8239573e2884c1497847679b91a9d5"),
         (_random_kantorovich(7, 20, 25, seed=7),
-         "15be929397b250619487621f10d2bc2fe0d71d5e26f8a93f11548a2a42f47150"),
+         "8798d1d68d6d2c8fffe885a1115174162d00e79fd8b87221afc3a9058fd7e83c"),
         (["kantorovich", "--level", "4", "--mu", "0:0.25,7:0.5,30:0.25",
           "--nu", "2:0.1,15:0.6,40:0.3"],
          "bbfaf090d1d958a34888e6e35991ad6fb8df9de0d08b00f06624fea92e5e83ea"),
@@ -529,6 +567,19 @@ class TestPlumbing:
         assert main(argv + ["--out", str(path)]) == 0
         capsys.readouterr()
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_kantorovich_goldens_have_the_whole_graph_value(self, capsys):
+        # each golden query's value is min-cost flow's on the whole level graph
+        for argv, _ in self.GOLDEN:
+            if argv[0] == "kantorovich":
+                level = int(argv[argv.index("--level") + 1])
+                mu, nu = (_parse_measure(argv[argv.index(flag) + 1])
+                          for flag in ("--mu", "--nu"))
+                code, out, _ = _run(capsys, *argv)
+                assert code == 0
+                graph = gasket_metric_graph(build_gasket(level), level)
+                assert (json.loads(out)["transport"]["value"]
+                        == float(oracles.graph_transport(graph, mu, nu)))
 
     def test_covariant_never_evolves_whole_vectors(self, tmp_path, capsys,
                                                    monkeypatch):

@@ -7,7 +7,8 @@ Core claims:
     - counts: 3^(n+1) triangles' edges at level n, (3^(n+1)+3)/2 vertices;
     - vertex enumeration is a stable prefix: V_n sits at the front of any
       deeper build, and equals the brute-force iterated-map vertex set;
-    - the id-map build equals the interning build it replaced;
+    - the id-map build equals the interning build it replaced, and
+      curves.vertex_word inverts its id maps;
     - oversized builds are refused before anything is allocated, and the
       build's memory stays within its estimate and near what it holds;
     - a serialized complex is validated against its own triangle table,
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 
 from oracles import interning_build
-from prefractal.curves import curve_count, kappa, kappa_inverse, vertex_count
+from prefractal.curves import curve_count, kappa, kappa_inverse, vertex_count, vertex_word
 from prefractal.gasket import (
     CORNERS,
     CURVE_KINDS,
@@ -167,6 +168,30 @@ class TestBuildGasket:
             assert cx.curve_ends(m).shape == (3 ** (m + 1), 2)
         assert cx.b_n == curve_count(3)
         assert cx.vertices.shape == (vertex_count(3), 2)
+
+    def test_vertex_word_inverts_the_id_maps(self):
+        # T_word(p) through similitude_apply, innermost letter first, lands
+        # on the vertex's own coordinates, for every vertex through level 10
+        cx = build_gasket(10)
+        scale = 1 << cx.max_level
+        words = {}
+        for v in range(len(cx.vertices)):
+            word, p = vertex_word(v)
+            words.setdefault(len(word), ([], [], []))
+            for column, x in zip(words[len(word)], (v, word, p)):
+                column.append(x)
+        assert sorted(words) == list(range(10))
+        for length, (ids, word, p) in words.items():
+            letters = np.array(word, dtype=np.int64).reshape(len(ids), length)
+            at = cx.vertices[p]
+            for k in range(length - 1, -1, -1):
+                for r in range(3):
+                    mask = letters[:, k] == r
+                    at[mask] = similitude_apply(r, at[mask], scale)
+            assert (at == cx.vertices[ids]).all(), length
+        assert vertex_word(6) == ([0], 3) and vertex_word(41) == ([2, 2], 5)
+        with pytest.raises(ValueError, match="vertex id must be nonnegative"):
+            vertex_word(-1)
 
     def test_vertex_counts_per_level(self):
         cx = build_gasket(4)

@@ -21,11 +21,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # the package's public names, by the submodule that defines each
 EXPORTS = {
-    "curves": ["curve_count", "kappa", "kappa_inverse", "vertex_count"],
-    "gasket": ["CORNERS", "CURVE_KINDS", "CURVE_SLOTS", "MEMORY_GUARD_BYTES",
-               "PrefractalComplex", "build_gasket", "complex_from_dict",
-               "complex_json_chunks", "complex_to_dict", "dyadic_from_pair",
-               "dyadic_to_pair", "similitude_apply"],
+    "curves": ["GasketSpace", "MEMORY_GUARD_BYTES", "curve_count", "kappa",
+               "kappa_inverse", "vertex_count", "vertex_word"],
+    "gasket": ["CORNERS", "CURVE_KINDS", "CURVE_SLOTS", "PrefractalComplex",
+               "build_gasket", "complex_from_dict", "complex_json_chunks",
+               "complex_to_dict", "dyadic_from_pair", "dyadic_to_pair", "similitude_apply"],
     "metric": ["AgreementReport", "FiniteMetricSpace", "GHBoundReport", "MetricGraph",
                "certify_vertex_agreement", "gasket_cell_trace", "gasket_metric_graph",
                "gh_upper_bound", "hausdorff", "hausdorff_vertex_sets", "sample_parameters"],
@@ -74,14 +74,19 @@ def _numpy(modules):
 
 
 class TestCommandFootprint:
+    # kantorovich reads its distances from vertex ids, so it needs neither
+    # the complex nor a graph
     @pytest.mark.parametrize("argv", [
         ("--version",),
         ("spectrum", "--level", "4", "--cutoff", "300", "--format", "csv"),
         ("spectrum", "--infinite", "--cutoff", "300", "--format", "json"),
         ("covariant", "--n", "2", "--epsilon", "0.1", "--trials", "20"),
-    ], ids=["version", "spectrum-csv", "spectrum-json", "covariant"])
+        ("kantorovich", "--level", "3", "--mu", "0:1", "--nu", "1:1/2,2:1/2"),
+    ], ids=["version", "spectrum-csv", "spectrum-json", "covariant", "kantorovich"])
     def test_array_free_commands_load_no_numpy(self, argv):
-        assert _numpy(_loaded(*argv)) == []
+        loaded = _loaded(*argv)
+        assert _numpy(loaded) == []
+        assert sorted(loaded & {"prefractal.gasket", "prefractal.metric"}) == []
 
     @pytest.mark.parametrize("fmt", ["json", "svg"])
     def test_plain_gen_loads_only_the_complex(self, fmt):
@@ -102,12 +107,11 @@ class TestCommandFootprint:
     @pytest.mark.parametrize("argv", [
         ("gh-table", "--max-level", "3", "--m", "5"),
         ("extent", "--n", "2", "--m", "5"),
-        ("kantorovich", "--level", "3", "--mu", "0:1", "--nu", "1:1/2,2:1/2"),
         ("gen", "--level", "3", "--format", "json"),
         ("gen", "--level", "3", "--format", "svg"),
         ("dimension", "--infinite", "--lambda-min", "10", "--lambda-max", "1000",
          "--grid", "20"),
-    ], ids=["gh-table", "extent", "kantorovich", "gen-json", "gen-svg", "dimension"])
+    ], ids=["gh-table", "extent", "gen-json", "gen-svg", "dimension"])
     def test_numpy_commands_load_no_masked_arrays(self, argv):
         loaded = _loaded(*argv)
         assert "numpy" in loaded
@@ -117,7 +121,7 @@ class TestCommandFootprint:
 class TestLazyExports:
     def test_public_names(self):
         names = sorted(n for names in EXPORTS.values() for n in names)
-        assert len(names) == 64
+        assert len(names) == 66
         assert sorted(prefractal.__all__) == names
 
     def test_each_name_is_its_home_object(self):

@@ -6,7 +6,9 @@ Core claims:
     - the on-edge point oracle routes correctly, including the same-curve
       direct arc, and its geodesics give the bound chain's sampling term;
     - Haus(V_n, V_{n+1}) = 2^-(n+1) exactly, and the certified bound chain
-      stays below the coarse 2^(1-n) + 2^-m budget.
+      stays below the coarse 2^(1-n) + 2^-m budget;
+    - the geodesic oracle of curves.GasketSpace, read from vertex ids,
+      equals breadth-first hops on the level graph.
 """
 
 import random
@@ -23,7 +25,7 @@ from oracles import (bfs_cell_trace, from_triples, hop_block, hop_block_agreemen
                      space_to_dict, sssp)
 from prefractal import metric
 from prefractal.cli import main
-from prefractal.curves import kappa, vertex_count
+from prefractal.curves import GasketSpace, kappa, vertex_count
 from prefractal.gasket import build_gasket
 from prefractal.metric import (
     AgreementReport,
@@ -775,3 +777,32 @@ def test_premise_messages_do_not_depend_on_the_block_size(case, block, monkeypat
     monkeypatch.setattr(metric, "_CLOSURE_BLOCK", block)
     cls, name = case.split("::")
     getattr(globals()[cls](), name)()
+
+
+class TestGasketSpace:
+    """The id oracle against BFS hops on the whole level graph."""
+
+    @pytest.mark.parametrize("level", range(7))
+    def test_every_pair_is_the_bfs_hop_count(self, level):
+        g = gasket_metric_graph(CX, level)
+        nodes = range(g.vertex_count)
+        block, scale = GasketSpace(level).support_block(nodes)
+        assert scale == 2 ** max(level, 1)
+        hops = hop_block(g, nodes, nodes)
+        assert hops.shape == (len(nodes), len(nodes))
+        # level 0 counts half hops, so its sides read 2
+        assert (np.array(block) == hops * (scale >> level)).all()
+
+    @pytest.mark.parametrize("level", [9, 11])
+    def test_seeded_blocks_deep_down(self, level):
+        g = gasket_metric_graph(build_gasket(level), level)
+        nodes = random.Random(level).sample(range(g.vertex_count), 40)
+        block, scale = GasketSpace(level).support_block(nodes)
+        assert scale == 2**level
+        assert block == hop_block(g, nodes, nodes).tolist()
+
+    def test_refuses_what_is_not_in_v_n(self):
+        with pytest.raises(ValueError, match="level must be nonnegative, got -1"):
+            GasketSpace(-1)
+        with pytest.raises(ValueError, match="vertex 15 is not in V_1"):
+            GasketSpace(1).support_block([0, 15])

@@ -10,7 +10,7 @@ import oracles
 from oracles import (Infeasible, Unbounded, from_triples, max_difference_objective,
                      maximize)
 from prefractal import metric, transport
-from prefractal.curves import vertex_count
+from prefractal.curves import GasketSpace, vertex_count
 from prefractal.gasket import build_gasket
 from prefractal.harmonic import build_harmonic_gasket
 from prefractal.metric import (FiniteMetricSpace, MetricGraph, gasket_cell_trace,
@@ -275,8 +275,8 @@ class TestKantorovich:
                 assert abs(moved - meas.weight(p)) <= 2e-12
 
     def test_graph_edges_match_support_union(self):
-        # the complete graph of the support union is the oracle for the
-        # solve on the level graph's own edges
+        # the whole-graph min-cost flow is the oracle for the solve on the
+        # support block, whether the graph or its matrix gives the block
         g = gasket_metric_graph(CX, 3)
         space = FiniteMetricSpace.from_graph(g)
         rng = random.Random(2718)
@@ -286,38 +286,58 @@ class TestKantorovich:
             res = kantorovich(g, mu, nu)
             assert res.exact and res.gap == 0
             assert set(res.potentials) == set(mu.support) | set(nu.support)
-            assert F(res.value) == F(kantorovich(space, mu, nu).value)
+            assert res == kantorovich(space, mu, nu)
+            assert res.value == oracles.graph_transport(g, mu, nu)
 
     def test_edge_certificate_names_the_edge(self, monkeypatch):
-        solve = transport._min_cost_flow
+        # every pair of the support union is an edge of its complete graph;
+        # point 5 carries no net mass, so raising its potential keeps the gap
+        solve = transport._transport
 
-        def skewed(graph, b, floor):
-            flow, phi = solve(graph, b, floor)
-            phi[5] += 1000     # vertex 5 is off the support, so the gap holds
-            return flow, phi
+        def skewed(d, b, floor):
+            flow, f = solve(d, b, floor)
+            f[b.index(0)] += 1000
+            return flow, f
 
-        monkeypatch.setattr(transport, "_min_cost_flow", skewed)
-        g = gasket_metric_graph(CX, 2)
-        with pytest.raises(RuntimeError, match=r"1-Lipschitz on edge \((5, \d+|\d+, 5)\)"):
-            kantorovich(g, DiscreteMeasure.dirac(0), DiscreteMeasure.dirac(1))
+        monkeypatch.setattr(transport, "_transport", skewed)
+        mu = DiscreteMeasure({0: F(1, 2), 5: F(1, 2)})
+        nu = DiscreteMeasure({1: F(1, 2), 5: F(1, 2)})
+        with pytest.raises(RuntimeError, match=r"^potentials are not 1-Lipschitz on pair "
+                                               r"\((0, 5|1, 5)\)$"):
+            kantorovich(GasketSpace(2), mu, nu)
 
     @pytest.mark.parametrize("on_graph", [True, False])
     def test_entry_certificate_names_the_entry(self, on_graph, monkeypatch):
-        # each walk reported at twice its length: 1 against d(3, 7) = 1/2
-        decompose = transport._decompose_flow
+        # the potential of 7 raised by d(3, 7) = 1/2: the entry's potentials
+        # then differ by 1, twice the distance it moves its mass
+        solve = transport._transport
 
-        def stretched(graph, flow, floor):
-            return [(s, t, m, 2 * length)
-                    for s, t, m, length in decompose(graph, flow, floor)]
+        def stretched(d, b, floor):
+            flow, f = solve(d, b, floor)
+            f[1] += d[0][1]
+            return flow, f
 
-        monkeypatch.setattr(transport, "_decompose_flow", stretched)
+        monkeypatch.setattr(transport, "_transport", stretched)
         g = gasket_metric_graph(CX, 2)
         space = g if on_graph else FiniteMetricSpace.from_graph(g)
-        with pytest.raises(RuntimeError, match=r"^plan entry \(3, 7\) walks a path of "
-                           r"length 1, not the potential difference 1/2$"):
+        with pytest.raises(RuntimeError, match=r"^plan entry \(3, 7\) moves mass a "
+                           r"distance 1/2, not the potential difference 1$"):
             kantorovich(space, DiscreteMeasure.dirac(3), DiscreteMeasure.dirac(7))
 
-    def test_solve_on_a_graph_runs_no_traversal(self, monkeypatch):
+    def test_gap_certificate_names_the_gap(self, monkeypatch):
+        # no entry moves, so none is loose, but the plan costs 0 against the
+        # potentials' 1
+        solve = transport._transport
+
+        def idle(d, b, floor):
+            return {}, solve(d, b, floor)[1]
+
+        monkeypatch.setattr(transport, "_transport", idle)
+        mu = DiscreteMeasure({0: F(1, 2), 1: F(1, 2)})
+        with pytest.raises(RuntimeError, match=r"^duality gap -1 exceeds 0$"):
+            kantorovich(GasketSpace(2), mu, DiscreteMeasure.dirac(2))
+
+    def test_solve_on_the_gasket_runs_no_traversal(self, monkeypatch):
         g = gasket_metric_graph(CX, 5)
         rng = random.Random(55)
         mu, nu = (DiscreteMeasure.random_mixture(rng, range(g.vertex_count), 12)
@@ -329,8 +349,8 @@ class TestKantorovich:
 
         monkeypatch.setattr(MetricGraph, "_sssp", refuse)
         monkeypatch.setattr(metric, "_relax", refuse)
-        res = kantorovich(g, mu, nu)
-        assert res.exact and res.gap == 0 and res.value == want.value
+        res = kantorovich(GasketSpace(5), mu, nu)
+        assert res.exact and res.gap == 0 and res == want
         assert len(res.plan) >= 12
 
     def test_json_round_shape(self):
@@ -340,6 +360,49 @@ class TestKantorovich:
         assert d["value"] == 2.0 and d["gap"] == 0.0 and d["exact"]
         assert d["plan"] == [[0, 2, 1.0]]
         assert all(len(entry) == 2 for entry in d["dual"])
+
+
+def _reference_instances(rng, n):
+    """Seeded (mu, nu) pairs on n >= 12 points: disjoint supports,
+    overlapping ones, a point with equal mass in both (no net mass), and
+    the first pair again with float masses."""
+    disjoint = rng.sample(range(n), 12)
+    mu, nu = (DiscreteMeasure.random_mixture(rng, half, 6)
+              for half in (disjoint[:6], disjoint[6:]))
+    pool = rng.sample(range(n), 8)
+    overlap = [DiscreteMeasure.random_mixture(rng, pool, 5) for _ in range(2)]
+    a, b, z = rng.sample(range(n), 3)
+    zero_net = (DiscreteMeasure({a: F(1, 3), z: F(2, 3)}),
+                DiscreteMeasure({b: F(1, 3), z: F(2, 3)}))
+    floats = [DiscreteMeasure({i: float(w) for i, w in m.weights.items()}) for m in (mu, nu)]
+    return [(mu, nu), tuple(overlap), zero_net, tuple(floats)]
+
+
+class TestGasketTransport:
+    """kantorovich on GasketSpace against min-cost flow on the whole graph."""
+
+    @pytest.mark.parametrize("level", range(2, 8))
+    def test_matches_the_whole_graph_reference(self, level):
+        g = gasket_metric_graph(CX, level)
+        rng = random.Random("reference %d" % level)
+        instances = [pair for _ in range(3)
+                     for pair in _reference_instances(rng, g.vertex_count)]
+        for mu, nu in instances:
+            res = kantorovich(GasketSpace(level), mu, nu)
+            want = oracles.graph_transport(g, mu, nu)
+            assert res.exact == mu.exact
+            if res.exact:
+                assert res.value == want and res.gap == 0
+            else:
+                assert math.isclose(res.value, want, rel_tol=1e-12)
+                assert abs(res.gap) <= 1e-9
+
+    def test_zero_net_point_stays_off_the_plan_but_gets_a_potential(self):
+        mu = DiscreteMeasure({0: F(1, 2), 5: F(1, 2)})
+        nu = DiscreteMeasure({1: F(1, 2), 5: F(1, 2)})
+        res = kantorovich(GasketSpace(2), mu, nu)
+        assert res.plan == [(5, 5, F(1, 2)), (0, 1, F(1, 2))]
+        assert res.value == F(1, 2) and sorted(res.potentials) == [0, 1, 5]
 
 
 class TestLipschitzAndMcShane:
@@ -505,8 +568,8 @@ class TestExtentCertificate:
         def fail(*args, **kwargs):
             raise AssertionError("built a graph or solved a transport")
 
-        for module in (metric, transport):
-            monkeypatch.setattr(module, "gasket_metric_graph", fail)
+        # transport imports gasket_metric_graph from metric when it calls it
+        monkeypatch.setattr(metric, "gasket_metric_graph", fail)
         monkeypatch.setattr(transport, "kantorovich", fail)
         monkeypatch.setattr(MetricGraph, "__init__", fail)
         monkeypatch.setattr(CoupledGraph, "__init__", fail)
@@ -648,7 +711,7 @@ class TestKernelsMatchTupleOracle:
         assert max(wide._sssp([0])) > 2**63
 
     @pytest.mark.parametrize("name", KERNEL_GRAPHS)
-    def test_rows_nearest_sources_and_plans(self, name, monkeypatch):
+    def test_rows_nearest_sources_and_plans(self, name):
         g = _kernel_graph(name)
         n = g.vertex_count
         rng = random.Random(name)
@@ -662,41 +725,13 @@ class TestKernelsMatchTupleOracle:
         assert nearest == [min(range(len(group)), key=lambda p: (rows[p][v], p))
                            for v in range(n)]
 
-        # arc flows too: on parallel edges of equal weight only the
-        # neighbour order decides which arc carries the flow
-        b = [0] * n
-        for v in rng.sample(range(n), min(n, 6)):
-            b[v] += rng.randint(1, 9)
-        b[group[0]] -= sum(b)
-        assert transport._min_cost_flow(g, b, 0) == oracles.min_cost_flow(g, b, 0)
-
-        pairs = [(DiscreteMeasure.random_mixture(rng, range(n), min(n, k)),
-                  DiscreteMeasure.random_mixture(rng, range(n), min(n, k)))
-                 for k in (1, 4, 8)]
-        results = [kantorovich(g, mu, nu) for mu, nu in pairs]
-        monkeypatch.setattr(transport, "_min_cost_flow", oracles.min_cost_flow)
-        assert [kantorovich(g, mu, nu) for mu, nu in pairs] == results
-
-
-def _walks_and_rows(space, mu, nu, monkeypatch):
-    """kantorovich's result, its walked flow paths as (s, t, length) in
-    the space's labels and values, and the row oracle's distances."""
-    walks = []
-    decompose = transport._decompose_flow
-
-    def spy(graph, flow, floor):
-        found = decompose(graph, flow, floor)
-        label = range(graph.vertex_count) if graph is space else sorted(
-            set(mu.support) | set(nu.support))
-        unit = graph.value_scale() or 1
-        walks.extend((label[s], label[t], F(length, unit) if graph.exact else length)
-                     for s, t, _, length in found)
-        return found
-
-    with monkeypatch.context() as patch:
-        patch.setattr(transport, "_decompose_flow", spy)
-        res = kantorovich(space, mu, nu)
-    return res, walks, oracles.row_certificate(space, res)
+        # transport values too: the support block against min-cost flow
+        # on the whole graph
+        for k in (1, 4, 8):
+            mu, nu = (DiscreteMeasure.random_mixture(rng, range(n), min(n, k))
+                      for _ in range(2))
+            res = kantorovich(g, mu, nu)
+            assert _agree(res.value, oracles.graph_transport(g, mu, nu), g.exact)
 
 
 def _agree(a, b, exact):
@@ -704,36 +739,35 @@ def _agree(a, b, exact):
 
 
 class TestEntryCertificateMatchesRows:
-    """Each walked flow path's length, the potential difference of its
-    ends and the distance from the row oracle are one number."""
+    """Each moved entry's potential difference and the distance from the
+    row oracle are one number, and the plan costs the value."""
 
-    def check(self, space, mu, nu, monkeypatch):
-        res, walks, dist = _walks_and_rows(space, mu, nu, monkeypatch)
-        assert {(s, t) for s, t, _ in walks} == set(dist)
-        for s, t, length in walks:
-            d = dist[s, t]
-            assert _agree(length, d, space.exact)
-            assert _agree(res.potentials[s] - res.potentials[t], d, res.exact)
+    def check(self, space, mu, nu):
+        res = kantorovich(space, mu, nu)
+        dist = oracles.row_certificate(space, res)
+        assert set(dist) == {(s, t) for s, t, _ in res.plan if s != t}
+        for (s, t), d in dist.items():
+            assert _agree(res.potentials[s] - res.potentials[t], d, space.exact)
         return res
 
     @pytest.mark.parametrize("name", KERNEL_GRAPHS)
-    def test_kernel_graphs(self, name, monkeypatch):
+    def test_kernel_graphs(self, name):
         g = _kernel_graph(name)
         n = g.vertex_count
         rng = random.Random("rows " + name)
         for k in (1, 4, 8):
             mu, nu = (DiscreteMeasure.random_mixture(rng, range(n), min(n, k))
                       for _ in range(2))
-            self.check(g, mu, nu, monkeypatch)
+            self.check(g, mu, nu)
 
-    def test_support_union_solves(self, monkeypatch):
+    def test_support_union_solves(self):
         rng = random.Random(6061)
         for _ in range(10):
             k = rng.randint(2, 8)
             space = _random_metric(rng, k)
             mu, nu = (DiscreteMeasure.random_mixture(rng, range(k), rng.randint(1, k))
                       for _ in range(2))
-            self.check(space, mu, nu, monkeypatch)
+            self.check(space, mu, nu)
         space = FiniteMetricSpace.from_graph(gasket_metric_graph(CX, 3))
         for exact in (True, False):
             mu, nu = (DiscreteMeasure.random_mixture(rng, range(len(space)), 20)
@@ -741,15 +775,15 @@ class TestEntryCertificateMatchesRows:
             if not exact:
                 mu, nu = (DiscreteMeasure({i: float(w) for i, w in m.weights.items()})
                           for m in (mu, nu))
-            assert self.check(space, mu, nu, monkeypatch).exact == exact
+            assert self.check(space, mu, nu).exact == exact
 
     @pytest.mark.parametrize("level", [3, 4, 5, 6])
-    def test_random_gasket_queries(self, level, monkeypatch):
+    def test_random_gasket_queries(self, level):
         g = gasket_metric_graph(CX, level)
         rng = random.Random(level)
         for k in (2, 10, 25):
             mu, nu = (DiscreteMeasure.random_mixture(rng, range(g.vertex_count), k)
                       for _ in range(2))
-            self.check(g, mu, nu, monkeypatch)
+            self.check(g, mu, nu)
         mu = DiscreteMeasure({i: 0.1 for i in rng.sample(range(g.vertex_count), 10)})
-        assert not self.check(g, mu, DiscreteMeasure.dirac(0), monkeypatch).exact
+        assert not self.check(g, mu, DiscreteMeasure.dirac(0)).exact
