@@ -24,8 +24,8 @@ for n in range(4):
 print()
 print("certified distance to the limit (fine level m = %d):" % M)
 print("  n   bound            with sampling slack   2^(1-n)+2^-m")
-# one lift from the level-M triangles yields the cell trace of every n,
-# from n = 6 down; each bound reads its trace
+# one run of closures from the level-M triangles yields the cell trace
+# of every n, from n = 6 down; each bound reads its trace
 reports = [gh_upper_bound(trace, 3) for trace in gasket_cell_traces(cx, 6, M)]
 for rep in reversed(reports):
     n = rep.n

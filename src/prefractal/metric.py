@@ -19,7 +19,6 @@ Core claims exercised by the test suite:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, lcm
@@ -232,13 +231,9 @@ _TRIANGLE_FAILURE = "triangle inequality fails: d(%d,%d) > d(%d,%d)+d(%d,%d)"
 class FiniteMetricSpace:
     """Labelled symmetric distance matrix with validated metric axioms.
 
-    Triangle inequality is checked on every triple up to 1,100 points
-    (level-6 gasket sizes) and on a seeded sample of triples above that;
+    Triangle inequality is checked on every triple, O(n^3) for n points;
     float matrices get a 1e-9 additive slack, exact ones none.
     """
-
-    _TRIANGLE_EXHAUSTIVE = 1_100
-    _TRIANGLE_SAMPLES = 200_000
 
     def __init__(self, labels, matrix, validate=True):
         self.labels = list(labels)
@@ -280,14 +275,7 @@ class FiniteMetricSpace:
                         "distinct points %d,%d at nonpositive distance %s"
                         % (i, j, m[i][j])
                     )
-        if n <= self._TRIANGLE_EXHAUSTIVE:
-            self._check_every_triangle(slack)
-            return
-        rng = random.Random(20260815)
-        for _ in range(self._TRIANGLE_SAMPLES):
-            i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            if m[i][j] > m[i][k] + m[k][j] + slack:
-                raise ValueError(_TRIANGLE_FAILURE % (i, j, i, k, k, j))
+        self._check_every_triangle(slack)
 
     def _check_every_triangle(self, slack):
         """Min-plus sweep over every triple, one intermediate point k at a time.
@@ -379,9 +367,10 @@ _ROW_ENTRY_BYTES = 36
 
 # bytes per curve that build_gasket leaves held (tracemalloc 13.3-13.4),
 # and the peak bytes of gasket_cell_traces per level-m triangle above
-# them: the slot hops, their lift and the first closure's whole-level
-# tables (tracemalloc 117-162 at m = 9-12, for one trace or a whole run).
-# 260 stays, as complex_bytes' 90 does, until m = 14 is measured
+# them: every closure's slot table (54 in all), a level's reach in the
+# top-down pass and the first closure's whole-level premise tables
+# (tracemalloc 98-129 at m = 9-12 for one trace, 104-142 for a whole
+# run). 260 stays, as complex_bytes' 90 does, until m = 14 is measured
 _HELD_BYTES_PER_CURVE = 14
 _TRACE_BYTES_PER_TRIANGLE = 260
 
@@ -509,8 +498,8 @@ def _corner_closure(cx: PrefractalComplex, n: int, child_hops: np.ndarray):
     at child corners into paths inside single children, and a 9-slot
     Floyd-Warshall over the children's tables, slots of one vertex joined
     at 0, is exact; it runs _CLOSURE_BLOCK cells at a time. Returns the
-    int32 (3^n, 3, 3) corner table and (3^n, 3, 3, 3) hops from corner j
-    of child r to corner k of cell c, at [c, r, j, k].
+    int32 (3^n, 3, 3) corner table and the (9, 3, 3^n) hops from slot s
+    to corner k of cell c, at [s, k, c].
     """
     corners = np.asarray(cx.triangles[n], dtype=np.int64)
     cells = len(corners)
@@ -565,7 +554,7 @@ def _corner_closure(cx: PrefractalComplex, n: int, child_hops: np.ndarray):
         raise ValueError("vertex %d of level-%d cell %d is unreachable from its "
                          "corner %d" % (slots[c, s], n, c, corners[c, k]))
     hops = to_corner[at[:, None], np.arange(3)[:, None], cell]
-    return hops.transpose(2, 0, 1), to_corner.transpose(2, 0, 1).reshape(cells, 3, 3, 3)
+    return hops.transpose(2, 0, 1), to_corner
 
 
 def gasket_cell_traces(cx: PrefractalComplex, max_level: int, m: int):
@@ -584,7 +573,7 @@ def gasket_cell_traces(cx: PrefractalComplex, max_level: int, m: int):
     nearest_hops, and the max of those is Haus_{d_m}(V_n, V_m).
 
     The premises of (n, m) follow from those of every (k, k + 1) with
-    n <= k < m, which _corner_closure checks as the lift passes level k.
+    n <= k < m, which _corner_closure checks as the closures pass level k.
     Take a level-m vertex v in two level-n cells. Its level-m triangles
     there have two different level-(m-1) parents, so v is in V_(m-1) and
     is a corner of both parents. Those parents lie in the same two level-n
@@ -595,51 +584,48 @@ def gasket_cell_traces(cx: PrefractalComplex, max_level: int, m: int):
     children per triangle at every level, the level-m triangles fill the
     cells.
 
-    The lift starts at level m, where each cell is one triangle: its
-    three distinct corners (checked) are one hop apart and each slot is
-    its own corner. Each coarser level comes from the one below it
-    (_corner_closure): a vertex of a level-n cell reaches corner k only
-    through the corners of its child, so its hops to the corners take one
-    3x3 min-plus step with the children's corner-to-corner hops, kept per
-    level-m triangle slot. Reads only cx.triangles and
-    cx.level_vertex_counts; a failed check raises ValueError naming the
-    row, or the vertex and the cells.
+    The closures run from level m, where each cell is one triangle whose
+    three distinct corners (checked) are one hop apart, down to level n;
+    each keeps its slot-to-corner table. nearest_hops then takes one pass
+    down those tables, from level n to m - 1. A vertex v of V_(l+1) not
+    in V_l lies in exactly one level-l cell, and that cell meets V_n only
+    at its corners c_k, so a path from v to V_n leaves it through a
+    corner first: d_m(v, V_n) = min_k d_cell(v, c_k) + d_m(c_k, V_n), with
+    the corners' values read from the level before. A vertex already in
+    V_l is rewritten with its own value: its own corner's term gives it,
+    and the triangle inequality bounds the others; V_n stays at 0. Reads
+    only cx.triangles and cx.level_vertex_counts; a failed check raises
+    ValueError naming the row, or the vertex and the cells.
     """
     if not 0 <= max_level <= m < len(cx.triangles):
         raise ValueError("need 0 <= n <= m <= %d, got n=%d m=%d"
                          % (len(cx.triangles) - 1, max_level, m))
-    tri = np.asarray(cx.triangles[m], dtype=np.int64)
     nv_m = cx.level_vertex_counts[m]
-    _check_rows(tri, m, nv_m)
+    _check_rows(np.asarray(cx.triangles[m], dtype=np.int64), m, nv_m)
     # int32 hops: they stay below |V_m| < 2^31 at every level the guard admits
-    one_hop = 1 - np.eye(3, dtype=np.int32)
-    hops = np.broadcast_to(one_hop, (len(tri), 3, 3))
-    # hops from corner k of its cell to slot s of level-m triangle t, at [k, t, s]
-    slot_hops = np.broadcast_to(one_hop[:, None, :], (3, len(tri), 3))
+    hops = np.broadcast_to(1 - np.eye(3, dtype=np.int32), (len(cx.triangles[m]), 3, 3))
+    to_corner = {}  # level -> its closure's [slot, corner, cell] hops
     for n in range(m, -1, -1):
         if n < m:
-            hops, to_corner = _corner_closure(cx, n, hops)
-            # (corner, cell, child, slot) views: the children of cell c are
-            # rows 3c + r, so their level-m triangles are contiguous; the
-            # buffer is made after the closure, so its temporaries are gone
-            below = slot_hops.reshape(3, len(hops), 3, -1)
-            lifted = np.empty(below.shape, dtype=np.int32)
-            for k in range(3):
-                np.minimum(below[0] + to_corner[:, :, 0, k, None],
-                           below[1] + to_corner[:, :, 1, k, None], out=lifted[k])
-                np.minimum(lifted[k], below[2] + to_corner[:, :, 2, k, None], out=lifted[k])
-            del below  # frees the old table before the next closure
-            slot_hops = lifted.reshape(3, len(tri), 3)
+            hops, to_corner[n] = _corner_closure(cx, n, hops)
         if n <= max_level:
             nearest_hops = np.zeros(nv_m, dtype=np.int32)
-            nearest_hops[tri] = slot_hops.min(axis=0)
+            for level in range(n, m):
+                table = to_corner[level]
+                corner_hops = nearest_hops[np.asarray(cx.triangles[level]).T]
+                # a corner at a time: the whole (9, 3, cells) sum would add
+                # 24 B per level-m triangle to the peak
+                reach = table[:, 0] + corner_hops[0]
+                for k in (1, 2):
+                    np.minimum(reach, table[:, k] + corner_hops[k], out=reach)
+                nearest_hops[np.asarray(cx.triangles[level + 1]).reshape(-1, 9).T] = reach
             yield CellTrace(n, m, cx.level_vertex_counts[n],
                             np.asarray(cx.triangles[n], dtype=np.int64), hops, nearest_hops)
 
 
 def gasket_cell_trace(cx: PrefractalComplex, n: int, m: int) -> CellTrace:
     """The cell trace of levels (n, m): the first of
-    gasket_cell_traces(cx, n, m), which lifts it from level m."""
+    gasket_cell_traces(cx, n, m), closed from level m down to n."""
     return next(gasket_cell_traces(cx, n, m))
 
 

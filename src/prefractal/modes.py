@@ -22,11 +22,6 @@ from .spectrum import PI_LOWER
 INFINITE = None  # level argument meaning "no truncation"
 
 
-def gasket_curve_length(curve_id: int) -> Fraction:
-    level, _, _ = kappa_inverse(curve_id)
-    return Fraction(1, 2**level)
-
-
 def mode_frequency(curve_id: int, mode: int) -> float:
     """Diagonal eigenvalue pi*(mode+1/2)/length of the (curve, mode) basis vector.
 
@@ -198,6 +193,9 @@ def covariant_reach_witness(n: int, epsilon: float, trials: int,
     difference, and fsum makes each norm independent of entry order.
     """
     tail_ok = n >= tail_level_for(epsilon)  # validates epsilon
+    if not math.isfinite(2.0 / epsilon):
+        raise ValueError("epsilon %s is too small: the time grid's 2/epsilon "
+                         "is not finite" % epsilon)
     if trials < 1:
         raise ValueError("need at least one trial")
     if t_grid_size < 2:

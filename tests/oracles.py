@@ -11,7 +11,7 @@ None of this is on a production path, and none of it is fast:
     (metric.gasket_cell_trace) replaced it; the cell certificate must
     match it exactly.
   * bfs_cell_trace: metric.gasket_cell_traces' trace of one (n, m) pair
-    as it was computed before every level was lifted from the level-m
+    as it was computed before every level was closed from the level-m
     triangles: three BFS passes (metric._relax on unit weights) over the
     disjoint union of the level-n cells, one from corner k of every cell
     at once.

@@ -99,8 +99,8 @@ class TestGen:
         # the harmonic length columns cost more per curve than the sg
         # complex: level 13 passes the sg JSON guard but not the harmonic
         # one, and harmonic level 12 (550 MiB measured) gets past it
-        monkeypatch.setattr("prefractal.gasket.build_gasket", _no_build)
         monkeypatch.setattr("prefractal.harmonic.build_harmonic_gasket", _no_build)
+        monkeypatch.setattr("prefractal.gasket.build_gasket", _no_build)
         code, out, err = _run(capsys, "gen", "--geometry", "harmonic",
                               "--level", "13", "--format", "json")
         assert code == 2 and out == ""
@@ -402,7 +402,10 @@ class TestTables:
          (["extent", "--n", "0", "--m", "12", "--alpha", "0.5e-400"],
           "'0.5e-400' is not zero but underflows to 0 as a float"),
          (["kantorovich", "--level", "-1", "--mu", "0:1", "--nu", "1:1"],
-          "level must be nonnegative, got -1")])
+          "level must be nonnegative, got -1"),
+         # 2/epsilon overflows: the time grid would be NaN phases, max drops them
+         (["covariant", "--n", "2", "--epsilon", "1e-308", "--trials", "5"],
+          "epsilon 1e-308 is too small: the time grid's 2/epsilon is not finite")])
     def test_bad_numeric_flags_exit_two(self, argv, message, capsys, monkeypatch):
         # each is refused before any complex is built
         monkeypatch.setattr("prefractal.gasket.build_gasket", _no_build)

@@ -287,8 +287,8 @@ class TestFiniteMetricSpace:
             FiniteMetricSpace([0, 1, 2], m)
 
     def test_every_triangle_checked_up_to_level_six_sizes(self):
-        # one violated pair of ordered triples among 8M, which the seeded
-        # 200k-triple sample misses
+        # one violated pair of ordered triples among 8M, which a sample of
+        # triples would miss
         n = 200
         m = [[Fraction(2, 3) if i != j else 0 for j in range(n)] for i in range(n)]
         m[0][1] = m[1][0] = Fraction(1)
@@ -297,6 +297,16 @@ class TestFiniteMetricSpace:
             FiniteMetricSpace(range(n), m)
         m[0][1] = m[1][0] = Fraction(2, 3)
         assert FiniteMetricSpace(range(n), m).exact
+
+    def test_every_triangle_checked_above_level_six_sizes(self):
+        # 1,101 points: one violated pair among 1.3G ordered triples, which a
+        # sample of triples would miss
+        n = 1101
+        m = [[2 if i != j else 0 for j in range(n)] for i in range(n)]
+        m[0][1] = m[1][0] = 3
+        m[0][2] = m[2][0] = m[1][2] = m[2][1] = 1
+        with pytest.raises(ValueError, match=re.escape("d(0,1) > d(0,2)+d(2,1)")):
+            FiniteMetricSpace(range(n), m)
 
     def test_roundtrip_exact_entries(self):
         g = gasket_metric_graph(CX, 2)
@@ -710,6 +720,36 @@ def _fresh_level_two(row, renames):
     cx = _level_three({2: t2, 3: t3}, counts=[3, 6, 15 + fresh, 42 + fresh])
     assert (gasket_cell_trace(cx, 2, 3).hops == 2 * (1 - np.eye(3, dtype=int))).all()
     return cx
+
+
+def test_traces_through_a_path_cell_match_the_bfs_oracle():
+    # level-2 cell 0, corners (0, 6, 7), rebuilt as the path 0/6 - 15 -
+    # 17 - 7 with fresh vertex 42: corners 0 and 6 are 1 hop apart and 3
+    # from 7, so the corner hops of the level-1 and level-0 cells above it
+    # are no longer uniform either, and every level's pass reads them
+    t3 = CX3.triangles[3].copy()
+    t3[:3] = [[0, 6, 15], [15, 16, 17], [17, 42, 7]]
+    cx = _level_three({3: t3}, counts=[3, 6, 15, 43])
+    traces = list(gasket_cell_traces(cx, 2, 3))
+    assert traces[0].hops[0].tolist() == [[0, 1, 3], [1, 0, 3], [3, 3, 0]]
+    assert traces[2].hops[0].tolist() == [[0, 7, 9], [7, 0, 8], [9, 8, 0]]
+    for trace in traces:
+        _assert_same_trace(trace, bfs_cell_trace(cx, trace.n, 3))
+
+
+def test_one_trace_peaks_below_its_share_per_triangle():
+    # the top-down pass holds the closures' slot tables and one level's
+    # reach: 99.7 B per level-10 triangle under tracemalloc, against 126.9
+    # for the bottom-up slot lift it replaced
+    cx = build_gasket(10)
+    gasket_cell_trace(CX3, 0, 3)
+    tracemalloc.start()
+    try:
+        gasket_cell_trace(cx, 0, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 110 * 3**10, peak
 
 
 class TestLiftedPremises:

@@ -19,14 +19,13 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from prefractal.curves import curve_count, kappa
+from prefractal.curves import curve_count, kappa, kappa_inverse
 from prefractal.modes import (
     ModeVector,
     coupled_dnorm,
     covariant_reach_witness,
     dn_norm,
     evolve,
-    gasket_curve_length,
     inner,
     mode_frequency,
     project,
@@ -150,7 +149,7 @@ class TestProject:
 
     def test_single_mode_tail(self):
         j = kappa(10, 0)
-        lam = float(gasket_curve_length(j))
+        lam = 2.0 ** -kappa_inverse(j)[0]
         v = ModeVector({(j, 0): 1.0})
         v = v * (1.0 / dn_norm(v))
         assert (v - project(v, 9)).norm() <= 2 * lam / math.pi

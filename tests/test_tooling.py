@@ -8,8 +8,8 @@ interpreter and reads the edge count of one traced graph build, without
 running a workload; a second runs two CLI commands under the tracer,
 whose modules are imported only when the command runs; another runs the
 benchmark's self-test, whose checks parse every artifact of the
-workloads at tiny sizes. The last reads the package's own sources for
-imports they never use.
+workloads at tiny sizes. The last two read the package's own sources for
+imports they never use and for top-level names nothing uses.
 """
 
 import ast
@@ -122,4 +122,27 @@ def test_package_modules_use_their_imports():
             read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
             unused += ["%s:%d %s" % (path.name, line, name)
                        for name, line in bound.items() if name not in read]
+    assert unused == []
+
+
+def test_package_top_level_names_are_used():
+    # a dead-code scan: a module-level function or class must be exported,
+    # a dunder, or named somewhere in the package beside its definition
+    exported = set(importlib.import_module("prefractal").__all__)
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "prefractal").glob("*.py"))}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    unused = ["%s:%d %s" % (file, node.lineno, node.name)
+              for file, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and node.name not in exported | named
+              and not (node.name.startswith("__") and node.name.endswith("__"))]
     assert unused == []
