@@ -123,11 +123,9 @@ class HarmonicTable:
     nonnegative (maximum principle), both enforced during construction.
     """
 
-    def __init__(self, cx: PrefractalComplex, rule: SubdivisionRule | None = None):
-        if rule is None:
-            rule = derive_subdivision_rule()
+    def __init__(self, cx: PrefractalComplex):
         self.cx = cx
-        self.rule = rule
+        self.rule = rule = derive_subdivision_rule()
         self.levels = np.full(len(cx.vertices), -1)
         self.numerators = np.zeros((len(cx.vertices), 3), dtype=np.int64)
         self.levels[:3] = 0
@@ -165,26 +163,23 @@ class HarmonicTable:
         return EMBED_SCALE * (self.numerators[:n_vertices] / den[:, None] - 1.0)
 
 
-def harmonic_extend(corner_data, depth: int, cx: PrefractalComplex | None = None,
-                    cap: int = RATIONAL_DEPTH_CAP) -> list[Fraction]:
+def harmonic_extend(corner_data, depth: int) -> list[Fraction]:
     """Energy-minimizing extension of rational corner data to V_depth.
 
     Returns one exact value per vertex; linear in the data, so it is the
     corner-indicator combination sum(data[r] * u_r).
     """
-    if depth > cap:
+    if depth > RATIONAL_DEPTH_CAP:
         raise ValueError(
             "depth %d exceeds rational depth cap %d; denominators grow as 5^depth"
-            % (depth, cap)
+            % (depth, RATIONAL_DEPTH_CAP)
         )
     data = [Fraction(c) for c in corner_data]
     if len(data) != 3:
         raise ValueError("corner data must be a triple")
-    if cx is None or cx.max_level < depth:
-        cx = build_gasket(depth)
-    table = HarmonicTable(cx)
+    table = HarmonicTable(build_gasket(depth))
     return [sum(d * t for d, t in zip(data, table.triple(v)))
-            for v in range(cx.level_vertex_counts[depth])]
+            for v in range(table.cx.level_vertex_counts[depth])]
 
 
 def embedding_point(triple) -> np.ndarray:
@@ -355,10 +350,10 @@ class HarmonicGasket:
     def unconverged(self) -> list[int]:
         return np.flatnonzero(~self.lengths.converged).tolist()
 
-    def vertex_rationals(self, n_vertices: int | None = None) -> list[list[str]]:
-        """Exact triples of V_level, or of the first n vertices, as strings."""
-        n = self.cx.level_vertex_counts[self.level] if n_vertices is None else n_vertices
-        return [[str(f) for f in self.table.triple(v)] for v in range(n)]
+    def vertex_rationals(self) -> list[list[str]]:
+        """Exact triples of V_level as strings."""
+        return [[str(f) for f in self.table.triple(v)]
+                for v in range(self.cx.level_vertex_counts[self.level])]
 
     def length_table(self) -> list[dict]:
         return [{"id": cid, "level": m, "kind": CURVE_KINDS[cid % 3], "length": v,

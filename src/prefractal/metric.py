@@ -225,88 +225,100 @@ def gasket_metric_graph(cx: PrefractalComplex, level: int | None = None,
 # -- finite metric spaces ----------------------------------------------
 
 
-_TRIANGLE_FAILURE = "triangle inequality fails: d(%d,%d) > d(%d,%d)+d(%d,%d)"
+# tracemalloc peak of from_dict per entry, beside the document: 180 B with
+# distinct 50-bit dyadic entries, 84 B when the entries repeat
+_DOCUMENT_BYTES_PER_ENTRY = 180
 
 
 class FiniteMetricSpace:
-    """Labelled symmetric distance matrix with validated metric axioms.
-
-    Triangle inequality is checked on every triple, O(n^3) for n points;
-    float matrices get a 1e-9 additive slack, exact ones none.
+    """Labelled distance matrix, held once as support_block returns it:
+    `block` holds ints over the common denominator `den` (int64, or Python
+    ints from 2^62 on) when every entry is rational, else float64 with `den`
+    None. A matrix given to the constructor or from_dict is always checked:
+    zero diagonal, symmetry and positive distances at the first bad pair
+    i <= j in row-major order, then the triangle inequality on every
+    triple, O(n^3) for n points, with a 1e-9 additive slack for floats.
     """
 
-    def __init__(self, labels, matrix, validate=True):
-        self.labels = list(labels)
-        self.matrix = [list(row) for row in matrix]
-        self.vertex_count = n = len(self.labels)
-        if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
+    def __init__(self, labels, matrix):
+        labels, rows = list(labels), [list(row) for row in matrix]
+        n = len(labels)
+        if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("distance matrix shape does not match labels")
-        self.exact = all(isinstance(e, (int, Fraction)) for row in self.matrix for e in row)
-        if validate:
-            self._validate()
+        den, dtype = None, np.float64
+        if all(isinstance(e, (int, Fraction)) for row in rows for e in row):
+            den = lcm(*{e.denominator for row in rows for e in row})
+            rows = [[e.numerator * (den // e.denominator) for e in row] for row in rows]
+            dtype = _exact_dtype(max((abs(e) for row in rows for e in row), default=0))
+        self._hold(labels, np.array(rows, dtype=dtype).reshape(n, n), den)
+        self._validate()
+
+    def _hold(self, labels, block, den):
+        self.labels, self.block, self.den = labels, block, den
+        self.vertex_count, self.exact = len(labels), den is not None
 
     def __len__(self):
         return len(self.labels)
 
+    def _value(self, internal):
+        return Fraction(int(internal), self.den) if self.exact else float(internal)
+
     def distance(self, i: int, j: int):
-        return self.matrix[i][j]
+        return self._value(self.block[i, j])
 
     def support_block(self, nodes):
-        """Distances among `nodes`: ints over their lcm denominator and it
-        when the space is exact, else floats and None."""
-        block = [[self.matrix[i][j] for j in nodes] for i in nodes]
-        if not self.exact:
-            return [list(map(float, row)) for row in block], None
-        den = lcm(*(e.denominator for row in block for e in row))
-        return [[e.numerator * (den // e.denominator) for e in row] for row in block], den
+        """Distances among `nodes` as ints over den, or floats if den is None."""
+        return self.block[np.ix_(nodes, nodes)].tolist(), self.den
 
     def _validate(self):
-        n = len(self.labels)
-        m = self.matrix
-        slack = 0 if self.exact else 1e-9
-        for i in range(n):
-            if m[i][i] != 0:
+        d = self.block
+        n = len(d)
+        bad = np.diag(np.diag(d) != 0) | np.triu((d != d.T) | ~(d > 0), 1)
+        if bad.any():
+            i, j = divmod(int(bad.argmax()), n)
+            if i == j:
                 raise ValueError("nonzero diagonal at %d" % i)
-            for j in range(i + 1, n):
-                if m[i][j] != m[j][i]:
-                    raise ValueError("asymmetry at (%d,%d)" % (i, j))
-                if not m[i][j] > 0:
-                    raise ValueError(
-                        "distinct points %d,%d at nonpositive distance %s"
-                        % (i, j, m[i][j])
-                    )
-        self._check_every_triangle(slack)
-
-    def _check_every_triangle(self, slack):
-        """Min-plus sweep over every triple, one intermediate point k at a time.
-
-        Exact entries are scaled to integers over their common denominator
-        and compared in int64 (Python ints if the scaled entries could
-        overflow), so the check stays exact.
-        """
-        m = self.matrix
-        if self.exact:
-            den = lcm(*{e.denominator for row in m for e in row})
-            ints = [[e.numerator * (den // e.denominator) for e in row] for row in m]
-            d = np.array(ints, dtype=_exact_dtype(max(map(max, ints), default=0)))
-        else:
-            d = np.array(m, dtype=np.float64)
-        for k in range(len(d)):
+            if d[i, j] != d[j, i]:
+                raise ValueError("asymmetry at (%d,%d)" % (i, j))
+            raise ValueError("distinct points %d,%d at nonpositive distance %s"
+                             % (i, j, self._value(d[i, j])))
+        # min-plus sweep over every triple, one intermediate point k at a time
+        slack = 0 if self.exact else 1e-9
+        for k in range(n):
             bad = d > d[:, k, None] + d[None, k, :] + slack
             if bad.any():
                 i, j = np.argwhere(bad)[0]
-                raise ValueError(_TRIANGLE_FAILURE % (i, j, i, k, k, j))
+                raise ValueError("triangle inequality fails: d(%d,%d) > d(%d,%d)+d(%d,%d)"
+                                 % (i, j, i, k, k, j))
 
     @classmethod
-    def from_graph(cls, g: MetricGraph, vertex_ids=None,
-                   validate=True) -> "FiniteMetricSpace":
-        """Distance matrix of a vertex subset (default: all vertices)."""
+    def from_graph(cls, g: MetricGraph, vertex_ids=None) -> "FiniteMetricSpace":
+        """Distances among distinct vertices (default: all), held as
+        g.support_block(ids) gives them. Nothing is re-checked: on a
+        connected graph with positive weights, which MetricGraph checks,
+        shortest paths are a metric on distinct vertices (undirected edges
+        give symmetry, positive weights positivity, joined paths the
+        triangle inequality). A float pair's two rows sum one path in
+        different orders, so the snapshot keeps the smaller rounding."""
         ids = list(range(g.vertex_count)) if vertex_ids is None else list(vertex_ids)
-        matrix = [[g._value(row[j]) for j in ids] for row in g.internal_rows(ids)]
-        return cls(ids, matrix, validate=validate)
+        if any(not 0 <= v < g.vertex_count for v in ids) or len(set(ids)) < len(ids):
+            raise ValueError("vertex_ids must be distinct vertices 0..%d of the graph"
+                             % (g.vertex_count - 1))
+        block = np.empty((len(ids), len(ids)), dtype=g._edge_w.dtype)
+        for r, s in enumerate(ids):  # g.support_block(ids), row by row
+            block[r] = _relax(g.indptr, g.nbr, g.arc, g._edge_w, [s])[ids]
+        if not g.exact:
+            np.minimum(block, block.T, out=block)
+        space = cls.__new__(cls)
+        space._hold(ids, block, g.value_scale())
+        return space
 
     @classmethod
     def from_dict(cls, data: dict) -> "FiniteMetricSpace":
+        rows = data["d"]
+        check_memory(_DOCUMENT_BYTES_PER_ENTRY * len(rows) ** 2,
+                     "a %d-point metric space document" % len(rows))
+
         def decode(e):
             if isinstance(e, list):
                 return dyadic_from_pair(e)
@@ -315,20 +327,18 @@ class FiniteMetricSpace:
                 return Fraction(int(num), int(den))
             return float(e)
 
-        matrix = [[decode(e) for e in row] for row in data["d"]]
-        return cls(data["labels"], matrix)
+        return cls(data["labels"], [[decode(e) for e in row] for row in rows])
 
 
 def hausdorff(space: FiniteMetricSpace, a_indices, b_indices):
-    """Two-sided Hausdorff distance between index subsets of the space."""
+    """Two-sided Hausdorff distance between index subsets of the space, by
+    min/max over their block: a Fraction if the space is exact, else a float."""
     a = list(a_indices)
     b = list(b_indices)
     if not a or not b:
         raise ValueError("hausdorff requires nonempty subsets")
-    m = space.matrix
-    d_ab = max(min(m[i][j] for j in b) for i in a)
-    d_ba = max(min(m[i][j] for j in a) for i in b)
-    return max(d_ab, d_ba)
+    d = space.block[np.ix_(a, b)]
+    return space._value(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
 def hausdorff_vertex_sets(g: MetricGraph, a_indices, b_indices):

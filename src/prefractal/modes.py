@@ -146,17 +146,14 @@ def coupled_dnorm(xi: ModeVector, eta: ModeVector, n: int, epsilon: float) -> fl
     return max(dn_norm(xi), dn_norm(eta, n), (xi - eta).norm() / epsilon)
 
 
-def random_mode_vector(rng: random.Random, min_levels: int = 3,
-                       max_level: int = 8, max_mode: int = 8,
-                       entries_per_level: int = 2) -> ModeVector:
-    """Seeded DN-normalized vector spread across >= min_levels levels."""
-    n_levels = rng.randint(min_levels, max_level + 1)
-    levels = rng.sample(range(max_level + 1), n_levels)
+def random_mode_vector(rng: random.Random) -> ModeVector:
+    """Seeded DN-normalized vector: 1 or 2 entries, of modes -8..8, on each
+    of 3 to 9 distinct levels among 0..8."""
     entries = {}
-    for lev in levels:
-        for _ in range(rng.randint(1, entries_per_level)):
+    for lev in rng.sample(range(9), rng.randint(3, 9)):
+        for _ in range(rng.randint(1, 2)):
             j = kappa(lev, 0) + rng.randrange(3 ** (lev + 1))
-            k = rng.randint(-max_mode, max_mode)
+            k = rng.randint(-8, 8)
             entries[(j, k)] = complex(rng.gauss(0, 1), rng.gauss(0, 1))
     xi = ModeVector(entries)
     return xi * (1.0 / dn_norm(xi))
@@ -178,8 +175,7 @@ class ReachReport:
 
 
 def covariant_reach_witness(n: int, epsilon: float, trials: int,
-                            seed: int = 0, t_grid_size: int = 41,
-                            max_level: int = 8) -> ReachReport:
+                            seed: int = 0, t_grid_size: int = 41) -> ReachReport:
     """Empirical reach of the level-n projection under evolution.
 
     For seeded DN-normalized vectors, the projection defect is supported
@@ -208,7 +204,7 @@ def covariant_reach_witness(n: int, epsilon: float, trials: int,
     max_reach = 0.0
     max_gap = 0.0
     for _ in range(trials):
-        xi = random_mode_vector(rng, max_level=max_level)
+        xi = random_mode_vector(rng)
         defect = [(c, mode_frequency(j, k))
                   for (j, k), c in xi.entries.items() if j >= cap]
         static = math.sqrt(math.fsum(abs(c) ** 2 for c, _ in defect))

@@ -140,11 +140,11 @@ class SpectrumSpec:
         return cls(infinite_gasket=True, label="gasket limit")
 
     @classmethod
-    def from_lengths(cls, lengths, label: str = "") -> "SpectrumSpec":
+    def from_lengths(cls, lengths) -> "SpectrumSpec":
         seen = {}
         for lam in lengths:
             seen[lam] = seen.get(lam, 0) + 1
-        return cls(sorted(seen.items(), reverse=True), label=label)
+        return cls(sorted(seen.items(), reverse=True))
 
     def entries_for(self, cutoff):
         """(length, multiplicity, mode count) triples at a working cutoff;
@@ -302,8 +302,7 @@ class ZetaPartial:
     spec_label: str
 
 
-def zeta_partial(spec: SpectrumSpec, s: float, max_curves: int | None = None,
-                 mode_tol: float = 1e-12) -> ZetaPartial:
+def zeta_partial(spec: SpectrumSpec, s: float, max_curves: int | None = None) -> ZetaPartial:
     """Partial sum of |eigenvalue|^(-s) over the first curves of the spec.
 
     Per curve the mode sum is closed-form-accelerated; curves are taken in
@@ -318,6 +317,7 @@ def zeta_partial(spec: SpectrumSpec, s: float, max_curves: int | None = None,
         entries = _gasket_levels()
     else:
         entries = spec.entries
+    mode_tol = 1e-12
     base = _half_integer_zeta(s, mode_tol)
     included = 0
     terms = []

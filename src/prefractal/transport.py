@@ -1,7 +1,7 @@
 """Optimal transport on finite metric spaces and coupled two-scale graphs.
 
 Kantorovich distances are solved on the distance block of the support
-union alone: a FiniteMetricSpace reads its matrix, a MetricGraph runs one
+union alone: a FiniteMetricSpace slices its one block, a MetricGraph runs one
 traversal per support point, and a GasketSpace (prefractal.curves) reads
 the gasket's geodesics from vertex ids. Mass moves from the net-supply to
 the net-demand points, as a metric needs no transshipment. Rational
@@ -266,15 +266,13 @@ def _seminorm_with_witness(space: FiniteMetricSpace, values, indices):
     best = None
     pair = None
     exact = space.exact and all(_is_exact_weight(v) for v in values)
-    for a in range(len(indices)):
+    for a, row in enumerate(space.support_block(indices)[0]):
         for c in range(a + 1, len(indices)):
-            i, j = indices[a], indices[c]
-            d = space.matrix[i][j]
-            num = abs(values[a] - values[c])
-            ratio = (Fraction(num) / Fraction(d)) if exact else _as_float(num) / _as_float(d)
+            num, d = abs(values[a] - values[c]), space._value(row[c])
+            ratio = (Fraction(num) / d) if exact else _as_float(num) / _as_float(d)
             if best is None or ratio > best:
                 best = ratio
-                pair = (i, j)
+                pair = (indices[a], indices[c])
     if best is None:
         best = Fraction(0) if exact else 0.0
     return best, pair, exact
@@ -304,14 +302,15 @@ def mcshane_extend(space: FiniteMetricSpace, indices, values, bound):
     if not indices:
         raise ValueError("cannot extend from an empty subset")
     semi, pair, exact = _seminorm_with_witness(space, values, indices)
-    lift = (lambda v: Fraction(v)) if exact and _is_exact_weight(bound) else _as_float
+    lift = Fraction if exact and _is_exact_weight(bound) else _as_float
     bound_l = lift(bound)
     if semi > bound_l:
         raise ValueError(
             "data is not %s-Lipschitz on the subset: pair (%r, %r) has slope %s"
             % (bound, space.labels[pair[0]], space.labels[pair[1]], semi))
-    return [min(lift(fs) + bound_l * lift(space.matrix[s][x])
-                for s, fs in zip(indices, values)) for x in range(len(space))]
+    rows = space.block[indices].tolist()
+    return [min(lift(fs) + bound_l * lift(space._value(row[x]))
+                for fs, row in zip(values, rows)) for x in range(len(space))]
 
 
 # -- coupled two-scale graphs ---------------------------------------------
@@ -350,15 +349,14 @@ class CoupledGraph:
         self.graph = MetricGraph(self.n_a + self.n_b, ends, weights)
 
     @classmethod
-    def from_gasket(cls, cx: PrefractalComplex, n: int, m: int, alpha,
-                    harmonic_lengths=None) -> "CoupledGraph":
+    def from_gasket(cls, cx: PrefractalComplex, n: int, m: int, alpha) -> "CoupledGraph":
         """Couple the fine level-m graph (copy A) to the coarse level-n one."""
         if m < n:
             raise ValueError("fine level m=%d must be at least coarse level n=%d" % (m, n))
         from .metric import gasket_metric_graph
 
-        g_m = gasket_metric_graph(cx, m, harmonic_lengths=harmonic_lengths)
-        g_n = gasket_metric_graph(cx, n, harmonic_lengths=harmonic_lengths)
+        g_m = gasket_metric_graph(cx, m)
+        g_n = gasket_metric_graph(cx, n)
         shared = [(v, v) for v in range(g_n.vertex_count)]
         return cls(g_m, g_n, shared, alpha)
 

@@ -798,7 +798,8 @@ def row_certificate(space, result) -> dict:
     if isinstance(space, MetricGraph):
         distance_row = space.single_source
     else:
-        distance_row = space.matrix.__getitem__
+        def distance_row(u):
+            return [space.distance(u, v) for v in range(len(space))]
     dist, plan_cost, row_source, row = {}, 0, None, None
     for u, v, m in result.plan:
         if u != v:
@@ -816,8 +817,7 @@ def row_certificate(space, result) -> dict:
 
 
 def covariant_reach_oracle(n: int, epsilon: float, trials: int,
-                           seed: int = 0, t_grid_size: int = 41,
-                           max_level: int = 8) -> ReachReport:
+                           seed: int = 0, t_grid_size: int = 41) -> ReachReport:
     """The reach witness with both vectors evolved at every grid time."""
     tail_ok = n >= tail_level_for(epsilon)  # validates epsilon
     if trials < 1:
@@ -828,7 +828,7 @@ def covariant_reach_oracle(n: int, epsilon: float, trials: int,
     max_reach = 0.0
     max_gap = 0.0
     for _ in range(trials):
-        xi = random_mode_vector(rng, max_level=max_level)
+        xi = random_mode_vector(rng)
         eta = project(xi, n)
         static = (xi - eta).norm()
         sup = max((evolve(xi, t) - evolve(eta, t)).norm() for t in t_grid)
@@ -902,7 +902,7 @@ def point_distance(g: MetricGraph, rows, x, y) -> Fraction:
 def sampled_space(cx: PrefractalComplex, level: int, k: int, extra=()):
     """The level's vertices, the k samples (2i+1)/(2k) on each of its
     curves, then each extra point not yet listed, as (points,
-    FiniteMetricSpace) with exact point_distance entries, unvalidated."""
+    FiniteMetricSpace) with exact point_distance entries."""
     g = gasket_metric_graph(cx, level)
     rows = g.internal_rows(range(g.vertex_count))
     points = list(range(g.vertex_count))
@@ -913,7 +913,7 @@ def sampled_space(cx: PrefractalComplex, level: int, k: int, extra=()):
     for i, x in enumerate(points):
         for j in range(i + 1, len(points)):
             matrix[i][j] = matrix[j][i] = point_distance(g, rows, x, points[j])
-    return points, FiniteMetricSpace(points, matrix, validate=False)
+    return points, FiniteMetricSpace(points, matrix)
 
 
 def space_to_dict(space: FiniteMetricSpace) -> dict:
@@ -926,7 +926,9 @@ def space_to_dict(space: FiniteMetricSpace) -> dict:
         pair = dyadic_to_pair(e)
         return pair if pair is not None else "%d/%d" % (e.numerator, e.denominator)
 
-    return {"labels": space.labels, "d": [[encode(e) for e in row] for row in space.matrix]}
+    n = len(space)
+    return {"labels": space.labels,
+            "d": [[encode(space.distance(i, j)) for j in range(n)] for i in range(n)]}
 
 
 def gasket_svg_text(cx: PrefractalComplex, level: int | None = None, coords=None,

@@ -312,8 +312,86 @@ class TestFiniteMetricSpace:
         g = gasket_metric_graph(CX, 2)
         fm = FiniteMetricSpace.from_graph(g, vertex_ids=range(6))
         back = FiniteMetricSpace.from_dict(space_to_dict(fm))
-        assert back.matrix == fm.matrix
+        # from_graph keeps the graph's denominator, from_dict the lcm of
+        # the entries', so compare values
+        assert all(back.distance(i, j) == fm.distance(i, j)
+                   for i in range(6) for j in range(6))
         assert back.exact
+
+
+    def test_first_failure_is_the_first_bad_pair(self):
+        # row-major over pairs i <= j; at a pair the diagonal, then the
+        # asymmetry, then a nonpositive distance
+        with pytest.raises(ValueError, match=re.escape("asymmetry at (0,1)")):
+            FiniteMetricSpace(range(3), [[0, 1, 2], [2, 0, 1], [2, 1, 5]])
+        with pytest.raises(ValueError, match=re.escape(
+                "distinct points 0,2 at nonpositive distance 0")):
+            FiniteMetricSpace(range(3), [[0, 1, 0], [1, 0, 1], [0, 2, 0]])
+
+    @pytest.mark.parametrize("kind", ["exact", "float", "wide"])
+    def test_from_graph_holds_the_graph_block(self, kind):
+        weight = {"exact": lambda k: Fraction(k, 4), "float": lambda k: k / 7,
+                  "wide": lambda k: Fraction(2**61 + k, 3)}[kind]
+        rng = random.Random(17)
+        edges = [(i, rng.randrange(i), weight(rng.randint(1, 9))) for i in range(1, 9)]
+        edges += [(0, 8, weight(3)), (2, 5, weight(1))]
+        g = from_triples(9, edges)
+        ids = [4, 0, 7, 2, 8]
+        fm = FiniteMetricSpace.from_graph(g, vertex_ids=ids)
+        block, den = g.support_block(ids)
+        if kind == "float":
+            # this graph's rows round some pairs differently from each end
+            assert block != np.array(block).T.tolist()
+            block = np.minimum(block, np.array(block).T).tolist()
+        assert fm.den == den and fm.labels == ids
+        assert fm.block.dtype == (object if kind == "wide" else
+                                  np.int64 if kind == "exact" else np.float64)
+        assert fm.support_block(range(5)) == (block, den)
+
+    def test_from_graph_refuses_repeated_or_missing_vertices(self):
+        g = gasket_metric_graph(CX, 1)
+        for ids in ([0, 1, 1], [0, 6], [-1, 2]):
+            with pytest.raises(ValueError, match="distinct vertices"):
+                FiniteMetricSpace.from_graph(g, vertex_ids=ids)
+
+    @pytest.mark.parametrize("level", [2, 3, 4, 5])
+    def test_from_graph_on_harmonic_graphs(self, level):
+        # the two float rows of a pair sum one path in different orders;
+        # the snapshot keeps the smaller rounding, within 1e-12 of both
+        from prefractal.harmonic import build_harmonic_gasket
+        from prefractal.transport import DiscreteMeasure, kantorovich
+
+        g = build_harmonic_gasket(level).metric_graph()
+        fm = FiniteMetricSpace.from_graph(g)
+        assert not fm.exact
+        for i in range(0, len(fm), 7):
+            row = g.single_source(i)
+            assert max(abs(fm.distance(i, j) - row[j]) for j in range(len(fm))) <= 1e-12
+        rng = random.Random(level)
+        for _ in range(3):
+            mu = DiscreteMeasure.random_mixture(rng, range(len(fm)), 3)
+            nu = DiscreteMeasure.random_mixture(rng, range(len(fm)), 3)
+            assert abs(kantorovich(fm, mu, nu).value - kantorovich(g, mu, nu).value) <= 1e-12
+
+    def test_from_graph_peaks_at_sixteen_bytes_per_entry(self):
+        g = gasket_metric_graph(CX, 5)
+        tracemalloc.start()
+        try:
+            fm = FiniteMetricSpace.from_graph(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * len(fm) ** 2
+
+    def test_from_dict_is_guarded_before_decoding(self):
+        class Undecodable:
+            def __float__(self):
+                raise AssertionError("an entry was decoded")
+
+        row = [Undecodable()] * 30_000
+        with pytest.raises(ValueError, match=r"30000-point metric space document "
+                                             r"needs about \d+ MiB"):
+            FiniteMetricSpace.from_dict({"labels": list(range(30_000)), "d": [row] * 30_000})
 
 
 class TestHausdorffAndBounds:

@@ -8,8 +8,9 @@ interpreter and reads the edge count of one traced graph build, without
 running a workload; a second runs two CLI commands under the tracer,
 whose modules are imported only when the command runs; another runs the
 benchmark's self-test, whose checks parse every artifact of the
-workloads at tiny sizes. The last two read the package's own sources for
-imports they never use and for top-level names nothing uses.
+workloads at tiny sizes. The last three read the package's own sources
+for imports they never use, for top-level names nothing uses, and for
+defaulted parameters no call in src/, tests/ or demos/ sets.
 """
 
 import ast
@@ -146,3 +147,89 @@ def test_package_top_level_names_are_used():
               and node.name not in exported | named
               and not (node.name.startswith("__") and node.name.endswith("__"))]
     assert unused == []
+
+
+def _defaulted_parameters(tree, module):
+    """(module, owner class, function, parameter, positional index or None)
+    for every defaulted parameter of a public function, method or __init__
+    of a public class."""
+    found = []
+
+    def scan(fn, owner):
+        if fn.name.startswith("_") and fn.name != "__init__":
+            return
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        # self or cls is bound by the call, not passed
+        skip = 1 if owner and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list) else 0
+        for k, arg in enumerate(positional[len(positional) - len(args.defaults):],
+                                len(positional) - len(args.defaults)):
+            found.append((module, owner, fn.name, arg.arg, k - skip))
+        found.extend((module, owner, fn.name, arg.arg, None)
+                     for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                     if default is not None)
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            scan(node, None)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    scan(item, node.name)
+    return found
+
+
+def _calls_by_name(trees):
+    """Called name -> list of (positional count, keyword names), or None
+    for a call that passes *args or **kwargs. A call of a class, or of cls
+    inside one of its classmethods, counts as a call of its __init__."""
+    calls = {}
+
+    def visit(node, cls_name):
+        for child in ast.iter_child_nodes(node):
+            inner = cls_name
+            if isinstance(child, ast.ClassDef):
+                inner = child.name
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                if name == "cls" and cls_name:
+                    name = cls_name
+                if name and name[:1].isupper():
+                    name += ".__init__"
+                spread = (any(isinstance(a, ast.Starred) for a in child.args)
+                          or any(k.arg is None for k in child.keywords))
+                calls.setdefault(name, []).append(
+                    None if spread else (len(child.args), {k.arg for k in child.keywords}))
+            visit(child, inner)
+
+    for tree in trees:
+        visit(tree, None)
+    return calls
+
+
+def _unused_options(root):
+    """Defaulted parameters of the package's public functions, methods and
+    constructors that no call in src/, tests/ or demos/ passes."""
+    package = sorted((root / "src" / "prefractal").glob("*.py"))
+    callers = [p for d in ("src", "tests", "demos") for p in sorted((root / d).rglob("*.py"))]
+    calls = _calls_by_name(ast.parse(p.read_text()) for p in callers)
+    unused = []
+    for path in package:
+        for module, owner, fn, param, index in _defaulted_parameters(
+                ast.parse(path.read_text()), path.stem):
+            name = "%s.__init__" % owner if fn == "__init__" else fn
+            if not any(c is None or param in c[1] or (index is not None and index < c[0])
+                       for c in calls.get(name, [])):
+                unused.append("%s.%s%s(%s=)" % (module, owner + "." if owner else "",
+                                                fn, param))
+    return unused
+
+
+def test_every_option_is_passed_somewhere():
+    # an unused-option scan beside the dead-code scan: a defaulted
+    # parameter that no call sets is a constant; calls match by name, so
+    # any function or method of the same name that passes it counts
+    assert _unused_options(ROOT) == []

@@ -50,7 +50,7 @@ def _lp_transport(space, mu, nu):
     """Primal transport LP solved by the exact simplex, as an oracle."""
     nodes = sorted(set(mu.support) | set(nu.support))
     nn = len(nodes)
-    c = [-F(space.matrix[nodes[i]][nodes[j]])
+    c = [-F(space.distance(nodes[i], nodes[j]))
          for i in range(nn) for j in range(nn)]
     a, b = [], []
     for i in range(nn):
@@ -169,7 +169,7 @@ class TestKantorovich:
             for y in range(x + 1, len(space), 2):
                 res = kantorovich(space, DiscreteMeasure.dirac(x),
                                   DiscreteMeasure.dirac(y))
-                assert res.value == space.matrix[x][y]
+                assert res.value == space.distance(x, y)
                 assert res.gap == 0
 
     def test_matches_exact_lp_oracle(self):
@@ -215,7 +215,7 @@ class TestKantorovich:
             assert m > 0
             row[i] = row.get(i, F(0)) + m
             col[j] = col.get(j, F(0)) + m
-            cost += F(m) * F(space.matrix[i][j])
+            cost += F(m) * F(space.distance(i, j))
         assert row == mu.weights and col == nu.weights
         assert cost == res.value
 
@@ -230,7 +230,7 @@ class TestKantorovich:
             for b in pts:
                 if a != b:
                     gap = F(res.potentials[a]) - F(res.potentials[b])
-                    assert abs(gap) <= F(space.matrix[a][b])
+                    assert abs(gap) <= F(space.distance(a, b))
         paired = sum((F(mu.weight(p)) - F(nu.weight(p))) * F(res.potentials[p])
                      for p in pts)
         assert paired == res.value
@@ -260,7 +260,7 @@ class TestKantorovich:
         # float masses leave residues below the 1e-12 floor; the flow
         # decomposition must ignore them exactly as the solver does
         rng = random.Random(801)
-        space = FiniteMetricSpace.from_graph(gasket_metric_graph(CX, 5), validate=False)
+        space = FiniteMetricSpace.from_graph(gasket_metric_graph(CX, 5))
 
         def float_mixture():
             drawn = DiscreteMeasure.random_mixture(rng, range(len(space)), 4)
@@ -376,6 +376,24 @@ def _reference_instances(rng, n):
                 DiscreteMeasure({b: F(1, 3), z: F(2, 3)}))
     floats = [DiscreteMeasure({i: float(w) for i, w in m.weights.items()}) for m in (mu, nu)]
     return [(mu, nu), tuple(overlap), zero_net, tuple(floats)]
+
+
+class TestSnapshotsAreMetrics:
+    # from_graph skips the axiom checks on a proof; rebuilding its block
+    # through the constructor runs them all, the O(n^3) sweep included
+    @staticmethod
+    def _revalidate(space):
+        rows = [[space.distance(i, j) for j in range(len(space))] for i in range(len(space))]
+        FiniteMetricSpace(space.labels, rows)
+
+    def test_gasket_snapshots(self):
+        for level in range(5):
+            self._revalidate(FiniteMetricSpace.from_graph(gasket_metric_graph(CX, level)))
+
+    def test_random_graph_snapshots(self):
+        rng = random.Random(4242)
+        for _ in range(50):
+            self._revalidate(FiniteMetricSpace.from_graph(_random_graph(rng, 12)))
 
 
 class TestGasketTransport:
@@ -621,7 +639,7 @@ def _dirac_witnesses(level, pairs):
     points, space = oracles.sampled_space(CX, level, 3, [p for pair in pairs for p in pair])
     rows = []
     for x, y in pairs:
-        f = space.matrix[points.index(x)]
+        f = [space.distance(points.index(x), j) for j in range(len(space))]
         rows.append((f[points.index(y)] - f[points.index(x)], lipschitz_seminorm(space, f)))
     return rows
 
@@ -643,10 +661,10 @@ class TestDiracIdentity:
             assert semi == 1
 
     def test_sampled_space_is_a_metric_space(self):
+        # the constructor checks every axiom: the triangle inequality holds
+        # exactly on the point geodesics
         points, space = oracles.sampled_space(CX, 1, 2)
-        assert len(points) == 6 + 9 * 2
-        # rebuild with validation on: triangle inequality holds exactly
-        FiniteMetricSpace(space.labels, space.matrix)
+        assert len(points) == 6 + 9 * 2 == len(space)
 
     def test_sampled_space_entries_are_point_geodesics(self):
         # vertex-vertex, vertex-sample and sample-sample entries, shared
@@ -656,7 +674,7 @@ class TestDiracIdentity:
         points, space = oracles.sampled_space(CX, 2, 2)
         for i, x in enumerate(points):
             for j, y in enumerate(points):
-                assert space.matrix[i][j] == oracles.point_distance(g, rows, x, y)
+                assert space.distance(i, j) == oracles.point_distance(g, rows, x, y)
 
 
 def _kernel_graph(name):
