@@ -10,13 +10,15 @@ failures print a machine-readable JSON object on stderr.
 Each command imports the modules it calls inside its own body, so a
 command loads only what it runs: `spectrum`, `covariant` and `kantorovich`
 never import numpy, and `gen` of the plain gasket loads neither the
-metric nor the harmonic code.
+metric nor the harmonic code. The package's records are named tuples, so
+no command loads dataclasses (and with it inspect, ast, dis and
+tokenize); csv loads only where CSV is written; and the parser gives
+arguments only to the command being run.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -97,6 +99,8 @@ def _json_chunks(command: str, config: dict, body: dict,
 
 
 def _csv_text(header, rows) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -339,79 +343,84 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_fail(2, "validation", message))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for `argv`: every command is registered by name and help
+    text, but only the one argv[0] names gets its arguments, or all of
+    them when argv[0] names none (as for --help)."""
     parser = _Parser(
         prog="prefractal",
         description="prefractal gasket geometry, spectra, and transport tables")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    names = ("gen", "gh-table", "spectrum", "dimension", "kantorovich", "extent", "covariant")
+    run = argv[0] if argv and argv[0] in names else None
+
+    def command(name, text, func):
+        """Register the command; its parser if it gets arguments, else None."""
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        return p if run in (None, name) else None
 
     def common(p, fmt=("json",)):
         p.add_argument("--out", help="output path (default: stdout)")
         if fmt:
             p.add_argument("--format", choices=fmt, default=fmt[0])
 
-    p = sub.add_parser("gen", help="write a prefractal complex")
-    p.add_argument("--geometry", choices=("sg", "harmonic"), default="sg")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="harmonic length quadrature tolerance")
-    p.add_argument("--strict", action="store_true",
-                   help="fail (exit 3) if any harmonic length hit the refinement cap")
-    common(p, fmt=("json", "svg"))
-    p.set_defaults(func=cmd_gen)
+    if p := command("gen", "write a prefractal complex", cmd_gen):
+        p.add_argument("--geometry", choices=("sg", "harmonic"), default="sg")
+        p.add_argument("--level", type=int, required=True)
+        p.add_argument("--tol", type=float, default=1e-6,
+                       help="harmonic length quadrature tolerance")
+        p.add_argument("--strict", action="store_true",
+                       help="fail (exit 3) if any harmonic length hit the refinement cap")
+        common(p, fmt=("json", "svg"))
 
-    p = sub.add_parser("gh-table", help="two-scale convergence bounds per level")
-    p.add_argument("--max-level", type=int, default=6)
-    p.add_argument("--m", type=int, default=9, help="fine comparison level")
-    p.add_argument("--samples", type=int, default=3, help="on-edge samples per curve")
-    common(p, fmt=("csv", "json", "svg"))
-    p.set_defaults(func=cmd_gh_table)
+    if p := command("gh-table", "two-scale convergence bounds per level", cmd_gh_table):
+        p.add_argument("--max-level", type=int, default=6)
+        p.add_argument("--m", type=int, default=9, help="fine comparison level")
+        p.add_argument("--samples", type=int, default=3, help="on-edge samples per curve")
+        common(p, fmt=("csv", "json", "svg"))
 
-    p = sub.add_parser("spectrum", help="enumerate eigenvalues up to a cutoff")
-    p.add_argument("--geometry", choices=("sg",), default="sg")
-    p.add_argument("--level", type=int)
-    p.add_argument("--infinite", action="store_true",
-                   help="use the full scale-limit length sequence")
-    p.add_argument("--cutoff", type=float, required=True)
-    common(p, fmt=("json", "csv"))
-    p.set_defaults(func=cmd_spectrum)
+    if p := command("spectrum", "enumerate eigenvalues up to a cutoff", cmd_spectrum):
+        p.add_argument("--geometry", choices=("sg",), default="sg")
+        p.add_argument("--level", type=int)
+        p.add_argument("--infinite", action="store_true",
+                       help="use the full scale-limit length sequence")
+        p.add_argument("--cutoff", type=float, required=True)
+        common(p, fmt=("json", "csv"))
 
-    p = sub.add_parser("dimension", help="log-log slope of the counting function")
-    p.add_argument("--geometry", choices=("sg",), default="sg")
-    p.add_argument("--level", type=int)
-    p.add_argument("--infinite", action="store_true", default=None)
-    p.add_argument("--lambda-min", type=float, required=True, dest="lambda_min")
-    p.add_argument("--lambda-max", type=float, required=True, dest="lambda_max")
-    p.add_argument("--grid", type=int, default=40)
-    common(p, fmt=("json", "svg"))
-    p.set_defaults(func=cmd_dimension)
+    if p := command("dimension", "log-log slope of the counting function", cmd_dimension):
+        p.add_argument("--geometry", choices=("sg",), default="sg")
+        p.add_argument("--level", type=int)
+        p.add_argument("--infinite", action="store_true", default=None)
+        p.add_argument("--lambda-min", type=float, required=True, dest="lambda_min")
+        p.add_argument("--lambda-max", type=float, required=True, dest="lambda_max")
+        p.add_argument("--grid", type=int, default=40)
+        common(p, fmt=("json", "svg"))
 
-    p = sub.add_parser("kantorovich", help="transport distance between measures on V_n")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--mu", required=True, help="index:weight[,index:weight...]")
-    p.add_argument("--nu", required=True)
-    common(p, fmt=None)
-    p.set_defaults(func=cmd_kantorovich)
+    if p := command("kantorovich", "transport distance between measures on V_n",
+                    cmd_kantorovich):
+        p.add_argument("--level", type=int, required=True)
+        p.add_argument("--mu", required=True, help="index:weight[,index:weight...]")
+        p.add_argument("--nu", required=True)
+        common(p, fmt=None)
 
-    p = sub.add_parser("extent", help="certified two-scale Dirac bound")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--alpha", default="auto",
-                   help="cross-edge weight; 'auto' picks epsilon/4")
-    p.add_argument("--samples", type=int, default=3)
-    p.add_argument("--trials", type=int, default=5, help="mixture spot-checks")
-    p.add_argument("--seed", type=int, default=0)
-    common(p, fmt=("csv", "json"))
-    p.set_defaults(func=cmd_extent)
+    if p := command("extent", "certified two-scale Dirac bound", cmd_extent):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--alpha", default="auto",
+                       help="cross-edge weight; 'auto' picks epsilon/4")
+        p.add_argument("--samples", type=int, default=3)
+        p.add_argument("--trials", type=int, default=5, help="mixture spot-checks")
+        p.add_argument("--seed", type=int, default=0)
+        common(p, fmt=("csv", "json"))
 
-    p = sub.add_parser("covariant", help="projection reach under time evolution")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    common(p, fmt=None)
-    p.set_defaults(func=cmd_covariant)
+    if p := command("covariant", "projection reach under time evolution", cmd_covariant):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--epsilon", type=float, required=True)
+        p.add_argument("--trials", type=int, default=100)
+        p.add_argument("--seed", type=int, default=0)
+        common(p, fmt=None)
     return parser
 
 
@@ -423,8 +432,8 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         chunks = args.func(args)
     except (ValueError, KeyError) as exc:

@@ -12,6 +12,7 @@ run without importing numpy.
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import itemgetter
 
 # cap on the estimated bytes of a complex's build, a row-by-row agreement
 # check, or a CLI command (each estimates its own peak); it also keeps a
@@ -76,6 +77,11 @@ for _k in range(6):
     _V1_HOPS = [[min(row[q], row[_k] + _V1_HOPS[_k][q]) for q in range(6)] for row in _V1_HOPS]
 
 
+# _CORNER_HOPS[r][q]: the hops from the corners phi_r(V_0) of the level-1
+# triangle r to the V_1 vertex q
+_CORNER_HOPS = [list(zip(*(_V1_HOPS[c] for c in t))) for t in V0_IMAGES]
+
+
 def vertex_word(v: int) -> tuple[list[int], int]:
     """(w, p) with p in V_1 and vertex v = T_w[0] ... T_w[-1](p), w empty
     on V_1 and one letter shorter than v's first level otherwise.
@@ -111,10 +117,7 @@ class GasketSpace:
     level, delta_k(q) = min_j delta_(k+1)(j) + d(phi_r(j), q), as the
     child T_r holding x meets the rest of the cell only at its corners
     phi_r(V_0). A pair meets at its lowest common cell, the longest
-    common prefix u of the words, and d(x, y) = min_q delta_x(q) +
-    delta_y(q) over that cell's V_1: a geodesic leaves the child of x
-    through one of its corners, unless y is in that child and so is
-    itself a corner, or the word of x ends at u and x is a q.
+    common prefix of the words, where support_block reads its distance.
     """
 
     def __init__(self, level: int):
@@ -122,8 +125,9 @@ class GasketSpace:
         self.level = level
         self.scale = 2 ** max(level, 1)
 
-    def _tables(self, v: int) -> tuple[list[int], list[list[int]]]:
-        """The word of v and its delta_k for k = 0..|word|, over scale."""
+    def _tables(self, v: int) -> tuple[list[int], int, list[list[int]]]:
+        """The word and V_1 point of v, and its delta_k for k = 0..|word|,
+        over scale."""
         if not 0 <= v < self.vertex_count:
             raise ValueError("vertex %d is not in V_%d" % (v, self.level))
         word, p = vertex_word(v)
@@ -131,18 +135,48 @@ class GasketSpace:
         tables = [[h * unit for h in _V1_HOPS[p]]]
         for r in reversed(word):
             unit *= 2
-            delta, hops = tables[-1], [_V1_HOPS[c] for c in V0_IMAGES[r]]
-            tables.append([min(delta[j] + hops[j][q] * unit for j in range(3))
-                           for q in range(6)])
-        return word, tables[::-1]
+            a, b, c = tables[-1][:3]
+            tables.append([min(a + x * unit, b + y * unit, c + z * unit)
+                           for x, y, z in _CORNER_HOPS[r]])
+        return word, p, tables[::-1]
 
     def support_block(self, nodes) -> tuple[list[list[int]], int]:
-        """The distances among `nodes`, ints over `scale`, and `scale`."""
+        """The distances among `nodes`, ints over `scale`, and `scale`.
+
+        The points are split cell by cell, top-down over their words'
+        letters, and each pair is read once, at its lowest common cell u
+        of depth k. A point whose word is u is a point p of u's V_1, so
+        its distance to each point y of u is delta_k^y(p). A point x that
+        goes on into the child T_r leaves it through a corner phi_r(j) on
+        the way to a point y of another child, and delta_(k+1)^x(j) =
+        d(x, phi_r(j)), so d(x, y) = min_j delta_(k+1)^x(j) +
+        delta_k^y(phi_r(j)). Pairs inside one child go down with it.
+        """
         points = [self._tables(v) for v in nodes]
         block = [[0] * len(points) for _ in points]
-        for a, (word_a, tables_a) in enumerate(points):
-            for c, (word_c, tables_c) in enumerate(points[:a]):
-                k = next((k for k, (x, y) in enumerate(zip(word_a, word_c)) if x != y),
-                         min(len(word_a), len(word_c)))
-                block[a][c] = block[c][a] = min(map(int.__add__, tables_a[k], tables_c[k]))
+        cells = [(0, range(len(points)))]
+        while cells:
+            k, members = cells.pop()
+            kids = ([], [], [])
+            for i in members:
+                word, p, _ = points[i]
+                if len(word) > k:
+                    kids[word[k]].append(i)
+                    continue
+                row = block[i]
+                for j in members:
+                    row[j] = block[j][i] = points[j][2][k][p]
+            later = []
+            for r in (2, 1, 0):
+                if later:
+                    corners = itemgetter(*V0_IMAGES[r])
+                    cols = [corners(points[j][2][k]) for j in later]
+                    for i in kids[r]:
+                        a, b, c = points[i][2][k + 1][:3]
+                        row = block[i]
+                        for j, d in zip(later, [min(a + x, b + y, c + z) for x, y, z in cols]):
+                            row[j] = block[j][i] = d
+                if len(kids[r]) > 1:
+                    cells.append((k + 1, kids[r]))
+                later += kids[r]
         return block, self.scale

@@ -16,8 +16,8 @@ doubles as a consistency check on the curve layout.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -64,13 +64,10 @@ def _solve_exact(a, b):
     return [row[n:] for row in rows]
 
 
-@dataclass(frozen=True)
-class SubdivisionRule:
+class SubdivisionRule(namedtuple("SubdivisionRule", "adjacent opposite den")):
     """Midpoint of the corner pair (s,t) gets (adj*(N_s+N_t) + opp*N_u)/den."""
 
-    adjacent: int
-    opposite: int
-    den: int
+    __slots__ = ()
 
 
 @lru_cache(maxsize=1)
@@ -187,23 +184,20 @@ def embedding_point(triple) -> np.ndarray:
     return EMBED_SCALE * (np.asarray([float(t) for t in triple]) - 1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class CurveLengths:
+class CurveLengths(namedtuple("CurveLengths", "ids level value depth last_increment "
+                                             "converged")):
     """Inscribed-polyline lengths of many curves, a column per field; row
     i is curve ids[i]. depth is the polyline's absolute subdivision level,
     last_increment what the last refinement added (NaN where none ran),
-    and converged whether tol, not the cap, stopped the refinement."""
+    and converged whether tol, not the cap, stopped the refinement. Two
+    records are equal only when they are the same record."""
 
-    ids: np.ndarray
-    level: np.ndarray
-    value: np.ndarray
-    depth: np.ndarray
-    last_increment: np.ndarray
-    converged: np.ndarray
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     def rows(self, rows=slice(None)) -> Iterator[tuple]:
         """The selected rows as tuples of Python scalars, fields in order."""
-        return zip(*(getattr(self, f.name)[rows].tolist() for f in fields(self)))
+        return zip(*(getattr(self, name)[rows].tolist() for name in self._fields))
 
 
 def check_refinement_cap(cap: int, den: int) -> None:

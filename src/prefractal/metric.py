@@ -19,7 +19,7 @@ Core claims exercised by the test suite:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import isfinite, lcm
 
@@ -361,14 +361,12 @@ def hausdorff_vertex_sets(g: MetricGraph, a_indices, b_indices):
 
 # -- agreement certification and the two-sided bound chain ---------------
 
-@dataclass
-class AgreementReport:
-    n: int
-    m: int
-    vertices_compared: int
-    max_discrepancy: object  # exact rational or float
-    worst_pair: tuple[int, int] | None
-    exact: bool
+class AgreementReport(namedtuple("AgreementReport", [
+        "n", "m", "vertices_compared",
+        "max_discrepancy",  # exact rational or float
+        "worst_pair",       # (i, j) or None
+        "exact"])):
+    __slots__ = ()
 
 
 # bytes of one entry of a distance row or block: a list or array slot and
@@ -450,17 +448,16 @@ def certify_vertex_agreement(n: int, m: int, g_n: MetricGraph,
     return AgreementReport(n, m, nv, value, (i, j), both_exact)
 
 
-@dataclass(frozen=True)
-class CellTrace:
+class CellTrace(namedtuple("CellTrace", [
+        "n", "m",
+        "coarse_vertices",  # |V_n|
+        "corners",          # (3^n, 3) vertex ids of each cell's corners
+        "hops",             # (3^n, 3, 3) hops between corners a and b inside cell c
+        # int32 over V_m: hops from each vertex to its nearest V_n vertex, 0 on V_n
+        "nearest_hops"])):
     """The level-m gasket graph traced onto V_n through its level-n cells."""
 
-    n: int
-    m: int
-    coarse_vertices: int  # |V_n|
-    corners: np.ndarray  # (3^n, 3) vertex ids of each cell's corners
-    hops: np.ndarray  # (3^n, 3, 3) hops between corners a and b inside cell c
-    # int32 over V_m: hops from each vertex to its nearest V_n vertex, 0 on V_n
-    nearest_hops: np.ndarray
+    __slots__ = ()
 
     @property
     def haus_hops(self) -> int:
@@ -672,18 +669,16 @@ def sample_parameters(k: int) -> list[Fraction]:
     return [Fraction(2 * i + 1, 2 * k) for i in range(k)]
 
 
-@dataclass
-class GHBoundReport:
-    n: int
-    m: int
-    samples_per_curve: int
-    haus_vertices_to_sample: object  # Haus_{d_n}(V_n, S_n)
-    sampling_slack: object  # max curve length / (2k)
-    haus_vn_in_vm: object  # Haus_{d_m}(V_n, V_m)
-    tail: object  # 2^-m density of V_m in the limit set
-    bound: object  # sum of the three certified terms
-    bound_with_slack: object
-    paper_bound: object  # 2^(1-n)
+class GHBoundReport(namedtuple("GHBoundReport", [
+        "n", "m", "samples_per_curve",
+        "haus_vertices_to_sample",  # Haus_{d_n}(V_n, S_n)
+        "sampling_slack",           # max curve length / (2k)
+        "haus_vn_in_vm",            # Haus_{d_m}(V_n, V_m)
+        "tail",                     # 2^-m density of V_m in the limit set
+        "bound",                    # sum of the three certified terms
+        "bound_with_slack",
+        "paper_bound"])):           # 2^(1-n)
+    __slots__ = ()
 
 
 def gh_upper_bound(trace: CellTrace, samples_per_curve: int = 3) -> GHBoundReport:

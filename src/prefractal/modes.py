@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .curves import curve_count, kappa, kappa_inverse
@@ -159,19 +159,16 @@ def random_mode_vector(rng: random.Random) -> ModeVector:
     return xi * (1.0 / dn_norm(xi))
 
 
-@dataclass
-class ReachReport:
-    n: int
-    epsilon: float
-    trials: int
-    t_grid_size: int
-    max_reach: float  # worst sup_t ||evolve(xi,t) - evolve(eta,t)|| over trials
-    max_identity_gap: float  # worst |sup_t(...) - ||xi - eta|| |
-    tail_lengths_small: bool  # all dropped lengths < pi*epsilon/2
-    below_epsilon: bool
+class ReachReport(namedtuple("ReachReport", [
+        "n", "epsilon", "trials", "t_grid_size",
+        "max_reach",           # worst sup_t ||evolve(xi,t) - evolve(eta,t)|| over trials
+        "max_identity_gap",    # worst |sup_t(...) - ||xi - eta|| |
+        "tail_lengths_small",  # all dropped lengths < pi*epsilon/2
+        "below_epsilon"])):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return dict(self.__dict__)
+        return self._asdict()
 
 
 def covariant_reach_witness(n: int, epsilon: float, trials: int,

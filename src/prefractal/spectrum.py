@@ -13,7 +13,7 @@ gasket curve system targets log(3)/log(2), a single interval targets 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 from typing import TYPE_CHECKING
@@ -173,13 +173,13 @@ def counting_function(spec: SpectrumSpec, grid) -> list[tuple[float, int]]:
     return out
 
 
-@dataclass
-class EigenvalueEnumeration:
+class EigenvalueEnumeration(namedtuple("EigenvalueEnumeration", [
+        "cutoff",
+        "values",            # distinct positive magnitudes, ascending
+        "multiplicities"])):  # combined weight of +v and -v
     """Distinct absolute eigenvalues <= cutoff with multiplicities."""
 
-    cutoff: float
-    values: list[float]  # distinct positive magnitudes, ascending
-    multiplicities: list[int]  # combined weight of +v and -v
+    __slots__ = ()
 
     @property
     def total(self) -> int:
@@ -212,15 +212,9 @@ def enumerate_eigenvalues(spec: SpectrumSpec, cutoff,
     return EigenvalueEnumeration(float(cutoff), values, mults)
 
 
-@dataclass
-class DimensionFit:
-    slope: float
-    intercept: float
-    stderr: float
-    grid: np.ndarray
-    counts: np.ndarray
-    residuals: np.ndarray
-    spec_label: str
+class DimensionFit(namedtuple("DimensionFit", "slope intercept stderr grid counts "
+                                             "residuals spec_label")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -293,13 +287,8 @@ def _half_integer_zeta(s: float, tol: float = 1e-12) -> float:
     return partial + tail
 
 
-@dataclass
-class ZetaPartial:
-    value: float
-    s: float
-    curves_included: int
-    mode_tol: float
-    spec_label: str
+class ZetaPartial(namedtuple("ZetaPartial", "value s curves_included mode_tol spec_label")):
+    __slots__ = ()
 
 
 def zeta_partial(spec: SpectrumSpec, s: float, max_curves: int | None = None) -> ZetaPartial:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import isfinite, lcm
 from operator import mul, truediv
@@ -113,13 +113,13 @@ class DiscreteMeasure:
         return len(self.weights)
 
 
-@dataclass
-class TransportResult:
-    value: object
-    plan: list            # (source index, target index, mass), marginal-exact
-    potentials: dict      # support index -> dual value, 1-Lipschitz
-    gap: object           # primal cost minus dual value
-    exact: bool
+class TransportResult(namedtuple("TransportResult", [
+        "value",
+        "plan",        # (source index, target index, mass), marginal-exact
+        "potentials",  # support index -> dual value, 1-Lipschitz
+        "gap",         # primal cost minus dual value
+        "exact"])):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -388,25 +388,18 @@ class CoupledGraph:
 # -- extent certification -------------------------------------------------
 
 
-@dataclass
-class ExtentReport:
-    n: int
-    m: int
-    alpha: object
-    epsilon: object            # max of the two measured covering terms
-    epsilon_sample: object     # on-edge sample term, cover slack included
-    epsilon_vertex: object     # vertex-set term plus the 2^-m tail
-    epsilon_apriori: object    # 2^-n + 2^-m, what the premises alone give
-    samples_per_curve: int
-    worst_a_to_b: object
-    worst_b_to_a: object
-    empirical_max: object
-    per_dirac_bound: object    # alpha + epsilon
-    bound: object              # 2*alpha + epsilon
-    bound_apriori: object      # 2*alpha + epsilon_apriori
-    mixture_trials: int
-    mixture_max: object
-    exact: bool
+class ExtentReport(namedtuple("ExtentReport", [
+        "n", "m", "alpha",
+        "epsilon",            # max of the two measured covering terms
+        "epsilon_sample",     # on-edge sample term, cover slack included
+        "epsilon_vertex",     # vertex-set term plus the 2^-m tail
+        "epsilon_apriori",    # 2^-n + 2^-m, what the premises alone give
+        "samples_per_curve", "worst_a_to_b", "worst_b_to_a", "empirical_max",
+        "per_dirac_bound",    # alpha + epsilon
+        "bound",              # 2*alpha + epsilon
+        "bound_apriori",      # 2*alpha + epsilon_apriori
+        "mixture_trials", "mixture_max", "exact"])):
+    __slots__ = ()
 
     def to_row(self) -> tuple:
         """(n, m, alpha, epsilon, bound, empiricalMax) as floats, for tables."""
@@ -415,7 +408,7 @@ class ExtentReport:
 
     def as_floats(self) -> dict:
         out = {}
-        for key, val in self.__dict__.items():
+        for key, val in self._asdict().items():
             out[key] = _as_float(val) if _is_exact_weight(val) and not isinstance(val, (int, bool)) else val
         return out
 

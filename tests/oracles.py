@@ -34,6 +34,10 @@ None of this is on a production path, and none of it is fast:
   * graph_transport: kantorovich's value as it was solved before it ran
     on the support union alone: min_cost_flow on the whole graph's own
     edges, the whole-graph reference for the support-union kernel.
+  * pairwise_support_block: curves.GasketSpace.support_block as it was
+    before it grouped pairs by their lowest common cell: every point's
+    delta_k tables for all k, then each pair's longest common word
+    prefix found by a scan and one 6-point min-plus step there.
   * row_certificate: the plan-cost check kantorovich ran before it
     certified each plan entry from its potentials: one distance row per
     moved source, mass times distance summed and compared with the value.
@@ -75,7 +79,7 @@ from math import lcm
 
 import numpy as np
 
-from prefractal.curves import kappa, kappa_inverse
+from prefractal.curves import _V1_HOPS, V0_IMAGES, kappa, kappa_inverse, vertex_word
 from prefractal.gasket import (CORNERS, CURVE_SLOTS, PrefractalComplex, build_gasket,
                                dyadic_to_pair, similitude_apply)
 from prefractal.harmonic import (
@@ -786,6 +790,31 @@ def coupled_extent(n: int, m: int, alpha=None, samples_per_curve: int = 3,
 
 
 # -- plan costs from distance rows ----------------------------------------
+
+
+def pairwise_support_block(space, nodes) -> tuple[list[list[int]], int]:
+    """The distances among `nodes` of a GasketSpace, ints over its scale,
+    and the scale, pair by pair."""
+    points = []
+    for v in nodes:
+        if not 0 <= v < space.vertex_count:
+            raise ValueError("vertex %d is not in V_%d" % (v, space.level))
+        word, p = vertex_word(v)
+        unit = space.scale >> len(word) + 1
+        tables = [[h * unit for h in _V1_HOPS[p]]]
+        for r in reversed(word):
+            unit *= 2
+            delta, hops = tables[-1], [_V1_HOPS[c] for c in V0_IMAGES[r]]
+            tables.append([min(delta[j] + hops[j][q] * unit for j in range(3))
+                           for q in range(6)])
+        points.append((word, tables[::-1]))
+    block = [[0] * len(points) for _ in points]
+    for a, (word_a, tables_a) in enumerate(points):
+        for c, (word_c, tables_c) in enumerate(points[:a]):
+            k = next((k for k, (x, y) in enumerate(zip(word_a, word_c)) if x != y),
+                     min(len(word_a), len(word_c)))
+            block[a][c] = block[c][a] = min(map(int.__add__, tables_a[k], tables_c[k]))
+    return block, space.scale
 
 
 def row_certificate(space, result) -> dict:

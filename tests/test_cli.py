@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 from prefractal import __version__
-from prefractal.cli import _json_chunks, _parse_fraction, _parse_measure, main
+from prefractal.cli import _json_chunks, _parse_fraction, _parse_measure, build_parser, main
 from prefractal.curves import curve_count, vertex_count
 from prefractal.gasket import (
     build_gasket,
@@ -20,6 +20,29 @@ from prefractal.gasket import (
 )
 from prefractal.metric import gasket_metric_graph
 from prefractal.spectrum import SpectrumSpec, enumerate_eigenvalues
+
+
+# each command's one-line help and its options, as `--help` shows them
+COMMAND_HELP = {
+    "gen": "write a prefractal complex",
+    "gh-table": "two-scale convergence bounds per level",
+    "spectrum": "enumerate eigenvalues up to a cutoff",
+    "dimension": "log-log slope of the counting function",
+    "kantorovich": "transport distance between measures on V_n",
+    "extent": "certified two-scale Dirac bound",
+    "covariant": "projection reach under time evolution",
+}
+COMMAND_OPTIONS = {
+    "gen": ["--geometry", "--level", "--tol", "--strict", "--out", "--format"],
+    "gh-table": ["--max-level", "--m", "--samples", "--out", "--format"],
+    "spectrum": ["--geometry", "--level", "--infinite", "--cutoff", "--out", "--format"],
+    "dimension": ["--geometry", "--level", "--infinite", "--lambda-min", "--lambda-max",
+                  "--grid", "--out", "--format"],
+    "kantorovich": ["--level", "--mu", "--nu", "--out"],
+    "extent": ["--n", "--m", "--alpha", "--samples", "--trials", "--seed", "--out",
+               "--format"],
+    "covariant": ["--n", "--epsilon", "--trials", "--seed", "--out"],
+}
 
 
 def _no_build(level, **kwargs):
@@ -625,6 +648,15 @@ class TestPlumbing:
         # argparse takes -1:1 for a flag; --mu=-1:1 reaches the command
         (["kantorovich", "--level", "2", "--mu", "-1:1", "--nu", "1:1"],
          "argument --mu: expected one argument"),
+        # another command's flag, and a command that is not one, with the
+        # parser that gives arguments only to the command run
+        (["kantorovich", "--trials", "3"],
+         "the following arguments are required: --level, --mu, --nu"),
+        (["kantorovich", "--level", "2", "--mu", "0:1", "--nu", "1:1", "--trials", "3"],
+         "unrecognized arguments: --trials 3"),
+        (["kantorovic", "--level", "2"],
+         "argument command: invalid choice: 'kantorovic' (choose from 'gen', 'gh-table', "
+         "'spectrum', 'dimension', 'kantorovich', 'extent', 'covariant')"),
     ])
     def test_argument_errors_print_the_json_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -633,6 +665,29 @@ class TestPlumbing:
         assert exc.value.code == 2 and out == ""
         assert json.loads(err) == {"error": "validation", "exitCode": 2,
                                    "message": message}
+
+    def test_top_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        out, _ = capsys.readouterr()
+        assert exc.value.code == 0
+        for name, text in COMMAND_HELP.items():
+            assert re.search(r"^    %s +%s$" % (re.escape(name), re.escape(text)), out,
+                             re.MULTILINE), name
+
+    @pytest.mark.parametrize("name", COMMAND_OPTIONS)
+    def test_command_help_shows_its_options(self, name, capsys):
+        # the parser gives only the command run its arguments; its help is
+        # the one the parser with every command's arguments prints
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        out, _ = capsys.readouterr()
+        assert exc.value.code == 0
+        shown = set(re.findall(r"^  (--[a-z-]+|-h)", out, re.MULTILINE))
+        assert shown == {"-h", *COMMAND_OPTIONS[name]}
+        with pytest.raises(SystemExit):
+            build_parser([]).parse_args([name, "--help"])
+        assert out == capsys.readouterr()[0]
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["gen", "--help"]])
     def test_help_and_version_exit_zero(self, argv, capsys):

@@ -14,7 +14,6 @@ Core claims:
       are refused before any work.
 """
 
-import dataclasses
 import json
 import math
 import random
@@ -175,8 +174,7 @@ class TestEmbedding:
 
 def _row(lengths, i=0) -> dict:
     """Row i of a CurveLengths record as Python scalars by column name."""
-    return {f.name: getattr(lengths, f.name)[i].item()
-            for f in dataclasses.fields(lengths)}
+    return {name: getattr(lengths, name)[i].item() for name in lengths._fields}
 
 
 class TestCurveLength:
@@ -407,8 +405,7 @@ class TestHarmonicGasket:
             last_col[7], depth_col[7] = math.nan, c.level[7]
         else:
             last_col[7] = last
-        hg.lengths = dataclasses.replace(c, value=value_col, last_increment=last_col,
-                                         depth=depth_col)
+        hg.lengths = c._replace(value=value_col, last_increment=last_col, depth=depth_col)
         with pytest.raises(RuntimeError, match="harmonic length of curve 7 is not "
                            "finite"):
             hg.length_json_chunks()

@@ -75,7 +75,8 @@ def _numpy(modules):
 
 class TestCommandFootprint:
     # kantorovich reads its distances from vertex ids, so it needs neither
-    # the complex nor a graph
+    # the complex nor a graph; and the records are named tuples, since
+    # dataclasses imports inspect, ast, dis and tokenize (about 7 ms)
     @pytest.mark.parametrize("argv", [
         ("--version",),
         ("spectrum", "--level", "4", "--cutoff", "300", "--format", "csv"),
@@ -87,6 +88,25 @@ class TestCommandFootprint:
         loaded = _loaded(*argv)
         assert _numpy(loaded) == []
         assert sorted(loaded & {"prefractal.gasket", "prefractal.metric"}) == []
+        assert sorted(loaded & {"dataclasses", "inspect"}) == []
+
+    # the csv module loads inside the writer, so only a command that
+    # writes CSV pays for it
+    @pytest.mark.parametrize("argv,writes_csv", [
+        (("spectrum", "--level", "2", "--cutoff", "50", "--format", "csv"), True),
+        (("gh-table", "--max-level", "2", "--m", "3"), True),
+        (("extent", "--n", "1", "--m", "2"), True),
+        (("spectrum", "--level", "2", "--cutoff", "50"), False),
+        (("gh-table", "--max-level", "2", "--m", "3", "--format", "json"), False),
+        (("extent", "--n", "1", "--m", "2", "--format", "json"), False),
+        (("kantorovich", "--level", "2", "--mu", "0:1", "--nu", "1:1"), False),
+        (("gen", "--level", "2"), False),
+        (("dimension", "--infinite", "--lambda-min", "10", "--lambda-max", "1000",
+          "--grid", "5"), False),
+    ], ids=["spectrum-csv", "gh-table-csv", "extent-csv", "spectrum-json", "gh-table-json",
+            "extent-json", "kantorovich", "gen", "dimension"])
+    def test_only_csv_writers_load_csv(self, argv, writes_csv):
+        assert ("csv" in _loaded(*argv)) == writes_csv
 
     @pytest.mark.parametrize("fmt", ["json", "svg"])
     def test_plain_gen_loads_only_the_complex(self, fmt):

@@ -8,7 +8,8 @@ Core claims:
     - Haus(V_n, V_{n+1}) = 2^-(n+1) exactly, and the certified bound chain
       stays below the coarse 2^(1-n) + 2^-m budget;
     - the geodesic oracle of curves.GasketSpace, read from vertex ids,
-      equals breadth-first hops on the level graph.
+      equals breadth-first hops on the level graph, and its block, read
+      pair by pair at each lowest common cell, equals the pairwise scan.
 """
 
 import random
@@ -21,11 +22,11 @@ import numpy as np
 import pytest
 
 from oracles import (bfs_cell_trace, from_triples, hop_block, hop_block_agreement,
-                     nearest_sources, point_distance, sampled_space, sampling_term,
-                     space_to_dict, sssp)
+                     nearest_sources, pairwise_support_block, point_distance,
+                     sampled_space, sampling_term, space_to_dict, sssp)
 from prefractal import metric
 from prefractal.cli import main
-from prefractal.curves import GasketSpace, kappa, vertex_count
+from prefractal.curves import GasketSpace, kappa, vertex_count, vertex_word
 from prefractal.gasket import build_gasket
 from prefractal.metric import (
     AgreementReport,
@@ -897,6 +898,18 @@ def test_premise_messages_do_not_depend_on_the_block_size(case, block, monkeypat
     getattr(globals()[cls](), name)()
 
 
+def _vertex_id(word, p) -> int:
+    """The vertex T_word(p), p in V_1 and off V_0 unless word is empty:
+    the inverse of vertex_word."""
+    counts = [3, 6]
+    while len(counts) < len(word) + 2:
+        counts.append(3 * counts[-1] - 3)
+    for level, r in enumerate(reversed(word), 2):
+        block = (counts[level] - counts[level - 1]) // 3
+        p = counts[level - 1] + r * block + p - counts[level - 2]
+    return p
+
+
 class TestGasketSpace:
     """The id oracle against BFS hops on the whole level graph."""
 
@@ -918,6 +931,37 @@ class TestGasketSpace:
         block, scale = GasketSpace(level).support_block(nodes)
         assert scale == 2**level
         assert block == hop_block(g, nodes, nodes).tolist()
+
+    @pytest.mark.parametrize("level", range(13))
+    def test_grouped_block_is_the_pairwise_block(self, level):
+        space, rng, n = GasketSpace(level), random.Random(level), vertex_count(level)
+        for k in (1, 2, min(n, rng.randint(3, 60)), min(n, 300)):
+            nodes = rng.sample(range(n), k)
+            assert space.support_block(nodes) == pairwise_support_block(space, nodes)
+
+    @pytest.mark.parametrize("level", [1, 2, 7, 12])
+    def test_block_with_all_of_v1(self, level):
+        # the six V_1 vertices have empty words and meet everything at the top
+        space, rng = GasketSpace(level), random.Random(level)
+        nodes = [*range(6), *rng.sample(range(6, vertex_count(level)),
+                                        min(40, vertex_count(level) - 6))]
+        rng.shuffle(nodes)
+        assert space.support_block(nodes) == pairwise_support_block(space, nodes)
+
+    @pytest.mark.parametrize("level,prefix", [(8, [2, 0, 1, 1, 0]),
+                                              (12, [1, 2, 2, 0, 2, 1, 0])])
+    def test_block_packed_into_one_deep_cell(self, level, prefix):
+        # T_prefix of every vertex of V_j off its corners, j = level - |prefix|:
+        # the cell's vertices but its corners, so every pair meets at or
+        # below the cell
+        nodes = []
+        for v in range(3, vertex_count(level - len(prefix))):
+            word, p = vertex_word(v)
+            nodes.append(_vertex_id(prefix + word, p))
+            assert vertex_word(nodes[-1]) == (prefix + word, p)
+        assert max(nodes) < vertex_count(level)
+        space = GasketSpace(level)
+        assert space.support_block(nodes) == pairwise_support_block(space, nodes)
 
     def test_refuses_what_is_not_in_v_n(self):
         with pytest.raises(ValueError, match="level must be nonnegative, got -1"):

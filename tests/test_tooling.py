@@ -8,9 +8,10 @@ interpreter and reads the edge count of one traced graph build, without
 running a workload; a second runs two CLI commands under the tracer,
 whose modules are imported only when the command runs; another runs the
 benchmark's self-test, whose checks parse every artifact of the
-workloads at tiny sizes. The last three read the package's own sources
-for imports they never use, for top-level names nothing uses, and for
-defaulted parameters no call in src/, tests/ or demos/ sets.
+workloads at tiny sizes. The last four read the package's own sources
+for imports they never use, for an import of dataclasses, for top-level
+names nothing uses, and for defaulted parameters no call in src/, tests/
+or demos/ sets.
 """
 
 import ast
@@ -124,6 +125,19 @@ def test_package_modules_use_their_imports():
             unused += ["%s:%d %s" % (path.name, line, name)
                        for name, line in bound.items() if name not in read]
     assert unused == []
+
+
+def test_package_imports_no_dataclasses():
+    # the records are named tuples: dataclasses costs a command about 7 ms
+    # of start-up for the inspect, ast, dis and tokenize modules it loads
+    found = []
+    for path in sorted((ROOT / "src" / "prefractal").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            found += ["%s:%d" % (path.name, node.lineno)
+                      for name in names if name and name.split(".")[0] == "dataclasses"]
+    assert found == []
 
 
 def test_package_top_level_names_are_used():
