@@ -7,8 +7,9 @@ apart they can look to any 1-Lipschitz observable.
 
 from fractions import Fraction
 
+from prefractal.curves import cell_certificate
 from prefractal.gasket import build_gasket
-from prefractal.metric import FiniteMetricSpace, gasket_cell_trace, gasket_metric_graph
+from prefractal.metric import FiniteMetricSpace, gasket_metric_graph
 from prefractal.transport import (DiscreteMeasure, certify_extent, kantorovich,
                                   CoupledGraph)
 
@@ -32,6 +33,6 @@ print()
 print("extent certificates with the default toll epsilon/4:")
 print("  n  m  epsilon   bound     empirical max")
 for n in (2, 3, 4):
-    rep = certify_extent(gasket_cell_trace(cx, n, n + 4))
+    rep = certify_extent(cell_certificate(n, n + 4))
     print("  %d  %d  %-8s  %-8s  %s"
           % (rep.n, rep.m, rep.epsilon, rep.bound, rep.empirical_max))

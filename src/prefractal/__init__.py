@@ -11,14 +11,15 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "curves": ("GasketSpace", "MEMORY_GUARD_BYTES", "curve_count", "kappa",
-               "kappa_inverse", "vertex_count", "vertex_word"),
+    "curves": ("CellCertificate", "GHBoundReport", "GasketSpace", "MEMORY_GUARD_BYTES",
+               "cell_certificate", "curve_count", "gh_upper_bound", "kappa", "kappa_inverse",
+               "sample_parameters", "vertex_count", "vertex_word"),
     "gasket": ("CORNERS", "CURVE_KINDS", "CURVE_SLOTS", "PrefractalComplex",
                "build_gasket", "complex_from_dict", "complex_json_chunks",
                "complex_to_dict", "dyadic_from_pair", "dyadic_to_pair", "similitude_apply"),
-    "metric": ("AgreementReport", "FiniteMetricSpace", "GHBoundReport", "MetricGraph",
-               "certify_vertex_agreement", "gasket_cell_trace", "gasket_metric_graph",
-               "gh_upper_bound", "hausdorff", "hausdorff_vertex_sets", "sample_parameters"),
+    "metric": ("AgreementReport", "FiniteMetricSpace", "MetricGraph",
+               "certify_vertex_agreement", "gasket_metric_graph", "hausdorff",
+               "hausdorff_vertex_sets"),
     "harmonic": ("CurveLengths", "HarmonicGasket", "HarmonicTable", "SubdivisionRule",
                  "build_harmonic_gasket", "derive_subdivision_rule", "embedding_point",
                  "harmonic_curve_length", "harmonic_extend"),

@@ -8,9 +8,11 @@ a file. Exit codes: 0 success, 2 validation error, 3 non-convergence;
 failures print a machine-readable JSON object on stderr.
 
 Each command imports the modules it calls inside its own body, so a
-command loads only what it runs: `spectrum`, `covariant` and `kantorovich`
-never import numpy, and `gen` of the plain gasket loads neither the
-metric nor the harmonic code. The package's records are named tuples, so
+command loads only what it runs: `spectrum`, `covariant`, `kantorovich`,
+`gh-table` and `extent` never import numpy (the last two certify from one
+generic cell, curves.cell_certificate, and load neither the complex nor
+the metric code), and `gen` of the plain gasket loads neither the metric
+nor the harmonic code. The package's records are named tuples, so
 no command loads dataclasses (and with it inspect, ast, dis and
 tokenize); csv loads only where CSV is written; and the parser gives
 arguments only to the command being run.
@@ -37,13 +39,20 @@ SCHEMA_VERSION = 2
 # svg` streams the same way (sg: 52.0/96.6/230.4 MiB at levels 11-13)
 _JSON_BYTES_PER_CURVE = {"sg": 90, "harmonic": 300}
 
-# peak RSS of `kantorovich` (no numpy): 16.4-16.9 MiB under wait4 for 1-80
-# support points at levels 1-11, plus 40 + level/8 B per int slot: k^2 for
-# the distance block, 16 per point and level for the oracle's tables (k =
-# 500/1000 at level 11: 22.9/41.1 MiB, 26 B per entry; k = 500 at level
-# 38: 29.4 MiB, 480 B per table)
-_KANTOROVICH_BASE_BYTES = 17 << 20
+# peak RSS of a numpy-free command: `kantorovich` peaks at 16.4-16.9 MiB
+# under wait4 for 1-80 support points at levels 1-11, plus 40 + level/8 B
+# per int slot: k^2 for the distance block, 16 per point and level for the
+# oracle's tables (k = 500/1000 at level 11: 22.9/41.1 MiB, 26 B per
+# entry; k = 500 at level 38: 29.4 MiB, 480 B per table)
+_LEAN_BASE_BYTES = 17 << 20
 _KANTOROVICH_SLOTS_PER_TABLE = 16
+
+# the exact rows of gh-table and extent are Fractions over 2^m, normalized
+# by gcds (in process, 2-core VM): 2.14 B per bit of m at their peak (m =
+# 4e6, 1.6e7); row n takes 1.2e-8 s per bit of m plus 1e-11 to 1.7e-11 s
+# per unit of n(m - n) (m = 2e5, 4e5); an extent trial 4.7e-5 + 1.1e-5 m s
+_ROW_BYTES_PER_BIT, _ROW_SECONDS_PER_BIT, _ROW_SECONDS_PER_PAIR = 3, 1.5e-8, 2e-11
+_TRIAL_SECONDS, _TRIAL_SECONDS_PER_LEVEL = 6e-5, 1.2e-5
 
 # peak RSS of `dimension` per cutoff grid point above the base: the grid
 # arrays, the counting table, the fit's lists and the written document
@@ -200,33 +209,46 @@ def cmd_gen(args) -> Iterable[str]:
                          "lengths": hg.length_json_chunks(1)})
 
 
+def _certificate_cost(what: str, lo: int, hi: int, m: int, trials: int = 0) -> None:
+    """Refuse, naming both estimates, the exact rows n = lo..hi at fine
+    level m and `trials` extent mixture trials, if they pass a guard."""
+    from .curves import check_cost
+
+    # sum of n(m - n) over n <= k, for k = hi and lo - 1
+    pairs = [m * k * (k + 1) // 2 - k * (k + 1) * (2 * k + 1) // 6 for k in (hi, lo - 1)]
+    try:
+        seconds = ((hi - lo + 1) * _ROW_SECONDS_PER_BIT * m
+                   + (pairs[0] - pairs[1]) * _ROW_SECONDS_PER_PAIR
+                   + trials * (_TRIAL_SECONDS + _TRIAL_SECONDS_PER_LEVEL * m))
+    except OverflowError:  # a count past any float is past the guard too
+        seconds = float("inf")
+    check_cost(_LEAN_BASE_BYTES + _ROW_BYTES_PER_BIT * m, seconds, what)
+
+
 def cmd_gh_table(args) -> Iterable[str]:
-    from .gasket import build_gasket
-    from .metric import (certify_trace_agreement, check_samples, check_trace_size,
-                         gasket_cell_traces, gh_upper_bound)
+    from .curves import cell_certificate, check_samples, gh_upper_bound
 
     if args.max_level < 0:
         raise ValueError("--max-level must be nonnegative, got %d" % args.max_level)
     if args.m < args.max_level:
         raise ValueError("--m must be at least --max-level")
     check_samples(args.samples)
-    check_trace_size(args.m, "the level-%d complex and its cell trace" % args.m)
-    cx = build_gasket(args.m)
+    _certificate_cost("gh-table: %d exact rows over 2^%d" % (args.max_level + 1, args.m),
+                      0, args.max_level, args.m)
     rows = []
-    # one cell trace per level gives both the bound's third term and the
-    # agreement; the traces come from n = max_level down
-    for trace in gasket_cell_traces(cx, args.max_level, args.m):
-        rep = gh_upper_bound(trace, args.samples)
-        agree = certify_trace_agreement(trace)
-        rows.append((trace.n, args.m, float(rep.bound), float(rep.bound_with_slack),
-                     float(rep.paper_bound) + float(rep.tail),
-                     float(agree.max_discrepancy)))
-    rows.reverse()
+    for n in range(args.max_level + 1):
+        cell = cell_certificate(n, args.m)  # the Hausdorff term and the agreement
+        rep = gh_upper_bound(cell, args.samples)
+        rows.append((n, args.m, float(rep.bound), float(rep.bound_with_slack),
+                     float(rep.paper_bound) + float(rep.tail), float(cell.discrepancy())))
     header = ("n", "m", "bound", "boundWithSlack", "referenceBound",
               "agreementDiscrepancy")
     if args.format == "svg":
         from .svg import line_plot
 
+        for n in (r[0] for r in rows if not r[2] > 0):
+            raise ValueError("the bound at level %d underflows to 0 as a float, which "
+                             "the log axis of --format svg cannot show" % n)
         certified = [(r[0], r[2]) for r in rows]
         reference = [(r[0], r[4]) for r in rows]
         return line_plot([("certified bound", certified),
@@ -295,7 +317,7 @@ def cmd_kantorovich(args) -> Iterable[str]:
     nu = _parse_measure(args.nu)
     k = len(set(mu.support) | set(nu.support))
     slots = k * k + _KANTOROVICH_SLOTS_PER_TABLE * k * args.level
-    check_memory(_KANTOROVICH_BASE_BYTES + slots * (40 + args.level // 8),
+    check_memory(_LEAN_BASE_BYTES + slots * (40 + args.level // 8),
                  "kantorovich on %d support points at level %d: the distance block "
                  "and the oracle's tables" % (k, args.level))
     res = kantorovich(GasketSpace(args.level), mu, nu)
@@ -303,8 +325,7 @@ def cmd_kantorovich(args) -> Iterable[str]:
 
 
 def cmd_extent(args) -> Iterable[str]:
-    from .gasket import build_gasket
-    from .metric import check_samples, check_trace_size, gasket_cell_trace
+    from .curves import cell_certificate, check_samples
     from .transport import certify_extent, check_alpha, check_trials
 
     alpha = None if args.alpha == "auto" else _parse_fraction(args.alpha)
@@ -312,11 +333,11 @@ def cmd_extent(args) -> Iterable[str]:
     if not 0 <= n <= m:
         raise ValueError("need 0 <= n <= m, got n=%d m=%d" % (n, m))
     check_samples(args.samples)
-    check_trials(args.trials)
+    check_trials(args.trials, m)
     check_alpha(alpha)
-    check_trace_size(m, "extent at levels (%d, %d): the complex and its cell trace"
-                     % (n, m))
-    rep = certify_extent(gasket_cell_trace(build_gasket(m), n, m), alpha=alpha,
+    _certificate_cost("extent at levels (%d, %d) with %d mixture trials" % (n, m, args.trials),
+                      n, n, m, args.trials)
+    rep = certify_extent(cell_certificate(n, m), alpha=alpha,
                          samples_per_curve=args.samples,
                          mixture_trials=args.trials, seed=args.seed)
     if args.format == "json":

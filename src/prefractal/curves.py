@@ -3,21 +3,28 @@
 The bottom, right and left edges of the r-th level-m triangle are curves
 kappa(m, r), kappa(m, r) + 1 and kappa(m, r) + 2; through level n there
 are curve_count(n) curves on vertex_count(n) vertices. GasketSpace reads
-the geodesic distance between two vertices from their ids. This is
-integer arithmetic on ids only, with no complex and no arrays, so the
-sparse mode vectors of `covariant` and the transport of `kantorovich`
-run without importing numpy.
+the geodesic distance between two vertices from their ids; one generic
+cell certifies d_m = d_n on V_n and Haus_{d_m}(V_n, V_m) (cell_certificate)
+for the bound chain gh_upper_bound. This is integer arithmetic on ids
+only, with no complex and no arrays, so `covariant`, `kantorovich`,
+`gh-table` and `extent` run without importing numpy.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
+from fractions import Fraction
 from operator import itemgetter
 
 # cap on the estimated bytes of a complex's build, a row-by-row agreement
 # check, or a CLI command (each estimates its own peak); it also keeps a
 # complex's int64 lattice coordinates (at most 2**max_level) far from overflow
 MEMORY_GUARD_BYTES = 2**30
+
+# cap on the estimated seconds of a command's exact big-int arithmetic
+# (per-operation costs measured on a 2-core VM)
+WORK_GUARD_SECONDS = 30
 
 # phi_r on V_0, row r: the ids of T_r(v_0), T_r(v_1), T_r(v_2), level-1 triangle r
 V0_IMAGES = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
@@ -28,6 +35,15 @@ def check_memory(need: int, what: str) -> None:
     if need > MEMORY_GUARD_BYTES:
         raise ValueError("%s needs about %d MiB, above the guard of %d MiB"
                          % (what, need >> 20, MEMORY_GUARD_BYTES >> 20))
+
+
+def check_cost(need: int, seconds: float, what: str) -> None:
+    """Raise ValueError, naming both estimates, when `need` bytes exceed
+    MEMORY_GUARD_BYTES or `seconds` exceed WORK_GUARD_SECONDS."""
+    if need > MEMORY_GUARD_BYTES or seconds > WORK_GUARD_SECONDS:
+        raise ValueError("%s needs about %d MiB and %.3g s, above the guards of %d MiB and %d s"
+                         % (what, need >> 20, seconds, MEMORY_GUARD_BYTES >> 20,
+                            WORK_GUARD_SECONDS))
 
 
 def kappa(n: int, r: int) -> int:
@@ -180,3 +196,123 @@ class GasketSpace:
                     cells.append((k + 1, kids[r]))
                 later += kids[r]
         return block, self.scale
+
+    def to_coarse(self, v: int, n: int) -> int:
+        """d(v, V_n), an int over scale, for n <= level: 0 on V_n, else the
+        least of delta_n's corner entries, as v lies in one level-n cell,
+        T_w[:n](K), and a path to V_n leaves it through a corner."""
+        word, _, tables = self._tables(v)
+        return min(tables[n][:3]) if len(word) >= n else 0
+
+
+# -- what one generic cell certifies about two levels --------------------
+
+# SG_1 with unit child sides, from _V1_HOPS: the hops between its corner
+# pairs (0, 1), (1, 2), (2, 0), and the most hops from a V_1 point to V_0
+_V1_SIDES = tuple(_V1_HOPS[a][b] for a, b in ((0, 1), (1, 2), (2, 0)))
+_V1_REACH = max(min(row[:3]) for row in _V1_HOPS)
+
+
+class CellCertificate(namedtuple("CellCertificate", "n m corner_hops haus_hops")):
+    """Hops in G_m between corners (0, 1), (1, 2), (2, 0) of a level-n cell,
+    and the most hops from a V_m vertex to V_n."""
+    __slots__ = ()
+
+    def discrepancy(self) -> int:
+        """max |d_m - d_n| on V_n: 0 when every corner pair of a level-n cell
+        is 2^(m-n) hops apart; anything else raises, naming the level."""
+        n, m = self.n, self.m
+        if any(h != 1 << (m - n) for h in self.corner_hops):
+            raise ValueError("d_%d and d_%d differ on V_%d: the corners of a level-%d cell are "
+                             "%s hops apart in G_%d, not 2^%d"
+                             % (m, n, n, n, list(self.corner_hops), m, m - n))
+        return 0
+
+
+def cell_certificate(n: int, m: int) -> CellCertificate:
+    """The corner and Hausdorff hops of levels (n, m), read from one generic
+    cell, SG_1 (_V1_HOPS), scaled by 2^(m-n-1). Each level-k cell is three
+    level-(k+1) cells glued at their corners in one pattern (V0_IMAGES),
+    and a level's cells meet only at their corners, so a path inside a
+    cell splits at its children's corners into paths inside single ones.
+
+    Lemma 1: d_m = d_n on V_n. A level-m cell is a triangle, its corners
+    one hop apart. If every level-(k+1) cell's corners are h hops apart,
+    a level-k cell's corner hops are the min-plus closure of its
+    children's sides, which is positively homogeneous: h times SG_1's
+    with unit sides, h * _V1_SIDES = 2h. So a level-n cell's corners are
+    2^(m-n) hops apart. A path in G_m between V_n vertices splits at its
+    V_n visits into corner-to-corner paths inside level-n cells, so d_m
+    on V_n is the metric of G_n with sides 2^(m-n) * 2^-m = 2^-n.
+
+    Lemma 2: Haus_{d_m}(V_n, V_m) = 2^(m-n-1) hops for m > n. Any two
+    children of a cell share a corner, so a cell's diameter is at most
+    twice its children's, and a level-(n+1) cell's at most 2^(m-n-1)
+    hops; each holds a corner of its parent, a V_n vertex. A side
+    midpoint of a level-n cell, one of its V_1 points, is _V1_REACH
+    level-(n+1) sides (Lemma 1) from its nearest corner, and a path to
+    V_n leaves its one level-n cell through a corner: the bound is
+    attained. At m = n, V_m = V_n and the term is 0. Both lemmas hold
+    for every m (Kigami, Analysis on Fractals, 2001, ch. 1; Christensen,
+    Ivan and Lapidus, Adv. Math. 2008, build on the same induction).
+    """
+    if not 0 <= n <= m:
+        raise ValueError("need 0 <= n <= m, got n=%d m=%d" % (n, m))
+    if n == m:
+        return CellCertificate(n, m, (1, 1, 1), 0)
+    unit = 1 << (m - n - 1)  # a level-(n+1) side, in hops of G_m
+    return CellCertificate(n, m, tuple(h * unit for h in _V1_SIDES), _V1_REACH * unit)
+
+
+# -- the two-sided bound chain -------------------------------------------
+
+
+def check_samples(k: int) -> None:
+    """Raise ValueError unless k is at least one sample per curve."""
+    if k < 1:
+        raise ValueError("need at least one sample per curve")
+
+
+def sample_parameters(k: int) -> list[Fraction]:
+    """k equispaced interior parameters (2i+1)/(2k); cover radius 1/(2k)."""
+    check_samples(k)
+    return [Fraction(2 * i + 1, 2 * k) for i in range(k)]
+
+
+class GHBoundReport(namedtuple("GHBoundReport", [
+        "n", "m", "samples_per_curve",
+        "haus_vertices_to_sample",  # Haus_{d_n}(V_n, S_n)
+        "sampling_slack",           # max curve length / (2k)
+        "haus_vn_in_vm",            # Haus_{d_m}(V_n, V_m)
+        "tail",                     # 2^-m density of V_m in the limit set
+        "bound",                    # sum of the three certified terms
+        "bound_with_slack",
+        "paper_bound"])):           # 2^(1-n)
+    __slots__ = ()
+
+
+def gh_upper_bound(cell: CellCertificate, samples_per_curve: int = 3) -> GHBoundReport:
+    """Certified upper bound for the coarse-vs-limit comparison at level
+    n = cell.n, against the fine level m = cell.m.
+
+    Chain: (level-n set vs V_n under d_n) + (exact vertex agreement, zero)
+    + (V_n vs V_m under d_m, plus the 2^-m density of V_m in the limit).
+    The first term is computed on the on-edge sample S_n; its cover-radius
+    slack is reported separately, never folded in silently. The third term
+    is cell.haus_hops over 2^m; the agreement is cell.discrepancy().
+    """
+    check_samples(samples_per_curve)
+    n, m = cell.n, cell.m
+    # every level-n curve has length 2^-n and both endpoints in V_n, so a
+    # sample at parameter t is min(t, 1 - t) of a curve from V_n; the
+    # V_n -> S_n direction is zero since vertices are in the sample. Over
+    # the parameters (2i+1)/(2k), the max of min(t, 1 - t) is at the one
+    # nearest 1/2: i = (k - 1) // 2
+    lam = Fraction(1, 2**n)
+    term1 = lam * Fraction(2 * ((samples_per_curve - 1) // 2) + 1, 2 * samples_per_curve)
+    slack = lam / (2 * samples_per_curve)
+    term3 = Fraction(cell.haus_hops, 2**m)
+    tail = Fraction(1, 2**m)
+    bound = term1 + term3 + tail
+    return GHBoundReport(n, m, samples_per_curve, term1, slack, term3, tail, bound,
+                         bound + slack, Fraction(2, 2**n))

@@ -11,27 +11,33 @@ inputs get a 1e-9 gap tolerance. The potentials are checked 1-Lipschitz
 on every pair of the support union, and every plan entry (s, t) tight:
 its potentials differ by exactly d(s, t).
 
-The extent certificate bounds, from the gasket's cell trace, how far a
+The extent certificate bounds, from curves.cell_certificate, how far a
 Dirac state on the fine level sits from the coarse one glued to it by
 cross edges of weight alpha. Reported numbers are upper bounds from
-measured Hausdorff quantities; premises are checked, not assumed. Its
+certified Hausdorff quantities; premises are checked, not assumed. Its
 mixture spot-checks solve no transport: moving each atom to its nearest
 V_n vertex is optimal by Kantorovich-Rubinstein duality, so their value
-is a closed-form sum over the atoms. Only CoupledGraph and
-certify_extent import numpy and prefractal.metric, when they run.
+is a closed-form sum over the atoms, read from their vertex ids. Only
+CoupledGraph imports numpy and prefractal.metric, when it runs.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from math import isfinite, lcm
 from operator import mul, truediv
 
+from .curves import GasketSpace, gh_upper_bound, vertex_count
+
 _FLOAT_MASS_TOL = 1e-12
 _FLOAT_GAP_TOL = 1e-9
+
+# the last level whose |V_m| vertex ids fit a range random.sample can take
+_LAST_INDEXED_LEVEL = max(m for m in range(64) if vertex_count(m) <= sys.maxsize)
 
 
 def _is_exact_weight(w) -> bool:
@@ -426,10 +432,14 @@ def _require_premises(n, m, eps_sample, eps_vertex):
             % (n, m, eps_vertex, Fraction(1, 2**n) + Fraction(1, 2**m)))
 
 
-def check_trials(k: int) -> None:
-    """Raise ValueError unless k is a nonnegative number of mixture trials."""
+def check_trials(k: int, m: int) -> None:
+    """Raise ValueError unless k is a nonnegative number of mixture trials
+    that random.sample can draw from range(|V_m|), at most sys.maxsize."""
     if k < 0:
         raise ValueError("mixture trials must be nonnegative, got %d" % k)
+    if k and m > _LAST_INDEXED_LEVEL:
+        raise ValueError("mixture trials draw their atoms from range(|V_%d|), past sys.maxsize "
+                         "from m = %d on; ask for no trials there" % (m, _LAST_INDEXED_LEVEL + 1))
 
 
 def check_alpha(alpha) -> None:
@@ -438,10 +448,10 @@ def check_alpha(alpha) -> None:
         raise ValueError("alpha must be positive, got %s" % alpha)
 
 
-def certify_extent(trace: CellTrace, alpha=None, samples_per_curve: int = 3,
+def certify_extent(cell: CellCertificate, alpha=None, samples_per_curve: int = 3,
                    mixture_trials: int = 5, seed: int = 0) -> ExtentReport:
     """Certify how far Dirac states on either scale sit from the other, at
-    the levels n = trace.n and m = trace.m.
+    the levels n = cell.n and m = cell.m of a curves.cell_certificate.
 
     Measures the covering radii (sample-to-vertices at level n, vertices
     n-to-m plus the 2^-m tail), takes epsilon as their max, couples copy
@@ -451,25 +461,23 @@ def certify_extent(trace: CellTrace, alpha=None, samples_per_curve: int = 3,
     headline bound. Random small mixtures are spot-checked against the
     same bound, which convexity guarantees.
 
-    Everything comes from the trace; no complex, trace or graph is built.
-    A path from copy A to copy B crosses at some V_n vertex for alpha, so
-    d(x, B) = alpha + d_m(x, V_n), whose max over V_m is alpha +
-    Haus_{d_m}(V_n, V_m), and every B vertex sits alpha from its A copy.
-    Both need d_m = d_n on V_n, which the trace certifies.
+    Everything comes from the certificate and vertex ids; no complex or
+    graph is built. A path from copy A to copy B crosses at some V_n
+    vertex for alpha, so d(x, B) = alpha + d_m(x, V_n), whose max over V_m
+    is alpha + Haus_{d_m}(V_n, V_m), and every B vertex sits alpha from
+    its A copy. Both need d_m = d_n on V_n: cell.discrepancy().
 
     A mixture mu = sum w_i delta(a_i) on A moves each atom to the nearest
     corner c_i of its level-n cell, and W(mu, T#mu) = alpha + sum w_i
-    d_m(a_i, V_n) exactly, read from the trace's nearest_hops. The plan
-    a_i -> c_i, crossing at c_i, costs at most that sum. And f = d(., B)
-    is 1-Lipschitz, alpha + d_m(a_i, V_n) at a_i (a path to B first
-    crosses at some V_n vertex) and 0 on B, so Kantorovich-Rubinstein
-    duality gives W >= int f dmu - int f d(T#mu), the same sum.
+    d_m(a_i, V_n) exactly, read by GasketSpace(m).to_coarse. The plan a_i
+    -> c_i, crossing at c_i, costs at most that sum. And f = d(., B) is
+    1-Lipschitz, alpha + d_m(a_i, V_n) at a_i (a path to B first crosses
+    at some V_n vertex) and 0 on B, so Kantorovich-Rubinstein duality
+    gives W >= int f dmu - int f d(T#mu), the same sum.
     """
-    from .metric import certify_trace_agreement, gh_upper_bound
-
-    check_trials(mixture_trials)
-    n, m = trace.n, trace.m
-    rep = gh_upper_bound(trace, samples_per_curve)
+    n, m = cell.n, cell.m
+    check_trials(mixture_trials, m)
+    rep = gh_upper_bound(cell, samples_per_curve)
     eps_sample = rep.haus_vertices_to_sample + rep.sampling_slack
     eps_vertex = rep.haus_vn_in_vm + rep.tail
     _require_premises(n, m, eps_sample, eps_vertex)
@@ -479,22 +487,20 @@ def certify_extent(trace: CellTrace, alpha=None, samples_per_curve: int = 3,
         alpha = epsilon / 4
     alpha = Fraction(alpha)
     check_alpha(alpha)
-    agree = certify_trace_agreement(trace)
-    if agree.max_discrepancy:
-        raise ValueError("extent needs d_%d = d_%d on V_%d, but they differ by %s "
-                         "at pair %s" % (m, n, n, agree.max_discrepancy,
-                                         agree.worst_pair))
+    cell.discrepancy()
 
     # alpha + the Hausdorff term is below alpha + epsilon by the 2^-m tail
-    worst_a = alpha + trace.hausdorff
+    worst_a = alpha + rep.haus_vn_in_vm
     per_dirac = alpha + epsilon
 
-    nv_m = len(trace.nearest_hops)
     rng = random.Random(seed)
     mixture_max = Fraction(0)
+    if mixture_trials:  # so m <= _LAST_INDEXED_LEVEL, and |V_m| is cheap to count
+        space = GasketSpace(m)
     for _ in range(mixture_trials):
-        mu = DiscreteMeasure.random_mixture(rng, range(nv_m), min(4, nv_m))
-        val = alpha + sum(w * Fraction(int(trace.nearest_hops[a]), 2**m)
+        mu = DiscreteMeasure.random_mixture(rng, range(space.vertex_count),
+                                            min(4, space.vertex_count))
+        val = alpha + sum(w * Fraction(space.to_coarse(a, n), space.scale)
                           for a, w in mu.weights.items())
         if val > mixture_max:
             mixture_max = val

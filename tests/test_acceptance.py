@@ -13,11 +13,11 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import from_triples, max_difference_objective
-from prefractal.curves import curve_count
+from prefractal.curves import cell_certificate, curve_count, gh_upper_bound
 from prefractal.gasket import build_gasket
 from prefractal.harmonic import HarmonicTable, build_harmonic_gasket
 from prefractal.metric import (FiniteMetricSpace, certify_vertex_agreement,
-                               gasket_cell_trace, gasket_metric_graph, gh_upper_bound)
+                               gasket_metric_graph)
 from prefractal.modes import (covariant_reach_witness, project,
                               random_mode_vector, tail_level_for)
 from prefractal.spectrum import (SpectrumSpec, dimension_fit,
@@ -47,10 +47,10 @@ def test_criterion_01_vertex_metric_agreement(cx9):
           % (pairs, elapsed))
 
 
-def test_criterion_02_sampled_hausdorff_premise(cx9):
+def test_criterion_02_sampled_hausdorff_premise():
     worst = F(0)
     for n in range(9):
-        rep = gh_upper_bound(gasket_cell_trace(cx9, n, n), 3)
+        rep = gh_upper_bound(cell_certificate(n, n), 3)
         computed = F(rep.haus_vertices_to_sample)
         slack = F(rep.sampling_slack)
         assert computed <= F(1, 2 ** (n + 1)) + slack
@@ -60,10 +60,10 @@ def test_criterion_02_sampled_hausdorff_premise(cx9):
           "through n=8 (worst with slack %s)" % worst)
 
 
-def test_criterion_03_gh_bound_chain(cx9):
+def test_criterion_03_gh_bound_chain():
     m = 9
     for n in range(7):
-        rep = gh_upper_bound(gasket_cell_trace(cx9, n, m), 3)
+        rep = gh_upper_bound(cell_certificate(n, m), 3)
         target = F(2, 2 ** n) + F(1, 2 ** m)
         assert F(rep.bound) <= target
         assert F(rep.bound_with_slack) <= target
@@ -87,10 +87,10 @@ def test_criterion_04_kantorovich_dirac_isometry(cx9):
           % checked)
 
 
-def test_criterion_05_tunnel_extent_bound(cx9):
+def test_criterion_05_tunnel_extent_bound():
     rows = []
     for n in (2, 3, 4):
-        rep = certify_extent(gasket_cell_trace(cx9, n, n + 4))
+        rep = certify_extent(cell_certificate(n, n + 4))
         assert F(rep.alpha) == F(rep.epsilon) / 4
         assert F(rep.worst_a_to_b) <= F(rep.per_dirac_bound)
         assert F(rep.worst_b_to_a) <= F(rep.per_dirac_bound)

@@ -277,18 +277,56 @@ class TestTables:
         assert json.loads(err)["error"] == "validation"
 
     def test_gh_table_refuses_oversized_agreement(self, capsys, monkeypatch):
-        # the build phase is the larger: the level-14 complex (1,847 MiB)
-        # against the held complex and the cell trace (1,473 MiB); m = 13
-        # runs (622 MiB measured, 647 MiB estimated)
-        monkeypatch.setattr("prefractal.gasket.build_gasket", _no_build)
-        code, _, err = _run(capsys, "gh-table", "--max-level", "3", "--m", "14")
-        assert code == 2
-        payload = json.loads(err)
-        assert payload["error"] == "validation"
-        assert payload["message"] == ("the level-14 complex and its cell trace needs "
-                                      "about 1879 MiB, above the guard of 1024 MiB")
-        with pytest.raises(AssertionError, match="built the level-13 complex"):
-            main(["gh-table", "--max-level", "3", "--m", "13"])
+        # the rows hold Fractions over 2^m: the estimate of their gcds and
+        # ints refuses the first m past the guard and lets the last one in
+        def no_rows(n, m):
+            raise AssertionError("reached the rows")
+
+        monkeypatch.setattr("prefractal.curves.cell_certificate", no_rows)
+        for max_level, m, mib, seconds in [
+                # the default 7 rows: about 1.05e-7 s per bit of m, so
+                # 284,575,981 is the largest m run (6.0 s and 219 MiB
+                # measured at m = 1e8)
+                (6, 284575981, 831, "30"),
+                # every row up to m: n(m - n) bits of gcd per row (2.8 s
+                # measured for --max-level 10000 --m 10000, 4.8 s estimated)
+                (19403, 19403, 17, "30"),
+                # past the memory guard too, at 3 B per bit of m
+                (6, 10**9, 2878, "105")]:
+            refused = m + 1 if mib < 1024 else m
+            code, out, err = _run(capsys, "gh-table", "--max-level", str(max_level),
+                                  "--m", str(refused))
+            assert code == 2 and out == ""
+            payload = json.loads(err)
+            assert payload["error"] == "validation"
+            assert payload["message"] == (
+                "gh-table: %d exact rows over 2^%d needs about %d MiB and %s s, above the "
+                "guards of 1024 MiB and 30 s" % (max_level + 1, refused, mib, seconds))
+            if refused > m:
+                with pytest.raises(AssertionError, match="reached the rows"):
+                    main(["gh-table", "--max-level", str(max_level), "--m", str(m)])
+
+    def test_gh_table_runs_past_the_old_level_cap(self, capsys):
+        # m = 14 and up were refused while the rows came from the level-m
+        # complex; the generic cell gives the same rows at any m
+        code, out, _ = _run(capsys, "gh-table", "--max-level", "2", "--m", "100000")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [r[:2] for r in rows] == [["0", "100000"], ["1", "100000"], ["2", "100000"]]
+        assert [r[2] for r in rows] == ["1.0", "0.5", "0.25"]
+        assert all(r[-1] == "0.0" for r in rows)
+
+    def test_gh_table_svg_names_a_bound_below_every_float(self, capsys):
+        # 2^-1076 rounds to 0, which a log axis cannot place
+        code, out, err = _run(capsys, "gh-table", "--max-level", "1100", "--m", "1100",
+                              "--format", "svg")
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"] == (
+            "the bound at level 1076 underflows to 0 as a float, which the log axis "
+            "of --format svg cannot show")
+        code, out, _ = _run(capsys, "gh-table", "--max-level", "1075", "--m", "1100",
+                            "--format", "svg")
+        assert code == 0 and out.startswith("<svg")
 
     def test_kantorovich_guard_refuses_before_building(self, capsys, monkeypatch):
         # the estimate grows with the support union's size squared and with
@@ -340,24 +378,70 @@ class TestTables:
 
     @pytest.mark.parametrize("n,m", [(11, 11), (10, 12), (0, 12), (12, 12),
                                      (0, 13), (10, 13), (13, 13)])
-    def test_extent_guard_admits_measured_levels(self, n, m, monkeypatch):
-        # peaks of 228 MiB at (10, 12) and (0, 12) and 622 MiB at (0, 13)
-        # and (10, 13) were measured; every n is admitted at m = 13
+    def test_extent_guard_admits_measured_levels(self, n, m, monkeypatch, capsys):
+        # these levels built a level-m complex and its cell trace (228 MiB
+        # at m = 12 and 622 MiB at m = 13 measured); now they build neither
         monkeypatch.setattr("prefractal.gasket.build_gasket", _no_build)
-        with pytest.raises(AssertionError, match="built the level-%d complex" % m):
-            main(["extent", "--n", str(n), "--m", str(m)])
+        code, out, _ = _run(capsys, "extent", "--n", str(n), "--m", str(m))
+        assert code == 0
+        assert out.splitlines()[1].startswith("%d,%d," % (n, m))
 
-    @pytest.mark.parametrize("n,m,mib", [(0, 14, 1879), (10, 14, 1879)])
-    def test_extent_guard_refuses_before_building(self, n, m, mib, capsys,
+    @pytest.mark.parametrize("n,m,trials,mib", [
+        # about 9.6e-5 s per trial at m = 3 (6.4 s measured for 100,000)
+        (1, 3, 312499, 17),
+        # 5.3e-4 s per trial at m = 39 (8.4 s measured for 20,000)
+        (20, 39, 56818, 17),
+        # no trials: one row, 2e-11 s per unit of n(m - n)
+        (1223995, 2447990, 0, 24)])
+    def test_extent_guard_refuses_past_its_budget(self, n, m, trials, mib, capsys,
                                                   monkeypatch):
-        # the smallest refused m is 14, for every n, as for gh-table
-        monkeypatch.setattr("prefractal.gasket.build_gasket", _no_build)
-        code, out, err = _run(capsys, "extent", "--n", str(n), "--m", str(m))
+        # the first trial count (or m) past the 30 s guard is refused with
+        # both estimates; the last one under it reaches the certificate
+        def no_certificate(*args, **kwargs):
+            raise AssertionError("reached the certificate")
+
+        monkeypatch.setattr("prefractal.transport.certify_extent", no_certificate)
+        refused = [str(n), str(m + (trials == 0)), str(trials + (trials > 0))]
+        code, out, err = _run(capsys, "extent", "--n", refused[0], "--m", refused[1],
+                              "--trials", refused[2])
         assert code == 2 and out == ""
-        payload = json.loads(err)
-        assert payload["message"] == (
-            "extent at levels (%d, %d): the complex and its cell trace needs about "
-            "%d MiB, above the guard of 1024 MiB" % (n, m, mib))
+        assert json.loads(err)["message"] == (
+            "extent at levels (%s, %s) with %s mixture trials needs about %d MiB and 30 s, "
+            "above the guards of 1024 MiB and 30 s" % (*refused, mib))
+        with pytest.raises(AssertionError, match="reached the certificate"):
+            main(["extent", "--n", str(n), "--m", str(m), "--trials", str(trials)])
+
+    def test_extent_cost_grows_with_its_input(self, capsys):
+        # both estimates of refused runs: seconds grow with the trials and
+        # with m, and bytes with m
+        def estimate(*argv):
+            code, _, err = _run(capsys, "extent", *argv)
+            assert code == 2
+            mib, seconds = re.search(r"needs about (\d+) MiB and (\S+) s,",
+                                     json.loads(err)["message"]).groups()
+            return int(mib), float(seconds)
+
+        by_trials = [estimate("--n", "1", "--m", "3", "--trials", str(10**k))
+                     for k in range(6, 10)]
+        by_level = [estimate("--n", "1", "--m", str(m), "--trials", "10000000")
+                    for m in (3, 8, 20, 39)]
+        by_bits = [estimate("--n", "0", "--m", str(m), "--trials", "0")
+                   for m in (4 * 10**8, 8 * 10**8, 16 * 10**8)]
+        for row in (by_trials, by_level, by_bits):
+            assert [s for _, s in row] == sorted(s for _, s in row)
+            assert len({s for _, s in row}) == len(row)
+        assert by_bits[0][0] < by_bits[1][0] < by_bits[2][0]
+        assert by_trials[0][0] == by_trials[-1][0] == 17
+
+    def test_extent_trials_past_level_39_are_refused(self, capsys):
+        # mixture atoms are drawn by index from range(|V_m|)
+        code, out, err = _run(capsys, "extent", "--n", "0", "--m", "40")
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"] == (
+            "mixture trials draw their atoms from range(|V_40|), past sys.maxsize from "
+            "m = 40 on; ask for no trials there")
+        code, out, _ = _run(capsys, "extent", "--n", "0", "--m", "40", "--trials", "0")
+        assert code == 0 and out.splitlines()[1].startswith("0,40,")
 
     @pytest.mark.parametrize("grid,mib", [(1733646, 1024), (10**9, 572236)])
     def test_dimension_guard_refuses_before_the_grid(self, grid, mib, capsys,

@@ -21,14 +21,15 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # the package's public names, by the submodule that defines each
 EXPORTS = {
-    "curves": ["GasketSpace", "MEMORY_GUARD_BYTES", "curve_count", "kappa",
-               "kappa_inverse", "vertex_count", "vertex_word"],
+    "curves": ["CellCertificate", "GHBoundReport", "GasketSpace", "MEMORY_GUARD_BYTES",
+               "cell_certificate", "curve_count", "gh_upper_bound", "kappa", "kappa_inverse",
+               "sample_parameters", "vertex_count", "vertex_word"],
     "gasket": ["CORNERS", "CURVE_KINDS", "CURVE_SLOTS", "PrefractalComplex",
                "build_gasket", "complex_from_dict", "complex_json_chunks",
                "complex_to_dict", "dyadic_from_pair", "dyadic_to_pair", "similitude_apply"],
-    "metric": ["AgreementReport", "FiniteMetricSpace", "GHBoundReport", "MetricGraph",
-               "certify_vertex_agreement", "gasket_cell_trace", "gasket_metric_graph",
-               "gh_upper_bound", "hausdorff", "hausdorff_vertex_sets", "sample_parameters"],
+    "metric": ["AgreementReport", "FiniteMetricSpace", "MetricGraph",
+               "certify_vertex_agreement", "gasket_metric_graph", "hausdorff",
+               "hausdorff_vertex_sets"],
     "harmonic": ["CurveLengths", "HarmonicGasket", "HarmonicTable", "SubdivisionRule",
                  "build_harmonic_gasket", "derive_subdivision_rule", "embedding_point",
                  "harmonic_curve_length", "harmonic_extend"],
@@ -74,8 +75,9 @@ def _numpy(modules):
 
 
 class TestCommandFootprint:
-    # kantorovich reads its distances from vertex ids, so it needs neither
-    # the complex nor a graph; and the records are named tuples, since
+    # kantorovich reads its distances from vertex ids, and gh-table and
+    # extent certify from one generic cell per level, so none needs the
+    # complex or a graph; and the records are named tuples, since
     # dataclasses imports inspect, ast, dis and tokenize (about 7 ms)
     @pytest.mark.parametrize("argv", [
         ("--version",),
@@ -83,7 +85,10 @@ class TestCommandFootprint:
         ("spectrum", "--infinite", "--cutoff", "300", "--format", "json"),
         ("covariant", "--n", "2", "--epsilon", "0.1", "--trials", "20"),
         ("kantorovich", "--level", "3", "--mu", "0:1", "--nu", "1:1/2,2:1/2"),
-    ], ids=["version", "spectrum-csv", "spectrum-json", "covariant", "kantorovich"])
+        ("gh-table", "--max-level", "3", "--m", "5"),
+        ("extent", "--n", "2", "--m", "5"),
+    ], ids=["version", "spectrum-csv", "spectrum-json", "covariant", "kantorovich",
+            "gh-table", "extent"])
     def test_array_free_commands_load_no_numpy(self, argv):
         loaded = _loaded(*argv)
         assert _numpy(loaded) == []
@@ -125,13 +130,11 @@ class TestCommandFootprint:
     # numpy imports numpy.ma lazily, and some calls (np.unique among them)
     # load it; it adds about 15 ms to a command's start-up
     @pytest.mark.parametrize("argv", [
-        ("gh-table", "--max-level", "3", "--m", "5"),
-        ("extent", "--n", "2", "--m", "5"),
         ("gen", "--level", "3", "--format", "json"),
         ("gen", "--level", "3", "--format", "svg"),
         ("dimension", "--infinite", "--lambda-min", "10", "--lambda-max", "1000",
          "--grid", "20"),
-    ], ids=["gh-table", "extent", "gen-json", "gen-svg", "dimension"])
+    ], ids=["gen-json", "gen-svg", "dimension"])
     def test_numpy_commands_load_no_masked_arrays(self, argv):
         loaded = _loaded(*argv)
         assert "numpy" in loaded
@@ -141,7 +144,7 @@ class TestCommandFootprint:
 class TestLazyExports:
     def test_public_names(self):
         names = sorted(n for names in EXPORTS.values() for n in names)
-        assert len(names) == 66
+        assert len(names) == 67
         assert sorted(prefractal.__all__) == names
 
     def test_each_name_is_its_home_object(self):

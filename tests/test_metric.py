@@ -9,7 +9,10 @@ Core claims:
       stays below the coarse 2^(1-n) + 2^-m budget;
     - the geodesic oracle of curves.GasketSpace, read from vertex ids,
       equals breadth-first hops on the level graph, and its block, read
-      pair by pair at each lowest common cell, equals the pairwise scan.
+      pair by pair at each lowest common cell, equals the pairwise scan;
+    - one generic cell per level (curves.cell_certificate) gives the
+      corner hops, Hausdorff term and bound rows of the exhaustive cell
+      trace (oracles.gasket_cell_traces) for every 0 <= n <= m <= 12.
 """
 
 import random
@@ -21,26 +24,24 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import (bfs_cell_trace, from_triples, hop_block, hop_block_agreement,
-                     nearest_sources, pairwise_support_block, point_distance,
-                     sampled_space, sampling_term, space_to_dict, sssp)
-from prefractal import metric
+import oracles
+from oracles import (bfs_cell_trace, from_triples, gasket_cell_trace, gasket_cell_traces,
+                     hop_block, hop_block_agreement, nearest_sources,
+                     pairwise_support_block, point_distance, sampled_space, sampling_term,
+                     space_to_dict, sssp)
+from prefractal import curves, metric
 from prefractal.cli import main
-from prefractal.curves import GasketSpace, kappa, vertex_count, vertex_word
+from prefractal.curves import (CellCertificate, GasketSpace, cell_certificate, gh_upper_bound,
+                               kappa, sample_parameters, vertex_count, vertex_word)
 from prefractal.gasket import build_gasket
 from prefractal.metric import (
     AgreementReport,
     FiniteMetricSpace,
     MetricGraph,
-    certify_trace_agreement,
     certify_vertex_agreement,
-    gasket_cell_trace,
-    gasket_cell_traces,
     gasket_metric_graph,
-    gh_upper_bound,
     hausdorff,
     hausdorff_vertex_sets,
-    sample_parameters,
 )
 from prefractal.transport import certify_extent
 
@@ -483,7 +484,7 @@ class TestHausdorffAndBounds:
         # the oracle reads every V_n block from the top-left corner of the
         # V_max_level block; uniform chords on V_1 make d_m differ from d_n,
         # so a misread corner would change the value or the first worst
-        # pair. On the gasket the cell certificate gives the same report.
+        # pair. On the gasket the cell certificate gives the same 0.
         cx = build_gasket(m)
         g_gasket = gasket_metric_graph(cx, m)
         w = g_gasket.edges[0][2]
@@ -500,7 +501,7 @@ class TestHausdorffAndBounds:
                 assert shared == alone
                 if g_m is g_gasket:
                     assert alone.max_discrepancy == 0
-                    assert certify_trace_agreement(gasket_cell_trace(cx, n, m)) == alone
+                    assert cell_certificate(n, m).discrepancy() == alone.max_discrepancy
                 elif n >= 1:
                     assert alone.max_discrepancy > 0
 
@@ -528,8 +529,8 @@ class TestHausdorffAndBounds:
             hop_block_agreement(1, 1, g1, g_float, fine_hops=np.zeros((6, 6), np.int64))
 
     def test_gh_table_builds_no_metric_graph(self, monkeypatch, capsys):
-        # the cell trace certifies every row; no graph of any level is built
-        # and no shortest-path run starts
+        # one generic cell certifies every row; no graph of any level is
+        # built and no shortest-path run starts
         def refuse(*args, **kwargs):
             raise AssertionError("gh-table built a graph or ran a traversal")
 
@@ -539,12 +540,13 @@ class TestHausdorffAndBounds:
         assert capsys.readouterr().out.count(",0.0\n") == 4
 
     def test_gh_table_and_extent_run_no_bfs(self, monkeypatch, capsys):
-        # every trace is lifted from the level-m triangles; only MetricGraph
-        # runs the shortest-path kernel _relax
+        # the rows come from one generic cell per level and extent's atoms
+        # from vertex ids: no complex is built and no BFS is run
         def refuse(*args, **kwargs):
-            raise AssertionError("ran a BFS")
+            raise AssertionError("ran a BFS or built a complex")
 
         monkeypatch.setattr(metric, "_relax", refuse)
+        monkeypatch.setattr("prefractal.gasket.build_gasket", refuse)
         assert main(["gh-table"]) == 0
         assert capsys.readouterr().out.count(",0.0\n") == 7
         assert main(["extent", "--n", "4", "--m", "8"]) == 0
@@ -555,11 +557,10 @@ class TestHausdorffAndBounds:
         graphs = {level: gasket_metric_graph(cx9, level) for level in (*range(8), 9)}
         pairs = [(n, m) for m in range(8) for n in range(m + 1)] + [(6, 9)]
         for n, m in pairs:
-            trace = gasket_cell_trace(cx9, n, m)
-            rep = certify_trace_agreement(trace)
-            assert rep == hop_block_agreement(n, m, graphs[n], graphs[m])
-            assert rep.max_discrepancy == 0 and rep.worst_pair == (0, 1)
-            assert trace.hausdorff == hausdorff_vertex_sets(
+            trace, cell = gasket_cell_trace(cx9, n, m), cell_certificate(n, m)
+            rep = hop_block_agreement(n, m, graphs[n], graphs[m])
+            assert rep.max_discrepancy == cell.discrepancy() == 0 and rep.worst_pair == (0, 1)
+            assert gh_upper_bound(cell).haus_vn_in_vm == trace.hausdorff == hausdorff_vertex_sets(
                 graphs[m], range(vertex_count(n)), range(vertex_count(m)))
             assert trace.hausdorff == (Fraction(1, 2 ** (n + 1)) if n < m else 0)
 
@@ -579,23 +580,23 @@ class TestHausdorffAndBounds:
         assert sample_parameters(1) == [Fraction(1, 2)]
 
     def test_sampling_term_has_a_closed_form(self):
-        trace = gasket_cell_trace(CX, 0, 0)
+        cell = cell_certificate(0, 0)
         for k in range(1, 501):
-            rep = gh_upper_bound(trace, k)
+            rep = gh_upper_bound(cell, k)
             assert rep.haus_vertices_to_sample == sampling_term(k)
 
     def test_sampling_term_is_the_geodesic_hausdorff_distance(self):
         # Haus_{d_n}(V_n, S_n) over the point oracle's geodesics, V_n
         # against every vertex and sample
         for n in range(3):
-            trace = gasket_cell_trace(CX, n, n)
+            cell = cell_certificate(n, n)
             for k in range(1, 6):
                 points, space = sampled_space(CX, n, k)
-                assert gh_upper_bound(trace, k).haus_vertices_to_sample == hausdorff(
+                assert gh_upper_bound(cell, k).haus_vertices_to_sample == hausdorff(
                     space, range(vertex_count(n)), range(len(points)))
 
     def test_bound_chain_terms(self):
-        rep = gh_upper_bound(gasket_cell_trace(CX, 2, 6))
+        rep = gh_upper_bound(cell_certificate(2, 6))
         assert Fraction(rep.haus_vertices_to_sample) == Fraction(1, 8)
         assert Fraction(rep.sampling_slack) == Fraction(1, 24)
         assert Fraction(rep.haus_vn_in_vm) == Fraction(1, 8)
@@ -608,13 +609,13 @@ class TestHausdorffAndBounds:
 
         monkeypatch.setattr(MetricGraph, "__init__", refuse)
         for n in range(4):
-            rep = gh_upper_bound(gasket_cell_trace(CX, n, 6), 4)
+            rep = gh_upper_bound(cell_certificate(n, 6), 4)
             # the worst sample sits at t = 3/8 or 5/8 of a 2^-n curve
             assert rep.haus_vertices_to_sample == Fraction(3, 8 * 2**n)
 
     def test_bound_below_coarse_budget(self):
         for n in range(4):
-            rep = gh_upper_bound(gasket_cell_trace(CX, n, 6))
+            rep = gh_upper_bound(cell_certificate(n, 6))
             assert Fraction(rep.bound) <= Fraction(2, 2**n) + Fraction(1, 2**6)
             assert Fraction(rep.bound_with_slack) == (
                 Fraction(rep.bound) + Fraction(rep.sampling_slack))
@@ -644,28 +645,37 @@ class TestCellTrace:
 
     def test_long_corner_path_falls_back_to_the_row_path(self):
         # cell (4, 5, 2) rebuilt as a path 4/5 - 12 - 14 - 2: corners 5 and
-        # 2, and 4 and 2, are 3 hops apart instead of 2; 4 and 5 are 1 hop
+        # 2, and 4 and 2, are 3 hops apart instead of 2; 4 and 5 are 1 hop.
+        # The graph of the cells' corner hops then differs from G_1, which
+        # the row-by-row agreement names
         rows = LEVEL_TWO[:6] + [[4, 5, 12], [12, 13, 14], [14, 15, 2]]
         trace = gasket_cell_trace(_cells(rows, vertices=16), 1, 2)
         assert trace.hops[2].tolist() == [[0, 1, 3], [1, 0, 3], [3, 3, 0]]
         assert trace.haus_hops == 2  # vertex 13, two hops from 4, 5 or 2
-        rep = certify_trace_agreement(trace)
         g_1 = from_triples(6, gasket_metric_graph(CX, 1).edges)
         quarter = Fraction(1, 4)
-        h = from_triples(6, [(0, 3, 2 * quarter), (3, 4, 2 * quarter), (4, 0, 2 * quarter),
-                             (3, 1, 2 * quarter), (1, 5, 2 * quarter), (5, 3, 2 * quarter),
-                             (4, 5, quarter), (5, 2, 3 * quarter), (2, 4, 3 * quarter)])
-        assert rep == certify_vertex_agreement(1, 2, g_1, h)
+        h = from_triples(6, [(int(c[a]), int(c[b]), quarter * int(hops[a, b]))
+                             for c, hops in zip(trace.corners, trace.hops)
+                             for a, b in ((0, 1), (1, 2), (2, 0))])
+        assert h.edges == [(0, 3, 2 * quarter), (3, 4, 2 * quarter), (4, 0, 2 * quarter),
+                           (3, 1, 2 * quarter), (1, 5, 2 * quarter), (5, 3, 2 * quarter),
+                           (4, 5, quarter), (5, 2, 3 * quarter), (2, 4, 3 * quarter)]
+        rep = certify_vertex_agreement(1, 2, g_1, h)
         assert rep.max_discrepancy == quarter and rep.worst_pair == (0, 2)
 
     def test_extent_refuses_a_disagreeing_trace(self):
         # the same path cell puts V_1 vertices 0 and 2 a quarter further
-        # apart at level 2 than at level 1, so the extent terms do not hold
+        # apart at level 2 than at level 1, so the extent terms do not hold:
+        # a certificate with its corner hops is refused, naming the level
         rows = LEVEL_TWO[:6] + [[4, 5, 12], [12, 13, 14], [14, 15, 2]]
         trace = gasket_cell_trace(_cells(rows, vertices=16), 1, 2)
+        hops = trace.hops[2]
+        cell = CellCertificate(1, 2, (int(hops[0, 1]), int(hops[1, 2]), int(hops[2, 0])),
+                               trace.haus_hops)
         with pytest.raises(ValueError, match=re.escape(
-                "extent needs d_2 = d_1 on V_1, but they differ by 1/4 at pair (0, 2)")):
-            certify_extent(trace)
+                "d_2 and d_1 differ on V_1: the corners of a level-1 cell are [1, 3, 3] "
+                "hops apart in G_2, not 2^1")):
+            certify_extent(cell)
 
     def test_shared_vertex_outside_v_n_is_named(self):
         # row (3, 9, 10) of cell 1 takes vertex 8 from cell 0
@@ -734,6 +744,55 @@ def test_lifted_traces_match_the_bfs_oracle(max_levels, m):
     _assert_same_trace(gasket_cell_trace(cx, max_level, m), bfs[max_level])
 
 
+@pytest.mark.parametrize("m", range(13))
+def test_certificate_rows_match_the_oracle_trace(m):
+    # every 0 <= n <= m: the generic cell's corner hops are every corner
+    # pair of every level-n cell of the exhaustive trace, and the bound
+    # rows and the Hausdorff term are the trace's
+    traces = list(gasket_cell_traces(build_gasket(m), m, m))
+    assert [t.n for t in traces] == list(range(m, -1, -1))
+    for trace in traces:
+        cell = cell_certificate(trace.n, m)
+        for pair, hops in zip(((0, 1), (1, 2), (2, 0)), cell.corner_hops):
+            assert (trace.hops[:, pair[0], pair[1]] == hops).all()
+        assert cell.haus_hops == trace.haus_hops
+        assert cell.discrepancy() == 0
+        for k in (1, 3, 4):
+            assert gh_upper_bound(cell, k) == gh_upper_bound(trace, k)
+
+
+class TestCellCertificate:
+    def test_reads_the_sg1_kernel(self):
+        # the SG_1 closure: corners 2 hops apart, V_1 at most 1 hop from V_0
+        assert curves._V1_SIDES == (2, 2, 2) and curves._V1_REACH == 1
+        assert cell_certificate(3, 3) == CellCertificate(3, 3, (1, 1, 1), 0)
+        assert cell_certificate(3, 4) == CellCertificate(3, 4, (2, 2, 2), 1)
+        assert cell_certificate(0, 9) == CellCertificate(0, 9, (512, 512, 512), 256)
+
+    def test_a_broken_kernel_breaks_the_rows(self, monkeypatch):
+        # the rows are read from _V1_HOPS, not written in: a wrong side
+        # raises, naming the level, and a wrong reach moves the bound
+        monkeypatch.setattr(curves, "_V1_REACH", 2)
+        assert gh_upper_bound(cell_certificate(2, 6)).haus_vn_in_vm == Fraction(1, 4)
+        monkeypatch.setattr(curves, "_V1_SIDES", (2, 3, 2))
+        with pytest.raises(ValueError, match=re.escape(
+                "d_6 and d_2 differ on V_2: the corners of a level-2 cell are [16, 24, 16] "
+                "hops apart in G_6, not 2^4")):
+            cell_certificate(2, 6).discrepancy()
+        assert cell_certificate(2, 2).discrepancy() == 0  # one triangle, no kernel
+
+    @pytest.mark.parametrize("n,m", [(-1, 3), (4, 3)])
+    def test_refuses_levels_out_of_order(self, n, m):
+        with pytest.raises(ValueError, match="need 0 <= n <= m, got n=%d m=%d" % (n, m)):
+            cell_certificate(n, m)
+
+    def test_past_any_level_a_complex_could_reach(self):
+        # 2^(m-n) hops and a Hausdorff term of 2^-(n+1), exact at any m
+        cell = cell_certificate(40, 1000)
+        assert cell.corner_hops == (2**960,) * 3 and cell.discrepancy() == 0
+        assert gh_upper_bound(cell).haus_vn_in_vm == Fraction(1, 2**41)
+
+
 @pytest.mark.parametrize("block", [1, 5])
 def test_closure_does_not_depend_on_the_block_size(block, monkeypatch):
     cx = build_gasket(7)
@@ -744,14 +803,14 @@ def test_closure_does_not_depend_on_the_block_size(block, monkeypatch):
     child_hops = rng.integers(1, 10, size=(3**6, 3, 3), dtype=np.int32)
     child_hops += child_hops.transpose(0, 2, 1)
     child_hops[:, range(3), range(3)] = 0
-    closed = metric._corner_closure(cx, 5, child_hops)
-    monkeypatch.setattr(metric, "_CLOSURE_BLOCK", block)
+    closed = oracles._corner_closure(cx, 5, child_hops)
+    monkeypatch.setattr(oracles, "_CLOSURE_BLOCK", block)
     blocked = list(gasket_cell_traces(cx, 7, 7))
     assert [t.n for t in blocked] == list(range(7, -1, -1))
     for trace, want in zip(blocked, default):
         _assert_same_trace(trace, want)
         _assert_same_trace(trace, bfs_cell_trace(cx, trace.n, 7))
-    for got, want in zip(metric._corner_closure(cx, 5, child_hops), closed):
+    for got, want in zip(oracles._corner_closure(cx, 5, child_hops), closed):
         assert np.array_equal(got, want)
 
 
@@ -893,7 +952,7 @@ PREMISE_TESTS = [
 @pytest.mark.parametrize("block", [1, 2])
 @pytest.mark.parametrize("case", PREMISE_TESTS)
 def test_premise_messages_do_not_depend_on_the_block_size(case, block, monkeypatch):
-    monkeypatch.setattr(metric, "_CLOSURE_BLOCK", block)
+    monkeypatch.setattr(oracles, "_CLOSURE_BLOCK", block)
     cls, name = case.split("::")
     getattr(globals()[cls](), name)()
 
@@ -962,6 +1021,15 @@ class TestGasketSpace:
         assert max(nodes) < vertex_count(level)
         space = GasketSpace(level)
         assert space.support_block(nodes) == pairwise_support_block(space, nodes)
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_to_coarse_is_the_trace_nearest_hops(self, m):
+        # d(v, V_n) from v's id, on every vertex of V_m and every n <= m
+        space, cx = GasketSpace(m), build_gasket(m)
+        unit = space.scale >> m
+        for trace in gasket_cell_traces(cx, m, m):
+            assert [space.to_coarse(v, trace.n) for v in range(space.vertex_count)] == [
+                unit * int(h) for h in trace.nearest_hops]
 
     def test_refuses_what_is_not_in_v_n(self):
         with pytest.raises(ValueError, match="level must be nonnegative, got -1"):

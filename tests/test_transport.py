@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction as F
 
@@ -7,14 +8,13 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import (Infeasible, Unbounded, from_triples, max_difference_objective,
-                     maximize)
+from oracles import (Infeasible, Unbounded, from_triples, gasket_cell_trace,
+                     gasket_cell_traces, max_difference_objective, maximize)
 from prefractal import metric, transport
-from prefractal.curves import GasketSpace, vertex_count
+from prefractal.curves import GasketSpace, cell_certificate, gh_upper_bound, vertex_count
 from prefractal.gasket import build_gasket
 from prefractal.harmonic import build_harmonic_gasket
-from prefractal.metric import (FiniteMetricSpace, MetricGraph, gasket_cell_trace,
-                               gasket_cell_traces, gasket_metric_graph, gh_upper_bound)
+from prefractal.metric import FiniteMetricSpace, MetricGraph, gasket_metric_graph
 from prefractal.transport import (CoupledGraph, DiscreteMeasure, _require_premises,
                                   certify_extent, kantorovich, lipschitz_seminorm,
                                   mcshane_extend)
@@ -522,7 +522,7 @@ class TestCoupledGraph:
 
 class TestExtentCertificate:
     def test_frozen_three_seven_row(self):
-        rep = certify_extent(gasket_cell_trace(CX, 3, 7), alpha=F(1, 16))
+        rep = certify_extent(cell_certificate(3, 7), alpha=F(1, 16))
         assert F(rep.bound_apriori) == F(33, 128)
         assert F(rep.epsilon_apriori) == F(17, 128)
         assert F(rep.worst_b_to_a) == F(1, 16)
@@ -532,7 +532,7 @@ class TestExtentCertificate:
         assert emp <= bound
 
     def test_default_alpha_is_quarter_epsilon(self):
-        rep = certify_extent(gasket_cell_trace(CX, 2, 6))
+        rep = certify_extent(cell_certificate(2, 6))
         assert F(rep.alpha) == F(rep.epsilon) / 4
         assert F(rep.bound) == 2 * F(rep.alpha) + F(rep.epsilon)
         assert F(rep.epsilon) == max(F(rep.epsilon_sample), F(rep.epsilon_vertex))
@@ -542,11 +542,12 @@ class TestExtentCertificate:
         # per-atom rule: argmin over copy-B indices j of (d(a, b_j), j); the
         # rows come from one run per B vertex, equal to A's rows by symmetry.
         # The oracle's nearest_sources on the coupled graph gives each V_m
-        # vertex the distance alpha + nearest_hops * 2^-m to copy B.
+        # vertex the distance alpha + nearest_hops * 2^-m to copy B, where
+        # nearest_hops is the oracle trace's and GasketSpace.to_coarse's.
         for n, m, cx, expected in ((2, 6, CX, F(317, 1920)),
                                    (4, 8, build_gasket(8), F(761, 19200))):
-            trace = gasket_cell_trace(cx, n, m)
-            rep = certify_extent(trace, mixture_trials=20, seed=3)
+            trace, space = gasket_cell_trace(cx, n, m), GasketSpace(m)
+            rep = certify_extent(cell_certificate(n, m), mixture_trials=20, seed=3)
             assert F(rep.mixture_max) == expected
             cg = CoupledGraph.from_gasket(cx, n, m, F(rep.alpha))
             rows = cg.graph.internal_rows(cg.b_node(j) for j in range(cg.n_b))
@@ -555,6 +556,7 @@ class TestExtentCertificate:
                 assert nearest[a] == min(range(cg.n_b), key=lambda j: (rows[j][a], j))
                 assert dist[a] == rows[nearest[a]][a]
                 assert (rep.alpha + F(int(trace.nearest_hops[a]), 2**m)
+                        == rep.alpha + F(space.to_coarse(a, n), space.scale)
                         == cg.graph._value(dist[a]))
 
     @pytest.mark.parametrize("n,m", [(2, 6), (3, 3), (4, 8), (6, 9)])
@@ -564,7 +566,7 @@ class TestExtentCertificate:
         cx = CX if m <= CX.max_level else build_gasket(m)
         trace = gasket_cell_trace(cx, n, m)
         for seed in range(3):
-            rep = certify_extent(trace, seed=seed)
+            rep = certify_extent(cell_certificate(n, m), seed=seed)
             cg = CoupledGraph.from_gasket(cx, n, m, F(rep.alpha))
             nearest, _ = oracles.nearest_sources(cg.graph,
                                                  range(cg.n_a, cg.n_a + cg.n_b))
@@ -581,8 +583,9 @@ class TestExtentCertificate:
             assert F(rep.mixture_max) == max(values)
 
     def test_extent_builds_no_metric_graph(self, monkeypatch):
-        # every number comes from the cell trace: no graph is built and no
-        # transport is solved, mixtures included
+        # every number comes from the cell certificate and vertex ids: no
+        # complex or graph is built and no transport is solved, mixtures
+        # included
         def fail(*args, **kwargs):
             raise AssertionError("built a graph or solved a transport")
 
@@ -591,7 +594,8 @@ class TestExtentCertificate:
         monkeypatch.setattr(transport, "kantorovich", fail)
         monkeypatch.setattr(MetricGraph, "__init__", fail)
         monkeypatch.setattr(CoupledGraph, "__init__", fail)
-        rep = certify_extent(gasket_cell_trace(build_gasket(8), 4, 8))
+        monkeypatch.setattr("prefractal.gasket.build_gasket", fail)
+        rep = certify_extent(cell_certificate(4, 8))
         assert F(rep.mixture_max) == F(21, 640)
 
     @pytest.mark.parametrize("n,m", [(0, 5), (1, 1), (2, 6), (3, 3), (3, 7), (4, 8),
@@ -600,26 +604,47 @@ class TestExtentCertificate:
         # every field, seeds 0-4 with alpha auto and 1/16; the oracle takes
         # about 2 s per call at (6, 9), so there 1/16 runs at seed 0 only
         cx = CX if m <= CX.max_level else build_gasket(m)
-        trace = gasket_cell_trace(cx, n, m)
+        cell = cell_certificate(n, m)
         for seed in range(5):
             for alpha in (None, F(1, 16)) if seed == 0 or m < 9 else (None,):
-                assert (certify_extent(trace, alpha=alpha, seed=seed)
+                assert (certify_extent(cell, alpha=alpha, seed=seed)
                         == oracles.coupled_extent(n, m, alpha=alpha, cx=cx, seed=seed))
 
     def test_one_lift_feeds_every_certificate(self):
-        # each trace of one gasket_cell_traces pass gives the same bound and
-        # extent report as the trace lifted for its level alone
+        # each trace of one oracle pass gives the bound of its level's cell
+        # certificate, and the closed form over its nearest_hops the
+        # certificate's mixture values, on the same draws
         cx = build_gasket(8)
         levels = []
         for trace in gasket_cell_traces(cx, 8, 8):
             n = trace.n
-            alone = gasket_cell_trace(cx, n, 8)
-            assert gh_upper_bound(trace) == gh_upper_bound(alone)
-            assert gh_upper_bound(trace, 5) == gh_upper_bound(alone, 5)
-            assert (certify_extent(trace, seed=n, mixture_trials=10)
-                    == certify_extent(alone, seed=n, mixture_trials=10))
+            cell = cell_certificate(n, 8)
+            assert gh_upper_bound(trace) == gh_upper_bound(cell)
+            assert gh_upper_bound(trace, 5) == gh_upper_bound(cell, 5)
+            rep = certify_extent(cell, seed=n, mixture_trials=10)
+            rng = random.Random(n)
+            closed = [rep.alpha + sum(w * F(int(trace.nearest_hops[a]), 2**8)
+                                      for a, w in DiscreteMeasure.random_mixture(
+                                          rng, range(cx.level_vertex_counts[8]),
+                                          4).weights.items())
+                      for _ in range(10)]
+            assert rep.mixture_max == max(closed)
             levels.append(n)
         assert levels == list(range(8, -1, -1))
+
+    def test_mixtures_index_v_m_up_to_level_39(self):
+        # random.sample draws the atoms' ids from range(|V_m|), at most
+        # sys.maxsize of them (|V_39| < 2^63 <= |V_40|); with no trials any
+        # level runs
+        assert transport._LAST_INDEXED_LEVEL == 39
+        rep = certify_extent(cell_certificate(20, 39), mixture_trials=3)
+        assert rep.mixture_max <= rep.per_dirac_bound
+        with pytest.raises(ValueError, match=re.escape(
+                "mixture trials draw their atoms from range(|V_40|), past sys.maxsize "
+                "from m = 40 on; ask for no trials there")):
+            certify_extent(cell_certificate(20, 40), mixture_trials=1)
+        rep = certify_extent(cell_certificate(20, 5000), mixture_trials=0)
+        assert rep.epsilon_vertex == F(1, 2**21) + F(1, 2**5000)
 
     def test_premise_failures_name_the_term(self):
         with pytest.raises(ValueError, match="sample-covering premise"):
@@ -629,7 +654,7 @@ class TestExtentCertificate:
 
     def test_rejects_inverted_levels(self):
         with pytest.raises(ValueError, match="need 0 <= n <= m"):
-            certify_extent(gasket_cell_trace(CX, 4, 2))
+            certify_extent(cell_certificate(4, 2))
 
 
 def _dirac_witnesses(level, pairs):
