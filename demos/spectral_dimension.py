@@ -14,8 +14,9 @@ from prefractal.svg import line_plot
 
 single = SpectrumSpec.single()
 enum = enumerate_eigenvalues(single, 20.0)
+first, _ = next(enum.blocks())
 print("unit curve below 20: %d eigenvalues, first few %s"
-      % (enum.total, [float(round(v, 4)) for v in enum.values[:4]]))
+      % (enum.total, [float(round(v, 4)) for v in first[:4]]))
 
 spec = SpectrumSpec.gasket_limit()
 for cut, total in counting_function(spec, [10.0, 1e3, 1e5]):

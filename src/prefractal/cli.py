@@ -14,18 +14,18 @@ generic cell, curves.cell_certificate, and load neither the complex nor
 the metric code), and `gen` of the plain gasket loads neither the metric
 nor the harmonic code. The package's records are named tuples, so
 no command loads dataclasses (and with it inspect, ast, dis and
-tokenize); csv loads only where CSV is written; and the parser gives
-arguments only to the command being run.
+tokenize); CSV rows are %-templates, so none loads csv; and the parser
+gives arguments only to the command being run.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from itertools import chain
 
 from . import __version__
 
@@ -53,6 +53,8 @@ _KANTOROVICH_SLOTS_PER_TABLE = 16
 # per unit of n(m - n) (m = 2e5, 4e5); an extent trial 4.7e-5 + 1.1e-5 m s
 _ROW_BYTES_PER_BIT, _ROW_SECONDS_PER_BIT, _ROW_SECONDS_PER_PAIR = 3, 1.5e-8, 2e-11
 _TRIAL_SECONDS, _TRIAL_SECONDS_PER_LEVEL = 6e-5, 1.2e-5
+# a `covariant` trial: 0.20-0.21 ms at n = 0 and 2, 0.09-0.10 ms at n >= 8
+_REACH_TRIAL_SECONDS = 2.5e-4
 
 # peak RSS of `dimension` per cutoff grid point above the base: the grid
 # arrays, the counting table, the fit's lists and the written document
@@ -76,15 +78,14 @@ def _emit(chunks: Iterable[str], out: str | None):
 
 
 def _json_chunks(command: str, config: dict, body: dict,
-                 texts: dict[str, str | Iterable[str]] | None = None) -> Iterator[str]:
+                 texts: dict[str, Iterable[str]] | None = None) -> Iterator[str]:
     """The document json.dumps(payload, sort_keys=True, indent=2) gives,
     in chunks, key by key in sorted order.
 
     `texts` maps top-level keys to values that arrive as finished JSON
-    text one level deep, a string or an iterable of chunks; they go in
-    verbatim, each chunk as it is produced. Every other value is dumped
-    on its own and re-indented, which is safe because json.dumps escapes
-    the newlines inside strings.
+    text one level deep, in chunks; they go in verbatim, each chunk as it
+    is produced. Every other value is dumped on its own and re-indented,
+    which is safe because json.dumps escapes the newlines inside strings.
     """
     payload = {
         "schemaVersion": SCHEMA_VERSION,
@@ -99,22 +100,11 @@ def _json_chunks(command: str, config: dict, body: dict,
         yield sep + json.dumps(key) + ": "
         sep = ",\n  "
         if key in texts:
-            value = texts[key]
-            yield from [value] if isinstance(value, str) else value
+            yield from texts[key]
         else:
             value = json.dumps(payload[key], sort_keys=True, indent=2)
             yield value.replace("\n", "\n  ")
     yield "\n}\n"
-
-
-def _csv_text(header, rows) -> str:
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -164,9 +154,8 @@ def _config_echo(args) -> dict:
 
 
 def cmd_gen(args) -> Iterable[str]:
-    from .curves import curve_count
-    from .gasket import (BASE_BYTES, build_gasket, check_memory, check_tolerance,
-                         complex_json_chunks)
+    from .curves import BASE_BYTES, check_memory, curve_count
+    from .gasket import build_gasket, check_tolerance, complex_json_chunks
 
     check_tolerance(args.tol)  # echoed in every config, so never NaN
     svg = args.format == "svg"
@@ -259,7 +248,7 @@ def cmd_gh_table(args) -> Iterable[str]:
         return _json_chunks("gh-table", _config_echo(args),
                             {"header": list(header),
                              "rows": [list(r) for r in rows]})
-    return _csv_text(header, rows)
+    return ",".join(header) + "\n" + "".join("%d,%d,%r,%r,%r,%r\n" % r for r in rows)
 
 
 def cmd_spectrum(args) -> Iterable[str]:
@@ -268,15 +257,23 @@ def cmd_spectrum(args) -> Iterable[str]:
     spec = _spectrum_spec(args)
     enum = enumerate_eigenvalues(spec, args.cutoff)
     if args.format == "csv":
-        return _csv_text(("value", "multiplicity"),
-                         zip(enum.values, enum.multiplicities))
+        rows = ("%r,%d\n" * len(v) % tuple(chain.from_iterable(zip(v, m)))
+                for v, m in enum.blocks())
+        return chain(["value,multiplicity\n"], rows)
+
+    def array(column):
+        # each array is its own pass over the windows, so one window is held
+        lead = "["
+        for items in (block[column] for block in enum.blocks()):
+            yield (lead + "\n    %r" + ",\n    %r" * (len(items) - 1)) % tuple(items)
+            lead = ","
+        yield "\n  ]" if lead == "," else "[]"
+
     return _json_chunks("spectrum", _config_echo(args), {
         "label": spec.label,
-        "cutoff": float(args.cutoff),
+        "cutoff": enum.cutoff,
         "total": enum.total,
-        "values": enum.values,
-        "multiplicities": enum.multiplicities,
-    })
+    }, {"values": array(0), "multiplicities": array(1)})
 
 
 def _spectrum_spec(args):
@@ -290,7 +287,7 @@ def _spectrum_spec(args):
 
 
 def cmd_dimension(args) -> Iterable[str]:
-    from .gasket import BASE_BYTES, check_memory
+    from .curves import BASE_BYTES, check_memory
     from .spectrum import dimension_fit
 
     spec = _spectrum_spec(args)
@@ -342,13 +339,15 @@ def cmd_extent(args) -> Iterable[str]:
                          mixture_trials=args.trials, seed=args.seed)
     if args.format == "json":
         return _json_chunks("extent", _config_echo(args), {"report": rep.as_floats()})
-    header = ("n", "m", "alpha", "epsilon", "bound", "empiricalMax")
-    return _csv_text(header, [rep.to_row()])
+    return "n,m,alpha,epsilon,bound,empiricalMax\n%d,%d,%r,%r,%r,%r\n" % rep.to_row()
 
 
 def cmd_covariant(args) -> Iterable[str]:
+    from .curves import check_cost
     from .modes import covariant_reach_witness
 
+    check_cost(_LEAN_BASE_BYTES, args.trials * _REACH_TRIAL_SECONDS,
+               "covariant with %d trials" % args.trials)
     rep = covariant_reach_witness(args.n, args.epsilon, args.trials,
                                   seed=args.seed)
     return _json_chunks("covariant", _config_echo(args), {"report": rep.to_dict()})

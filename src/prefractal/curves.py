@@ -22,6 +22,11 @@ from operator import itemgetter
 # complex's int64 lattice coordinates (at most 2**max_level) far from overflow
 MEMORY_GUARD_BYTES = 2**30
 
+# peak RSS of a command that imports numpy and the gasket and builds the
+# smallest complex (`gen --level 0` peaks at 29.1 MiB under wait4); the
+# CLI's guards add their command's own estimate on top of it
+BASE_BYTES = 32 << 20
+
 # cap on the estimated seconds of a command's exact big-int arithmetic
 # (per-operation costs measured on a 2-core VM)
 WORK_GUARD_SECONDS = 30

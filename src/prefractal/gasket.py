@@ -42,11 +42,6 @@ _SQRT3_2 = math.sqrt(3.0) / 2.0
 CORNERS = np.array([[0, 0], [1, 0], [0, 1]], dtype=np.int64)
 CORNERS.flags.writeable = False
 
-# peak RSS of a command that imports numpy and the gasket and builds the
-# smallest complex (`gen --level 0` peaks at 29.1 MiB under wait4); the
-# CLI's guards add their command's own estimate on top of it
-BASE_BYTES = 32 << 20
-
 # estimated peak bytes of build_gasket per curve: it holds 13.3-13.4 and
 # peaks at 16.0 (tracemalloc, levels 9-12); 90 stays, so the guard keeps
 # refusing level 14 until that level is measured end to end

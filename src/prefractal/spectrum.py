@@ -4,7 +4,7 @@ A curve of length L contributes eigenvalues pi*(k+1/2)/L for integer k,
 so everything here reduces to half-integer lattice counts. Counting never
 materializes eigenvalues: N is a sum of closed-form floors, evaluated
 with two-sided rational bounds on pi so that no floor can flip through
-float noise. Enumeration materializes values only under a size guard.
+float noise. Enumeration streams the spectrum one window of rows at a time.
 
 The log-log slope of N over a cutoff grid estimates the dimension; the
 gasket curve system targets log(3)/log(2), a single interval targets 1.
@@ -18,10 +18,14 @@ from fractions import Fraction
 from itertools import islice
 from typing import TYPE_CHECKING
 
+from .curves import check_cost
+
 if TYPE_CHECKING:
     import numpy as np
 
-ENUMERATION_GUARD = 10**7
+WINDOW_ROWS = 1 << 16
+# seconds per row written (1.2-1.8 us, JSON the slower) and a window's bytes
+_ROW_SECONDS, _WINDOW_BYTES = 2e-6, 16 << 20
 
 
 def _arctan_inv_bounds(x: int, terms: int):
@@ -175,41 +179,40 @@ def counting_function(spec: SpectrumSpec, grid) -> list[tuple[float, int]]:
 
 class EigenvalueEnumeration(namedtuple("EigenvalueEnumeration", [
         "cutoff",
-        "values",            # distinct positive magnitudes, ascending
-        "multiplicities"])):  # combined weight of +v and -v
-    """Distinct absolute eigenvalues <= cutoff with multiplicities."""
+        "total",      # eigenvalues in [-cutoff, cutoff], with multiplicity
+        "entries"])):  # (length, multiplicity, mode count) with modes
+    """Distinct absolute eigenvalues <= cutoff with multiplicities, in blocks."""
 
     __slots__ = ()
 
-    @property
-    def total(self) -> int:
-        return sum(self.multiplicities)
+    def blocks(self):
+        """Ascending (values, multiplicities) blocks, one per nonempty window of
+        about WINDOW_ROWS rows, in which equal floats of all lengths merge."""
+        cursors = [[0, count // 2, float(lam), 2 * mult] for lam, mult, count in self.entries]
+        edge = 0.0
+        while cursors:
+            edge += WINDOW_ROWS * math.pi / sum(c[2] for c in cursors)
+            window = {}
+            for c in cursors:
+                k, stop, lam, weight = c
+                while k < stop and (v := math.pi * (k + 0.5) / lam) < edge:
+                    window[v] = window.get(v, 0) + weight
+                    k += 1
+                c[0] = k
+            cursors = [c for c in cursors if c[0] < c[1]]
+            if window:
+                values = sorted(window)
+                yield values, [window[v] for v in values]
 
-    def signed(self) -> list[float]:
-        """Full symmetric spectrum, one entry per eigenvalue with multiplicity."""
-        pos = [v for v, m in zip(self.values, self.multiplicities)
-               for _ in range(m // 2)]
-        return [-v for v in reversed(pos)] + pos
 
-
-def enumerate_eigenvalues(spec: SpectrumSpec, cutoff,
-                          guard: int = ENUMERATION_GUARD) -> EigenvalueEnumeration:
-    """Materialize the spectrum up to a cutoff (guarded; zero never occurs)."""
-    entries = spec.entries_for(cutoff)
+def enumerate_eigenvalues(spec: SpectrumSpec, cutoff) -> EigenvalueEnumeration:
+    """The spectrum up to a cutoff, in blocks; refused past the work guard."""
+    entries = [e for e in spec.entries_for(cutoff) if e[2]]
+    rows = sum(count // 2 for _, _, count in entries)
+    check_cost(_WINDOW_BYTES, rows * _ROW_SECONDS,
+               "enumerating %d rows up to cutoff %s" % (rows, cutoff))
     total = sum(mult * count for _, mult, count in entries)
-    if total > guard:
-        raise ValueError("enumeration of %d eigenvalues exceeds guard %d"
-                         % (total, guard))
-    buckets = {}
-    for lam, mult, count in entries:
-        for k in range(count // 2):
-            v = math.pi * (k + 0.5) / float(lam)
-            buckets[v] = buckets.get(v, 0) + 2 * mult
-    values = sorted(buckets)
-    mults = [buckets[v] for v in values]
-    if values and values[0] <= 0:
-        raise AssertionError("zero or negative magnitude in enumeration")
-    return EigenvalueEnumeration(float(cutoff), values, mults)
+    return EigenvalueEnumeration(float(cutoff), total, entries)
 
 
 class DimensionFit(namedtuple("DimensionFit", "slope intercept stderr grid counts "

@@ -9,10 +9,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from itertools import chain
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .gasket import PrefractalComplex, _fill
+    from .gasket import PrefractalComplex
 
 PALETTE = ("#1a466b", "#b03a2e", "#1e8449", "#7d3c98", "#b9770e", "#117a8b")
 
@@ -34,6 +36,10 @@ def gasket_svg(cx: PrefractalComplex, level: int, coords=None) -> Iterator[str]:
     which is how harmonic embeddings get rendered; the default is the
     Euclidean picture. y is flipped into screen orientation.
     """
+    import numpy as np
+
+    from .gasket import _fill
+
     tris = cx.triangles[level]
     pts = np.asarray(cx.euclidean() if coords is None else coords,
                      dtype=float)[:cx.level_vertex_counts[level]]
@@ -56,6 +62,8 @@ def gasket_svg(cx: PrefractalComplex, level: int, coords=None) -> Iterator[str]:
 def plane_coords(embedding) -> np.ndarray:
     """Float (k, 2) array: points of the plane x+y+z = const flattened to
     2D, orthonormally."""
+    import numpy as np
+
     x, y, z = np.asarray(embedding, dtype=float).T
     return np.column_stack([(x - y) / math.sqrt(2.0), (x + y - 2.0 * z) / math.sqrt(6.0)])
 

@@ -61,6 +61,10 @@ None of this is on a production path, and none of it is fast:
   * fraction_mode_count: spectrum.mode_count as it ran before its floors
     became integer divisions, with both floors taken of normalized
     Fractions.
+  * bucket_enumeration / signed: spectrum.enumerate_eigenvalues as it ran
+    before it streamed one window at a time: every magnitude of every
+    curve length in one float dict, sorted into two whole lists, and the
+    full symmetric spectrum with multiplicity that they spell out.
   * sampling_term: gh_upper_bound's sample-to-vertex term per unit curve
     length as it was taken before its closed form, the max of
     min(t, 1 - t) over the list of sample parameters.
@@ -89,10 +93,10 @@ from math import lcm
 
 import numpy as np
 
-from prefractal.curves import (_V1_HOPS, V0_IMAGES, check_memory, curve_count,
+from prefractal.curves import (_V1_HOPS, BASE_BYTES, V0_IMAGES, check_memory, curve_count,
                                gh_upper_bound, kappa, kappa_inverse, sample_parameters,
                                vertex_word)
-from prefractal.gasket import (BASE_BYTES, CORNERS, CURVE_SLOTS, PrefractalComplex,
+from prefractal.gasket import (CORNERS, CURVE_SLOTS, PrefractalComplex,
                                build_gasket, complex_bytes, dyadic_to_pair,
                                similitude_apply)
 from prefractal.harmonic import (
@@ -1087,6 +1091,24 @@ def covariant_reach_oracle(n: int, epsilon: float, trials: int,
         max_gap = max(max_gap, abs(sup - static))
     return ReachReport(n, epsilon, trials, t_grid_size, max_reach, max_gap,
                        tail_ok, max_reach < epsilon)
+
+
+def bucket_enumeration(spec, cutoff) -> tuple[list[float], list[int]]:
+    """(values, multiplicities): the distinct positive magnitudes up to a
+    cutoff, ascending, each with the combined weight of +v and -v."""
+    buckets = {}
+    for lam, mult, count in spec.entries_for(cutoff):
+        for k in range(count // 2):
+            v = math.pi * (k + 0.5) / float(lam)
+            buckets[v] = buckets.get(v, 0) + 2 * mult
+    values = sorted(buckets)
+    return values, [buckets[v] for v in values]
+
+
+def signed(values, multiplicities) -> list[float]:
+    """Full symmetric spectrum, one entry per eigenvalue with multiplicity."""
+    pos = [v for v, m in zip(values, multiplicities) for _ in range(m // 2)]
+    return [-v for v in reversed(pos)] + pos
 
 
 def fraction_mode_count(length, cutoff) -> int:

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import from_triples, max_difference_objective
+from oracles import bucket_enumeration, from_triples, max_difference_objective, signed
 from prefractal.curves import cell_certificate, curve_count, gh_upper_bound
 from prefractal.gasket import build_gasket
 from prefractal.harmonic import HarmonicTable, build_harmonic_gasket
@@ -132,11 +132,15 @@ def test_criterion_07_no_zero_mode_and_symmetry():
     for _ in range(100):
         spec = _random_spec(rng)
         cutoff = rng.uniform(0.5, 60.0)
-        enum = enumerate_eigenvalues(spec, cutoff)
-        assert all(v > 0 for v in enum.values)
-        signed = enum.signed()
-        assert signed == [-v for v in reversed(signed)]
-        assert all(m % 2 == 0 for m in enum.multiplicities)
+        values, mults = [], []
+        for v, m in enumerate_eigenvalues(spec, cutoff).blocks():
+            values += v
+            mults += m
+        assert (values, mults) == bucket_enumeration(spec, cutoff)
+        assert all(v > 0 for v in values)
+        full = signed(values, mults)
+        assert full == [-v for v in reversed(full)]
+        assert all(m % 2 == 0 for m in mults)
     print("criterion 07 PASS: 100 random spectra exclude 0 and are symmetric")
 
 

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import random
@@ -10,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import oracles
-from prefractal import __version__
+from prefractal import __version__, cli, spectrum
 from prefractal.cli import _json_chunks, _parse_fraction, _parse_measure, build_parser, main
 from prefractal.curves import curve_count, vertex_count
 from prefractal.gasket import (
@@ -544,7 +546,61 @@ class TestTables:
         assert lines[0] == "value,multiplicity"
         got = [(float(a), int(b)) for a, b in
                (line.split(",") for line in lines[1:])]
-        assert got == list(zip(enum.values, enum.multiplicities))
+        assert got == [row for block in enum.blocks() for row in zip(*block)]
+
+    # the %-templates write what csv.writer and json.dumps wrote from the
+    # whole lists, across 5-row windows and with no rows at all
+    @pytest.mark.parametrize("argv", [
+        ("--level", "0", "--cutoff", "1"),
+        ("--level", "3", "--cutoff", "300"),
+        ("--infinite", "--cutoff", "2000")])
+    def test_spectrum_text_matches_the_whole_list_writers(self, argv, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr(spectrum, "WINDOW_ROWS", 5)
+        spec = (SpectrumSpec.gasket_limit() if argv[0] == "--infinite"
+                else SpectrumSpec.gasket(int(argv[1])))
+        cutoff = float(argv[-1])
+        values, mults = oracles.bucket_enumeration(spec, cutoff)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("value", "multiplicity"))
+        writer.writerows(zip(values, mults))
+        assert _run(capsys, "spectrum", *argv, "--format", "csv") == (0, buf.getvalue(), "")
+        code, out, _ = _run(capsys, "spectrum", *argv)
+        doc = json.loads(out)
+        assert doc["values"] == values and doc["multiplicities"] == mults
+        assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_spectrum_holds_one_window(self, fmt, monkeypatch):
+        # 159,155 rows, more than two windows: the peak is bounded by one
+        # window (about 150 B per row of it measured), not by the rows
+        lines = []
+        monkeypatch.setattr("sys.stdout", SimpleNamespace(
+            write=lambda chunk: lines.append(chunk.count("\n"))))
+        tracemalloc.start()
+        try:
+            assert main(["spectrum", "--level", "0", "--cutoff", "5e5",
+                         "--format", fmt]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(lines) > 159_155 > 2 * spectrum.WINDOW_ROWS
+        assert peak < 192 * spectrum.WINDOW_ROWS, peak
+
+    def test_spectrum_guard_counts_rows(self, capsys):
+        # refused before the first chunk, naming rows, bytes and seconds
+        code, out, err = _run(capsys, "spectrum", "--infinite", "--cutoff", "1e8")
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"enumerating 63661977 rows up to cutoff 100000000.0 needs "
+                            r"about \d+ MiB and \S+ s, above the guards of 1024 MiB "
+                            r"and 30 s", json.loads(err)["message"])
+        # 14,291,790 and 256,865,082 eigenvalues, which the eigenvalue
+        # count refused, are 63,537 and 63,661 rows
+        for argv, rows in ((("--level", "8"), 63_537), (("--infinite",), 63_661)):
+            code, out, _ = _run(capsys, "spectrum", *argv, "--cutoff", "1e5",
+                                "--format", "csv")
+            assert code == 0 and out.count("\n") == rows + 1
 
     def test_spectrum_needs_a_spec(self, capsys):
         code, _, err = _run(capsys, "spectrum", "--cutoff", "10")
@@ -593,6 +649,32 @@ class TestTables:
         rep = json.loads(out)["report"]
         assert rep["alpha"] == 0.0625
         assert rep["empirical_max"] <= rep["bound"]
+
+    def test_covariant_guard_refuses_past_its_budget(self, capsys, monkeypatch):
+        # with the work guard set to 20 trials' estimate, 20 trials run and
+        # 21 are refused with both estimates before the first trial
+        def no_trial(*args, **kwargs):
+            raise AssertionError("ran a trial")
+
+        budget = 20 * cli._REACH_TRIAL_SECONDS
+        monkeypatch.setattr("prefractal.curves.WORK_GUARD_SECONDS", budget)
+        argv = ["covariant", "--n", "2", "--epsilon", "0.1", "--trials"]
+        assert _run(capsys, *argv, "20")[0] == 0
+        monkeypatch.setattr("prefractal.modes.random_mode_vector", no_trial)
+        code, out, err = _run(capsys, *argv, "21")
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"covariant with 21 trials needs about 17 MiB and \S+ s, "
+                            r"above the guards of 1024 MiB and \d+ s",
+                            json.loads(err)["message"])
+
+    def test_covariant_cost_grows_with_its_trials(self, capsys):
+        def seconds(trials):
+            code, _, err = _run(capsys, "covariant", "--n", "2", "--epsilon", "0.1",
+                                "--trials", str(trials))
+            assert code == 2
+            return float(re.search(r"and (\S+) s,", json.loads(err)["message"])[1])
+
+        assert seconds(10**6) < seconds(10**7) < seconds(10**9)
 
     def test_covariant_reach(self, capsys):
         code, out, _ = _run(capsys, "covariant", "--n", "4",
@@ -711,8 +793,8 @@ class TestPlumbing:
         # with newlines and empty containers included
         body = {"empty": [], "none": {}, "nested": {"b": [1.5, None], "a": "x\ny"},
                 "text": "line\nbreak", "flag": True}
-        texts = {"complex": json.dumps({"z": [1, [2]], "a": {}}, sort_keys=True,
-                                       indent=2).replace("\n", "\n  ")}
+        texts = {"complex": [json.dumps({"z": [1, [2]], "a": {}}, sort_keys=True,
+                                        indent=2).replace("\n", "\n  ")]}
         payload = {"schemaVersion": 2, "version": __version__, "command": "cmd",
                    "config": {"k": 1}, "complex": {"z": [1, [2]], "a": {}}, **body}
         assert ("".join(_json_chunks("cmd", {"k": 1}, body, texts))

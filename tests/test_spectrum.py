@@ -4,6 +4,8 @@ Core claims:
     - the rational pi bracket is tight and the closed-form floor counts
       agree with brute-force eigenvalue scans;
     - no enumeration contains zero and all are symmetric;
+    - the streamed windows give the all-at-once bucket dict's rows, and
+      the guard counts rows;
     - the gasket-limit counting function has log-log slope near log2(3),
       one interval has slope near 1;
     - the accelerated half-integer mode sum hits the pi^2/2 series value.
@@ -19,6 +21,7 @@ import pytest
 import oracles
 from prefractal import spectrum
 from prefractal.cli import main
+from prefractal.curves import WORK_GUARD_SECONDS
 from prefractal.spectrum import (
     PI_LOWER,
     PI_UPPER,
@@ -29,6 +32,7 @@ from prefractal.spectrum import (
     mode_count,
     zeta_partial,
 )
+from test_acceptance import _random_spec
 
 
 def _brute_count(entries, cutoff):
@@ -40,6 +44,15 @@ def _brute_count(entries, cutoff):
             total += 2 * mult
             k += 1
     return total
+
+
+def _joined(blocks):
+    """An enumeration's (values, multiplicities) blocks joined end to end."""
+    values, mults = [], []
+    for v, m in blocks:
+        values += v
+        mults += m
+    return values, mults
 
 
 def _make_random_spec(rng):
@@ -109,15 +122,19 @@ class TestModeCount:
 class TestIntervalSpectrum:
     # one interval's signed spectrum, pi*(k+1/2)/length for k = -K..K-1
     def test_values_at_pi(self):
-        vals = enumerate_eigenvalues(SpectrumSpec.single(1), Fraction(math.pi)).signed()
+        enum = enumerate_eigenvalues(SpectrumSpec.single(1), Fraction(math.pi))
+        vals = oracles.signed(*_joined(enum.blocks()))
         assert np.allclose(vals, [-math.pi / 2, math.pi / 2])
 
     def test_empty(self):
-        assert enumerate_eigenvalues(SpectrumSpec.single(1), 1).signed() == []
+        enum = enumerate_eigenvalues(SpectrumSpec.single(1), 1)
+        assert enum.total == 0 and list(enum.blocks()) == []
 
     def test_guard(self):
-        with pytest.raises(ValueError, match="guard"):
-            enumerate_eigenvalues(SpectrumSpec.single(1), 10**9, guard=100).signed()
+        # floor(1e9/pi + 1/2) rows, refused before any window is taken
+        with pytest.raises(ValueError, match=r"enumerating 318309886 rows up to cutoff "
+                                             r"1000000000 needs about \d+ MiB and .* s, above"):
+            enumerate_eigenvalues(SpectrumSpec.single(1), 10**9)
 
 
 class TestSpecs:
@@ -211,19 +228,70 @@ class TestEnumeration:
             spec = _make_random_spec(rng)
             cut = rng.uniform(0.5, 40.0)
             en = enumerate_eigenvalues(spec, cut)
+            values, mults = _joined(en.blocks())
             # distinct ascending float magnitudes with even int weights
-            assert en.values == sorted(set(en.values)) and all(v > 0 for v in en.values)
-            assert all(type(v) is float for v in en.values)
-            assert all(type(m) is int and m > 0 and m % 2 == 0
-                       for m in en.multiplicities)
-            signed = en.signed()
+            assert values == sorted(set(values)) and all(v > 0 for v in values)
+            assert all(type(v) is float for v in values)
+            assert all(type(m) is int and m > 0 and m % 2 == 0 for m in mults)
+            signed = oracles.signed(values, mults)
             assert signed == [-v for v in reversed(signed)]
             assert len(signed) == en.total
             assert en.total == counting_function(spec, [cut])[0][1]
 
     def test_guard(self):
-        with pytest.raises(ValueError, match="guard"):
-            enumerate_eigenvalues(SpectrumSpec.gasket_limit(), 10**5)
+        # the guard counts rows, not eigenvalues: the gasket limit at 1e5
+        # (256,865,082 eigenvalues in 63,661 rows) runs, and one interval
+        # is admitted up to the last row the work guard allows
+        limit = enumerate_eigenvalues(SpectrumSpec.gasket_limit(), 10**5)
+        assert limit.total == 256_865_082
+        assert sum(len(v) for v, _ in limit.blocks()) == 63_661
+        last = int(WORK_GUARD_SECONDS / spectrum._ROW_SECONDS)
+        assert last >= 5_000_000
+        single = SpectrumSpec.single(1)
+        assert enumerate_eigenvalues(single, math.pi * last).total == 2 * last
+        with pytest.raises(ValueError, match="enumerating %d rows .* above the guards"
+                                             % (last + 1)):
+            enumerate_eigenvalues(single, math.pi * (last + 1))
+
+    # the windows merge equal floats of different lengths (the rational
+    # ones collide) as the bucket dict did, whatever the window size: one
+    # row per window, a few, or the shipped size; the specs are those of
+    # this module's random tests and of acceptance criterion 07, seeds kept
+    @pytest.mark.parametrize("window", [1, 7, spectrum.WINDOW_ROWS])
+    def test_random_specs_match_the_bucket_oracle(self, window, monkeypatch):
+        monkeypatch.setattr(spectrum, "WINDOW_ROWS", window)
+        blocks = 0
+        for seed, make, cut_hi in ((909, _make_random_spec, 40.0),
+                                   (3344, _make_random_spec, 50.0),
+                                   (20260815, _random_spec, 60.0)):
+            rng = random.Random(seed)
+            for _ in range(100):
+                spec = make(rng)
+                cut = rng.uniform(0.5, cut_hi)
+                got = list(enumerate_eigenvalues(spec, cut).blocks())
+                assert _joined(got) == oracles.bucket_enumeration(spec, cut)
+                blocks += len(got)
+        assert (blocks > 300) == (window < 10)  # 300 specs, one window each at full size
+
+    @pytest.mark.parametrize("level", [*range(9), None], ids=lambda v: "limit"
+                             if v is None else str(v))
+    def test_gasket_levels_match_the_bucket_oracle(self, level, monkeypatch):
+        # 37-row windows, so rows straddle many of them
+        monkeypatch.setattr(spectrum, "WINDOW_ROWS", 37)
+        spec = SpectrumSpec.gasket_limit() if level is None else SpectrumSpec.gasket(level)
+        for cut in (1, 20, 300, 2000, 1e4):
+            got = list(enumerate_eigenvalues(spec, cut).blocks())
+            assert _joined(got) == oracles.bucket_enumeration(spec, cut)
+            assert len(got) > 1 or cut < 300
+
+    def test_a_long_curve_is_cut_into_windows_of_rows(self):
+        # one curve of length 1000 has 318,310 rows below 1000; the window's
+        # width comes from its length, so no window passes WINDOW_ROWS + 1
+        spec = SpectrumSpec.single(1000)
+        got = list(enumerate_eigenvalues(spec, 1000).blocks())
+        assert len(got) > 4
+        assert max(len(v) for v, _ in got) <= spectrum.WINDOW_ROWS + 1
+        assert _joined(got) == oracles.bucket_enumeration(spec, 1000)
 
 
 class TestDimensionFit:
