@@ -1,7 +1,9 @@
 """Batch command-line front end.
 
-Every command validates its parameters, dispatches to the library, and
-writes one artifact (JSON, CSV, or SVG) either to --out or stdout. The
+Every command parses its parameters, calls the library, and writes one
+artifact (JSON, CSV, or SVG) either to --out or stdout. Each size and
+time guard sits in the library beside the code it bounds, and refuses
+with a ValueError (exit 2, naming the estimate) before any output. The
 determinism contract: identical configs and seeds give byte-identical
 output, so JSON is dumped with sorted keys and no timestamps ever enter
 a file. Exit codes: 0 success, 2 validation error, 3 non-convergence;
@@ -30,37 +32,6 @@ from itertools import chain
 from . import __version__
 
 SCHEMA_VERSION = 2
-
-# peak RSS of `gen --format json` per curve of the complex above the base,
-# by geometry, with the document streamed in row blocks: sg is the complex
-# itself (33.9/42.5/70.6/154.2 MiB at levels 10-13 under wait4, 7-18 B
-# per curve, kept at complex_bytes' 90); harmonic adds its length columns
-# (51.5/92.7/214.5 MiB at levels 9-11, 231-240 B per curve). `gen --format
-# svg` streams the same way (sg: 52.0/96.6/230.4 MiB at levels 11-13)
-_JSON_BYTES_PER_CURVE = {"sg": 90, "harmonic": 300}
-
-# peak RSS of a numpy-free command: `kantorovich` peaks at 16.4-16.9 MiB
-# under wait4 for 1-80 support points at levels 1-11, plus 40 + level/8 B
-# per int slot: k^2 for the distance block, 16 per point and level for the
-# oracle's tables (k = 500/1000 at level 11: 22.9/41.1 MiB, 26 B per
-# entry; k = 500 at level 38: 29.4 MiB, 480 B per table)
-_LEAN_BASE_BYTES = 17 << 20
-_KANTOROVICH_SLOTS_PER_TABLE = 16
-
-# the exact rows of gh-table and extent are Fractions over 2^m, normalized
-# by gcds (in process, 2-core VM): 2.14 B per bit of m at their peak (m =
-# 4e6, 1.6e7); row n takes 1.2e-8 s per bit of m plus 1e-11 to 1.7e-11 s
-# per unit of n(m - n) (m = 2e5, 4e5); an extent trial 4.7e-5 + 1.1e-5 m s
-_ROW_BYTES_PER_BIT, _ROW_SECONDS_PER_BIT, _ROW_SECONDS_PER_PAIR = 3, 1.5e-8, 2e-11
-_TRIAL_SECONDS, _TRIAL_SECONDS_PER_LEVEL = 6e-5, 1.2e-5
-# a `covariant` trial: 0.20-0.21 ms at n = 0 and 2, 0.09-0.10 ms at n >= 8
-_REACH_TRIAL_SECONDS = 2.5e-4
-
-# peak RSS of `dimension` per cutoff grid point above the base: the grid
-# arrays, the counting table, the fit's lists and the written document
-# (wait4 peaks of 43/56/78 MiB for JSON and 46/61/88 MiB for SVG at 25k,
-# 50k and 100k points, 476 and 572 B per point)
-_DIMENSION_BYTES_PER_POINT = 600
 
 
 def _emit(chunks: Iterable[str], out: str | None):
@@ -154,27 +125,19 @@ def _config_echo(args) -> dict:
 
 
 def cmd_gen(args) -> Iterable[str]:
-    from .curves import BASE_BYTES, check_memory, curve_count
     from .gasket import build_gasket, check_tolerance, complex_json_chunks
 
     check_tolerance(args.tol)  # echoed in every config, so never NaN
-    svg = args.format == "svg"
-    what = ("SVG output: the drawing of its triangles" if svg
-            else "JSON output: the complex as JSON text")
-    check_memory(BASE_BYTES + _JSON_BYTES_PER_CURVE["sg" if svg else args.geometry]
-                 * curve_count(args.level),
-                 "level %d is past the size cap for %s" % (args.level, what))
     # every check that can fail runs before the first chunk is returned
-    if svg:
+    if args.format == "svg":
         from .svg import gasket_svg, plane_coords
 
         if args.geometry == "sg":
             return gasket_svg(build_gasket(args.level), args.level)
-        from .harmonic import HarmonicTable
+        from .harmonic import embedded_gasket
 
-        table = HarmonicTable(build_gasket(args.level))
-        coords = plane_coords(table.embedding_array())
-        return gasket_svg(table.cx, args.level, coords=coords)
+        cx, embedding = embedded_gasket(args.level)
+        return gasket_svg(cx, args.level, coords=plane_coords(embedding))
     if args.geometry == "sg":
         cx = build_gasket(args.level)
         return _json_chunks("gen", _config_echo(args), {},
@@ -198,32 +161,15 @@ def cmd_gen(args) -> Iterable[str]:
                          "lengths": hg.length_json_chunks(1)})
 
 
-def _certificate_cost(what: str, lo: int, hi: int, m: int, trials: int = 0) -> None:
-    """Refuse, naming both estimates, the exact rows n = lo..hi at fine
-    level m and `trials` extent mixture trials, if they pass a guard."""
-    from .curves import check_cost
-
-    # sum of n(m - n) over n <= k, for k = hi and lo - 1
-    pairs = [m * k * (k + 1) // 2 - k * (k + 1) * (2 * k + 1) // 6 for k in (hi, lo - 1)]
-    try:
-        seconds = ((hi - lo + 1) * _ROW_SECONDS_PER_BIT * m
-                   + (pairs[0] - pairs[1]) * _ROW_SECONDS_PER_PAIR
-                   + trials * (_TRIAL_SECONDS + _TRIAL_SECONDS_PER_LEVEL * m))
-    except OverflowError:  # a count past any float is past the guard too
-        seconds = float("inf")
-    check_cost(_LEAN_BASE_BYTES + _ROW_BYTES_PER_BIT * m, seconds, what)
-
-
 def cmd_gh_table(args) -> Iterable[str]:
-    from .curves import cell_certificate, check_samples, gh_upper_bound
+    from .curves import cell_certificate, check_rows, gh_upper_bound
 
     if args.max_level < 0:
         raise ValueError("--max-level must be nonnegative, got %d" % args.max_level)
     if args.m < args.max_level:
         raise ValueError("--m must be at least --max-level")
-    check_samples(args.samples)
-    _certificate_cost("gh-table: %d exact rows over 2^%d" % (args.max_level + 1, args.m),
-                      0, args.max_level, args.m)
+    check_rows(0, args.max_level, args.m,
+               "gh-table: %d exact rows over 2^%d" % (args.max_level + 1, args.m))
     rows = []
     for n in range(args.max_level + 1):
         cell = cell_certificate(n, args.m)  # the Hausdorff term and the agreement
@@ -287,14 +233,9 @@ def _spectrum_spec(args):
 
 
 def cmd_dimension(args) -> Iterable[str]:
-    from .curves import BASE_BYTES, check_memory
     from .spectrum import dimension_fit
 
-    spec = _spectrum_spec(args)
-    check_memory(BASE_BYTES + _DIMENSION_BYTES_PER_POINT * args.grid,
-                 "dimension on %d cutoffs: the grid, its counts and the fit"
-                 % args.grid)
-    fit = dimension_fit(spec, args.lambda_min, args.lambda_max,
+    fit = dimension_fit(_spectrum_spec(args), args.lambda_min, args.lambda_max,
                         grid_size=args.grid)
     if args.format == "svg":
         from .svg import line_plot
@@ -307,34 +248,19 @@ def cmd_dimension(args) -> Iterable[str]:
 
 
 def cmd_kantorovich(args) -> Iterable[str]:
-    from .curves import GasketSpace, check_memory
+    from .curves import GasketSpace
     from .transport import kantorovich
 
-    mu = _parse_measure(args.mu)
-    nu = _parse_measure(args.nu)
-    k = len(set(mu.support) | set(nu.support))
-    slots = k * k + _KANTOROVICH_SLOTS_PER_TABLE * k * args.level
-    check_memory(_LEAN_BASE_BYTES + slots * (40 + args.level // 8),
-                 "kantorovich on %d support points at level %d: the distance block "
-                 "and the oracle's tables" % (k, args.level))
-    res = kantorovich(GasketSpace(args.level), mu, nu)
+    res = kantorovich(GasketSpace(args.level), _parse_measure(args.mu), _parse_measure(args.nu))
     return _json_chunks("kantorovich", _config_echo(args), {"transport": res.to_dict()})
 
 
 def cmd_extent(args) -> Iterable[str]:
-    from .curves import cell_certificate, check_samples
-    from .transport import certify_extent, check_alpha, check_trials
+    from .curves import cell_certificate
+    from .transport import certify_extent
 
     alpha = None if args.alpha == "auto" else _parse_fraction(args.alpha)
-    n, m = args.n, args.m
-    if not 0 <= n <= m:
-        raise ValueError("need 0 <= n <= m, got n=%d m=%d" % (n, m))
-    check_samples(args.samples)
-    check_trials(args.trials, m)
-    check_alpha(alpha)
-    _certificate_cost("extent at levels (%d, %d) with %d mixture trials" % (n, m, args.trials),
-                      n, n, m, args.trials)
-    rep = certify_extent(cell_certificate(n, m), alpha=alpha,
+    rep = certify_extent(cell_certificate(args.n, args.m), alpha=alpha,
                          samples_per_curve=args.samples,
                          mixture_trials=args.trials, seed=args.seed)
     if args.format == "json":
@@ -343,11 +269,8 @@ def cmd_extent(args) -> Iterable[str]:
 
 
 def cmd_covariant(args) -> Iterable[str]:
-    from .curves import check_cost
     from .modes import covariant_reach_witness
 
-    check_cost(_LEAN_BASE_BYTES, args.trials * _REACH_TRIAL_SECONDS,
-               "covariant with %d trials" % args.trials)
     rep = covariant_reach_witness(args.n, args.epsilon, args.trials,
                                   seed=args.seed)
     return _json_chunks("covariant", _config_echo(args), {"report": rep.to_dict()})

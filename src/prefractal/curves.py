@@ -17,18 +17,18 @@ from collections import namedtuple
 from fractions import Fraction
 from operator import itemgetter
 
-# cap on the estimated bytes of a complex's build, a row-by-row agreement
-# check, or a CLI command (each estimates its own peak); it also keeps a
-# complex's int64 lattice coordinates (at most 2**max_level) far from overflow
+# cap on the estimated peak bytes of a call (each estimates its own, beside
+# the code it measures); it also keeps a complex's int64 lattice
+# coordinates (at most 2**max_level) far from overflow
 MEMORY_GUARD_BYTES = 2**30
 
-# peak RSS of a command that imports numpy and the gasket and builds the
-# smallest complex (`gen --level 0` peaks at 29.1 MiB under wait4); the
-# CLI's guards add their command's own estimate on top of it
-BASE_BYTES = 32 << 20
+# peak RSS (wait4) of a process that imports numpy and builds the smallest
+# complex (`gen --level 0`: 29.1 MiB), and of one that imports no numpy
+# (`kantorovich`, 1-80 points at levels 1-11: 16.4-16.9 MiB)
+BASE_BYTES, LEAN_BASE_BYTES = 32 << 20, 17 << 20
 
-# cap on the estimated seconds of a command's exact big-int arithmetic
-# (per-operation costs measured on a 2-core VM)
+# cap on the estimated seconds of a call's exact big-int arithmetic or
+# trial loop (per-operation costs measured on a 2-core VM)
 WORK_GUARD_SECONDS = 30
 
 # phi_r on V_0, row r: the ids of T_r(v_0), T_r(v_1), T_r(v_2), level-1 triangle r
@@ -42,9 +42,14 @@ def check_memory(need: int, what: str) -> None:
                          % (what, need >> 20, MEMORY_GUARD_BYTES >> 20))
 
 
-def check_cost(need: int, seconds: float, what: str) -> None:
+def check_cost(need: int, what: str, *work) -> None:
     """Raise ValueError, naming both estimates, when `need` bytes exceed
-    MEMORY_GUARD_BYTES or `seconds` exceed WORK_GUARD_SECONDS."""
+    MEMORY_GUARD_BYTES or the seconds of `work`, (count, seconds each)
+    pairs, exceed WORK_GUARD_SECONDS."""
+    try:
+        seconds = sum(count * each for count, each in work)
+    except OverflowError:  # a count past any float is past the guard too
+        seconds = float("inf")
     if need > MEMORY_GUARD_BYTES or seconds > WORK_GUARD_SECONDS:
         raise ValueError("%s needs about %d MiB and %.3g s, above the guards of %d MiB and %d s"
                          % (what, need >> 20, seconds, MEMORY_GUARD_BYTES >> 20,
@@ -142,19 +147,28 @@ class GasketSpace:
     """
 
     def __init__(self, level: int):
-        self.vertex_count = vertex_count(level)
         self.level = level
+        self._check_block(1)  # before |V_level|, whose 3^level takes minutes past 10^8
+        self.vertex_count = vertex_count(level)
         self.scale = 2 ** max(level, 1)
 
-    def _tables(self, v: int) -> tuple[list[int], int, list[list[int]]]:
-        """The word and V_1 point of v, and its delta_k for k = 0..|word|,
-        over scale."""
+    def _check_block(self, k: int) -> None:
+        """Refuse k points whose block and tables pass the memory guard: 40 +
+        level/8 B per int slot, k^2 for the block, 16 per point and level for
+        the tables (wait4: k = 500/1000 at level 11, 22.9/41.1 MiB)."""
+        check_memory(LEAN_BASE_BYTES + (k * k + 16 * k * self.level) * (40 + self.level // 8),
+                     "%d support point%s at level %d: the distance block and the oracle's "
+                     "tables" % (k, "" if k == 1 else "s", self.level))
+
+    def _tables(self, v: int, top: int = 0) -> tuple[list[int], int, list[list[int]]]:
+        """The word and V_1 point of v, and its delta_k over scale for k from
+        min(top, |word|) to |word|: a caller climbs only as far as it reads."""
         if not 0 <= v < self.vertex_count:
             raise ValueError("vertex %d is not in V_%d" % (v, self.level))
         word, p = vertex_word(v)
         unit = self.scale >> len(word) + 1  # a V_1 hop of v's own cell
         tables = [[h * unit for h in _V1_HOPS[p]]]
-        for r in reversed(word):
+        for r in reversed(word[top:]):
             unit *= 2
             a, b, c = tables[-1][:3]
             tables.append([min(a + x * unit, b + y * unit, c + z * unit)
@@ -173,6 +187,7 @@ class GasketSpace:
         d(x, phi_r(j)), so d(x, y) = min_j delta_(k+1)^x(j) +
         delta_k^y(phi_r(j)). Pairs inside one child go down with it.
         """
+        self._check_block(len(nodes))
         points = [self._tables(v) for v in nodes]
         block = [[0] * len(points) for _ in points]
         cells = [(0, range(len(points)))]
@@ -206,8 +221,8 @@ class GasketSpace:
         """d(v, V_n), an int over scale, for n <= level: 0 on V_n, else the
         least of delta_n's corner entries, as v lies in one level-n cell,
         T_w[:n](K), and a path to V_n leaves it through a corner."""
-        word, _, tables = self._tables(v)
-        return min(tables[n][:3]) if len(word) >= n else 0
+        word, _, tables = self._tables(v, n)
+        return min(tables[0][:3]) if len(word) >= n else 0
 
 
 # -- what one generic cell certifies about two levels --------------------
@@ -263,6 +278,8 @@ def cell_certificate(n: int, m: int) -> CellCertificate:
     """
     if not 0 <= n <= m:
         raise ValueError("need 0 <= n <= m, got n=%d m=%d" % (n, m))
+    # charged its row's cost, which callers build the cell for, before its hops
+    check_rows(n, n, m, "the exact row at levels (%d, %d)" % (n, m))
     if n == m:
         return CellCertificate(n, m, (1, 1, 1), 0)
     unit = 1 << (m - n - 1)  # a level-(n+1) side, in hops of G_m
@@ -270,6 +287,21 @@ def cell_certificate(n: int, m: int) -> CellCertificate:
 
 
 # -- the two-sided bound chain -------------------------------------------
+
+
+# a row is Fractions over 2^m normalized by gcds (in process, 2-core VM):
+# 2.14 B per bit of m at their peak (m = 4e6, 1.6e7); row n takes 1.2e-8 s
+# per bit of m plus 1e-11 to 1.7e-11 s per unit of n(m - n) (m = 2e5, 4e5)
+_ROW_BYTES_PER_BIT, _ROW_SECONDS_PER_BIT, _ROW_SECONDS_PER_PAIR = 3, 1.5e-8, 2e-11
+
+
+def check_rows(lo: int, hi: int, m: int, what: str, *work) -> None:
+    """check_cost of the exact rows n = lo..hi over 2^m and any more work."""
+    # sum of n(m - n) over n <= k, for k = hi and lo - 1
+    pairs = [m * k * (k + 1) // 2 - k * (k + 1) * (2 * k + 1) // 6 for k in (hi, lo - 1)]
+    check_cost(LEAN_BASE_BYTES + _ROW_BYTES_PER_BIT * m, what,
+               ((hi - lo + 1) * m, _ROW_SECONDS_PER_BIT),
+               (pairs[0] - pairs[1], _ROW_SECONDS_PER_PAIR), *work)
 
 
 def check_samples(k: int) -> None:

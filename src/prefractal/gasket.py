@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curves import V0_IMAGES, check_memory, curve_count, kappa, vertex_count
+from .curves import BASE_BYTES, V0_IMAGES, check_memory, curve_count, kappa, vertex_count
 
 CURVE_KINDS = ("bottom", "right", "left")
 
@@ -42,10 +42,10 @@ _SQRT3_2 = math.sqrt(3.0) / 2.0
 CORNERS = np.array([[0, 0], [1, 0], [0, 1]], dtype=np.int64)
 CORNERS.flags.writeable = False
 
-# estimated peak bytes of build_gasket per curve: it holds 13.3-13.4 and
-# peaks at 16.0 (tracemalloc, levels 9-12); 90 stays, so the guard keeps
-# refusing level 14 until that level is measured end to end
-_BYTES_PER_CURVE = 90
+# peak RSS per curve above the base of building the complex and streaming
+# it out (wait4, levels 11/12/13/14): 13.7/16.8/17.9/15.8 B as JSON and
+# 26.2/28.3/29.0/29.2 B as SVG (357 and 632 MiB at level 14)
+_BYTES_PER_CURVE = 32
 
 
 def check_tolerance(tol) -> None:
@@ -146,8 +146,8 @@ class PrefractalComplex:
 
 
 def complex_bytes(max_level: int) -> int:
-    """Estimated peak bytes of build_gasket(max_level)."""
-    return _BYTES_PER_CURVE * curve_count(max_level)
+    """Estimated peak bytes of building the complex and streaming it out."""
+    return BASE_BYTES + _BYTES_PER_CURVE * curve_count(max_level)
 
 
 def build_gasket(max_level: int) -> PrefractalComplex:

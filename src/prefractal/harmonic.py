@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .curves import curve_count, kappa
+from .curves import BASE_BYTES, curve_count, kappa
 from .gasket import (CURVE_KINDS, CURVE_SLOTS, PrefractalComplex, _fill, build_gasket,
                      check_memory, check_tolerance)
 
@@ -38,6 +38,11 @@ REFINEMENT_CAP = 12  # length quadrature: halvings below each curve's level
 
 # (cells x polyline points) per batched product: a few MiB of work arrays
 _BLOCK_ENTRIES = 1 << 16
+
+# peak RSS per curve above the base (wait4) of the complex, its triples and
+# the length columns as JSON (51.5/92.7/214.5 MiB at levels 9-11, 231-240 B),
+# or their plane images as SVG (68.3/153.4/340.6 MiB at 11-13, 45-54 B)
+_BYTES_PER_CURVE, _DRAWING_BYTES_PER_CURVE = 300, 56
 
 # peak bytes per base-polyline point: the int64 cell stack that builds it
 # (192 B under tracemalloc at caps 16-20) outweighs the polyline, its
@@ -177,6 +182,16 @@ def harmonic_extend(corner_data, depth: int) -> list[Fraction]:
     table = HarmonicTable(build_gasket(depth))
     return [sum(d * t for d, t in zip(data, table.triple(v)))
             for v in range(table.cx.level_vertex_counts[depth])]
+
+
+def embedded_gasket(level: int) -> tuple[PrefractalComplex, np.ndarray]:
+    """The level's complex and its vertices' float images in the embedding
+    plane, to draw; refused, before anything is built, past the guard."""
+    check_memory(BASE_BYTES + _DRAWING_BYTES_PER_CURVE * curve_count(level),
+                 "max_level %d is past the size cap: the complex with its harmonic drawing"
+                 % level)
+    table = HarmonicTable(build_gasket(level))
+    return table.cx, table.embedding_array()
 
 
 def embedding_point(triple) -> np.ndarray:
@@ -391,6 +406,9 @@ def build_harmonic_gasket(max_level: int, tol: float = 1e-6,
     """Harmonic prefractal with per-curve length estimates for all levels."""
     check_tolerance(tol)
     check_refinement_cap(cap, derive_subdivision_rule().den)
+    top = max_level if cx is None else max(max_level, cx.max_level)  # the table's levels
+    check_memory(BASE_BYTES + _BYTES_PER_CURVE * curve_count(top), "max_level %d is past "
+                 "the size cap: the complex with its harmonic lengths" % top)
     if cx is None or cx.max_level < max_level:
         cx = build_gasket(max_level)
     table = HarmonicTable(cx)

@@ -16,10 +16,14 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 
-from .curves import curve_count, kappa, kappa_inverse
+from .curves import LEAN_BASE_BYTES, check_cost, curve_count, kappa, kappa_inverse
 from .spectrum import PI_LOWER
 
 INFINITE = None  # level argument meaning "no truncation"
+
+# seconds of a reach trial on up to 41 time points (in process, 2-core VM):
+# 0.20-0.21 ms at n = 0 and 2, 0.09-0.10 ms at n >= 8, 0.06 ms on 2 points
+_REACH_TRIAL_SECONDS = 2.5e-4
 
 
 def mode_frequency(curve_id: int, mode: int) -> float:
@@ -194,6 +198,8 @@ def covariant_reach_witness(n: int, epsilon: float, trials: int,
     if t_grid_size < 2:
         raise ValueError("time grid needs at least two points, got %s"
                          % t_grid_size)
+    check_cost(LEAN_BASE_BYTES, "covariant with %d trials" % trials,
+               (trials, _REACH_TRIAL_SECONDS * max(1, t_grid_size / 41)))
     cap = curve_count(n)
     rng = random.Random(seed)
     t_grid = [(-1.0 / epsilon) + (2.0 / epsilon) * i / (t_grid_size - 1)

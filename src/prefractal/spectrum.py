@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import TYPE_CHECKING
 
-from .curves import check_cost
+from .curves import BASE_BYTES, check_cost
 
 if TYPE_CHECKING:
     import numpy as np
@@ -26,6 +26,11 @@ if TYPE_CHECKING:
 WINDOW_ROWS = 1 << 16
 # seconds per row written (1.2-1.8 us, JSON the slower) and a window's bytes
 _ROW_SECONDS, _WINDOW_BYTES = 2e-6, 16 << 20
+
+# `dimension` per cutoff: peak RSS above the base (wait4: 43/56/78 MiB as
+# JSON, 46/61/88 MiB as SVG at 25k/50k/100k cutoffs), and seconds per length
+# counted plus one (in process, 2-core VM: 3.1-4.4 us at up to 85 levels)
+_FIT_BYTES_PER_CUTOFF, _COUNT_SECONDS = 600, 8e-6
 
 
 def _arctan_inv_bounds(x: int, terms: int):
@@ -106,17 +111,16 @@ def _gasket_levels():
 class SpectrumSpec:
     """Curve-length multiset defining a direct-sum Dirac operator.
 
-    entries: list of (length, multiplicity). A spec may instead be the
-    full gasket limit: levels are then generated on demand, stopping at
-    the level whose per-curve count at the working cutoff is zero
-    (lengths below pi/(2*cutoff) contribute nothing).
+    entries: list of (length, multiplicity), or None for a gasket spec
+    (through a level, or the full limit), which reads its levels on demand
+    up to the last, or the first whose per-curve count at the working
+    cutoff is zero (lengths below pi/(2*cutoff) contribute nothing).
     """
 
     def __init__(self, entries=None, infinite_gasket: bool = False, label: str = ""):
-        self.infinite_gasket = infinite_gasket
         self.label = label
+        self.entries = self._levels = None  # the gasket reads _levels levels, or all
         if infinite_gasket:
-            self.entries = None
             return
         self.entries = []
         for length, mult in entries:
@@ -137,7 +141,13 @@ class SpectrumSpec:
     def gasket(cls, level: int) -> "SpectrumSpec":
         if level < 0:
             raise ValueError("level must be nonnegative, got %d" % level)
-        return cls(islice(_gasket_levels(), level + 1), label="gasket level %d" % level)
+        spec = cls(infinite_gasket=True, label="gasket level %d" % level)
+        spec._levels = level + 1
+        return spec
+
+    @property
+    def infinite_gasket(self) -> bool:
+        return self.entries is None and self._levels is None
 
     @classmethod
     def gasket_limit(cls) -> "SpectrumSpec":
@@ -152,15 +162,16 @@ class SpectrumSpec:
 
     def entries_for(self, cutoff):
         """(length, multiplicity, mode count) triples at a working cutoff;
-        the gasket limit stops at its first level with no modes."""
-        if not self.infinite_gasket:
+        a gasket spec stops at its first level with no modes."""
+        if self.entries is not None:
             return [(lam, mult, mode_count(lam, cutoff)) for lam, mult in self.entries]
         out = []
-        for lam, mult in _gasket_levels():
+        for lam, mult in islice(_gasket_levels(), self._levels):
             count = mode_count(lam, cutoff)
             if count == 0:
-                return out
+                break
             out.append((lam, mult, count))
+        return out
 
 
 def counting_function(spec: SpectrumSpec, grid) -> list[tuple[float, int]]:
@@ -209,8 +220,8 @@ def enumerate_eigenvalues(spec: SpectrumSpec, cutoff) -> EigenvalueEnumeration:
     """The spectrum up to a cutoff, in blocks; refused past the work guard."""
     entries = [e for e in spec.entries_for(cutoff) if e[2]]
     rows = sum(count // 2 for _, _, count in entries)
-    check_cost(_WINDOW_BYTES, rows * _ROW_SECONDS,
-               "enumerating %d rows up to cutoff %s" % (rows, cutoff))
+    check_cost(_WINDOW_BYTES, "enumerating %d rows up to cutoff %s" % (rows, cutoff),
+               (rows, _ROW_SECONDS))
     total = sum(mult * count for _, mult, count in entries)
     return EigenvalueEnumeration(float(cutoff), total, entries)
 
@@ -248,6 +259,12 @@ def dimension_fit(spec: SpectrumSpec, lam_min, lam_max,
                          % lam_min)
     if not float(lam_max) > float(lam_min):
         raise ValueError("degenerate cutoff range")
+    # lengths per cutoff: the spec's, or the gasket's levels with modes at lam_max
+    lengths = (len(spec.entries) if spec.entries is not None
+               else min(spec._levels or math.inf, math.frexp(lam_max)[1]))
+    check_cost(BASE_BYTES + _FIT_BYTES_PER_CUTOFF * grid_size,
+               "dimension on %d cutoffs: the grid, its counts and the fit" % grid_size,
+               (grid_size * (lengths + 1), _COUNT_SECONDS))
     import numpy as np
 
     grid = np.exp(np.linspace(math.log(float(lam_min)),
@@ -303,12 +320,9 @@ def zeta_partial(spec: SpectrumSpec, s: float, max_curves: int | None = None) ->
     """
     if not s > 1:
         raise ValueError("mode sums diverge for s <= 1, got s=%s" % s)
-    if spec.infinite_gasket:
-        if max_curves is None:
-            raise ValueError("the gasket limit needs an explicit curve cap")
-        entries = _gasket_levels()
-    else:
-        entries = spec.entries
+    if spec.infinite_gasket and max_curves is None:
+        raise ValueError("the gasket limit needs an explicit curve cap")
+    entries = islice(_gasket_levels(), spec._levels) if spec.entries is None else spec.entries
     mode_tol = 1e-12
     base = _half_integer_zeta(s, mode_tol)
     included = 0

@@ -31,10 +31,15 @@ from fractions import Fraction
 from math import isfinite, lcm
 from operator import mul, truediv
 
-from .curves import GasketSpace, gh_upper_bound, vertex_count
+from .curves import GasketSpace, check_rows, gh_upper_bound, vertex_count
 
 _FLOAT_MASS_TOL = 1e-12
 _FLOAT_GAP_TOL = 1e-9
+
+# seconds of an extent mixture trial (in process, 2-core VM): 73/102/311 us
+# at (n, m) = (1, 3), (4, 8), (20, 39), as to_coarse climbs only to level n
+# (92/149/570 us when it climbed to level 0, which these constants fit)
+_TRIAL_SECONDS, _TRIAL_SECONDS_PER_LEVEL = 6e-5, 1.2e-5
 
 # the last level whose |V_m| vertex ids fit a range random.sample can take
 _LAST_INDEXED_LEVEL = max(m for m in range(64) if vertex_count(m) <= sys.maxsize)
@@ -477,6 +482,8 @@ def certify_extent(cell: CellCertificate, alpha=None, samples_per_curve: int = 3
     """
     n, m = cell.n, cell.m
     check_trials(mixture_trials, m)
+    check_rows(n, n, m, "extent at levels (%d, %d) with %d mixture trials" % (n, m, mixture_trials),
+               (mixture_trials, _TRIAL_SECONDS + _TRIAL_SECONDS_PER_LEVEL * m))
     rep = gh_upper_bound(cell, samples_per_curve)
     eps_sample = rep.haus_vertices_to_sample + rep.sampling_slack
     eps_vertex = rep.haus_vn_in_vm + rep.tail

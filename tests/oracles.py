@@ -278,17 +278,17 @@ def hop_block_agreement(n: int, m: int, g_n: MetricGraph, g_m: MetricGraph,
 # them: every closure's slot table (54 in all), a level's reach in the
 # top-down pass and the first closure's whole-level premise tables
 # (tracemalloc 98-129 at m = 9-12 for one trace, 104-142 for a whole
-# run). 260 stays, as complex_bytes' 90 does, until m = 14 is measured
+# run). 260 stays until m = 14 is measured
 _HELD_BYTES_PER_CURVE = 14
 _TRACE_BYTES_PER_TRIANGLE = 260
 
 
 def check_trace_size(m: int, what: str) -> None:
     """Raise ValueError, naming `what`, when building the level-m complex
-    and tracing it would pass MEMORY_GUARD_BYTES: BASE_BYTES plus the
-    larger of the build's peak and the held complex with the trace."""
+    and tracing it would pass MEMORY_GUARD_BYTES: the larger of the build's
+    estimate and BASE_BYTES plus the held complex with the trace."""
     trace = _HELD_BYTES_PER_CURVE * curve_count(m) + _TRACE_BYTES_PER_TRIANGLE * 3**m
-    check_memory(BASE_BYTES + max(complex_bytes(m), trace), what)
+    check_memory(max(complex_bytes(m), BASE_BYTES + trace), what)
 
 
 class CellTrace(namedtuple("CellTrace", [

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import oracles
-from prefractal import __version__, cli, spectrum
+from prefractal import __version__, modes, spectrum
 from prefractal.cli import _json_chunks, _parse_fraction, _parse_measure, build_parser, main
 from prefractal.curves import curve_count, vertex_count
 from prefractal.gasket import (
@@ -49,6 +49,11 @@ COMMAND_OPTIONS = {
 
 def _no_build(level, **kwargs):
     raise AssertionError("built the level-%d complex" % level)
+
+
+def _no_counts(level):
+    # build_gasket's first step after its guard is counting V_0, ..., V_level
+    raise AssertionError("built the complex")
 
 
 def _random_measure(rng, points) -> str:
@@ -99,7 +104,7 @@ class TestGen:
         assert "cap" in payload["message"]
 
     def test_oversized_level_names_the_estimate(self, capsys):
-        code, out, err = _run(capsys, "gen", "--level", "14")
+        code, out, err = _run(capsys, "gen", "--level", "15")
         assert code == 2 and out == ""
         payload = json.loads(err)
         assert payload["error"] == "validation"
@@ -107,32 +112,32 @@ class TestGen:
                          payload["message"])
 
     def test_json_guard_refuses_before_building(self, capsys, monkeypatch):
-        # the streamed document costs no more than the complex: level 13
-        # (622 MiB measured) gets past the guard, level 14 is refused
-        monkeypatch.setattr("prefractal.gasket.build_gasket", _no_build)
-        code, out, err = _run(capsys, "gen", "--level", "14", "--format", "json")
+        # build_gasket's one estimate covers the streamed document: level 14
+        # (357 MiB measured) gets past its guard, level 15 is refused
+        monkeypatch.setattr("prefractal.gasket.vertex_count", _no_counts)
+        code, out, err = _run(capsys, "gen", "--level", "15", "--format", "json")
         assert code == 2 and out == ""
         payload = json.loads(err)
         assert payload["error"] == "validation"
         assert payload["message"] == (
-            "level 14 is past the size cap for JSON output: the complex as JSON "
-            "text needs about 1879 MiB, above the guard of 1024 MiB")
-        with pytest.raises(AssertionError, match="built the level-13 complex"):
-            main(["gen", "--level", "13", "--format", "json"])
+            "max_level 15 is past the size cap: the complex needs about 2002 MiB, "
+            "above the guard of 1024 MiB")
+        with pytest.raises(AssertionError, match="built the complex"):
+            main(["gen", "--level", "14", "--format", "json"])
 
     def test_harmonic_json_guard_refuses_before_building(self, capsys, monkeypatch):
         # the harmonic length columns cost more per curve than the sg
-        # complex: level 13 passes the sg JSON guard but not the harmonic
-        # one, and harmonic level 12 (550 MiB measured) gets past it
-        monkeypatch.setattr("prefractal.harmonic.build_harmonic_gasket", _no_build)
-        monkeypatch.setattr("prefractal.gasket.build_gasket", _no_build)
+        # complex: build_harmonic_gasket refuses level 13, which the sg
+        # build admits, and harmonic level 12 (550 MiB measured) gets past it
+        monkeypatch.setattr("prefractal.harmonic.build_gasket", _no_build)
+        monkeypatch.setattr("prefractal.gasket.vertex_count", _no_counts)
         code, out, err = _run(capsys, "gen", "--geometry", "harmonic",
                               "--level", "13", "--format", "json")
         assert code == 2 and out == ""
         assert json.loads(err)["message"] == (
-            "level 13 is past the size cap for JSON output: the complex as JSON "
-            "text needs about 2084 MiB, above the guard of 1024 MiB")
-        with pytest.raises(AssertionError, match="built the level-13 complex"):
+            "max_level 13 is past the size cap: the complex with its harmonic lengths "
+            "needs about 2084 MiB, above the guard of 1024 MiB")
+        with pytest.raises(AssertionError, match="built the complex"):
             main(["gen", "--level", "13", "--format", "json"])
         with pytest.raises(AssertionError, match="built the level-12 complex"):
             main(["gen", "--geometry", "harmonic", "--level", "12", "--format", "json"])
@@ -150,23 +155,27 @@ class TestGen:
 
     @pytest.mark.parametrize("geometry", ["sg", "harmonic"])
     def test_svg_guard_refuses_before_building(self, geometry, capsys, monkeypatch):
-        # the polygons stream like sg JSON and share its estimate: level 13
-        # gets past the guard, level 14 is the first refused
-        monkeypatch.setattr("prefractal.gasket.build_gasket", _no_build)
+        # the sg polygons stream like sg JSON and share build_gasket's
+        # estimate (632 MiB measured at level 14), so level 15 is the first
+        # refused; the harmonic drawing adds the triples and their plane
+        # images (341 MiB at level 13) and is refused from level 14
+        first, what, mib = ((15, "the complex", 2002) if geometry == "sg"
+                            else (14, "the complex with its harmonic drawing", 1181))
+        monkeypatch.setattr("prefractal.gasket.vertex_count", _no_counts)
         code, out, err = _run(capsys, "gen", "--geometry", geometry,
-                              "--level", "14", "--format", "svg")
+                              "--level", str(first), "--format", "svg")
         assert code == 2 and out == ""
         payload = json.loads(err)
         assert payload["message"] == (
-            "level 14 is past the size cap for SVG output: the drawing of its "
-            "triangles needs about 1879 MiB, above the guard of 1024 MiB")
-        with pytest.raises(AssertionError, match="built the level-13 complex"):
-            main(["gen", "--geometry", geometry, "--level", "13", "--format", "svg"])
+            "max_level %d is past the size cap: %s needs about %d MiB, "
+            "above the guard of 1024 MiB" % (first, what, mib))
+        with pytest.raises(AssertionError, match="built the complex"):
+            main(["gen", "--geometry", geometry, "--level", str(first - 1), "--format", "svg"])
 
     @pytest.mark.parametrize("argv,code", [
         (["gen", "--geometry", "harmonic", "--level", "3", "--tol", "1e-30",
           "--strict"], 3),
-        (["gen", "--level", "14"], 2),
+        (["gen", "--level", "15"], 2),
         (["gen", "--geometry", "harmonic", "--level", "2", "--tol", "0"], 2)])
     def test_failed_gen_writes_nothing(self, argv, code, capsys, tmp_path):
         # every check runs before the first chunk, so a refused or failed
@@ -332,22 +341,22 @@ class TestTables:
 
     def test_kantorovich_guard_refuses_before_building(self, capsys, monkeypatch):
         # the estimate grows with the support union's size squared and with
-        # its size times the level: 5,101 points at level 9 are refused, as
-        # are two points at level 100,000, before any distance is read
+        # its size times the level: 5,101 points at level 9 are refused
+        # before any table is built, and level 100,000, where not even one
+        # point's tables fit, by GasketSpace itself
         def no_oracle(*args, **kwargs):
             raise AssertionError("reached the oracle")
 
-        monkeypatch.setattr("prefractal.curves.GasketSpace.support_block", no_oracle)
-        monkeypatch.setattr("prefractal.curves.vertex_count", no_oracle)
+        monkeypatch.setattr("prefractal.curves.GasketSpace._tables", no_oracle)
         mu = ",".join("%d:1/5100" % p for p in range(5100))
         for argv, what, mib in ((["--level", "9", "--mu", mu, "--nu", "5100:1"],
                                  "5101 support points at level 9", 1063),
                                 (["--level", "100000", "--mu", "0:1", "--nu", "1:1"],
-                                 "2 support points at level 100000", 38286)):
+                                 "1 support point at level 100000", 19151)):
             code, out, err = _run(capsys, "kantorovich", *argv)
             assert code == 2 and out == ""
             assert json.loads(err)["message"] == (
-                "kantorovich on %s: the distance block and the oracle's tables needs "
+                "%s: the distance block and the oracle's tables needs "
                 "about %d MiB, above the guard of 1024 MiB" % (what, mib))
         # 5,001 points pass, at an estimated 1023 MiB
         mu = ",".join("%d:1/5000" % p for p in range(5000))
@@ -398,18 +407,21 @@ class TestTables:
     def test_extent_guard_refuses_past_its_budget(self, n, m, trials, mib, capsys,
                                                   monkeypatch):
         # the first trial count (or m) past the 30 s guard is refused with
-        # both estimates; the last one under it reaches the certificate
+        # both estimates, by certify_extent, or with no trials by the row's
+        # cell_certificate; the last one under it reaches the bound chain
         def no_certificate(*args, **kwargs):
             raise AssertionError("reached the certificate")
 
-        monkeypatch.setattr("prefractal.transport.certify_extent", no_certificate)
+        monkeypatch.setattr("prefractal.transport.gh_upper_bound", no_certificate)
         refused = [str(n), str(m + (trials == 0)), str(trials + (trials > 0))]
         code, out, err = _run(capsys, "extent", "--n", refused[0], "--m", refused[1],
                               "--trials", refused[2])
         assert code == 2 and out == ""
+        what = ("extent at levels (%s, %s) with %s mixture trials" % tuple(refused) if trials
+                else "the exact row at levels (%s, %s)" % tuple(refused[:2]))
         assert json.loads(err)["message"] == (
-            "extent at levels (%s, %s) with %s mixture trials needs about %d MiB and 30 s, "
-            "above the guards of 1024 MiB and 30 s" % (*refused, mib))
+            "%s needs about %d MiB and 30 s, above the guards of 1024 MiB and 30 s"
+            % (what, mib))
         with pytest.raises(AssertionError, match="reached the certificate"):
             main(["extent", "--n", str(n), "--m", str(m), "--trials", str(trials)])
 
@@ -448,16 +460,22 @@ class TestTables:
     @pytest.mark.parametrize("grid,mib", [(1733646, 1024), (10**9, 572236)])
     def test_dimension_guard_refuses_before_the_grid(self, grid, mib, capsys,
                                                      monkeypatch):
-        # 1,733,646 points is the first refused grid
-        def no_fit(*args, **kwargs):
-            raise AssertionError("ran the fit")
-        monkeypatch.setattr("prefractal.spectrum.dimension_fit", no_fit)
+        # 1,733,646 points is the first grid past the memory guard, and
+        # both are past the seconds guard, at 6.4e-5 s per cutoff for 7
+        # levels with modes at 100; the grid's end points are its first
+        # step after the guard
+        seconds = {1733646: "111", 10**9: "6.4e+04"}[grid]
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("built the grid")
+        monkeypatch.setattr("prefractal.spectrum.math.log", no_grid)
         code, out, err = _run(capsys, "dimension", "--infinite", "--lambda-min",
                               "10", "--lambda-max", "100", "--grid", str(grid))
         assert code == 2 and out == ""
         assert json.loads(err)["message"] == (
             "dimension on %d cutoffs: the grid, its counts and the fit needs "
-            "about %d MiB, above the guard of 1024 MiB" % (grid, mib))
+            "about %d MiB and %s s, above the guards of 1024 MiB and 30 s"
+            % (grid, mib, seconds))
 
     @pytest.mark.parametrize("argv,message", [
         (["covariant", "--n", "2", "--epsilon", "inf"],
@@ -656,7 +674,7 @@ class TestTables:
         def no_trial(*args, **kwargs):
             raise AssertionError("ran a trial")
 
-        budget = 20 * cli._REACH_TRIAL_SECONDS
+        budget = 20 * modes._REACH_TRIAL_SECONDS
         monkeypatch.setattr("prefractal.curves.WORK_GUARD_SECONDS", budget)
         argv = ["covariant", "--n", "2", "--epsilon", "0.1", "--trials"]
         assert _run(capsys, *argv, "20")[0] == 0

@@ -25,7 +25,8 @@ import numpy as np
 import pytest
 
 from oracles import interning_build
-from prefractal.curves import curve_count, kappa, kappa_inverse, vertex_count, vertex_word
+from prefractal.curves import (BASE_BYTES, curve_count, kappa, kappa_inverse, vertex_count,
+                               vertex_word)
 from prefractal.gasket import (
     CORNERS,
     CURVE_KINDS,
@@ -273,9 +274,16 @@ class TestBuildGasket:
             with pytest.raises(ValueError):
                 arr[0, 0] = 7
 
-    def test_size_guard_names_the_estimate(self):
-        with pytest.raises(ValueError, match=r"max_level 14 .* needs about \d+ MiB, "
+    def test_size_guard_names_the_estimate(self, monkeypatch):
+        # level 14 reaches the build (counting V_0, ..., V_14), 15 is refused
+        def no_counts(level):
+            raise AssertionError("built the complex")
+
+        with pytest.raises(ValueError, match=r"max_level 15 .* needs about \d+ MiB, "
                                              r"above the guard of 1024 MiB"):
+            build_gasket(15)
+        monkeypatch.setattr("prefractal.gasket.vertex_count", no_counts)
+        with pytest.raises(AssertionError, match="built the complex"):
             build_gasket(14)
 
     def test_memory_stays_within_the_estimate(self):
@@ -288,7 +296,7 @@ class TestBuildGasket:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= complex_bytes(9)
+        assert peak <= complex_bytes(9) - BASE_BYTES
         assert held < 32 * cx.b_n
 
     def test_peak_stays_near_what_the_build_holds(self):

@@ -17,7 +17,9 @@ Core claims:
 import json
 import math
 import random
+import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from prefractal.harmonic import (
     base_polyline,
     build_harmonic_gasket,
     derive_subdivision_rule,
+    embedded_gasket,
     embedding_point,
     harmonic_curve_length,
     harmonic_extend,
@@ -324,6 +327,37 @@ class TestRefinementCap:
 
 
 class TestHarmonicGasket:
+    def test_drawing_guard_refuses_before_the_build(self, monkeypatch):
+        # 32 MiB plus 56 B per curve: level 13 reaches the build, 14 is
+        # refused though the plain complex would pass its own guard
+        def no_build(level):
+            raise AssertionError("built the level-%d complex" % level)
+
+        monkeypatch.setattr("prefractal.harmonic.build_gasket", no_build)
+        with pytest.raises(AssertionError, match="built the level-13 complex"):
+            embedded_gasket(13)
+        with pytest.raises(ValueError, match=re.escape(
+                "max_level 14 is past the size cap: the complex with its harmonic drawing "
+                "needs about 1181 MiB, above the guard of 1024 MiB")):
+            embedded_gasket(14)
+
+    def test_guard_refuses_before_the_build(self, monkeypatch):
+        # 32 MiB plus 300 B per curve: level 12 reaches the build, 13 is
+        # refused though the plain complex would pass its own guard
+        def no_build(level):
+            raise AssertionError("built the level-%d complex" % level)
+
+        monkeypatch.setattr("prefractal.harmonic.build_gasket", no_build)
+        with pytest.raises(AssertionError, match="built the level-12 complex"):
+            build_harmonic_gasket(12)
+        with pytest.raises(ValueError, match=re.escape(
+                "max_level 13 is past the size cap: the complex with its harmonic lengths "
+                "needs about 2084 MiB, above the guard of 1024 MiB")):
+            build_harmonic_gasket(13)
+        # a given complex is tabled at its own depth, whatever max_level asks
+        with pytest.raises(ValueError, match=r"^max_level 13 is past the size cap"):
+            build_harmonic_gasket(2, cx=SimpleNamespace(max_level=13))
+
     def test_combinatorics_match_euclidean(self):
         hg = build_harmonic_gasket(2)
         from prefractal.metric import gasket_metric_graph

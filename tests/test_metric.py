@@ -786,6 +786,26 @@ class TestCellCertificate:
         with pytest.raises(ValueError, match="need 0 <= n <= m, got n=%d m=%d" % (n, m)):
             cell_certificate(n, m)
 
+    @pytest.mark.parametrize("n,m,last", [(0, 351972010, 351972010),
+                                          (1223995, 2447990, 2447990)])
+    def test_guard_refuses_before_the_hops(self, n, m, last):
+        # 17 MiB plus 3 B per bit of m, 1.5e-8 s per bit plus 2e-11 s per
+        # unit of n(m - n): the first m past the guards is refused with both
+        # estimates before its 2^(m-n) hops are allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(
+                    "the exact row at levels (%d, %d) needs about" % (n, last + 1))):
+                cell_certificate(n, last + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        if m - n < 10**7:  # the hops of the last admitted m, 150 KB here
+            assert cell_certificate(n, m).discrepancy() == 0
+        else:
+            curves.check_rows(n, n, m, "the row")
+
     def test_past_any_level_a_complex_could_reach(self):
         # 2^(m-n) hops and a Hausdorff term of 2^-(n+1), exact at any m
         cell = cell_certificate(40, 1000)
@@ -1030,6 +1050,53 @@ class TestGasketSpace:
         for trace in gasket_cell_traces(cx, m, m):
             assert [space.to_coarse(v, trace.n) for v in range(space.vertex_count)] == [
                 unit * int(h) for h in trace.nearest_hops]
+
+    def test_support_block_guard_refuses_before_any_table(self, monkeypatch):
+        # 40 + level/8 B per slot, k^2 + 16 k level slots over the 17 MiB
+        # base: 5,003 points at level 9 reach the tables, 5,004 do not
+        def no_tables(*args):
+            raise AssertionError("built a table")
+
+        monkeypatch.setattr(GasketSpace, "_tables", no_tables)
+        space = GasketSpace(9)
+        with pytest.raises(AssertionError, match="built a table"):
+            space.support_block(range(5003))
+        with pytest.raises(ValueError, match=re.escape(
+                "5004 support points at level 9: the distance block and the oracle's "
+                "tables needs about 1024 MiB, above the guard of 1024 MiB")):
+            space.support_block(range(5004))
+
+    def test_a_level_no_point_fits_is_refused_before_counting_it(self, monkeypatch):
+        # |V_level| takes 3^(level+1), minutes past level 10^8: a level whose
+        # one-point tables pass the guard is refused first; 16,000 is not
+        def no_count(level):
+            raise AssertionError("counted V_%d" % level)
+
+        monkeypatch.setattr(curves, "vertex_count", no_count)
+        with pytest.raises(ValueError, match=re.escape(
+                "1 support point at level 100000000: the distance block and the oracle's "
+                "tables needs about 19073547392 MiB, above the guard of 1024 MiB")):
+            GasketSpace(10**8)
+        with pytest.raises(AssertionError, match="counted V_16000"):
+            GasketSpace(16000)
+
+    def test_to_coarse_climbs_only_to_level_n(self, monkeypatch):
+        # one min-plus step per level from the atom's own up to n, each
+        # reading one row of _CORNER_HOPS
+        reads = []
+
+        class Counted(list):
+            def __getitem__(self, r):
+                reads.append(r)
+                return list.__getitem__(self, r)
+
+        monkeypatch.setattr(curves, "_CORNER_HOPS", Counted(curves._CORNER_HOPS))
+        space = GasketSpace(39)
+        v = space.vertex_count - 1  # first seen at level 39: a 38-letter word
+        for n in (0, 20, 38, 39):
+            reads.clear()
+            space.to_coarse(v, n)
+            assert len(reads) == 38 - min(n, 38)
 
     def test_refuses_what_is_not_in_v_n(self):
         with pytest.raises(ValueError, match="level must be nonnegative, got -1"):

@@ -216,6 +216,26 @@ class TestCovariantReach:
         with pytest.raises(ValueError, match="at least two points, got %d" % size):
             covariant_reach_witness(2, 0.1, trials=1, t_grid_size=size)
 
+    @pytest.mark.parametrize("size,last", [(2, 120000), (41, 120000), (82, 60000)])
+    def test_guard_refuses_before_the_first_trial(self, size, last, monkeypatch):
+        # 2.5e-4 s per trial on a grid of up to 41 points, in proportion
+        # past it: the last count under the 30 s guard reaches its first trial
+        def no_trial(*args, **kwargs):
+            raise AssertionError("ran a trial")
+
+        monkeypatch.setattr("prefractal.modes.random_mode_vector", no_trial)
+        with pytest.raises(AssertionError, match="ran a trial"):
+            covariant_reach_witness(2, 0.1, last, t_grid_size=size)
+        with pytest.raises(ValueError, match=r"^covariant with %d trials needs about 17 MiB "
+                                             r"and 30 s, above the guards" % (last + 1)):
+            covariant_reach_witness(2, 0.1, last + 1, t_grid_size=size)
+
+    def test_a_count_past_any_float_is_refused(self):
+        # its seconds overflow a float: infinite, not an OverflowError
+        with pytest.raises(ValueError, match=r"^covariant with 1(0{400}) trials needs about "
+                                             r"17 MiB and inf s"):
+            covariant_reach_witness(2, 0.1, 10**400)
+
     def test_report_round_trips(self):
         rep = covariant_reach_witness(2, 0.1, trials=5, seed=3)
         d = rep.to_dict()

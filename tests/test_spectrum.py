@@ -139,9 +139,25 @@ class TestIntervalSpectrum:
 
 class TestSpecs:
     def test_gasket_entries(self):
+        # the levels are read on demand, and stop at the last one
         spec = SpectrumSpec.gasket(2)
-        assert spec.entries == [(Fraction(1, 1), 3), (Fraction(1, 2), 9),
-                                (Fraction(1, 4), 27)]
+        assert [(lam, mult) for lam, mult, _ in spec.entries_for(1e6)] == [
+            (Fraction(1, 1), 3), (Fraction(1, 2), 9), (Fraction(1, 4), 27)]
+
+    @pytest.mark.parametrize("level", [0, 7, 10**6])
+    def test_gasket_levels_stop_at_the_first_without_modes(self, level, monkeypatch):
+        # at cutoff 100 levels 0-5 have modes and level 6 has none: a level
+        # past it is never counted, so --level 10^6 costs what --level 7 does
+        seen = []
+
+        def counted(length, cutoff):
+            seen.append(length)
+            return mode_count(length, cutoff)
+
+        monkeypatch.setattr(spectrum, "mode_count", counted)
+        entries = SpectrumSpec.gasket(level).entries_for(100)
+        assert len(entries) == min(level + 1, 6)
+        assert seen == [Fraction(1, 2**m) for m in range(min(level + 1, 7))]
 
     def test_limit_truncation_matches_deep_finite(self):
         # beyond the vanishing level, extra curves contribute nothing
@@ -172,6 +188,25 @@ class TestSpecs:
         monkeypatch.setattr(spectrum, "mode_count", counted)
         assert main(argv + ["--out", str(tmp_path / "out")]) == 0
         assert len(seen) == len(set(seen)) == calls
+
+    @pytest.mark.parametrize("spec,last", [
+        # 7 levels with modes at 100 plus one: 6.4e-5 s per cutoff
+        (SpectrumSpec.gasket_limit(), 468750),
+        # 3 levels plus one, 3.2e-5 s per cutoff
+        (SpectrumSpec.gasket(2), 937500),
+        # 600 B per cutoff over the 32 MiB base passes 1 GiB first
+        (SpectrumSpec.single(), 1733645)])
+    def test_fit_guard_refuses_before_the_grid(self, spec, last, monkeypatch):
+        # the last grid under both guards reaches the grid's first step
+        def no_grid(*args):
+            raise AssertionError("built the grid")
+
+        monkeypatch.setattr(spectrum.math, "log", no_grid)
+        with pytest.raises(AssertionError, match="built the grid"):
+            dimension_fit(spec, 10, 100, grid_size=last)
+        with pytest.raises(ValueError, match=r"^dimension on %d cutoffs: the grid, its counts "
+                                             r"and the fit needs about" % (last + 1)):
+            dimension_fit(spec, 10, 100, grid_size=last + 1)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):

@@ -8,10 +8,11 @@ interpreter and reads the edge count of one traced graph build, without
 running a workload; a second runs two CLI commands under the tracer,
 whose modules are imported only when the command runs; another runs the
 benchmark's self-test, whose checks parse every artifact of the
-workloads at tiny sizes. The last four read the package's own sources
-for imports they never use, for an import of dataclasses, for top-level
-names nothing uses, and for defaulted parameters no call in src/, tests/
-or demos/ sets.
+workloads at tiny sizes. The last five read the package's own sources
+for imports they never use, for a number the CLI assigns (its guards'
+cost models live beside the code they bound), for an import of
+dataclasses, for top-level names nothing uses, and for defaulted
+parameters no call in src/, tests/ or demos/ sets.
 """
 
 import ast
@@ -125,6 +126,18 @@ def test_package_modules_use_their_imports():
             unused += ["%s:%d %s" % (path.name, line, name)
                        for name, line in bound.items() if name not in read]
     assert unused == []
+
+
+def test_cli_holds_no_cost_model():
+    # every guard lives beside the code it bounds: the CLI parses, calls
+    # and writes, so it assigns no module-level number but the schema's
+    tree = ast.parse((ROOT / "src" / "prefractal" / "cli.py").read_text())
+    numbers = [target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+               if isinstance(target, ast.Name)
+               and any(isinstance(n, ast.Constant) and isinstance(n.value, (int, float))
+                       and not isinstance(n.value, bool) for n in ast.walk(node.value))]
+    assert numbers == ["SCHEMA_VERSION"]
 
 
 def test_package_imports_no_dataclasses():

@@ -11,7 +11,8 @@ import oracles
 from oracles import (Infeasible, Unbounded, from_triples, gasket_cell_trace,
                      gasket_cell_traces, max_difference_objective, maximize)
 from prefractal import metric, transport
-from prefractal.curves import GasketSpace, cell_certificate, gh_upper_bound, vertex_count
+from prefractal.curves import (CellCertificate, GasketSpace, cell_certificate, gh_upper_bound,
+                               vertex_count)
 from prefractal.gasket import build_gasket
 from prefractal.harmonic import build_harmonic_gasket
 from prefractal.metric import FiniteMetricSpace, MetricGraph, gasket_metric_graph
@@ -645,6 +646,29 @@ class TestExtentCertificate:
             certify_extent(cell_certificate(20, 40), mixture_trials=1)
         rep = certify_extent(cell_certificate(20, 5000), mixture_trials=0)
         assert rep.epsilon_vertex == F(1, 2**21) + F(1, 2**5000)
+
+    @pytest.mark.parametrize("n,m,last", [(1, 3, 312499), (20, 39, 56818)])
+    def test_guard_refuses_before_the_bound_chain(self, n, m, last, monkeypatch):
+        # the row plus 6e-5 + 1.2e-5 m s per mixture trial: the last trial
+        # count under the 30 s guard reaches the bound chain, the next is
+        # refused with both estimates before it
+        def no_chain(*args, **kwargs):
+            raise AssertionError("reached the bound chain")
+
+        monkeypatch.setattr(transport, "gh_upper_bound", no_chain)
+        with pytest.raises(AssertionError, match="reached the bound chain"):
+            certify_extent(cell_certificate(n, m), mixture_trials=last)
+        with pytest.raises(ValueError, match=re.escape(
+                "extent at levels (%d, %d) with %d mixture trials needs about 17 MiB and "
+                "30 s, above the guards of 1024 MiB and 30 s" % (n, m, last + 1))):
+            certify_extent(cell_certificate(n, m), mixture_trials=last + 1)
+
+    def test_guard_reads_the_rows_of_a_given_cell(self):
+        # a certificate built by hand is refused by certify_extent itself
+        cell = CellCertificate(0, 400_000_000, (2, 2, 2), 1)
+        with pytest.raises(ValueError, match=r"^extent at levels \(0, 400000000\) with 0 "
+                                             r"mixture trials needs about 1161 MiB"):
+            certify_extent(cell, mixture_trials=0)
 
     def test_premise_failures_name_the_term(self):
         with pytest.raises(ValueError, match="sample-covering premise"):
