@@ -12,6 +12,7 @@ only, with no complex and no arrays, so `covariant`, `kantorovich`,
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
@@ -35,11 +36,25 @@ WORK_GUARD_SECONDS = 30
 V0_IMAGES = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
 
 
-def check_memory(need: int, what: str) -> None:
-    """Raise ValueError when `need` bytes exceed MEMORY_GUARD_BYTES."""
+def check_memory(need: int | float, what: str) -> None:
+    """Raise ValueError when `need` bytes, an int or a float (inf past any
+    float), exceed MEMORY_GUARD_BYTES."""
     if need > MEMORY_GUARD_BYTES:
-        raise ValueError("%s needs about %d MiB, above the guard of %d MiB"
-                         % (what, need >> 20, MEMORY_GUARD_BYTES >> 20))
+        raise ValueError("%s needs about %s MiB, above the guard of %d MiB"
+                         % (what, "%d" % (need // 2**20) if need < math.inf else "inf",
+                            MEMORY_GUARD_BYTES >> 20))
+
+
+def curves_bytes(level: int, per_curve: int) -> float:
+    """BASE_BYTES plus per_curve bytes for each of the curve_count(level)
+    curves, in floats: exact while under 2^53, and inf past any float, so
+    a huge level is estimated at once, without the exact 3^level."""
+    if level < 0:
+        raise ValueError("level must be nonnegative, got %d" % level)
+    try:
+        return BASE_BYTES + per_curve * 1.5 * (3.0 ** (level + 1) - 1)
+    except OverflowError:
+        return math.inf
 
 
 def check_cost(need: int, what: str, *work) -> None:

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curves import BASE_BYTES, V0_IMAGES, check_memory, curve_count, kappa, vertex_count
+from .curves import V0_IMAGES, check_memory, curve_count, curves_bytes, kappa, vertex_count
 
 CURVE_KINDS = ("bottom", "right", "left")
 
@@ -124,10 +124,10 @@ class PrefractalComplex:
         ends.flags.writeable = False
         return ends
 
-    def vertex_pairs(self, count: int | None = None) -> list[list[int]]:
+    def vertex_pairs(self) -> list[list[int]]:
         """[a_num, a_exp, b_num, b_exp] per vertex: both coordinates as
         normalized [num, exp] pairs, independent of max_level."""
-        return self._pair_array(count).tolist()
+        return self._pair_array().tolist()
 
     def _pair_array(self, count: int | None = None) -> np.ndarray:
         """int64 (count, 4) array of the rows of vertex_pairs."""
@@ -145,9 +145,9 @@ class PrefractalComplex:
         return np.stack([ab[:, 0] + 0.5 * ab[:, 1], _SQRT3_2 * ab[:, 1]], axis=1)
 
 
-def complex_bytes(max_level: int) -> int:
+def complex_bytes(max_level: int) -> float:
     """Estimated peak bytes of building the complex and streaming it out."""
-    return BASE_BYTES + _BYTES_PER_CURVE * curve_count(max_level)
+    return curves_bytes(max_level, _BYTES_PER_CURVE)
 
 
 def build_gasket(max_level: int) -> PrefractalComplex:

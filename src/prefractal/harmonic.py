@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .curves import BASE_BYTES, curve_count, kappa
+from .curves import curve_count, curves_bytes, kappa
 from .gasket import (CURVE_KINDS, CURVE_SLOTS, PrefractalComplex, _fill, build_gasket,
                      check_memory, check_tolerance)
 
@@ -43,11 +43,6 @@ _BLOCK_ENTRIES = 1 << 16
 # the length columns as JSON (51.5/92.7/214.5 MiB at levels 9-11, 231-240 B),
 # or their plane images as SVG (68.3/153.4/340.6 MiB at 11-13, 45-54 B)
 _BYTES_PER_CURVE, _DRAWING_BYTES_PER_CURVE = 300, 56
-
-# peak bytes per base-polyline point: the int64 cell stack that builds it
-# (192 B under tracemalloc at caps 16-20) outweighs the polyline, its
-# steps and one single-cell block at full depth
-_BYTES_PER_POINT = 200
 
 EMBED_SCALE = math.sqrt(2) / 2
 
@@ -159,10 +154,10 @@ class HarmonicTable:
         d = self.rule.den ** int(self.levels[vid])
         return tuple(Fraction(int(n), d) for n in self.numerators[vid])
 
-    def embedding_array(self, n_vertices: int | None = None) -> np.ndarray:
-        """Float images of the first n vertices in the embedding plane."""
-        den = float(self.rule.den) ** self.levels[:n_vertices]
-        return EMBED_SCALE * (self.numerators[:n_vertices] / den[:, None] - 1.0)
+    def embedding_array(self) -> np.ndarray:
+        """Float images of the vertices in the embedding plane."""
+        den = float(self.rule.den) ** self.levels
+        return EMBED_SCALE * (self.numerators / den[:, None] - 1.0)
 
 
 def harmonic_extend(corner_data, depth: int) -> list[Fraction]:
@@ -187,7 +182,7 @@ def harmonic_extend(corner_data, depth: int) -> list[Fraction]:
 def embedded_gasket(level: int) -> tuple[PrefractalComplex, np.ndarray]:
     """The level's complex and its vertices' float images in the embedding
     plane, to draw; refused, before anything is built, past the guard."""
-    check_memory(BASE_BYTES + _DRAWING_BYTES_PER_CURVE * curve_count(level),
+    check_memory(curves_bytes(level, _DRAWING_BYTES_PER_CURVE),
                  "max_level %d is past the size cap: the complex with its harmonic drawing"
                  % level)
     table = HarmonicTable(build_gasket(level))
@@ -215,27 +210,12 @@ class CurveLengths(namedtuple("CurveLengths", "ids level value depth last_increm
         return zip(*(getattr(self, name)[rows].tolist() for name in self._fields))
 
 
-def check_refinement_cap(cap: int, den: int) -> None:
-    """Raise ValueError when the base polyline of `cap` refinements could
-    overflow int64 or its block of 2^cap + 1 points would pass the
-    memory guard."""
-    if cap < 0:
-        raise ValueError("refinement cap must be nonnegative, got %d" % cap)
-    if den**cap >= 2**63:
-        raise ValueError("refinement cap %d overflows int64: base polyline "
-                         "numerators reach %d^%d, about 2^%d"
-                         % (cap, den, cap, (den**cap).bit_length() - 1))
-    check_memory(_BYTES_PER_POINT * (2**cap + 1),
-                 "refinement cap %d: the base polyline of 2^%d + 1 points"
-                 % (cap, cap))
-
-
 def base_polyline(cap: int, rule: SubdivisionRule) -> np.ndarray:
     """Exact triples of the 2^cap + 1 dyadic points on the unit cell's
     bottom edge, from corner 0 to corner 1: int64 (2^cap + 1, 3) over den^cap.
 
     Halves the cells along the edge cap times; every entry stays at most
-    den^cap, so nothing overflows once check_refinement_cap passes.
+    den^cap, below 2^63 for cap <= REFINEMENT_CAP (a test checks it).
     """
     adj, opp, den = rule.adjacent, rule.opposite, rule.den
     cells = np.eye(3, dtype=np.int64)[None]  # (cell, slot, coordinate)
@@ -269,19 +249,19 @@ def _curve_edges(cx: PrefractalComplex, table: HarmonicTable,
 
 
 def harmonic_lengths(cx: PrefractalComplex, table: HarmonicTable, curve_ids,
-                     tol: float = 1e-6, cap: int = REFINEMENT_CAP) -> CurveLengths:
+                     tol: float = 1e-6) -> CurveLengths:
     """Inscribed-polyline lengths of many embedded curves at once.
 
     The triple at F_w(x) is the corner-triple matrix of cell w applied to
     the triple at x, so the depth-d polyline of every curve is its cell's
     matrix times the base polyline at stride 2^(cap - d); the base steps
     sum to zero, so the corner differences t - s and u - s suffice. Depth
-    d runs from 0 (the chord) up to cap refinements below each curve's
-    own level, in blocks of cells, over the curves still refining; a
-    curve stops at the first depth whose increment is at most tol times
-    its length.
+    d runs from 0 (the chord) up to cap = REFINEMENT_CAP refinements below
+    each curve's own level, in blocks of cells, over the curves still
+    refining; a curve stops at the first depth whose increment is at most
+    tol times its length.
     """
-    check_refinement_cap(cap, table.rule.den)
+    cap = REFINEMENT_CAP
     ids = np.asarray(curve_ids, dtype=np.int64).reshape(-1)
     levels, edges = _curve_edges(cx, table, ids)
     base = base_polyline(cap, table.rule)
@@ -312,40 +292,34 @@ def harmonic_lengths(cx: PrefractalComplex, table: HarmonicTable, curve_ids,
 
 
 def harmonic_curve_length(cx: PrefractalComplex, curve_id: int,
-                          tol: float = 1e-6, cap: int = REFINEMENT_CAP,
-                          table: HarmonicTable | None = None) -> CurveLengths:
+                          tol: float = 1e-6) -> CurveLengths:
     """Inscribed-polyline length of one embedded curve: the one-row
     record of harmonic_lengths for a single id. The estimate is monotone
     nondecreasing in depth."""
-    if table is None:
-        table = HarmonicTable(cx)
-    return harmonic_lengths(cx, table, [curve_id], tol=tol, cap=cap)
+    return harmonic_lengths(cx, HarmonicTable(cx), [curve_id], tol=tol)
 
 
 class HarmonicGasket:
     """Prefractal with harmonic edge lengths; combinatorics match the
     Euclidean build, only the metric changes. lengths is indexed by curve
-    id and stops at the gasket's level; the complex may be deeper."""
+    id and covers every curve of the complex; cap is the REFINEMENT_CAP
+    the lengths were refined under."""
 
     def __init__(self, cx: PrefractalComplex, table: HarmonicTable,
-                 lengths: CurveLengths, tol: float, cap: int):
+                 lengths: CurveLengths, tol: float):
         self.cx = cx
         self.table = table
         self.lengths = lengths
         self.tol = tol
-        self.cap = cap
+        self.cap = REFINEMENT_CAP
 
     @property
     def level(self) -> int:
-        """The deepest level with lengths."""
-        return int(self.lengths.level.max())
+        return self.cx.max_level
 
     def metric_graph(self, level: int | None = None) -> MetricGraph:
         if level is None:
             level = self.level
-        if level > self.level:
-            raise ValueError("no lengths at level %d: the harmonic gasket stops "
-                             "at level %d" % (level, self.level))
         from .metric import gasket_metric_graph
 
         return gasket_metric_graph(self.cx, level, harmonic_lengths=self.lengths.value)
@@ -400,17 +374,12 @@ class HarmonicGasket:
         return chain(["["], _fill(row, len(c.ids), entries), [p0 + "]"])
 
 
-def build_harmonic_gasket(max_level: int, tol: float = 1e-6,
-                          cap: int = REFINEMENT_CAP,
-                          cx: PrefractalComplex | None = None) -> HarmonicGasket:
+def build_harmonic_gasket(max_level: int, tol: float = 1e-6) -> HarmonicGasket:
     """Harmonic prefractal with per-curve length estimates for all levels."""
     check_tolerance(tol)
-    check_refinement_cap(cap, derive_subdivision_rule().den)
-    top = max_level if cx is None else max(max_level, cx.max_level)  # the table's levels
-    check_memory(BASE_BYTES + _BYTES_PER_CURVE * curve_count(top), "max_level %d is past "
-                 "the size cap: the complex with its harmonic lengths" % top)
-    if cx is None or cx.max_level < max_level:
-        cx = build_gasket(max_level)
+    check_memory(curves_bytes(max_level, _BYTES_PER_CURVE), "max_level %d is past "
+                 "the size cap: the complex with its harmonic lengths" % max_level)
+    cx = build_gasket(max_level)
     table = HarmonicTable(cx)
-    lengths = harmonic_lengths(cx, table, range(curve_count(max_level)), tol=tol, cap=cap)
-    return HarmonicGasket(cx, table, lengths, tol, cap)
+    lengths = harmonic_lengths(cx, table, range(curve_count(max_level)), tol=tol)
+    return HarmonicGasket(cx, table, lengths, tol)

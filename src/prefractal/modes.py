@@ -21,8 +21,11 @@ from .spectrum import PI_LOWER
 
 INFINITE = None  # level argument meaning "no truncation"
 
-# seconds of a reach trial on up to 41 time points (in process, 2-core VM):
-# 0.20-0.21 ms at n = 0 and 2, 0.09-0.10 ms at n >= 8, 0.06 ms on 2 points
+T_GRID_SIZE = 41  # points of the reach witness's time grid on [-1/epsilon, 1/epsilon]
+_MODE_LEVELS = 9  # random_mode_vector's curves lie on levels 0.._MODE_LEVELS - 1
+
+# seconds of a reach trial on T_GRID_SIZE points (in process, 2-core VM):
+# 0.20-0.21 ms at n = 0 and 2, 0.09-0.10 ms at n >= 8
 _REACH_TRIAL_SECONDS = 2.5e-4
 
 
@@ -154,7 +157,7 @@ def random_mode_vector(rng: random.Random) -> ModeVector:
     """Seeded DN-normalized vector: 1 or 2 entries, of modes -8..8, on each
     of 3 to 9 distinct levels among 0..8."""
     entries = {}
-    for lev in rng.sample(range(9), rng.randint(3, 9)):
+    for lev in rng.sample(range(_MODE_LEVELS), rng.randint(3, _MODE_LEVELS)):
         for _ in range(rng.randint(1, 2)):
             j = kappa(lev, 0) + rng.randrange(3 ** (lev + 1))
             k = rng.randint(-8, 8)
@@ -176,8 +179,9 @@ class ReachReport(namedtuple("ReachReport", [
 
 
 def covariant_reach_witness(n: int, epsilon: float, trials: int,
-                            seed: int = 0, t_grid_size: int = 41) -> ReachReport:
-    """Empirical reach of the level-n projection under evolution.
+                            seed: int = 0) -> ReachReport:
+    """Empirical reach of the level-n projection under evolution, over
+    T_GRID_SIZE times.
 
     For seeded DN-normalized vectors, the projection defect is supported
     on dropped curves, evolution acts there by unit phases, and so the
@@ -195,15 +199,13 @@ def covariant_reach_witness(n: int, epsilon: float, trials: int,
                          "is not finite" % epsilon)
     if trials < 1:
         raise ValueError("need at least one trial")
-    if t_grid_size < 2:
-        raise ValueError("time grid needs at least two points, got %s"
-                         % t_grid_size)
     check_cost(LEAN_BASE_BYTES, "covariant with %d trials" % trials,
-               (trials, _REACH_TRIAL_SECONDS * max(1, t_grid_size / 41)))
-    cap = curve_count(n)
+               (trials, _REACH_TRIAL_SECONDS))
+    # no drawn curve is deeper than _MODE_LEVELS - 1: a larger n drops nothing
+    cap = curve_count(min(n, _MODE_LEVELS))
     rng = random.Random(seed)
-    t_grid = [(-1.0 / epsilon) + (2.0 / epsilon) * i / (t_grid_size - 1)
-              for i in range(t_grid_size)]
+    t_grid = [(-1.0 / epsilon) + (2.0 / epsilon) * i / (T_GRID_SIZE - 1)
+              for i in range(T_GRID_SIZE)]
     max_reach = 0.0
     max_gap = 0.0
     for _ in range(trials):
@@ -216,5 +218,5 @@ def covariant_reach_witness(n: int, epsilon: float, trials: int,
                   for t in t_grid)
         max_reach = max(max_reach, sup)
         max_gap = max(max_gap, abs(sup - static))
-    return ReachReport(n, epsilon, trials, t_grid_size, max_reach, max_gap,
+    return ReachReport(n, epsilon, trials, T_GRID_SIZE, max_reach, max_gap,
                        tail_ok, max_reach < epsilon)

@@ -270,7 +270,8 @@ def dimension_fit(spec: SpectrumSpec, lam_min, lam_max,
     grid = np.exp(np.linspace(math.log(float(lam_min)),
                               math.log(float(lam_max)), grid_size))
     table = counting_function(spec, grid.tolist())
-    counts = np.array([n for _, n in table], dtype=float)
+    exact = np.array([n for _, n in table])  # int64, or Python ints past it
+    counts = exact.astype(float)
     if (counts <= 0).any():
         raise ValueError("counting function vanished inside the fit window")
     x = np.log(grid)
@@ -283,8 +284,7 @@ def dimension_fit(spec: SpectrumSpec, lam_min, lam_max,
     var = float(resid.dot(resid)) / dof
     sxx = float(((x - x.mean()) ** 2).sum())
     stderr = math.sqrt(var / sxx) if sxx > 0 else float("inf")
-    return DimensionFit(slope, intercept, stderr, grid, counts.astype(int),
-                        resid, spec.label)
+    return DimensionFit(slope, intercept, stderr, grid, exact, resid, spec.label)
 
 
 def _half_integer_zeta(s: float, tol: float = 1e-12) -> float:

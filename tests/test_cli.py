@@ -172,6 +172,28 @@ class TestGen:
         with pytest.raises(AssertionError, match="built the complex"):
             main(["gen", "--geometry", geometry, "--level", str(first - 1), "--format", "svg"])
 
+    @pytest.mark.parametrize("geometry,fmt,what", [
+        ("sg", "json", "the complex"), ("sg", "svg", "the complex"),
+        ("harmonic", "json", "the complex with its harmonic lengths"),
+        ("harmonic", "svg", "the complex with its harmonic drawing")])
+    @pytest.mark.parametrize("level", ["40", "4300", "99999999999999999999"])
+    def test_huge_levels_are_estimated_without_their_curve_count(
+            self, geometry, fmt, what, level, capsys, monkeypatch):
+        # the estimate is taken in floats, finite up to about level 640 and
+        # inf past it, so 3^level is never computed
+        def no_curve_count(n):
+            raise AssertionError("counted the curves of level %d" % n)
+
+        for module in ("curves", "gasket", "harmonic"):
+            monkeypatch.setattr("prefractal.%s.curve_count" % module, no_curve_count)
+        code, out, err = _run(capsys, "gen", "--geometry", geometry, "--level", level,
+                              "--format", fmt)
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"max_level %s is past the size cap: %s needs about (\d+|inf) "
+                            r"MiB, above the guard of 1024 MiB" % (level, what),
+                            json.loads(err)["message"])
+        assert ("inf MiB" in err) == (level != "40")
+
     @pytest.mark.parametrize("argv,code", [
         (["gen", "--geometry", "harmonic", "--level", "3", "--tol", "1e-30",
           "--strict"], 3),
@@ -693,6 +715,19 @@ class TestTables:
             return float(re.search(r"and (\S+) s,", json.loads(err)["message"])[1])
 
         assert seconds(10**6) < seconds(10**7) < seconds(10**9)
+
+    def test_covariant_past_the_drawn_levels_is_level_nine(self, capsys):
+        # no drawn curve is deeper than level 8, so a huge n drops nothing,
+        # as n = 9 does, with no 3^n computed
+        reports = {}
+        for n in ("9", "99999999999999999999"):
+            code, out, _ = _run(capsys, "covariant", "--n", n, "--epsilon", "0.5",
+                                "--trials", "1")
+            assert code == 0
+            reports[n] = json.loads(out)["report"]
+        assert reports["99999999999999999999"].pop("n") == 99999999999999999999
+        assert reports["9"].pop("n") == 9
+        assert reports["99999999999999999999"] == reports["9"]
 
     def test_covariant_reach(self, capsys):
         code, out, _ = _run(capsys, "covariant", "--n", "4",

@@ -10,8 +10,7 @@ Core claims:
       and exactly additive across a subdivision at equal absolute depth;
     - the batched length kernel agrees with the per-curve big-integer
       oracle in tests/oracles.py, polyline and lengths alike;
-    - refinement caps that would overflow int64 or pass the memory guard
-      are refused before any work.
+    - the refinement cap keeps the base polyline's integers inside int64.
 """
 
 import json
@@ -19,7 +18,6 @@ import math
 import random
 import re
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +27,7 @@ from prefractal.curves import curve_count, kappa, vertex_count
 from prefractal.gasket import build_gasket
 from prefractal.harmonic import (
     EMBED_SCALE,
+    REFINEMENT_CAP,
     HarmonicTable,
     base_polyline,
     build_harmonic_gasket,
@@ -161,7 +160,7 @@ class TestEmbedding:
         assert np.abs(emb.sum(axis=1) + math.sqrt(2)).max() < 1e-12
 
     def test_corner_images_unit_apart(self):
-        emb = TABLE.embedding_array(3)
+        emb = TABLE.embedding_array()[:3]
         for i in range(3):
             for j in range(i + 1, 3):
                 assert np.linalg.norm(emb[i] - emb[j]) == pytest.approx(1.0)
@@ -180,29 +179,35 @@ def _row(lengths, i=0) -> dict:
     return {name: getattr(lengths, name)[i].item() for name in lengths._fields}
 
 
+def _set_cap(monkeypatch, cap):
+    """Refine to `cap` halvings below each curve's level from the next call."""
+    monkeypatch.setattr("prefractal.harmonic.REFINEMENT_CAP", cap)
+
+
 class TestCurveLength:
     def test_chord_is_lower_bound(self):
         est = _row(harmonic_curve_length(CX, 0, tol=1e-6))
         chord = 1.0  # corner images are unit apart
         assert est["value"] > chord
 
-    def test_increments_positive_and_quarter_rate(self):
+    def test_increments_positive_and_quarter_rate(self, monkeypatch):
         # at tol 0 a cap of k refinements ends on curve 0's k-th increment
-        incs = [harmonic_lengths(CX, TABLE, [0], tol=0.0, cap=k).last_increment[0]
-                for k in range(1, 13)]
+        incs = []
+        for k in range(1, 13):
+            _set_cap(monkeypatch, k)
+            incs.append(harmonic_lengths(CX, TABLE, [0], tol=0.0).last_increment[0])
         assert all(inc > 0 for inc in incs)
         ratios = [a / b for a, b in zip(incs[2:], incs[3:])]
         assert all(3.3 < r < 5.2 for r in ratios)
 
     def test_level0_value_frozen(self):
-        est = _row(harmonic_curve_length(CX, 0, tol=0.0, cap=12))
+        est = _row(harmonic_curve_length(CX, 0, tol=0.0))
         assert est["value"] == pytest.approx(1.074351979421, abs=1e-9)
         assert est["depth"] == 12
         assert not est["converged"]
 
     def test_three_sides_symmetric(self):
-        vals = [harmonic_curve_length(CX, j, tol=0.0, cap=10).value[0]
-                for j in range(3)]
+        vals = [harmonic_curve_length(CX, j, tol=0.0).value[0] for j in range(3)]
         assert max(vals) - min(vals) < 1e-12
 
     def test_converges_at_default_tolerance(self):
@@ -211,39 +216,44 @@ class TestCurveLength:
         assert est["depth"] < 12
         assert est["last_increment"] / est["value"] <= 1e-6
 
-    def test_additive_at_equal_absolute_depth(self):
+    def test_additive_at_equal_absolute_depth(self, monkeypatch):
         # halves of the bottom edge live in child cells 0 and 1
-        parent = _row(harmonic_curve_length(CX, 0, tol=0.0, cap=10))
+        _set_cap(monkeypatch, 10)
+        parent = _row(harmonic_curve_length(CX, 0, tol=0.0))
         # the cap counts refinements below each curve's level: all three
         # polylines end at absolute depth 10
-        left = _row(harmonic_curve_length(CX, kappa(1, 0) + 0, tol=0.0, cap=9))
-        right = _row(harmonic_curve_length(CX, kappa(1, 1) + 0, tol=0.0, cap=9))
+        _set_cap(monkeypatch, 9)
+        left = _row(harmonic_curve_length(CX, kappa(1, 0) + 0, tol=0.0))
+        right = _row(harmonic_curve_length(CX, kappa(1, 1) + 0, tol=0.0))
         assert parent["depth"] == left["depth"] == right["depth"] == 10
         assert parent["value"] == pytest.approx(left["value"] + right["value"],
                                                 abs=1e-12)
 
-    def test_cap_below_tolerance_flags_unconverged(self):
-        est = _row(harmonic_curve_length(CX, 0, tol=1e-12, cap=6))
+    def test_cap_below_tolerance_flags_unconverged(self, monkeypatch):
+        _set_cap(monkeypatch, 6)
+        est = _row(harmonic_curve_length(CX, 0, tol=1e-12))
         assert not est["converged"]
         assert est["depth"] == 6
         assert est["value"] > 1.0
 
-    def test_cap_counts_refinements_below_the_curve_level(self):
+    def test_cap_counts_refinements_below_the_curve_level(self, monkeypatch):
         cid = kappa(5, 17) + 2
-        est = _row(harmonic_curve_length(CX, cid, tol=0.0, cap=4, table=TABLE))
+        _set_cap(monkeypatch, 4)
+        est = _row(harmonic_curve_length(CX, cid, tol=0.0))
         segments = 2 ** (est["depth"] - est["level"])
         assert (est["ids"], est["level"], est["depth"], segments) == (cid, 5, 9, 16)
         assert not est["converged"]
 
-    def test_no_refinement_leaves_the_chord(self):
-        est = _row(harmonic_curve_length(CX, 0, cap=0, table=TABLE))
+    def test_no_refinement_leaves_the_chord(self, monkeypatch):
+        _set_cap(monkeypatch, 0)
+        est = _row(harmonic_curve_length(CX, 0))
         assert est["value"] == pytest.approx(1.0) and est["depth"] == 0
         assert not est["converged"]
         assert math.isnan(est["last_increment"])
 
     def test_rejects_curves_beyond_the_complex(self):
         with pytest.raises(ValueError, match="curve ids"):
-            harmonic_curve_length(CX, curve_count(5), table=TABLE)
+            harmonic_curve_length(CX, curve_count(5))
 
 
 class TestLengthOracle:
@@ -256,11 +266,12 @@ class TestLengthOracle:
         assert got.tolist() == [list(p) for p in oracles.edge_polyline(cap, self.RULE)]
 
     @staticmethod
-    def _agree(cx, table, ids, tol, cap):
+    def _agree(monkeypatch, cx, table, ids, tol, cap):
         """harmonic_lengths of the ids against the oracle, curve by curve,
         and every increment of the oracle's against the last increment of
         a tol-0 run whose cap ends on it."""
-        got = harmonic_lengths(cx, table, ids, tol=tol, cap=cap)
+        _set_cap(monkeypatch, cap)
+        got = harmonic_lengths(cx, table, ids, tol=tol)
         assert got.ids.tolist() == list(ids)
         refs = [oracles.harmonic_curve_length(cx, cid, tol, m + cap, table)
                 for cid, m in zip(ids, got.level.tolist())]
@@ -271,48 +282,34 @@ class TestLengthOracle:
             assert est["value"] == pytest.approx(ref.value, rel=1e-12, abs=0)
             assert abs(est["last_increment"] - ref.increments[-1]) <= 1e-12 * ref.value
         for k in range(1, max(len(ref.increments) for ref in refs) + 1):
-            at_k = harmonic_lengths(cx, table, ids, tol=0.0, cap=k).last_increment
+            _set_cap(monkeypatch, k)
+            at_k = harmonic_lengths(cx, table, ids, tol=0.0).last_increment
             for inc, ref in zip(at_k.tolist(), refs):
                 if k <= len(ref.increments):
                     assert abs(inc - ref.increments[k - 1]) <= 1e-12 * ref.value
         return got
 
-    def test_every_curve_through_level4_at_equal_depth(self):
+    def test_every_curve_through_level4_at_equal_depth(self, monkeypatch):
         cx = build_gasket(4)
-        self._agree(cx, HarmonicTable(cx), range(curve_count(4)), 0.0, 6)
+        self._agree(monkeypatch, cx, HarmonicTable(cx), range(curve_count(4)), 0.0, 6)
 
-    def test_sampled_level6_curves_stop_where_the_oracle_stops(self):
+    def test_sampled_level6_curves_stop_where_the_oracle_stops(self, monkeypatch):
         cx = build_gasket(6)
         ids = random.Random(606).sample(range(kappa(6, 0), curve_count(6)), 24)
-        got = self._agree(cx, HarmonicTable(cx), ids, 1e-6, 12)
+        got = self._agree(monkeypatch, cx, HarmonicTable(cx), ids, 1e-6, 12)
         assert got.converged.all()
 
     def test_one_curve_call_matches_the_batch(self):
         ids = [0, 4, kappa(3, 20) + 1, kappa(5, 200)]
         batch = harmonic_lengths(CX, TABLE, ids)
         for i, cid in enumerate(ids):
-            assert _row(harmonic_curve_length(CX, cid, table=TABLE)) == _row(batch, i)
+            assert _row(harmonic_curve_length(CX, cid)) == _row(batch, i)
 
 
 class TestRefinementCap:
-    def test_overflowing_cap_refused(self):
-        with pytest.raises(ValueError, match=r"refinement cap 28 overflows int64.*2\^65"):
-            build_harmonic_gasket(1, cap=28)
-
-    def test_cap_past_the_memory_guard_refused(self, monkeypatch):
-        def no_build(level):
-            raise AssertionError("built the level-%d complex" % level)
-
-        monkeypatch.setattr("prefractal.harmonic.build_gasket", no_build)
-        with pytest.raises(ValueError, match=r"refinement cap 23: .* needs about "
-                                             r"\d+ MiB, above the guard of 1024 MiB"):
-            build_harmonic_gasket(1, cap=23)
-        with pytest.raises(ValueError, match="refinement cap 27: .* above the guard"):
-            harmonic_curve_length(CX, 0, cap=27, table=TABLE)
-
-    def test_negative_cap_refused(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            harmonic_lengths(CX, TABLE, [0], cap=-1)
+    def test_base_polyline_integers_fit_int64(self):
+        # base_polyline's entries reach den^cap, which int64 must hold
+        assert derive_subdivision_rule().den ** REFINEMENT_CAP < 2**63
 
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
     def test_gasket_tolerance_refused_before_building(self, tol, monkeypatch):
@@ -354,9 +351,6 @@ class TestHarmonicGasket:
                 "max_level 13 is past the size cap: the complex with its harmonic lengths "
                 "needs about 2084 MiB, above the guard of 1024 MiB")):
             build_harmonic_gasket(13)
-        # a given complex is tabled at its own depth, whatever max_level asks
-        with pytest.raises(ValueError, match=r"^max_level 13 is past the size cap"):
-            build_harmonic_gasket(2, cx=SimpleNamespace(max_level=13))
 
     def test_combinatorics_match_euclidean(self):
         hg = build_harmonic_gasket(2)
@@ -398,16 +392,6 @@ class TestHarmonicGasket:
         assert hg.lengths.ids.tolist() == list(range(curve_count(7)))
         assert hg.unconverged() == []
         assert (hg.lengths.last_increment / hg.lengths.value <= 1e-6).all()
-
-    def test_lengths_stop_at_the_gasket_level_on_a_deeper_complex(self):
-        hg = build_harmonic_gasket(2, cx=build_gasket(4))
-        own = build_harmonic_gasket(2)
-        assert hg.level == own.level == 2
-        assert hg.metric_graph().edges == own.metric_graph().edges
-        assert hg.vertex_rationals() == own.vertex_rationals()
-        assert len(hg.vertex_rationals()) == vertex_count(2)
-        with pytest.raises(ValueError, match="no lengths at level 3"):
-            hg.metric_graph(3)
 
     def test_length_table_shape(self):
         hg = build_harmonic_gasket(1)

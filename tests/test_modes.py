@@ -200,35 +200,31 @@ class TestCovariantReach:
 
     @pytest.mark.parametrize("epsilon", [0.5, 0.1, 0.01])
     @pytest.mark.parametrize("n", range(10))
-    def test_matches_whole_vector_oracle(self, n, epsilon):
+    def test_matches_whole_vector_oracle(self, n, epsilon, monkeypatch):
         # n >= max_level (8) leaves an empty defect, so the sup is 0
         for seed in range(5):
             for size in (2, 41):
-                got = covariant_reach_witness(n, epsilon, trials=12, seed=seed,
-                                              t_grid_size=size)
+                monkeypatch.setattr("prefractal.modes.T_GRID_SIZE", size)
+                got = covariant_reach_witness(n, epsilon, trials=12, seed=seed)
                 assert got == oracles.covariant_reach_oracle(
                     n, epsilon, trials=12, seed=seed, t_grid_size=size)
                 if n >= 8:
                     assert got.max_reach == 0.0
 
-    @pytest.mark.parametrize("size", [1, 0, -3])
-    def test_rejects_short_time_grid(self, size):
-        with pytest.raises(ValueError, match="at least two points, got %d" % size):
-            covariant_reach_witness(2, 0.1, trials=1, t_grid_size=size)
-
-    @pytest.mark.parametrize("size,last", [(2, 120000), (41, 120000), (82, 60000)])
+    @pytest.mark.parametrize("size,last", [(2, 120000), (41, 120000)])
     def test_guard_refuses_before_the_first_trial(self, size, last, monkeypatch):
-        # 2.5e-4 s per trial on a grid of up to 41 points, in proportion
-        # past it: the last count under the 30 s guard reaches its first trial
+        # 2.5e-4 s per trial, whatever the grid: the last count under the
+        # 30 s guard reaches its first trial
         def no_trial(*args, **kwargs):
             raise AssertionError("ran a trial")
 
+        monkeypatch.setattr("prefractal.modes.T_GRID_SIZE", size)
         monkeypatch.setattr("prefractal.modes.random_mode_vector", no_trial)
         with pytest.raises(AssertionError, match="ran a trial"):
-            covariant_reach_witness(2, 0.1, last, t_grid_size=size)
+            covariant_reach_witness(2, 0.1, last)
         with pytest.raises(ValueError, match=r"^covariant with %d trials needs about 17 MiB "
                                              r"and 30 s, above the guards" % (last + 1)):
-            covariant_reach_witness(2, 0.1, last + 1, t_grid_size=size)
+            covariant_reach_witness(2, 0.1, last + 1)
 
     def test_a_count_past_any_float_is_refused(self):
         # its seconds overflow a float: infinite, not an OverflowError

@@ -344,6 +344,14 @@ class TestDimensionFit:
         fit = dimension_fit(SpectrumSpec.gasket(2), 2e4, 1e5, grid_size=20)
         assert 0.97 <= fit.slope <= 1.03
 
+    def test_counts_past_int64_stay_exact(self):
+        # N(1e20) of the gasket limit is about 1.7e32: the counts are the
+        # exact ints, not floats cast back to int64
+        fit = dimension_fit(SpectrumSpec.gasket_limit(), 50, 1e20, grid_size=3)
+        want = [n for _, n in counting_function(SpectrumSpec.gasket_limit(),
+                                                fit.grid.tolist())]
+        assert fit.counts.tolist() == want and want[-1] > 2**63
+
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError, match="grid"):
             dimension_fit(SpectrumSpec.single(), 10, 100, grid_size=1)

@@ -8,11 +8,12 @@ interpreter and reads the edge count of one traced graph build, without
 running a workload; a second runs two CLI commands under the tracer,
 whose modules are imported only when the command runs; another runs the
 benchmark's self-test, whose checks parse every artifact of the
-workloads at tiny sizes. The last five read the package's own sources
+workloads at tiny sizes. The last six read the package's own sources
 for imports they never use, for a number the CLI assigns (its guards'
 cost models live beside the code they bound), for an import of
-dataclasses, for top-level names nothing uses, and for defaulted
-parameters no call in src/, tests/ or demos/ sets.
+dataclasses, for top-level names nothing uses, for defaulted parameters
+no call in src/, tests/ or demos/ sets, and for defaulted parameters no
+call in src/ sets, but for a named few that choose what is computed.
 """
 
 import ast
@@ -237,11 +238,11 @@ def _calls_by_name(trees):
     return calls
 
 
-def _unused_options(root):
+def _unused_options(root, dirs=("src", "tests", "demos")):
     """Defaulted parameters of the package's public functions, methods and
-    constructors that no call in src/, tests/ or demos/ passes."""
+    constructors that no call in the directories `dirs` passes."""
     package = sorted((root / "src" / "prefractal").glob("*.py"))
-    callers = [p for d in ("src", "tests", "demos") for p in sorted((root / d).rglob("*.py"))]
+    callers = [p for d in dirs for p in sorted((root / d).rglob("*.py"))]
     calls = _calls_by_name(ast.parse(p.read_text()) for p in callers)
     unused = []
     for path in package:
@@ -260,3 +261,23 @@ def test_every_option_is_passed_somewhere():
     # parameter that no call sets is a constant; calls match by name, so
     # any function or method of the same name that passes it counts
     assert _unused_options(ROOT) == []
+
+
+# defaulted parameters that no call in src/ sets, each kept because it
+# chooses what is computed, not how: a parameter that only tests set to
+# tune a computation is a constant the tests patch
+CHOSEN_BY_THE_CALLER = {
+    "cli.main(argv=)": "the arguments to run; the console script reads sys.argv",
+    "metric.FiniteMetricSpace.from_graph(vertex_ids=)": "the vertices the space holds",
+    "transport.lipschitz_seminorm(indices=)": "the points the values sit on",
+    "spectrum.zeta_partial(max_curves=)": "how many curves the partial sum takes",
+    "harmonic.HarmonicGasket.metric_graph(level=)": "the level whose graph is built",
+    "spectrum.SpectrumSpec.single(length=)": "the interval's length",
+    "harmonic.harmonic_curve_length(tol=)": "the accuracy asked of the one length",
+}
+
+
+def test_no_option_is_set_only_outside_the_package():
+    # the same scan with src/ alone as callers: what only tests or demos
+    # set must be one of the parameters above
+    assert sorted(_unused_options(ROOT, ("src",))) == sorted(CHOSEN_BY_THE_CALLER)
