@@ -4,9 +4,10 @@ Each case is one argv: a command with a random choice of its own flags,
 now and then another command's, a repeated flag or a missing required
 one. Values come from boundary ints, signs, huge and tiny decimals,
 non-finite, empty and zero-denominator text, and garbled or repeated
-measure atoms. Sizes that a guard admits stay small (levels up to 4 or
-30 where a level costs no complex, at most 30 trials), so every case
-should end at once; one that runs past CASE_SECONDS is a finding.
+measure atoms. Sizes that a guard admits stay small (levels up to 4,
+and 30 only where it is refused or builds no complex; at most 30
+trials), so every case should end at once; one that runs past
+CASE_SECONDS is a finding.
 
 Every case must exit 0, 2 or 3, with nothing on stderr on 0 and exactly
 the JSON error object on 2 or 3, and raise no exception and no warning
